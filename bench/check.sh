@@ -1,5 +1,5 @@
 #!/usr/bin/env sh
-# Local / CI gate for the checker-engine refactor.
+# Local / CI performance and correctness gates.
 #
 #   sh bench/check.sh
 #
@@ -8,10 +8,12 @@
 #                         format check is advisory on machines without it)
 #   2. dune build        (whole tree, warnings-as-errors per dune-project)
 #   3. dune runtest      (tier-1: unit + property-based suites, including
-#                         the interned-vs-legacy engine equivalence)
+#                         the interned engine's equivalence with the
+#                         test oracle's legacy rewriter)
 #   4. bench/main.exe --quick --cache-only
-#                        (replays recorded traces under both engines,
-#                         asserts outcome equivalence, writes
+#                        (replays recorded traces through the interned
+#                         monitors and the oracle's legacy reference
+#                         monitor, asserts outcome equivalence, writes
 #                         BENCH_checker_cache.json, and FAILS if the
 #                         interned engine is below the 1.5x speedup floor)
 #   5. bench/main.exe --quick --obs-only

@@ -224,16 +224,33 @@ let ablation_grid_wrapper ops =
     t_grid
     ((t_grid -. t_base) /. t_base *. 100.)
 
+let recorded_trace result =
+  match result.Testbench.trace with
+  | Some trace -> trace
+  | None -> failwith "testbench recorded no trace"
+
+(* Replay through the shipped monitors with the offline stutter fast
+   path off: the backend comparisons below isolate the per-step
+   checker cost, and the fast path would skip steps on the shipped
+   side only, inflating the ratios. *)
+let replay_run props trace =
+  let open Tabv_checker.Offline in
+  let module R = Run (Monitors) in
+  R.over_trace (Monitors.config ~stutter:false props) trace
+
+(* Generator independence (Sec. IV): one recorded DES56 RTL run
+   re-checked by the shipped progression monitors and by reference
+   monitors over the test oracle's tabled automata.  Replaying the
+   trace times the checkers alone, with no simulation in the loop. *)
 let ablation_checker_backend ops =
   print_endline
-    "=== Ablation: checker synthesis backend (DES56 RTL, all 9 checkers) ===";
-  let t_prog =
-    timed (fun () ->
-      Testbench.run_des56_rtl ~engine:`Progression ~properties:Des56_props.all ops)
-  in
+    "=== Ablation: checker synthesis backend (DES56 RTL trace replay, all 9 \
+     checkers) ===";
+  let trace = recorded_trace (Testbench.run_des56_rtl ~record_trace:true ops) in
+  let props = Des56_props.all in
+  let t_prog = timed (fun () -> replay_run props trace) in
   let t_auto =
-    timed (fun () ->
-      Testbench.run_des56_rtl ~engine:`Automaton ~properties:Des56_props.all ops)
+    timed (fun () -> Tabv_oracle.Reference_monitor.run `Automaton props trace)
   in
   Printf.printf "formula progression (rewriting)  : %8.3f s\n" t_prog;
   Printf.printf "explicit-state automaton (tabled): %8.3f s  (%.2fx)\n\n" t_auto
@@ -275,53 +292,38 @@ let replicate_properties n props =
     (List.init n (fun i -> i))
 
 let assert_equivalent_outcomes level legacy interned =
+  let open Tabv_checker in
+  let module R = Tabv_oracle.Reference_monitor in
+  let pairs =
+    List.map (fun (f : Monitor.failure) -> (f.activation_time, f.failure_time))
+  in
   List.iter2
-    (fun (l : Tabv_checker.Replay.outcome) (i : Tabv_checker.Replay.outcome) ->
-      let open Tabv_checker in
-      let summary o =
-        ( List.map
-            (fun (f : Monitor.failure) ->
-              (f.Monitor.activation_time, f.Monitor.failure_time))
-            (Monitor.failures o.Replay.monitor),
-          Monitor.activations o.Replay.monitor,
-          Monitor.passes o.Replay.monitor,
-          Monitor.pending o.Replay.monitor )
-      in
-      if summary l <> summary i then
+    (fun ((property : Property.t), l) (_, i) ->
+      if
+        (pairs (R.failures l), R.activations l, R.passes l, R.pending l)
+        <> ( pairs (Monitor.failures i),
+             Monitor.activations i,
+             Monitor.passes i,
+             Monitor.pending i )
+      then
         failwith
           (Printf.sprintf "checker_cache %s: engines disagree on %s" level
-             l.Replay.property.Property.name))
+             property.name))
     legacy interned
-
-(* Replay with the offline stutter fast path off: this section isolates
-   the per-step engine cost (interned vs legacy rewriting), and the
-   fast path would skip exactly the steps being compared — equally for
-   both engines, diluting the ratio toward 1. *)
-let replay_run ?engine props trace =
-  let open Tabv_checker.Offline in
-  List.map
-    (fun (property, monitor) -> { Tabv_checker.Replay.property; monitor })
-    (let module R = Run (Monitors) in
-     R.over_trace (Monitors.config ?engine ~stutter:false props) trace)
 
 let checker_cache_section ?(ops_count = 1000) ?(replicate = 8) () =
   print_endline
     "=== Checker cache: interned progression vs legacy rewriting (replay) ===";
   let ops = Workload.des56 ~seed:42 ~count:ops_count () in
-  let trace_of result =
-    match result.Testbench.trace with
-    | Some trace -> trace
-    | None -> failwith "checker_cache: testbench recorded no trace"
-  in
   let levels =
     [ ( "RTL",
-        trace_of (Testbench.run_des56_rtl ~record_trace:true ops),
+        recorded_trace (Testbench.run_des56_rtl ~record_trace:true ops),
         replicate_properties replicate Des56_props.all );
       ( "TLM-CA",
-        trace_of (Testbench.run_des56_tlm_ca ~record_trace:true ops),
+        recorded_trace (Testbench.run_des56_tlm_ca ~record_trace:true ops),
         replicate_properties replicate Des56_props.all );
       ( "TLM-AT",
-        trace_of (Testbench.run_des56_tlm_at ~record_trace:true ops),
+        recorded_trace (Testbench.run_des56_tlm_at ~record_trace:true ops),
         replicate_properties replicate (Des56_props.tlm_auto_safe ()) ) ]
   in
   Printf.printf "%-8s %6s %9s %12s %12s %9s %9s\n" "Level" "props" "entries"
@@ -331,15 +333,11 @@ let checker_cache_section ?(ops_count = 1000) ?(replicate = 8) () =
       (fun (level, trace, props) ->
         (* Correctness first: both engines must agree on everything
            observable before their times are worth comparing. *)
-        let legacy_outcomes =
-          replay_run ~engine:`Progression_legacy props trace
+        let legacy_run () =
+          Tabv_oracle.Reference_monitor.run `Legacy props trace
         in
-        let interned_outcomes = replay_run props trace in
-        assert_equivalent_outcomes level legacy_outcomes interned_outcomes;
-        let t_legacy =
-          timed (fun () ->
-            replay_run ~engine:`Progression_legacy props trace)
-        in
+        assert_equivalent_outcomes level (legacy_run ()) (replay_run props trace);
+        let t_legacy = timed legacy_run in
         let before = Tabv_checker.Progression.cache_stats () in
         let t_interned = timed (fun () -> replay_run props trace) in
         let after = Tabv_checker.Progression.cache_stats () in
@@ -880,7 +878,7 @@ let sched_netlist kernel ~procs ~writes =
     Elab.process el ~name:(Printf.sprintf "reg%d" p) ~pos:__POS__
       ~initialize:false
       ~sensitivity:[ Clock.posedge clock ]
-      ~reads:packs ~writes:packs
+      ~writes:packs
       (fun () ->
         for w = 0 to writes - 1 do
           Signal.write mine.(w) (not (Signal.read mine.(w)))

@@ -393,12 +393,7 @@ let recheck_cmd =
        is sampled either, so any property set is fine.) *)
     if trace_signals <> [] then begin
       let missing =
-        List.concat_map
-          (fun p ->
-            List.filter
-              (fun s -> not (List.mem s trace_signals))
-              (Property.signals p))
-          properties
+        List.concat_map (Property.unknown_signals ~known:trace_signals) properties
         |> List.sort_uniq compare
       in
       if missing <> [] then
@@ -515,18 +510,29 @@ let replay_cmd =
         Printf.eprintf "%s:%d:%d: %s\n" props line col message;
         exit 1
     in
+    let trace = waveform.Tabv_sim.Vcd_reader.trace in
+    let known = List.map fst waveform.Tabv_sim.Vcd_reader.signals in
+    (* Same gate as recheck: a property sampling a signal the waveform
+       does not carry would die mid-replay on an unbound signal. *)
+    (match
+       List.concat_map (Property.unknown_signals ~known) properties
+       |> List.sort_uniq compare
+     with
+     | [] -> ()
+     | missing ->
+       Cli.fail "replay"
+         (Printf.sprintf
+            "%s: waveform does not record signal(s) %s — mismatched property set"
+            vcd (String.concat ", " missing)));
     Printf.printf "replaying %d evaluation points over %d signals\n"
-      (Trace.length waveform.Tabv_sim.Vcd_reader.trace)
-      (List.length waveform.Tabv_sim.Vcd_reader.signals);
-    let outcomes =
-      (Tabv_checker.Replay.run [@alert "-deprecated"])
-        properties waveform.Tabv_sim.Vcd_reader.trace
-    in
+      (Trace.length trace) (List.length known);
+    let open Tabv_checker in
+    let module R = Offline.Run (Offline.Monitors) in
     let monitors =
-      List.map (fun o -> o.Tabv_checker.Replay.monitor) outcomes
+      List.map snd (R.over_trace (Offline.Monitors.config properties) trace)
     in
-    Format.printf "%a@." Tabv_checker.Coverage.pp_table monitors;
-    if not (Tabv_checker.Replay.all_passed outcomes) then exit 1
+    Format.printf "%a@." Coverage.pp_table monitors;
+    if List.exists (fun m -> Monitor.failures m <> []) monitors then exit 1
   in
   let doc = "Check properties offline against a recorded VCD waveform." in
   Cmd.v (Cmd.info "replay" ~doc) Term.(const run $ vcd $ props)

@@ -121,7 +121,10 @@ let run_rtl ~properties =
   let model = Mul8_rtl.create kernel clock in
   let checkers =
     List.map
-      (fun p -> Rtl_checker.attach kernel clock p ~lookup:(Mul8_rtl.lookup model))
+      (fun p ->
+        Checker.attach
+          (Checker.Attach.spec (Checker.Attach.clock_edge clock))
+          kernel p ~lookup:(Mul8_rtl.lookup model))
       properties
   in
   let results = ref [] in
@@ -194,7 +197,12 @@ let run_tlm ~model_latency_ns ~properties =
   let initiator = Tlm.Initiator.create kernel ~name:"mul8_init" in
   Tlm.Initiator.bind initiator target;
   let checkers =
-    List.map (fun p -> Wrapper.attach kernel initiator p ~lookup) properties
+    List.map
+      (fun p ->
+        Checker.attach
+          (Checker.Attach.spec (Checker.Attach.transaction initiator))
+          kernel p ~lookup)
+      properties
   in
   let results = ref [] in
   Process.spawn kernel ~name:"driver" (fun () ->
@@ -239,7 +247,7 @@ let () =
   let rtl_results, rtl_checkers = run_rtl ~properties:rtl_properties in
   Printf.printf "  functional: %s\n"
     (if rtl_results = expected then "all products correct" else "WRONG RESULTS");
-  List.iter (fun c -> print_monitor (Rtl_checker.monitor c)) rtl_checkers;
+  List.iter (fun c -> print_monitor (Checker.monitor c)) rtl_checkers;
 
   print_endline "\nStep 4: abstraction (clock 10 ns, no signals removed)";
   let reports =
@@ -261,8 +269,8 @@ let () =
   in
   Printf.printf "  functional: %s\n"
     (if tlm_results = expected then "all products correct" else "WRONG RESULTS");
-  List.iter (fun c -> print_monitor (Wrapper.monitor c)) tlm_checkers;
+  List.iter (fun c -> print_monitor (Checker.monitor c)) tlm_checkers;
 
   print_endline "\nStep 6: a wrong abstraction (latency 30 ns instead of 40)";
   let _, bad_checkers = run_tlm ~model_latency_ns:30 ~properties:tlm_properties in
-  List.iter (fun c -> print_monitor (Wrapper.monitor c)) bad_checkers
+  List.iter (fun c -> print_monitor (Checker.monitor c)) bad_checkers

@@ -19,12 +19,16 @@ let vcd_path = Filename.temp_file "tabv_offline" ".vcd"
 
 let dump_trace trace = Trace_dump.to_file trace vcd_path
 
+module Monitors_run = Tabv_checker.Offline.Run (Tabv_checker.Offline.Monitors)
+
 let replay title trace =
   Printf.printf "\n=== %s ===\n" title;
-  let outcomes =
-    (Tabv_checker.Replay.run [@alert "-deprecated"]) Des56_props.all trace
+  let monitors =
+    List.map snd
+      (Monitors_run.over_trace
+         (Tabv_checker.Offline.Monitors.config Des56_props.all)
+         trace)
   in
-  let monitors = List.map (fun o -> o.Tabv_checker.Replay.monitor) outcomes in
   Format.printf "%a@." Tabv_checker.Coverage.pp_table monitors
 
 let () =
@@ -45,7 +49,7 @@ let () =
     (List.length waveform.Vcd_reader.signals)
     (Trace.length waveform.Vcd_reader.trace);
 
-  (* 3. Replay. *)
+  (* 3. Replay the recording. *)
   replay "replaying the recorded waveform" waveform.Vcd_reader.trace;
 
   (* 4. Tamper with the waveform: delay every rdy pulse by one

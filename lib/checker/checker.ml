@@ -15,13 +15,12 @@ module Attach = struct
       }
 
   type spec = {
-    engine : Monitor.engine option;
     sampler : Sampler.t option;
     mode : mode;
     metrics : Tabv_obs.Metrics.t option;
   }
 
-  let spec ?engine ?sampler ?metrics mode = { engine; sampler; mode; metrics }
+  let spec ?sampler ?metrics mode = { sampler; mode; metrics }
   let clock_edge ?(clocks = []) clock = Clock_edge { clock; clocks }
   let transaction initiator = Transaction initiator
   let transaction_unabstracted initiator = Transaction_unabstracted initiator
@@ -100,7 +99,7 @@ let register_metrics metrics monitor =
   end
 
 let attach (spec : Attach.spec) kernel property ~lookup =
-  let { Attach.engine; sampler; mode; metrics } = spec in
+  let { Attach.sampler; mode; metrics } = spec in
   (* Validate the property context against the requested mode before
      synthesizing anything. *)
   (match mode with
@@ -112,7 +111,7 @@ let attach (spec : Attach.spec) kernel property ~lookup =
        invalid_arg "Checker.attach: clock_period must be positive";
      require_transaction_context ~what:"grid" property
    | Attach.Clock_edge _ -> require_clock_context ~what:"clock-edge" property);
-  let monitor = Monitor.create ?engine ?sampler property in
+  let monitor = Monitor.create ?sampler property in
   let max_eps = Ltl.max_eps property.Property.formula in
   let t = { monitor; max_eps; step_scheduled_for = -1 } in
   (match mode with

@@ -1,19 +1,13 @@
 open Tabv_psl
 open Tabv_sim
 
-(** Unified checker attachment.
+(** Checker attachment: the wrapper of Sec. IV.
 
-    One entry point replaces the optional-argument triplication that
-    used to be spread over [Wrapper.attach], [Wrapper.attach_unabstracted],
-    [Wrapper.attach_grid] and [Rtl_checker.attach]: every way of
-    hooking a property {!Monitor} to a simulation is an
-    {!Attach.mode}, and everything else a checker needs — backend
-    engine, shared atom sampler, metrics registry — travels in one
-    {!Attach.spec} record.
-
-    The legacy modules remain as thin shims over this module, so
-    existing call sites keep compiling; new code should build an
-    {!Attach.spec} and call {!attach}. *)
+    Every way of hooking a property {!Monitor} to a simulation is an
+    {!Attach.mode} — RTL clock edges, TLM transaction ends, the
+    unabstracted-reuse experiment or the reference clock grid — and
+    everything else a checker needs (shared atom sampler, metrics
+    registry) travels in one {!Attach.spec} record. *)
 
 module Attach : sig
   (** How evaluation points are generated (Sec. III/IV of the paper):
@@ -42,19 +36,17 @@ module Attach : sig
         phase : int;
       }
 
-  (** The full attachment request.  [engine] defaults to the monitor's
-      default backend, [sampler] to a private per-monitor sampler, and
-      [metrics] to the kernel's registry ({!Kernel.metrics}) — pass an
-      explicit registry only to segregate instrumentation. *)
+  (** The full attachment request.  [sampler] defaults to a private
+      per-monitor sampler and [metrics] to the kernel's registry
+      ({!Kernel.metrics}) — pass an explicit registry only to
+      segregate instrumentation. *)
   type spec = {
-    engine : Monitor.engine option;
     sampler : Sampler.t option;
     mode : mode;
     metrics : Tabv_obs.Metrics.t option;
   }
 
   val spec :
-    ?engine:Monitor.engine ->
     ?sampler:Sampler.t ->
     ?metrics:Tabv_obs.Metrics.t ->
     mode ->

@@ -10,38 +10,11 @@ type failure = Tabv_obs.Checker_snapshot.failure = {
   failure_time : int;
 }
 
-type engine =
-  [ `Progression
-  | `Progression_legacy
-  | `Automaton
-  ]
-
-(* The synthesis backends share the monitor through two live-instance
-   representations:
-   - the interned engine keeps a multiset of hash-consed states, each
-     carrying the activation times that reached it (the paper's array
-     [C] becomes [state -> activation times]);
-   - the legacy and automaton engines keep the original list of live
-     instances, one per activation. *)
-
-type backend =
-  | Interned_backend of Progression.t  (* initial obligation *)
-  | Legacy_backend
-  | Auto_backend of Automaton.t
-
-type list_obligation =
-  | Legacy_ob of Progression.Legacy.t
-  | Auto_ob of Automaton.state
-
-type instance = {
-  activated_at : int;
-  mutable obligation : list_obligation;
-}
-
-(* One distinct live state of the interned engine with every
-   activation time currently in that state (ascending; activation
-   times are unique per monitor, so no counts are needed beyond the
-   list length). *)
+(* One distinct live state with every activation time currently in
+   that state (ascending; activation times are unique per monitor, so
+   no counts are needed beyond the list length).  The paper's instance
+   array [C] becomes [state -> activation times]: identical live
+   instances are one hash-consed state, stepped once. *)
 type live_state = {
   state : Progression.t;
   mutable activations_at : int list;
@@ -71,15 +44,12 @@ type step_memo = {
 
 type t = {
   property : Property.t;
-  body : Ltl.t;
   temporal_body : bool;  (* vacuity only makes sense for temporal bodies *)
-  backend : backend;
+  initial : Progression.t;  (* obligation of a fresh instance *)
   repeating : bool;  (* outer [always]: activate per evaluation point *)
-  gate : Expr.t option;
   gate_atom : Interned.t option;  (* gate as interned atom, for sharing *)
   sampler : Sampler.t;
-  mutable live : live_state list;  (* interned engine, insertion order *)
-  mutable instances : instance list;  (* legacy/auto engines, newest first *)
+  mutable live : live_state list;  (* insertion order *)
   mutable started : bool;
   mutable failures : failure list;  (* unordered; sorted on read *)
   mutable activations : int;
@@ -105,59 +75,40 @@ let gate_of_context = function
   | Context.Transaction Context.Base_trans -> None
   | Context.Transaction (Context.Trans_and gate) -> Some gate
 
-let create ?(engine = `Progression) ?sampler property =
+let create ?sampler property =
   let normalized = Nnf.convert (Ltl.demote_booleans property.Property.formula) in
   let repeating, body =
     match normalized with
     | Ltl.Always body -> (true, body)
     | other -> (false, other)
   in
-  let interned_backend () = Interned_backend (Progression.of_formula body) in
-  let backend =
-    match engine with
-    | `Progression -> interned_backend ()
-    | `Progression_legacy -> Legacy_backend
-    | `Automaton ->
-      (* Bound the table so pathological bodies fall back to the
-         interned rewriting backend instead of exploding at synthesis
-         time. *)
-      (match Automaton.compile ~max_states:256 body with
-       | automaton -> Auto_backend automaton
-       | exception Automaton.Unsupported _ -> interned_backend ())
+  let initial = Progression.of_formula body in
+  let gate_atom =
+    Option.map Interned.atom (gate_of_context property.Property.context)
   in
-  let gate = gate_of_context property.Property.context in
-  let gate_atom = Option.map Interned.atom gate in
   let sampler =
     match sampler with
     | Some s -> s
     | None -> Sampler.create ()
   in
-  (* Batched sampling: hand the monitor's atom set to the sampler up
-     front.  Progression only rewrites the registered formula, so the
-     atom set is closed under stepping; the interned backend is the
-     one that reads atoms through the sampler, and the gate is
-     sampler-read on every backend. *)
-  (match backend with
-   | Interned_backend _ ->
-     ignore
-       (Ltl.map_atoms
-          (fun e ->
-            Sampler.register sampler (Interned.atom e);
-            e)
-          body)
-   | Legacy_backend | Auto_backend _ -> ());
+  (* Batched sampling: hand the monitor's atom set (formula atoms plus
+     the gate) to the sampler up front.  Progression only rewrites the
+     registered formula, so the atom set is closed under stepping. *)
+  ignore
+    (Ltl.map_atoms
+       (fun e ->
+         Sampler.register sampler (Interned.atom e);
+         e)
+       body);
   Option.iter (Sampler.register sampler) gate_atom;
   {
     property;
-    body;
     temporal_body = not (Simple_subset.is_boolean body);
-    backend;
+    initial;
     repeating;
-    gate;
     gate_atom;
     sampler;
     live = [];
-    instances = [];
     started = false;
     failures = [];
     activations = 0;
@@ -174,18 +125,12 @@ let create ?(engine = `Progression) ?sampler property =
 
 let property t = t.property
 
-let engine t =
-  match t.backend with
-  | Interned_backend _ -> `Progression
-  | Legacy_backend -> `Progression_legacy
-  | Auto_backend _ -> `Automaton
-
 let record_failure t ~activation_time ~failure_time =
   t.failures <-
     { property_name = t.property.Property.name; activation_time; failure_time }
     :: t.failures
 
-(* --- interned engine: multiset of hash-consed states --------------- *)
+(* --- stepping: multiset of hash-consed states ----------------------- *)
 
 let rec merge_sorted a b =
   match a, b with
@@ -193,7 +138,7 @@ let rec merge_sorted a b =
   | x :: xs, y :: ys ->
     if x <= y then x :: merge_sorted xs b else y :: merge_sorted a ys
 
-let step_interned t ~time lookup initial =
+let step_states t ~time lookup =
   (* One DLS lookup per step: every state of the multiset steps, and
      every counter snapshot reads, through this handle. *)
   let stats = Progression.handle () in
@@ -241,7 +186,7 @@ let step_interned t ~time lookup initial =
     t.live;
   (* Activation of a new instance. *)
   let activate () =
-    let ob = Progression.step_atoms_in stats ~time eval initial in
+    let ob = Progression.step_atoms_in stats ~time eval t.initial in
     match Progression.verdict ob with
     | Some true ->
       t.passes <- t.passes + 1;
@@ -263,91 +208,8 @@ let step_interned t ~time lookup initial =
     + (Progression.handle_bypassed stats - bypassed0);
   if !merged_count > t.peak_distinct then t.peak_distinct <- !merged_count
 
-(* --- legacy / automaton engines: list of live instances ------------ *)
-
-let fresh_list_obligation t =
-  match t.backend with
-  | Legacy_backend -> Legacy_ob (Progression.Legacy.of_formula t.body)
-  | Auto_backend automaton -> Auto_ob (Automaton.initial automaton)
-  | Interned_backend _ -> assert false
-
-(* Per-evaluation-point context: the automaton backend evaluates the
-   atoms once and every instance steps by table lookup. *)
-type step_context =
-  | Legacy_ctx
-  | Auto_ctx of int
-
-let step_context t lookup =
-  match t.backend with
-  | Legacy_backend | Interned_backend _ -> Legacy_ctx
-  | Auto_backend automaton -> Auto_ctx (Automaton.valuation automaton lookup)
-
-let step_list_obligation t ~time lookup ctx = function
-  | Legacy_ob ob -> Legacy_ob (Progression.Legacy.step ~time lookup ob)
-  | Auto_ob state ->
-    (match t.backend, ctx with
-     | Auto_backend automaton, Auto_ctx v ->
-       Auto_ob (Automaton.step_valuation automaton state v)
-     | (Legacy_backend | Interned_backend _ | Auto_backend _), _ ->
-       assert false)
-
-let list_obligation_verdict t = function
-  | Legacy_ob ob -> Progression.Legacy.verdict ob
-  | Auto_ob state ->
-    (match t.backend with
-     | Auto_backend automaton -> Automaton.verdict automaton state
-     | Legacy_backend | Interned_backend _ -> assert false)
-
-let record_outcome t ~time instance =
-  match list_obligation_verdict t instance.obligation with
-  | Some true ->
-    t.passes <- t.passes + 1;
-    false
-  | Some false ->
-    record_failure t ~activation_time:instance.activated_at ~failure_time:time;
-    false
-  | None -> true
-
-let step_list t ~time lookup =
-  let ctx = step_context t lookup in
-  (* Evaluation of live instances. *)
-  let survivors =
-    List.filter
-      (fun instance ->
-        instance.obligation <-
-          step_list_obligation t ~time lookup ctx instance.obligation;
-        record_outcome t ~time instance)
-      t.instances
-  in
-  t.instances <- survivors;
-  (* Activation of a new instance. *)
-  let activate () =
-    let obligation =
-      step_list_obligation t ~time lookup ctx (fresh_list_obligation t)
-    in
-    match list_obligation_verdict t obligation with
-    | Some true ->
-      t.passes <- t.passes + 1;
-      t.trivial_passes <- t.trivial_passes + 1
-    | Some false ->
-      t.activations <- t.activations + 1;
-      record_failure t ~activation_time:time ~failure_time:time
-    | None ->
-      t.activations <- t.activations + 1;
-      t.instances <- { activated_at = time; obligation } :: t.instances
-  in
-  if t.repeating then activate ()
-  else if not t.started then activate ();
-  let distinct = List.length t.instances in
-  if distinct > t.peak_distinct then t.peak_distinct <- distinct
-
-(* --- shared step entry point --------------------------------------- *)
-
 let live_instances t =
-  match t.backend with
-  | Interned_backend _ ->
-    List.fold_left (fun acc ls -> acc + List.length ls.activations_at) 0 t.live
-  | Legacy_backend | Auto_backend _ -> List.length t.instances
+  List.fold_left (fun acc ls -> acc + List.length ls.activations_at) 0 t.live
 
 let step_core t ~time lookup =
   let gated_out =
@@ -357,9 +219,7 @@ let step_core t ~time lookup =
   in
   if not gated_out then begin
     t.steps <- t.steps + 1;
-    (match t.backend with
-     | Interned_backend initial -> step_interned t ~time lookup initial
-     | Legacy_backend | Auto_backend _ -> step_list t ~time lookup);
+    step_states t ~time lookup;
     t.started <- true;
     let live = live_instances t in
     if live > t.peak then t.peak <- live
@@ -370,7 +230,7 @@ let enable_memo t = t.memo_enabled <- true
 let step ?(stuttered = false) t ~time lookup =
   if not t.memo_enabled then step_core t ~time lookup
   else begin
-    let live_before = t.live == [] && t.instances == [] in
+    let live_before = t.live == [] in
     let steps0 = t.steps in
     let activations0 = t.activations in
     let passes0 = t.passes in
@@ -379,7 +239,7 @@ let step ?(stuttered = false) t ~time lookup =
     let misses0 = t.cache_misses in
     let failures0 = t.failures in
     step_core t ~time lookup;
-    let live_after = t.live == [] && t.instances == [] in
+    let live_after = t.live == [] in
     let d_steps = t.steps - steps0 in
     t.memo <-
       Some
@@ -443,12 +303,7 @@ let activations t = t.activations
 let passes t = t.passes
 let steps t = t.steps
 let pending t = live_instances t
-
-let distinct_states t =
-  match t.backend with
-  | Interned_backend _ -> List.length t.live
-  | Legacy_backend | Auto_backend _ -> List.length t.instances
-
+let distinct_states t = List.length t.live
 let peak_distinct_states t = t.peak_distinct
 let cache_hits t = t.cache_hits
 let cache_misses t = t.cache_misses
@@ -460,37 +315,21 @@ let cache_hit_rate t =
 let sampler t = t.sampler
 
 let evaluation_table t =
-  match t.backend with
-  | Interned_backend _ ->
-    List.sort compare
-      (List.concat_map
-         (fun ls ->
-           match Progression.next_evaluation_time ls.state with
-           | Some target -> List.map (fun _ -> target) ls.activations_at
-           | None -> [])
-         t.live)
-  | Legacy_backend | Auto_backend _ ->
-    List.sort compare
-      (List.filter_map
-         (fun instance ->
-           match instance.obligation with
-           | Legacy_ob ob -> Progression.Legacy.next_evaluation_time ob
-           | Auto_ob _ -> None)
-         t.instances)
+  List.sort compare
+    (List.concat_map
+       (fun ls ->
+         match Progression.next_evaluation_time ls.state with
+         | Some target -> List.map (fun _ -> target) ls.activations_at
+         | None -> [])
+       t.live)
 
 let trivial_passes t = t.trivial_passes
 let vacuous t = t.temporal_body && t.steps > 0 && t.activations = 0
 
-let engine_string t =
-  match engine t with
-  | `Progression -> "progression"
-  | `Progression_legacy -> "progression-legacy"
-  | `Automaton -> "automaton"
-
 let snapshot t =
   {
     Tabv_obs.Checker_snapshot.property_name = t.property.Property.name;
-    engine = engine_string t;
+    engine = "progression";
     activations = t.activations;
     passes = t.passes;
     trivial_passes = t.trivial_passes;

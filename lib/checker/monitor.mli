@@ -33,31 +33,15 @@ type failure = Tabv_obs.Checker_snapshot.failure = {
 
 type t
 
-(** Checker synthesis backend: interned formula rewriting with a
-    memoized transition cache ({!Progression}, the default), the
-    original tree-rewriting engine ([`Progression_legacy], kept as the
-    executable reference for equivalence testing and benchmarking), or
-    the explicit-state tabling of {!Automaton}.  [`Automaton] falls
-    back to [`Progression] when the body cannot be tabled (timed
-    [next_eps^tau] operators, too many atoms, state blow-up). *)
-type engine =
-  [ `Progression
-  | `Progression_legacy
-  | `Automaton
-  ]
-
-(** [create ?engine ?sampler property] prepares a monitor (default
-    engine: [`Progression]).  The formula is normalised (boolean
-    demotion + NNF) internally, so any parser output is accepted.  The
-    context gate is taken from the property's context
+(** [create ?sampler property] synthesizes the checker by interned
+    formula progression ({!Progression}).  The formula is normalised
+    (boolean demotion + NNF) internally, so any parser output is
+    accepted.  The context gate is taken from the property's context
     ([Edge_and]/[Trans_and] expressions).  When [sampler] is given,
     atom evaluations are shared with every other monitor holding the
     same sampler (one evaluation per distinct atom per instant);
     otherwise the monitor owns a private sampler. *)
-val create : ?engine:engine -> ?sampler:Sampler.t -> Property.t -> t
-
-(** The engine actually in use (after any fallback). *)
-val engine : t -> engine
+val create : ?sampler:Sampler.t -> Property.t -> t
 
 val property : t -> Property.t
 
@@ -117,13 +101,11 @@ val live_instances : t -> int
     paper's preallocated instance array would need. *)
 val peak_instances : t -> int
 
-(** Distinct hash-consed states currently live (equals
-    {!live_instances} for the legacy/automaton engines). *)
+(** Distinct hash-consed states currently live. *)
 val distinct_states : t -> int
 
 (** Peak number of simultaneously live distinct states — the size the
-    interned engine's state multiset actually needs, usually far below
-    {!peak_instances}. *)
+    state multiset actually needs, usually far below {!peak_instances}. *)
 val peak_distinct_states : t -> int
 
 (** Total instances activated (excluding trivially-true ones). *)
@@ -150,7 +132,7 @@ val steps : t -> int
 (** Pending instances are inconclusive at end of simulation. *)
 val pending : t -> int
 
-(** {2 Transition-cache statistics} (interned engine; zero otherwise) *)
+(** {2 Transition-cache statistics} *)
 
 (** Steps of this monitor answered from the shared transition memo. *)
 val cache_hits : t -> int
@@ -169,10 +151,6 @@ val sampler : t -> Sampler.t
     evaluation instant of every live instance that is waiting on a
     timed [next_eps^tau] obligation, sorted ascending. *)
 val evaluation_table : t -> int list
-
-(** The backend in use, as the string stored in snapshots:
-    ["progression"], ["progression-legacy"] or ["automaton"]. *)
-val engine_string : t -> string
 
 (** One-shot record of every counter above plus the deterministic
     failure list — the single stats currency consumed by

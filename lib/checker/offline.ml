@@ -27,7 +27,6 @@ end
 
 module Monitors = struct
   type monitor_config = {
-    engine : Monitor.engine option;
     stutter : bool;
     properties : Property.t list;
   }
@@ -60,18 +59,17 @@ module Monitors = struct
 
   let name = "monitors"
 
-  let config ?engine ?(stutter = true) properties =
-    { engine; stutter; properties }
+  let config ?(stutter = true) properties = { stutter; properties }
 
-  let init { engine; stutter; properties } =
-    (* One shared sampler across the pool, as in live checking and the
-       historical Replay.run: each distinct atom is evaluated once per
-       entry no matter how many properties mention it. *)
+  let init { stutter; properties } =
+    (* One shared sampler across the pool, as in live checking: each
+       distinct atom is evaluated once per entry no matter how many
+       properties mention it. *)
     let sampler = Sampler.create () in
     let pool =
       List.map
         (fun p ->
-          let m = Monitor.create ?engine ~sampler p in
+          let m = Monitor.create ~sampler p in
           if stutter then Monitor.enable_memo m;
           (p, m))
         properties

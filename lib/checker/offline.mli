@@ -16,9 +16,7 @@ open Tabv_psl
        checking attaches to a simulation);}
     {- {!Cover} — the coverage summary over a monitor pool;}
     {- {!Stats} — structural trace statistics (evaluation points, time
-       range, per-signal change counts, span latencies).}}
-
-    {!Replay.run} is a deprecated shim over {!Monitors}. *)
+       range, per-signal change counts, span latencies).}} *)
 
 module type OFFLINE_CHECKER = sig
   type config
@@ -56,7 +54,6 @@ end
     evaluation points only. *)
 module Monitors : sig
   type monitor_config = {
-    engine : Monitor.engine option;
     stutter : bool;
         (** enable the stutter fast path (support masks, counter-delta
             replay, batched stutter runs).  On by default; the verdicts
@@ -71,7 +68,7 @@ module Monitors : sig
       with type config = monitor_config
        and type result = (Property.t * Monitor.t) list
 
-  val config : ?engine:Monitor.engine -> ?stutter:bool -> Property.t list -> config
+  val config : ?stutter:bool -> Property.t list -> config
 
   (** Per-property counters in property order, ready for reporting. *)
   val snapshots : result -> Tabv_obs.Checker_snapshot.t list
@@ -85,7 +82,7 @@ module Cover : sig
       with type config = Monitors.monitor_config
        and type result = Coverage.summary
 
-  val config : ?engine:Monitor.engine -> ?stutter:bool -> Property.t list -> config
+  val config : ?stutter:bool -> Property.t list -> config
 end
 
 (** Structural statistics of a trace, no properties involved. *)

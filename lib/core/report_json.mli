@@ -35,8 +35,7 @@ val member : string -> json -> json option
 
 (** Per-property checker statistics as JSON, from the shared
     {!Tabv_obs.Checker_snapshot.t} record ([Monitor.snapshot] produces
-    it directly).  Same keys as the legacy {!checker_stat_json}, plus
-    ["engine"] and ["steps"]; [cache_hit_rate] is derived. *)
+    it directly); [cache_hit_rate] is derived. *)
 val checker_snapshot_json : Tabv_obs.Checker_snapshot.t -> json
 
 (** Universe-independent subset of {!checker_snapshot_json}: same keys
@@ -59,27 +58,6 @@ val verdict_schema_version : int
 val verdict_report_json :
   run:(string * json) list ->
   properties:Tabv_obs.Checker_snapshot.t list ->
-  unit ->
-  json
-
-(** Deprecated: use {!checker_snapshot_json}.  This legacy emitter
-    takes the 12 statistics as plain labelled arguments (the record
-    now lives in [Tabv_obs.Checker_snapshot]); it is kept only so
-    pre-existing integrations keep compiling and will be removed.
-    [failures] is [(activation_time, failure_time)] pairs in report
-    order. *)
-val checker_stat_json :
-  property_name:string ->
-  activations:int ->
-  passes:int ->
-  trivial_passes:int ->
-  vacuous:bool ->
-  peak_instances:int ->
-  peak_distinct_states:int ->
-  pending:int ->
-  cache_hits:int ->
-  cache_misses:int ->
-  failures:(int * int) list ->
   unit ->
   json
 

@@ -73,9 +73,6 @@ let create kernel clock =
   in
   Elab.process el ~name:"colorconv_rtl" ~pos:__POS__ ~initialize:false
     ~sensitivity:[ Clock.posedge clock ]
-    ~reads:
-      ([ Elab.Pack t.dv; Elab.Pack t.r; Elab.Pack t.g; Elab.Pack t.b ]
-      @ Array.to_list (Array.map (fun s -> Elab.Pack s) t.pipe))
     ~writes:
       ([ Elab.Pack t.ovalid; Elab.Pack t.y; Elab.Pack t.cb; Elab.Pack t.cr ]
       @ Array.to_list (Array.map (fun s -> Elab.Pack s) t.valids)

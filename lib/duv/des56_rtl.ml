@@ -80,7 +80,6 @@ let create ?fault kernel clock =
   in
   Elab.process el ~name:"des56_rtl" ~pos:__POS__ ~initialize:false
     ~sensitivity:[ Clock.posedge clock ]
-    ~reads:[ Elab.Pack t.ds; Elab.Pack t.decrypt; Elab.Pack t.key; Elab.Pack t.indata ]
     ~writes:
       [ Elab.Pack t.out;
         Elab.Pack t.rdy;

@@ -74,7 +74,6 @@ let create kernel clock =
   in
   Elab.process el ~name:"memctrl_rtl" ~pos:__POS__ ~initialize:false
     ~sensitivity:[ Clock.posedge clock ]
-    ~reads:[ Elab.Pack t.req; Elab.Pack t.we; Elab.Pack t.addr; Elab.Pack t.wdata ]
     ~writes:[ Elab.Pack t.ack; Elab.Pack t.ack_next_cycle; Elab.Pack t.rdata ]
     on_posedge;
   t

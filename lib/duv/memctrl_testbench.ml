@@ -19,7 +19,7 @@ let op_latency = function
   | Memctrl_iface.Write _ -> Memctrl_iface.write_latency
   | Memctrl_iface.Read _ -> Memctrl_iface.read_latency
 
-let run_rtl ?(properties = []) ?engine ?sim_engine ?metrics ?trace_writer
+let run_rtl ?(properties = []) ?sim_engine ?metrics ?trace_writer
     ?(gap_cycles = 2) ?fault_plan ?guard ops =
   let kernel = Kernel.create ?metrics ?engine:sim_engine () in
   let clock = Clock.create kernel ~name:"clk" ~period () in
@@ -30,7 +30,7 @@ let run_rtl ?(properties = []) ?engine ?sim_engine ?metrics ?trace_writer
   let lookup = Memctrl_rtl.lookup model in
   let sampler = Testbench.pool_sampler kernel in
   let checkers =
-    Testbench.attach_pool ?engine kernel (Checker.Attach.clock_edge clock)
+    Testbench.attach_pool kernel (Checker.Attach.clock_edge clock)
       sampler properties ~lookup
   in
   Testbench.arm_writer kernel trace_writer;
@@ -85,7 +85,7 @@ let run_rtl ?(properties = []) ?engine ?sim_engine ?metrics ?trace_writer
     faults_triggered = Testbench.faults_triggered_of faults;
   }
 
-let run_tlm_ca ?(properties = []) ?engine ?sim_engine ?metrics ?trace_writer
+let run_tlm_ca ?(properties = []) ?sim_engine ?metrics ?trace_writer
     ?(gap_cycles = 2) ?fault_plan ?guard ops =
   let kernel = Kernel.create ?metrics ?engine:sim_engine () in
   let model = Memctrl_tlm_ca.create kernel in
@@ -100,7 +100,7 @@ let run_tlm_ca ?(properties = []) ?engine ?sim_engine ?metrics ?trace_writer
   let lookup = Memctrl_tlm_ca.lookup model in
   let sampler = Testbench.pool_sampler kernel in
   let checkers =
-    Testbench.attach_pool ?engine kernel
+    Testbench.attach_pool kernel
       (Checker.Attach.transaction_unabstracted initiator)
       sampler properties ~lookup
   in
@@ -154,7 +154,7 @@ let run_tlm_ca ?(properties = []) ?engine ?sim_engine ?metrics ?trace_writer
     faults_triggered = Testbench.faults_triggered_of faults;
   }
 
-let run_tlm_at ?(properties = []) ?engine ?sim_engine ?metrics ?trace_writer
+let run_tlm_at ?(properties = []) ?sim_engine ?metrics ?trace_writer
     ?(gap_cycles = 2) ?write_latency_ns ?read_latency_ns ?fault_plan ?guard ops =
   let kernel = Kernel.create ?metrics ?engine:sim_engine () in
   let model = Memctrl_tlm_at.create ?write_latency_ns ?read_latency_ns kernel in
@@ -169,7 +169,7 @@ let run_tlm_at ?(properties = []) ?engine ?sim_engine ?metrics ?trace_writer
   let lookup = Memctrl_tlm_at.lookup model in
   let sampler = Testbench.pool_sampler kernel in
   let checkers =
-    Testbench.attach_pool ?engine kernel
+    Testbench.attach_pool kernel
       (Checker.Attach.transaction initiator)
       sampler properties ~lookup
   in

@@ -1,5 +1,4 @@
 open Tabv_psl
-open Tabv_checker
 
 (** Testbenches for the MemCtrl IP (RTL and TLM-AT). *)
 
@@ -8,7 +7,6 @@ val reference_reads : Memctrl_iface.op list -> int list
 
 val run_rtl :
   ?properties:Property.t list ->
-  ?engine:Monitor.engine ->
   ?sim_engine:Tabv_sim.Kernel.engine ->
   ?metrics:Tabv_obs.Metrics.t ->
   ?trace_writer:Tabv_trace.Writer.t ->
@@ -22,7 +20,6 @@ val run_rtl :
     as-is (one frame transaction per clock period). *)
 val run_tlm_ca :
   ?properties:Property.t list ->
-  ?engine:Monitor.engine ->
   ?sim_engine:Tabv_sim.Kernel.engine ->
   ?metrics:Tabv_obs.Metrics.t ->
   ?trace_writer:Tabv_trace.Writer.t ->
@@ -36,7 +33,6 @@ val run_tlm_ca :
     (defaults 20/30 ns) to emulate a wrong abstraction. *)
 val run_tlm_at :
   ?properties:Property.t list ->
-  ?engine:Monitor.engine ->
   ?sim_engine:Tabv_sim.Kernel.engine ->
   ?metrics:Tabv_obs.Metrics.t ->
   ?trace_writer:Tabv_trace.Writer.t ->

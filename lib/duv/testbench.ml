@@ -82,10 +82,10 @@ let pool_sampler kernel =
   sampler
 
 (* Attach one property pool through the unified entry point. *)
-let attach_pool ?engine kernel mode sampler properties ~lookup =
+let attach_pool kernel mode sampler properties ~lookup =
   List.map
     (fun p ->
-      Checker.attach (Checker.Attach.spec ?engine ~sampler mode) kernel p ~lookup)
+      Checker.attach (Checker.Attach.spec ~sampler mode) kernel p ~lookup)
     properties
 
 let metrics_snapshot kernel =
@@ -153,7 +153,7 @@ let period = 10
 
 (* --- DES56 / RTL --- *)
 
-let run_des56_rtl ?(properties = []) ?engine ?sim_engine ?metrics ?(record_trace = false)
+let run_des56_rtl ?(properties = []) ?sim_engine ?metrics ?(record_trace = false)
     ?trace_writer ?(gap_cycles = 2) ?fault ?fault_plan ?guard ops =
   let kernel = Kernel.create ?metrics ?engine:sim_engine () in
   let clock = Clock.create kernel ~name:"clk" ~period () in
@@ -165,7 +165,7 @@ let run_des56_rtl ?(properties = []) ?engine ?sim_engine ?metrics ?(record_trace
      once per instant across the whole checker pool. *)
   let sampler = pool_sampler kernel in
   let checkers =
-    attach_pool ?engine kernel (Checker.Attach.clock_edge clock) sampler
+    attach_pool kernel (Checker.Attach.clock_edge clock) sampler
       properties ~lookup
   in
   let recorder = Trace_rec.create () in
@@ -222,7 +222,7 @@ let run_des56_rtl ?(properties = []) ?engine ?sim_engine ?metrics ?(record_trace
 
 (* --- DES56 / TLM-CA --- *)
 
-let run_des56_tlm_ca ?(properties = []) ?engine ?sim_engine ?metrics ?(record_trace = false)
+let run_des56_tlm_ca ?(properties = []) ?sim_engine ?metrics ?(record_trace = false)
     ?trace_writer ?(gap_cycles = 2) ?fault_plan ?guard ops =
   let kernel = Kernel.create ?metrics ?engine:sim_engine () in
   let model = Des56_tlm_ca.create kernel in
@@ -246,7 +246,7 @@ let run_des56_tlm_ca ?(properties = []) ?engine ?sim_engine ?metrics ?(record_tr
         (Des56_iface.env_of (Des56_tlm_ca.observables model)));
   let sampler = pool_sampler kernel in
   let checkers =
-    attach_pool ?engine kernel
+    attach_pool kernel
       (Checker.Attach.transaction_unabstracted initiator)
       sampler properties ~lookup
   in
@@ -300,7 +300,7 @@ let run_des56_tlm_ca ?(properties = []) ?engine ?sim_engine ?metrics ?(record_tr
 
 (* --- DES56 / TLM-AT --- *)
 
-let run_des56_tlm_at ?(properties = []) ?(grid_properties = []) ?engine ?sim_engine ?metrics
+let run_des56_tlm_at ?(properties = []) ?(grid_properties = []) ?sim_engine ?metrics
     ?(record_trace = false) ?trace_writer ?(gap_cycles = 2) ?model_latency_ns
     ?fault_plan ?guard ops =
   let kernel = Kernel.create ?metrics ?engine:sim_engine () in
@@ -329,9 +329,9 @@ let run_des56_tlm_at ?(properties = []) ?(grid_properties = []) ?engine ?sim_eng
   let sampler = pool_sampler kernel in
   let grid_sampler = pool_sampler kernel in
   let checkers =
-    attach_pool ?engine kernel (Checker.Attach.transaction initiator) sampler
+    attach_pool kernel (Checker.Attach.transaction initiator) sampler
       properties ~lookup
-    @ attach_pool ?engine kernel
+    @ attach_pool kernel
         (Checker.Attach.grid ~clock_period:Des56_iface.clock_period ())
         grid_sampler grid_properties ~lookup
   in
@@ -380,7 +380,7 @@ let run_des56_tlm_at ?(properties = []) ?(grid_properties = []) ?engine ?sim_eng
 
 (* --- DES56 / TLM-LT --- *)
 
-let run_des56_tlm_lt ?(properties = []) ?engine ?sim_engine ?metrics ?(gap_cycles = 2)
+let run_des56_tlm_lt ?(properties = []) ?sim_engine ?metrics ?(gap_cycles = 2)
     ?fault_plan ?guard ops =
   let kernel = Kernel.create ?metrics ?engine:sim_engine () in
   let model = Des56_tlm_lt.create kernel in
@@ -394,7 +394,7 @@ let run_des56_tlm_lt ?(properties = []) ?engine ?sim_engine ?metrics ?(gap_cycle
   let lookup = Des56_tlm_lt.lookup model in
   let sampler = pool_sampler kernel in
   let checkers =
-    attach_pool ?engine kernel (Checker.Attach.transaction initiator) sampler
+    attach_pool kernel (Checker.Attach.transaction initiator) sampler
       properties ~lookup
   in
   let outputs = ref [] in
@@ -443,7 +443,7 @@ let run_des56_tlm_lt ?(properties = []) ?engine ?sim_engine ?metrics ?(gap_cycle
 let pack_ycbcr { Colorconv.y; cb; cr } =
   Int64.of_int (y lor (cb lsl 8) lor (cr lsl 16))
 
-let run_colorconv_rtl ?(properties = []) ?engine ?sim_engine ?metrics ?(record_trace = false)
+let run_colorconv_rtl ?(properties = []) ?sim_engine ?metrics ?(record_trace = false)
     ?trace_writer ?(gap_cycles = 2) ?fault_plan ?guard bursts =
   let kernel = Kernel.create ?metrics ?engine:sim_engine () in
   let clock = Clock.create kernel ~name:"clk" ~period () in
@@ -454,7 +454,7 @@ let run_colorconv_rtl ?(properties = []) ?engine ?sim_engine ?metrics ?(record_t
   let lookup = Colorconv_rtl.lookup model in
   let sampler = pool_sampler kernel in
   let checkers =
-    attach_pool ?engine kernel (Checker.Attach.clock_edge clock) sampler
+    attach_pool kernel (Checker.Attach.clock_edge clock) sampler
       properties ~lookup
   in
   let recorder = Trace_rec.create () in
@@ -520,7 +520,7 @@ let run_colorconv_rtl ?(properties = []) ?engine ?sim_engine ?metrics ?(record_t
     faults_triggered = faults_triggered_of faults;
   }
 
-let run_colorconv_tlm_ca ?(properties = []) ?engine ?sim_engine ?metrics
+let run_colorconv_tlm_ca ?(properties = []) ?sim_engine ?metrics
     ?(record_trace = false) ?trace_writer ?(gap_cycles = 2) ?fault_plan ?guard
     bursts =
   let kernel = Kernel.create ?metrics ?engine:sim_engine () in
@@ -546,7 +546,7 @@ let run_colorconv_tlm_ca ?(properties = []) ?engine ?sim_engine ?metrics
         (Colorconv_iface.env_of (Colorconv_tlm_ca.observables model)));
   let sampler = pool_sampler kernel in
   let checkers =
-    attach_pool ?engine kernel
+    attach_pool kernel
       (Checker.Attach.transaction_unabstracted initiator)
       sampler properties ~lookup
   in
@@ -622,7 +622,7 @@ let cc_priority = function
   | Cc_read -> 2
   | Cc_write _ -> 3
 
-let run_colorconv_tlm_at ?(properties = []) ?(grid_properties = []) ?engine ?sim_engine
+let run_colorconv_tlm_at ?(properties = []) ?(grid_properties = []) ?sim_engine
     ?metrics ?(record_trace = false) ?trace_writer ?(gap_cycles = 2) ?fault_plan
     ?guard bursts =
   let kernel = Kernel.create ?metrics ?engine:sim_engine () in
@@ -649,9 +649,9 @@ let run_colorconv_tlm_at ?(properties = []) ?(grid_properties = []) ?engine ?sim
   let sampler = pool_sampler kernel in
   let grid_sampler = pool_sampler kernel in
   let checkers =
-    attach_pool ?engine kernel (Checker.Attach.transaction initiator) sampler
+    attach_pool kernel (Checker.Attach.transaction initiator) sampler
       properties ~lookup
-    @ attach_pool ?engine kernel
+    @ attach_pool kernel
         (Checker.Attach.grid ~clock_period:Colorconv_iface.clock_period ())
         grid_sampler grid_properties ~lookup
   in

@@ -19,15 +19,14 @@ open Tabv_checker
     statistics are one shared record from monitor to JSON report. *)
 type checker_stat = Tabv_obs.Checker_snapshot.t = {
   property_name : string;
-  engine : string;  (** backend actually used (after any fallback) *)
+  engine : string;  (** checker backend; always ["progression"] *)
   activations : int;
   passes : int;
   trivial_passes : int;
   vacuous : bool;  (** evaluated but never non-trivially activated *)
   peak_instances : int;
   peak_distinct_states : int;
-      (** peak distinct hash-consed states (interned engine; equals
-          [peak_instances] for the legacy/automaton backends) *)
+      (** peak distinct hash-consed live states *)
   pending : int;
   steps : int;  (** evaluation points consumed (after context gating) *)
   cache_hits : int;  (** monitor steps answered from the transition memo *)
@@ -91,7 +90,6 @@ val pool_sampler : Tabv_sim.Kernel.t -> Sampler.t
 (** Attach every property through the unified {!Checker.attach} entry
     point with one shared mode/sampler. *)
 val attach_pool :
-  ?engine:Monitor.engine ->
   Tabv_sim.Kernel.t ->
   Checker.Attach.mode ->
   Sampler.t ->
@@ -146,13 +144,11 @@ val faults_triggered_of : Tabv_fault.Fault.installed option -> int
 
 (** [gap_cycles] idle cycles between operations (default 2);
     [fault] injects a design bug (see {!Des56_rtl.fault});
-    [engine] selects the checker synthesis backend; [sim_engine]
-    the simulation kernel engine (default:
+    [sim_engine] selects the simulation kernel engine (default:
     {!Tabv_sim.Kernel.get_default_engine}) — all run functions take
-    both, and every report is byte-identical across kernel engines. *)
+    it, and every report is byte-identical across kernel engines. *)
 val run_des56_rtl :
   ?properties:Property.t list ->
-  ?engine:Monitor.engine ->
   ?sim_engine:Tabv_sim.Kernel.engine ->
   ?metrics:Tabv_obs.Metrics.t ->
   ?record_trace:bool ->
@@ -168,7 +164,6 @@ val run_des56_rtl :
     model (the paper's TLM-CA rows). *)
 val run_des56_tlm_ca :
   ?properties:Property.t list ->
-  ?engine:Monitor.engine ->
   ?sim_engine:Tabv_sim.Kernel.engine ->
   ?metrics:Tabv_obs.Metrics.t ->
   ?record_trace:bool ->
@@ -187,7 +182,6 @@ val run_des56_tlm_ca :
 val run_des56_tlm_at :
   ?properties:Property.t list ->
   ?grid_properties:Property.t list ->
-  ?engine:Monitor.engine ->
   ?sim_engine:Tabv_sim.Kernel.engine ->
   ?metrics:Tabv_obs.Metrics.t ->
   ?record_trace:bool ->
@@ -199,7 +193,7 @@ val run_des56_tlm_at :
   Des56_iface.op list ->
   run_result
 (** [grid_properties] are checked with the grid-mode wrapper
-    ({!Wrapper.attach_grid}), which handles until-based timed
+    ({!Checker.Attach.grid}), which handles until-based timed
     properties such as the paper's [q2]. *)
 
 (** Loosely-timed model: operations complete within the write call;
@@ -207,7 +201,6 @@ val run_des56_tlm_at :
     properties are expected to fail (Theorem III.2's precondition). *)
 val run_des56_tlm_lt :
   ?properties:Property.t list ->
-  ?engine:Monitor.engine ->
   ?sim_engine:Tabv_sim.Kernel.engine ->
   ?metrics:Tabv_obs.Metrics.t ->
   ?gap_cycles:int ->
@@ -220,7 +213,6 @@ val run_des56_tlm_lt :
 
 val run_colorconv_rtl :
   ?properties:Property.t list ->
-  ?engine:Monitor.engine ->
   ?sim_engine:Tabv_sim.Kernel.engine ->
   ?metrics:Tabv_obs.Metrics.t ->
   ?record_trace:bool ->
@@ -233,7 +225,6 @@ val run_colorconv_rtl :
 
 val run_colorconv_tlm_ca :
   ?properties:Property.t list ->
-  ?engine:Monitor.engine ->
   ?sim_engine:Tabv_sim.Kernel.engine ->
   ?metrics:Tabv_obs.Metrics.t ->
   ?record_trace:bool ->
@@ -247,7 +238,6 @@ val run_colorconv_tlm_ca :
 val run_colorconv_tlm_at :
   ?properties:Property.t list ->
   ?grid_properties:Property.t list ->
-  ?engine:Monitor.engine ->
   ?sim_engine:Tabv_sim.Kernel.engine ->
   ?metrics:Tabv_obs.Metrics.t ->
   ?record_trace:bool ->

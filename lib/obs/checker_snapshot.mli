@@ -18,16 +18,15 @@ type failure = {
 type t = {
   property_name : string;
   engine : string;
-      (** backend actually in use after fallback: ["progression"],
-          ["progression-legacy"] or ["automaton"] *)
+      (** checker synthesis backend; always ["progression"], kept as
+          a report key *)
   activations : int;
   passes : int;
   trivial_passes : int;
   vacuous : bool;  (** evaluated but never non-trivially activated *)
   peak_instances : int;
   peak_distinct_states : int;
-      (** peak distinct hash-consed states (interned engine; equals
-          [peak_instances] for the legacy/automaton backends) *)
+      (** peak distinct hash-consed live states *)
   pending : int;
   steps : int;  (** evaluation points consumed (after context gating) *)
   cache_hits : int;  (** monitor steps answered from the transition memo *)

@@ -157,10 +157,7 @@ let exec_recheck ~interrupted ~trace ~props ~workers ~retries =
     else begin
       let missing =
         List.concat_map
-          (fun p ->
-            List.filter
-              (fun s -> not (List.mem s trace_signals))
-              (Tabv_psl.Property.signals p))
+          (Tabv_psl.Property.unknown_signals ~known:trace_signals)
           properties
         |> List.sort_uniq compare
       in

@@ -9,11 +9,9 @@
    no polymorphic comparison.
 
    The dirty flags are one [bool] array element — one word — per slot,
-   not a packed bitset: partition-pool workers set and clear flags of
-   their own partition's slots concurrently, and disjoint plain word
-   stores are race-free under the OCaml memory model, whereas packed
-   bits would need a read-modify-write that can lose a neighbouring
-   partition's just-set bit.
+   not a packed bitset: testing or setting a flag on every signal
+   write is then a single load or store, with no shift, mask or
+   read-modify-write of a word shared with neighbouring slots.
 
    The arena stores values and pending-update flags only; scheduling
    (which slot updates in which delta) stays with the kernel, and the

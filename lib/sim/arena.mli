@@ -3,9 +3,9 @@
     [bool]/[int]/[int64] signal claims one slot; reads are single
     array loads and pending updates are per-slot flag stores, so the
     compiled engine's signal traffic allocates nothing.  The flags are
-    one word per slot (not packed bits) so partition-pool workers
-    marking slots of disjoint partitions never read-modify-write
-    shared memory.  One arena belongs to one kernel. *)
+    one word per slot (not packed bits), so each test or set is a
+    single load or store with no read-modify-write of a shared word.
+    One arena belongs to one kernel. *)
 
 type 'a pool
 type t

@@ -1,7 +1,7 @@
 (* Compile-at-elaboration pipeline.
 
    An [Elab.t] collects the design declaratively — typed signals,
-   method processes with declared sensitivity/read/write sets, leaf
+   method processes with declared sensitivity and write sets, leaf
    components — and compiles it once, just before the first kernel
    step (a pre-run hook):
 
@@ -11,17 +11,12 @@
    - the graph is levelized with Kahn's algorithm — a combinational
      cycle is an elaboration error, reported with the source positions
      the offending processes were registered at;
-   - connected components of the shared-signal relation become
-     partitions: two processes land in the same partition iff they
-     transitively touch a common signal, so distinct partitions are
-     proven independent and may evaluate in parallel
-     ({!parallelize});
-   - every registered event handler is tagged with its partition, which
-     is what the compiled kernel's dispatch loop consumes.
+   - on the compiled engine, contiguous handler runs on each
+     sensitivity event are fused into activation blocks.
 
    Registration itself is engine-neutral: the same declarative model
-   runs unchanged on the classic engine, where levels and partition
-   tags are simply ignored. *)
+   runs unchanged on the classic engine, where levels and blocks are
+   simply ignored. *)
 
 type pos = string * int * int * int
 
@@ -44,18 +39,10 @@ type proc = {
   pr_pos : pos option;
   pr_index : int;
   pr_sensitivity : Event.t list;
-  pr_reads : int list;  (* signal uids *)
-  pr_writes : int list;
-  pr_subs : (Event.t * int) list;  (* handler indices, for partition tags *)
+  pr_writes : int list;  (* signal uids *)
+  pr_subs : (Event.t * int) list;  (* handler indices, for fused blocks *)
   pr_body : unit -> unit;  (* unwrapped body, for fused blocks *)
   mutable pr_level : int;
-  mutable pr_part : int;
-}
-
-type schedule = {
-  sched_levels : int;
-  sched_partitions : int;
-  sched_processes : (string * int * int) list;  (* name, level, partition *)
 }
 
 type t = {
@@ -66,17 +53,16 @@ type t = {
   mutable n_procs : int;
   mutable done_ : bool;
   mutable levels : int;
-  mutable n_parts : int;
 }
 
 let pos_string = function
   | Some (file, line, _, _) -> Printf.sprintf "%s:%d" file line
   | None -> "<no position>"
 
-(* The serial static schedule: contiguous runs of this design's
-   handlers on each sensitivity event collapse into one activation
-   block, so a fire pushes a single action per run instead of one per
-   process and the evaluation loop dispatches once per block.  The
+(* The static schedule: contiguous runs of this design's handlers on
+   each sensitivity event collapse into one activation block, so a
+   fire pushes a single action per run instead of one per process and
+   the evaluation loop dispatches once per block.  The
    block replays the bodies in subscription order — the order the
    classic per-handler path schedules them in — and mirrors the
    evaluation loop's own bookkeeping: one activation count per body, a
@@ -228,56 +214,6 @@ let compile t =
                     stuck))))
     end;
     t.levels <- (if n = 0 then 0 else !max_level + 1);
-    (* Partitions: union-find over the touched-signal sets.  Processes
-       that declared no reads and no writes stay untagged — nothing is
-       proven about them, so they always run on the main domain. *)
-    let parent = Hashtbl.create 16 in
-    let rec find u =
-      match Hashtbl.find_opt parent u with
-      | None ->
-        Hashtbl.replace parent u u;
-        u
-      | Some p when p = u -> u
-      | Some p ->
-        let root = find p in
-        Hashtbl.replace parent u root;
-        root
-    in
-    let union a b =
-      let ra = find a and rb = find b in
-      if ra <> rb then Hashtbl.replace parent ra rb
-    in
-    Array.iter
-      (fun p ->
-        match p.pr_reads @ p.pr_writes with
-        | [] -> ()
-        | u0 :: rest -> List.iter (fun u -> union u0 u) rest)
-      procs;
-    let part_ids = Hashtbl.create 16 in
-    let n_parts = ref 0 in
-    Array.iter
-      (fun p ->
-        match p.pr_reads @ p.pr_writes with
-        | [] -> p.pr_part <- -1
-        | u0 :: _ ->
-          let root = find u0 in
-          p.pr_part <-
-            (match Hashtbl.find_opt part_ids root with
-             | Some id -> id
-             | None ->
-               let id = !n_parts in
-               incr n_parts;
-               Hashtbl.replace part_ids root id;
-               id))
-      procs;
-    t.n_parts <- !n_parts;
-    (* Hand the partition tags to the event layer: this is the part of
-       the schedule the compiled dispatch loop consumes. *)
-    Array.iter
-      (fun p ->
-        if p.pr_part >= 0 then
-          List.iter (fun (ev, idx) -> Event.set_partition ev idx p.pr_part) p.pr_subs)
-      procs;
     if Kernel.is_compiled t.e_kernel then fuse_blocks t procs
   end
 
@@ -291,7 +227,6 @@ let create kernel =
       n_procs = 0;
       done_ = false;
       levels = 0;
-      n_parts = 0;
     }
   in
   Kernel.add_pre_run_hook kernel (fun () -> compile t);
@@ -322,19 +257,14 @@ let signal t ?equal ~init name =
   register_signal t s;
   s
 
-let process t ~name ?pos ?(initialize = true) ~sensitivity ?(reads = [])
-    ?(writes = []) body =
+let process t ~name ?pos ?(initialize = true) ~sensitivity ?(writes = [])
+    body =
   if t.done_ then
     invalid_arg
       (Printf.sprintf "Elab.process: %s registered after compilation" name);
   let k = t.e_kernel in
   let wrapped () =
-    (* Under a partition pool this wrapper runs on worker domains;
-       [set_label] would be an unsynchronized cross-domain write to
-       the kernel's label field.  Crash containment — the only reader
-       of labels — is forbidden with a pool, so the label is
-       unobservable there and the write is simply skipped. *)
-    if not (Kernel.pool_active k) then Kernel.set_label k name;
+    Kernel.set_label k name;
     body ()
   in
   let subs = List.map (fun ev -> (ev, Event.subscribe ev wrapped)) sensitivity in
@@ -346,12 +276,10 @@ let process t ~name ?pos ?(initialize = true) ~sensitivity ?(reads = [])
       pr_pos = pos;
       pr_index = t.n_procs;
       pr_sensitivity = sensitivity;
-      pr_reads = List.map uid_of reads;
       pr_writes = List.map uid_of writes;
       pr_subs = subs;
       pr_body = body;
       pr_level = 0;
-      pr_part = -1;
     }
     :: t.procs;
   t.n_procs <- t.n_procs + 1
@@ -362,28 +290,3 @@ let components t = List.rev t.components
 let levels t =
   compile t;
   t.levels
-
-let partition_count t =
-  compile t;
-  t.n_parts
-
-let schedule t =
-  compile t;
-  {
-    sched_levels = t.levels;
-    sched_partitions = t.n_parts;
-    sched_processes =
-      List.rev_map (fun p -> (p.pr_name, p.pr_level, p.pr_part)) t.procs;
-  }
-
-let parallelize t ~domains =
-  compile t;
-  if
-    t.n_parts >= 2
-    && Kernel.is_compiled t.e_kernel
-    && not (Tabv_obs.Metrics.enabled (Kernel.metrics t.e_kernel))
-  then begin
-    Kernel.install_pool t.e_kernel ~domains ~partitions:t.n_parts;
-    true
-  end
-  else false

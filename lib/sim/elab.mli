@@ -2,22 +2,19 @@
 
     The declarative front door to the simulation stack: a design
     registers typed signals, method processes (with sensitivity and
-    declared read/write sets) and leaf components on an [Elab.t]; just
+    declared write sets) and leaf components on an [Elab.t]; just
     before the first kernel step the design is {e compiled} —
 
     {ul
     {- the signal→process dependency graph is levelized (Kahn); a
        zero-delay combinational cycle raises {!Cycle_error} carrying
        the source positions of the offending registrations;}
-    {- processes are grouped into {e partitions}, the connected
-       components of the shared-signal relation: distinct partitions
-       provably touch disjoint signals and may evaluate in parallel
-       ({!parallelize});}
-    {- every registered handler is tagged with its partition for the
-       compiled kernel's dispatch loop.}}
+    {- on the compiled engine, contiguous handler runs on each
+       sensitivity event are fused into one activation block
+       ({!Event.fuse}).}}
 
     The same registrations run unchanged on the classic engine, where
-    levels and tags are simply ignored — which is what makes the
+    levels and blocks are simply ignored — which is what makes the
     engines byte-identical in reports. *)
 
 type t
@@ -25,7 +22,7 @@ type t
 (** [__POS__]-style source position: file, line, start col, end col. *)
 type pos = string * int * int * int
 
-(** Existentially packed signal, for read/write declarations. *)
+(** Existentially packed signal, for write declarations. *)
 type packed = Pack : 'a Signal.t -> packed
 
 (** Raised by compilation when the dependency graph has a zero-delay
@@ -50,14 +47,12 @@ val signal_int64 : t -> ?init:int64 -> string -> int64 Signal.t
     slot, structural equality by default). *)
 val signal : t -> ?equal:('a -> 'a -> bool) -> init:'a -> string -> 'a Signal.t
 
-(** [process t ~name ?pos ?initialize ~sensitivity ?reads ?writes body]
+(** [process t ~name ?pos ?initialize ~sensitivity ?writes body]
     registers a method process: [body] runs once per notification of
     any [sensitivity] event (plus once at time zero unless
-    [initialize] is [false]).  [reads]/[writes] declare the signals
-    the body touches; they feed levelization and partitioning, and a
-    process declaring neither stays untagged (never parallelized).
-    Pass [?pos:(__POS__)] so elaboration errors point at the
-    registration site.
+    [initialize] is [false]).  [writes] declares the signals the body
+    drives; it feeds levelization.  Pass [?pos:(__POS__)] so
+    elaboration errors point at the registration site.
     @raise Invalid_argument after compilation has run. *)
 val process :
   t ->
@@ -65,7 +60,6 @@ val process :
   ?pos:pos ->
   ?initialize:bool ->
   sensitivity:Event.t list ->
-  ?reads:packed list ->
   ?writes:packed list ->
   (unit -> unit) ->
   unit
@@ -79,31 +73,9 @@ val components : t -> string list
 
 (** {2 Compilation} *)
 
-(** Levelize and partition now (idempotent; otherwise runs from the
-    pre-run hook).
+(** Levelize now (idempotent; otherwise runs from the pre-run hook).
     @raise Cycle_error on a zero-delay combinational cycle. *)
 val compile : t -> unit
 
 (** Depth of the levelized schedule (0 for an empty design). *)
 val levels : t -> int
-
-(** Number of proven-independent partitions. *)
-val partition_count : t -> int
-
-type schedule = {
-  sched_levels : int;
-  sched_partitions : int;
-  sched_processes : (string * int * int) list;
-      (** process name, level, partition (-1 = untagged), in
-          registration order *)
-}
-
-(** The compiled schedule, for inspection and tests. *)
-val schedule : t -> schedule
-
-(** [parallelize t ~domains] installs a partition pool on the kernel
-    when it is safe and worthwhile: compiled engine, disabled metrics
-    registry, and at least two proven-independent partitions.  Returns
-    whether a pool was installed.  The caller owns the pool lifetime
-    ({!Kernel.shutdown_pool}). *)
-val parallelize : t -> domains:int -> bool

@@ -4,17 +4,14 @@ type t = {
   compiled : bool;  (* engine of [kernel], latched at creation *)
   mutable static : (unit -> unit) list;  (* reversed registration order *)
   mutable dynamic : (unit -> unit) list;
-  (* Compiled-engine mirror of [static]: registration-ordered handler
-     and partition-tag arrays, iterated without allocating on fire. *)
+  (* Compiled-engine mirror of [static]: the registration-ordered
+     handler array, iterated without allocating on fire. *)
   mutable statics : (unit -> unit) array;
-  mutable parts : int array;
   mutable n_static : int;
-  (* Serial fused view ({!fuse}): contiguous handler runs collapsed
-     into activation blocks.  [n_fused < 0] means no view; any later
-     [subscribe] invalidates it.  Only consulted without a partition
-     pool, so the tag side needs no fused counterpart. *)
+  (* Fused view ({!fuse}): contiguous handler runs collapsed into
+     activation blocks.  [n_fused < 0] means no view; any later
+     [subscribe] invalidates it. *)
   mutable fstatics : (unit -> unit) array;
-  mutable fparts : int array;
   mutable n_fused : int;
   mutable notifications : int;
 }
@@ -27,10 +24,8 @@ let create kernel name =
     static = [];
     dynamic = [];
     statics = Array.make 4 ignore;
-    parts = Array.make 4 (-1);
     n_static = 0;
     fstatics = [||];
-    fparts = [||];
     n_fused = -1;
     notifications = 0;
   }
@@ -41,10 +36,9 @@ let kernel t = t.kernel
 let fire t =
   t.notifications <- t.notifications + 1;
   if t.compiled then begin
-    (if t.n_fused >= 0 && not (Kernel.pool_active t.kernel) then
-       Kernel.schedule_next_delta_batch t.kernel t.fstatics t.fparts t.n_fused
-     else
-       Kernel.schedule_next_delta_batch t.kernel t.statics t.parts t.n_static);
+    (if t.n_fused >= 0 then
+       Kernel.schedule_next_delta_batch t.kernel t.fstatics t.n_fused
+     else Kernel.schedule_next_delta_batch t.kernel t.statics t.n_static);
     if t.dynamic <> [] then begin
       let dynamic = List.rev t.dynamic in
       t.dynamic <- [];
@@ -70,27 +64,17 @@ let subscribe t f =
      the blocks); fires fall back to the per-handler arrays. *)
   t.n_fused <- -1;
   t.fstatics <- [||];
-  t.fparts <- [||];
   t.static <- f :: t.static;
   if t.n_static = Array.length t.statics then begin
     let grown = Array.make (2 * t.n_static) ignore in
     Array.blit t.statics 0 grown 0 t.n_static;
-    t.statics <- grown;
-    let grown_parts = Array.make (2 * t.n_static) (-1) in
-    Array.blit t.parts 0 grown_parts 0 t.n_static;
-    t.parts <- grown_parts
+    t.statics <- grown
   end;
   t.statics.(t.n_static) <- f;
-  t.parts.(t.n_static) <- -1;
   t.n_static <- t.n_static + 1;
   t.n_static - 1
 
 let on_event t f = ignore (subscribe t f)
-
-let set_partition t index part =
-  if index < 0 || index >= t.n_static then
-    invalid_arg "Event.set_partition: no such subscription";
-  t.parts.(index) <- part
 
 let fuse t spans =
   (* [spans] is a sorted, non-overlapping list of inclusive index runs
@@ -120,10 +104,6 @@ let fuse t spans =
   let fstatics = Array.make (max !n_out 1) ignore in
   List.iteri (fun j f -> fstatics.(!n_out - 1 - j) <- f) !out;
   t.fstatics <- fstatics;
-  (* The fused view is only consulted when no partition pool is
-     installed, where tags are ignored — a same-length untagged array
-     keeps the batch-scheduling interface uniform. *)
-  t.fparts <- Array.make (max !n_out 1) (-1);
   t.n_fused <- !n_out
 
 let once t f = t.dynamic <- f :: t.dynamic

@@ -27,22 +27,15 @@ val notify_after : t -> delay:int -> unit
 (** Subscribe statically (persistent). *)
 val on_event : t -> (unit -> unit) -> unit
 
-(** Like {!on_event}, returning the subscription's index for later
-    {!set_partition} (used by {!Elab} to tag method-process handlers
-    with their levelized partition). *)
+(** Like {!on_event}, returning the subscription's index (used by
+    {!Elab} to find the handler runs {!fuse} collapses). *)
 val subscribe : t -> (unit -> unit) -> int
 
-(** Tag a static subscription with a partition id ([-1] = untagged).
-    Only meaningful on the compiled engine with a partition pool.
-    @raise Invalid_argument on an unknown subscription index. *)
-val set_partition : t -> int -> int -> unit
-
-(** Install the serial fused view of the static subscribers (compiled
+(** Install the fused view of the static subscribers (compiled
     engine, used by {!Elab.compile}): each span [((first, last),
     block)] — sorted, non-overlapping, inclusive handler-index runs —
     is replaced by its single [block] action, handlers outside the
     spans stay in place, so fire-time order is unchanged.  The view is
-    consulted only when no partition pool is installed, and is
     invalidated by any later {!subscribe}.
     @raise Invalid_argument on unsorted, overlapping or out-of-range
     spans. *)

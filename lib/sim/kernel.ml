@@ -102,37 +102,6 @@ let default_guard =
 
 let unguarded = { max_delta_cycles = None; max_steps = None; contain_crashes = false }
 
-(* --- partition pool -------------------------------------------------- *)
-
-(* Per-partition outbound staging: a worker draining a partition's
-   bucket may notify events (next-delta scheduling) and request signal
-   updates; both are staged here and merged into the kernel queues — in
-   partition order, hence deterministically — after the barrier. *)
-type staging = {
-  sg_next_f : (unit -> unit) Vec.t;
-  sg_next_p : int Vec.t;
-  sg_upd : (unit -> unit) Vec.t;
-}
-
-type pool = {
-  p_partitions : int;
-  p_buckets : (unit -> unit) Vec.t array;  (* pending actions, per partition *)
-  p_stagings : staging array;
-  p_mutex : Mutex.t;
-  p_work : Condition.t;
-  p_done : Condition.t;
-  mutable p_jobs : int list;  (* partition ids awaiting a worker *)
-  mutable p_outstanding : int;
-  mutable p_shutdown : bool;
-  mutable p_error : exn option;  (* first worker exception, re-raised on main *)
-  mutable p_domains : unit Domain.t list;
-}
-
-(* Which staging record (if any) the current domain writes to.  [None]
-   on the main domain, set around each bucket drain on workers. *)
-let staging_key : staging option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
 type t = {
   mutable now : int;
   mutable delta : int;
@@ -141,17 +110,14 @@ type t = {
   runnable : (unit -> unit) Queue.t;
   next_delta : (unit -> unit) Queue.t;
   mutable updates : (unit -> unit) list;
-  (* compiled engine queues: paired action/partition vectors *)
-  crun_f : (unit -> unit) Vec.t;
-  crun_p : int Vec.t;
-  cnext_f : (unit -> unit) Vec.t;
-  cnext_p : int Vec.t;
+  (* compiled engine queues *)
+  crun : (unit -> unit) Vec.t;
+  cnext : (unit -> unit) Vec.t;
   mutable cupd : (unit -> unit) Vec.t;
   mutable cupd_spare : (unit -> unit) Vec.t;
   engine : engine;
   arena : Arena.t;
   mutable pre_run : (unit -> unit) list;  (* reversed registration order *)
-  mutable pool : pool option;
   mutable seq : int;
   mutable stopping : bool;
   mutable running : bool;
@@ -191,16 +157,13 @@ let create ?metrics ?engine () =
       runnable = Queue.create ();
       next_delta = Queue.create ();
       updates = [];
-      crun_f = Vec.create ~dummy:ignore ();
-      crun_p = Vec.create ~dummy:(-1) ();
-      cnext_f = Vec.create ~dummy:ignore ();
-      cnext_p = Vec.create ~dummy:(-1) ();
+      crun = Vec.create ~dummy:ignore ();
+      cnext = Vec.create ~dummy:ignore ();
       cupd = Vec.create ~dummy:ignore ();
       cupd_spare = Vec.create ~dummy:ignore ();
       engine;
       arena = Arena.create ();
       pre_run = [];
-      pool = None;
       seq = 0;
       stopping = false;
       running = false;
@@ -256,76 +219,35 @@ let schedule_after t ~delay action =
   if delay < 0 then invalid_arg "Kernel.schedule_after: negative delay";
   schedule_at t ~time:(t.now + delay) action
 
-(* Serial compiled runs keep the partition-tag vectors empty: tags
-   only matter to the pooled dispatch loop, so the common case pays a
-   single vector push per scheduled action.  [install_pool] re-aligns
-   the tag vectors before the first pooled delta. *)
 let schedule_now t action =
   match t.engine with
   | Classic -> Queue.add action t.runnable
-  | Compiled ->
-    Vec.push t.crun_f action;
-    (match t.pool with
-     | None -> ()
-     | Some _ -> Vec.push t.crun_p (-1))
+  | Compiled -> Vec.push t.crun action
 
-let schedule_next_delta_part t ~part action =
+let schedule_next_delta t action =
   match t.engine with
   | Classic -> Queue.add action t.next_delta
-  | Compiled -> (
-    match t.pool with
-    | None -> Vec.push t.cnext_f action
-    | Some _ -> (
-      match !(Domain.DLS.get staging_key) with
-      | Some sg ->
-        Vec.push sg.sg_next_f action;
-        Vec.push sg.sg_next_p part
-      | None ->
-        Vec.push t.cnext_f action;
-        Vec.push t.cnext_p part))
-
-let schedule_next_delta t action = schedule_next_delta_part t ~part:(-1) action
+  | Compiled -> Vec.push t.cnext action
 
 (* One call per event fire instead of one per subscriber: the engine
-   and pool dispatch is hoisted out of the fan-out loop.  [fs]/[parts]
-   are the event's registration-ordered subscriber arrays, [n] the
-   live prefix. *)
-let schedule_next_delta_batch t fs parts n =
+   dispatch is hoisted out of the fan-out loop.  [fs] is the event's
+   registration-ordered subscriber array, [n] its live prefix. *)
+let schedule_next_delta_batch t fs n =
   match t.engine with
   | Classic ->
     for i = 0 to n - 1 do
       Queue.add (Array.unsafe_get fs i) t.next_delta
     done
-  | Compiled -> (
-    match t.pool with
-    | None ->
-      let v = t.cnext_f in
-      for i = 0 to n - 1 do
-        Vec.push v (Array.unsafe_get fs i)
-      done
-    | Some _ -> (
-      match !(Domain.DLS.get staging_key) with
-      | Some sg ->
-        for i = 0 to n - 1 do
-          Vec.push sg.sg_next_f (Array.unsafe_get fs i);
-          Vec.push sg.sg_next_p (Array.unsafe_get parts i)
-        done
-      | None ->
-        for i = 0 to n - 1 do
-          Vec.push t.cnext_f (Array.unsafe_get fs i);
-          Vec.push t.cnext_p (Array.unsafe_get parts i)
-        done))
+  | Compiled ->
+    let v = t.cnext in
+    for i = 0 to n - 1 do
+      Vec.push v (Array.unsafe_get fs i)
+    done
 
 let request_update t action =
   match t.engine with
   | Classic -> t.updates <- action :: t.updates
-  | Compiled -> (
-    match t.pool with
-    | None -> Vec.push t.cupd action
-    | Some _ -> (
-      match !(Domain.DLS.get staging_key) with
-      | Some sg -> Vec.push sg.sg_upd action
-      | None -> Vec.push t.cupd action))
+  | Compiled -> Vec.push t.cupd action
 
 let stop t = t.stopping <- true
 let stopping t = t.stopping
@@ -350,144 +272,6 @@ let add_waiter t = t.waiters <- t.waiters + 1
 let remove_waiter t = t.waiters <- t.waiters - 1
 let waiting_count t = t.waiters
 let set_label t name = t.label <- name
-
-(* --- partition pool management --------------------------------------- *)
-
-let pool_worker pool () =
-  let slot = Domain.DLS.get staging_key in
-  let rec loop () =
-    Mutex.lock pool.p_mutex;
-    while pool.p_jobs = [] && not pool.p_shutdown do
-      Condition.wait pool.p_work pool.p_mutex
-    done;
-    match pool.p_jobs with
-    | [] -> Mutex.unlock pool.p_mutex  (* shutdown *)
-    | p :: rest ->
-      pool.p_jobs <- rest;
-      Mutex.unlock pool.p_mutex;
-      slot := Some pool.p_stagings.(p);
-      (try Vec.drain pool.p_buckets.(p) (fun action -> action ())
-       with e ->
-         Vec.clear pool.p_buckets.(p);
-         Mutex.lock pool.p_mutex;
-         (match pool.p_error with
-          | None -> pool.p_error <- Some e
-          | Some _ -> ());
-         Mutex.unlock pool.p_mutex);
-      slot := None;
-      Mutex.lock pool.p_mutex;
-      pool.p_outstanding <- pool.p_outstanding - 1;
-      if pool.p_outstanding = 0 && pool.p_jobs = [] then
-        Condition.signal pool.p_done;
-      Mutex.unlock pool.p_mutex;
-      loop ()
-  in
-  loop ()
-
-let install_pool t ~domains ~partitions =
-  (match t.pool with
-   | Some _ -> invalid_arg "Kernel.install_pool: pool already installed"
-   | None -> ());
-  if t.running then invalid_arg "Kernel.install_pool: kernel is running";
-  if t.engine <> Compiled then
-    invalid_arg "Kernel.install_pool: the compiled engine is required";
-  if Tabv_obs.Metrics.enabled t.metrics then
-    invalid_arg
-      "Kernel.install_pool: metrics must be disabled (push counters are not \
-       domain-safe)";
-  if partitions < 2 then
-    invalid_arg "Kernel.install_pool: at least 2 partitions are required";
-  if domains < 1 then invalid_arg "Kernel.install_pool: at least 1 domain";
-  let pool =
-    {
-      p_partitions = partitions;
-      p_buckets = Array.init partitions (fun _ -> Vec.create ~dummy:ignore ());
-      p_stagings =
-        Array.init partitions (fun _ ->
-            {
-              sg_next_f = Vec.create ~dummy:ignore ();
-              sg_next_p = Vec.create ~dummy:(-1) ();
-              sg_upd = Vec.create ~dummy:ignore ();
-            });
-      p_mutex = Mutex.create ();
-      p_work = Condition.create ();
-      p_done = Condition.create ();
-      p_jobs = [];
-      p_outstanding = 0;
-      p_shutdown = false;
-      p_error = None;
-      p_domains = [];
-    }
-  in
-  pool.p_domains <-
-    List.init (min domains partitions) (fun _ -> Domain.spawn (pool_worker pool));
-  t.pool <- Some pool;
-  (* Serial scheduling leaves the tag vectors empty; re-align them
-     with the already-queued actions (all untagged — tags are only
-     produced once the pool exists). *)
-  Vec.clear t.crun_p;
-  for _ = 1 to Vec.length t.crun_f do
-    Vec.push t.crun_p (-1)
-  done;
-  Vec.clear t.cnext_p;
-  for _ = 1 to Vec.length t.cnext_f do
-    Vec.push t.cnext_p (-1)
-  done
-
-let shutdown_pool t =
-  match t.pool with
-  | None -> ()
-  | Some pool ->
-    Mutex.lock pool.p_mutex;
-    pool.p_shutdown <- true;
-    Condition.broadcast pool.p_work;
-    Mutex.unlock pool.p_mutex;
-    List.iter Domain.join pool.p_domains;
-    pool.p_domains <- [];
-    t.pool <- None
-
-let pool_active t =
-  match t.pool with
-  | Some _ -> true
-  | None -> false
-
-let pool_domain_count t =
-  match t.pool with
-  | None -> 0
-  | Some pool -> List.length pool.p_domains
-
-(* Dispatch the filled buckets to the workers, wait for the barrier,
-   then merge staged work back in partition order (deterministic
-   regardless of worker interleaving). *)
-let pool_run_buckets t pool =
-  let any = ref false in
-  Mutex.lock pool.p_mutex;
-  for p = pool.p_partitions - 1 downto 0 do
-    if not (Vec.is_empty pool.p_buckets.(p)) then begin
-      pool.p_jobs <- p :: pool.p_jobs;
-      pool.p_outstanding <- pool.p_outstanding + 1;
-      any := true
-    end
-  done;
-  if !any then begin
-    Condition.broadcast pool.p_work;
-    while pool.p_outstanding > 0 || pool.p_jobs <> [] do
-      Condition.wait pool.p_done pool.p_mutex
-    done
-  end;
-  let err = pool.p_error in
-  pool.p_error <- None;
-  Mutex.unlock pool.p_mutex;
-  (match err with
-   | Some e -> raise e
-   | None -> ());
-  if !any then
-    for p = 0 to pool.p_partitions - 1 do
-      let sg = pool.p_stagings.(p) in
-      Vec.transfer ~src:sg.sg_next_f ~dst:t.cnext_f;
-      Vec.transfer ~src:sg.sg_next_p ~dst:t.cnext_p;
-      Vec.transfer ~src:sg.sg_upd ~dst:t.cupd
-    done
 
 (* --- shared run epilogue --------------------------------------------- *)
 
@@ -630,15 +414,10 @@ let run_classic ?until ?(guard = default_guard) t =
    [update_actions], [deltas], [time_advances] and watchdog increment
    happens at the same point of the same phase, so reports stay
    byte-identical across engines.  Only the mechanisms differ: vector
-   queues instead of [Queue.t]/list accumulators, a double-buffered
-   update vector instead of [List.rev], and an optional partition pool
-   for eval-phase fan-out. *)
+   queues instead of [Queue.t]/list accumulators and a double-buffered
+   update vector instead of [List.rev]. *)
 let run_compiled ?until ?(guard = default_guard) t =
   if t.running then invalid_arg "Kernel.run: already running";
-  (match t.pool with
-   | Some _ when guard.contain_crashes ->
-     invalid_arg "Kernel.run: contain_crashes is not supported with a partition pool"
-   | _ -> ());
   t.running <- true;
   t.stopping <- false;
   t.containing <- guard.contain_crashes;
@@ -646,75 +425,32 @@ let run_compiled ?until ?(guard = default_guard) t =
   t.diagnosis <- Completed;
   let steps0 = t.time_advances in
   let tripped = ref None in
-  let pool_present =
-    match t.pool with
-    | Some _ -> true
-    | None -> false
-  in
   let horizon_ok time =
     match until with
     | None -> true
     | Some h -> time <= h
   in
-  let eval_serial () =
+  let eval () =
     if guard.contain_crashes then
-      while (not (Vec.is_empty t.crun_f)) && not t.stopping do
-        let action = Vec.pop t.crun_f in
+      while (not (Vec.is_empty t.crun)) && not t.stopping do
+        let action = Vec.pop t.crun in
         t.activations <- t.activations + 1;
         try action () with e -> record_crash t e
       done
     else
-      while (not (Vec.is_empty t.crun_f)) && not t.stopping do
-        let action = Vec.pop t.crun_f in
+      while (not (Vec.is_empty t.crun)) && not t.stopping do
+        let action = Vec.pop t.crun in
         t.activations <- t.activations + 1;
         action ()
       done;
-    if Vec.is_empty t.crun_f then Vec.clear t.crun_f
-  in
-  (* With a pool: untagged actions run inline in dispatch order;
-     partition-tagged actions are counted at dispatch, bucketed, and
-     executed by the workers after the inline pass.  Bucket actions
-     only stage next-delta/update work, so one dispatch pass per delta
-     normally suffices; the outer loop covers stragglers. *)
-  let eval_pooled pool =
-    let continue_ = ref true in
-    while !continue_ do
-      while (not (Vec.is_empty t.crun_f)) && not t.stopping do
-        let action = Vec.pop t.crun_f in
-        let part = Vec.pop t.crun_p in
-        t.activations <- t.activations + 1;
-        if part < 0 then action () else Vec.push pool.p_buckets.(part) action
-      done;
-      if Vec.is_empty t.crun_f then begin
-        Vec.clear t.crun_f;
-        Vec.clear t.crun_p
-      end;
-      if t.stopping then begin
-        (* An inline action called [stop] mid-dispatch.  The serial
-           loops cease draining immediately, so mirror them: discard
-           the already-bucketed partition actions rather than running
-           them past the stop point (they were counted at dispatch,
-           matching the serial activation count for the pre-stop
-           prefix). *)
-        for p = 0 to pool.p_partitions - 1 do
-          Vec.clear pool.p_buckets.(p)
-        done;
-        continue_ := false
-      end
-      else begin
-        pool_run_buckets t pool;
-        continue_ := (not (Vec.is_empty t.crun_f)) && not t.stopping
-      end
-    done
+    if Vec.is_empty t.crun then Vec.clear t.crun
   in
   let rec loop () =
     if t.stopping || !tripped <> None then ()
     else begin
       (* Evaluation phase. *)
       Tabv_obs.Metrics.start t.eval_timer;
-      (match t.pool with
-       | None -> eval_serial ()
-       | Some pool -> eval_pooled pool);
+      eval ();
       Tabv_obs.Metrics.stop t.eval_timer;
       if t.stopping then ()
       else begin
@@ -730,16 +466,14 @@ let run_compiled ?until ?(guard = default_guard) t =
             u ());
         Tabv_obs.Metrics.stop t.update_timer;
         (* Delta notification phase. *)
-        if not (Vec.is_empty t.cnext_f) then begin
+        if not (Vec.is_empty t.cnext) then begin
           match guard.max_delta_cycles with
           | Some cap when t.delta >= cap ->
             t.watchdog_trips <- t.watchdog_trips + 1;
-            Vec.clear t.cnext_f;
-            Vec.clear t.cnext_p;
+            Vec.clear t.cnext;
             tripped := Some (Livelock { time = t.now; delta_cycles = t.delta })
           | Some _ | None ->
-            Vec.transfer ~src:t.cnext_f ~dst:t.crun_f;
-            Vec.transfer ~src:t.cnext_p ~dst:t.crun_p;
+            Vec.transfer ~src:t.cnext ~dst:t.crun;
             t.delta <- t.delta + 1;
             t.deltas <- t.deltas + 1;
             loop ()
@@ -759,13 +493,11 @@ let run_compiled ?until ?(guard = default_guard) t =
                  t.now <- time;
                  t.delta <- 0;
                  t.time_advances <- t.time_advances + 1;
-                 let tag = pool_present in
                  let rec drain () =
                    match Heap.peek t.timed with
                    | Some entry when entry.Heap.time = time ->
                      ignore (Heap.pop t.timed);
-                     Vec.push t.crun_f entry.Heap.action;
-                     if tag then Vec.push t.crun_p (-1);
+                     Vec.push t.crun entry.Heap.action;
                      drain ()
                    | Some _ | None -> ()
                  in

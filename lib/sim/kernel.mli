@@ -23,7 +23,7 @@ type t
        mechanics; the baseline every optimisation is diffed against.}
     {- [Compiled] — the static-schedule engine produced by {!Elab}:
        vector queues, a dense signal arena, preallocated update thunks
-       and optional partition-parallel evaluation.}}
+       and fused activation blocks.}}
 
     Reports and metrics are byte-identical across engines: the
     compiled loop increments every counter at the same point of the
@@ -131,23 +131,14 @@ val schedule_after : t -> delay:int -> (unit -> unit) -> unit
 (** Make [f] runnable in the current evaluation phase. *)
 val schedule_now : t -> (unit -> unit) -> unit
 
-(** Make [f] runnable in the next delta cycle of the current instant.
-    Shim for {!schedule_next_delta_part} with an untagged partition;
-    elaborated designs carry partition tags instead (see {!Elab}). *)
+(** Make [f] runnable in the next delta cycle of the current instant. *)
 val schedule_next_delta : t -> (unit -> unit) -> unit
 
-(** Like {!schedule_next_delta}, tagging the action with the levelized
-    partition it belongs to ([-1] = untagged, runs inline on the main
-    domain).  Tags are ignored unless a partition pool is installed. *)
-val schedule_next_delta_part : t -> part:int -> (unit -> unit) -> unit
-
-(** [schedule_next_delta_batch t fs parts n] schedules the first [n]
-    entries of [fs] (with partition tags [parts], parallel arrays) for
-    the next delta in one call — {!Event.fire}'s fan-out path, with
-    the engine and pool dispatch hoisted out of the subscriber loop.
-    The arrays must have at least [n] entries. *)
-val schedule_next_delta_batch :
-  t -> (unit -> unit) array -> int array -> int -> unit
+(** [schedule_next_delta_batch t fs n] schedules the first [n] entries
+    of [fs] for the next delta in one call — {!Event}'s fan-out path,
+    with the engine dispatch hoisted out of the subscriber loop.  The
+    array must have at least [n] entries. *)
+val schedule_next_delta_batch : t -> (unit -> unit) array -> int -> unit
 
 (** Register an update action for the update phase of the current
     delta (used by {!Signal}). *)
@@ -217,26 +208,6 @@ module type ENGINE = sig
 end
 
 val engine_impl : engine -> (module ENGINE)
-
-(** {2 Partition pool (compiled engine)}
-
-    [install_pool t ~domains ~partitions] attaches a worker-domain
-    pool that evaluates partition-tagged actions in parallel within
-    each delta cycle.  Requires the compiled engine, a disabled
-    metrics registry (push counters are not domain-safe), and at least
-    two partitions; [contain_crashes] runs are rejected while a pool
-    is installed.  Normally called through {!Elab.parallelize}, which
-    first proves the partitions share no signals. *)
-val install_pool : t -> domains:int -> partitions:int -> unit
-
-(** Stop and join the worker domains (idempotent).  Must be called
-    before the process exits if a pool was installed. *)
-val shutdown_pool : t -> unit
-
-val pool_active : t -> bool
-
-(** Worker domains currently attached (0 without a pool). *)
-val pool_domain_count : t -> int
 
 (** Diagnosis of the most recent {!run} ([Completed] before any run). *)
 val last_diagnosis : t -> diagnosis

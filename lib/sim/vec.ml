@@ -25,7 +25,6 @@ let create ?(capacity = 64) ~dummy () =
   let capacity = max capacity 1 in
   { data = Array.make capacity dummy; head = 0; len = 0; dummy }
 
-let length t = t.len - t.head
 let is_empty t = t.len = t.head
 
 let grow t =

@@ -7,7 +7,6 @@
 type 'a t
 
 val create : ?capacity:int -> dummy:'a -> unit -> 'a t
-val length : 'a t -> int
 val is_empty : 'a t -> bool
 val push : 'a t -> 'a -> unit
 

@@ -1,13 +1,15 @@
 open Tabv_psl
 
 (** Explicit-state checker synthesis: the FoCs-style alternative
-    backend.
+    generator.
 
     The paper's methodology is {e independent of the checker
     generator} (Sec. IV): any tool that turns a PSL simple-subset
     property into an executable monitor can sit under the wrapper.
-    This module provides a second generator beside {!Progression}:
-    it tables the progression relation once, at synthesis time, into
+    This module is a second generator beside
+    {!Tabv_checker.Progression}, kept in the test tree as a
+    differential oracle and for the generator-independence ablation.
+    It tables the progression relation once, at synthesis time, into
     an explicit finite automaton —
     {ul
     {- states are the reachable residual formulas (hash-consed);}
@@ -18,9 +20,7 @@ open Tabv_psl
 
     Only {e untimed} formulas are supported (the RTL side of the
     flow): [next_eps^tau] waits depend on unbounded absolute times and
-    cannot be tabled; at TLM the wrapper supplies that part around
-    checkers generated here, exactly as it wraps FoCs output in the
-    paper. *)
+    cannot be tabled. *)
 
 type t
 

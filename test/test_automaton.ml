@@ -1,9 +1,11 @@
 open Tabv_psl
 open Tabv_checker
+open Tabv_oracle
 
-(* The explicit-state (FoCs-style) checker backend must agree with the
-   formula-rewriting backend on every trace, and be compact on the
-   paper's properties. *)
+(* The explicit-state (FoCs-style) generator of the test oracle must
+   agree with the shipped formula-rewriting checker on every trace, and
+   be compact on the paper's properties: the paper's methodology does
+   not depend on the checker generator. *)
 
 let case name f = Alcotest.test_case name `Quick f
 
@@ -150,72 +152,74 @@ let equivalence_cases =
           in
           verdict = expected) ]
 
+(* Replays a recorded DES56 RTL run through reference monitors over
+   the tabled automata; the live checkers sampled the same evaluation
+   points. *)
+let replay_automata ?fault ops =
+  let result =
+    Tabv_duv.Testbench.run_des56_rtl ?fault ~record_trace:true
+      ~properties:Tabv_duv.Des56_props.all ops
+  in
+  match result.Tabv_duv.Testbench.trace with
+  | Some trace ->
+    (result, Reference_monitor.run `Automaton Tabv_duv.Des56_props.all trace)
+  | None -> Alcotest.fail "no trace recorded"
+
 let integration_cases =
   [ case "automaton engine verifies DES56 RTL like progression" (fun () ->
       let ops = Tabv_duv.Workload.des56 ~seed:21 ~count:10 () in
-      let prog =
-        Tabv_duv.Testbench.run_des56_rtl ~engine:`Progression
-          ~properties:Tabv_duv.Des56_props.all ops
-      in
-      let auto =
-        Tabv_duv.Testbench.run_des56_rtl ~engine:`Automaton
-          ~properties:Tabv_duv.Des56_props.all ops
-      in
+      let prog, auto = replay_automata ops in
       List.iter2
-        (fun (p : Tabv_duv.Testbench.checker_stat)
-             (a : Tabv_duv.Testbench.checker_stat) ->
-          Alcotest.(check string) "same property" p.property_name a.property_name;
+        (fun (p : Tabv_duv.Testbench.checker_stat) (property, a) ->
+          Alcotest.(check string) "same property" p.property_name
+            property.Property.name;
           Alcotest.(check int) (p.property_name ^ " activations") p.activations
-            a.activations;
-          Alcotest.(check int) (p.property_name ^ " passes") p.passes a.passes;
+            (Reference_monitor.activations a);
+          Alcotest.(check int) (p.property_name ^ " passes") p.passes
+            (Reference_monitor.passes a);
           Alcotest.(check int)
             (p.property_name ^ " failures")
-            (List.length p.failures) (List.length a.failures))
-        prog.Tabv_duv.Testbench.checker_stats auto.Tabv_duv.Testbench.checker_stats);
+            (List.length p.failures)
+            (List.length (Reference_monitor.failures a)))
+        prog.Tabv_duv.Testbench.checker_stats auto);
     case "automaton engine catches the same injected bug" (fun () ->
       let ops = Tabv_duv.Workload.des56 ~seed:21 ~count:8 () in
-      let result =
-        Tabv_duv.Testbench.run_des56_rtl ~engine:`Automaton
-          ~fault:Tabv_duv.Des56_rtl.Rdy_one_cycle_late
-          ~properties:Tabv_duv.Des56_props.all ops
+      let _, auto =
+        replay_automata ~fault:Tabv_duv.Des56_rtl.Rdy_one_cycle_late ops
       in
       Alcotest.(check bool) "failures found" true
-        (Tabv_duv.Testbench.total_failures result > 0));
-    case "engine reports the fallback" (fun () ->
-      (* A timed property cannot be tabled: the monitor silently falls
-         back to progression. *)
-      let q3 = Parser.property_exn ~name:"q3" "always (!ds || nexte[1,170](rdy)) @tb" in
-      let monitor = Monitor.create ~engine:`Automaton q3 in
-      Alcotest.(check bool) "fell back" true (Monitor.engine monitor = `Progression);
-      let p1 = Tabv_duv.Des56_props.p1 in
-      let monitor = Monitor.create ~engine:`Automaton p1 in
-      Alcotest.(check bool) "tabled" true (Monitor.engine monitor = `Automaton)) ]
+        (List.exists (fun (_, a) -> Reference_monitor.failures a <> []) auto)) ]
 
 let monitor_equivalence_cases =
-  (* Differential testing at the monitor level: both engines must
-     produce identical counters on random always-properties, with the
-     full instance-management machinery in the loop. *)
+  (* Differential testing at the monitor level: the shipped monitor and
+     a reference monitor over the tabled automaton must produce
+     identical counters on random always-properties, with the full
+     instance-management machinery in the loop. *)
   [ Helpers.qtest ~count:50 "monitors agree across engines"
       arb_small_and_trace (fun (f, trace) ->
         let property =
           Property.make ~name:"m"
             ~context:(Context.Transaction Context.Base_trans) (Ltl.Always f)
         in
-        let run engine =
-          let monitor = Monitor.create ~engine property in
+        (* Skip when the body cannot be tabled. *)
+        match Reference_monitor.create `Automaton property with
+        | exception Automaton.Unsupported _ -> true
+        | reference ->
+          let monitor = Monitor.create property in
           for i = 0 to Trace.length trace - 1 do
             let entry = Trace.get trace i in
-            Monitor.step monitor ~time:entry.Trace.time (Trace.lookup entry)
+            Monitor.step monitor ~time:entry.Trace.time (Trace.lookup entry);
+            Reference_monitor.step reference ~time:entry.Trace.time
+              (Trace.lookup entry)
           done;
           ( Monitor.activations monitor,
             Monitor.passes monitor,
             Monitor.pending monitor,
             List.length (Monitor.failures monitor) )
-        in
-        (* Skip when the body cannot be tabled (fallback makes the two
-           runs identical by construction). *)
-        let probe = Monitor.create ~engine:`Automaton property in
-        Monitor.engine probe <> `Automaton || run `Progression = run `Automaton) ]
+          = ( Reference_monitor.activations reference,
+              Reference_monitor.passes reference,
+              Reference_monitor.pending reference,
+              List.length (Reference_monitor.failures reference) )) ]
 
 let suite =
   ("automaton",

@@ -6,7 +6,7 @@ open Tabv_duv
    dynamic reference — same outcomes, same counters, byte-identical
    observability documents — on every DUV model, on fused-block corner
    cases (stop and crash containment mid-block), and on randomly
-   generated elaborated netlists. *)
+   generated elaborated netlists with double writes. *)
 
 let case name f = Alcotest.test_case name `Quick f
 
@@ -162,7 +162,6 @@ let netlist_chain kernel depth =
       ~name:(Printf.sprintf "stage%d" i)
       ~pos:__POS__ ~initialize:false
       ~sensitivity:[ Signal.changed input ]
-      ~reads:[ Elab.Pack input ]
       ~writes:[ Elab.Pack output ]
       (fun () -> Signal.write output (Signal.read input + 1));
     prev := output
@@ -181,7 +180,7 @@ let levelization_cases =
       let q = Elab.signal_bool el "q" in
       Elab.process el ~name:"reg" ~pos:__POS__ ~initialize:false
         ~sensitivity:[ Clock.posedge clock ]
-        ~reads:[ Elab.Pack q ] ~writes:[ Elab.Pack q ]
+        ~writes:[ Elab.Pack q ]
         (fun () -> Signal.write q (not (Signal.read q)));
       Alcotest.(check int) "levels" 1 (Elab.levels el));
     case "a zero-delay cycle raises a positioned elaboration error" (fun () ->
@@ -191,11 +190,11 @@ let levelization_cases =
       let b = Elab.signal_bool el "b" in
       Elab.process el ~name:"p_ab" ~pos:__POS__
         ~sensitivity:[ Signal.changed a ]
-        ~reads:[ Elab.Pack a ] ~writes:[ Elab.Pack b ]
+        ~writes:[ Elab.Pack b ]
         (fun () -> Signal.write b (not (Signal.read a)));
       Elab.process el ~name:"p_ba" ~pos:__POS__
         ~sensitivity:[ Signal.changed b ]
-        ~reads:[ Elab.Pack b ] ~writes:[ Elab.Pack a ]
+        ~writes:[ Elab.Pack a ]
         (fun () -> Signal.write a (not (Signal.read b)));
       match Elab.compile el with
       | () -> Alcotest.fail "cycle not detected"
@@ -279,164 +278,14 @@ let fused_cases =
       Alcotest.(check int) "old handlers kept firing" 0 (!hits mod 4);
       Alcotest.(check int) "new handler fired every cycle" cycles2 !seen) ]
 
-(* --- partition-parallel determinism -------------------------------- *)
-
-let partition_netlist kernel ~parts ~stages =
-  (* [parts] independent register chains: union-find proves them
-     disjoint, so they levelize into [parts] partitions. *)
-  let el = Elab.create kernel in
-  let clock = Clock.create kernel ~name:"clk" ~period:10 () in
-  let cells = Array.make parts None in
-  for p = 0 to parts - 1 do
-    let s = Elab.signal_int el (Printf.sprintf "part%d_s" p) in
-    cells.(p) <- Some s;
-    Elab.process el
-      ~name:(Printf.sprintf "part%d" p)
-      ~pos:__POS__ ~initialize:false
-      ~sensitivity:[ Clock.posedge clock ]
-      ~reads:[ Elab.Pack s ] ~writes:[ Elab.Pack s ]
-      (fun () ->
-        let v = ref (Signal.read s) in
-        for _ = 1 to stages do
-          v := (!v * 7) + 3
-        done;
-        Signal.write s !v)
-  done;
-  (el, Array.map Option.get cells)
-
-let partition_cases =
-  [ case "independent chains split into one partition each" (fun () ->
-      let kernel = Kernel.create ~engine:Kernel.Compiled () in
-      let el, _ = partition_netlist kernel ~parts:4 ~stages:1 in
-      Alcotest.(check int) "partitions" 4 (Elab.partition_count el));
-    case "pooled evaluation matches classic and serial results" (fun () ->
-      let final engine ~pooled =
-        let kernel = Kernel.create ~engine () in
-        let el, cells = partition_netlist kernel ~parts:4 ~stages:5 in
-        let parallelized =
-          if pooled then Elab.parallelize el ~domains:2 else false
-        in
-        ignore (Kernel.run ~until:200 kernel);
-        Kernel.shutdown_pool kernel;
-        if pooled then
-          Alcotest.(check bool) "pool installed" true parallelized;
-        ( Array.to_list (Array.map Signal.observe cells),
-          Kernel.activation_count kernel,
-          Kernel.delta_count kernel )
-      in
-      let classic = final Kernel.Classic ~pooled:false in
-      let serial = final Kernel.Compiled ~pooled:false in
-      let pooled = final Kernel.Compiled ~pooled:true in
-      Alcotest.(check bool) "serial = classic" true (classic = serial);
-      Alcotest.(check bool) "pooled = classic" true (classic = pooled));
-    case "concurrent dirty flags on adjacent slots stay deduplicated" (fun () ->
-      (* Eight single-process partitions claim the first eight int
-         arena slots; every activation double-writes its signal, so
-         the second write must see the pending flag the first one set.
-         Worker domains mark those adjacent flags concurrently — a
-         packed bitset's read-modify-write could erase a neighbour
-         partition's just-set flag, staging a duplicate update thunk
-         and skewing [update_actions] (the regression behind the
-         per-slot flag array). *)
-      let final engine ~pooled =
-        let kernel = Kernel.create ~engine () in
-        let el = Elab.create kernel in
-        let clock = Clock.create kernel ~name:"clk" ~period:10 () in
-        let parts = 8 in
-        let cells =
-          Array.init parts (fun p ->
-              Elab.signal_int el (Printf.sprintf "slot%d_s" p))
-        in
-        Array.iteri
-          (fun p s ->
-            Elab.process el
-              ~name:(Printf.sprintf "slot%d" p)
-              ~pos:__POS__ ~initialize:false
-              ~sensitivity:[ Clock.posedge clock ]
-              ~reads:[ Elab.Pack s ] ~writes:[ Elab.Pack s ]
-              (fun () ->
-                let v = Signal.read s in
-                Signal.write s (v + 1);
-                Signal.write s ((v * 3) + 1)))
-          cells;
-        let parallelized =
-          if pooled then Elab.parallelize el ~domains:4 else false
-        in
-        ignore (Kernel.run ~until:2000 kernel);
-        Kernel.shutdown_pool kernel;
-        if pooled then
-          Alcotest.(check bool) "pool installed" true parallelized;
-        ( Array.to_list (Array.map Signal.observe cells),
-          Kernel.activation_count kernel,
-          Kernel.delta_count kernel,
-          Kernel.update_action_count kernel )
-      in
-      let classic = final Kernel.Classic ~pooled:false in
-      let serial = final Kernel.Compiled ~pooled:false in
-      let pooled = final Kernel.Compiled ~pooled:true in
-      Alcotest.(check bool) "serial = classic" true (classic = serial);
-      Alcotest.(check bool) "pooled = classic" true (classic = pooled));
-    case "stop from an inline action discards bucketed work" (fun () ->
-      (* An untagged action calling [stop] mid-dispatch halts the
-         pooled evaluation phase: partition actions already bucketed
-         are discarded, never run past the stop point, and the kernel
-         counters still match the serial engines (bucketed actions are
-         counted at dispatch). *)
-      let build engine =
-        let kernel = Kernel.create ~engine () in
-        let el = Elab.create kernel in
-        let clock = Clock.create kernel ~name:"clk" ~period:10 () in
-        let hits = Array.make 4 0 in
-        let part p =
-          let s = Elab.signal_int el (Printf.sprintf "stop%d_s" p) in
-          Elab.process el
-            ~name:(Printf.sprintf "stop%d" p)
-            ~pos:__POS__ ~initialize:false
-            ~sensitivity:[ Clock.posedge clock ]
-            ~reads:[ Elab.Pack s ] ~writes:[ Elab.Pack s ]
-            (fun () ->
-              hits.(p) <- hits.(p) + 1;
-              Signal.write s (Signal.read s + 1))
-        in
-        part 0;
-        part 1;
-        (* Untagged (no declared reads/writes): dispatched inline on
-           the main domain, between the two bucketed pairs. *)
-        Elab.process el ~name:"stopper" ~pos:__POS__ ~initialize:false
-          ~sensitivity:[ Clock.posedge clock ]
-          (fun () -> Kernel.stop kernel);
-        part 2;
-        part 3;
-        (kernel, el, hits)
-      in
-      let run engine ~pooled =
-        let kernel, el, hits = build engine in
-        if pooled then
-          Alcotest.(check bool) "pool installed" true
-            (Elab.parallelize el ~domains:2);
-        ignore (Kernel.run ~until:100 kernel);
-        Kernel.shutdown_pool kernel;
-        ( ( Kernel.activation_count kernel,
-            Kernel.delta_count kernel,
-            Kernel.update_action_count kernel,
-            Kernel.now kernel ),
-          Array.fold_left ( + ) 0 hits )
-      in
-      let classic, classic_hits = run Kernel.Classic ~pooled:false in
-      let serial, serial_hits = run Kernel.Compiled ~pooled:false in
-      let pooled, pooled_hits = run Kernel.Compiled ~pooled:true in
-      Alcotest.(check bool) "serial counters = classic" true (classic = serial);
-      Alcotest.(check bool) "pooled counters = classic" true (classic = pooled);
-      Alcotest.(check int) "serial ran the pre-stop prefix" classic_hits
-        serial_hits;
-      Alcotest.(check int) "no bucketed action ran past stop" 0 pooled_hits) ]
-
 (* --- random netlists (schedule vs dynamic reference) ---------------- *)
 
 (* A random acyclic elaborated netlist: process [i] is sensitive
    either to the clock or to signals written by lower-numbered
    processes (so zero-delay cycles are impossible by construction),
-   and writes its own output signal. *)
+   and writes its own output signal twice per activation — the second
+   write must find the pending-update flag the first one set, so both
+   engines apply one update action per signal per delta. *)
 let netlist_spec =
   QCheck.make
     ~print:(fun spec ->
@@ -474,16 +323,17 @@ let run_random_netlist engine spec =
         if inputs = [] then [ Clock.posedge clock ]
         else List.map (fun j -> Signal.changed out.(j)) inputs
       in
-      let reads = List.map (fun j -> Elab.Pack out.(j)) inputs in
       Elab.process el
         ~name:(Printf.sprintf "proc%d" i)
-        ~pos:__POS__ ~initialize:false ~sensitivity ~reads
+        ~pos:__POS__ ~initialize:false ~sensitivity
         ~writes:[ Elab.Pack out.(i) ]
         (fun () ->
           let acc =
             List.fold_left (fun acc j -> acc + Signal.read out.(j)) 1 inputs
           in
-          Signal.write out.(i) (Signal.read out.(i) + acc)))
+          let v = Signal.read out.(i) in
+          Signal.write out.(i) (v + 1);
+          Signal.write out.(i) (v + acc)))
     spec;
   ignore (Kernel.run ~until:100 kernel);
   ( List.map Signal.observe outputs,
@@ -500,5 +350,4 @@ let random_cases =
 
 let suite =
   ( "engine",
-    duv_cases @ vcd_cases @ levelization_cases @ fused_cases @ partition_cases
-    @ random_cases )
+    duv_cases @ vcd_cases @ levelization_cases @ fused_cases @ random_cases )

@@ -70,8 +70,10 @@ let cases =
     case "rejects clock-context properties" (fun () ->
       let kernel = Tabv_sim.Kernel.create () in
       match
-        Tabv_checker.Wrapper.attach_grid kernel ~clock_period:10 Des56_props.p1
-          ~lookup:(fun _ -> None)
+        Tabv_checker.Checker.attach
+          (Tabv_checker.Checker.Attach.spec
+             (Tabv_checker.Checker.Attach.grid ~clock_period:10 ()))
+          kernel Des56_props.p1 ~lookup:(fun _ -> None)
       with
       | _ -> Alcotest.fail "expected Invalid_argument"
       | exception Invalid_argument _ -> ()) ]

@@ -1,10 +1,11 @@
 open Tabv_psl
 open Tabv_checker
+open Tabv_oracle
 
 (* The interned checker core: hash-consing invariants, and
    property-based equivalence of the interned memoizing engine against
-   the legacy tree-rewriting engine it replaced (which is kept in
-   [Progression.Legacy] as the executable specification). *)
+   the legacy tree-rewriting engine it replaced (kept in the test
+   oracle as the executable specification). *)
 
 let case name f = Alcotest.test_case name `Quick f
 let formula source = Parser.formula_only source
@@ -61,17 +62,15 @@ let hashcons_cases =
 
 let verdicts_agree (f, trace) =
   let ob = ref (Progression.of_formula f) in
-  let leg = ref (Progression.Legacy.of_formula f) in
+  let leg = ref (Legacy.of_formula f) in
   let ok = ref true in
   for i = 0 to Trace.length trace - 1 do
     let entry = Trace.get trace i in
     let lookup = Trace.lookup entry in
     ob := Progression.step ~time:entry.Trace.time lookup !ob;
-    leg := Progression.step_reference ~time:entry.Trace.time lookup !leg;
-    if Progression.verdict !ob <> Progression.Legacy.verdict !leg then ok := false;
-    if
-      Progression.next_evaluation_time !ob
-      <> Progression.Legacy.next_evaluation_time !leg
+    leg := Legacy.step ~time:entry.Trace.time lookup !leg;
+    if Progression.verdict !ob <> Legacy.verdict !leg then ok := false;
+    if Progression.next_evaluation_time !ob <> Legacy.next_evaluation_time !leg
     then ok := false
   done;
   !ok
@@ -88,31 +87,42 @@ let step_equivalence_cases =
    lists (with attribution), activation/pass/pending counters, peak
    instance counts and the timed evaluation table. *)
 
-let run_monitor engine (f, trace) =
-  let property =
-    Property.make ~name:"eq" ~context:(Context.Transaction Context.Base_trans) f
-  in
-  let monitor = Monitor.create ~engine property in
+let eq_property f =
+  Property.make ~name:"eq" ~context:(Context.Transaction Context.Base_trans) f
+
+let run_monitor (f, trace) =
+  let monitor = Monitor.create (eq_property f) in
   for i = 0 to Trace.length trace - 1 do
     let entry = Trace.get trace i in
     Monitor.step monitor ~time:entry.Trace.time (Trace.lookup entry)
   done;
   monitor
 
-let summary monitor =
-  ( List.map
-      (fun f -> (f.Monitor.activation_time, f.Monitor.failure_time))
-      (Monitor.failures monitor),
+let monitors_agree (f, trace) =
+  let monitor = run_monitor (f, trace) in
+  let reference =
+    match Reference_monitor.run `Legacy [ eq_property f ] trace with
+    | [ (_, reference) ] -> reference
+    | _ -> assert false
+  in
+  let failure_pairs =
+    List.map (fun (f : Monitor.failure) -> (f.activation_time, f.failure_time))
+  in
+  ( failure_pairs (Monitor.failures monitor),
     ( Monitor.activations monitor,
       Monitor.passes monitor,
       Monitor.trivial_passes monitor,
       Monitor.pending monitor ),
     (Monitor.peak_instances monitor, Monitor.vacuous monitor),
     Monitor.evaluation_table monitor )
-
-let monitors_agree arg =
-  summary (run_monitor `Progression arg)
-  = summary (run_monitor `Progression_legacy arg)
+  = ( failure_pairs (Reference_monitor.failures reference),
+      ( Reference_monitor.activations reference,
+        Reference_monitor.passes reference,
+        Reference_monitor.trivial_passes reference,
+        Reference_monitor.pending reference ),
+      ( Reference_monitor.peak_instances reference,
+        Reference_monitor.vacuous reference ),
+      Reference_monitor.evaluation_table reference )
 
 let monitor_equivalence_cases =
   [ Helpers.qtest ~count:300 "monitor accounting engine-independent (general)"
@@ -121,7 +131,7 @@ let monitor_equivalence_cases =
       Helpers.arb_timed_nnf_and_trace monitors_agree;
     Helpers.qtest ~count:200 "distinct states never exceed live instances"
       Helpers.arb_ltl_and_trace (fun arg ->
-        let monitor = run_monitor `Progression arg in
+        let monitor = run_monitor arg in
         Monitor.peak_distinct_states monitor <= Monitor.peak_instances monitor) ]
 
 (* --- shared sampler ------------------------------------------------ *)

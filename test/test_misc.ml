@@ -113,10 +113,13 @@ let wrapper_sizing_cases =
         Parser.property_exn ~name:"q3" "always (!ds || nexte[1,170](rdy)) @tb"
       in
       let wrapper =
-        Tabv_checker.Wrapper.attach kernel initiator q3 ~lookup:(fun _ -> None)
+        Tabv_checker.Checker.attach
+          (Tabv_checker.Checker.Attach.spec
+             (Tabv_checker.Checker.Attach.transaction initiator))
+          kernel q3 ~lookup:(fun _ -> None)
       in
       Alcotest.(check int) "17 slots" 17
-        (Tabv_checker.Wrapper.array_size wrapper ~clock_period:10));
+        (Tabv_checker.Checker.array_size wrapper ~clock_period:10));
     case "array_size rounds up" (fun () ->
       let kernel = Tabv_sim.Kernel.create () in
       let initiator = Tabv_sim.Tlm.Initiator.create kernel ~name:"i" in
@@ -124,10 +127,13 @@ let wrapper_sizing_cases =
         Parser.property_exn ~name:"q" "always (!ds || nexte[1,25](rdy)) @tb"
       in
       let wrapper =
-        Tabv_checker.Wrapper.attach kernel initiator q ~lookup:(fun _ -> None)
+        Tabv_checker.Checker.attach
+          (Tabv_checker.Checker.Attach.spec
+             (Tabv_checker.Checker.Attach.transaction initiator))
+          kernel q ~lookup:(fun _ -> None)
       in
       Alcotest.(check int) "3 slots" 3
-        (Tabv_checker.Wrapper.array_size wrapper ~clock_period:10)) ]
+        (Tabv_checker.Checker.array_size wrapper ~clock_period:10)) ]
 
 let json_cases =
   let open Tabv_core.Report_json in

@@ -78,22 +78,29 @@ let failure_cases =
         lookup_of
           [ ("a", Expr.VBool a); ("b", Expr.VBool b); ("c", Expr.VBool c) ]
       in
+      let property = prop "always(a || (b until c))" in
+      let shipped =
+        let monitor = Monitor.create property in
+        (Monitor.step monitor, fun () -> Monitor.failures monitor)
+      in
+      let reference backend =
+        let monitor = Tabv_oracle.Reference_monitor.create backend property in
+        ( Tabv_oracle.Reference_monitor.step monitor,
+          fun () -> Tabv_oracle.Reference_monitor.failures monitor )
+      in
       List.iter
-        (fun engine ->
-          let monitor =
-            Monitor.create ~engine (prop "always(a || (b until c))")
-          in
-          step monitor 0 (env3 ~a:false ~b:true ~c:false);
-          step monitor 10 (env3 ~a:false ~b:true ~c:false);
-          step monitor 20 (env3 ~a:false ~b:true ~c:false);
-          step monitor 30 (env3 ~a:true ~b:false ~c:false);
+        (fun (step, failures) ->
+          step ~time:0 (env3 ~a:false ~b:true ~c:false);
+          step ~time:10 (env3 ~a:false ~b:true ~c:false);
+          step ~time:20 (env3 ~a:false ~b:true ~c:false);
+          step ~time:30 (env3 ~a:true ~b:false ~c:false);
           Alcotest.(check (list (pair int int)))
             "(activation, failure) pairs"
             [ (0, 30); (10, 30); (20, 30) ]
             (List.map
-               (fun f -> (f.Monitor.activation_time, f.Monitor.failure_time))
-               (Monitor.failures monitor)))
-        [ `Progression; `Progression_legacy; `Automaton ]) ]
+               (fun (f : Monitor.failure) -> (f.activation_time, f.failure_time))
+               (failures ())))
+        [ shipped; reference `Legacy; reference `Automaton ]) ]
 
 let gating_cases =
   [ case "gated context skips evaluation points entirely" (fun () ->

@@ -104,26 +104,32 @@ let e2e_cases =
         | "cnt" -> Some (Expr.VInt (Signal.read counter))
         | _ -> None
       in
-      let named =
-        Tabv_checker.Rtl_checker.attach ~clocks:[ ("clkB", clk_b) ] kernel clk_a
-          property ~lookup
+      let attach ?clocks property =
+        Tabv_checker.Checker.attach
+          (Tabv_checker.Checker.Attach.spec
+             (Tabv_checker.Checker.Attach.clock_edge ?clocks clk_a))
+          kernel property ~lookup
       in
-      let default =
-        Tabv_checker.Rtl_checker.attach kernel clk_a wrong_clock ~lookup
-      in
+      let named = attach ~clocks:[ ("clkB", clk_b) ] property in
+      let default = attach wrong_clock in
       Kernel.schedule_at kernel ~time:200 (fun () -> Kernel.stop kernel);
       ignore (Kernel.run kernel);
       Alcotest.(check int) "named-clock property holds" 0
-        (List.length (Tabv_checker.Rtl_checker.failures named));
+        (List.length (Tabv_checker.Checker.failures named));
       (* The same formula on the fast default clock sees cnt=2 on two
          consecutive edges and fails. *)
       Alcotest.(check bool) "default-clock property stutters" true
-        (Tabv_checker.Rtl_checker.failures default <> []));
+        (Tabv_checker.Checker.failures default <> []));
     case "unknown named clock rejected" (fun () ->
       let kernel = Kernel.create () in
       let clk = Clock.create kernel ~name:"clk" ~period:10 () in
       let p = Parser.property_exn ~name:"p" "always(a) @nosuch_pos" in
-      match Tabv_checker.Rtl_checker.attach kernel clk p ~lookup:(fun _ -> None) with
+      match
+        Tabv_checker.Checker.attach
+          (Tabv_checker.Checker.Attach.spec
+             (Tabv_checker.Checker.Attach.clock_edge clk))
+          kernel p ~lookup:(fun _ -> None)
+      with
       | _ -> Alcotest.fail "expected Invalid_argument"
       | exception Invalid_argument _ -> ()) ]
 
