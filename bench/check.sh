@@ -3,6 +3,10 @@
 #
 #   sh bench/check.sh
 #
+# Steps 1-2 must succeed before anything else runs.  Every later gate
+# runs even when an earlier one fails: the script ends with one
+# PASS/FAIL line per gate and exits non-zero iff any gate failed.
+#
 # Runs, in order:
 #   1. dune build @fmt   (only when ocamlformat is installed — the
 #                         format check is advisory on machines without it)
@@ -97,51 +101,64 @@
 #                         FAILS on any mismatch, debris, or if the
 #                         hookless IO seam costs more than 2% over a
 #                         raw fsynced append loop)
-set -eu
+set -u
 
 cd "$(dirname "$0")/.."
 
 if command -v ocamlformat >/dev/null 2>&1; then
   echo "== dune build @fmt"
-  dune build @fmt
+  dune build @fmt || exit 1
 else
   echo "== skipping format check (ocamlformat not installed)"
 fi
 
 echo "== dune build"
-dune build
+dune build || exit 1
 
-echo "== dune runtest"
-dune runtest
+failed=0
+verdicts=""
 
-echo "== checker-cache bench gate (>= 1.5x)"
-dune exec bench/main.exe -- --quick --cache-only
+# gate NAME CMD...: run one gate, record its verdict, carry on.
+gate() {
+  name=$1
+  shift
+  echo "== $name"
+  if "$@"; then
+    verdicts="${verdicts}PASS  $name
+"
+  else
+    verdicts="${verdicts}FAIL  $name
+"
+    failed=1
+  fi
+}
 
-echo "== observability overhead gate (<= 5%)"
-dune exec bench/main.exe -- --quick --obs-only
+bench() {
+  dune exec bench/main.exe -- --quick "$@"
+}
 
-echo "== campaign scaling gate (>= 2x at 4 workers; skips below 4 domains)"
-dune exec bench/main.exe -- --quick --campaign-only
+gate "dune runtest" dune runtest
+gate "checker-cache bench gate (>= 1.5x)" bench --cache-only
+gate "observability overhead gate (<= 5%)" bench --obs-only
+gate "campaign scaling gate (>= 2x at 4 workers; skips below 4 domains)" \
+  bench --campaign-only
+gate "fault-subsystem overhead gate (<= 2% armed-but-idle)" bench --fault-only
+gate "subprocess isolation overhead gate (<= 1.5x in-domain)" \
+  bench --isolate-only
+gate "compiled scheduler gate (>= 3x on the scheduling-dense netlist)" \
+  bench --sched-only
+gate "trace recheck gate (>= 5x, <= 20% of VCD)" bench --trace-only
+gate "serve throughput gate (8 clients; floor >= 5 req/s, warm >= 2x, byte-identical)" \
+  bench --serve-only
+gate "chaos soak gate (8 faulted clients; drained, leak-free, byte-identical)" \
+  bench --chaos-only
+gate "durability gate (power-cut recovery soak; byte-identical resumes, <= 2% seam overhead)" \
+  bench --durability-only
 
-echo "== fault-subsystem overhead gate (<= 2% armed-but-idle)"
-dune exec bench/main.exe -- --quick --fault-only
-
-echo "== subprocess isolation overhead gate (<= 1.5x in-domain)"
-dune exec bench/main.exe -- --quick --isolate-only
-
-echo "== compiled scheduler gate (>= 3x on the scheduling-dense netlist)"
-dune exec bench/main.exe -- --quick --sched-only
-
-echo "== trace recheck gate (>= 5x, <= 20% of VCD)"
-dune exec bench/main.exe -- --quick --trace-only
-
-echo "== serve throughput gate (8 clients; floor >= 5 req/s, warm >= 2x, byte-identical)"
-dune exec bench/main.exe -- --quick --serve-only
-
-echo "== chaos soak gate (8 faulted clients; drained, leak-free, byte-identical)"
-dune exec bench/main.exe -- --quick --chaos-only
-
-echo "== durability gate (power-cut recovery soak; byte-identical resumes, <= 2% seam overhead)"
-dune exec bench/main.exe -- --quick --durability-only
-
+echo "== gate verdicts"
+printf '%s' "$verdicts"
+if [ "$failed" -ne 0 ]; then
+  echo "== some gates failed"
+  exit 1
+fi
 echo "== all checks passed"

@@ -47,8 +47,6 @@ let model_arg =
            colorconv-rtl, colorconv-tlm-ca, colorconv-tlm-at, memctrl-rtl, \
            memctrl-tlm-ca, memctrl-tlm-at.")
 
-let known_signals = Models.known_signals
-
 (* --- workload flags ----------------------------------------------- *)
 
 let ops_arg =
@@ -104,16 +102,15 @@ let parse_props_file path =
     Printf.eprintf "%s:%d:%d: %s\n" path line col message;
     exit 1
 
-let lint_props ~known properties =
-  List.iter
-    (fun p ->
-      match Property.unknown_signals ~known p with
-      | [] -> ()
-      | unknown ->
-        Printf.eprintf "warning: property %s mentions unknown signal(s): %s\n"
-          p.Property.name
-          (String.concat ", " unknown))
-    properties
+(* The user's property file, if any.  One naming signals the model
+   lacks is a usage error, refused before anything runs. *)
+let user_props ~fail model =
+  Option.map (fun path ->
+      let properties = parse_props_file path in
+      (match Models.check_signals model properties with
+       | Ok () -> ()
+       | Error message -> fail (Printf.sprintf "%s: %s" path message));
+      properties)
 
 let properties_for = Models.properties_for
 let run_model = Models.run

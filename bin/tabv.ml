@@ -173,12 +173,7 @@ let simulate_run ~cmd trace_out model count seed props_file metrics_flag
     end
     else None
   in
-  let user = Option.map Cli.parse_props_file props_file in
-  (* Lint user properties against the model's interface. *)
-  (match user with
-   | Some properties ->
-     Cli.lint_props ~known:(Cli.known_signals model) properties
-   | None -> ());
+  let user = Cli.user_props ~fail model props_file in
   let properties, grid_properties = Cli.properties_for model user in
   let writer =
     match trace_out with
@@ -371,11 +366,7 @@ let recheck_cmd =
              "%s: recorded from unknown model %a — stale trace or newer tabv?"
              trace_in Tabv_trace.Meta.pp meta)
     in
-    let user = Option.map Cli.parse_props_file props in
-    (match user with
-     | Some properties ->
-       Cli.lint_props ~known:(Cli.known_signals model) properties
-     | None -> ());
+    let user = Cli.user_props ~fail model props in
     let properties, grid_properties = Cli.properties_for model user in
     if grid_properties <> [] then
       fail

@@ -83,13 +83,14 @@ module Mul8_rtl = struct
       ~sensitivity:[ Clock.posedge clock ] on_posedge;
     t
 
-  let lookup t name =
-    match name with
-    | "start" -> Some (Expr.VBool (Signal.read t.start))
-    | "a" -> Some (Expr.VInt (Signal.read t.a))
-    | "b" -> Some (Expr.VInt (Signal.read t.b))
-    | "done" -> Some (Expr.VBool (Signal.read t.done_))
-    | "product" -> Some (Expr.VInt (Signal.read t.product))
+  (* How a checker reads each signal: resolved once per atom when the
+     checker is attached, then called at every evaluation point. *)
+  let resolve t = function
+    | "start" -> Some (fun () -> Expr.VBool (Signal.read t.start))
+    | "a" -> Some (fun () -> Expr.VInt (Signal.read t.a))
+    | "b" -> Some (fun () -> Expr.VInt (Signal.read t.b))
+    | "done" -> Some (fun () -> Expr.VBool (Signal.read t.done_))
+    | "product" -> Some (fun () -> Expr.VInt (Signal.read t.product))
     | _ -> None
 end
 
@@ -119,12 +120,14 @@ let run_rtl ~properties =
   let kernel = Kernel.create () in
   let clock = Clock.create kernel ~name:"clk" ~period:clock_period () in
   let model = Mul8_rtl.create kernel clock in
+  (* One sampler for the pool: every checker samples the same edges. *)
+  let sampler = Sampler.create (Mul8_rtl.resolve model) in
   let checkers =
     List.map
       (fun p ->
         Checker.attach
-          (Checker.Attach.spec (Checker.Attach.clock_edge clock))
-          kernel p ~lookup:(Mul8_rtl.lookup model))
+          (Checker.Attach.spec sampler (Checker.Attach.clock_edge clock))
+          kernel p)
       properties
   in
   let results = ref [] in
@@ -164,12 +167,12 @@ let run_tlm ~model_latency_ns ~properties =
   (* Observable mirror. *)
   let start_obs = ref false and a_obs = ref 0 and b_obs = ref 0 in
   let done_obs = ref false and product_obs = ref 0 in
-  let lookup = function
-    | "start" -> Some (Expr.VBool !start_obs)
-    | "a" -> Some (Expr.VInt !a_obs)
-    | "b" -> Some (Expr.VInt !b_obs)
-    | "done" -> Some (Expr.VBool !done_obs)
-    | "product" -> Some (Expr.VInt !product_obs)
+  let resolve = function
+    | "start" -> Some (fun () -> Expr.VBool !start_obs)
+    | "a" -> Some (fun () -> Expr.VInt !a_obs)
+    | "b" -> Some (fun () -> Expr.VInt !b_obs)
+    | "done" -> Some (fun () -> Expr.VBool !done_obs)
+    | "product" -> Some (fun () -> Expr.VInt !product_obs)
     | _ -> None
   in
   let ready_time = ref 0 and result = ref 0 in
@@ -196,12 +199,13 @@ let run_tlm ~model_latency_ns ~properties =
   let target = Tlm.Target.create kernel ~name:"mul8_at" transport in
   let initiator = Tlm.Initiator.create kernel ~name:"mul8_init" in
   Tlm.Initiator.bind initiator target;
+  let sampler = Sampler.create resolve in
   let checkers =
     List.map
       (fun p ->
         Checker.attach
-          (Checker.Attach.spec (Checker.Attach.transaction initiator))
-          kernel p ~lookup)
+          (Checker.Attach.spec sampler (Checker.Attach.transaction initiator))
+          kernel p)
       properties
   in
   let results = ref [] in

@@ -15,12 +15,12 @@ module Attach = struct
       }
 
   type spec = {
-    sampler : Sampler.t option;
+    sampler : Sampler.t;
     mode : mode;
     metrics : Tabv_obs.Metrics.t option;
   }
 
-  let spec ?sampler ?metrics mode = { sampler; mode; metrics }
+  let spec ?metrics sampler mode = { sampler; mode; metrics }
   let clock_edge ?(clocks = []) clock = Clock_edge { clock; clocks }
   let transaction initiator = Transaction initiator
   let transaction_unabstracted initiator = Transaction_unabstracted initiator
@@ -37,25 +37,16 @@ type t = {
   mutable step_scheduled_for : int;  (* instant with a pending step, -1 if none *)
 }
 
-(* Every step goes through the batched sampler: priming reads the
-   environment once per evaluation point and fans the valuations out
-   to all monitors sharing the sampler (idempotent per instant), so
-   the per-monitor step is answered from the cache. *)
-let step_primed monitor ~time lookup =
-  Sampler.prime (Monitor.sampler monitor) ~time lookup;
-  Monitor.step monitor ~time lookup
-
 (* Several transactions may end at the same instant; Def. III.2's
    transaction context evaluates the property once per instant, on the
    final observable state, exactly as an RTL checker evaluates once
    per clock edge.  The step is deferred by one delta cycle so every
    same-instant mirror update lands first. *)
-let schedule_step t kernel lookup =
+let schedule_step t kernel =
   let now = Kernel.now kernel in
   if t.step_scheduled_for <> now then begin
     t.step_scheduled_for <- now;
-    Kernel.schedule_next_delta kernel (fun () ->
-      step_primed t.monitor ~time:now lookup)
+    Kernel.schedule_next_delta kernel (fun () -> Monitor.step t.monitor ~time:now)
   end
 
 let require_transaction_context ~what property =
@@ -98,7 +89,7 @@ let register_metrics metrics monitor =
       Monitor.peak_distinct_states monitor)
   end
 
-let attach (spec : Attach.spec) kernel property ~lookup =
+let attach (spec : Attach.spec) kernel property =
   let { Attach.sampler; mode; metrics } = spec in
   (* Validate the property context against the requested mode before
      synthesizing anything. *)
@@ -111,16 +102,16 @@ let attach (spec : Attach.spec) kernel property ~lookup =
        invalid_arg "Checker.attach: clock_period must be positive";
      require_transaction_context ~what:"grid" property
    | Attach.Clock_edge _ -> require_clock_context ~what:"clock-edge" property);
-  let monitor = Monitor.create ?sampler property in
+  let monitor = Monitor.create ~sampler property in
   let max_eps = Ltl.max_eps property.Property.formula in
   let t = { monitor; max_eps; step_scheduled_for = -1 } in
   (match mode with
    | Attach.Transaction initiator | Attach.Transaction_unabstracted initiator ->
      Tlm.Initiator.on_transaction initiator (fun _transaction ->
-       schedule_step t kernel lookup)
+       schedule_step t kernel)
    | Attach.Grid { clock_period; phase } ->
      let rec tick () =
-       step_primed monitor ~time:(Kernel.now kernel) lookup;
+       Monitor.step monitor ~time:(Kernel.now kernel);
        Kernel.schedule_after kernel ~delay:clock_period tick
      in
      Kernel.schedule_at kernel ~time:phase tick
@@ -142,7 +133,7 @@ let attach (spec : Attach.spec) kernel property ~lookup =
                  property.Property.name name))
        | Context.Transaction _ -> assert false (* validated above *)
      in
-     let sample () = step_primed monitor ~time:(Kernel.now kernel) lookup in
+     let sample () = Monitor.step monitor ~time:(Kernel.now kernel) in
      (match edge with
       | Context.Posedge -> Event.on_event (Clock.posedge sampling_clock) sample
       | Context.Negedge -> Event.on_event (Clock.negedge sampling_clock) sample

@@ -7,7 +7,10 @@ open Tabv_sim
     {!Attach.mode} — RTL clock edges, TLM transaction ends, the
     unabstracted-reuse experiment or the reference clock grid — and
     everything else a checker needs (shared atom sampler, metrics
-    registry) travels in one {!Attach.spec} record. *)
+    registry) travels in one {!Attach.spec} record.  The pool's
+    {!Sampler} is the checker's only window onto the DUV: it carries
+    the resolver every atom was compiled against, so no lookup
+    function is passed around per step. *)
 
 module Attach : sig
   (** How evaluation points are generated (Sec. III/IV of the paper):
@@ -36,21 +39,19 @@ module Attach : sig
         phase : int;
       }
 
-  (** The full attachment request.  [sampler] defaults to a private
-      per-monitor sampler and [metrics] to the kernel's registry
-      ({!Kernel.metrics}) — pass an explicit registry only to
-      segregate instrumentation. *)
+  (** The full attachment request.  [sampler] is the pool's sampler,
+      created over the DUV's resolver ({!Sampler.create}) and shared
+      by every checker observing the same evaluation points.
+      [metrics] defaults to the kernel's registry ({!Kernel.metrics})
+      — pass an explicit registry only to segregate
+      instrumentation. *)
   type spec = {
-    sampler : Sampler.t option;
+    sampler : Sampler.t;
     mode : mode;
     metrics : Tabv_obs.Metrics.t option;
   }
 
-  val spec :
-    ?sampler:Sampler.t ->
-    ?metrics:Tabv_obs.Metrics.t ->
-    mode ->
-    spec
+  val spec : ?metrics:Tabv_obs.Metrics.t -> Sampler.t -> mode -> spec
 
   (** Mode constructors. *)
 
@@ -67,8 +68,9 @@ end
 
 type t
 
-(** [attach spec kernel property ~lookup] synthesizes the checker and
-    hooks it to the evaluation-point source selected by [spec.mode].
+(** [attach spec kernel property] synthesizes the checker, registers
+    its atoms with [spec.sampler] and hooks it to the evaluation-point
+    source selected by [spec.mode].
 
     When the effective metrics registry is enabled, the checker
     registers pull probes so the registry totals checker activity
@@ -83,12 +85,7 @@ type t
     the mode (clock context on a transaction/grid mode, transaction
     context on a clock-edge/unabstracted mode), when a named clock is
     absent from [clocks], or when a grid period is not positive. *)
-val attach :
-  Attach.spec ->
-  Kernel.t ->
-  Property.t ->
-  lookup:(string -> Expr.value option) ->
-  t
+val attach : Attach.spec -> Kernel.t -> Property.t -> t
 
 val monitor : t -> Monitor.t
 val failures : t -> Monitor.failure list

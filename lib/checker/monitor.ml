@@ -16,7 +16,7 @@ type failure = Tabv_obs.Checker_snapshot.failure = {
    array [C] becomes [state -> activation times]: identical live
    instances are one hash-consed state, stepped once. *)
 type live_state = {
-  state : Progression.t;
+  mutable state : Progression.t;
   mutable activations_at : int list;
 }
 
@@ -49,6 +49,7 @@ type t = {
   repeating : bool;  (* outer [always]: activate per evaluation point *)
   gate_atom : Interned.t option;  (* gate as interned atom, for sharing *)
   sampler : Sampler.t;
+  eval : Interned.t -> bool;  (* [Sampler.evaluator sampler] *)
   mutable live : live_state list;  (* insertion order *)
   mutable started : bool;
   mutable failures : failure list;  (* unordered; sorted on read *)
@@ -75,7 +76,7 @@ let gate_of_context = function
   | Context.Transaction Context.Base_trans -> None
   | Context.Transaction (Context.Trans_and gate) -> Some gate
 
-let create ?sampler property =
+let create ~sampler property =
   let normalized = Nnf.convert (Ltl.demote_booleans property.Property.formula) in
   let repeating, body =
     match normalized with
@@ -86,14 +87,10 @@ let create ?sampler property =
   let gate_atom =
     Option.map Interned.atom (gate_of_context property.Property.context)
   in
-  let sampler =
-    match sampler with
-    | Some s -> s
-    | None -> Sampler.create ()
-  in
   (* Batched sampling: hand the monitor's atom set (formula atoms plus
-     the gate) to the sampler up front.  Progression only rewrites the
-     registered formula, so the atom set is closed under stepping. *)
+     the gate) to the sampler up front, where each atom is compiled
+     once.  Progression only rewrites the registered formula, so the
+     atom set is closed under stepping. *)
   ignore
     (Ltl.map_atoms
        (fun e ->
@@ -108,6 +105,7 @@ let create ?sampler property =
     repeating;
     gate_atom;
     sampler;
+    eval = Sampler.evaluator sampler;
     live = [];
     started = false;
     failures = [];
@@ -138,88 +136,110 @@ let rec merge_sorted a b =
   | x :: xs, y :: ys ->
     if x <= y then x :: merge_sorted xs b else y :: merge_sorted a ys
 
-let step_states t ~time lookup =
+(* Evaluation: every live record steps in place — each distinct state
+   once, no matter how many live instances sit in it. *)
+let rec step_live stats ~time eval = function
+  | [] -> ()
+  | ls :: rest ->
+    ls.state <- Progression.step_atoms_in stats ~time eval ls.state;
+    step_live stats ~time eval rest
+
+let resolved ls = Progression.is_true ls.state || Progression.is_false ls.state
+
+let rec holds state = function
+  | [] -> false
+  | ls :: rest -> ls.state == state || holds state rest
+
+(* True when stepping left nothing to tidy: no record resolved and no
+   two records reached the same state.  States are hash-consed, so
+   [==] is structural identity. *)
+let rec settled = function
+  | [] -> true
+  | ls :: rest -> (not (resolved ls)) && (not (holds ls.state rest)) && settled rest
+
+(* The record of [live] sitting in [state].
+   @raise Not_found when there is none. *)
+let rec holder state = function
+  | [] -> raise Not_found
+  | ls :: rest -> if ls.state == state then ls else holder state rest
+
+(* Retire resolved records (a pass per activation, or a failure per
+   activation) and fold each record into the first one that reached
+   the same state, keeping insertion order.  A linear scan beats a
+   per-step hashtable: the distinct-state count is small by
+   construction (that is the point of the multiset). *)
+let rec settle t ~time kept = function
+  | [] -> List.rev kept
+  | ls :: rest ->
+    if Progression.is_true ls.state then begin
+      t.passes <- t.passes + List.length ls.activations_at;
+      settle t ~time kept rest
+    end
+    else if Progression.is_false ls.state then begin
+      List.iter
+        (fun activation_time -> record_failure t ~activation_time ~failure_time:time)
+        ls.activations_at;
+      settle t ~time kept rest
+    end
+    else
+      match holder ls.state kept with
+      | first ->
+        first.activations_at <- merge_sorted first.activations_at ls.activations_at;
+        settle t ~time kept rest
+      | exception Not_found -> settle t ~time (ls :: kept) rest
+
+(* Activation of a new instance. *)
+let activate t stats ~time =
+  let ob = Progression.step_atoms_in stats ~time t.eval t.initial in
+  if Progression.is_true ob then begin
+    t.passes <- t.passes + 1;
+    t.trivial_passes <- t.trivial_passes + 1
+  end
+  else begin
+    t.activations <- t.activations + 1;
+    if Progression.is_false ob then
+      record_failure t ~activation_time:time ~failure_time:time
+    else
+      match holder ob t.live with
+      | ls -> ls.activations_at <- merge_sorted ls.activations_at [ time ]
+      | exception Not_found ->
+        t.live <- t.live @ [ { state = ob; activations_at = [ time ] } ]
+  end
+
+(* Nothing here allocates unless the multiset changes shape: a step
+   that keeps every live state and activates trivially (the common
+   idle step) only writes fields. *)
+let step_states t ~time =
   (* One DLS lookup per step: every state of the multiset steps, and
      every counter snapshot reads, through this handle. *)
   let stats = Progression.handle () in
   let hits0 = Progression.handle_hits stats in
   let misses0 = Progression.handle_misses stats in
   let bypassed0 = Progression.handle_bypassed stats in
-  (* One atom-evaluation closure per instant, reused across the whole
-     multiset (and feeding the shared sampler). *)
-  let eval = Sampler.eval_atom t.sampler ~time lookup in
-  (* New multiset, newest-first; merged by physical equality — states
-     are hash-consed, so [==] is structural identity.  A linear scan
-     beats a per-step hashtable: the distinct-state count is small by
-     construction (that is the point of the multiset). *)
-  let merged = ref [] in
-  let merged_count = ref 0 in
-  let add state activations_at =
-    let rec insert = function
-      | [] ->
-        merged := { state; activations_at } :: !merged;
-        incr merged_count
-      | ls :: rest ->
-        if ls.state == state then
-          ls.activations_at <- merge_sorted ls.activations_at activations_at
-        else insert rest
-    in
-    insert !merged
-  in
-  let resolve state activations_at =
-    match Progression.verdict state with
-    | Some true -> t.passes <- t.passes + List.length activations_at
-    | Some false ->
-      List.iter
-        (fun activation_time ->
-          record_failure t ~activation_time ~failure_time:time)
-        activations_at
-    | None -> add state activations_at
-  in
-  (* Evaluation: each distinct state is stepped once, no matter how
-     many live instances sit in it. *)
-  List.iter
-    (fun ls ->
-      resolve
-        (Progression.step_atoms_in stats ~time eval ls.state)
-        ls.activations_at)
-    t.live;
-  (* Activation of a new instance. *)
-  let activate () =
-    let ob = Progression.step_atoms_in stats ~time eval t.initial in
-    match Progression.verdict ob with
-    | Some true ->
-      t.passes <- t.passes + 1;
-      t.trivial_passes <- t.trivial_passes + 1
-    | Some false ->
-      t.activations <- t.activations + 1;
-      record_failure t ~activation_time:time ~failure_time:time
-    | None ->
-      t.activations <- t.activations + 1;
-      add ob [ time ]
-  in
-  if t.repeating then activate ()
-  else if not t.started then activate ();
-  t.live <- List.rev !merged;
+  step_live stats ~time t.eval t.live;
+  if not (settled t.live) then t.live <- settle t ~time [] t.live;
+  if t.repeating || not t.started then activate t stats ~time;
   t.cache_hits <- t.cache_hits + (Progression.handle_hits stats - hits0);
   t.cache_misses <-
     t.cache_misses
     + (Progression.handle_misses stats - misses0)
     + (Progression.handle_bypassed stats - bypassed0);
-  if !merged_count > t.peak_distinct then t.peak_distinct <- !merged_count
+  let distinct = List.length t.live in
+  if distinct > t.peak_distinct then t.peak_distinct <- distinct
 
 let live_instances t =
   List.fold_left (fun acc ls -> acc + List.length ls.activations_at) 0 t.live
 
-let step_core t ~time lookup =
+let step_core t ~time =
+  Sampler.prime t.sampler ~time;
   let gated_out =
     match t.gate_atom with
     | None -> false
-    | Some gate -> not (Sampler.eval_atom t.sampler ~time lookup gate)
+    | Some gate -> not (t.eval gate)
   in
   if not gated_out then begin
     t.steps <- t.steps + 1;
-    step_states t ~time lookup;
+    step_states t ~time;
     t.started <- true;
     let live = live_instances t in
     if live > t.peak then t.peak <- live
@@ -227,8 +247,8 @@ let step_core t ~time lookup =
 
 let enable_memo t = t.memo_enabled <- true
 
-let step ?(stuttered = false) t ~time lookup =
-  if not t.memo_enabled then step_core t ~time lookup
+let step ?(stuttered = false) t ~time =
+  if not t.memo_enabled then step_core t ~time
   else begin
     let live_before = t.live == [] in
     let steps0 = t.steps in
@@ -238,7 +258,7 @@ let step ?(stuttered = false) t ~time lookup =
     let hits0 = t.cache_hits in
     let misses0 = t.cache_misses in
     let failures0 = t.failures in
-    step_core t ~time lookup;
+    step_core t ~time;
     let live_after = t.live == [] in
     let d_steps = t.steps - steps0 in
     t.memo <-

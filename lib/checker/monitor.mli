@@ -33,15 +33,16 @@ type failure = Tabv_obs.Checker_snapshot.failure = {
 
 type t
 
-(** [create ?sampler property] synthesizes the checker by interned
+(** [create ~sampler property] synthesizes the checker by interned
     formula progression ({!Progression}).  The formula is normalised
     (boolean demotion + NNF) internally, so any parser output is
     accepted.  The context gate is taken from the property's context
-    ([Edge_and]/[Trans_and] expressions).  When [sampler] is given,
-    atom evaluations are shared with every other monitor holding the
-    same sampler (one evaluation per distinct atom per instant);
-    otherwise the monitor owns a private sampler. *)
-val create : ?sampler:Sampler.t -> Property.t -> t
+    ([Edge_and]/[Trans_and] expressions).  Every atom of the formula
+    and the gate is registered (compiled) with [sampler], the pool's
+    window onto the environment: atom evaluations are shared with
+    every other monitor holding the same sampler (one evaluation per
+    distinct atom per instant). *)
+val create : sampler:Sampler.t -> Property.t -> t
 
 val property : t -> Property.t
 
@@ -52,14 +53,16 @@ val property : t -> Property.t
     ([Offline.Monitors.init]) turn it on. *)
 val enable_memo : t -> unit
 
-(** Consume one evaluation point.  [lookup] samples the observable
-    environment at this instant.  [stuttered] declares that the
+(** Consume one evaluation point at instant [time].  The monitor
+    primes its sampler first ({!Sampler.prime}, idempotent per
+    instant), so the environment is read once per instant however
+    many monitors share the sampler.  [stuttered] declares that the
     caller knows every signal this monitor reads (formula atoms and
     context gate) holds the same value as at the previous evaluation
     point; it never changes the step's outcome, it only certifies the
     recorded counter deltas as steady so a later {!step_stuttered}
     may replay them (meaningful only under {!enable_memo}). *)
-val step : ?stuttered:bool -> t -> time:int -> (string -> Expr.value option) -> unit
+val step : ?stuttered:bool -> t -> time:int -> unit
 
 (** Stutter fast path: consume one evaluation point whose relevant
     valuation is unchanged since the previous point {e without}

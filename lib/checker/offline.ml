@@ -35,6 +35,9 @@ module Monitors = struct
 
   type state = {
     pool : (Property.t * Monitor.t) list;
+    (* The current sample's env: the pool's sampler resolves every
+       signal through it. *)
+    env : (string * Expr.value) list ref;
     (* Support mask per monitor: bit [min i 62] for every dictionary
        position [i] of a signal the property reads (formula atoms and
        context gate).  Built from the first sample's env; positions
@@ -64,8 +67,10 @@ module Monitors = struct
   let init { stutter; properties } =
     (* One shared sampler across the pool, as in live checking: each
        distinct atom is evaluated once per entry no matter how many
-       properties mention it. *)
-    let sampler = Sampler.create () in
+       properties mention it.  It is bound to the current sample's env,
+       which [on_entry] swaps in before stepping. *)
+    let env = ref [] in
+    let sampler = Sampler.create (Expr.env_resolver env) in
     let pool =
       List.map
         (fun p ->
@@ -74,7 +79,8 @@ module Monitors = struct
           (p, m))
         properties
     in
-    { pool; slots = []; prev_env = []; have_prev = false; batched = 0; stutter }
+    { pool; env; slots = []; prev_env = []; have_prev = false; batched = 0;
+      stutter }
 
   let build_slots pool env =
     let bit_of name =
@@ -101,7 +107,8 @@ module Monitors = struct
       | [], [] -> acc
       | (_, v1) :: prev', (_, v2) :: env' ->
         let acc =
-          if v1 == v2 || v1 = v2 then acc else acc lor (1 lsl min i 62)
+          if v1 == v2 || Expr.equal_value v1 v2 then acc
+          else acc lor (1 lsl min i 62)
         in
         walk (i + 1) acc prev' env'
       | [], _ :: _ | _ :: _, [] -> -1
@@ -123,8 +130,8 @@ module Monitors = struct
         state.slots <- build_slots state.pool env;
         state.have_prev <- true
       end;
-      let lookup name = List.assoc_opt name env in
-      List.iter (fun (monitor, _) -> Monitor.step monitor ~time lookup) state.slots
+      state.env := env;
+      List.iter (fun (monitor, _) -> Monitor.step monitor ~time) state.slots
     | Tabv_trace.Entry.Sample { time; env } ->
       if
         state.have_prev
@@ -146,7 +153,7 @@ module Monitors = struct
         in
         state.prev_env <- env;
         state.have_prev <- true;
-        let lookup name = List.assoc_opt name env in
+        state.env := env;
         List.iter
           (fun (monitor, mask) ->
             if changed land mask = 0 then begin
@@ -154,9 +161,9 @@ module Monitors = struct
                  Replay the previous step's deltas when the memo allows,
                  otherwise take a real step that certifies the memo. *)
               if not (Monitor.step_stuttered monitor ~time) then
-                Monitor.step ~stuttered:true monitor ~time lookup
+                Monitor.step ~stuttered:true monitor ~time
             end
-            else Monitor.step monitor ~time lookup)
+            else Monitor.step monitor ~time)
           state.slots
       end
 

@@ -274,17 +274,16 @@ exception Too_many_atoms
    already carrying its transition table — costs one pointer load, one
    atom-evaluation pass to pack the valuation bits, and one
    exception-based hashtable probe; nothing is allocated on a hit. *)
+let rec pack eval atoms i acc =
+  if i >= Array.length atoms then acc
+  else
+    pack eval atoms (i + 1)
+      (if eval (Array.unsafe_get atoms i) then acc lor (1 lsl i) else acc)
+
 let step_untimed_in stats ~time eval ob =
   match ob.memo with
   | Transitions { atoms; results } ->
-    let n = Array.length atoms in
-    let rec pack i acc =
-      if i >= n then acc
-      else
-        pack (i + 1)
-          (if eval (Array.unsafe_get atoms i) then acc lor (1 lsl i) else acc)
-    in
-    let bits = pack 0 0 in
+    let bits = pack eval atoms 0 0 in
     (match Hashtbl.find results bits with
      | successor ->
        stats.hits <- stats.hits + 1;
@@ -356,23 +355,6 @@ let rec step_eval_in stats ~time eval ob =
         (step_eval_in stats ~time eval a)
         (step_eval_in stats ~time eval b)
 
-let eval_of_lookup lookup atom =
-  match Interned.node atom with
-  | Interned.Atom e -> Expr.eval lookup e
-  | _ -> assert false
-
-let step ~time lookup ob =
-  step_eval_in (universe ()).ustats ~time (eval_of_lookup lookup) ob
-
-let step_sampled sampler ~time lookup ob =
-  step_eval_in (universe ()).ustats ~time
-    (Sampler.eval_atom sampler ~time lookup)
-    ob
-
-(* Caller-supplied atom evaluator: lets a monitor build one evaluation
-   closure per instant and reuse it across its whole state multiset. *)
-let step_atoms ~time eval ob = step_eval_in (universe ()).ustats ~time eval ob
-
 (* A handle is the calling domain's live statistics record itself:
    grabbing it once per monitor step replaces the per-state (and
    per-counter-read) [Domain.DLS] lookups of the naive API with plain
@@ -386,10 +368,6 @@ let handle_hits (h : handle) = h.hits
 let handle_misses (h : handle) = h.misses
 let handle_bypassed (h : handle) = h.bypassed
 let step_atoms_in (h : handle) ~time eval ob = step_eval_in h ~time eval ob
-
-let raw_hits () = (universe ()).ustats.hits
-let raw_misses () = (universe ()).ustats.misses
-let raw_bypassed () = (universe ()).ustats.bypassed
 
 let rec pp ppf ob =
   match ob.onode with

@@ -75,23 +75,6 @@ val has_timed_wait : t -> bool
     "evaluation table" entry for this instance. *)
 val next_evaluation_time : t -> int option
 
-(** [step ~time lookup ob] consumes the evaluation point at [time]
-    (signals sampled through [lookup]). *)
-val step : time:int -> (string -> Expr.value option) -> t -> t
-
-(** Like {!step}, but atom evaluations go through the shared
-    per-instant {!Sampler} cache, so several monitors stepping at the
-    same instant sample each distinct atom once. *)
-val step_sampled :
-  Sampler.t -> time:int -> (string -> Expr.value option) -> t -> t
-
-(** [step_atoms ~time eval ob] steps with a caller-supplied atom
-    evaluator ([eval] receives interned [Atom] nodes).  This is the
-    allocation-free fast path: a monitor builds one evaluation closure
-    per instant (e.g. [Sampler.eval_atom sampler ~time lookup]) and
-    reuses it for every state of its multiset. *)
-val step_atoms : time:int -> (Interned.t -> bool) -> t -> t
-
 (** Obligation verdict at end of simulation: [Some true] iff resolved
     true, [Some false] iff resolved false, [None] when still pending
     (inconclusive). *)
@@ -125,22 +108,14 @@ val cache_stats : unit -> cache_stats
     will be stepped again. *)
 val reset_universe : unit -> unit
 
-(** Allocation-free raw counters, for per-step attribution on the hot
-    path ({!cache_stats} builds a record and measures table sizes). *)
-val raw_hits : unit -> int
+(** {2 Stepping}
 
-val raw_misses : unit -> int
-val raw_bypassed : unit -> int
-
-(** {2 Batched stepping}
-
-    Each of {!step}, {!step_sampled}, {!step_atoms} and the raw
-    counters above performs one [Domain.DLS] lookup to reach the
-    calling domain's universe.  That lookup is cheap but not free, and
-    a monitor pays it once per live state per instant plus six times
-    per step for the before/after counter snapshots.  A {!handle}
-    amortises all of that to a single lookup per monitor step: grab it
-    once, then step every state and read every counter through it. *)
+    Reaching the calling domain's universe costs one [Domain.DLS]
+    lookup.  That lookup is cheap but not free, and a monitor would pay
+    it once per live state per instant plus six times per step for the
+    before/after counter snapshots.  A {!handle} amortises all of that
+    to a single lookup per monitor step: grab it once, then step every
+    state and read every counter through it. *)
 
 (** The calling domain's live statistics record.  Valid until the next
     {!reset_universe}; must not be shared across domains. *)
@@ -153,6 +128,9 @@ val handle_hits : handle -> int
 val handle_misses : handle -> int
 val handle_bypassed : handle -> int
 
-(** {!step_atoms} with the universe lookup hoisted out: counts cache
-    traffic into [handle] with plain field writes. *)
+(** [step_atoms_in handle ~time eval ob] consumes the evaluation
+    point at [time]: [eval] gives the value of each interned [Atom]
+    node the progression reads (the monitor passes its sampler's
+    {!Sampler.evaluator}).  Cache traffic is counted into [handle]
+    with plain field writes. *)
 val step_atoms_in : handle -> time:int -> (Interned.t -> bool) -> t -> t

@@ -6,9 +6,11 @@ open Tabv_psl
    end-of-transaction stream, a clock edge) see the same environment
    at a given instant, so each distinct atomic proposition needs to be
    evaluated exactly once per instant — not once per live checker
-   instance per monitor.  The sampler is that per-instant cache: atoms
-   are keyed by their interned node id and invalidated whenever the
-   instant changes.
+   instance per monitor.  The sampler is that per-instant cache, and
+   the pool's only window onto the DUV: it is created over the pool's
+   resolver, compiles every atom once when a monitor registers it
+   ({!Expr.compile}), and from then on samples by running closures —
+   no signal name is looked up while the simulation runs.
 
    Sharing discipline: a sampler may be shared by every monitor whose
    evaluation points observe the same environment within one delta
@@ -41,23 +43,17 @@ let fresh_stamp () =
   !global_stamp
 
 type t = {
+  resolve : Expr.resolver;
   mutable now : int;  (* instant of the cached values *)
   mutable stamp : int;  (* stamp tagging this sampler's values at [now] *)
   mutable queries : int;  (* atom evaluations requested *)
   mutable evals : int;  (* atom evaluations actually performed *)
-  mutable atoms : Interned.t list;  (* registered for batched priming *)
+  mutable atoms : Interned.t array;  (* registered, oldest first *)
+  mutable compiled : (unit -> bool) array;  (* [compiled.(i)] samples [atoms.(i)] *)
+  slot_of : (int, int) Hashtbl.t;  (* atom id -> index of its compiled closure *)
   mutable primed : int;  (* stamp the batch pass last ran for *)
+  evaluator : Interned.t -> bool;  (* the pool's one atom evaluator *)
 }
-
-let create () =
-  {
-    now = min_int;
-    stamp = fresh_stamp ();
-    queries = 0;
-    evals = 0;
-    atoms = [];
-    primed = 0;
-  }
 
 let refresh t ~time =
   if t.now <> time then begin
@@ -65,41 +61,74 @@ let refresh t ~time =
     t.stamp <- fresh_stamp ()
   end
 
-let expr_of atom =
-  match Interned.node atom with
-  | Interned.Atom e -> e
-  | _ -> invalid_arg "Sampler.eval_atom: not an atom node"
+(* Every registered atom evaluates through [run], so query/eval
+   accounting is the same whether the value is produced by priming or
+   by a cache miss. *)
+let run t i =
+  let atom = Array.unsafe_get t.atoms i in
+  let v = (Array.unsafe_get t.compiled i) () in
+  t.evals <- t.evals + 1;
+  Interned.set_sample atom ~stamp:t.stamp ~value:v;
+  v
 
-let eval_atom t ~time lookup atom =
-  refresh t ~time;
+(* A miss after priming means another sampler overwrote the atom's
+   slot at this instant: re-run this pool's closure for that one atom. *)
+let miss t atom =
+  match Hashtbl.find_opt t.slot_of (Interned.id atom) with
+  | Some i -> run t i
+  | None -> invalid_arg "Sampler: atom not registered with this sampler"
+
+let read t atom =
   t.queries <- t.queries + 1;
   if Interned.sample_stamp atom = t.stamp then Interned.sample_value atom
-  else begin
-    let v = Expr.eval lookup (expr_of atom) in
-    t.evals <- t.evals + 1;
-    Interned.set_sample atom ~stamp:t.stamp ~value:v;
-    v
-  end
+  else miss t atom
 
-(* Batched sampling: monitors register their atom sets at creation;
-   the attach layer then primes the sampler once per evaluation point,
-   so the environment (signal arena or transaction mirror) is read in
-   one pass and every monitor's step is answered from the cache.
-   Priming goes through [eval_atom], so the query/eval accounting is
-   identical on every engine and whether or not a caller primes. *)
+let create resolve =
+  let rec t =
+    {
+      resolve;
+      now = min_int;
+      stamp = fresh_stamp ();
+      queries = 0;
+      evals = 0;
+      atoms = [||];
+      compiled = [||];
+      slot_of = Hashtbl.create 16;
+      primed = 0;
+      evaluator = (fun atom -> read t atom);
+    }
+  in
+  t
 
+(* Registration happens when a monitor is created, never while the
+   simulation runs, so growing the arrays by one is cheap enough. *)
 let register t atom =
-  if not (List.memq atom t.atoms) then t.atoms <- atom :: t.atoms
+  if not (Hashtbl.mem t.slot_of (Interned.id atom)) then
+    match Interned.node atom with
+    | Interned.Atom e ->
+      Hashtbl.add t.slot_of (Interned.id atom) (Array.length t.atoms);
+      t.atoms <- Array.append t.atoms [| atom |];
+      t.compiled <- Array.append t.compiled [| Expr.compile t.resolve e |]
+    | _ -> invalid_arg "Sampler.register: not an atom node"
 
-let prime t ~time lookup =
+(* Batched sampling: monitors register their atom sets at creation and
+   prime the sampler at every step, so the environment (signal arena
+   or transaction mirror) is read in one pass per instant and every
+   monitor's step is answered from the cache.  Newest registrations
+   are sampled first. *)
+let prime t ~time =
   refresh t ~time;
   if t.primed <> t.stamp then begin
     t.primed <- t.stamp;
-    List.iter (fun atom -> ignore (eval_atom t ~time lookup atom)) t.atoms
+    for i = Array.length t.atoms - 1 downto 0 do
+      t.queries <- t.queries + 1;
+      if Interned.sample_stamp (Array.unsafe_get t.atoms i) <> t.stamp then
+        ignore (run t i)
+    done
   end
 
-let registered_atoms t = List.length t.atoms
-
+let evaluator t = t.evaluator
+let registered_atoms t = Array.length t.atoms
 let queries t = t.queries
 let evals t = t.evals
 

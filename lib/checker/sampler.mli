@@ -1,47 +1,50 @@
 open Tabv_psl
 
-(** Shared evaluation-point sampler.
+(** Shared evaluation-point sampler: the checker pool's only window
+    onto the DUV.
 
-    A per-instant cache of atomic-proposition values, stored inside
-    the interned atom nodes themselves (a stamped scratch slot, see
-    {!Interned.set_sample}) so a cache hit is one load and one
-    compare.  N monitors attached to the same socket/clock share one
-    sampler, so each distinct atom is evaluated once per instant
-    instead of once per live checker instance per monitor (the paper's
-    wrapper samples the environment once per evaluation point; this
-    generalizes that to a whole wrapper pool).
+    A sampler is created over the pool's {!Expr.resolver}.  Each atom
+    a monitor registers is compiled once against it ({!Expr.compile});
+    after that, sampling runs closures and never looks a signal name
+    up.  Values are cached per instant inside the interned atom nodes
+    themselves (a stamped scratch slot, see {!Interned.set_sample}),
+    so a cache hit is one load and one compare.  N monitors attached
+    to the same socket/clock share one sampler, so each distinct atom
+    is evaluated once per instant instead of once per live checker
+    instance per monitor (the paper's wrapper samples the environment
+    once per evaluation point; this generalizes that to a whole
+    wrapper pool).
 
-    The cache is invalidated whenever [time] changes; it must only be
-    shared by monitors that observe the same environment within one
-    delta phase of an instant. *)
+    The cache is invalidated whenever the instant changes; a sampler
+    must only be shared by monitors that observe the same environment
+    within one delta phase of an instant. *)
 
 type t
 
-val create : unit -> t
+(** [create resolve] is an empty sampler whose atoms read their
+    signals through [resolve]. *)
+val create : Expr.resolver -> t
 
-(** [eval_atom t ~time lookup atom] evaluates the interned [Atom] node
-    [atom] at instant [time], caching per (instant, atom id).
-    @raise Invalid_argument if [atom] is not an [Atom] node.
-    @raise Expr.Eval_error like {!Expr.eval}. *)
-val eval_atom :
-  t -> time:int -> (string -> Expr.value option) -> Interned.t -> bool
-
-(** {2 Batched sampling}
-
-    {!Monitor.create} registers every atom of its (normalized) formula
-    plus its gate; the attach layer calls {!prime} once per evaluation
-    point, which evaluates all registered atoms in one pass over the
-    environment and fans the valuations out to every attached monitor
-    through the per-instant cache. *)
-
-(** Register an [Atom] node for batched priming (idempotent per node;
-    interned nodes are hash-consed, so physical identity applies). *)
+(** Register an interned [Atom] node: compile it against the
+    sampler's resolver (idempotent per node; interned nodes are
+    hash-consed, so physical identity applies).  Never raises on
+    unknown signals — those raise {!Expr.Eval_error} when sampled.
+    @raise Invalid_argument if the node is not an [Atom]. *)
 val register : t -> Interned.t -> unit
 
-(** [prime t ~time lookup] evaluates every registered atom at [time]
-    (idempotent per instant).  Accounting is routed through
-    {!eval_atom}, so queries/evals stay engine-independent. *)
-val prime : t -> time:int -> (string -> Expr.value option) -> unit
+(** [prime t ~time] samples every registered atom at instant [time]
+    (idempotent per instant), newest registration first.  Each atom
+    counts one query and one evaluation.
+    @raise Expr.Eval_error like {!Expr.eval}. *)
+val prime : t -> time:int -> unit
+
+(** The sampler's atom evaluator: the value of a registered atom at
+    the instant last primed, counting one query, and one evaluation
+    when the cached value is missing (another sampler overwrote the
+    atom's slot at this instant).  One closure per sampler, built at
+    {!create}.
+    @raise Invalid_argument on a miss for an unregistered atom. *)
+val evaluator : t -> Interned.t -> bool
 
 (** Number of atoms registered for priming. *)
 val registered_atoms : t -> int

@@ -46,7 +46,7 @@ let bindings obs =
     ("cr", fun () -> Duv_util.vint obs.cr) ]
   @ List.mapi (fun i name -> (name, fun () -> Duv_util.vbool obs.valids.(i))) valid_names
 
-let lookup obs = Duv_util.lookup_of (bindings obs)
+let resolve obs = Duv_util.resolver_of (bindings obs)
 
 let env_of obs = List.map (fun (name, thunk) -> (name, thunk ())) (bindings obs)
 

@@ -91,7 +91,7 @@ let cr t = t.cr
 let valids t = t.valids
 
 (* Observation paths read through the engine interface
-   ([Signal.observe]), keeping traces and lookups engine-agnostic. *)
+   ([Signal.observe]), keeping traces and checker reads engine-agnostic. *)
 let bindings t =
   [ ("dv", fun () -> Duv_util.vbool (Signal.observe t.dv));
     ("r", fun () -> Duv_util.vint (Signal.observe t.r));
@@ -107,6 +107,6 @@ let bindings t =
            (Printf.sprintf "v%d" (i + 1), fun () -> Duv_util.vbool (Signal.observe signal)))
          t.valids)
 
-let lookup t = Duv_util.lookup_of (bindings t)
+let resolve t = Duv_util.resolver_of (bindings t)
 let env t = List.map (fun (name, thunk) -> (name, thunk ())) (bindings t)
 let completed t = t.completed

@@ -28,6 +28,7 @@ val cr : t -> int Signal.t
 (** Stage-occupancy flag signals v1..v7. *)
 val valids : t -> bool Signal.t array
 
-val lookup : t -> string -> Tabv_psl.Expr.value option
+(** Property-layer view, resolved once per atom by a checker pool. *)
+val resolve : t -> Tabv_psl.Expr.resolver
 val env : t -> (string * Tabv_psl.Expr.value) list
 val completed : t -> int

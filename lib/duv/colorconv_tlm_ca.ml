@@ -91,5 +91,5 @@ let create kernel =
 
 let target t = t.target
 let observables t = t.obs
-let lookup t = Colorconv_iface.lookup t.obs
+let resolve t = Colorconv_iface.resolve t.obs
 let completed t = t.completed

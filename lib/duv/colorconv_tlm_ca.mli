@@ -10,5 +10,7 @@ type t
 val create : Kernel.t -> t
 val target : t -> Tlm.Target.t
 val observables : t -> Colorconv_iface.observables
-val lookup : t -> string -> Tabv_psl.Expr.value option
+
+(** Property-layer view, resolved once per atom by a checker pool. *)
+val resolve : t -> Tabv_psl.Expr.resolver
 val completed : t -> int

@@ -36,8 +36,8 @@ let create_observables () =
     rdy_next_next_cycle = false;
   }
 
-let lookup obs =
-  Duv_util.lookup_of
+let resolve obs =
+  Duv_util.resolver_of
     [ ("ds", fun () -> Duv_util.vbool obs.ds);
       ("decrypt", fun () -> Duv_util.vbool obs.decrypt_obs);
       ("key", fun () -> Duv_util.vdata obs.key_obs);

@@ -39,8 +39,9 @@ type observables = {
 
 val create_observables : unit -> observables
 
-(** Property-layer view of the mirror. *)
-val lookup : observables -> string -> Tabv_psl.Expr.value option
+(** Property-layer view of the mirror, resolved once per atom by a
+    checker pool. *)
+val resolve : observables -> Tabv_psl.Expr.resolver
 
 (** Environment snapshot (for trace recording). *)
 val env_of : observables -> (string * Tabv_psl.Expr.value) list

@@ -134,10 +134,10 @@ let rdy_next_cycle t = t.rdy_next_cycle
 let rdy_next_next_cycle t = t.rdy_next_next_cycle
 
 (* Observation paths go through [Signal.observe] — the engine
-   interface read — so lookups, traces and VCD dumps are agnostic to
+   interface read — so checker reads, traces and VCD dumps are agnostic to
    where the engine stores the value. *)
-let lookup t =
-  Duv_util.lookup_of
+let resolve t =
+  Duv_util.resolver_of
     [ ("ds", fun () -> Duv_util.vbool (Signal.observe t.ds));
       ("decrypt", fun () -> Duv_util.vbool (Signal.observe t.decrypt));
       ("key", fun () -> Duv_util.vdata (Signal.observe t.key));

@@ -50,8 +50,9 @@ val rdy : t -> bool Signal.t
 val rdy_next_cycle : t -> bool Signal.t
 val rdy_next_next_cycle : t -> bool Signal.t
 
-(** Property-layer view of the current (pre-edge) port values. *)
-val lookup : t -> string -> Tabv_psl.Expr.value option
+(** Property-layer view of the current (pre-edge) port values,
+    resolved once per atom by a checker pool. *)
+val resolve : t -> Tabv_psl.Expr.resolver
 
 (** Environment snapshot for trace recording. *)
 val env : t -> (string * Tabv_psl.Expr.value) list

@@ -34,5 +34,6 @@ val target : t -> Tlm.Target.t
     transaction. *)
 val observables : t -> Des56_iface.observables
 
-val lookup : t -> string -> Tabv_psl.Expr.value option
+(** Property-layer view, resolved once per atom by a checker pool. *)
+val resolve : t -> Tabv_psl.Expr.resolver
 val completed : t -> int

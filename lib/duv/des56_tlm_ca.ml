@@ -91,5 +91,5 @@ let create kernel =
 
 let target t = t.target
 let observables t = t.obs
-let lookup t = Des56_iface.lookup t.obs
+let resolve t = Des56_iface.resolve t.obs
 let completed t = t.completed

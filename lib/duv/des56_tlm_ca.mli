@@ -22,5 +22,6 @@ val target : t -> Tlm.Target.t
 (** Mirror of the observable interface, updated at each frame. *)
 val observables : t -> Des56_iface.observables
 
-val lookup : t -> string -> Tabv_psl.Expr.value option
+(** Property-layer view, resolved once per atom by a checker pool. *)
+val resolve : t -> Tabv_psl.Expr.resolver
 val completed : t -> int

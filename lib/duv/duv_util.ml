@@ -4,11 +4,11 @@ let int_of_data v =
     let truncated = Int64.to_int v in
     if truncated = 0 then 1 else truncated
 
-let lookup_of bindings name =
-  match List.assoc_opt name bindings with
-  | Some thunk -> Some (thunk ())
-  | None -> None
+let resolver_of bindings name = List.assoc_opt name bindings
 
-let vbool b = Tabv_psl.Expr.VBool b
+(* Structured constants: a boolean read allocates nothing. *)
+let vtrue = Tabv_psl.Expr.VBool true
+let vfalse = Tabv_psl.Expr.VBool false
+let vbool b = if b then vtrue else vfalse
 let vint n = Tabv_psl.Expr.VInt n
 let vdata v = Tabv_psl.Expr.VInt (int_of_data v)

@@ -9,10 +9,15 @@
     [0x8000000000000000L] to [0]). *)
 val int_of_data : int64 -> int
 
-(** Build a lookup function from an association list of thunks, for
-    observable environments backed by mutable state. *)
-val lookup_of : (string * (unit -> Tabv_psl.Expr.value)) list -> string -> Tabv_psl.Expr.value option
+(** The resolver of a model's [(name, reader)] bindings, for
+    observable environments backed by mutable state: a checker pool's
+    sampler ({!Tabv_checker.Sampler.create}) resolves each signal once,
+    when an atom is compiled, and then calls the reader directly. *)
+val resolver_of :
+  (string * (unit -> Tabv_psl.Expr.value)) list -> Tabv_psl.Expr.resolver
 
+(** [vbool b] is one of two preallocated values: a boolean read does
+    not allocate. *)
 val vbool : bool -> Tabv_psl.Expr.value
 val vint : int -> Tabv_psl.Expr.value
 val vdata : int64 -> Tabv_psl.Expr.value

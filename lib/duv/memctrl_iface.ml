@@ -38,7 +38,7 @@ let bindings obs =
     ("ack_next_cycle", fun () -> Duv_util.vbool obs.ack_next_cycle);
     ("rdata", fun () -> Duv_util.vint obs.rdata) ]
 
-let lookup obs = Duv_util.lookup_of (bindings obs)
+let resolve obs = Duv_util.resolver_of (bindings obs)
 let env_of obs = List.map (fun (name, thunk) -> (name, thunk ())) (bindings obs)
 
 type frame = {

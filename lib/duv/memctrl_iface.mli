@@ -37,7 +37,9 @@ type observables = {
 }
 
 val create_observables : unit -> observables
-val lookup : observables -> string -> Tabv_psl.Expr.value option
+
+(** Property-layer view, resolved once per atom by a checker pool. *)
+val resolve : observables -> Tabv_psl.Expr.resolver
 val env_of : observables -> (string * Tabv_psl.Expr.value) list
 
 (** TLM-CA cycle frame: one transaction per clock period carrying the

@@ -87,7 +87,7 @@ let ack_next_cycle t = t.ack_next_cycle
 let rdata t = t.rdata
 
 (* Observation paths read through the engine interface
-   ([Signal.observe]), keeping traces and lookups engine-agnostic. *)
+   ([Signal.observe]), keeping traces and checker reads engine-agnostic. *)
 let bindings t =
   [ ("req", fun () -> Duv_util.vbool (Signal.observe t.req));
     ("we", fun () -> Duv_util.vbool (Signal.observe t.we));
@@ -97,7 +97,7 @@ let bindings t =
     ("ack_next_cycle", fun () -> Duv_util.vbool (Signal.observe t.ack_next_cycle));
     ("rdata", fun () -> Duv_util.vint (Signal.observe t.rdata)) ]
 
-let lookup t = Duv_util.lookup_of (bindings t)
+let resolve t = Duv_util.resolver_of (bindings t)
 let env t = List.map (fun (name, thunk) -> (name, thunk ())) (bindings t)
 let completed t = t.completed
 let peek t address = t.memory.(address land (Memctrl_iface.address_space - 1))

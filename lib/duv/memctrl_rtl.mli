@@ -25,7 +25,8 @@ val ack : t -> bool Signal.t
 val ack_next_cycle : t -> bool Signal.t
 val rdata : t -> int Signal.t
 
-val lookup : t -> string -> Tabv_psl.Expr.value option
+(** Property-layer view, resolved once per atom by a checker pool. *)
+val resolve : t -> Tabv_psl.Expr.resolver
 val env : t -> (string * Tabv_psl.Expr.value) list
 val completed : t -> int
 

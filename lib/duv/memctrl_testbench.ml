@@ -27,11 +27,11 @@ let run_rtl ?(properties = []) ?sim_engine ?metrics ?trace_writer
   let faults =
     Testbench.install_plan (Duv_fault.memctrl_rtl_binding kernel model) fault_plan
   in
-  let lookup = Memctrl_rtl.lookup model in
-  let sampler = Testbench.pool_sampler kernel in
+  let resolve = Memctrl_rtl.resolve model in
+  let sampler = Testbench.pool_sampler kernel resolve in
   let checkers =
     Testbench.attach_pool kernel (Checker.Attach.clock_edge clock)
-      sampler properties ~lookup
+      sampler properties
   in
   Testbench.arm_writer kernel trace_writer;
   if trace_writer <> None then
@@ -97,12 +97,12 @@ let run_tlm_ca ?(properties = []) ?sim_engine ?metrics ?trace_writer
          (Memctrl_tlm_ca.observables model))
       fault_plan
   in
-  let lookup = Memctrl_tlm_ca.lookup model in
-  let sampler = Testbench.pool_sampler kernel in
+  let resolve = Memctrl_tlm_ca.resolve model in
+  let sampler = Testbench.pool_sampler kernel resolve in
   let checkers =
     Testbench.attach_pool kernel
       (Checker.Attach.transaction_unabstracted initiator)
-      sampler properties ~lookup
+      sampler properties
   in
   Testbench.arm_writer kernel trace_writer;
   if trace_writer <> None then
@@ -166,12 +166,12 @@ let run_tlm_at ?(properties = []) ?sim_engine ?metrics ?trace_writer
          (Memctrl_tlm_at.observables model))
       fault_plan
   in
-  let lookup = Memctrl_tlm_at.lookup model in
-  let sampler = Testbench.pool_sampler kernel in
+  let resolve = Memctrl_tlm_at.resolve model in
+  let sampler = Testbench.pool_sampler kernel resolve in
   let checkers =
     Testbench.attach_pool kernel
       (Checker.Attach.transaction initiator)
-      sampler properties ~lookup
+      sampler properties
   in
   Testbench.arm_writer kernel trace_writer;
   if trace_writer <> None then

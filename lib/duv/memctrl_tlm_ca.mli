@@ -10,6 +10,8 @@ type t
 val create : Kernel.t -> t
 val target : t -> Tlm.Target.t
 val observables : t -> Memctrl_iface.observables
-val lookup : t -> string -> Tabv_psl.Expr.value option
+
+(** Property-layer view, resolved once per atom by a checker pool. *)
+val resolve : t -> Tabv_psl.Expr.resolver
 val completed : t -> int
 val peek : t -> int -> int

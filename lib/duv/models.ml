@@ -39,6 +39,18 @@ let known_signals = function
   | Colorconv_rtl | Colorconv_ca | Colorconv_at -> Colorconv_iface.signal_names
   | Memctrl_rtl | Memctrl_ca | Memctrl_at -> Memctrl_iface.signal_names
 
+let check_signals model properties =
+  let known = known_signals model in
+  match
+    List.concat_map (Property.unknown_signals ~known) properties
+    |> List.sort_uniq String.compare
+  with
+  | [] -> Ok ()
+  | missing ->
+    Error
+      (Printf.sprintf "model %s has no signal(s) %s — mismatched property set"
+         (name model) (String.concat ", " missing))
+
 (* Split the automatically-safe abstractions into strict-wrapper
    properties and grid-wrapper ones (timed operators under
    until/release need the full clock grid). *)

@@ -30,9 +30,15 @@ val names : (string * t) list
 val name : t -> string
 val of_name : string -> t option
 
-(** The interface signal names properties may mention on this model
-    (for linting user property files). *)
+(** The interface signal names properties may mention on this model. *)
 val known_signals : t -> string list
+
+(** [check_signals model properties] is [Error message] when the
+    properties read signals [model] does not expose — the message
+    names them, sorted — and [Ok ()] otherwise.  Checked before
+    simulating: a checker pool samples every atom at every evaluation
+    point, so a property over a missing signal cannot run. *)
+val check_signals : t -> Tabv_psl.Property.t list -> (unit, string) result
 
 (** Split the automatically-safe Methodology III.1 abstractions of
     [properties] into strict-wrapper properties and grid-wrapper ones

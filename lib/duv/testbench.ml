@@ -67,11 +67,11 @@ let metrics_json ?(run = []) result =
 
 (* --- checker-pool plumbing ------------------------------------------ *)
 
-(* One shared atom sampler per checker pool; when the kernel's metrics
-   registry is live its counters are published as pull probes (summed
-   across pools). *)
-let pool_sampler kernel =
-  let sampler = Sampler.create () in
+(* One shared atom sampler per checker pool, over the model's
+   resolver; when the kernel's metrics registry is live its counters
+   are published as pull probes (summed across pools). *)
+let pool_sampler kernel resolve =
+  let sampler = Sampler.create resolve in
   let metrics = Kernel.metrics kernel in
   if Tabv_obs.Metrics.enabled metrics then begin
     Tabv_obs.Metrics.probe metrics ~combine:`Sum "checker.sampler.queries"
@@ -82,10 +82,9 @@ let pool_sampler kernel =
   sampler
 
 (* Attach one property pool through the unified entry point. *)
-let attach_pool kernel mode sampler properties ~lookup =
+let attach_pool kernel mode sampler properties =
   List.map
-    (fun p ->
-      Checker.attach (Checker.Attach.spec ~sampler mode) kernel p ~lookup)
+    (fun p -> Checker.attach (Checker.Attach.spec sampler mode) kernel p)
     properties
 
 let metrics_snapshot kernel =
@@ -159,14 +158,14 @@ let run_des56_rtl ?(properties = []) ?sim_engine ?metrics ?(record_trace = false
   let clock = Clock.create kernel ~name:"clk" ~period () in
   let model = Des56_rtl.create ?fault kernel clock in
   let faults = install_plan (Duv_fault.des56_rtl_binding kernel model) fault_plan in
-  let lookup = Des56_rtl.lookup model in
+  let resolve = Des56_rtl.resolve model in
   (* All checkers sample the same environment at the same edges: share
      one evaluation-point sampler so each distinct atom is evaluated
      once per instant across the whole checker pool. *)
-  let sampler = pool_sampler kernel in
+  let sampler = pool_sampler kernel resolve in
   let checkers =
     attach_pool kernel (Checker.Attach.clock_edge clock) sampler
-      properties ~lookup
+      properties
   in
   let recorder = Trace_rec.create () in
   if record_trace then
@@ -233,7 +232,7 @@ let run_des56_tlm_ca ?(properties = []) ?sim_engine ?metrics ?(record_trace = fa
       (Duv_fault.des56_tlm_binding kernel initiator (Des56_tlm_ca.observables model))
       fault_plan
   in
-  let lookup = Des56_tlm_ca.lookup model in
+  let resolve = Des56_tlm_ca.resolve model in
   let recorder = Trace_rec.create () in
   if record_trace then
     Tlm.Initiator.on_transaction initiator (fun transaction ->
@@ -244,11 +243,11 @@ let run_des56_tlm_ca ?(properties = []) ?sim_engine ?metrics ?(record_trace = fa
     Tlm.Initiator.on_transaction initiator (fun transaction ->
       write_transaction trace_writer transaction
         (Des56_iface.env_of (Des56_tlm_ca.observables model)));
-  let sampler = pool_sampler kernel in
+  let sampler = pool_sampler kernel resolve in
   let checkers =
     attach_pool kernel
       (Checker.Attach.transaction_unabstracted initiator)
-      sampler properties ~lookup
+      sampler properties
   in
   let outputs = ref [] in
   Process.spawn kernel ~name:"driver" (fun () ->
@@ -312,7 +311,7 @@ let run_des56_tlm_at ?(properties = []) ?(grid_properties = []) ?sim_engine ?met
       (Duv_fault.des56_tlm_binding kernel initiator (Des56_tlm_at.observables model))
       fault_plan
   in
-  let lookup = Des56_tlm_at.lookup model in
+  let resolve = Des56_tlm_at.resolve model in
   let recorder = Trace_rec.create () in
   if record_trace then
     Tlm.Initiator.on_transaction initiator (fun transaction ->
@@ -326,14 +325,14 @@ let run_des56_tlm_at ?(properties = []) ?(grid_properties = []) ?sim_engine ?met
   (* Strict wrappers sample in the deferred-delta phase of transaction
      instants; grid wrappers sample on the clock grid.  The two pools
      observe different instants, so each gets its own shared sampler. *)
-  let sampler = pool_sampler kernel in
-  let grid_sampler = pool_sampler kernel in
+  let sampler = pool_sampler kernel resolve in
+  let grid_sampler = pool_sampler kernel resolve in
   let checkers =
     attach_pool kernel (Checker.Attach.transaction initiator) sampler
-      properties ~lookup
+      properties
     @ attach_pool kernel
         (Checker.Attach.grid ~clock_period:Des56_iface.clock_period ())
-        grid_sampler grid_properties ~lookup
+        grid_sampler grid_properties
   in
   let outputs = ref [] in
   Process.spawn kernel ~name:"driver" (fun () ->
@@ -391,11 +390,11 @@ let run_des56_tlm_lt ?(properties = []) ?sim_engine ?metrics ?(gap_cycles = 2)
       (Duv_fault.des56_tlm_binding kernel initiator (Des56_tlm_lt.observables model))
       fault_plan
   in
-  let lookup = Des56_tlm_lt.lookup model in
-  let sampler = pool_sampler kernel in
+  let resolve = Des56_tlm_lt.resolve model in
+  let sampler = pool_sampler kernel resolve in
   let checkers =
     attach_pool kernel (Checker.Attach.transaction initiator) sampler
-      properties ~lookup
+      properties
   in
   let outputs = ref [] in
   Process.spawn kernel ~name:"driver" (fun () ->
@@ -451,11 +450,11 @@ let run_colorconv_rtl ?(properties = []) ?sim_engine ?metrics ?(record_trace = f
   let faults =
     install_plan (Duv_fault.colorconv_rtl_binding kernel model) fault_plan
   in
-  let lookup = Colorconv_rtl.lookup model in
-  let sampler = pool_sampler kernel in
+  let resolve = Colorconv_rtl.resolve model in
+  let sampler = pool_sampler kernel resolve in
   let checkers =
     attach_pool kernel (Checker.Attach.clock_edge clock) sampler
-      properties ~lookup
+      properties
   in
   let recorder = Trace_rec.create () in
   if record_trace then
@@ -533,7 +532,7 @@ let run_colorconv_tlm_ca ?(properties = []) ?sim_engine ?metrics
          (Colorconv_tlm_ca.observables model))
       fault_plan
   in
-  let lookup = Colorconv_tlm_ca.lookup model in
+  let resolve = Colorconv_tlm_ca.resolve model in
   let recorder = Trace_rec.create () in
   if record_trace then
     Tlm.Initiator.on_transaction initiator (fun transaction ->
@@ -544,11 +543,11 @@ let run_colorconv_tlm_ca ?(properties = []) ?sim_engine ?metrics
     Tlm.Initiator.on_transaction initiator (fun transaction ->
       write_transaction trace_writer transaction
         (Colorconv_iface.env_of (Colorconv_tlm_ca.observables model)));
-  let sampler = pool_sampler kernel in
+  let sampler = pool_sampler kernel resolve in
   let checkers =
     attach_pool kernel
       (Checker.Attach.transaction_unabstracted initiator)
-      sampler properties ~lookup
+      sampler properties
   in
   let outputs = ref [] in
   Process.spawn kernel ~name:"driver" (fun () ->
@@ -635,7 +634,7 @@ let run_colorconv_tlm_at ?(properties = []) ?(grid_properties = []) ?sim_engine
          (Colorconv_tlm_at.observables model))
       fault_plan
   in
-  let lookup = Colorconv_tlm_at.lookup model in
+  let resolve = Colorconv_tlm_at.resolve model in
   let recorder = Trace_rec.create () in
   if record_trace then
     Tlm.Initiator.on_transaction initiator (fun transaction ->
@@ -646,14 +645,14 @@ let run_colorconv_tlm_at ?(properties = []) ?(grid_properties = []) ?sim_engine
     Tlm.Initiator.on_transaction initiator (fun transaction ->
       write_transaction trace_writer transaction
         (Colorconv_iface.env_of (Colorconv_tlm_at.observables model)));
-  let sampler = pool_sampler kernel in
-  let grid_sampler = pool_sampler kernel in
+  let sampler = pool_sampler kernel resolve in
+  let grid_sampler = pool_sampler kernel resolve in
   let checkers =
     attach_pool kernel (Checker.Attach.transaction initiator) sampler
-      properties ~lookup
+      properties
     @ attach_pool kernel
         (Checker.Attach.grid ~clock_period:Colorconv_iface.clock_period ())
-        grid_sampler grid_properties ~lookup
+        grid_sampler grid_properties
   in
   let latency_ns = Colorconv_iface.latency * period in
   (* Build the agenda. *)

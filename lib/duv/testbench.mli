@@ -82,10 +82,11 @@ val metrics_json :
 
     Shared by the sibling testbenches (e.g. {!Memctrl_testbench}). *)
 
-(** A fresh shared atom sampler whose query/eval counters are
-    published on the kernel's metrics registry (when enabled) as the
-    summed probes [checker.sampler.queries] / [checker.sampler.evals]. *)
-val pool_sampler : Tabv_sim.Kernel.t -> Sampler.t
+(** A fresh shared atom sampler over the model's resolver, whose
+    query/eval counters are published on the kernel's metrics registry
+    (when enabled) as the summed probes [checker.sampler.queries] /
+    [checker.sampler.evals]. *)
+val pool_sampler : Tabv_sim.Kernel.t -> Expr.resolver -> Sampler.t
 
 (** Attach every property through the unified {!Checker.attach} entry
     point with one shared mode/sampler. *)
@@ -94,7 +95,6 @@ val attach_pool :
   Checker.Attach.mode ->
   Sampler.t ->
   Property.t list ->
-  lookup:(string -> Expr.value option) ->
   Checker.t list
 
 (** End-of-run registry snapshot; [[]] when the kernel's registry is

@@ -50,23 +50,36 @@ let signals_arith a = List.sort_uniq String.compare (signals_arith_acc [] a)
 let mentions_any e names =
   List.exists (fun s -> List.mem s names) (signals e)
 
+let unbound v = Eval_error (Printf.sprintf "unbound signal %S" v)
+
+let not_integer v =
+  Eval_error (Printf.sprintf "signal %S is boolean, expected integer" v)
+
 let eval_value lookup v =
   match lookup v with
   | Some value -> value
-  | None -> raise (Eval_error (Printf.sprintf "unbound signal %S" v))
+  | None -> raise (unbound v)
 
+(* Binary operands are evaluated left to right (explicit [let]s: OCaml
+   leaves argument order unspecified), so the first failing signal is
+   the one reported, here and in [compile]. *)
 let rec eval_arith lookup = function
   | Int n -> n
   | Avar v ->
     (match eval_value lookup v with
      | VInt n -> n
-     | VBool _ ->
-       raise (Eval_error (Printf.sprintf "signal %S is boolean, expected integer" v)))
-  | Add (a, b) -> eval_arith lookup a + eval_arith lookup b
-  | Sub (a, b) -> eval_arith lookup a - eval_arith lookup b
-  | Mul (a, b) -> eval_arith lookup a * eval_arith lookup b
+     | VBool _ -> raise (not_integer v))
+  | Add (a, b) ->
+    let x = eval_arith lookup a in
+    x + eval_arith lookup b
+  | Sub (a, b) ->
+    let x = eval_arith lookup a in
+    x - eval_arith lookup b
+  | Mul (a, b) ->
+    let x = eval_arith lookup a in
+    x * eval_arith lookup b
 
-let apply_cmp op a b =
+let apply_cmp op (a : int) b =
   match op with
   | Eq -> a = b
   | Neq -> a <> b
@@ -84,7 +97,74 @@ let rec eval lookup = function
   | Not e -> not (eval lookup e)
   | And (a, b) -> eval lookup a && eval lookup b
   | Or (a, b) -> eval lookup a || eval lookup b
-  | Cmp (op, a, b) -> apply_cmp op (eval_arith lookup a) (eval_arith lookup b)
+  | Cmp (op, a, b) ->
+    let x = eval_arith lookup a in
+    apply_cmp op x (eval_arith lookup b)
+
+(* --- compilation ---------------------------------------------------- *)
+
+type resolver = string -> (unit -> value) option
+
+(* A signal the resolver does not know compiles to a reader that
+   raises when run, so compiling never fails and the error surfaces at
+   the same evaluation, with the same message, as in [eval]. *)
+let compile_read resolve v =
+  match resolve v with
+  | Some read -> read
+  | None -> fun () -> raise (unbound v)
+
+let rec compile_arith resolve = function
+  | Int n -> fun () -> n
+  | Avar v ->
+    let read = compile_read resolve v in
+    fun () ->
+      (match read () with
+       | VInt n -> n
+       | VBool _ -> raise (not_integer v))
+  | Add (a, b) ->
+    let fa = compile_arith resolve a and fb = compile_arith resolve b in
+    fun () ->
+      let x = fa () in
+      x + fb ()
+  | Sub (a, b) ->
+    let fa = compile_arith resolve a and fb = compile_arith resolve b in
+    fun () ->
+      let x = fa () in
+      x - fb ()
+  | Mul (a, b) ->
+    let fa = compile_arith resolve a and fb = compile_arith resolve b in
+    fun () ->
+      let x = fa () in
+      x * fb ()
+
+let rec assoc_value name = function
+  | [] -> raise (unbound name)
+  | (n, v) :: rest -> if String.equal n name then v else assoc_value name rest
+
+let env_resolver env name = Some (fun () -> assoc_value name !env)
+
+let rec compile resolve = function
+  | Bool b -> fun () -> b
+  | Var v ->
+    let read = compile_read resolve v in
+    fun () ->
+      (match read () with
+       | VBool b -> b
+       | VInt n -> n <> 0)
+  | Not e ->
+    let f = compile resolve e in
+    fun () -> not (f ())
+  | And (a, b) ->
+    let fa = compile resolve a and fb = compile resolve b in
+    fun () -> fa () && fb ()
+  | Or (a, b) ->
+    let fa = compile resolve a and fb = compile resolve b in
+    fun () -> fa () || fb ()
+  | Cmp (op, a, b) ->
+    let fa = compile_arith resolve a and fb = compile_arith resolve b in
+    fun () ->
+      let x = fa () in
+      apply_cmp op x (fb ())
 
 let rec simplify = function
   | (Bool _ | Var _) as e -> e

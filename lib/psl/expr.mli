@@ -2,8 +2,10 @@
 
     Atomic propositions of PSL properties are built from this layer:
     boolean signals, integer signals compared against arithmetic
-    expressions, and boolean connectives.  Expressions are evaluated
-    against a lookup function mapping signal names to current values. *)
+    expressions, and boolean connectives.  Expressions are interpreted
+    against a lookup function mapping signal names to current values
+    ({!eval}), or compiled once against a resolver into a closure
+    ({!compile}). *)
 
 (** Runtime value of a signal. *)
 type value =
@@ -54,11 +56,32 @@ val signals_arith : arith -> string list
     [names]. *)
 val mentions_any : t -> string list -> bool
 
-(** [eval lookup e] evaluates [e].
+(** [eval lookup e] evaluates [e], the operands of a binary operator
+    left to right.  This is the reference interpreter; checkers run
+    {!compile}d atoms instead.
     @raise Eval_error on unbound signals or type mismatches. *)
 val eval : (string -> value option) -> t -> bool
 
 val eval_arith : (string -> value option) -> arith -> int
+
+(** Where a compiled expression reads its signals: [resolve name] is
+    the reader of signal [name], or [None] when there is no such
+    signal.  It is asked once per signal occurrence, at compile time. *)
+type resolver = string -> (unit -> value) option
+
+(** [compile resolve e] resolves every signal of [e] once and returns
+    a closure that evaluates [e] against the readers: the same result
+    as [eval], reading signals in the same order with the same
+    short-circuits.  Compiling never raises; an unbound or ill-typed
+    signal raises {!Eval_error}, with [eval]'s message, when the
+    closure runs. *)
+val compile : resolver -> t -> unit -> bool
+
+(** [env_resolver env] reads every signal from whatever environment
+    [!env] holds when a compiled closure runs (offline checking, where
+    the environment changes with every sample); a name absent from it
+    raises {!Eval_error} with [eval]'s unbound-signal message. *)
+val env_resolver : (string * value) list ref -> resolver
 
 (** Structural simplification: constant folding and unit laws.  The
     result is [Bool _] whenever the expression is constant. *)

@@ -85,8 +85,18 @@ let parse_props = function
 
 let ( let* ) = Result.bind
 
-let exec_check ~model ~seed ~ops ~props ~engine ~trace_out =
+(* The user's properties, refused when they read signals the model
+   lacks — before any simulation or recheck runs. *)
+let user_props model props =
   let* user = parse_props props in
+  match user with
+  | Some properties ->
+    let* () = Models.check_signals model properties in
+    Ok user
+  | None -> Ok None
+
+let exec_check ~model ~seed ~ops ~props ~engine ~trace_out =
+  let* user = user_props model props in
   let properties, grid_properties = Models.properties_for model user in
   let engine =
     match engine with
@@ -138,7 +148,7 @@ let exec_recheck ~interrupted ~trace ~props ~workers ~retries =
         (Printf.sprintf "%s: recorded from unknown model %S" trace
            meta.Tabv_trace.Meta.model)
   in
-  let* user = parse_props props in
+  let* user = user_props model props in
   let properties, grid_properties = Models.properties_for model user in
   let* () =
     if grid_properties = [] then Ok ()

@@ -182,3 +182,45 @@ let arb_timed_nnf_and_trace =
       Printf.sprintf "%s\non trace:\n%s" (Ltl.to_string t)
         (Format.asprintf "%a" Trace.pp trace))
     Gen.(pair gen_ltl_timed_nnf gen_timed_trace)
+
+(* --- stepping checkers against lookup functions --------------------- *)
+
+(* Checkers read signals through compiled atoms ([Sampler]); the tests
+   drive them with plain lookup functions instead, through these
+   adaptors. *)
+
+(* One progression step, atoms evaluated by the reference interpreter. *)
+let progression_step ~time lookup ob =
+  let eval atom =
+    match Tabv_psl.Interned.node atom with
+    | Tabv_psl.Interned.Atom e -> Expr.eval lookup e
+    | _ -> invalid_arg "Helpers.progression_step: not an atom"
+  in
+  Tabv_checker.Progression.step_atoms_in
+    (Tabv_checker.Progression.handle ())
+    ~time eval ob
+
+(* The lookup of the evaluation point being stepped: every sampler made
+   by [lookup_sampler] reads its signals through it. *)
+let current_lookup : (string -> Expr.value option) ref = ref (fun _ -> None)
+
+let lookup_sampler () =
+  Tabv_checker.Sampler.create (fun name ->
+      Some
+        (fun () ->
+          match !current_lookup name with
+          | Some value -> value
+          | None -> raise (Expr.Eval_error (Printf.sprintf "unbound signal %S" name))))
+
+(* A monitor over its own [lookup_sampler] unless one is given. *)
+let monitor ?sampler property =
+  let sampler =
+    match sampler with
+    | Some sampler -> sampler
+    | None -> lookup_sampler ()
+  in
+  Tabv_checker.Monitor.create ~sampler property
+
+let monitor_step ?stuttered m ~time lookup =
+  current_lookup := lookup;
+  Tabv_checker.Monitor.step ?stuttered m ~time

@@ -28,7 +28,7 @@ let run_progression formula trace =
     let entry = Trace.get trace i in
     match Progression.verdict !ob with
     | Some _ -> ()
-    | None -> ob := Progression.step ~time:entry.Trace.time (Trace.lookup entry) !ob
+    | None -> ob := Helpers.progression_step ~time:entry.Trace.time (Trace.lookup entry) !ob
   done;
   Progression.verdict !ob
 
@@ -205,10 +205,10 @@ let monitor_equivalence_cases =
         match Reference_monitor.create `Automaton property with
         | exception Automaton.Unsupported _ -> true
         | reference ->
-          let monitor = Monitor.create property in
+          let monitor = Helpers.monitor property in
           for i = 0 to Trace.length trace - 1 do
             let entry = Trace.get trace i in
-            Monitor.step monitor ~time:entry.Trace.time (Trace.lookup entry);
+            Helpers.monitor_step monitor ~time:entry.Trace.time (Trace.lookup entry);
             Reference_monitor.step reference ~time:entry.Trace.time
               (Trace.lookup entry)
           done;

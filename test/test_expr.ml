@@ -92,6 +92,131 @@ let pp_roundtrip_cases =
       in
       Expr.eval env e = Expr.eval env (Expr.simplify e)) ]
 
+(* --- compiled evaluation ------------------------------------------ *)
+
+(* Expressions over a name pool any of whose names the environment may
+   leave unbound or bind with the other type, so ill-typed reads and
+   unbound signals are as common as good ones. *)
+let names = [ "a"; "b"; "x"; "y"; "u" ]
+
+let gen_compile_case =
+  let open QCheck.Gen in
+  let name = oneofl names in
+  let arith =
+    sized_size (int_bound 3) @@ fix (fun self n ->
+      let leaf =
+        oneof [ map (fun i -> Expr.Int i) (int_range (-3) 5);
+                map (fun v -> Expr.Avar v) name ]
+      in
+      if n = 0 then leaf
+      else
+        oneof
+          [ leaf;
+            map2 (fun a b -> Expr.Add (a, b)) (self (n / 2)) (self (n / 2));
+            map2 (fun a b -> Expr.Sub (a, b)) (self (n / 2)) (self (n / 2));
+            map2 (fun a b -> Expr.Mul (a, b)) (self (n / 2)) (self (n / 2)) ])
+  in
+  let expr =
+    sized_size (int_bound 4) @@ fix (fun self n ->
+      let leaf =
+        oneof
+          [ map (fun b -> Expr.Bool b) bool;
+            map (fun v -> Expr.Var v) name;
+            map3 (fun op a b -> Expr.Cmp (op, a, b)) Helpers.gen_cmp_op arith arith ]
+      in
+      if n = 0 then leaf
+      else
+        oneof
+          [ leaf;
+            map (fun e -> Expr.Not e) (self (n - 1));
+            map2 (fun a b -> Expr.And (a, b)) (self (n / 2)) (self (n / 2));
+            map2 (fun a b -> Expr.Or (a, b)) (self (n / 2)) (self (n / 2)) ])
+  in
+  let binding =
+    oneof
+      [ return None;
+        map (fun b -> Some (Expr.VBool b)) bool;
+        map (fun i -> Some (Expr.VInt i)) (int_range (-2) 3) ]
+  in
+  let* env = flatten_l (List.map (fun _ -> binding) names) in
+  let* e = expr in
+  return
+    ( e,
+      List.concat
+        (List.map2
+           (fun n v -> match v with Some v -> [ (n, v) ] | None -> [])
+           names env) )
+
+let arb_compile_case =
+  QCheck.make
+    ~print:(fun (e, env) ->
+      Format.asprintf "%a@ over [%s]" Expr.pp e
+        (String.concat "; "
+           (List.map
+              (fun (n, v) -> Format.asprintf "%s=%a" n Expr.pp_value v)
+              env)))
+    gen_compile_case
+
+(* The result of one evaluation and the bound signals it read, in
+   order; an error carries [eval]'s message. *)
+let run_logged f =
+  let reads = ref [] in
+  let outcome =
+    match f (fun name -> reads := name :: !reads) with
+    | b -> Ok b
+    | exception Expr.Eval_error message -> Error message
+  in
+  (outcome, List.rev !reads)
+
+let interpreted (e, env) =
+  run_logged (fun log ->
+      Expr.eval
+        (fun name ->
+          let v = List.assoc_opt name env in
+          if v <> None then log name;
+          v)
+        e)
+
+let compiled (e, env) =
+  let log = ref ignore in
+  let resolve name =
+    match List.assoc_opt name env with
+    | Some v -> Some (fun () -> !log name; v)
+    | None -> None
+  in
+  (* Compiling resolves every name but never raises, whatever the
+     environment holds. *)
+  let run = Expr.compile resolve e in
+  run_logged (fun l ->
+      log := l;
+      run ())
+
+let compile_cases =
+  [ Helpers.qtest ~count:1000 "compile agrees with eval: result, error, read order"
+      arb_compile_case (fun case -> compiled case = interpreted case);
+    Helpers.qtest "a compiled closure gives the same answer every run"
+      arb_compile_case (fun case -> compiled case = compiled case);
+    Helpers.qtest "compiling over an empty resolver never raises"
+      arb_compile_case (fun (e, _) ->
+        let (_ : unit -> bool) = Expr.compile (fun _ -> None) e in
+        true);
+    Alcotest.test_case "an unbound signal raises when run, not when compiled" `Quick
+      (fun () ->
+        let run = Expr.compile (fun _ -> None) (Expr.Var "ds") in
+        Alcotest.check_raises "eval's message" (Expr.Eval_error "unbound signal \"ds\"")
+          (fun () -> ignore (run ())));
+    Alcotest.test_case "env_resolver reads the env current at run time" `Quick
+      (fun () ->
+        let env = ref [ ("a", Expr.VBool false) ] in
+        let run = Expr.compile (Expr.env_resolver env) (Expr.Var "a") in
+        Alcotest.(check bool) "before" false (run ());
+        env := [ ("a", Expr.VBool true) ];
+        Alcotest.(check bool) "after" true (run ());
+        env := [];
+        Alcotest.check_raises "unbound" (Expr.Eval_error "unbound signal \"a\"")
+          (fun () -> ignore (run ()))) ]
+
 let suite =
   ("expr",
-   eval_cases @ error_cases @ signal_cases @ simplify_cases @ pp_roundtrip_cases)
+   eval_cases @ error_cases @ signal_cases @ simplify_cases @ pp_roundtrip_cases
+   @ compile_cases)

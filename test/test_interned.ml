@@ -67,7 +67,7 @@ let verdicts_agree (f, trace) =
   for i = 0 to Trace.length trace - 1 do
     let entry = Trace.get trace i in
     let lookup = Trace.lookup entry in
-    ob := Progression.step ~time:entry.Trace.time lookup !ob;
+    ob := Helpers.progression_step ~time:entry.Trace.time lookup !ob;
     leg := Legacy.step ~time:entry.Trace.time lookup !leg;
     if Progression.verdict !ob <> Legacy.verdict !leg then ok := false;
     if Progression.next_evaluation_time !ob <> Legacy.next_evaluation_time !leg
@@ -91,10 +91,10 @@ let eq_property f =
   Property.make ~name:"eq" ~context:(Context.Transaction Context.Base_trans) f
 
 let run_monitor (f, trace) =
-  let monitor = Monitor.create (eq_property f) in
+  let monitor = Helpers.monitor (eq_property f) in
   for i = 0 to Trace.length trace - 1 do
     let entry = Trace.get trace i in
-    Monitor.step monitor ~time:entry.Trace.time (Trace.lookup entry)
+    Helpers.monitor_step monitor ~time:entry.Trace.time (Trace.lookup entry)
   done;
   monitor
 
@@ -141,16 +141,16 @@ let env ~a ~b = lookup_of [ ("a", Expr.VBool a); ("b", Expr.VBool b) ]
 
 let sampler_cases =
   [ case "shared sampler evaluates each atom once per instant" (fun () ->
-      let sampler = Sampler.create () in
+      let sampler = Helpers.lookup_sampler () in
       let monitors =
         List.init 4 (fun i ->
-            Monitor.create ~sampler
+            Helpers.monitor ~sampler
               (Parser.property_exn ~name:(Printf.sprintf "s%d" i)
                  "always(a || next(b))"))
       in
       for t = 0 to 9 do
         List.iter
-          (fun m -> Monitor.step m ~time:(t * 10) (env ~a:(t mod 2 = 0) ~b:true))
+          (fun m -> Helpers.monitor_step m ~time:(t * 10) (env ~a:(t mod 2 = 0) ~b:true))
           monitors
       done;
       Alcotest.(check bool) "cache shared across the pool" true
@@ -160,16 +160,16 @@ let sampler_cases =
       Alcotest.(check bool) "at most one eval per atom per instant" true
         (Sampler.evals sampler <= 10 * 2));
     case "shared sampler does not change verdicts" (fun () ->
-      let shared = Sampler.create () in
+      let shared = Helpers.lookup_sampler () in
       let mk sampler =
-        Monitor.create ?sampler (Parser.property_exn ~name:"v" "always(a || next(b))")
+        Helpers.monitor ?sampler (Parser.property_exn ~name:"v" "always(a || next(b))")
       in
       let pooled = List.init 3 (fun _ -> mk (Some shared)) in
       let solo = mk None in
       let drive m =
-        Monitor.step m ~time:0 (env ~a:false ~b:false);
-        Monitor.step m ~time:10 (env ~a:true ~b:false);
-        Monitor.step m ~time:20 (env ~a:false ~b:true)
+        Helpers.monitor_step m ~time:0 (env ~a:false ~b:false);
+        Helpers.monitor_step m ~time:10 (env ~a:true ~b:false);
+        Helpers.monitor_step m ~time:20 (env ~a:false ~b:true)
       in
       List.iter drive pooled;
       drive solo;
@@ -180,7 +180,28 @@ let sampler_cases =
         (fun m ->
           Alcotest.(check (list int)) "same failures" (failure_times solo)
             (failure_times m))
-        pooled) ]
+        pooled);
+    case "a slot another pool overwrote at the same instant is re-read" (fun () ->
+      (* Two pools share the atom [a] but see different environments;
+         at one instant each primes in turn, so the atom's cached slot
+         holds the second pool's value when the first pool's next
+         monitor reads it. *)
+      let pool value =
+        Sampler.create (function
+          | "a" -> Some (fun () -> Expr.VBool value)
+          | _ -> None)
+      in
+      let yes = pool true and no = pool false in
+      let mk sampler =
+        Monitor.create ~sampler (Parser.property_exn ~name:"a" "always(a)")
+      in
+      let first = mk yes and other = mk no and second = mk yes in
+      List.iter (fun m -> Monitor.step m ~time:0) [ first; other; second ];
+      Alcotest.(check int) "second monitor saw its own pool's value" 0
+        (List.length (Monitor.failures second));
+      Alcotest.(check int) "other pool failed" 1
+        (List.length (Monitor.failures other));
+      Alcotest.(check int) "one prime plus one re-read" 2 (Sampler.evals yes)) ]
 
 let suite =
   ("interned",

@@ -115,8 +115,9 @@ let wrapper_sizing_cases =
       let wrapper =
         Tabv_checker.Checker.attach
           (Tabv_checker.Checker.Attach.spec
+             (Tabv_checker.Sampler.create (fun _ -> None))
              (Tabv_checker.Checker.Attach.transaction initiator))
-          kernel q3 ~lookup:(fun _ -> None)
+          kernel q3
       in
       Alcotest.(check int) "17 slots" 17
         (Tabv_checker.Checker.array_size wrapper ~clock_period:10));
@@ -129,8 +130,9 @@ let wrapper_sizing_cases =
       let wrapper =
         Tabv_checker.Checker.attach
           (Tabv_checker.Checker.Attach.spec
+             (Tabv_checker.Sampler.create (fun _ -> None))
              (Tabv_checker.Checker.Attach.transaction initiator))
-          kernel q ~lookup:(fun _ -> None)
+          kernel q
       in
       Alcotest.(check int) "3 slots" 3
         (Tabv_checker.Checker.array_size wrapper ~clock_period:10)) ]

@@ -12,24 +12,24 @@ let env ~a ~b = lookup_of [ ("a", Expr.VBool a); ("b", Expr.VBool b) ]
 
 let prop source = Parser.property_exn ~name:"m" source
 
-let step monitor time e = Monitor.step monitor ~time e
+let step monitor time e = Helpers.monitor_step monitor ~time e
 
 let activation_cases =
   [ case "always spawns an instance per evaluation point" (fun () ->
-      let monitor = Monitor.create (prop "always(a || next[3](b))") in
+      let monitor = Helpers.monitor (prop "always(a || next[3](b))") in
       step monitor 0 (env ~a:false ~b:false);
       step monitor 10 (env ~a:false ~b:false);
       step monitor 20 (env ~a:false ~b:false);
       Alcotest.(check int) "three live" 3 (Monitor.live_instances monitor);
       Alcotest.(check int) "peak" 3 (Monitor.peak_instances monitor));
     case "trivially-true instances are not registered (Sec. IV point 4)" (fun () ->
-      let monitor = Monitor.create (prop "always(a || next[3](b))") in
+      let monitor = Helpers.monitor (prop "always(a || next[3](b))") in
       step monitor 0 (env ~a:true ~b:false);
       step monitor 10 (env ~a:true ~b:false);
       Alcotest.(check int) "none live" 0 (Monitor.live_instances monitor);
       Alcotest.(check int) "counted as passes" 2 (Monitor.passes monitor));
     case "instances retire on completion and slots are reused" (fun () ->
-      let monitor = Monitor.create (prop "always(a || next(b))") in
+      let monitor = Helpers.monitor (prop "always(a || next(b))") in
       step monitor 0 (env ~a:false ~b:false);
       Alcotest.(check int) "one live" 1 (Monitor.live_instances monitor);
       step monitor 10 (env ~a:false ~b:true);
@@ -38,7 +38,7 @@ let activation_cases =
       Alcotest.(check int) "peak stays 1" 1 (Monitor.peak_instances monitor);
       Alcotest.(check int) "one pass" 1 (Monitor.passes monitor));
     case "non-always property activates a single instance" (fun () ->
-      let monitor = Monitor.create (prop "eventually(b)") in
+      let monitor = Helpers.monitor (prop "eventually(b)") in
       step monitor 0 (env ~a:true ~b:false);
       step monitor 10 (env ~a:true ~b:false);
       Alcotest.(check int) "one activation" 1 (Monitor.activations monitor);
@@ -48,7 +48,7 @@ let activation_cases =
 
 let failure_cases =
   [ case "failure records activation and failure times" (fun () ->
-      let monitor = Monitor.create (prop "always(a || next(b))") in
+      let monitor = Helpers.monitor (prop "always(a || next(b))") in
       step monitor 0 (env ~a:false ~b:false);
       step monitor 10 (env ~a:true ~b:false);
       (match Monitor.failures monitor with
@@ -58,11 +58,11 @@ let failure_cases =
          Alcotest.(check string) "name" "m" f.Monitor.property_name
        | other -> Alcotest.failf "expected one failure, got %d" (List.length other)));
     case "immediately-false activation is a failure" (fun () ->
-      let monitor = Monitor.create (prop "always(a)") in
+      let monitor = Helpers.monitor (prop "always(a)") in
       step monitor 0 (env ~a:false ~b:false);
       Alcotest.(check int) "one failure" 1 (List.length (Monitor.failures monitor)));
     case "failures accumulate in order" (fun () ->
-      let monitor = Monitor.create (prop "always(a)") in
+      let monitor = Helpers.monitor (prop "always(a)") in
       step monitor 0 (env ~a:false ~b:false);
       step monitor 10 (env ~a:true ~b:false);
       step monitor 20 (env ~a:false ~b:false);
@@ -80,8 +80,8 @@ let failure_cases =
       in
       let property = prop "always(a || (b until c))" in
       let shipped =
-        let monitor = Monitor.create property in
-        (Monitor.step monitor, fun () -> Monitor.failures monitor)
+        let monitor = Helpers.monitor property in
+        (Helpers.monitor_step monitor, fun () -> Monitor.failures monitor)
       in
       let reference backend =
         let monitor = Tabv_oracle.Reference_monitor.create backend property in
@@ -105,7 +105,7 @@ let failure_cases =
 let gating_cases =
   [ case "gated context skips evaluation points entirely" (fun () ->
       let monitor =
-        Monitor.create (Parser.property_exn ~name:"g" "always(a) @(clk_pos && b)")
+        Helpers.monitor (Parser.property_exn ~name:"g" "always(a) @(clk_pos && b)")
       in
       (* b false: the point is excluded; even a=false must not fail. *)
       step monitor 0 (env ~a:false ~b:false);
@@ -116,7 +116,7 @@ let gating_cases =
       Alcotest.(check int) "now it fails" 1 (List.length (Monitor.failures monitor)));
     case "gated transaction context behaves the same" (fun () ->
       let monitor =
-        Monitor.create (Parser.property_exn ~name:"g" "always(a) @(tb && b)")
+        Helpers.monitor (Parser.property_exn ~name:"g" "always(a) @(tb && b)")
       in
       step monitor 0 (env ~a:false ~b:false);
       step monitor 7 (env ~a:true ~b:true);
@@ -125,38 +125,38 @@ let gating_cases =
 
 let normalisation_cases =
   [ case "implication inputs are normalised internally" (fun () ->
-      let monitor = Monitor.create (prop "always(a -> next(b))") in
+      let monitor = Helpers.monitor (prop "always(a -> next(b))") in
       step monitor 0 (env ~a:true ~b:false);
       step monitor 10 (env ~a:false ~b:true);
       Alcotest.(check int) "no failures" 0 (List.length (Monitor.failures monitor)));
     case "timed obligations counted as pending at end" (fun () ->
-      let monitor = Monitor.create (prop "always(a || nexte[1,170](b)) @tb") in
+      let monitor = Helpers.monitor (prop "always(a || nexte[1,170](b)) @tb") in
       step monitor 0 (env ~a:false ~b:false);
       Alcotest.(check int) "pending" 1 (Monitor.pending monitor)) ]
 
 let vacuity_cases =
   [ case "never-fired implication is vacuous" (fun () ->
-      let monitor = Monitor.create (prop "always(a -> next(b))") in
+      let monitor = Helpers.monitor (prop "always(a -> next(b))") in
       step monitor 0 (env ~a:false ~b:false);
       step monitor 10 (env ~a:false ~b:true);
       Alcotest.(check int) "trivial passes" 2 (Monitor.trivial_passes monitor);
       Alcotest.(check bool) "vacuous" true (Monitor.vacuous monitor));
     case "a fired implication is not vacuous" (fun () ->
-      let monitor = Monitor.create (prop "always(a -> next(b))") in
+      let monitor = Helpers.monitor (prop "always(a -> next(b))") in
       step monitor 0 (env ~a:true ~b:false);
       step monitor 10 (env ~a:false ~b:true);
       Alcotest.(check bool) "not vacuous" false (Monitor.vacuous monitor));
     case "unevaluated monitor is not reported vacuous" (fun () ->
-      let monitor = Monitor.create (prop "always(a)") in
+      let monitor = Helpers.monitor (prop "always(a)") in
       Alcotest.(check bool) "not vacuous" false (Monitor.vacuous monitor)) ]
 
 let coverage_cases =
   [ case "coverage summary aggregates monitors" (fun () ->
-      let good = Monitor.create (prop "always(a)") in
+      let good = Helpers.monitor (prop "always(a)") in
       step good 0 (env ~a:true ~b:false);
-      let bad = Monitor.create (prop "always(b)") in
+      let bad = Helpers.monitor (prop "always(b)") in
       step bad 0 (env ~a:true ~b:false);
-      let vac = Monitor.create (prop "always(a -> next(b))") in
+      let vac = Helpers.monitor (prop "always(a -> next(b))") in
       step vac 0 (env ~a:false ~b:false);
       let summary = Coverage.summarize [ good; bad; vac ] in
       Alcotest.(check int) "properties" 3 summary.Coverage.properties;
@@ -165,7 +165,7 @@ let coverage_cases =
       Alcotest.(check int) "failures" 1 summary.Coverage.total_failures;
       Alcotest.(check bool) "not clean" false (Coverage.clean summary));
     case "a clean run is clean" (fun () ->
-      let monitor = Monitor.create (prop "always(a -> next(b))") in
+      let monitor = Helpers.monitor (prop "always(a -> next(b))") in
       step monitor 0 (env ~a:true ~b:false);
       step monitor 10 (env ~a:false ~b:true);
       let summary = Coverage.summarize [ monitor ] in

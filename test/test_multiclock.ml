@@ -99,16 +99,18 @@ let e2e_cases =
         Parser.property_exn ~name:"stutter"
           "always (!(cnt = 2) || next(cnt = 3)) @clk_pos"
       in
-      let lookup name =
+      let resolve name =
         match name with
-        | "cnt" -> Some (Expr.VInt (Signal.read counter))
+        | "cnt" -> Some (fun () -> Expr.VInt (Signal.read counter))
         | _ -> None
       in
+      (* The two checkers sample different clocks: one sampler each. *)
       let attach ?clocks property =
         Tabv_checker.Checker.attach
           (Tabv_checker.Checker.Attach.spec
+             (Tabv_checker.Sampler.create resolve)
              (Tabv_checker.Checker.Attach.clock_edge ?clocks clk_a))
-          kernel property ~lookup
+          kernel property
       in
       let named = attach ~clocks:[ ("clkB", clk_b) ] property in
       let default = attach wrong_clock in
@@ -127,8 +129,9 @@ let e2e_cases =
       match
         Tabv_checker.Checker.attach
           (Tabv_checker.Checker.Attach.spec
+             (Tabv_checker.Sampler.create (fun _ -> None))
              (Tabv_checker.Checker.Attach.clock_edge clk))
-          kernel p ~lookup:(fun _ -> None)
+          kernel p
       with
       | _ -> Alcotest.fail "expected Invalid_argument"
       | exception Invalid_argument _ -> ()) ]

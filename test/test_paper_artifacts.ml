@@ -57,7 +57,7 @@ let fig5_cases =
         let q3 =
           Parser.property_exn ~name:"q3" "always (!ds || nexte[1,170](rdy)) @tb"
         in
-        let monitor = Monitor.create q3 in
+        let monitor = Helpers.monitor q3 in
         let env ~ds ~rdy =
           fun name ->
             match name with
@@ -66,18 +66,18 @@ let fig5_cases =
             | _ -> None
         in
         (* C[0] fires at 0 ns and completes successfully at 170 ns. *)
-        Monitor.step monitor ~time:0 (env ~ds:true ~rdy:false);
-        Monitor.step monitor ~time:40 (env ~ds:false ~rdy:false);
-        Monitor.step monitor ~time:170 (env ~ds:true ~rdy:true);
+        Helpers.monitor_step monitor ~time:0 (env ~ds:true ~rdy:false);
+        Helpers.monitor_step monitor ~time:40 (env ~ds:false ~rdy:false);
+        Helpers.monitor_step monitor ~time:170 (env ~ds:true ~rdy:true);
         (* passes = C[0] plus the trivially-true instance of 40 ns. *)
         Alcotest.(check int) "C[0] completed" 2 (Monitor.passes monitor);
         Alcotest.(check (list int)) "no failures yet" []
           (List.map (fun f -> f.Monitor.failure_time) (Monitor.failures monitor));
         (* The instance fired at 170 ns expects 340 ns... *)
-        Monitor.step monitor ~time:250 (env ~ds:false ~rdy:false);
+        Helpers.monitor_step monitor ~time:250 (env ~ds:false ~rdy:false);
         Alcotest.(check int) "still pending" 1 (Monitor.pending monitor);
         (* ...but the next transaction arrives at 350 ns. *)
-        Monitor.step monitor ~time:350 (env ~ds:false ~rdy:true);
+        Helpers.monitor_step monitor ~time:350 (env ~ds:false ~rdy:true);
         (match Monitor.failures monitor with
          | [ f ] ->
            Alcotest.(check int) "fired at" 170 f.Monitor.activation_time;
@@ -88,7 +88,7 @@ let fig5_cases =
       let q3 =
         Parser.property_exn ~name:"q3" "always (!ds || nexte[1,170](rdy)) @tb"
       in
-      let monitor = Monitor.create q3 in
+      let monitor = Helpers.monitor q3 in
       let env ~ds ~rdy =
         fun name ->
           match name with
@@ -96,9 +96,9 @@ let fig5_cases =
           | "rdy" -> Some (Expr.VBool rdy)
           | _ -> None
       in
-      Monitor.step monitor ~time:0 (env ~ds:true ~rdy:false);
-      Monitor.step monitor ~time:170 (env ~ds:true ~rdy:true);
-      Monitor.step monitor ~time:340 (env ~ds:false ~rdy:true);
+      Helpers.monitor_step monitor ~time:0 (env ~ds:true ~rdy:false);
+      Helpers.monitor_step monitor ~time:170 (env ~ds:true ~rdy:true);
+      Helpers.monitor_step monitor ~time:340 (env ~ds:false ~rdy:true);
       (* C[0], C[170] and the trivially-true instance of 340 ns. *)
       Alcotest.(check int) "three passes" 3 (Monitor.passes monitor);
       Alcotest.(check int) "none live" 0 (Monitor.live_instances monitor);

@@ -230,14 +230,14 @@ let trace_api_cases =
         Tabv_psl.Parser.property_exn ~name:"q3"
           "always (!ds || nexte[1,170](rdy)) @tb"
       in
-      let monitor = Tabv_checker.Monitor.create q3 in
+      let monitor = Helpers.monitor q3 in
       let env ~ds = function
         | "ds" -> Some (Tabv_psl.Expr.VBool ds)
         | "rdy" -> Some (Tabv_psl.Expr.VBool false)
         | _ -> None
       in
-      Tabv_checker.Monitor.step monitor ~time:0 (env ~ds:true);
-      Tabv_checker.Monitor.step monitor ~time:40 (env ~ds:true);
+      Helpers.monitor_step monitor ~time:0 (env ~ds:true);
+      Helpers.monitor_step monitor ~time:40 (env ~ds:true);
       Alcotest.(check (list int)) "table" [ 170; 210 ]
         (Tabv_checker.Monitor.evaluation_table monitor)) ]
 
