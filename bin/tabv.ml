@@ -130,14 +130,6 @@ let metrics_json_arg =
                FILE (deterministic: byte-identical across runs with the \
                same seed).")
 
-let stats_flag_arg =
-  Arg.(value & flag & info [ "stats" ]
-         ~doc:"Deprecated alias of $(b,--metrics).")
-
-let stats_json_arg =
-  Arg.(value & opt (some string) None & info [ "stats-json" ] ~docv:"FILE"
-         ~doc:"Deprecated alias of $(b,--metrics-json).")
-
 let check_report_json_arg =
   Cli.report_json_arg
     ~doc:
@@ -148,20 +140,12 @@ let check_report_json_arg =
 (* The one simulation driver behind `check` and `record`; [trace_out]
    is what separates them. *)
 let simulate_run ~cmd trace_out model count seed props_file metrics_flag
-    metrics_json stats_flag stats_json report_out engine =
+    metrics_json report_out engine =
   Cli.apply_engine engine;
   let fail = Cli.fail cmd in
-  if stats_flag then
-    Printf.eprintf "tabv %s: --stats is deprecated; use --metrics\n" cmd;
-  if stats_json <> None then
-    Printf.eprintf "tabv %s: --stats-json is deprecated; use --metrics-json\n"
-      cmd;
-  let metrics_flag = metrics_flag || stats_flag in
-  let metrics_json =
-    match metrics_json with
-    | Some _ as path -> path
-    | None -> stats_json
-  in
+  (match Models.check_ops count with
+   | Ok () -> ()
+   | Error message -> fail message);
   let metrics =
     if metrics_flag || metrics_json <> None then begin
       let m = Tabv_obs.Metrics.create ~enabled:true () in
@@ -282,8 +266,7 @@ let check_cmd =
     Term.(
       const (simulate_run ~cmd:"check") $ const None $ Cli.model_arg
       $ Cli.ops_arg $ Cli.seed_arg $ Cli.props_arg $ metrics_flag_arg
-      $ metrics_json_arg $ stats_flag_arg $ stats_json_arg
-      $ check_report_json_arg $ Cli.engine_arg)
+      $ metrics_json_arg $ check_report_json_arg $ Cli.engine_arg)
 
 let record_cmd =
   let trace_out =
@@ -301,8 +284,8 @@ let record_cmd =
     Term.(
       const (fun path -> simulate_run ~cmd:"record" (Some path))
       $ trace_out $ Cli.model_arg $ Cli.ops_arg $ Cli.seed_arg $ Cli.props_arg
-      $ metrics_flag_arg $ metrics_json_arg $ stats_flag_arg $ stats_json_arg
-      $ check_report_json_arg $ Cli.engine_arg)
+      $ metrics_flag_arg $ metrics_json_arg $ check_report_json_arg
+      $ Cli.engine_arg)
 
 (* --- recheck ------------------------------------------------------ *)
 
@@ -1436,61 +1419,50 @@ let doctor_cmd =
              workers = 2;
              state_dir = Some state }
          in
-         let ready = Atomic.make false in
-         let server =
-           Domain.spawn (fun () ->
-               ignore
-                 (Tabv_serve.Server.run
-                    ~on_ready:(fun () -> Atomic.set ready true)
-                    config))
-         in
-         while not (Atomic.get ready) do
-           Unix.sleepf 0.002
-         done;
-         (match Tabv_serve.Client.connect (`Unix socket) with
-          | Error msg -> prerr_endline ("serve smoke: " ^ msg)
-          | Ok client ->
-            let job =
-              Tabv_serve.Protocol.Check
-                { model = Models.Des56_rtl; seed = 5; ops = 15; props = None;
-                  engine = None; trace_out = None }
-            in
-            (match Tabv_serve.Client.request client job with
-             | Tabv_serve.Client.Result { ok = true; warm = false; report } ->
-               serve_check_cold := report = expected_check
-             | _ -> ());
-            (match Tabv_serve.Client.request client job with
-             | Tabv_serve.Client.Result { ok = true; warm = true; report } ->
-               serve_check_warm := report = expected_check
-             | _ -> ());
-            (match
-               Tabv_serve.Client.request client
-                 (Tabv_serve.Protocol.Campaign
-                    { manifest = manifest_json; workers = 2;
-                      retries = Some 1; journal = false })
-             with
-             | Tabv_serve.Client.Result { ok = true; warm = false; report } ->
-               serve_campaign_ok := report = expected_campaign
-             | _ -> ());
-            (match
-               Tabv_serve.Client.request client
-                 (Tabv_serve.Protocol.Campaign
-                    { manifest = manifest_json; workers = 2;
-                      retries = Some 1; journal = true })
-             with
-             | Tabv_serve.Client.Result { ok = true; report; _ } ->
-               serve_journal_ok := report = expected_campaign
-             | _ -> ());
-            (* A completed journaled campaign must collect its own
-               journal: nothing may be left in the state dir. *)
-            serve_state_clean := Sys.readdir state = [||];
-            (match
-               Tabv_serve.Client.control client Tabv_serve.Protocol.Shutdown
-             with
-             | Tabv_serve.Client.Shutting_down -> serve_shutdown_ok := true
-             | _ -> ());
-            Tabv_serve.Client.close client);
-         Domain.join server));
+         Tabv_serve.Server.with_daemon config (fun () ->
+           match Tabv_serve.Client.connect (`Unix socket) with
+           | Error msg -> prerr_endline ("serve smoke: " ^ msg)
+           | Ok client ->
+             let job =
+               Tabv_serve.Protocol.Check
+                 { model = Models.Des56_rtl; seed = 5; ops = 15; props = None;
+                   engine = None; trace_out = None }
+             in
+             (match Tabv_serve.Client.request client job with
+              | Tabv_serve.Client.Result { ok = true; warm = false; report } ->
+                serve_check_cold := report = expected_check
+              | _ -> ());
+             (match Tabv_serve.Client.request client job with
+              | Tabv_serve.Client.Result { ok = true; warm = true; report } ->
+                serve_check_warm := report = expected_check
+              | _ -> ());
+             (match
+                Tabv_serve.Client.request client
+                  (Tabv_serve.Protocol.Campaign
+                     { manifest = manifest_json; workers = 2;
+                       retries = Some 1; journal = false })
+              with
+              | Tabv_serve.Client.Result { ok = true; warm = false; report } ->
+                serve_campaign_ok := report = expected_campaign
+              | _ -> ());
+             (match
+                Tabv_serve.Client.request client
+                  (Tabv_serve.Protocol.Campaign
+                     { manifest = manifest_json; workers = 2;
+                       retries = Some 1; journal = true })
+              with
+              | Tabv_serve.Client.Result { ok = true; report; _ } ->
+                serve_journal_ok := report = expected_campaign
+              | _ -> ());
+             (* A completed journaled campaign must collect its own
+                journal: nothing may be left in the state dir. *)
+             serve_state_clean := Sys.readdir state = [||];
+             (match
+                Tabv_serve.Client.control client Tabv_serve.Protocol.Shutdown
+              with
+              | Tabv_serve.Client.Shutting_down -> serve_shutdown_ok := true
+              | _ -> ());
+             Tabv_serve.Client.close client)));
     check "serve: socket check is byte-identical to the one-shot path"
       !serve_check_cold;
     check "serve: warm replay is byte-identical" !serve_check_warm;
@@ -1556,44 +1528,34 @@ let () =
         workers = 2;
         executor = Tabv_serve.Server.Subprocess_workers }
     in
-    let ready = Atomic.make false in
-    let server =
-      Domain.spawn (fun () ->
-          ignore
-            (Tabv_serve.Server.run
-               ~on_ready:(fun () -> Atomic.set ready true)
-               config))
-    in
-    while not (Atomic.get ready) do
-      Unix.sleepf 0.002
-    done;
-    let client =
-      match Tabv_serve.Client.connect (`Unix socket) with
-      | Ok c -> c
-      | Error msg -> die msg
-    in
-    let job =
-      Tabv_serve.Protocol.Check
-        { model = Models.Des56_rtl; seed = 42; ops = 20; props = None;
-          engine = None; trace_out = None }
-    in
     let cold =
-      match Tabv_serve.Client.request client job with
-      | Tabv_serve.Client.Result { ok = true; warm = false; report } -> report
-      | Tabv_serve.Client.Result _ -> die "unexpected first reply shape"
-      | Tabv_serve.Client.Rejected _ -> die "rejected"
-      | Tabv_serve.Client.Failed msg -> die msg
+      Tabv_serve.Server.with_daemon config (fun () ->
+          let client =
+            match Tabv_serve.Client.connect (`Unix socket) with
+            | Ok c -> c
+            | Error msg -> die msg
+          in
+          let job =
+            Tabv_serve.Protocol.Check
+              { model = Models.Des56_rtl; seed = 42; ops = 20; props = None;
+                engine = None; trace_out = None }
+          in
+          let cold =
+            match Tabv_serve.Client.request client job with
+            | Tabv_serve.Client.Result { ok = true; warm = false; report } ->
+              report
+            | Tabv_serve.Client.Result _ -> die "unexpected first reply shape"
+            | Tabv_serve.Client.Rejected _ -> die "rejected"
+            | Tabv_serve.Client.Failed msg -> die msg
+          in
+          (match Tabv_serve.Client.request client job with
+           | Tabv_serve.Client.Result { ok = true; warm = true; report }
+             when report = cold ->
+             ()
+           | _ -> die "warm replay is not byte-identical");
+          Tabv_serve.Client.close client;
+          cold)
     in
-    (match Tabv_serve.Client.request client job with
-     | Tabv_serve.Client.Result { ok = true; warm = true; report }
-       when report = cold ->
-       ()
-     | _ -> die "warm replay is not byte-identical");
-    (match Tabv_serve.Client.control client Tabv_serve.Protocol.Shutdown with
-     | Tabv_serve.Client.Shutting_down -> ()
-     | _ -> die "shutdown refused");
-    Tabv_serve.Client.close client;
-    Domain.join server;
     Out_channel.with_open_bin out (fun oc -> Out_channel.output_string oc cold);
     (try Sys.remove socket with Sys_error _ -> ());
     (try Unix.rmdir dir with Unix.Unix_error _ -> ());

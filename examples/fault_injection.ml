@@ -25,6 +25,14 @@ let report (result : Testbench.run_result) =
     result.Testbench.checker_stats;
   if Testbench.total_failures result = 0 then print_endline "  no failures"
 
+(* Value faults come from the generic saboteur catalog: a stuck-at-0
+   plan installed on the named RTL port through the signal
+   interposition hook. *)
+let rtl_fault name =
+  match Duv_fault.plan_for Duv_fault.Des56 Duv_fault.Rtl name with
+  | Some plan -> plan
+  | None -> failwith (name ^ " has no RTL carrier")
+
 let () =
   let ops = Workload.des56 ~seed:99 ~count:50 ~zero_fraction:0.4 () in
 
@@ -40,12 +48,12 @@ let () =
 
   banner "RTL bug: rdy_next_cycle stuck low";
   report
-    (Testbench.run_des56_rtl ~fault:Des56_rtl.Rdy_next_cycle_stuck_low
+    (Testbench.run_des56_rtl ~fault_plan:(rtl_fault "rdy_nc_stuck0")
        ~properties:Des56_props.all ops);
 
   banner "RTL bug: datapath zeroes the result";
   report
-    (Testbench.run_des56_rtl ~fault:Des56_rtl.Result_zeroed
+    (Testbench.run_des56_rtl ~fault_plan:(rtl_fault "out_stuck0")
        ~properties:Des56_props.all ops);
 
   banner "Correct TLM-AT abstraction: abstracted properties pass";

@@ -9,13 +9,10 @@ type state =
       keys : int64 array;  (* in processing order *)
     }
 
-type fault =
-  | Rdy_one_cycle_late
-  | Rdy_next_cycle_stuck_low
-  | Result_zeroed
+type fault = Rdy_one_cycle_late
 
 type t = {
-  late_rdy : bool;  (* the one behavioural (timing) legacy fault *)
+  late_rdy : bool;
   ds : bool Signal.t;
   decrypt : bool Signal.t;
   key : int64 Signal.t;
@@ -87,41 +84,6 @@ let create ?fault kernel clock =
         Elab.Pack t.rdy_next_next_cycle
       ]
     on_posedge;
-  (* Deprecated [?fault] shim: the two value faults are expressed as
-     generic stuck-at saboteurs on the ports (the behaviour the
-     hard-coded variants used to hack into the datapath); only the
-     timing fault remains behavioural. *)
-  (match fault with
-  | None | Some Rdy_one_cycle_late -> ()
-  | Some Rdy_next_cycle_stuck_low ->
-    let binding =
-      { Tabv_fault.Fault.kernel;
-        signals = [ ("rdy_next_cycle", Tabv_fault.Fault.Bool_signal t.rdy_next_cycle) ];
-        sockets = []
-      }
-    in
-    ignore
-      (Tabv_fault.Fault.install binding
-         (Tabv_fault.Fault.plan ~name:"des56-legacy-rdy-nc-stuck0"
-            [ Tabv_fault.Fault.Signal_fault
-                { signal = "rdy_next_cycle";
-                  fault = Tabv_fault.Fault.Stuck_at_0 { from_ns = 0 }
-                }
-            ]))
-  | Some Result_zeroed ->
-    let binding =
-      { Tabv_fault.Fault.kernel;
-        signals =
-          [ ("out", Tabv_fault.Fault.Int64_signal { signal = t.out; width = 64 }) ];
-        sockets = []
-      }
-    in
-    ignore
-      (Tabv_fault.Fault.install binding
-         (Tabv_fault.Fault.plan ~name:"des56-legacy-result-zeroed"
-            [ Tabv_fault.Fault.Signal_fault
-                { signal = "out"; fault = Tabv_fault.Fault.Stuck_at_0 { from_ns = 0 } }
-            ])));
   t
 
 let ds t = t.ds

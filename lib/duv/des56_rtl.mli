@@ -19,23 +19,14 @@ open Tabv_sim
 
 type t
 
-(** Injectable design bugs, for ABV demonstrations and negative
-    tests.
-
-    Deprecated shim: these named variants predate the generic
-    {!Tabv_fault.Fault} subsystem.  [Rdy_next_cycle_stuck_low] and
-    [Result_zeroed] are now implemented as stuck-at-0 saboteurs
-    installed through the {!Tabv_sim.Signal} interposition hook
-    (identical observable behaviour); only the timing fault
-    [Rdy_one_cycle_late] remains behavioural.  New code should pass a
-    [Fault.plan] to the testbench run functions instead. *)
+(** An injectable timing bug, for ABV demonstrations and negative
+    tests.  It has no equivalent among the generic saboteurs; value
+    faults such as a stuck port or a zeroed result are {!Tabv_fault.Fault}
+    plans passed to the testbench run functions ([Duv_fault.plan_for]). *)
 type fault =
   | Rdy_one_cycle_late
       (** result and [rdy] delivered at cycle 18 instead of 17 *)
-  | Rdy_next_cycle_stuck_low  (** the early-warning flag never asserts *)
-  | Result_zeroed  (** datapath bug: [out] forced to 0 *)
 
-(** [?fault] is the deprecated shim described above. *)
 val create : ?fault:fault -> Kernel.t -> Clock.t -> t
 
 (* Input ports (driven by the testbench). *)

@@ -51,6 +51,10 @@ let check_signals model properties =
       (Printf.sprintf "model %s has no signal(s) %s — mismatched property set"
          (name model) (String.concat ", " missing))
 
+let check_ops ops =
+  if ops > 0 then Ok ()
+  else Error (Printf.sprintf "ops must be positive (got %d)" ops)
+
 (* Split the automatically-safe abstractions into strict-wrapper
    properties and grid-wrapper ones (timed operators under
    until/release need the full clock grid). *)

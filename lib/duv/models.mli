@@ -40,6 +40,11 @@ val known_signals : t -> string list
     point, so a property over a missing signal cannot run. *)
 val check_signals : t -> Tabv_psl.Property.t list -> (unit, string) result
 
+(** [check_ops ops] is [Error message] naming [ops] unless it is
+    positive.  Checked before simulating, beside {!check_signals}: a
+    run of no operations would report every property vacuous. *)
+val check_ops : int -> (unit, string) result
+
 (** Split the automatically-safe Methodology III.1 abstractions of
     [properties] into strict-wrapper properties and grid-wrapper ones
     (timed operators under until/release need the full clock grid).

@@ -96,6 +96,7 @@ let user_props model props =
   | None -> Ok None
 
 let exec_check ~model ~seed ~ops ~props ~engine ~trace_out =
+  let* () = Models.check_ops ops in
   let* user = user_props model props in
   let properties, grid_properties = Models.properties_for model user in
   let engine =

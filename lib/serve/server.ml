@@ -1240,3 +1240,36 @@ let run ?(interrupted = fun () -> false) ?(on_ready = fun () -> ()) config =
       restore_sigpipe ())
     loop;
   t.obs
+
+(* [with_daemon config f] — serve [config] on a fresh domain while
+   [f ()] runs: [f] starts once the listeners are bound, and the daemon
+   is drained and joined however [f] exits (doctor, golden hooks, the
+   bench gates and the tests share this).  The drain is the
+   [interrupted] path; a throwaway connection wakes the select loop so
+   the drain starts now, not at the loop's next poll timeout.  [ready]
+   is also set if [run] dies before binding, so a failed start surfaces
+   at the join instead of hanging the caller. *)
+let with_daemon config f =
+  let ready = Atomic.make false and stop = Atomic.make false in
+  let daemon =
+    Domain.spawn (fun () ->
+        Fun.protect
+          ~finally:(fun () -> Atomic.set ready true)
+          (fun () ->
+            run
+              ~interrupted:(fun () -> Atomic.get stop)
+              ~on_ready:(fun () -> Atomic.set ready true)
+              config))
+  in
+  while not (Atomic.get ready) do
+    Unix.sleepf 0.002
+  done;
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      let wake = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      (try Unix.connect wake (Unix.ADDR_UNIX config.socket)
+       with Unix.Unix_error _ -> ());
+      close_noerr wake;
+      ignore (Domain.join daemon))
+    f

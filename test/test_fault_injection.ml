@@ -13,6 +13,14 @@ let failing_properties (result : Testbench.run_result) =
       if stat.Testbench.failures <> [] then Some stat.Testbench.property_name else None)
     result.Testbench.checker_stats
 
+(* Value faults are the catalog's stuck-at saboteurs; only the
+   one-cycle-late timing bug is behavioural ([Des56_rtl.fault]). *)
+let catalog_plan level name =
+  match Duv_fault.plan_for Duv_fault.Des56 level name with
+  | Some plan -> plan
+  | None -> Alcotest.failf "no %s carrier for %s" name
+              (Duv_fault.level_to_string level)
+
 let rtl_cases =
   [ case "late rdy caught by the next[n] properties, tolerated by until" (fun () ->
       let result =
@@ -32,7 +40,8 @@ let rtl_cases =
       Alcotest.(check bool) "p4 unaffected" false (List.mem "p4" failing));
     case "stuck rdy_next_cycle caught by p3/p5/p7" (fun () ->
       let result =
-        Testbench.run_des56_rtl ~fault:Des56_rtl.Rdy_next_cycle_stuck_low
+        Testbench.run_des56_rtl
+          ~fault_plan:(catalog_plan Duv_fault.Rtl "rdy_nc_stuck0")
           ~properties:Des56_props.all ops
       in
       let failing = failing_properties result in
@@ -47,7 +56,8 @@ let rtl_cases =
       (* Force indata = 0 so p1's antecedent fires. *)
       let zero_ops = Workload.des56 ~seed:3 ~count:8 ~zero_fraction:1.0 () in
       let result =
-        Testbench.run_des56_rtl ~fault:Des56_rtl.Result_zeroed
+        Testbench.run_des56_rtl
+          ~fault_plan:(catalog_plan Duv_fault.Rtl "out_stuck0")
           ~properties:Des56_props.all zero_ops
       in
       let failing = failing_properties result in
@@ -55,7 +65,8 @@ let rtl_cases =
       Alcotest.(check bool) "p3 unaffected" false (List.mem "p3" failing));
     case "faulty model still computes until the fault point" (fun () ->
       let result =
-        Testbench.run_des56_rtl ~fault:Des56_rtl.Rdy_next_cycle_stuck_low ops
+        Testbench.run_des56_rtl
+          ~fault_plan:(catalog_plan Duv_fault.Rtl "rdy_nc_stuck0") ops
       in
       Alcotest.(check int) "ops complete" (List.length ops)
         result.Testbench.completed_ops) ]
@@ -92,12 +103,6 @@ module Detect = Tabv_checker.Detect
 
 (* indata = 0 on every op so the p1/q1 antecedents fire. *)
 let zero_ops = Workload.des56 ~seed:3 ~count:8 ~zero_fraction:1.0 ()
-
-let catalog_plan level name =
-  match Duv_fault.plan_for Duv_fault.Des56 level name with
-  | Some plan -> plan
-  | None -> Alcotest.failf "no %s carrier for %s" name
-              (Duv_fault.level_to_string level)
 
 let plan_cases =
   [ case "catalog saboteur at RTL is caught by p1" (fun () ->
@@ -145,21 +150,6 @@ let plan_cases =
       in
       Alcotest.(check string) "suite verdict" "latent"
         (Detect.verdict_to_string (Detect.summary verdicts)));
-    case "deprecated Des56_rtl.fault shim matches its generic saboteur"
-      (fun () ->
-        let legacy =
-          Testbench.run_des56_rtl ~fault:Des56_rtl.Rdy_next_cycle_stuck_low
-            ~properties:Des56_props.all ops
-        in
-        let generic =
-          Testbench.run_des56_rtl
-            ~fault_plan:(catalog_plan Duv_fault.Rtl "rdy_nc_stuck0")
-            ~properties:Des56_props.all ops
-        in
-        Alcotest.(check (list string)) "same failing properties"
-          (failing_properties legacy) (failing_properties generic);
-        Alcotest.(check (list int64)) "same outputs"
-          legacy.Testbench.outputs generic.Testbench.outputs);
     case "installing a plan against a missing carrier is rejected" (fun () ->
       let kernel = K.create () in
       let binding = { F.kernel; signals = []; sockets = [] } in

@@ -391,7 +391,22 @@ let handler_cases =
           (Handler.cacheable
              (Protocol.Campaign
                 { manifest = J.Assoc [ ("jobs", J.List []) ]; workers = 1;
-                  retries = None; journal = true }))) ]
+                  retries = None; journal = true })));
+    case "a check of no operations is refused before its trace opens"
+      (fun () ->
+        let trace = Filename.temp_file "tabv_serve_ops" ".trace" in
+        Sys.remove trace;
+        match
+          Handler.execute ~state_dir:None
+            (Protocol.Check
+               { model = Models.Des56_rtl; seed = 1; ops = -3; props = None;
+                 engine = None; trace_out = Some trace })
+        with
+        | Ok _ -> Alcotest.fail "ops = -3 must be refused"
+        | Error message ->
+          Alcotest.(check string) "names the value"
+            "ops must be positive (got -3)" message;
+          Alcotest.(check bool) "no trace file" false (Sys.file_exists trace)) ]
 
 (* --- the daemon end to end -------------------------------------------- *)
 
@@ -423,18 +438,7 @@ let with_server ?(configure = fun c -> c) f =
         (Sys.readdir dir);
       (try Unix.rmdir dir with Unix.Unix_error _ -> ()))
     (fun () ->
-      let config = configure (Server.default_config ~socket ()) in
-      let ready = Atomic.make false in
-      let server =
-        Domain.spawn (fun () ->
-            ignore
-              (Server.run ~on_ready:(fun () -> Atomic.set ready true) config))
-      in
-      while not (Atomic.get ready) do
-        Unix.sleepf 0.002
-      done;
-      Fun.protect
-        ~finally:(fun () -> Domain.join server)
+      Server.with_daemon (configure (Server.default_config ~socket ()))
         (fun () ->
           let client =
             match Client.connect (`Unix socket) with
@@ -442,11 +446,7 @@ let with_server ?(configure = fun c -> c) f =
             | Error e -> Alcotest.fail e
           in
           Fun.protect
-            ~finally:(fun () ->
-              (match Client.control client Protocol.Shutdown with
-               | Client.Shutting_down | Client.Control_failed _ -> ()
-               | _ -> ());
-              Client.close client)
+            ~finally:(fun () -> Client.close client)
             (fun () -> f client socket)))
 
 let report_of = function
