@@ -391,22 +391,7 @@ let handler_cases =
           (Handler.cacheable
              (Protocol.Campaign
                 { manifest = J.Assoc [ ("jobs", J.List []) ]; workers = 1;
-                  retries = None; journal = true })));
-    case "a check of no operations is refused before its trace opens"
-      (fun () ->
-        let trace = Filename.temp_file "tabv_serve_ops" ".trace" in
-        Sys.remove trace;
-        match
-          Handler.execute ~state_dir:None
-            (Protocol.Check
-               { model = Models.Des56_rtl; seed = 1; ops = -3; props = None;
-                 engine = None; trace_out = Some trace })
-        with
-        | Ok _ -> Alcotest.fail "ops = -3 must be refused"
-        | Error message ->
-          Alcotest.(check string) "names the value"
-            "ops must be positive (got -3)" message;
-          Alcotest.(check bool) "no trace file" false (Sys.file_exists trace)) ]
+                  retries = None; journal = true }))) ]
 
 (* --- the daemon end to end -------------------------------------------- *)
 
@@ -455,7 +440,22 @@ let report_of = function
   | Client.Failed msg -> Alcotest.fail msg
 
 let serve_cases =
-  [ slow_case "warm replay is byte-identical to the cold run" (fun () ->
+  [ slow_case "a served check of no operations is refused before its trace opens"
+      (fun () ->
+        with_server (fun client socket ->
+            let trace = Filename.concat (Filename.dirname socket) "ops.trace" in
+            match
+              Client.request client
+                (Protocol.Check
+                   { model = Models.Des56_rtl; seed = 1; ops = -3; props = None;
+                     engine = None; trace_out = Some trace })
+            with
+            | Client.Failed message ->
+              Alcotest.(check string) "names the value"
+                "ops must be positive (got -3)" message;
+              Alcotest.(check bool) "no trace file" false (Sys.file_exists trace)
+            | _ -> Alcotest.fail "ops = -3 must be refused"));
+    slow_case "warm replay is byte-identical to the cold run" (fun () ->
         let expected = expected_check_report () in
         with_server (fun client _socket ->
             (match Client.request client (check_job ()) with
