@@ -27,31 +27,24 @@ module J = Tabv_core.Report_json
 (* The one sampler behind every timing in this file.  Each side runs
    once to warm up, then [repeat] rounds run every side once each, in
    turn, so a sustained burst of outside load inflates every side
-   instead of poisoning one.  A major collection before each run keeps
-   one side's garbage out of the next side's measurement; when no side
-   allocates a minor heap's worth in its warm-up (the durability
-   append loops, a warm socket round trip) there is no garbage to keep
-   out, and the collection — cold caches for the next run — would be
-   the larger disturbance.  Returns every sample, keyed like [sides]. *)
+   instead of poisoning one.  Every other round runs the sides in
+   reverse order, so each side runs first about as often as last.  A
+   major collection before each run keeps one side's garbage out of
+   the next side's measurement: every run starts from a collected
+   heap.  Returns every sample, keyed like [sides]. *)
 let sample ~repeat sides =
-  let allocated (_, side) =
-    let before = Gc.minor_words () in
-    side ();
-    Gc.minor_words () -. before
-  in
-  let minor_heap = float_of_int (Gc.get ()).Gc.minor_heap_size in
-  let collect = List.exists (fun words -> words >= minor_heap) (List.map allocated sides) in
-  let samples = List.map (fun _ -> ref []) sides in
-  for _ = 1 to repeat do
-    List.iter2
-      (fun (_, side) acc ->
-        if collect then Gc.major ();
+  List.iter (fun (_, side) -> side ()) sides;
+  let runs = List.map (fun (key, side) -> (key, side, ref [])) sides in
+  for round = 1 to repeat do
+    List.iter
+      (fun (_, side, acc) ->
+        Gc.major ();
         let t0 = Unix.gettimeofday () in
         side ();
         acc := (Unix.gettimeofday () -. t0) :: !acc)
-      sides samples
+      (if round mod 2 = 0 then List.rev runs else runs)
   done;
-  List.map2 (fun (key, _) acc -> (key, List.rev !acc)) sides samples
+  List.map (fun (key, _, acc) -> (key, List.rev !acc)) runs
 
 let pct_over ~base t = (t -. base) /. base *. 100.
 
@@ -180,11 +173,11 @@ let fig6_rows name rows =
     | None -> invalid_arg "fig6_rows: missing table row"
   in
   let t_rtl, t_rtl_c = all_c "RTL" in
-  let t_ca, t_ca_c = all_c "TLM-CA" and t_at, t_at_c = all_c "TLM-AT" in
-  Printf.printf "%-22s %10.2f %10.2f\n" (name ^ " TLM-CA") (t_rtl /. t_ca)
-    (t_rtl_c /. t_ca_c);
-  Printf.printf "%-22s %10.2f %10.2f\n" (name ^ " TLM-AT") (t_rtl /. t_at)
-    (t_rtl_c /. t_at_c)
+  List.iter
+    (fun level ->
+      let t, t_c = all_c level in
+      Printf.printf "%-22s %10.2f %10.2f\n" (name ^ " " ^ level) (t_rtl /. t) (t_rtl_c /. t_c))
+    [ "TLM-CA"; "TLM-AT" ]
 
 let fig6 ~des_rows ~cc_rows =
   print_endline "=== Fig. 6: RTL/TLM average speedup (higher is better) ===";
@@ -983,6 +976,13 @@ let with_client config f =
   | Error e -> failwith e
   | Ok client -> Fun.protect ~finally:(fun () -> Client.close client) (fun () -> f client)
 
+(* The last request of the serve and chaos gates: the daemon must still
+   take a shutdown over the wire after the load. *)
+let shutdown_taken client =
+  match Client.control client Protocol.Shutdown with
+  | Client.Shutting_down -> true
+  | _ -> false
+
 (* --- serve: throughput and warm reuse -------------------------------- *)
 
 (* [serve_clients] client threads drive one in-process daemon over its
@@ -1052,6 +1052,7 @@ let serve_gate ~quick =
                 { trace = trace_path; props = None; workers = 1; retries = 1 },
               42 ) ])
     in
+    if not (with_client config shutdown_taken) then Atomic.set identical false;
     (t_cold, t_warm, t_mixed)
   in
   let requests = (serve_clients * 2 * 3) + 1 in
@@ -1072,7 +1073,7 @@ let serve_gate ~quick =
         ("identical", J.Bool identical) ];
     timings = [];
     checks =
-      [ holds "every response byte-identical to the one-shot report" identical;
+      [ holds "every response byte-identical to the one-shot report, shutdown taken" identical;
         at_least "throughput" " req/s" rps serve_rps_floor;
         at_least "warm replay speedup" "x" warm_speedup serve_warm_gate ] }
 
@@ -1229,6 +1230,7 @@ let chaos_gate ~quick =
       versus ~repeat:chaos_idle_samples ("idle_plain_s", once plain)
         ("idle_latent_s", once latent)
     in
+    if not (with_client config shutdown_taken) then Atomic.incr mismatches;
     (soak_s, idle)
   in
   (* Leak audit, after the daemon has fully wound down: the probes
@@ -1286,7 +1288,7 @@ let chaos_gate ~quick =
         ("drained", J.Bool drained) ];
     timings = idle;
     checks =
-      [ holds "every request completed byte-identically, faults triggered" survived;
+      [ holds "all requests completed identically, faults triggered, shutdown taken" survived;
         holds "daemon drained: no inflight keys, journals or state files" drained;
         holds
           (match fd_leak with

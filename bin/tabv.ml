@@ -1553,6 +1553,9 @@ let () =
              when report = cold ->
              ()
            | _ -> die "warm replay is not byte-identical");
+          (match Tabv_serve.Client.control client Tabv_serve.Protocol.Shutdown with
+           | Tabv_serve.Client.Shutting_down -> ()
+           | _ -> die "shutdown refused");
           Tabv_serve.Client.close client;
           cold)
     in

@@ -106,11 +106,12 @@ let validate job =
     Error
       (Printf.sprintf "%s: loosely-timed level exists only for des56"
          (job_name job))
-  | _ ->
-    if job.ops <= 0 then Error (job_name job ^ ": ops must be positive")
-    else if job.seed < 0 then Error (job_name job ^ ": seed must be >= 0")
-    else if job.chaos < 0 then Error (job_name job ^ ": chaos must be >= 0")
-    else Ok ()
+  | _ -> (
+    match Models.check_ops job.ops with
+    | Error msg -> Error (job_name job ^ ": " ^ msg)
+    | Ok () when job.seed < 0 -> Error (job_name job ^ ": seed must be >= 0")
+    | Ok () when job.chaos < 0 -> Error (job_name job ^ ": chaos must be >= 0")
+    | Ok () -> Ok ())
 
 let expand_matrix ?(selection = All) ~duvs ~levels ~seeds ~ops () =
   List.concat_map

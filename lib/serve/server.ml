@@ -1247,10 +1247,13 @@ let run ?(interrupted = fun () -> false) ?(on_ready = fun () -> ()) config =
    bench gates and the tests share this).  The drain is the
    [interrupted] path; a throwaway connection wakes the select loop so
    the drain starts now, not at the loop's next poll timeout.  [ready]
-   is also set if [run] dies before binding, so a failed start surfaces
-   at the join instead of hanging the caller. *)
+   is also set if [run] exits before binding (another daemon holds the
+   socket, say); [f] then never runs and the start failure is raised
+   from the join. *)
 let with_daemon config f =
-  let ready = Atomic.make false and stop = Atomic.make false in
+  let ready = Atomic.make false
+  and bound = Atomic.make false
+  and stop = Atomic.make false in
   let daemon =
     Domain.spawn (fun () ->
         Fun.protect
@@ -1258,12 +1261,18 @@ let with_daemon config f =
           (fun () ->
             run
               ~interrupted:(fun () -> Atomic.get stop)
-              ~on_ready:(fun () -> Atomic.set ready true)
+              ~on_ready:(fun () ->
+                Atomic.set bound true;
+                Atomic.set ready true)
               config))
   in
   while not (Atomic.get ready) do
     Unix.sleepf 0.002
   done;
+  if not (Atomic.get bound) then begin
+    ignore (Domain.join daemon);
+    failwith ("daemon exited before binding " ^ config.socket)
+  end;
   Fun.protect
     ~finally:(fun () ->
       Atomic.set stop true;

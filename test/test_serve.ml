@@ -455,6 +455,17 @@ let serve_cases =
                 "ops must be positive (got -3)" message;
               Alcotest.(check bool) "no trace file" false (Sys.file_exists trace)
             | _ -> Alcotest.fail "ops = -3 must be refused"));
+    slow_case "a daemon that cannot bind raises before running its body"
+      (fun () ->
+        with_server (fun _client socket ->
+            let ran = ref false in
+            (match
+               Server.with_daemon (Server.default_config ~socket ()) (fun () ->
+                   ran := true)
+             with
+             | () -> Alcotest.fail "a second daemon started on a held socket"
+             | exception Failure _ -> ());
+            Alcotest.(check bool) "body never ran" false !ran));
     slow_case "warm replay is byte-identical to the cold run" (fun () ->
         let expected = expected_check_report () in
         with_server (fun client _socket ->
