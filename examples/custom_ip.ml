@@ -120,15 +120,13 @@ let run_rtl ~properties =
   let kernel = Kernel.create () in
   let clock = Clock.create kernel ~name:"clk" ~period:clock_period () in
   let model = Mul8_rtl.create kernel clock in
-  (* One sampler for the pool: every checker samples the same edges. *)
+  (* One pool, one sampler: every checker samples the same edges, and
+     the pool steps as one unit per edge. *)
   let sampler = Sampler.create (Mul8_rtl.resolve model) in
   let checkers =
-    List.map
-      (fun p ->
-        Checker.attach
-          (Checker.Attach.spec sampler (Checker.Attach.clock_edge clock))
-          kernel p)
-      properties
+    Checker.attach
+      (Checker.Attach.spec sampler (Checker.Attach.clock_edge clock))
+      kernel properties
   in
   let results = ref [] in
   Process.method_process kernel ~name:"collect" ~initialize:false
@@ -201,12 +199,9 @@ let run_tlm ~model_latency_ns ~properties =
   Tlm.Initiator.bind initiator target;
   let sampler = Sampler.create resolve in
   let checkers =
-    List.map
-      (fun p ->
-        Checker.attach
-          (Checker.Attach.spec sampler (Checker.Attach.transaction initiator))
-          kernel p)
-      properties
+    Checker.attach
+      (Checker.Attach.spec sampler (Checker.Attach.transaction initiator))
+      kernel properties
   in
   let results = ref [] in
   Process.spawn kernel ~name:"driver" (fun () ->

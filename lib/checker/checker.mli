@@ -41,7 +41,10 @@ module Attach : sig
 
   (** The full attachment request.  [sampler] is the pool's sampler,
       created over the DUV's resolver ({!Sampler.create}) and shared
-      by every checker observing the same evaluation points.
+      by every checker observing the same evaluation points (give
+      each {!attach} call its own: a pool replays idle steps only
+      when its action is the first to prime the sampler at an
+      instant).
       [metrics] defaults to the kernel's registry ({!Kernel.metrics})
       — pass an explicit registry only to segregate
       instrumentation. *)
@@ -66,26 +69,44 @@ module Attach : sig
   val grid : ?phase:int -> clock_period:int -> unit -> mode
 end
 
+(** One attached property: its {!Monitor} and the wrapper sizing. *)
 type t
 
-(** [attach spec kernel property] synthesizes the checker, registers
-    its atoms with [spec.sampler] and hooks it to the evaluation-point
-    source selected by [spec.mode].
+(** [attach spec kernel properties] synthesizes one checker per
+    property (in list order), registers their atoms with
+    [spec.sampler] and hooks the pool to the evaluation-point source
+    selected by [spec.mode].  An empty list hooks nothing.
 
-    When the effective metrics registry is enabled, the checker
-    registers pull probes so the registry totals checker activity
-    across every property on the kernel: [checker.monitors],
+    The pool steps as one unit: one kernel action per sampling event
+    for a clock-edge pool (the monitors sampling at that event) and one
+    deferred action per instant for a transaction pool.  The action
+    primes the sampler once ({!Sampler.prime_valuation}), then advances
+    every monitor in attach order ({!Monitor.advance}: a monitor whose
+    last step changed nothing but counters, and whose atoms that step
+    read hold the same values again, replays that step's counter
+    deltas instead of stepping).  It keeps
+    the bookkeeping of one action per monitor: one kernel activation
+    per extra monitor ({!Kernel.add_activation}), a stop poll between
+    monitors, and — when the run contains crashes ({!Kernel.containing})
+    — each monitor's exception contained on its own
+    ({!Kernel.record_crash}), so the rest of the pool still steps.
+    Grid pools keep one timer per monitor.
+
+    When the effective metrics registry is enabled, the pool registers
+    pull probes so the registry totals checker activity across every
+    property on the kernel: [checker.monitors],
     [checker.activations], [checker.passes], [checker.trivial_passes],
     [checker.steps], [checker.pending], [checker.cache_hits],
     [checker.cache_misses], [checker.failures] (sums) and
     [checker.peak_instances], [checker.peak_distinct_states]
     (maxima).
 
-    @raise Invalid_argument when the property context does not match
-    the mode (clock context on a transaction/grid mode, transaction
-    context on a clock-edge/unabstracted mode), when a named clock is
-    absent from [clocks], or when a grid period is not positive. *)
-val attach : Attach.spec -> Kernel.t -> Property.t -> t
+    @raise Invalid_argument, before anything is attached, when a
+    property context does not match the mode (clock context on a
+    transaction/grid mode, transaction context on a
+    clock-edge/unabstracted mode), when a named clock is absent from
+    [clocks], or when a grid period is not positive. *)
+val attach : Attach.spec -> Kernel.t -> Property.t list -> t list
 
 val monitor : t -> Monitor.t
 val failures : t -> Monitor.failure list

@@ -20,36 +20,16 @@ type live_state = {
   mutable activations_at : int list;
 }
 
-(* Counter deltas of the most recent {!step}, for the stutter fast
-   path: when the caller knows the relevant valuation is unchanged
-   since the previous evaluation point, a step whose outcome cannot
-   depend on anything else (no live obligations before or after, no
-   failure recorded — or a gated-out no-op) is a pure function of the
-   valuation and can be replayed by re-applying its deltas.  The
-   [stuttered] flag records that the memoized step itself ran on an
-   unchanged valuation, so its cache-counter deltas are already in
-   the steady (memo-warm) regime and replaying them is exact; a step
-   with zero cache misses is in that regime regardless (repeating it
-   is guaranteed to hit the just-written memo entries again). *)
-type step_memo = {
-  m_steps : int;
-  m_activations : int;
-  m_passes : int;
-  m_trivial : int;
-  m_hits : int;
-  m_misses : int;
-  m_eligible : bool;
-  m_stuttered : bool;
-}
-
 type t = {
   property : Property.t;
   temporal_body : bool;  (* vacuity only makes sense for temporal bodies *)
   initial : Progression.t;  (* obligation of a fresh instance *)
+  timed_initial : bool;  (* activating depends on the instant *)
   repeating : bool;  (* outer [always]: activate per evaluation point *)
   gate_atom : Interned.t option;  (* gate as interned atom, for sharing *)
   sampler : Sampler.t;
   eval : Interned.t -> bool;  (* [Sampler.evaluator sampler] *)
+  counts : Sampler.counters;  (* [Sampler.counters sampler] *)
   mutable live : live_state list;  (* insertion order *)
   mutable started : bool;
   mutable failures : failure list;  (* unordered; sorted on read *)
@@ -61,10 +41,27 @@ type t = {
   mutable trivial_passes : int;
   mutable cache_hits : int;
   mutable cache_misses : int;
-  (* Delta-replay memoization is opt-in (offline re-checking pools):
-     live checking must not pay the per-step capture. *)
+  (* Stutter replay.  A real step that changed nothing but counters
+     leaves [replayable] set and its counter deltas in [d_*]; under a
+     known pool valuation it also leaves the sampler bits of the atoms
+     it read in [memo_mask] and their values in [memo_valuation] ([-1]
+     when unknown).  A later evaluation point with the same values on
+     [memo_mask] re-applies the deltas instead of stepping.  Such a
+     step reads the gate ([gate_mask]) and, when it activates, the
+     atoms of [initial]'s memo row ([activation_mask], [-1] until
+     first needed).  Plain {!step} records only once [memo_enabled]
+     (offline pools). *)
+  gate_mask : int;
+  mutable activation_mask : int;
+  mutable stats : Progression.handle;  (* universe of the last real step *)
   mutable memo_enabled : bool;
-  mutable memo : step_memo option;
+  mutable replayable : bool;
+  mutable memo_mask : int;
+  mutable memo_valuation : int;
+  mutable d_steps : int;
+  mutable d_trivial : int;
+  mutable d_hits : int;
+  mutable d_queries : int;
 }
 
 let gate_of_context = function
@@ -102,10 +99,12 @@ let create ~sampler property =
     property;
     temporal_body = not (Simple_subset.is_boolean body);
     initial;
+    timed_initial = Progression.is_timed initial;
     repeating;
     gate_atom;
     sampler;
     eval = Sampler.evaluator sampler;
+    counts = Sampler.counters sampler;
     live = [];
     started = false;
     failures = [];
@@ -117,8 +116,20 @@ let create ~sampler property =
     trivial_passes = 0;
     cache_hits = 0;
     cache_misses = 0;
+    gate_mask =
+      (match gate_atom with
+       | Some gate -> Sampler.mask sampler gate
+       | None -> 0);
+    activation_mask = -1;
+    stats = Progression.handle ();
     memo_enabled = false;
-    memo = None;
+    replayable = false;
+    memo_mask = 0;
+    memo_valuation = -1;
+    d_steps = 0;
+    d_trivial = 0;
+    d_hits = 0;
+    d_queries = 0;
   }
 
 let property t = t.property
@@ -208,30 +219,25 @@ let activate t stats ~time =
 
 (* Nothing here allocates unless the multiset changes shape: a step
    that keeps every live state and activates trivially (the common
-   idle step) only writes fields. *)
-let step_states t ~time =
-  (* One DLS lookup per step: every state of the multiset steps, and
-     every counter snapshot reads, through this handle. *)
-  let stats = Progression.handle () in
-  let hits0 = Progression.handle_hits stats in
-  let misses0 = Progression.handle_misses stats in
-  let bypassed0 = Progression.handle_bypassed stats in
-  step_live stats ~time t.eval t.live;
-  if not (settled t.live) then t.live <- settle t ~time [] t.live;
+   idle step) only writes fields.  [stats] is the calling domain's
+   {!Progression.handle}: every state of the multiset steps, and every
+   counter snapshot reads, through it. *)
+let step_states t (stats : Progression.handle) ~time =
+  let hits0 = stats.hits in
+  let misses0 = stats.misses + stats.bypassed in
+  if t.live != [] then begin
+    step_live stats ~time t.eval t.live;
+    if not (settled t.live) then t.live <- settle t ~time [] t.live
+  end;
   if t.repeating || not t.started then activate t stats ~time;
-  t.cache_hits <- t.cache_hits + (Progression.handle_hits stats - hits0);
-  t.cache_misses <-
-    t.cache_misses
-    + (Progression.handle_misses stats - misses0)
-    + (Progression.handle_bypassed stats - bypassed0);
-  let distinct = List.length t.live in
-  if distinct > t.peak_distinct then t.peak_distinct <- distinct
+  t.cache_hits <- t.cache_hits + (stats.hits - hits0);
+  t.cache_misses <- t.cache_misses + (stats.misses + stats.bypassed - misses0)
 
 let live_instances t =
   List.fold_left (fun acc ls -> acc + List.length ls.activations_at) 0 t.live
 
-let step_core t ~time =
-  Sampler.prime t.sampler ~time;
+(* A step on a primed sampler. *)
+let step_primed t stats ~time =
   let gated_out =
     match t.gate_atom with
     | None -> false
@@ -239,71 +245,134 @@ let step_core t ~time =
   in
   if not gated_out then begin
     t.steps <- t.steps + 1;
-    step_states t ~time;
+    step_states t stats ~time;
     t.started <- true;
-    let live = live_instances t in
-    if live > t.peak then t.peak <- live
+    if t.live != [] then begin
+      let distinct = List.length t.live in
+      if distinct > t.peak_distinct then t.peak_distinct <- distinct;
+      let live = live_instances t in
+      if live > t.peak then t.peak <- live
+    end
+  end
+
+let step_core t stats ~time =
+  Sampler.prime t.sampler ~time;
+  step_primed t stats ~time
+
+(* The gate's bit plus the bits of the atoms [initial]'s memo row reads:
+   everything an idle, memo-hit activation step reads.  The row is
+   fixed once written, so this is computed once. *)
+let activation_mask t =
+  if t.activation_mask < 0 then begin
+    let row =
+      match Progression.memo_row t.initial with
+      | Progression.Dense_row atoms | Progression.Hashed_row atoms -> atoms
+      | Progression.Unstepped | Progression.Unmemoizable_row -> [||]
+    in
+    t.activation_mask <-
+      Array.fold_left
+        (fun acc atom -> acc lor Sampler.mask t.sampler atom)
+        t.gate_mask row
+  end;
+  t.activation_mask
+
+(* A real step that records its counter deltas.  It is replayable only
+   if it changed nothing but counters: the sampler's prime completed,
+   no failure was recorded, no cache or sampler-slot miss occurred,
+   and either it was gated out (a no-op on any multiset) or no
+   instance was live before or after it, it did not start a
+   non-repeating monitor (whose later steps no longer activate) and
+   its activation did not progress a timed formula (which bypasses
+   the memo and interns an [at] state per instant).  An untimed
+   activation without a miss was a memo hit, so it interned nothing.
+   The flag is cleared first, so a step that raises is never
+   replayed. *)
+let step_recording t ~time ~valuation =
+  t.replayable <- false;
+  let stats = Progression.handle () in
+  if t.stats != stats then t.stats <- stats;
+  let idle_before =
+    t.live == [] && (t.repeating || t.started) && not (t.repeating && t.timed_initial)
+  in
+  if t.gate_atom == None && not idle_before then
+    (* Ungated and busy, or activating a timed formula: the step cannot
+       be replayable, so skip the capture. *)
+    step_core t stats ~time
+  else begin
+    Sampler.prime t.sampler ~time;
+    let steps0 = t.steps
+    and trivial0 = t.trivial_passes
+    and hits0 = t.cache_hits
+    and misses0 = t.cache_misses
+    and failures0 = t.failures
+    and queries0 = t.counts.queries
+    and evals0 = t.counts.evals in
+    step_primed t stats ~time;
+    let d_steps = t.steps - steps0 in
+    t.d_steps <- d_steps;
+    t.d_trivial <- t.trivial_passes - trivial0;
+    t.d_hits <- t.cache_hits - hits0;
+    t.d_queries <- t.counts.queries - queries0;
+    t.replayable <-
+      Sampler.complete t.sampler
+      && t.failures == failures0
+      && t.cache_misses = misses0
+      && t.counts.evals = evals0
+      && (d_steps = 0 || (idle_before && t.live == []));
+    if t.replayable && valuation >= 0 then begin
+      let mask =
+        if d_steps = 0 || not t.repeating then t.gate_mask else activation_mask t
+      in
+      t.memo_mask <- mask;
+      t.memo_valuation <- valuation land mask
+    end
+    else t.memo_valuation <- -1
   end
 
 let enable_memo t = t.memo_enabled <- true
 
-let step ?(stuttered = false) t ~time =
-  if not t.memo_enabled then step_core t ~time
+let step t ~time =
+  if t.memo_enabled then step_recording t ~time ~valuation:(-1)
   else begin
-    let live_before = t.live == [] in
-    let steps0 = t.steps in
-    let activations0 = t.activations in
-    let passes0 = t.passes in
-    let trivial0 = t.trivial_passes in
-    let hits0 = t.cache_hits in
-    let misses0 = t.cache_misses in
-    let failures0 = t.failures in
-    step_core t ~time;
-    let live_after = t.live == [] in
-    let d_steps = t.steps - steps0 in
-    t.memo <-
-      Some
-        {
-          m_steps = d_steps;
-          m_activations = t.activations - activations0;
-          m_passes = t.passes - passes0;
-          m_trivial = t.trivial_passes - trivial0;
-          m_hits = t.cache_hits - hits0;
-          m_misses = t.cache_misses - misses0;
-          (* Replayable iff the step touched nothing but counters: no
-             failure was recorded (failure records carry the evaluation
-             time) and no live obligation existed before or after (a
-             gated-out step, [d_steps = 0], is a no-op either way). *)
-          m_eligible =
-            t.failures == failures0
-            && (d_steps = 0 || (live_before && live_after));
-          m_stuttered = stuttered;
-        }
+    t.replayable <- false;
+    step_core t (Progression.handle ()) ~time
   end
 
-let can_replay t =
-  match t.memo with
-  | Some m -> m.m_eligible && (m.m_stuttered || m.m_misses = 0)
-  | None -> false
+let can_replay t = t.replayable
 
+(* Re-apply the recorded deltas: the monitor's counters, the memo hits
+   in the universe and the sampler queries the step would have made.
+   A replayable step never activates non-trivially, settles a live
+   instance or misses, so its only passes are trivial ones and the
+   other counters have no delta to re-apply. *)
 let replay t ~count =
-  if count > 0 then
-    match t.memo with
-    | Some m ->
-      t.steps <- t.steps + (count * m.m_steps);
-      t.activations <- t.activations + (count * m.m_activations);
-      t.passes <- t.passes + (count * m.m_passes);
-      t.trivial_passes <- t.trivial_passes + (count * m.m_trivial);
-      t.cache_hits <- t.cache_hits + (count * m.m_hits);
-      t.cache_misses <- t.cache_misses + (count * m.m_misses)
-    | None -> invalid_arg "Monitor.replay: no step to replay"
+  if count > 0 then begin
+    if not t.replayable then invalid_arg "Monitor.replay: no replayable step";
+    t.steps <- t.steps + (count * t.d_steps);
+    t.passes <- t.passes + (count * t.d_trivial);
+    t.trivial_passes <- t.trivial_passes + (count * t.d_trivial);
+    t.cache_hits <- t.cache_hits + (count * t.d_hits);
+    t.stats.hits <- t.stats.hits + (count * t.d_hits);
+    t.counts.queries <- t.counts.queries + (count * t.d_queries)
+  end
 
 let step_stuttered t ~time:_ =
-  if can_replay t then begin
+  if t.replayable then begin
     replay t ~count:1;
     true
   end
   else false
+
+let advance t ~time ~valuation =
+  if valuation < 0 then begin
+    (* Without the pool's valuation no later [advance] could replay this
+       step: skip the capture. *)
+    t.replayable <- false;
+    step_core t (Progression.handle ()) ~time
+  end
+  else if t.replayable && valuation land t.memo_mask = t.memo_valuation then
+    replay t ~count:1
+  else step_recording t ~time ~valuation
 
 (* --- reporting ------------------------------------------------------ *)
 

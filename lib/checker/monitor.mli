@@ -46,48 +46,67 @@ val create : sampler:Sampler.t -> Property.t -> t
 
 val property : t -> Property.t
 
-(** Opt this monitor into delta-replay memoization: every subsequent
-    {!step} records its counter deltas for {!step_stuttered} /
-    {!replay}.  Off by default so live checking does not pay the
-    per-step capture; offline re-checking pools
-    ([Offline.Monitors.init]) turn it on. *)
+(** {2 Stepping and stutter replay}
+
+    An idle evaluation point usually changes nothing but counters: no
+    instance is live before or after it, the activation passes
+    trivially from the transition memo.  Such a step is a pure
+    function of the values of the atoms it reads — the context gate
+    and, when it activates, the atoms of the initial state's memo row
+    ({!Progression.memo_row}) — so when those values repeat,
+    re-applying the step's counter deltas is indistinguishable from
+    stepping: every counter of the monitor, of the {!Progression}
+    universe and of the {!Sampler} moves exactly as a real step would
+    move it.
+
+    A real step is {e replayable} only if it changed nothing but
+    counters: the sampler's prime completed (no atom raised), no
+    failure was recorded, no transition-memo or sampler-slot miss
+    occurred, and either the context gate held the step out, or no
+    instance was live before or after it, it was not the step that
+    starts a non-repeating monitor, and its activation did not
+    progress a timed formula (a [next_eps^tau] activation bypasses the
+    memo and interns an [at] state per instant). *)
+
+(** Opt this monitor's plain {!step} into recording its counter
+    deltas for {!step_stuttered} / {!replay}.  Off by default;
+    offline re-checking pools ([Offline.Monitors.init]) turn it on.
+    {!advance} records whenever it knows the pool's valuation. *)
 val enable_memo : t -> unit
 
 (** Consume one evaluation point at instant [time].  The monitor
     primes its sampler first ({!Sampler.prime}, idempotent per
     instant), so the environment is read once per instant however
-    many monitors share the sampler.  [stuttered] declares that the
-    caller knows every signal this monitor reads (formula atoms and
-    context gate) holds the same value as at the previous evaluation
-    point; it never changes the step's outcome, it only certifies the
-    recorded counter deltas as steady so a later {!step_stuttered}
-    may replay them (meaningful only under {!enable_memo}). *)
-val step : ?stuttered:bool -> t -> time:int -> unit
+    many monitors share the sampler. *)
+val step : t -> time:int -> unit
 
-(** Stutter fast path: consume one evaluation point whose relevant
-    valuation is unchanged since the previous point {e without}
-    re-evaluating anything, by re-applying the previous step's counter
-    deltas.  Sound only when the previous step touched nothing but
-    counters (no live obligations before or after, no failure
-    recorded — or a gated-out no-op) and its cache counters are in
-    the steady regime (the step was itself taken with
-    [~stuttered:true], or it ran without a single cache miss);
-    returns [false] otherwise, and the caller must fall back to
-    {!step}. *)
+(** The live pool's stepper ({!Checker.attach}).  [valuation] is the
+    pool's {!Sampler.prime_valuation} at [time], or [-1] when unknown.
+    When it is known, the previous real step was replayable and this
+    valuation agrees with that step's on every atom it read, the step
+    is replayed; otherwise a real step is taken, recording its deltas
+    when the valuation is known.  Allocation free either way on an
+    idle step. *)
+val advance : t -> time:int -> valuation:int -> unit
+
+(** Offline stutter fast path: the caller knows every signal this
+    monitor reads holds the same value as at the previous evaluation
+    point.  Replays the previous step and returns [true] when it was
+    replayable ({!can_replay}); returns [false] otherwise, and the
+    caller must fall back to {!step}. *)
 val step_stuttered : t -> time:int -> bool
 
-(** [can_replay t] is true when the memoized counter deltas of the
-    previous step are replayable under the conditions documented at
-    {!step_stuttered} — i.e. a [step_stuttered] call right now would
-    succeed.  Lets a caller test the whole pool once at the start of a
-    stutter run and then batch. *)
+(** [can_replay t] is true when the previous real step was replayable
+    — i.e. a [step_stuttered] call right now would succeed.  Lets a
+    caller test the whole pool once at the start of a stutter run and
+    then batch. *)
 val can_replay : t -> bool
 
-(** [replay t ~count] applies the memoized deltas [count] times in
+(** [replay t ~count] re-applies the recorded deltas [count] times in
     O(1), equivalent to [count] successful {!step_stuttered} calls.
-    Precondition: {!can_replay}[ t] held when the run started and no
-    other step was taken since.  Raises [Invalid_argument] if the
-    monitor has never stepped. *)
+    Allocates nothing.  Precondition: {!can_replay}[ t] held when the
+    run started and no other step was taken since.
+    @raise Invalid_argument if the previous step is not replayable. *)
 val replay : t -> count:int -> unit
 
 (** End-of-simulation summary, deterministically ordered:

@@ -158,10 +158,10 @@ module Monitors = struct
           (fun (monitor, mask) ->
             if changed land mask = 0 then begin
               (* Stutter: every signal this monitor reads is unchanged.
-                 Replay the previous step's deltas when the memo allows,
-                 otherwise take a real step that certifies the memo. *)
+                 Replay the previous step's deltas when it was
+                 replayable, otherwise take a real step. *)
               if not (Monitor.step_stuttered monitor ~time) then
-                Monitor.step ~stuttered:true monitor ~time
+                Monitor.step monitor ~time
             end
             else Monitor.step monitor ~time)
           state.slots

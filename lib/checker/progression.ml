@@ -34,8 +34,14 @@ and onode =
    states. *)
 and memo_entry =
   | No_memo  (* state not stepped yet *)
-  | Transitions of {
+  | Dense of {
       atoms : Interned.t array;  (* unique atoms read, first-read order *)
+      successors : t array;
+          (* indexed by packed valuation, [2^|atoms|] slots;
+             [no_successor] until the transition is first taken *)
+    }
+  | Transitions of {
+      atoms : Interned.t array;
       results : (int, t) Hashtbl.t;  (* packed valuation -> successor *)
     }
   | Unmemoizable  (* more than [max_memo_atoms] distinct atoms *)
@@ -191,6 +197,7 @@ let verdict ob =
   if is_true ob then Some true else if is_false ob then Some false else None
 
 let has_timed_wait ob = ob.has_at
+let is_timed ob = ob.otimed
 
 let rec next_evaluation_time ob =
   match ob.onode with
@@ -206,6 +213,16 @@ let rec next_evaluation_time ob =
 (* --- transition memo ---------------------------------------------- *)
 
 let max_memo_atoms = 62
+
+(* Rows reading at most this many atoms index their successors by the
+   packed valuation directly (at most 256 slots), so a hit costs one
+   array load instead of a polymorphic hash and compare. *)
+let max_dense_atoms = 8
+
+(* Placeholder successor of a dense row slot never taken; physically
+   distinct from every interned obligation. *)
+let no_successor =
+  { onode = OFalse; oid = -1; has_at = false; otimed = false; memo = No_memo }
 
 type cache_stats = {
   cache_hits : int;
@@ -272,8 +289,9 @@ exception Too_many_atoms
 
 (* Memoized step of an untimed obligation.  The hot path — a state
    already carrying its transition table — costs one pointer load, one
-   atom-evaluation pass to pack the valuation bits, and one
-   exception-based hashtable probe; nothing is allocated on a hit. *)
+   atom-evaluation pass to pack the valuation bits, and one array load
+   (dense rows) or exception-based hashtable probe (wider rows);
+   nothing is allocated on a hit. *)
 let rec pack eval atoms i acc =
   if i >= Array.length atoms then acc
   else
@@ -282,6 +300,20 @@ let rec pack eval atoms i acc =
 
 let step_untimed_in stats ~time eval ob =
   match ob.memo with
+  | Dense { atoms; successors } ->
+    let bits = pack eval atoms 0 0 in
+    let successor = Array.unsafe_get successors bits in
+    if successor != no_successor then begin
+      stats.hits <- stats.hits + 1;
+      successor
+    end
+    else begin
+      stats.misses <- stats.misses + 1;
+      let successor = compute ~time eval ob in
+      stats.transitions <- stats.transitions + 1;
+      Array.unsafe_set successors bits successor;
+      successor
+    end
   | Transitions { atoms; results } ->
     let bits = pack eval atoms 0 0 in
     (match Hashtbl.find results bits with
@@ -323,10 +355,17 @@ let step_untimed_in stats ~time eval ob =
        (match compute ~time recording ob with
         | successor ->
           let atoms = Array.of_list (List.rev !order) in
-          let results = Hashtbl.create 8 in
           stats.transitions <- stats.transitions + 1;
-          Hashtbl.add results !bits successor;
-          ob.memo <- Transitions { atoms; results };
+          if !count <= max_dense_atoms then begin
+            let successors = Array.make (1 lsl !count) no_successor in
+            successors.(!bits) <- successor;
+            ob.memo <- Dense { atoms; successors }
+          end
+          else begin
+            let results = Hashtbl.create 8 in
+            Hashtbl.add results !bits successor;
+            ob.memo <- Transitions { atoms; results }
+          end;
           successor
         | exception Too_many_atoms ->
           ob.memo <- Unmemoizable;
@@ -361,12 +400,27 @@ let rec step_eval_in stats ~time eval ob =
    field accesses — the DLS get is ~10ns, which multiplied by every
    live state of every monitor at every instant was a measurable slice
    of the interned engine's hot path. *)
-type handle = stats_record
+type handle = stats_record = {
+  mutable hits : int;
+  mutable misses : int;
+  mutable bypassed : int;
+  mutable transitions : int;
+}
 
 let handle () = (universe ()).ustats
-let handle_hits (h : handle) = h.hits
-let handle_misses (h : handle) = h.misses
-let handle_bypassed (h : handle) = h.bypassed
+
+type memo_row =
+  | Unstepped
+  | Dense_row of Interned.t array
+  | Hashed_row of Interned.t array
+  | Unmemoizable_row
+
+let memo_row ob =
+  match ob.memo with
+  | No_memo -> Unstepped
+  | Dense { atoms; _ } -> Dense_row atoms
+  | Transitions { atoms; _ } -> Hashed_row atoms
+  | Unmemoizable -> Unmemoizable_row
 let step_atoms_in (h : handle) ~time eval ob = step_eval_in h ~time eval ob
 
 let rec pp ppf ob =

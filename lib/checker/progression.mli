@@ -32,9 +32,12 @@ open Tabv_psl
     progression never short-circuits); a domain-global
     [(state, atom valuation) -> state] memo therefore tables the
     transition relation lazily, building the paper's explicit checker
-    automaton over reachable states only.  Timed ([at]) waits depend
-    on absolute instants and always take the direct rewriting path;
-    the untimed subtrees beneath them still hit the memo.
+    automaton over reachable states only.  A row reading at most eight
+    atoms is a dense array indexed by the packed valuation, so a hit
+    is one array load; wider rows (up to 62 atoms) keep a hash table.
+    Timed ([at]) waits depend on absolute instants and always take the
+    direct rewriting path; the untimed subtrees beneath them still hit
+    the memo.
 
     {2 Domain safety}
 
@@ -70,6 +73,11 @@ val is_false : t -> bool
 (** True when the obligation still contains a timed [at] node, i.e. a
     [next_eps^tau] wait. *)
 val has_timed_wait : t -> bool
+
+(** True when stepping the obligation depends on the current instant
+    (a timed wait, or a [next_eps^tau] to progress into one): such a
+    step bypasses the transition memo and may intern new states. *)
+val is_timed : t -> bool
 
 (** Earliest pending timed-evaluation instant, if any — the wrapper's
     "evaluation table" entry for this instance. *)
@@ -117,16 +125,30 @@ val reset_universe : unit -> unit
     to a single lookup per monitor step: grab it once, then step every
     state and read every counter through it. *)
 
-(** The calling domain's live statistics record.  Valid until the next
-    {!reset_universe}; must not be shared across domains. *)
-type handle
+(** The calling domain's live statistics record, read (and, by a
+    monitor replaying a memo-hit step, credited) in place.  Valid until
+    the next {!reset_universe}; must not be shared across domains. *)
+type handle = {
+  mutable hits : int;
+  mutable misses : int;
+  mutable bypassed : int;
+  mutable transitions : int;
+}
 
 (** One [Domain.DLS] lookup. *)
 val handle : unit -> handle
 
-val handle_hits : handle -> int
-val handle_misses : handle -> int
-val handle_bypassed : handle -> int
+(** A state's transition-memo row, with the atoms a memoized step of
+    the state reads (first-read order): a step that hits the row reads
+    exactly these. *)
+type memo_row =
+  | Unstepped  (** never stepped (or a canonical True/False state) *)
+  | Dense_row of Interned.t array
+      (** at most eight atoms: successors by packed valuation *)
+  | Hashed_row of Interned.t array  (** nine to 62 atoms: a hash table *)
+  | Unmemoizable_row  (** more than 62 atoms: always rewritten *)
+
+val memo_row : t -> memo_row
 
 (** [step_atoms_in handle ~time eval ob] consumes the evaluation
     point at [time]: [eval] gives the value of each interned [Atom]

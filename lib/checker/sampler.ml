@@ -42,18 +42,26 @@ let fresh_stamp () =
   incr global_stamp;
   !global_stamp
 
+type counters = {
+  mutable queries : int;  (* atom evaluations requested *)
+  mutable evals : int;  (* atom evaluations actually performed *)
+}
+
 type t = {
   resolve : Expr.resolver;
   mutable now : int;  (* instant of the cached values *)
   mutable stamp : int;  (* stamp tagging this sampler's values at [now] *)
-  mutable queries : int;  (* atom evaluations requested *)
-  mutable evals : int;  (* atom evaluations actually performed *)
+  counts : counters;
   mutable atoms : Interned.t array;  (* registered, oldest first *)
   mutable compiled : (unit -> bool) array;  (* [compiled.(i)] samples [atoms.(i)] *)
   slot_of : (int, int) Hashtbl.t;  (* atom id -> index of its compiled closure *)
   mutable primed : int;  (* stamp the batch pass last ran for *)
+  mutable complete : bool;  (* no atom raised during that pass *)
   evaluator : Interned.t -> bool;  (* the pool's one atom evaluator *)
 }
+
+(* Widest pool whose valuation fits one immediate int bitmask. *)
+let max_valuation_atoms = 62
 
 let refresh t ~time =
   if t.now <> time then begin
@@ -67,7 +75,7 @@ let refresh t ~time =
 let run t i =
   let atom = Array.unsafe_get t.atoms i in
   let v = (Array.unsafe_get t.compiled i) () in
-  t.evals <- t.evals + 1;
+  t.counts.evals <- t.counts.evals + 1;
   Interned.set_sample atom ~stamp:t.stamp ~value:v;
   v
 
@@ -78,10 +86,9 @@ let miss t atom =
   | Some i -> run t i
   | None -> invalid_arg "Sampler: atom not registered with this sampler"
 
-let read t atom =
-  t.queries <- t.queries + 1;
-  if Interned.sample_stamp atom = t.stamp then Interned.sample_value atom
-  else miss t atom
+let read t (atom : Interned.t) =
+  t.counts.queries <- t.counts.queries + 1;
+  if atom.sample_stamp = t.stamp then atom.sample_value else miss t atom
 
 let create resolve =
   let rec t =
@@ -89,12 +96,12 @@ let create resolve =
       resolve;
       now = min_int;
       stamp = fresh_stamp ();
-      queries = 0;
-      evals = 0;
+      counts = { queries = 0; evals = 0 };
       atoms = [||];
       compiled = [||];
       slot_of = Hashtbl.create 16;
       primed = 0;
+      complete = true;
       evaluator = (fun atom -> read t atom);
     }
   in
@@ -115,22 +122,46 @@ let register t atom =
    prime the sampler at every step, so the environment (signal arena
    or transaction mirror) is read in one pass per instant and every
    monitor's step is answered from the cache.  Newest registrations
-   are sampled first. *)
-let prime t ~time =
+   are sampled first.  An atom that raises is left unstamped and the
+   pass goes on: its error resurfaces, through [miss], in exactly the
+   steps that read it.  The pass also packs the pool's valuation, bit
+   [i] for atom [i]. *)
+let prime_valuation t ~time =
   refresh t ~time;
-  if t.primed <> t.stamp then begin
+  if t.primed = t.stamp then -1
+  else begin
     t.primed <- t.stamp;
+    t.complete <- true;
+    let bits = ref 0 in
     for i = Array.length t.atoms - 1 downto 0 do
-      t.queries <- t.queries + 1;
-      if Interned.sample_stamp (Array.unsafe_get t.atoms i) <> t.stamp then
-        ignore (run t i)
-    done
+      t.counts.queries <- t.counts.queries + 1;
+      let atom : Interned.t = Array.unsafe_get t.atoms i in
+      if atom.sample_stamp <> t.stamp then begin
+        match run t i with
+        | true -> bits := !bits lor (1 lsl i)
+        | false -> ()
+        | exception _ -> t.complete <- false
+      end
+      else if atom.sample_value then bits := !bits lor (1 lsl i)
+    done;
+    if t.complete && Array.length t.atoms <= max_valuation_atoms then !bits
+    else -1
   end
+
+let prime t ~time = ignore (prime_valuation t ~time)
+let complete t = t.complete
+
+let mask t atom =
+  match Hashtbl.find_opt t.slot_of (Interned.id atom) with
+  | Some i when i < max_valuation_atoms -> 1 lsl i
+  | Some _ | None -> 0
 
 let evaluator t = t.evaluator
 let registered_atoms t = Array.length t.atoms
-let queries t = t.queries
-let evals t = t.evals
+let counters t = t.counts
+let queries t = t.counts.queries
+let evals t = t.counts.evals
 
 let hit_rate t =
-  if t.queries = 0 then 0. else float_of_int (t.queries - t.evals) /. float_of_int t.queries
+  let { queries; evals } = t.counts in
+  if queries = 0 then 0. else float_of_int (queries - evals) /. float_of_int queries

@@ -34,9 +34,36 @@ val register : t -> Interned.t -> unit
 
 (** [prime t ~time] samples every registered atom at instant [time]
     (idempotent per instant), newest registration first.  Each atom
-    counts one query and one evaluation.
-    @raise Expr.Eval_error like {!Expr.eval}. *)
+    counts one query and one evaluation.  Never raises: an atom whose
+    closure raises (e.g. {!Expr.Eval_error}) is left unsampled, and
+    the error surfaces in the reads of that atom only, so one
+    ill-typed atom cannot fail a neighbour that never reads it. *)
 val prime : t -> time:int -> unit
+
+(** [prime_valuation t ~time] is {!prime} returning the pool's
+    valuation: bit [i] holds the value of the [i]-th registered atom.
+    It is [-1] unless this call ran the pass (the first prime at
+    [time]), no atom raised, and at most 62 atoms are registered —
+    only then is every slot freshly this sampler's, so a monitor may
+    compare the valuation against an earlier one ({!Monitor.advance}). *)
+val prime_valuation : t -> time:int -> int
+
+(** No atom raised during the last priming pass. *)
+val complete : t -> bool
+
+(** [mask t atom] is the valuation bit of a registered atom, [0] when
+    the atom is unregistered or beyond bit 61. *)
+val mask : t -> Interned.t -> int
+
+(** The sampler's live query/evaluation counters, read and credited in
+    place by a monitor replaying a step ({!Monitor.advance}): a replay
+    counts the queries the step would have made. *)
+type counters = {
+  mutable queries : int;
+  mutable evals : int;
+}
+
+val counters : t -> counters
 
 (** The sampler's atom evaluator: the value of a registered atom at
     the instant last primed, counting one query, and one evaluation

@@ -30,8 +30,9 @@ let run_rtl ?(properties = []) ?sim_engine ?metrics ?trace_writer
   let resolve = Memctrl_rtl.resolve model in
   let sampler = Testbench.pool_sampler kernel resolve in
   let checkers =
-    Testbench.attach_pool kernel (Checker.Attach.clock_edge clock)
-      sampler properties
+    Checker.attach
+      (Checker.Attach.spec sampler (Checker.Attach.clock_edge clock))
+      kernel properties
   in
   Testbench.arm_writer kernel trace_writer;
   if trace_writer <> None then
@@ -100,9 +101,10 @@ let run_tlm_ca ?(properties = []) ?sim_engine ?metrics ?trace_writer
   let resolve = Memctrl_tlm_ca.resolve model in
   let sampler = Testbench.pool_sampler kernel resolve in
   let checkers =
-    Testbench.attach_pool kernel
-      (Checker.Attach.transaction_unabstracted initiator)
-      sampler properties
+    Checker.attach
+      (Checker.Attach.spec sampler
+         (Checker.Attach.transaction_unabstracted initiator))
+      kernel properties
   in
   Testbench.arm_writer kernel trace_writer;
   if trace_writer <> None then
@@ -169,9 +171,9 @@ let run_tlm_at ?(properties = []) ?sim_engine ?metrics ?trace_writer
   let resolve = Memctrl_tlm_at.resolve model in
   let sampler = Testbench.pool_sampler kernel resolve in
   let checkers =
-    Testbench.attach_pool kernel
-      (Checker.Attach.transaction initiator)
-      sampler properties
+    Checker.attach
+      (Checker.Attach.spec sampler (Checker.Attach.transaction initiator))
+      kernel properties
   in
   Testbench.arm_writer kernel trace_writer;
   if trace_writer <> None then

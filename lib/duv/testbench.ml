@@ -81,12 +81,6 @@ let pool_sampler kernel resolve =
   end;
   sampler
 
-(* Attach one property pool through the unified entry point. *)
-let attach_pool kernel mode sampler properties =
-  List.map
-    (fun p -> Checker.attach (Checker.Attach.spec sampler mode) kernel p)
-    properties
-
 let metrics_snapshot kernel =
   let m = Kernel.metrics kernel in
   if Tabv_obs.Metrics.enabled m then Tabv_obs.Metrics.snapshot m else []
@@ -164,8 +158,9 @@ let run_des56_rtl ?(properties = []) ?sim_engine ?metrics ?(record_trace = false
      once per instant across the whole checker pool. *)
   let sampler = pool_sampler kernel resolve in
   let checkers =
-    attach_pool kernel (Checker.Attach.clock_edge clock) sampler
-      properties
+    Checker.attach
+      (Checker.Attach.spec sampler (Checker.Attach.clock_edge clock))
+      kernel properties
   in
   let recorder = Trace_rec.create () in
   if record_trace then
@@ -245,9 +240,10 @@ let run_des56_tlm_ca ?(properties = []) ?sim_engine ?metrics ?(record_trace = fa
         (Des56_iface.env_of (Des56_tlm_ca.observables model)));
   let sampler = pool_sampler kernel resolve in
   let checkers =
-    attach_pool kernel
-      (Checker.Attach.transaction_unabstracted initiator)
-      sampler properties
+    Checker.attach
+      (Checker.Attach.spec sampler
+         (Checker.Attach.transaction_unabstracted initiator))
+      kernel properties
   in
   let outputs = ref [] in
   Process.spawn kernel ~name:"driver" (fun () ->
@@ -328,11 +324,13 @@ let run_des56_tlm_at ?(properties = []) ?(grid_properties = []) ?sim_engine ?met
   let sampler = pool_sampler kernel resolve in
   let grid_sampler = pool_sampler kernel resolve in
   let checkers =
-    attach_pool kernel (Checker.Attach.transaction initiator) sampler
-      properties
-    @ attach_pool kernel
-        (Checker.Attach.grid ~clock_period:Des56_iface.clock_period ())
-        grid_sampler grid_properties
+    Checker.attach
+      (Checker.Attach.spec sampler (Checker.Attach.transaction initiator))
+      kernel properties
+    @ Checker.attach
+        (Checker.Attach.spec grid_sampler
+           (Checker.Attach.grid ~clock_period:Des56_iface.clock_period ()))
+        kernel grid_properties
   in
   let outputs = ref [] in
   Process.spawn kernel ~name:"driver" (fun () ->
@@ -393,8 +391,9 @@ let run_des56_tlm_lt ?(properties = []) ?sim_engine ?metrics ?(gap_cycles = 2)
   let resolve = Des56_tlm_lt.resolve model in
   let sampler = pool_sampler kernel resolve in
   let checkers =
-    attach_pool kernel (Checker.Attach.transaction initiator) sampler
-      properties
+    Checker.attach
+      (Checker.Attach.spec sampler (Checker.Attach.transaction initiator))
+      kernel properties
   in
   let outputs = ref [] in
   Process.spawn kernel ~name:"driver" (fun () ->
@@ -453,8 +452,9 @@ let run_colorconv_rtl ?(properties = []) ?sim_engine ?metrics ?(record_trace = f
   let resolve = Colorconv_rtl.resolve model in
   let sampler = pool_sampler kernel resolve in
   let checkers =
-    attach_pool kernel (Checker.Attach.clock_edge clock) sampler
-      properties
+    Checker.attach
+      (Checker.Attach.spec sampler (Checker.Attach.clock_edge clock))
+      kernel properties
   in
   let recorder = Trace_rec.create () in
   if record_trace then
@@ -545,9 +545,10 @@ let run_colorconv_tlm_ca ?(properties = []) ?sim_engine ?metrics
         (Colorconv_iface.env_of (Colorconv_tlm_ca.observables model)));
   let sampler = pool_sampler kernel resolve in
   let checkers =
-    attach_pool kernel
-      (Checker.Attach.transaction_unabstracted initiator)
-      sampler properties
+    Checker.attach
+      (Checker.Attach.spec sampler
+         (Checker.Attach.transaction_unabstracted initiator))
+      kernel properties
   in
   let outputs = ref [] in
   Process.spawn kernel ~name:"driver" (fun () ->
@@ -648,11 +649,13 @@ let run_colorconv_tlm_at ?(properties = []) ?(grid_properties = []) ?sim_engine
   let sampler = pool_sampler kernel resolve in
   let grid_sampler = pool_sampler kernel resolve in
   let checkers =
-    attach_pool kernel (Checker.Attach.transaction initiator) sampler
-      properties
-    @ attach_pool kernel
-        (Checker.Attach.grid ~clock_period:Colorconv_iface.clock_period ())
-        grid_sampler grid_properties
+    Checker.attach
+      (Checker.Attach.spec sampler (Checker.Attach.transaction initiator))
+      kernel properties
+    @ Checker.attach
+        (Checker.Attach.spec grid_sampler
+           (Checker.Attach.grid ~clock_period:Colorconv_iface.clock_period ()))
+        kernel grid_properties
   in
   let latency_ns = Colorconv_iface.latency * period in
   (* Build the agenda. *)

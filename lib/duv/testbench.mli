@@ -88,15 +88,6 @@ val metrics_json :
     [checker.sampler.evals]. *)
 val pool_sampler : Tabv_sim.Kernel.t -> Expr.resolver -> Sampler.t
 
-(** Attach every property through the unified {!Checker.attach} entry
-    point with one shared mode/sampler. *)
-val attach_pool :
-  Tabv_sim.Kernel.t ->
-  Checker.Attach.mode ->
-  Sampler.t ->
-  Property.t list ->
-  Checker.t list
-
 (** End-of-run registry snapshot; [[]] when the kernel's registry is
     disabled (so default runs never pay for snapshotting). *)
 val metrics_snapshot :

@@ -306,6 +306,7 @@ let run_classic ?until ?(guard = default_guard) t =
   if t.running then invalid_arg "Kernel.run: already running";
   t.running <- true;
   t.stopping <- false;
+  t.containing <- guard.contain_crashes;
   t.crash <- None;
   t.diagnosis <- Completed;
   let steps0 = t.time_advances in
@@ -332,11 +333,7 @@ let run_classic ?until ?(guard = default_guard) t =
                continuation is lost with the exception), the rest of
                the design keeps simulating, and the first crash is
                attributed to the last labelled process. *)
-            t.contained_crashes <- t.contained_crashes + 1;
-            if t.crash = None then begin
-              let name = if t.label = "" then "<anonymous>" else t.label in
-              t.crash <- Some (name, Printexc.to_string e)
-            end
+            record_crash t e
         done
       else
         while not (Queue.is_empty t.runnable) && not t.stopping do
@@ -405,7 +402,11 @@ let run_classic ?until ?(guard = default_guard) t =
       end
     end
   in
-  Fun.protect ~finally:(fun () -> t.running <- false) (fun () -> loop ());
+  Fun.protect
+    ~finally:(fun () ->
+      t.running <- false;
+      t.containing <- false)
+    (fun () -> loop ());
   conclude ?until t !tripped
 
 (* --- compiled engine: static-schedule loop over the vector queues ----- *)

@@ -154,13 +154,15 @@ val stopping : t -> bool
 
 (** {2 Block-runner hooks}
 
-    A fused activation block replays several process bodies from one
-    scheduled action; these hooks let it keep the per-activation
-    bookkeeping identical to the evaluation loop's own. *)
+    A fused activation block ({!Elab}) or a checker pool's stepper
+    ([Checker.attach]) runs several bodies from one scheduled action;
+    these hooks let it keep the per-activation bookkeeping identical
+    to the evaluation loop's own. *)
 
 (** Is the current run containing crashes ([guard.contain_crashes])?
-    Blocks use this to decide whether to attribute and contain
-    per-body exceptions. *)
+    True during a {!run} given such a guard, on either engine, and
+    false outside runs.  Blocks use this to decide whether to
+    attribute and contain per-body exceptions. *)
 val containing : t -> bool
 
 (** Count one extra evaluation-phase activation (the loop counts the

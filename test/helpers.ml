@@ -221,6 +221,6 @@ let monitor ?sampler property =
   in
   Tabv_checker.Monitor.create ~sampler property
 
-let monitor_step ?stuttered m ~time lookup =
+let monitor_step m ~time lookup =
   current_lookup := lookup;
-  Tabv_checker.Monitor.step ?stuttered m ~time
+  Tabv_checker.Monitor.step m ~time

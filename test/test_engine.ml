@@ -348,6 +348,72 @@ let random_cases =
         run_random_netlist Kernel.Classic spec
         = run_random_netlist Kernel.Compiled spec) ]
 
+(* --- checker pools ----------------------------------------------------- *)
+
+let engines = [ ("classic", Kernel.Classic); ("compiled", Kernel.Compiled) ]
+let containing_guard = { Kernel.default_guard with contain_crashes = true }
+
+let pool_cases =
+  List.map
+    (fun (name, engine) ->
+      case ("containing is set during a containing run, " ^ name) (fun () ->
+          let seen = ref [] in
+          let run guard =
+            let kernel = Kernel.create ~engine () in
+            Kernel.schedule_at kernel ~time:5 (fun () ->
+                seen := Kernel.containing kernel :: !seen);
+            ignore (Kernel.run ?guard kernel);
+            Kernel.containing kernel
+          in
+          Alcotest.(check bool) "reset after a containing run" false
+            (run (Some containing_guard));
+          Alcotest.(check bool) "reset after a plain run" false (run None);
+          Alcotest.(check (list bool)) "seen during each run" [ false; true ]
+            !seen))
+    engines
+  @ List.map
+      (fun (name, engine) ->
+        case ("a raising atom fails only the monitors that read it, " ^ name)
+          (fun () ->
+            (* [rdy + 1 = 1] adds an int to a bool: every read raises.
+               The pool primes every atom once per edge, so before a
+               raising atom was skipped by the prime it was charged to
+               whichever monitor primed first. *)
+            let property name source =
+              Tabv_psl.Parser.property_exn ~name (source ^ " @clk_pos")
+            in
+            let good1 = property "good1" "always (!rdy || !rdy_next_cycle)"
+            and bad = property "bad" "always (rdy + 1 = 1)"
+            and good2 = property "good2" "always (!ds || next[17](rdy))" in
+            let ops = Workload.des56 ~seed:3 ~count:4 () in
+            let run properties =
+              Tabv_checker.Progression.reset_universe ();
+              Testbench.run_des56_rtl ~sim_engine:engine ~guard:containing_guard
+                ~properties ops
+            in
+            let stat r name =
+              List.find
+                (fun (s : Testbench.checker_stat) -> s.property_name = name)
+                r.Testbench.checker_stats
+            in
+            let with_bad = run [ good1; bad; good2 ]
+            and without = run [ good1; good2 ] in
+            List.iter
+              (fun name ->
+                Alcotest.(check bool)
+                  (name ^ " snapshot unaffected")
+                  true
+                  (stat with_bad name = stat without name))
+              [ "good1"; "good2" ];
+            Alcotest.(check bool) "the well-typed monitors stepped" true
+              ((stat with_bad "good1").steps > 0);
+            Alcotest.(check bool) "the crashes were contained" true
+              (match with_bad.Testbench.diagnosis with
+               | Kernel.Process_crashed _ -> true
+               | _ -> false)))
+      engines
+
 let suite =
   ( "engine",
-    duv_cases @ vcd_cases @ levelization_cases @ fused_cases @ random_cases )
+    duv_cases @ vcd_cases @ levelization_cases @ fused_cases @ random_cases
+    @ pool_cases )

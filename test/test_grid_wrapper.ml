@@ -74,7 +74,7 @@ let cases =
           (Tabv_checker.Checker.Attach.spec
              (Tabv_checker.Sampler.create (fun _ -> None))
              (Tabv_checker.Checker.Attach.grid ~clock_period:10 ()))
-          kernel Des56_props.p1
+          kernel [ Des56_props.p1 ]
       with
       | _ -> Alcotest.fail "expected Invalid_argument"
       | exception Invalid_argument _ -> ()) ]

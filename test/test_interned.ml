@@ -75,11 +75,67 @@ let verdicts_agree (f, trace) =
   done;
   !ok
 
+(* A state reading [n] atoms: [always] over their disjunction, so the
+   one state steps to itself (or fails) on every valuation. *)
+let wide_state n =
+  let source =
+    String.concat " || " (List.init n (fun i -> Printf.sprintf "a%d" i))
+  in
+  Parser.formula_only (Printf.sprintf "always (%s)" source)
+
+(* Step [f] over random valuations of its [n] atoms, memo and legacy
+   side by side, restarting from the initial state after a failure. *)
+let wide_rows_agree n valuations =
+  let f = wide_state n in
+  let initial = Progression.of_formula f in
+  let ob = ref initial and leg = ref (Legacy.of_formula f) in
+  List.for_all
+    (fun bits ->
+      let lookup name =
+        Scanf.sscanf_opt name "a%d" (fun i -> Expr.VBool (bits land (1 lsl i) <> 0))
+      in
+      ob := Helpers.progression_step ~time:0 lookup !ob;
+      leg := Legacy.step ~time:0 lookup !leg;
+      let agree = Progression.verdict !ob = Legacy.verdict !leg in
+      if Progression.is_false !ob then begin
+        ob := initial;
+        leg := Legacy.of_formula f
+      end;
+      agree)
+    valuations
+
+let arb_valuations n =
+  (* Mostly all-true valuations (the state survives), some sparse ones. *)
+  let all = (1 lsl n) - 1 in
+  QCheck.make
+    QCheck.Gen.(
+      list_size (int_range 1 40)
+        (frequency [ (3, return all); (2, int_bound all); (1, return 0) ]))
+
 let step_equivalence_cases =
   [ Helpers.qtest ~count:500 "interned progression = legacy progression (untimed)"
       Helpers.arb_nnf_and_trace verdicts_agree;
     Helpers.qtest ~count:500 "interned progression = legacy progression (timed)"
-      Helpers.arb_timed_nnf_and_trace verdicts_agree ]
+      Helpers.arb_timed_nnf_and_trace verdicts_agree;
+    case "memo rows over eight atoms are dense, wider rows hashed" (fun () ->
+      let row n =
+        let ob = Progression.of_formula (wide_state n) in
+        let all_true name =
+          if String.length name > 0 && name.[0] = 'a' then Some (Expr.VBool true)
+          else None
+        in
+        ignore (Helpers.progression_step ~time:0 all_true ob);
+        match Progression.memo_row ob with
+        | Progression.Dense_row atoms -> ("dense", Array.length atoms)
+        | Progression.Hashed_row atoms -> ("hashed", Array.length atoms)
+        | Progression.Unstepped | Progression.Unmemoizable_row -> ("none", 0)
+      in
+      Alcotest.(check (pair string int)) "8 atoms" ("dense", 8) (row 8);
+      Alcotest.(check (pair string int)) "9 atoms" ("hashed", 9) (row 9));
+    Helpers.qtest ~count:200 "a hashed memo row = legacy progression"
+      (arb_valuations 10) (wide_rows_agree 10);
+    Helpers.qtest ~count:200 "a dense memo row = legacy progression"
+      (arb_valuations 6) (wide_rows_agree 6) ]
 
 (* --- monitor-level equivalence ------------------------------------- *)
 

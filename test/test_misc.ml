@@ -113,11 +113,15 @@ let wrapper_sizing_cases =
         Parser.property_exn ~name:"q3" "always (!ds || nexte[1,170](rdy)) @tb"
       in
       let wrapper =
-        Tabv_checker.Checker.attach
-          (Tabv_checker.Checker.Attach.spec
-             (Tabv_checker.Sampler.create (fun _ -> None))
-             (Tabv_checker.Checker.Attach.transaction initiator))
-          kernel q3
+        match
+          Tabv_checker.Checker.attach
+            (Tabv_checker.Checker.Attach.spec
+               (Tabv_checker.Sampler.create (fun _ -> None))
+               (Tabv_checker.Checker.Attach.transaction initiator))
+            kernel [ q3 ]
+        with
+        | [ wrapper ] -> wrapper
+        | _ -> Alcotest.fail "one checker per property"
       in
       Alcotest.(check int) "17 slots" 17
         (Tabv_checker.Checker.array_size wrapper ~clock_period:10));
@@ -128,11 +132,15 @@ let wrapper_sizing_cases =
         Parser.property_exn ~name:"q" "always (!ds || nexte[1,25](rdy)) @tb"
       in
       let wrapper =
-        Tabv_checker.Checker.attach
-          (Tabv_checker.Checker.Attach.spec
-             (Tabv_checker.Sampler.create (fun _ -> None))
-             (Tabv_checker.Checker.Attach.transaction initiator))
-          kernel q
+        match
+          Tabv_checker.Checker.attach
+            (Tabv_checker.Checker.Attach.spec
+               (Tabv_checker.Sampler.create (fun _ -> None))
+               (Tabv_checker.Checker.Attach.transaction initiator))
+            kernel [ q ]
+        with
+        | [ wrapper ] -> wrapper
+        | _ -> Alcotest.fail "one checker per property"
       in
       Alcotest.(check int) "3 slots" 3
         (Tabv_checker.Checker.array_size wrapper ~clock_period:10)) ]

@@ -171,7 +171,82 @@ let coverage_cases =
       let summary = Coverage.summarize [ monitor ] in
       Alcotest.(check bool) "clean" true (Coverage.clean summary)) ]
 
+(* --- stutter replay ---------------------------------------------------- *)
+
+(* A pool of one over mutable signals, advanced the way the live pool
+   stepper advances it: prime once per instant, then [Monitor.advance]
+   with the pool's valuation. *)
+let replay_fixture source =
+  let a = ref false and b = ref false in
+  (* Preallocated values, as the DUV resolvers return: the fixture's
+     reads must not allocate either. *)
+  let vtrue = Expr.VBool true and vfalse = Expr.VBool false in
+  let read r () = if !r then vtrue else vfalse in
+  let sampler =
+    Sampler.create (function
+      | "a" -> Some (read a)
+      | "b" -> Some (read b)
+      | _ -> None)
+  in
+  let monitor = Monitor.create ~sampler (prop source) in
+  let advance time =
+    Monitor.advance monitor ~time
+      ~valuation:(Sampler.prime_valuation sampler ~time)
+  in
+  (a, b, sampler, monitor, advance)
+
+let replay_cases =
+  [ case "an idle step and its replays allocate nothing" (fun () ->
+      let _, _, _, monitor, advance = replay_fixture "always(!a || next(b))" in
+      advance 0;
+      advance 10;
+      let words f =
+        let before = Gc.minor_words () in
+        f ();
+        Gc.minor_words () -. before
+      in
+      let empty = words (fun () -> ()) in
+      let loop =
+        words (fun () ->
+            for i = 2 to 1001 do
+              advance (10 * i)
+            done)
+      in
+      Alcotest.(check (float 0.)) "minor words" empty loop;
+      Alcotest.(check int) "every point counted" 1002 (Monitor.steps monitor);
+      Alcotest.(check int) "every point passed trivially" 1002
+        (Monitor.trivial_passes monitor));
+    case "a one-shot property's first step is not replayed" (fun () ->
+      let _, _, _, monitor, advance = replay_fixture "(!a || b)" in
+      List.iter advance [ 0; 10; 20; 30 ];
+      Alcotest.(check int) "steps" 4 (Monitor.steps monitor);
+      Alcotest.(check int) "one activation, passed trivially" 1
+        (Monitor.passes monitor));
+    case "replay moves the sampler and universe counters like stepping"
+      (fun () ->
+        (* The same points stepped for real (valuation unknown) and
+           through the pool's valuation: identical counters. *)
+        let run replay =
+          Progression.reset_universe ();
+          let a, b, sampler, monitor, _ = replay_fixture "always(!a || next(b))" in
+          List.iteri
+            (fun i (va, vb) ->
+              a := va;
+              b := vb;
+              let time = 10 * i in
+              let valuation = Sampler.prime_valuation sampler ~time in
+              Monitor.advance monitor ~time
+                ~valuation:(if replay then valuation else -1))
+            [ (false, false); (false, false); (true, false); (false, true);
+              (false, true); (false, true); (false, false); (false, false) ];
+          let c = Progression.cache_stats () in
+          ( Monitor.snapshot monitor,
+            (Sampler.queries sampler, Sampler.evals sampler),
+            (c.Progression.cache_hits, c.Progression.cache_misses) )
+        in
+        Alcotest.(check bool) "identical" true (run true = run false)) ]
+
 let suite =
   ("monitor",
    activation_cases @ failure_cases @ gating_cases @ normalisation_cases
-   @ vacuity_cases @ coverage_cases)
+   @ vacuity_cases @ coverage_cases @ replay_cases)

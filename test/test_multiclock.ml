@@ -106,11 +106,15 @@ let e2e_cases =
       in
       (* The two checkers sample different clocks: one sampler each. *)
       let attach ?clocks property =
-        Tabv_checker.Checker.attach
-          (Tabv_checker.Checker.Attach.spec
-             (Tabv_checker.Sampler.create resolve)
-             (Tabv_checker.Checker.Attach.clock_edge ?clocks clk_a))
-          kernel property
+        match
+          Tabv_checker.Checker.attach
+            (Tabv_checker.Checker.Attach.spec
+               (Tabv_checker.Sampler.create resolve)
+               (Tabv_checker.Checker.Attach.clock_edge ?clocks clk_a))
+            kernel [ property ]
+        with
+        | [ checker ] -> checker
+        | _ -> Alcotest.fail "one checker per property"
       in
       let named = attach ~clocks:[ ("clkB", clk_b) ] property in
       let default = attach wrong_clock in
@@ -131,7 +135,7 @@ let e2e_cases =
           (Tabv_checker.Checker.Attach.spec
              (Tabv_checker.Sampler.create (fun _ -> None))
              (Tabv_checker.Checker.Attach.clock_edge clk))
-          kernel p
+          kernel [ p ]
       with
       | _ -> Alcotest.fail "expected Invalid_argument"
       | exception Invalid_argument _ -> ()) ]
