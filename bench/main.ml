@@ -244,14 +244,24 @@ let recorded_trace result =
   | Some trace -> trace
   | None -> failwith "testbench recorded no trace"
 
-(* Replay through the shipped monitors with the offline stutter fast
-   path off: the backend comparisons below isolate the per-step
-   checker cost, and the fast path would skip steps on the shipped
-   side only, inflating the ratios. *)
+(* Replay through the shipped monitors with a real [Monitor.step] at
+   every sample, never a replay: the backend comparisons below time the
+   per-step checker cost, and replaying idle steps on the shipped side
+   only would inflate the ratios.  [Reference_monitor.run] feeds the
+   oracle side the same way. *)
 let replay_run props trace =
-  let open Tabv_checker.Offline in
-  let module R = Run (Monitors) in
-  R.over_trace (Monitors.config ~stutter:false props) trace
+  let open Tabv_checker in
+  let env = ref [] in
+  let sampler = Sampler.create (Expr.env_resolver env) in
+  let pool = List.map (fun p -> (p, Monitor.create ~sampler p)) props in
+  Seq.iter
+    (function
+      | Tabv_trace.Entry.Sample { time; env = sample } ->
+        env := sample;
+        List.iter (fun (_, m) -> Monitor.step m ~time) pool
+      | Tabv_trace.Entry.Span _ -> ())
+    (Tabv_trace.Entry.of_trace trace);
+  pool
 
 (* Generator independence (Sec. IV): one recorded DES56 RTL run
    re-checked by the shipped progression monitors and by reference
@@ -845,9 +855,11 @@ let trace_gate_size_pct = 20.0
    DES56 interface, the bread-and-butter regression properties a
    recheck campaign sweeps after every abstraction tweak.  Invariants
    keep the checker cost roughly proportional on both sides, so the
-   ratio measures what the trace subsystem actually saves: replaying a
-   stored valuation stream (plus the offline stutter fast path) versus
-   re-running the RTL simulation. *)
+   ratio measures what the trace subsystem actually saves: decoding a
+   stored valuation stream and stepping it through the live pool's
+   replay rule ([Offline]: one prime per changed sample, an idle step's
+   counters replayed) versus re-running the RTL simulation with the
+   same pool attached. *)
 let trace_gate_props =
   List.init 10 (fun i ->
       Parser.property_exn
@@ -878,8 +890,9 @@ let trace_gate ~quick =
   (* Eight idle cycles between operations: a bus master that issues
      back-to-back with zero think time is the unrealistic extreme, and
      idle cycles are exactly where the trace subsystem earns its keep
-     (a stuttered sample is two bytes on disk and a counter bump on
-     replay, but a full simulated cycle plus checker steps live). *)
+     (a stuttered sample is two bytes on disk and, offline, a reused
+     valuation and a counter bump per monitor, but a full simulated
+     cycle plus a pool step live). *)
   let gap_cycles = 8 in
   let live () =
     Tabv_checker.Progression.reset_universe ();

@@ -53,60 +53,56 @@ let abstract_cmd =
                  language (ready for 'tabv check -p FILE' or 'tabv replay').")
   in
   let run file clock_period clock_periods removed summary json output =
-    match Parser.file (Cli.read_file file) with
-    | exception Parser.Parse_error { line; col; message } ->
-      Printf.eprintf "%s:%d:%d: %s\n" file line col message;
-      exit 1
-    | properties ->
-      let reports =
-        Tabv_core.Methodology.abstract_all ~clock_period ~clock_periods
-          ~abstracted_signals:removed properties
-      in
-      if json then
-        print_endline
-          (Tabv_core.Report_json.to_string (Tabv_core.Report_json.of_reports reports))
-      else if summary then Format.printf "%a@." Tabv_core.Methodology.pp_summary reports
-      else
-        List.iter (fun r -> Format.printf "%a@.@." Tabv_core.Methodology.pp_report r) reports;
-      (* Emit the surviving TLM property set on stdout in re-parseable
-         form. *)
-      let survivors = Tabv_core.Methodology.surviving reports in
-      if survivors <> [] && not json then begin
-        print_endline "-- abstracted TLM properties:";
-        List.iter
-          (fun q ->
-            Format.printf "property %s = %a %a;@." q.Property.name Ltl.pp
+    let properties = Cli.parse_props_file file in
+    let reports =
+      Tabv_core.Methodology.abstract_all ~clock_period ~clock_periods
+        ~abstracted_signals:removed properties
+    in
+    if json then
+      print_endline
+        (Tabv_core.Report_json.to_string (Tabv_core.Report_json.of_reports reports))
+    else if summary then Format.printf "%a@." Tabv_core.Methodology.pp_summary reports
+    else
+      List.iter (fun r -> Format.printf "%a@.@." Tabv_core.Methodology.pp_report r) reports;
+    (* Emit the surviving TLM property set on stdout in re-parseable
+       form. *)
+    let survivors = Tabv_core.Methodology.surviving reports in
+    if survivors <> [] && not json then begin
+      print_endline "-- abstracted TLM properties:";
+      List.iter
+        (fun q ->
+          Format.printf "property %s = %a %a;@." q.Property.name Ltl.pp
+            q.Property.formula Context.pp q.Property.context)
+        survivors
+    end;
+    match output with
+    | None -> ()
+    | Some path ->
+      let oc = open_out path in
+      let ppf = Format.formatter_of_out_channel oc in
+      Format.fprintf ppf "-- abstracted from %s (clock %d ns%s)@." file clock_period
+        (if removed = [] then ""
+         else "; removed: " ^ String.concat ", " removed);
+      List.iter
+        (fun r ->
+          match r.Tabv_core.Methodology.output with
+          | None -> ()
+          | Some q ->
+            if r.Tabv_core.Methodology.requires_review then
+              Format.fprintf ppf
+                "-- NOTE: %s requires human review (signal abstraction was not a \
+                 pure weakening)@."
+                q.Property.name;
+            if Tabv_core.Methodology.needs_dense_trace q.Property.formula then
+              Format.fprintf ppf
+                "-- NOTE: %s needs full-grid transactions (use the grid wrapper)@."
+                q.Property.name;
+            Format.fprintf ppf "property %s = %a %a;@." q.Property.name Ltl.pp
               q.Property.formula Context.pp q.Property.context)
-          survivors
-      end;
-      match output with
-      | None -> ()
-      | Some path ->
-        let oc = open_out path in
-        let ppf = Format.formatter_of_out_channel oc in
-        Format.fprintf ppf "-- abstracted from %s (clock %d ns%s)@." file clock_period
-          (if removed = [] then ""
-           else "; removed: " ^ String.concat ", " removed);
-        List.iter
-          (fun r ->
-            match r.Tabv_core.Methodology.output with
-            | None -> ()
-            | Some q ->
-              if r.Tabv_core.Methodology.requires_review then
-                Format.fprintf ppf
-                  "-- NOTE: %s requires human review (signal abstraction was not a \
-                   pure weakening)@."
-                  q.Property.name;
-              if Tabv_core.Methodology.needs_dense_trace q.Property.formula then
-                Format.fprintf ppf
-                  "-- NOTE: %s needs full-grid transactions (use the grid wrapper)@."
-                  q.Property.name;
-              Format.fprintf ppf "property %s = %a %a;@." q.Property.name Ltl.pp
-                q.Property.formula Context.pp q.Property.context)
-          reports;
-        Format.pp_print_flush ppf ();
-        close_out oc;
-        Printf.printf "wrote %d properties to %s\n" (List.length survivors) path
+        reports;
+      Format.pp_print_flush ppf ();
+      close_out oc;
+      Printf.printf "wrote %d properties to %s\n" (List.length survivors) path
   in
   let doc = "Abstract RTL properties into TLM properties (Methodology III.1)." in
   Cmd.v (Cmd.info "abstract" ~doc)
@@ -366,10 +362,7 @@ let recheck_cmd =
        from a live check.  (An empty trace has no dictionary; nothing
        is sampled either, so any property set is fine.) *)
     if trace_signals <> [] then begin
-      let missing =
-        List.concat_map (Property.unknown_signals ~known:trace_signals) properties
-        |> List.sort_uniq compare
-      in
+      let missing = Property.missing_signals ~known:trace_signals properties in
       if missing <> [] then
         fail
           (Format.asprintf
@@ -477,21 +470,12 @@ let replay_cmd =
         Printf.eprintf "%s:%d: %s\n" vcd line message;
         exit 1
     in
-    let properties =
-      match Parser.file (Cli.read_file props) with
-      | properties -> properties
-      | exception Parser.Parse_error { line; col; message } ->
-        Printf.eprintf "%s:%d:%d: %s\n" props line col message;
-        exit 1
-    in
+    let properties = Cli.parse_props_file props in
     let trace = waveform.Tabv_sim.Vcd_reader.trace in
     let known = List.map fst waveform.Tabv_sim.Vcd_reader.signals in
     (* Same gate as recheck: a property sampling a signal the waveform
        does not carry would die mid-replay on an unbound signal. *)
-    (match
-       List.concat_map (Property.unknown_signals ~known) properties
-       |> List.sort_uniq compare
-     with
+    (match Property.missing_signals ~known properties with
      | [] -> ()
      | missing ->
        Cli.fail "replay"
@@ -501,10 +485,7 @@ let replay_cmd =
     Printf.printf "replaying %d evaluation points over %d signals\n"
       (Trace.length trace) (List.length known);
     let open Tabv_checker in
-    let module R = Offline.Run (Offline.Monitors) in
-    let monitors =
-      List.map snd (R.over_trace (Offline.Monitors.config properties) trace)
-    in
+    let monitors = Offline.over_trace properties trace in
     Format.printf "%a@." Coverage.pp_table monitors;
     if List.exists (fun m -> Monitor.failures m <> []) monitors then exit 1
   in

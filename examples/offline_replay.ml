@@ -19,16 +19,9 @@ let vcd_path = Filename.temp_file "tabv_offline" ".vcd"
 
 let dump_trace trace = Trace_dump.to_file trace vcd_path
 
-module Monitors_run = Tabv_checker.Offline.Run (Tabv_checker.Offline.Monitors)
-
 let replay title trace =
   Printf.printf "\n=== %s ===\n" title;
-  let monitors =
-    List.map snd
-      (Monitors_run.over_trace
-         (Tabv_checker.Offline.Monitors.config Des56_props.all)
-         trace)
-  in
+  let monitors = Tabv_checker.Offline.over_trace Des56_props.all trace in
   Format.printf "%a@." Tabv_checker.Coverage.pp_table monitors
 
 let () =
@@ -41,7 +34,7 @@ let () =
     | None -> failwith "no trace recorded"
   in
   dump_trace trace;
-  Printf.printf "recorded %d evaluation points into %s\n" (Trace.length trace) vcd_path;
+  Printf.printf "recorded %d evaluation points into a VCD file\n" (Trace.length trace);
 
   (* 2. Read back. *)
   let waveform = Vcd_reader.load vcd_path in

@@ -14,8 +14,6 @@ let property_source p =
   Format.asprintf "property %s = %a %a;" p.Property.name Ltl.pp
     p.Property.formula Context.pp p.Property.context
 
-module Monitors_run = Tabv_checker.Offline.Run (Tabv_checker.Offline.Monitors)
-
 let exec_chunk ~trace ~properties =
   (* Fresh universe per chunk, as Campaign.exec_job does per job: the
      verdict fields are universe-independent anyway, but a bounded
@@ -24,13 +22,11 @@ let exec_chunk ~trace ~properties =
   Tabv_checker.Progression.reset_universe ();
   Tabv_trace.Reader.with_file trace (fun reader ->
       let monitors =
-        Monitors_run.over_seq
-          (Tabv_checker.Offline.Monitors.config properties)
-          (Tabv_trace.Reader.to_seq reader)
+        Tabv_checker.Offline.over_seq properties (Tabv_trace.Reader.to_seq reader)
       in
       ( Tabv_trace.Reader.samples reader,
         Tabv_trace.Reader.spans reader,
-        Tabv_checker.Offline.Monitors.snapshots monitors ))
+        Tabv_checker.Offline.snapshots monitors ))
 
 let probe path =
   Tabv_trace.Reader.with_file path (fun reader ->

@@ -7,8 +7,8 @@ open Tabv_psl
     campaign executors — worker domains in-process or crash-isolated
     worker subprocesses — with the property set split into contiguous
     per-worker chunks.  Each chunk streams the trace independently
-    through [Offline.Run(Offline.Monitors)] (bounded memory) with a
-    fresh checker universe, so the merged per-property verdicts are
+    through [Offline.over_seq] (bounded memory) with a fresh checker
+    universe, so the merged per-property verdicts are
     byte-identical for any worker count and either executor — and to
     the live check of the same run. *)
 

@@ -41,20 +41,17 @@ type t = {
   mutable trivial_passes : int;
   mutable cache_hits : int;
   mutable cache_misses : int;
-  (* Stutter replay.  A real step that changed nothing but counters
-     leaves [replayable] set and its counter deltas in [d_*]; under a
-     known pool valuation it also leaves the sampler bits of the atoms
-     it read in [memo_mask] and their values in [memo_valuation] ([-1]
-     when unknown).  A later evaluation point with the same values on
-     [memo_mask] re-applies the deltas instead of stepping.  Such a
-     step reads the gate ([gate_mask]) and, when it activates, the
-     atoms of [initial]'s memo row ([activation_mask], [-1] until
-     first needed).  Plain {!step} records only once [memo_enabled]
-     (offline pools). *)
+  (* Stutter replay.  A real step taken by {!advance} that changed
+     nothing but counters leaves [replayable] set, its counter deltas
+     in [d_*], the sampler bits of the atoms it read in [memo_mask] and
+     their values in [memo_valuation].  A later evaluation point with
+     the same values on [memo_mask] re-applies the deltas instead of
+     stepping.  Such a step reads the gate ([gate_mask]) and, when it
+     activates, the atoms of [initial]'s memo row ([activation_mask],
+     [-1] until first needed). *)
   gate_mask : int;
   mutable activation_mask : int;
   mutable stats : Progression.handle;  (* universe of the last real step *)
-  mutable memo_enabled : bool;
   mutable replayable : bool;
   mutable memo_mask : int;
   mutable memo_valuation : int;
@@ -122,7 +119,6 @@ let create ~sampler property =
        | None -> 0);
     activation_mask = -1;
     stats = Progression.handle ();
-    memo_enabled = false;
     replayable = false;
     memo_mask = 0;
     memo_valuation = -1;
@@ -276,16 +272,16 @@ let activation_mask t =
   end;
   t.activation_mask
 
-(* A real step that records its counter deltas.  It is replayable only
-   if it changed nothing but counters: the sampler's prime completed,
-   no failure was recorded, no cache or sampler-slot miss occurred,
-   and either it was gated out (a no-op on any multiset) or no
-   instance was live before or after it, it did not start a
-   non-repeating monitor (whose later steps no longer activate) and
-   its activation did not progress a timed formula (which bypasses
-   the memo and interns an [at] state per instant).  An untimed
-   activation without a miss was a memo hit, so it interned nothing.
-   The flag is cleared first, so a step that raises is never
+(* A real step under the pool's [valuation] that records its counter
+   deltas.  It is replayable only if it changed nothing but counters:
+   the sampler's prime completed, no failure was recorded, no cache or
+   sampler-slot miss occurred, and either it was gated out (a no-op on
+   any multiset) or no instance was live before or after it, it did
+   not start a non-repeating monitor (whose later steps no longer
+   activate) and its activation did not progress a timed formula
+   (which bypasses the memo and interns an [at] state per instant).
+   An untimed activation without a miss was a memo hit, so it interned
+   nothing.  The flag is cleared first, so a step that raises is never
    replayed. *)
 let step_recording t ~time ~valuation =
   t.replayable <- false;
@@ -319,59 +315,39 @@ let step_recording t ~time ~valuation =
       && t.cache_misses = misses0
       && t.counts.evals = evals0
       && (d_steps = 0 || (idle_before && t.live == []));
-    if t.replayable && valuation >= 0 then begin
+    if t.replayable then begin
       let mask =
         if d_steps = 0 || not t.repeating then t.gate_mask else activation_mask t
       in
       t.memo_mask <- mask;
       t.memo_valuation <- valuation land mask
     end
-    else t.memo_valuation <- -1
   end
-
-let enable_memo t = t.memo_enabled <- true
 
 let step t ~time =
-  if t.memo_enabled then step_recording t ~time ~valuation:(-1)
-  else begin
-    t.replayable <- false;
-    step_core t (Progression.handle ()) ~time
-  end
+  t.replayable <- false;
+  step_core t (Progression.handle ()) ~time
 
-let can_replay t = t.replayable
-
-(* Re-apply the recorded deltas: the monitor's counters, the memo hits
-   in the universe and the sampler queries the step would have made.
-   A replayable step never activates non-trivially, settles a live
-   instance or misses, so its only passes are trivial ones and the
+(* Re-apply the recorded deltas once: the monitor's counters, the memo
+   hits in the universe and the sampler queries the step would have
+   made.  A replayable step never activates non-trivially, settles a
+   live instance or misses, so its only passes are trivial ones and the
    other counters have no delta to re-apply. *)
-let replay t ~count =
-  if count > 0 then begin
-    if not t.replayable then invalid_arg "Monitor.replay: no replayable step";
-    t.steps <- t.steps + (count * t.d_steps);
-    t.passes <- t.passes + (count * t.d_trivial);
-    t.trivial_passes <- t.trivial_passes + (count * t.d_trivial);
-    t.cache_hits <- t.cache_hits + (count * t.d_hits);
-    t.stats.hits <- t.stats.hits + (count * t.d_hits);
-    t.counts.queries <- t.counts.queries + (count * t.d_queries)
-  end
-
-let step_stuttered t ~time:_ =
-  if t.replayable then begin
-    replay t ~count:1;
-    true
-  end
-  else false
+let replay t =
+  t.steps <- t.steps + t.d_steps;
+  t.passes <- t.passes + t.d_trivial;
+  t.trivial_passes <- t.trivial_passes + t.d_trivial;
+  t.cache_hits <- t.cache_hits + t.d_hits;
+  t.stats.hits <- t.stats.hits + t.d_hits;
+  t.counts.queries <- t.counts.queries + t.d_queries
 
 let advance t ~time ~valuation =
-  if valuation < 0 then begin
+  if valuation < 0 then
     (* Without the pool's valuation no later [advance] could replay this
-       step: skip the capture. *)
-    t.replayable <- false;
-    step_core t (Progression.handle ()) ~time
-  end
+       step: a plain step skips the capture. *)
+    step t ~time
   else if t.replayable && valuation land t.memo_mask = t.memo_valuation then
-    replay t ~count:1
+    replay t
   else step_recording t ~time ~valuation
 
 (* --- reporting ------------------------------------------------------ *)

@@ -57,7 +57,8 @@ val property : t -> Property.t
     re-applying the step's counter deltas is indistinguishable from
     stepping: every counter of the monitor, of the {!Progression}
     universe and of the {!Sampler} moves exactly as a real step would
-    move it.
+    move it.  {!advance} is the one stepper that replays; live pools
+    ({!Checker.attach}) and offline pools ({!Offline}) both use it.
 
     A real step is {e replayable} only if it changed nothing but
     counters: the sampler's prime completed (no atom raised), no
@@ -68,46 +69,20 @@ val property : t -> Property.t
     progress a timed formula (a [next_eps^tau] activation bypasses the
     memo and interns an [at] state per instant). *)
 
-(** Opt this monitor's plain {!step} into recording its counter
-    deltas for {!step_stuttered} / {!replay}.  Off by default;
-    offline re-checking pools ([Offline.Monitors.init]) turn it on.
-    {!advance} records whenever it knows the pool's valuation. *)
-val enable_memo : t -> unit
-
-(** Consume one evaluation point at instant [time].  The monitor
-    primes its sampler first ({!Sampler.prime}, idempotent per
-    instant), so the environment is read once per instant however
-    many monitors share the sampler. *)
+(** Consume one evaluation point at instant [time] with a real step,
+    never a replay.  The monitor primes its sampler first
+    ({!Sampler.prime}, idempotent per instant), so the environment is
+    read once per instant however many monitors share the sampler. *)
 val step : t -> time:int -> unit
 
-(** The live pool's stepper ({!Checker.attach}).  [valuation] is the
-    pool's {!Sampler.prime_valuation} at [time], or [-1] when unknown.
-    When it is known, the previous real step was replayable and this
+(** The pool stepper.  [valuation] is the pool's
+    {!Sampler.prime_valuation} at [time], or [-1] when unknown.  When
+    it is known, the previous real step was replayable and this
     valuation agrees with that step's on every atom it read, the step
     is replayed; otherwise a real step is taken, recording its deltas
     when the valuation is known.  Allocation free either way on an
     idle step. *)
 val advance : t -> time:int -> valuation:int -> unit
-
-(** Offline stutter fast path: the caller knows every signal this
-    monitor reads holds the same value as at the previous evaluation
-    point.  Replays the previous step and returns [true] when it was
-    replayable ({!can_replay}); returns [false] otherwise, and the
-    caller must fall back to {!step}. *)
-val step_stuttered : t -> time:int -> bool
-
-(** [can_replay t] is true when the previous real step was replayable
-    — i.e. a [step_stuttered] call right now would succeed.  Lets a
-    caller test the whole pool once at the start of a stutter run and
-    then batch. *)
-val can_replay : t -> bool
-
-(** [replay t ~count] re-applies the recorded deltas [count] times in
-    O(1), equivalent to [count] successful {!step_stuttered} calls.
-    Allocates nothing.  Precondition: {!can_replay}[ t] held when the
-    run started and no other step was taken since.
-    @raise Invalid_argument if the previous step is not replayable. *)
-val replay : t -> count:int -> unit
 
 (** End-of-simulation summary, deterministically ordered:
     chronological by failure time, and within one evaluation point in

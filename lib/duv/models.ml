@@ -41,10 +41,7 @@ let known_signals = function
 
 let check_signals model properties =
   let known = known_signals model in
-  match
-    List.concat_map (Property.unknown_signals ~known) properties
-    |> List.sort_uniq String.compare
-  with
+  match Property.missing_signals ~known properties with
   | [] -> Ok ()
   | missing ->
     Error

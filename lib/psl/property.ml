@@ -19,6 +19,10 @@ let signals t =
 let unknown_signals ~known t =
   List.filter (fun s -> not (List.mem s known)) (signals t)
 
+let missing_signals ~known properties =
+  List.sort_uniq String.compare
+    (List.concat_map (unknown_signals ~known) properties)
+
 let is_rtl t =
   match t.context with
   | Context.Clock _ -> true

@@ -19,6 +19,11 @@ val signals : t -> string list
     typos against a model's interface. *)
 val unknown_signals : known:string list -> t -> string list
 
+(** Sorted, duplicate-free signals some of [properties] mention that
+    are not in [known]: what a model or a recording lacks for checking
+    them. *)
+val missing_signals : known:string list -> t list -> string list
+
 (** True iff the property carries an RTL clock context. *)
 val is_rtl : t -> bool
 

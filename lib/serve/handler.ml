@@ -167,10 +167,7 @@ let exec_recheck ~interrupted ~trace ~props ~workers ~retries =
     if trace_signals = [] then Ok ()
     else begin
       let missing =
-        List.concat_map
-          (Tabv_psl.Property.unknown_signals ~known:trace_signals)
-          properties
-        |> List.sort_uniq compare
+        Tabv_psl.Property.missing_signals ~known:trace_signals properties
       in
       if missing = [] then Ok ()
       else

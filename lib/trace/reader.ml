@@ -217,8 +217,9 @@ let read_sample t =
   t.prev_time <- time;
   t.n_samples <- t.n_samples + 1;
   (* A change-mask-0 sample re-emits the previous env, physically —
-     no allocation, and downstream consumers (the offline stutter
-     fast path) can detect stuttering with one pointer compare. *)
+     no allocation, and downstream consumers (offline checking reuses
+     the previous valuation) can detect stuttering with one pointer
+     compare. *)
   let env =
     if (not first) && Array.length changed_bools = 0 && !changed_ints = 0 then
       t.env_cache

@@ -191,8 +191,9 @@ let evaluation_table t =
          | Auto_ob _ -> None)
        t.instances)
 
-(* Fed exactly like [Offline.Run (Offline.Monitors)] with the stutter
-   fast path off, so timing comparisons share the replay harness. *)
+(* Every sample steps every monitor, never a replay, exactly as the
+   bench harness feeds the shipped monitors ([Monitor.step] at every
+   sample), so timing comparisons share one replay loop. *)
 let run backend properties trace =
   let pool = List.map (fun p -> (p, create backend p)) properties in
   Seq.iter

@@ -637,14 +637,25 @@ let serve_cases =
         with_server
           ~configure:(fun c -> { c with Server.workers = 1 })
           (fun client socket ->
-            (* A second client fires a request and vanishes without
-               reading; its work must be discarded and the worker must
-               come back to serve the surviving client. *)
+            (* A second client fires a request and vanishes once it
+               runs; its work must be discarded and the worker must
+               come back to serve the surviving client.  Leaving only
+               after [Started] keeps the doomed job ahead of the
+               surviving one on the single worker, so its cancellation
+               is counted before the surviving result is sent. *)
             (match Client.connect (`Unix socket) with
              | Error e -> Alcotest.fail e
              | Ok doomed ->
                Client.send_request doomed ~id:0
                  (Protocol.Job (check_job ~seed:200 ~ops:400 ()));
+               let rec wait_started () =
+                 match Client.next_event doomed with
+                 | Ok (0, Protocol.Started) -> ()
+                 | Ok (0, Protocol.Accepted _) -> wait_started ()
+                 | Ok _ -> Alcotest.fail "unexpected event for the doomed job"
+                 | Error e -> Alcotest.fail e
+               in
+               wait_started ();
                Client.close doomed);
             (match Client.request client (check_job ()) with
              | Client.Result { ok = true; _ } -> ()

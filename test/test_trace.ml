@@ -2,9 +2,9 @@ open Tabv_psl
 open Tabv_trace
 
 (* The binary trace format: encode/decode round trips, damaged-file
-   refusal, the writer's same-instant last-wins buffer, the offline
-   checker runner, parallel re-checking, and the streaming reader's
-   bounded memory. *)
+   refusal, the writer's same-instant last-wins buffer, offline
+   checking against a real step at every sample, parallel re-checking,
+   and the streaming reader's bounded memory. *)
 
 let case name f = Alcotest.test_case name `Quick f
 
@@ -253,11 +253,85 @@ let des56_trace ops_count =
   | Some trace -> trace
   | None -> Alcotest.fail "testbench recorded no trace"
 
-module Monitors_run = Tabv_checker.Offline.Run (Tabv_checker.Offline.Monitors)
-module Stats_run = Tabv_checker.Offline.Run (Tabv_checker.Offline.Stats)
+(* A pool taking a real [Monitor.step] at every sample, never a
+   replay: the reference [Offline] must agree with. *)
+let step_every_sample properties entries =
+  let open Tabv_checker in
+  let env = ref [] in
+  let sampler = Sampler.create (Expr.env_resolver env) in
+  let monitors = List.map (fun p -> Monitor.create ~sampler p) properties in
+  List.iter
+    (function
+      | Entry.Sample { time; env = sample } ->
+        env := sample;
+        List.iter (fun m -> Monitor.step m ~time) monitors
+      | Entry.Span _ -> ())
+    entries;
+  Offline.snapshots monitors
+
+(* A random pool of 1-3 properties over [Helpers]' signals — [always]
+   or one-shot bodies that may hold [next_eps^tau], some gated by their
+   context — and a sample sequence on the 10 ns grid that re-emits each
+   env physically 1-5 times, as the trace reader does for unchanged
+   samples. *)
+let gen_pool_and_samples =
+  let open QCheck.Gen in
+  let gen_property i =
+    let* body = Helpers.gen_ltl_timed_nnf in
+    let* repeating = bool in
+    let* gate = opt Helpers.gen_atom_expr in
+    let context =
+      match gate with
+      | None -> Context.Transaction Context.Base_trans
+      | Some gate -> Context.Transaction (Context.Trans_and gate)
+    in
+    return
+      (Property.make ~name:(Printf.sprintf "q%d" i) ~context
+         (if repeating then Ltl.Always body else body))
+  in
+  let* count = int_range 1 3 in
+  let* properties = flatten_l (List.init count gen_property) in
+  let* runs =
+    list_size (int_range 1 12)
+      (pair Helpers.gen_env (list_size (int_range 1 5) (int_range 1 4)))
+  in
+  let _, entries =
+    List.fold_left
+      (fun acc (env, gaps) ->
+        List.fold_left
+          (fun (time, entries) gap ->
+            let time = time + (10 * gap) in
+            (time, Entry.Sample { time; env } :: entries))
+          acc gaps)
+      (0, []) runs
+  in
+  return (properties, List.rev entries)
+
+let arb_pool_and_samples =
+  QCheck.make
+    ~print:(fun (properties, entries) ->
+      Format.asprintf "@[<v>%a@,%a@]"
+        (Format.pp_print_list Property.pp)
+        properties
+        (Format.pp_print_list Entry.pp)
+        entries)
+    gen_pool_and_samples
 
 let offline_cases =
-  [ case "over_file matches over_trace on a recorded run" (fun () ->
+  [ Helpers.qtest ~count:500
+      "over_seq agrees with a real step at every sample" arb_pool_and_samples
+      (fun (properties, entries) ->
+        Tabv_checker.Progression.reset_universe ();
+        let offline =
+          Tabv_checker.Offline.snapshots
+            (Tabv_checker.Offline.over_seq properties (List.to_seq entries))
+        in
+        let offline_universe = Tabv_checker.Progression.cache_stats () in
+        Tabv_checker.Progression.reset_universe ();
+        let stepped = step_every_sample properties entries in
+        offline = stepped
+        && offline_universe = Tabv_checker.Progression.cache_stats ());
+    case "over_file matches over_trace on a recorded run" (fun () ->
       let trace = des56_trace 12 in
       let props = Tabv_duv.Des56_props.all in
       with_temp (fun path ->
@@ -267,47 +341,18 @@ let offline_cases =
                   | Entry.Sample { time; env } -> Writer.sample w ~time env
                   | Entry.Span _ -> ())
                 (Entry.of_trace trace));
-          let config = Tabv_checker.Offline.Monitors.config props in
           Tabv_checker.Progression.reset_universe ();
           let of_file =
-            Tabv_checker.Offline.Monitors.snapshots
-              (Monitors_run.over_file config path)
+            Tabv_checker.Offline.snapshots
+              (Tabv_checker.Offline.over_file props path)
           in
           Tabv_checker.Progression.reset_universe ();
           let of_trace =
-            Tabv_checker.Offline.Monitors.snapshots
-              (Monitors_run.over_trace config trace)
+            Tabv_checker.Offline.snapshots
+              (Tabv_checker.Offline.over_trace props trace)
           in
           Alcotest.(check bool) "identical snapshots" true
-            (of_file = of_trace)));
-    case "Stats checker counts points, changes and span latencies" (fun () ->
-      let open Tabv_checker.Offline.Stats in
-      let entries =
-        List.to_seq
-          [ Entry.Sample
-              { time = 0; env = [ ("a", Expr.VBool true); ("n", Expr.VInt 1) ] };
-            Entry.Span { label = "read"; start_time = 0; end_time = 20 };
-            Entry.Sample
-              { time = 10; env = [ ("a", Expr.VBool true); ("n", Expr.VInt 2) ] };
-            Entry.Span { label = "write"; start_time = 5; end_time = 10 };
-            Entry.Sample
-              { time = 30;
-                env = [ ("a", Expr.VBool false); ("n", Expr.VInt 2) ] };
-            Entry.Span { label = "read"; start_time = 10; end_time = 40 } ]
-      in
-      let stats = Stats_run.over_seq () entries in
-      Alcotest.(check int) "samples" 3 stats.samples;
-      Alcotest.(check int) "spans" 3 stats.spans;
-      Alcotest.(check int) "first" 0 stats.first_time;
-      Alcotest.(check int) "last" 30 stats.last_time;
-      Alcotest.(check bool) "changes" true
-        (stats.signals
-         = [ { signal = "a"; changes = 1 }; { signal = "n"; changes = 1 } ]);
-      Alcotest.(check bool) "span labels sorted with latencies" true
-        (stats.span_labels
-         = [ { label = "read"; count = 2; total_latency = 50; max_latency = 30 };
-             { label = "write"; count = 1; total_latency = 5; max_latency = 5 }
-           ])) ]
+            (of_file = of_trace))) ]
 
 (* --- parallel re-checking ----------------------------------------- *)
 
@@ -336,6 +381,47 @@ let recheck_cases =
           in
           let rechecked =
             Tabv_campaign.Recheck.run ~workers:2 ~retries:0 ~trace:path
+              Tabv_duv.Des56_props.all
+          in
+          Alcotest.(check string) "byte-identical" live_doc
+            (Tabv_core.Report_json.to_string
+               (Tabv_campaign.Recheck.report_json rechecked))));
+    case "a stutter-heavy recording rechecks to the live report" (fun () ->
+      (* Eight idle cycles between operations: most samples re-emit the
+         previous env, so most offline steps reuse the valuation and
+         replay. *)
+      with_temp (fun path ->
+          let ops_count = 30 in
+          let ops = Tabv_duv.Workload.des56 ~seed:42 ~count:ops_count () in
+          let run_meta =
+            { Meta.model = "des56-rtl"; seed = 42; ops = ops_count;
+              engine = "classic" }
+          in
+          let live =
+            Writer.with_file ~path run_meta (fun w ->
+                Tabv_duv.Testbench.run_des56_rtl ~gap_cycles:8 ~trace_writer:w
+                  ~properties:Tabv_duv.Des56_props.all ops)
+          in
+          let samples = ref 0 and reemitted = ref 0 and prev = ref [] in
+          Reader.with_file path (fun reader ->
+              Seq.iter
+                (function
+                  | Entry.Sample { env; _ } ->
+                    incr samples;
+                    if env == !prev then incr reemitted;
+                    prev := env
+                  | Entry.Span _ -> ())
+                (Reader.to_seq reader));
+          if 2 * !reemitted < !samples then
+            Alcotest.failf "only %d of %d samples re-emitted" !reemitted
+              !samples;
+          let live_doc =
+            Tabv_core.Report_json.to_string
+              (Tabv_duv.Models.verdict_report Tabv_duv.Models.Des56_rtl
+                 ~seed:42 ~ops:ops_count live)
+          in
+          let rechecked =
+            Tabv_campaign.Recheck.run ~workers:1 ~retries:0 ~trace:path
               Tabv_duv.Des56_props.all
           in
           Alcotest.(check string) "byte-identical" live_doc

@@ -102,13 +102,10 @@ let roundtrip_cases =
        | Some (Expr.VInt v) -> Alcotest.(check int) "value" 0xBEEF v
        | _ -> Alcotest.fail "missing out")) ]
 
-module Monitors_run = Tabv_checker.Offline.Run (Tabv_checker.Offline.Monitors)
-
-let replay properties trace =
-  Monitors_run.over_trace (Tabv_checker.Offline.Monitors.config properties) trace
+let replay = Tabv_checker.Offline.over_trace
 
 let all_passed outcomes =
-  List.for_all (fun (_, m) -> Tabv_checker.Monitor.failures m = []) outcomes
+  List.for_all (fun m -> Tabv_checker.Monitor.failures m = []) outcomes
 
 let replay_cases =
   [ case "replay passes on a conforming waveform" (fun () ->
@@ -136,8 +133,9 @@ let replay_cases =
         let outcomes = replay Tabv_duv.Des56_props.all trace in
         Alcotest.(check bool) "all pass" true (all_passed outcomes);
         List.iter
-          (fun ((property : Property.t), monitor) ->
-            if property.name <> "p8" then
+          (fun monitor ->
+            let property = Tabv_checker.Monitor.property monitor in
+            if property.Property.name <> "p8" then
               Alcotest.(check bool)
                 (property.name ^ " not vacuous")
                 false
