@@ -22,7 +22,7 @@ dune build || exit 1
 
 failed=0
 verdicts=""
-for gate in runtest cache obs campaign fault isolate sched trace serve chaos \
+for gate in runtest cache obs campaign fault isolate trace serve chaos \
   durability; do
   echo "== $gate"
   verdict=PASS

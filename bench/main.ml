@@ -728,116 +728,6 @@ let isolate_gate ~quick =
       [ holds "reports identical across executors" identical;
         at_most "subprocess / in-domain" "x" (t_sub /. t_in) isolate_gate_x ] }
 
-(* --- sched: compiled static schedule vs classic dynamic kernel ------ *)
-
-(* The compiled engine replaces the dynamic kernel's queue-of-closures
-   scheduling (a heap cell per scheduled action, a closure allocation
-   per signal update, a [List.rev] per event fire and per update
-   phase) with levelized vector queues over a dense signal arena.  Its
-   correctness contract is identical counters and byte-identical
-   metrics documents on the cache-bench workload.  The speed gate runs
-   a scheduling-dense netlist — hundreds of clocked processes with
-   trivial bodies, so event fan-out and dispatch are the whole cost.
-   A register-toggle variant (every process also drives signals, whose
-   update semantics cost the same on both engines) and the des56-rtl
-   end-to-end run are recorded for context, not gated. *)
-
-let sched_gate_x = 3.0
-
-let sched_netlist kernel ~procs ~writes =
-  let open Tabv_sim in
-  let el = Elab.create kernel in
-  let clock = Clock.create kernel ~name:"clk" ~period:10 () in
-  for p = 0 to procs - 1 do
-    let mine =
-      Array.init writes (fun w -> Elab.signal_bool el (Printf.sprintf "o_%d_%d" p w))
-    in
-    let packs = Array.to_list (Array.map (fun s -> Elab.Pack s) mine) in
-    (* [writes = 0] leaves the body trivial: the run is pure event
-       fan-out and process dispatch, the machinery under test. *)
-    Elab.process el ~name:(Printf.sprintf "reg%d" p) ~pos:__POS__
-      ~initialize:false
-      ~sensitivity:[ Clock.posedge clock ]
-      ~writes:packs
-      (fun () ->
-        for w = 0 to writes - 1 do
-          Signal.write mine.(w) (not (Signal.read mine.(w)))
-        done)
-  done;
-  el
-
-let sched_run engine ~procs ~writes ~cycles =
-  let open Tabv_sim in
-  let kernel = Kernel.create ~engine () in
-  ignore (sched_netlist kernel ~procs ~writes);
-  ignore (Kernel.run ~until:(cycles * 10) kernel);
-  ( Kernel.activation_count kernel,
-    Kernel.delta_count kernel,
-    Kernel.update_action_count kernel,
-    Kernel.now kernel )
-
-let sched_gate ~quick =
-  let open Tabv_sim in
-  let procs = 512 and writes = 4 in
-  let cycles = if quick then 1_000 else 4_000 in
-  let ops_count = if quick then 500 else 1000 in
-  let counters_agree =
-    List.for_all
-      (fun writes ->
-        sched_run Kernel.Classic ~procs ~writes ~cycles
-        = sched_run Kernel.Compiled ~procs ~writes ~cycles)
-      [ 0; writes ]
-  in
-  let ops = Workload.des56 ~seed:42 ~count:ops_count () in
-  let cache_doc engine =
-    Tabv_checker.Progression.reset_universe ();
-    let metrics = Tabv_obs.Metrics.create ~enabled:true () in
-    J.to_string
-      (Testbench.metrics_json
-         (Testbench.run_des56_rtl ~metrics ~sim_engine:engine
-            ~properties:Des56_props.all ops))
-  in
-  let identical = cache_doc Kernel.Classic = cache_doc Kernel.Compiled in
-  let netlist engine writes () = ignore (sched_run engine ~procs ~writes ~cycles) in
-  let des56 engine () = ignore (Testbench.run_des56_rtl ~sim_engine:engine ops) in
-  let timings =
-    sample ~repeat:5
-      [ ("fanout.classic_seconds", netlist Kernel.Classic 0);
-        ("fanout.compiled_seconds", netlist Kernel.Compiled 0);
-        ("register.classic_seconds", netlist Kernel.Classic writes);
-        ("register.compiled_seconds", netlist Kernel.Compiled writes);
-        ("des56.classic_seconds", des56 Kernel.Classic);
-        ("des56.compiled_seconds", des56 Kernel.Compiled) ]
-  in
-  (* One artefact object per workload: what ran, both engines'
-     minimums and their ratio. *)
-  let pair prefix workload =
-    let classic = best_of timings (prefix ^ ".classic_seconds") in
-    let compiled = best_of timings (prefix ^ ".compiled_seconds") in
-    ( classic /. compiled,
-      J.Assoc
-        (workload
-        @ [ ("classic_seconds", J.Float classic);
-            ("compiled_seconds", J.Float compiled);
-            ("speedup", J.Float (classic /. compiled)) ]) )
-  in
-  let speedup, fanout = pair "fanout" [ ("processes", J.Int procs); ("cycles", J.Int cycles) ] in
-  let _, register =
-    pair "register"
-      [ ("processes", J.Int procs); ("writes_per_process", J.Int writes);
-        ("cycles", J.Int cycles) ]
-  in
-  let _, des56 =
-    pair "des56" [ ("des56_ops", J.Int ops_count); ("metrics_byte_identical", J.Bool identical) ]
-  in
-  { fields =
-      [ ("fanout_netlist", fanout); ("register_netlist", register); ("cache_bench", des56) ];
-    timings;
-    checks =
-      [ holds "kernel counters and metrics documents identical across engines"
-          (counters_agree && identical);
-        at_least "fan-out netlist speedup" "x" speedup sched_gate_x ] }
-
 (* --- trace: record once, recheck many ------------------------------- *)
 
 (* The simulate-once / check-many contract behind [tabv record] /
@@ -878,13 +768,7 @@ let trace_gate ~quick =
   with_scratch_dir "tabv_bench_trace" @@ fun dir ->
   let trace_path = Filename.concat dir "run.trace" in
   let vcd_path = Filename.concat dir "run.vcd" in
-  let meta =
-    Tabv_trace.Meta.
-      { model = "des56-rtl";
-        seed = 42;
-        ops = ops_count;
-        engine = Tabv_sim.Kernel.(engine_name (get_default_engine ())) }
-  in
+  let meta = Tabv_trace.Meta.make ~model:"des56-rtl" ~seed:42 ~ops:ops_count in
   (* Each measured run starts from a cold checker universe so neither
      side inherits the other's warm transition cache. *)
   (* Eight idle cycles between operations: a bus master that issues
@@ -1486,7 +1370,6 @@ let gates =
       ~constants:[ ("gate_pct", J.Float fault_gate_pct) ];
     gate "isolate" "isolate_overhead" isolate_gate
       ~constants:[ ("workers", J.Int isolate_workers); ("gate", J.Float isolate_gate_x) ];
-    gate "sched" "sched_speedup" sched_gate ~constants:[ ("gate", J.Float sched_gate_x) ];
     gate "trace" "trace_recheck" trace_gate
       ~constants:
         [ ("gate_speedup", J.Float trace_gate_speedup);

@@ -69,30 +69,6 @@ let props_arg =
            abstracted signals); only the automatically-safe results are \
            attached.")
 
-(* --- engine ------------------------------------------------------- *)
-
-(* Engine selection is a process-wide default ([Kernel.create] reads
-   it), so one flag covers every kernel a subcommand creates —
-   including worker subprocesses, which receive the selection over the
-   wire ([sim_engine] in every request). *)
-let engine_arg =
-  let engine_enum =
-    Arg.enum
-      [ ("classic", Tabv_sim.Kernel.Classic);
-        ("compiled", Tabv_sim.Kernel.Compiled) ]
-  in
-  Arg.(
-    value
-    & opt (some engine_enum) None
-    & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:
-          "Simulation kernel engine: $(b,classic) (the dynamic event-driven \
-           reference) or $(b,compiled) (levelized static schedule over a \
-           dense signal arena).  Reports and metrics are byte-identical \
-           across engines; compiled is faster on scheduling-bound runs.")
-
-let apply_engine = Option.iter Tabv_sim.Kernel.set_default_engine
-
 (* --- property files ----------------------------------------------- *)
 
 let parse_props_file path =

@@ -13,7 +13,7 @@
      replay    check properties offline against a VCD waveform
      fig3      reproduce the paper's Fig. 3 rewriting demonstration
 
-   The flag specs shared between subcommands (model/workload/engine
+   The flag specs shared between subcommands (model/workload
    flags, executor and journal plumbing, report writers) live in
    {!Cli}. *)
 
@@ -136,8 +136,7 @@ let check_report_json_arg =
 (* The one simulation driver behind `check` and `record`; [trace_out]
    is what separates them. *)
 let simulate_run ~cmd trace_out model count seed props_file metrics_flag
-    metrics_json report_out engine =
-  Cli.apply_engine engine;
+    metrics_json report_out =
   let fail = Cli.fail cmd in
   (match Models.check_ops count with
    | Ok () -> ()
@@ -167,10 +166,7 @@ let simulate_run ~cmd trace_out model count seed props_file metrics_flag
               meaningfully)"
              (Cli.model_name model));
       let meta =
-        { Tabv_trace.Meta.model = Cli.model_name model; seed; ops = count;
-          engine =
-            Tabv_sim.Kernel.engine_name (Tabv_sim.Kernel.get_default_engine ())
-        }
+        Tabv_trace.Meta.make ~model:(Cli.model_name model) ~seed ~ops:count
       in
       Some (Tabv_trace.Writer.create ~path meta)
   in
@@ -262,7 +258,7 @@ let check_cmd =
     Term.(
       const (simulate_run ~cmd:"check") $ const None $ Cli.model_arg
       $ Cli.ops_arg $ Cli.seed_arg $ Cli.props_arg $ metrics_flag_arg
-      $ metrics_json_arg $ check_report_json_arg $ Cli.engine_arg)
+      $ metrics_json_arg $ check_report_json_arg)
 
 let record_cmd =
   let trace_out =
@@ -280,8 +276,7 @@ let record_cmd =
     Term.(
       const (fun path -> simulate_run ~cmd:"record" (Some path))
       $ trace_out $ Cli.model_arg $ Cli.ops_arg $ Cli.seed_arg $ Cli.props_arg
-      $ metrics_flag_arg $ metrics_json_arg $ check_report_json_arg
-      $ Cli.engine_arg)
+      $ metrics_flag_arg $ metrics_json_arg $ check_report_json_arg)
 
 (* --- recheck ------------------------------------------------------ *)
 
@@ -542,8 +537,7 @@ let campaign_cmd =
          stdout)."
   in
   let run manifest duvs levels seeds ops props workers retries report_out
-      isolate timeout journal_path resume engine =
-    Cli.apply_engine engine;
+      isolate timeout journal_path resume =
     let fail = Cli.fail "campaign" in
     let manifest =
       match manifest with
@@ -621,7 +615,7 @@ let campaign_cmd =
     Term.(
       const run $ manifest $ duvs $ levels $ seeds $ ops $ props $ workers
       $ retries $ report_out $ Cli.isolate_arg $ Cli.timeout_arg
-      $ Cli.journal_arg $ Cli.resume_arg $ Cli.engine_arg)
+      $ Cli.journal_arg $ Cli.resume_arg)
 
 (* --- qualify ------------------------------------------------------ *)
 
@@ -660,8 +654,7 @@ let qualify_cmd =
          ('-' for stdout)."
   in
   let run duv levels seed ops workers retries report_out isolate timeout
-      journal_path resume engine =
-    Cli.apply_engine engine;
+      journal_path resume =
     let fail = Cli.fail "qualify" in
     let duv =
       match Campaign.duv_of_name duv with
@@ -724,8 +717,7 @@ let qualify_cmd =
   Cmd.v (Cmd.info "qualify" ~doc)
     Term.(
       const run $ duv $ levels $ seed $ ops $ workers $ retries $ report_out
-      $ Cli.isolate_arg $ Cli.timeout_arg $ Cli.journal_arg $ Cli.resume_arg
-      $ Cli.engine_arg)
+      $ Cli.isolate_arg $ Cli.timeout_arg $ Cli.journal_arg $ Cli.resume_arg)
 
 (* --- serve -------------------------------------------------------- *)
 
@@ -972,7 +964,7 @@ let client_cmd =
         "Write the report to FILE ('-' or absent: stdout).  The bytes are \
          exactly what the one-shot CLI's --report-json would have written."
   in
-  let run op socket tcp model ops seed props engine trace_out trace_in
+  let run op socket tcp model ops seed props trace_out trace_in
       manifest journal duv levels workers retries attempts retry_seed
       report_out =
     let fail = Cli.fail "client" in
@@ -1002,7 +994,7 @@ let client_cmd =
             Some
               (Protocol.Check
                  { model = require_model (); seed; ops; props = props_src;
-                   engine; trace_out = None })
+                   engine = None; trace_out = None })
           | `Record ->
             let path =
               match trace_out with
@@ -1012,7 +1004,7 @@ let client_cmd =
             Some
               (Protocol.Check
                  { model = require_model (); seed; ops; props = props_src;
-                   engine; trace_out = Some path })
+                   engine = None; trace_out = Some path })
           | `Recheck ->
             let trace =
               match trace_in with
@@ -1108,7 +1100,7 @@ let client_cmd =
   Cmd.v (Cmd.info "client" ~doc)
     Term.(
       const run $ op $ socket_arg $ tcp_arg $ model $ ops $ seed $ props
-      $ Cli.engine_arg $ trace_out $ trace_in $ manifest $ journal $ duv
+      $ trace_out $ trace_in $ manifest $ journal $ duv
       $ levels $ workers $ retries $ attempts $ retry_seed $ report_out)
 
 (* --- doctor ------------------------------------------------------- *)
@@ -1163,23 +1155,6 @@ let doctor_cmd =
     check "MemCtrl RTL read-back"
       ((Memctrl_testbench.run_rtl mem_ops).Testbench.outputs
        = List.map Int64.of_int (Memctrl_testbench.reference_reads mem_ops));
-    let engine_identity =
-      (* Same workload on both kernel engines, full metrics on: the
-         observability documents must be byte-identical (the compiled
-         engine's contract), with a fresh checker universe per run so
-         interning order cannot leak between them. *)
-      let report sim_engine =
-        Tabv_checker.Progression.reset_universe ();
-        let metrics = Tabv_obs.Metrics.create ~enabled:true () in
-        Tabv_core.Report_json.to_string
-          (Testbench.metrics_json
-             (Testbench.run_des56_rtl ~metrics ~sim_engine
-                ~properties:Des56_props.all quick_ops))
-      in
-      report Tabv_sim.Kernel.Classic = report Tabv_sim.Kernel.Compiled
-    in
-    check "engine_identity: compiled run reports byte-identically to classic"
-      engine_identity;
     let record_recheck_identity =
       (* Record a short run with a binary trace tapped in, then replay
          the same property set offline: the verdict documents must be
@@ -1188,12 +1163,7 @@ let doctor_cmd =
       Fun.protect
         ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
         (fun () ->
-          let meta =
-            { Tabv_trace.Meta.model = "des56-rtl"; seed = 1; ops = 10;
-              engine =
-                Tabv_sim.Kernel.engine_name
-                  (Tabv_sim.Kernel.get_default_engine ()) }
-          in
+          let meta = Tabv_trace.Meta.make ~model:"des56-rtl" ~seed:1 ~ops:10 in
           let live =
             Tabv_trace.Writer.with_file ~path meta (fun writer ->
                 Testbench.run_des56_rtl ~trace_writer:writer

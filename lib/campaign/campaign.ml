@@ -515,18 +515,11 @@ let exec_job ~attempt ~metrics_enabled job =
 
 (* --- worker protocol ------------------------------------------------- *)
 
-(* The coordinator's engine selection rides along in every request so
-   worker subprocesses (fresh processes, classic default) simulate on
-   the same engine — reports are engine-identical either way, but the
-   run should pay for the engine the user asked for. *)
 let request_json ~attempt ~metrics job =
   J.Assoc
     [ ("op", J.String "campaign_job");
       ("attempt", J.Int attempt);
       ("metrics", J.Bool metrics);
-      ( "sim_engine",
-        J.String
-          (Tabv_sim.Kernel.engine_name (Tabv_sim.Kernel.get_default_engine ())) );
       ("job", job_spec_json job) ]
 
 (* --- results --------------------------------------------------------- *)

@@ -223,10 +223,7 @@ let request_json ~duv ~levels ~seed ~ops ~index =
         J.List (List.map (fun l -> J.String (Campaign.level_name l)) levels) );
       ("seed", J.Int seed);
       ("ops", J.Int ops);
-      ("index", J.Int index);
-      ( "sim_engine",
-        J.String
-          (Tabv_sim.Kernel.engine_name (Tabv_sim.Kernel.get_default_engine ())) ) ]
+      ("index", J.Int index) ]
 
 (* --- journals -------------------------------------------------------- *)
 

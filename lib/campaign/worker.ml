@@ -5,20 +5,6 @@ module J = Tabv_core.Report_json
 
 let ( let* ) = Result.bind
 
-(* The coordinator ships its engine selection in every request
-   ([sim_engine]); the worker mirrors it into the process-wide default
-   so the subprocess simulates on the same engine an in-process run
-   would.  Absent field = leave the default (classic) alone, which
-   keeps old journals and hand-written requests working. *)
-let decode_sim_engine what fields =
-  match List.assoc_opt "sim_engine" fields with
-  | None -> Ok (fun () -> ())
-  | Some (J.String name) ->
-    (match Tabv_sim.Kernel.engine_of_string name with
-     | Ok engine -> Ok (fun () -> Tabv_sim.Kernel.set_default_engine engine)
-     | Error e -> Error (Printf.sprintf "%s.sim_engine: %s" what e))
-  | Some _ -> Error (what ^ ".sim_engine: expected a string")
-
 (* Ops registered by layers above this library (lib/serve adds
    "serve_request"): name -> decoder-to-thunk.  A registry rather than
    a match arm because lib/serve depends on this library, not the
@@ -43,10 +29,8 @@ let decode_request json =
       let* v = Wire.field what "job" fields in
       Campaign.job_spec_of_json v
     in
-    let* set_engine = decode_sim_engine what fields in
     Ok
       (fun () ->
-        set_engine ();
         Campaign.payload_json
           (Campaign.exec_job ~attempt ~metrics_enabled:metrics job))
   | "qualify_job" ->
@@ -72,11 +56,7 @@ let decode_request json =
     let* seed = Wire.int_field what "seed" fields in
     let* ops = Wire.int_field what "ops" fields in
     let* index = Wire.int_field what "index" fields in
-    let* set_engine = decode_sim_engine what fields in
-    Ok
-      (fun () ->
-        set_engine ();
-        Qualify.qrun_json (Qualify.exec_index ~duv ~levels ~seed ~ops index))
+    Ok (fun () -> Qualify.qrun_json (Qualify.exec_index ~duv ~levels ~seed ~ops index))
   | "recheck_job" ->
     let* trace = Wire.string_field what "trace" fields in
     let* sources =

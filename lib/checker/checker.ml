@@ -79,9 +79,9 @@ let sampling_events ~clock ~clocks property =
 (* One kernel action steps a whole pool (or the subset of it sampling
    at one clock event): the sampler is primed once, then every monitor
    advances in attach order.  The action keeps the bookkeeping one
-   action per monitor had, as [Elab]'s fused blocks do: one kernel
-   activation per extra monitor, a stop poll between monitors, and
-   per-monitor crash containment when the run asks for it. *)
+   action per monitor had: one kernel activation per extra monitor, a
+   stop poll between monitors, and per-monitor crash containment when
+   the run asks for it. *)
 let step_pool kernel sampler monitors =
   let n = Array.length monitors in
   fun () ->

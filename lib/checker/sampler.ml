@@ -119,8 +119,8 @@ let register t atom =
     | _ -> invalid_arg "Sampler.register: not an atom node"
 
 (* Batched sampling: monitors register their atom sets at creation and
-   prime the sampler at every step, so the environment (signal arena
-   or transaction mirror) is read in one pass per instant and every
+   prime the sampler at every step, so the environment (signals or
+   transaction mirror) is read in one pass per instant and every
    monitor's step is answered from the cache.  Newest registrations
    are sampled first.  An atom that raises is left unstamped and the
    pass goes on: its error resurfaces, through [miss], in exactly the

@@ -33,8 +33,6 @@ let create kernel clock =
       valids =
         Array.init 7 (fun i -> Elab.signal_bool el (Printf.sprintf "v%d" (i + 1)));
       pipe =
-        (* Structured payloads stay heap-backed: the generic
-           constructor has no arena pool for option payloads. *)
         Array.init 7 (fun i ->
             Elab.signal el ~init:None (Printf.sprintf "pipe%d" i));
       completed = 0;
@@ -90,21 +88,19 @@ let cb t = t.cb
 let cr t = t.cr
 let valids t = t.valids
 
-(* Observation paths read through the engine interface
-   ([Signal.observe]), keeping traces and checker reads engine-agnostic. *)
 let bindings t =
-  [ ("dv", fun () -> Duv_util.vbool (Signal.observe t.dv));
-    ("r", fun () -> Duv_util.vint (Signal.observe t.r));
-    ("g", fun () -> Duv_util.vint (Signal.observe t.g));
-    ("b", fun () -> Duv_util.vint (Signal.observe t.b));
-    ("ovalid", fun () -> Duv_util.vbool (Signal.observe t.ovalid));
-    ("y", fun () -> Duv_util.vint (Signal.observe t.y));
-    ("cb", fun () -> Duv_util.vint (Signal.observe t.cb));
-    ("cr", fun () -> Duv_util.vint (Signal.observe t.cr)) ]
+  [ ("dv", fun () -> Duv_util.vbool (Signal.read t.dv));
+    ("r", fun () -> Duv_util.vint (Signal.read t.r));
+    ("g", fun () -> Duv_util.vint (Signal.read t.g));
+    ("b", fun () -> Duv_util.vint (Signal.read t.b));
+    ("ovalid", fun () -> Duv_util.vbool (Signal.read t.ovalid));
+    ("y", fun () -> Duv_util.vint (Signal.read t.y));
+    ("cb", fun () -> Duv_util.vint (Signal.read t.cb));
+    ("cr", fun () -> Duv_util.vint (Signal.read t.cr)) ]
   @ Array.to_list
       (Array.mapi
          (fun i signal ->
-           (Printf.sprintf "v%d" (i + 1), fun () -> Duv_util.vbool (Signal.observe signal)))
+           (Printf.sprintf "v%d" (i + 1), fun () -> Duv_util.vbool (Signal.read signal)))
          t.valids)
 
 let resolve t = Duv_util.resolver_of (bindings t)

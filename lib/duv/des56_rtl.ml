@@ -95,28 +95,25 @@ let rdy t = t.rdy
 let rdy_next_cycle t = t.rdy_next_cycle
 let rdy_next_next_cycle t = t.rdy_next_next_cycle
 
-(* Observation paths go through [Signal.observe] — the engine
-   interface read — so checker reads, traces and VCD dumps are agnostic to
-   where the engine stores the value. *)
 let resolve t =
   Duv_util.resolver_of
-    [ ("ds", fun () -> Duv_util.vbool (Signal.observe t.ds));
-      ("decrypt", fun () -> Duv_util.vbool (Signal.observe t.decrypt));
-      ("key", fun () -> Duv_util.vdata (Signal.observe t.key));
-      ("indata", fun () -> Duv_util.vdata (Signal.observe t.indata));
-      ("out", fun () -> Duv_util.vdata (Signal.observe t.out));
-      ("rdy", fun () -> Duv_util.vbool (Signal.observe t.rdy));
-      ("rdy_next_cycle", fun () -> Duv_util.vbool (Signal.observe t.rdy_next_cycle));
-      ("rdy_next_next_cycle", fun () -> Duv_util.vbool (Signal.observe t.rdy_next_next_cycle)) ]
+    [ ("ds", fun () -> Duv_util.vbool (Signal.read t.ds));
+      ("decrypt", fun () -> Duv_util.vbool (Signal.read t.decrypt));
+      ("key", fun () -> Duv_util.vdata (Signal.read t.key));
+      ("indata", fun () -> Duv_util.vdata (Signal.read t.indata));
+      ("out", fun () -> Duv_util.vdata (Signal.read t.out));
+      ("rdy", fun () -> Duv_util.vbool (Signal.read t.rdy));
+      ("rdy_next_cycle", fun () -> Duv_util.vbool (Signal.read t.rdy_next_cycle));
+      ("rdy_next_next_cycle", fun () -> Duv_util.vbool (Signal.read t.rdy_next_next_cycle)) ]
 
 let env t =
-  [ ("ds", Duv_util.vbool (Signal.observe t.ds));
-    ("decrypt", Duv_util.vbool (Signal.observe t.decrypt));
-    ("key", Duv_util.vdata (Signal.observe t.key));
-    ("indata", Duv_util.vdata (Signal.observe t.indata));
-    ("out", Duv_util.vdata (Signal.observe t.out));
-    ("rdy", Duv_util.vbool (Signal.observe t.rdy));
-    ("rdy_next_cycle", Duv_util.vbool (Signal.observe t.rdy_next_cycle));
-    ("rdy_next_next_cycle", Duv_util.vbool (Signal.observe t.rdy_next_next_cycle)) ]
+  [ ("ds", Duv_util.vbool (Signal.read t.ds));
+    ("decrypt", Duv_util.vbool (Signal.read t.decrypt));
+    ("key", Duv_util.vdata (Signal.read t.key));
+    ("indata", Duv_util.vdata (Signal.read t.indata));
+    ("out", Duv_util.vdata (Signal.read t.out));
+    ("rdy", Duv_util.vbool (Signal.read t.rdy));
+    ("rdy_next_cycle", Duv_util.vbool (Signal.read t.rdy_next_cycle));
+    ("rdy_next_next_cycle", Duv_util.vbool (Signal.read t.rdy_next_next_cycle)) ]
 
 let completed t = t.completed

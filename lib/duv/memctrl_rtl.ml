@@ -86,16 +86,14 @@ let ack t = t.ack
 let ack_next_cycle t = t.ack_next_cycle
 let rdata t = t.rdata
 
-(* Observation paths read through the engine interface
-   ([Signal.observe]), keeping traces and checker reads engine-agnostic. *)
 let bindings t =
-  [ ("req", fun () -> Duv_util.vbool (Signal.observe t.req));
-    ("we", fun () -> Duv_util.vbool (Signal.observe t.we));
-    ("addr", fun () -> Duv_util.vint (Signal.observe t.addr));
-    ("wdata", fun () -> Duv_util.vint (Signal.observe t.wdata));
-    ("ack", fun () -> Duv_util.vbool (Signal.observe t.ack));
-    ("ack_next_cycle", fun () -> Duv_util.vbool (Signal.observe t.ack_next_cycle));
-    ("rdata", fun () -> Duv_util.vint (Signal.observe t.rdata)) ]
+  [ ("req", fun () -> Duv_util.vbool (Signal.read t.req));
+    ("we", fun () -> Duv_util.vbool (Signal.read t.we));
+    ("addr", fun () -> Duv_util.vint (Signal.read t.addr));
+    ("wdata", fun () -> Duv_util.vint (Signal.read t.wdata));
+    ("ack", fun () -> Duv_util.vbool (Signal.read t.ack));
+    ("ack_next_cycle", fun () -> Duv_util.vbool (Signal.read t.ack_next_cycle));
+    ("rdata", fun () -> Duv_util.vint (Signal.read t.rdata)) ]
 
 let resolve t = Duv_util.resolver_of (bindings t)
 let env t = List.map (fun (name, thunk) -> (name, thunk ())) (bindings t)

@@ -19,9 +19,9 @@ let op_latency = function
   | Memctrl_iface.Write _ -> Memctrl_iface.write_latency
   | Memctrl_iface.Read _ -> Memctrl_iface.read_latency
 
-let run_rtl ?(properties = []) ?sim_engine ?metrics ?trace_writer
+let run_rtl ?(properties = []) ?sim_engine:_ ?metrics ?trace_writer
     ?(gap_cycles = 2) ?fault_plan ?guard ops =
-  let kernel = Kernel.create ?metrics ?engine:sim_engine () in
+  let kernel = Kernel.create ?metrics () in
   let clock = Clock.create kernel ~name:"clk" ~period () in
   let model = Memctrl_rtl.create kernel clock in
   let faults =
@@ -86,9 +86,9 @@ let run_rtl ?(properties = []) ?sim_engine ?metrics ?trace_writer
     faults_triggered = Testbench.faults_triggered_of faults;
   }
 
-let run_tlm_ca ?(properties = []) ?sim_engine ?metrics ?trace_writer
+let run_tlm_ca ?(properties = []) ?sim_engine:_ ?metrics ?trace_writer
     ?(gap_cycles = 2) ?fault_plan ?guard ops =
-  let kernel = Kernel.create ?metrics ?engine:sim_engine () in
+  let kernel = Kernel.create ?metrics () in
   let model = Memctrl_tlm_ca.create kernel in
   let initiator = Tlm.Initiator.create kernel ~name:"memctrl_ca_init" in
   Tlm.Initiator.bind initiator (Memctrl_tlm_ca.target model);
@@ -156,9 +156,9 @@ let run_tlm_ca ?(properties = []) ?sim_engine ?metrics ?trace_writer
     faults_triggered = Testbench.faults_triggered_of faults;
   }
 
-let run_tlm_at ?(properties = []) ?sim_engine ?metrics ?trace_writer
+let run_tlm_at ?(properties = []) ?sim_engine:_ ?metrics ?trace_writer
     ?(gap_cycles = 2) ?write_latency_ns ?read_latency_ns ?fault_plan ?guard ops =
-  let kernel = Kernel.create ?metrics ?engine:sim_engine () in
+  let kernel = Kernel.create ?metrics () in
   let model = Memctrl_tlm_at.create ?write_latency_ns ?read_latency_ns kernel in
   let initiator = Tlm.Initiator.create kernel ~name:"memctrl_at_init" in
   Tlm.Initiator.bind initiator (Memctrl_tlm_at.target model);

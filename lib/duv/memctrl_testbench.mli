@@ -7,7 +7,7 @@ val reference_reads : Memctrl_iface.op list -> int list
 
 val run_rtl :
   ?properties:Property.t list ->
-  ?sim_engine:Tabv_sim.Kernel.engine ->
+  ?sim_engine:Tabv_sim.Kernel.engine ->  (* held only for perfbench; selects nothing *)
   ?metrics:Tabv_obs.Metrics.t ->
   ?trace_writer:Tabv_trace.Writer.t ->
   ?gap_cycles:int ->
@@ -20,7 +20,7 @@ val run_rtl :
     as-is (one frame transaction per clock period). *)
 val run_tlm_ca :
   ?properties:Property.t list ->
-  ?sim_engine:Tabv_sim.Kernel.engine ->
+  ?sim_engine:Tabv_sim.Kernel.engine ->  (* held only for perfbench; selects nothing *)
   ?metrics:Tabv_obs.Metrics.t ->
   ?trace_writer:Tabv_trace.Writer.t ->
   ?gap_cycles:int ->
@@ -33,7 +33,7 @@ val run_tlm_ca :
     (defaults 20/30 ns) to emulate a wrong abstraction. *)
 val run_tlm_at :
   ?properties:Property.t list ->
-  ?sim_engine:Tabv_sim.Kernel.engine ->
+  ?sim_engine:Tabv_sim.Kernel.engine ->  (* held only for perfbench; selects nothing *)
   ?metrics:Tabv_obs.Metrics.t ->
   ?trace_writer:Tabv_trace.Writer.t ->
   ?gap_cycles:int ->

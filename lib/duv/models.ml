@@ -124,45 +124,42 @@ let properties_for model user =
 (* Drive [model] over its seeded workload with [properties] attached
    (and, on the AT models, [grid_properties] under the grid wrapper).
    [trace_writer] taps the checker evaluation points into a binary
-   trace; [sim_engine] overrides the process-wide kernel engine
-   default for exactly this run (the serve daemon threads it here so
-   concurrent requests with different engines never race on the
-   global default). *)
-let run ?metrics ?trace_writer ?sim_engine model ~seed ~ops ~properties
+   trace. *)
+let run ?metrics ?trace_writer model ~seed ~ops ~properties
     ~grid_properties =
   match model with
   | Des56_rtl ->
-    Testbench.run_des56_rtl ?metrics ?trace_writer ?sim_engine ~properties
+    Testbench.run_des56_rtl ?metrics ?trace_writer ~properties
       (Workload.des56 ~seed ~count:ops ())
   | Des56_ca ->
-    Testbench.run_des56_tlm_ca ?metrics ?trace_writer ?sim_engine ~properties
+    Testbench.run_des56_tlm_ca ?metrics ?trace_writer ~properties
       (Workload.des56 ~seed ~count:ops ())
   | Des56_at ->
-    Testbench.run_des56_tlm_at ?metrics ?trace_writer ?sim_engine ~properties
+    Testbench.run_des56_tlm_at ?metrics ?trace_writer ~properties
       ~grid_properties
       (Workload.des56 ~seed ~count:ops ())
   | Des56_lt ->
-    Testbench.run_des56_tlm_lt ?metrics ?sim_engine ~properties
+    Testbench.run_des56_tlm_lt ?metrics ~properties
       (Workload.des56 ~seed ~count:ops ())
   | Colorconv_rtl ->
-    Testbench.run_colorconv_rtl ?metrics ?trace_writer ?sim_engine ~properties
+    Testbench.run_colorconv_rtl ?metrics ?trace_writer ~properties
       (Workload.colorconv ~seed ~count:ops ())
   | Colorconv_ca ->
-    Testbench.run_colorconv_tlm_ca ?metrics ?trace_writer ?sim_engine
+    Testbench.run_colorconv_tlm_ca ?metrics ?trace_writer
       ~properties
       (Workload.colorconv ~seed ~count:ops ())
   | Colorconv_at ->
-    Testbench.run_colorconv_tlm_at ?metrics ?trace_writer ?sim_engine
+    Testbench.run_colorconv_tlm_at ?metrics ?trace_writer
       ~properties ~grid_properties
       (Workload.colorconv ~seed ~count:ops ())
   | Memctrl_rtl ->
-    Memctrl_testbench.run_rtl ?metrics ?trace_writer ?sim_engine ~properties
+    Memctrl_testbench.run_rtl ?metrics ?trace_writer ~properties
       (Workload.memctrl ~seed ~count:ops ())
   | Memctrl_ca ->
-    Memctrl_testbench.run_tlm_ca ?metrics ?trace_writer ?sim_engine ~properties
+    Memctrl_testbench.run_tlm_ca ?metrics ?trace_writer ~properties
       (Workload.memctrl ~seed ~count:ops ())
   | Memctrl_at ->
-    Memctrl_testbench.run_tlm_at ?metrics ?trace_writer ?sim_engine ~properties
+    Memctrl_testbench.run_tlm_at ?metrics ?trace_writer ~properties
       (Workload.memctrl ~seed ~count:ops ())
 
 (* The LT model records nothing: it exists to violate timing

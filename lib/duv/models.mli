@@ -63,14 +63,10 @@ val properties_for :
   Tabv_psl.Property.t list * Tabv_psl.Property.t list
 
 (** Drive [model] over its seeded workload.  [trace_writer] taps the
-    checker evaluation points into a binary trace; [sim_engine]
-    overrides the process-wide kernel engine default for exactly this
-    run (the serve daemon threads it here so concurrent requests with
-    different engines never race on the global default). *)
+    checker evaluation points into a binary trace. *)
 val run :
   ?metrics:Tabv_obs.Metrics.t ->
   ?trace_writer:Tabv_trace.Writer.t ->
-  ?sim_engine:Tabv_sim.Kernel.engine ->
   t ->
   seed:int ->
   ops:int ->

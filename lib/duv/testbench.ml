@@ -146,9 +146,9 @@ let period = 10
 
 (* --- DES56 / RTL --- *)
 
-let run_des56_rtl ?(properties = []) ?sim_engine ?metrics ?(record_trace = false)
+let run_des56_rtl ?(properties = []) ?sim_engine:_ ?metrics ?(record_trace = false)
     ?trace_writer ?(gap_cycles = 2) ?fault ?fault_plan ?guard ops =
-  let kernel = Kernel.create ?metrics ?engine:sim_engine () in
+  let kernel = Kernel.create ?metrics () in
   let clock = Clock.create kernel ~name:"clk" ~period () in
   let model = Des56_rtl.create ?fault kernel clock in
   let faults = install_plan (Duv_fault.des56_rtl_binding kernel model) fault_plan in
@@ -216,9 +216,9 @@ let run_des56_rtl ?(properties = []) ?sim_engine ?metrics ?(record_trace = false
 
 (* --- DES56 / TLM-CA --- *)
 
-let run_des56_tlm_ca ?(properties = []) ?sim_engine ?metrics ?(record_trace = false)
+let run_des56_tlm_ca ?(properties = []) ?sim_engine:_ ?metrics ?(record_trace = false)
     ?trace_writer ?(gap_cycles = 2) ?fault_plan ?guard ops =
-  let kernel = Kernel.create ?metrics ?engine:sim_engine () in
+  let kernel = Kernel.create ?metrics () in
   let model = Des56_tlm_ca.create kernel in
   let initiator = Tlm.Initiator.create kernel ~name:"des56_ca_init" in
   Tlm.Initiator.bind initiator (Des56_tlm_ca.target model);
@@ -295,10 +295,10 @@ let run_des56_tlm_ca ?(properties = []) ?sim_engine ?metrics ?(record_trace = fa
 
 (* --- DES56 / TLM-AT --- *)
 
-let run_des56_tlm_at ?(properties = []) ?(grid_properties = []) ?sim_engine ?metrics
+let run_des56_tlm_at ?(properties = []) ?(grid_properties = []) ?sim_engine:_ ?metrics
     ?(record_trace = false) ?trace_writer ?(gap_cycles = 2) ?model_latency_ns
     ?fault_plan ?guard ops =
-  let kernel = Kernel.create ?metrics ?engine:sim_engine () in
+  let kernel = Kernel.create ?metrics () in
   let model = Des56_tlm_at.create ?latency_ns:model_latency_ns kernel in
   let initiator = Tlm.Initiator.create kernel ~name:"des56_at_init" in
   Tlm.Initiator.bind initiator (Des56_tlm_at.target model);
@@ -377,9 +377,9 @@ let run_des56_tlm_at ?(properties = []) ?(grid_properties = []) ?sim_engine ?met
 
 (* --- DES56 / TLM-LT --- *)
 
-let run_des56_tlm_lt ?(properties = []) ?sim_engine ?metrics ?(gap_cycles = 2)
+let run_des56_tlm_lt ?(properties = []) ?metrics ?(gap_cycles = 2)
     ?fault_plan ?guard ops =
-  let kernel = Kernel.create ?metrics ?engine:sim_engine () in
+  let kernel = Kernel.create ?metrics () in
   let model = Des56_tlm_lt.create kernel in
   let initiator = Tlm.Initiator.create kernel ~name:"des56_lt_init" in
   Tlm.Initiator.bind initiator (Des56_tlm_lt.target model);
@@ -441,9 +441,9 @@ let run_des56_tlm_lt ?(properties = []) ?sim_engine ?metrics ?(gap_cycles = 2)
 let pack_ycbcr { Colorconv.y; cb; cr } =
   Int64.of_int (y lor (cb lsl 8) lor (cr lsl 16))
 
-let run_colorconv_rtl ?(properties = []) ?sim_engine ?metrics ?(record_trace = false)
+let run_colorconv_rtl ?(properties = []) ?sim_engine:_ ?metrics ?(record_trace = false)
     ?trace_writer ?(gap_cycles = 2) ?fault_plan ?guard bursts =
-  let kernel = Kernel.create ?metrics ?engine:sim_engine () in
+  let kernel = Kernel.create ?metrics () in
   let clock = Clock.create kernel ~name:"clk" ~period () in
   let model = Colorconv_rtl.create kernel clock in
   let faults =
@@ -519,10 +519,10 @@ let run_colorconv_rtl ?(properties = []) ?sim_engine ?metrics ?(record_trace = f
     faults_triggered = faults_triggered_of faults;
   }
 
-let run_colorconv_tlm_ca ?(properties = []) ?sim_engine ?metrics
+let run_colorconv_tlm_ca ?(properties = []) ?sim_engine:_ ?metrics
     ?(record_trace = false) ?trace_writer ?(gap_cycles = 2) ?fault_plan ?guard
     bursts =
-  let kernel = Kernel.create ?metrics ?engine:sim_engine () in
+  let kernel = Kernel.create ?metrics () in
   let model = Colorconv_tlm_ca.create kernel in
   let initiator = Tlm.Initiator.create kernel ~name:"colorconv_ca_init" in
   Tlm.Initiator.bind initiator (Colorconv_tlm_ca.target model);
@@ -622,10 +622,10 @@ let cc_priority = function
   | Cc_read -> 2
   | Cc_write _ -> 3
 
-let run_colorconv_tlm_at ?(properties = []) ?(grid_properties = []) ?sim_engine
+let run_colorconv_tlm_at ?(properties = []) ?(grid_properties = []) ?sim_engine:_
     ?metrics ?(record_trace = false) ?trace_writer ?(gap_cycles = 2) ?fault_plan
     ?guard bursts =
-  let kernel = Kernel.create ?metrics ?engine:sim_engine () in
+  let kernel = Kernel.create ?metrics () in
   let model = Colorconv_tlm_at.create kernel in
   let initiator = Tlm.Initiator.create kernel ~name:"colorconv_at_init" in
   Tlm.Initiator.bind initiator (Colorconv_tlm_at.target model);

@@ -134,13 +134,10 @@ val faults_triggered_of : Tabv_fault.Fault.installed option -> int
 (** {1 DES56} *)
 
 (** [gap_cycles] idle cycles between operations (default 2);
-    [fault] injects a design bug (see {!Des56_rtl.fault});
-    [sim_engine] selects the simulation kernel engine (default:
-    {!Tabv_sim.Kernel.get_default_engine}) — all run functions take
-    it, and every report is byte-identical across kernel engines. *)
+    [fault] injects a design bug (see {!Des56_rtl.fault}). *)
 val run_des56_rtl :
   ?properties:Property.t list ->
-  ?sim_engine:Tabv_sim.Kernel.engine ->
+  ?sim_engine:Tabv_sim.Kernel.engine ->  (* held only for perfbench; selects nothing *)
   ?metrics:Tabv_obs.Metrics.t ->
   ?record_trace:bool ->
   ?trace_writer:Tabv_trace.Writer.t ->
@@ -155,7 +152,7 @@ val run_des56_rtl :
     model (the paper's TLM-CA rows). *)
 val run_des56_tlm_ca :
   ?properties:Property.t list ->
-  ?sim_engine:Tabv_sim.Kernel.engine ->
+  ?sim_engine:Tabv_sim.Kernel.engine ->  (* held only for perfbench; selects nothing *)
   ?metrics:Tabv_obs.Metrics.t ->
   ?record_trace:bool ->
   ?trace_writer:Tabv_trace.Writer.t ->
@@ -173,7 +170,7 @@ val run_des56_tlm_ca :
 val run_des56_tlm_at :
   ?properties:Property.t list ->
   ?grid_properties:Property.t list ->
-  ?sim_engine:Tabv_sim.Kernel.engine ->
+  ?sim_engine:Tabv_sim.Kernel.engine ->  (* held only for perfbench; selects nothing *)
   ?metrics:Tabv_obs.Metrics.t ->
   ?record_trace:bool ->
   ?trace_writer:Tabv_trace.Writer.t ->
@@ -192,7 +189,6 @@ val run_des56_tlm_at :
     properties are expected to fail (Theorem III.2's precondition). *)
 val run_des56_tlm_lt :
   ?properties:Property.t list ->
-  ?sim_engine:Tabv_sim.Kernel.engine ->
   ?metrics:Tabv_obs.Metrics.t ->
   ?gap_cycles:int ->
   ?fault_plan:Tabv_fault.Fault.plan ->
@@ -204,7 +200,7 @@ val run_des56_tlm_lt :
 
 val run_colorconv_rtl :
   ?properties:Property.t list ->
-  ?sim_engine:Tabv_sim.Kernel.engine ->
+  ?sim_engine:Tabv_sim.Kernel.engine ->  (* held only for perfbench; selects nothing *)
   ?metrics:Tabv_obs.Metrics.t ->
   ?record_trace:bool ->
   ?trace_writer:Tabv_trace.Writer.t ->
@@ -216,7 +212,7 @@ val run_colorconv_rtl :
 
 val run_colorconv_tlm_ca :
   ?properties:Property.t list ->
-  ?sim_engine:Tabv_sim.Kernel.engine ->
+  ?sim_engine:Tabv_sim.Kernel.engine ->  (* held only for perfbench; selects nothing *)
   ?metrics:Tabv_obs.Metrics.t ->
   ?record_trace:bool ->
   ?trace_writer:Tabv_trace.Writer.t ->
@@ -229,7 +225,7 @@ val run_colorconv_tlm_ca :
 val run_colorconv_tlm_at :
   ?properties:Property.t list ->
   ?grid_properties:Property.t list ->
-  ?sim_engine:Tabv_sim.Kernel.engine ->
+  ?sim_engine:Tabv_sim.Kernel.engine ->  (* held only for perfbench; selects nothing *)
   ?metrics:Tabv_obs.Metrics.t ->
   ?record_trace:bool ->
   ?trace_writer:Tabv_trace.Writer.t ->

@@ -31,7 +31,7 @@ type outcome = {
 
 (* Canonical fingerprint of a job: digest of its canonical request
    JSON.  Two requests with the same fingerprint are the same
-   verification work (model, workload, properties, engine — everything
+   verification work (model, workload, properties — everything
    that shapes the result travels in the request). *)
 let fingerprint job =
   Digest.to_hex (Digest.string (J.to_string (Protocol.job_json job)))
@@ -95,15 +95,10 @@ let user_props model props =
     Ok user
   | None -> Ok None
 
-let exec_check ~model ~seed ~ops ~props ~engine ~trace_out =
+let exec_check ~model ~seed ~ops ~props ~trace_out =
   let* () = Models.check_ops ops in
   let* user = user_props model props in
   let properties, grid_properties = Models.properties_for model user in
-  let engine =
-    match engine with
-    | Some e -> e
-    | None -> Tabv_sim.Kernel.get_default_engine ()
-  in
   let* writer =
     match trace_out with
     | None -> Ok None
@@ -113,17 +108,14 @@ let exec_check ~model ~seed ~ops ~props ~engine ~trace_out =
           (Printf.sprintf "%s records no trace (loosely-timed model)"
              (Models.name model))
       else
-        let meta =
-          { Tabv_trace.Meta.model = Models.name model; seed; ops;
-            engine = Tabv_sim.Kernel.engine_name engine }
-        in
+        let meta = Tabv_trace.Meta.make ~model:(Models.name model) ~seed ~ops in
         Ok (Some (Tabv_trace.Writer.create ~path meta))
   in
   let result =
     Fun.protect
       ~finally:(fun () -> Option.iter Tabv_trace.Writer.close writer)
       (fun () ->
-        Models.run ?trace_writer:writer ~sim_engine:engine model ~seed ~ops
+        Models.run ?trace_writer:writer model ~seed ~ops
           ~properties ~grid_properties)
   in
   Ok
@@ -289,8 +281,8 @@ let execute ?(interrupted = fun () -> false) ~state_dir job =
   Tabv_checker.Progression.reset_universe ();
   match
     match job with
-    | Protocol.Check { model; seed; ops; props; engine; trace_out } ->
-      exec_check ~model ~seed ~ops ~props ~engine ~trace_out
+    | Protocol.Check { model; seed; ops; props; engine = _; trace_out } ->
+      exec_check ~model ~seed ~ops ~props ~trace_out
     | Protocol.Recheck { trace; props; workers; retries } ->
       exec_recheck ~interrupted ~trace ~props ~workers ~retries
     | Protocol.Campaign { manifest; workers; retries; journal } ->

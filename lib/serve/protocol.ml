@@ -33,7 +33,7 @@ type job =
       seed : int;
       ops : int;
       props : string option;  (* property-language source, inline *)
-      engine : Tabv_sim.Kernel.engine option;
+      engine : Tabv_sim.Kernel.engine option;  (* held only for perfbench; selects nothing *)
       trace_out : string option;  (* Some path = a record request *)
     }
   | Recheck of {
@@ -93,14 +93,11 @@ let opt_field name to_json = function
 let job_json job =
   let fields =
     match job with
-    | Check { model; seed; ops; props; engine; trace_out } ->
+    | Check { model; seed; ops; props; engine = _; trace_out } ->
       [ ("op", J.String (job_op job));
         ("model", J.String (Tabv_duv.Models.name model));
         ("seed", J.Int seed); ("ops", J.Int ops) ]
       @ opt_field "props" (fun s -> J.String s) props
-      @ opt_field "engine"
-          (fun e -> J.String (Tabv_sim.Kernel.engine_name e))
-          engine
       @ opt_field "trace_out" (fun s -> J.String s) trace_out
     | Recheck { trace; props; workers; retries } ->
       [ ("op", J.String "recheck"); ("trace", J.String trace) ]
@@ -147,14 +144,12 @@ let decode_props what fields =
   | Some (J.String s) -> Ok (Some s)
   | Some _ -> Error (what ^ ".props: expected a string")
 
-let decode_engine what fields =
-  match List.assoc_opt "engine" fields with
-  | None -> Ok None
-  | Some (J.String name) ->
-    (match Tabv_sim.Kernel.engine_of_string name with
-     | Ok e -> Ok (Some e)
-     | Error e -> Error (Printf.sprintf "%s.engine: %s" what e))
-  | Some _ -> Error (what ^ ".engine: expected a string")
+(* A request naming a kernel engine asks for an option that does not
+   exist: refuse it rather than run it on the one engine. *)
+let refuse_engine op fields =
+  if List.mem_assoc "engine" fields then
+    Error (op ^ ".engine: unknown field (there is one simulation engine)")
+  else Ok ()
 
 let int_default what key ~default fields =
   match List.assoc_opt key fields with
@@ -162,7 +157,8 @@ let int_default what key ~default fields =
   | Some (J.Int n) -> Ok n
   | Some _ -> Error (Printf.sprintf "%s.%s: expected an integer" what key)
 
-let decode_check what ~record fields =
+let decode_check what op ~record fields =
+  let* () = refuse_engine op fields in
   let* model_name = Wire.string_field what "model" fields in
   let* model =
     match Tabv_duv.Models.of_name model_name with
@@ -172,19 +168,18 @@ let decode_check what ~record fields =
   let* seed = Wire.int_field what "seed" fields in
   let* ops = Wire.int_field what "ops" fields in
   let* props = decode_props what fields in
-  let* engine = decode_engine what fields in
   let* trace_out =
     if not record then Ok None
     else
       let* path = Wire.string_field what "trace_out" fields in
       Ok (Some path)
   in
-  Ok (Check { model; seed; ops; props; engine; trace_out })
+  Ok (Check { model; seed; ops; props; engine = None; trace_out })
 
 let decode_job what op fields =
   match op with
-  | "check" -> decode_check what ~record:false fields
-  | "record" -> decode_check what ~record:true fields
+  | "check" -> decode_check what op ~record:false fields
+  | "record" -> decode_check what op ~record:true fields
   | "recheck" ->
     let* trace = Wire.string_field what "trace" fields in
     let* props = decode_props what fields in

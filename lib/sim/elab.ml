@@ -1,4 +1,4 @@
-(* Compile-at-elaboration pipeline.
+(* Elaboration-time design check.
 
    An [Elab.t] collects the design declaratively — typed signals,
    method processes with declared sensitivity and write sets, leaf
@@ -10,13 +10,7 @@
      process; clock-edge sensitivity makes a process a root);
    - the graph is levelized with Kahn's algorithm — a combinational
      cycle is an elaboration error, reported with the source positions
-     the offending processes were registered at;
-   - on the compiled engine, contiguous handler runs on each
-     sensitivity event are fused into activation blocks.
-
-   Registration itself is engine-neutral: the same declarative model
-   runs unchanged on the classic engine, where levels and blocks are
-   simply ignored. *)
+     the offending processes were registered at. *)
 
 type pos = string * int * int * int
 
@@ -40,8 +34,6 @@ type proc = {
   pr_index : int;
   pr_sensitivity : Event.t list;
   pr_writes : int list;  (* signal uids *)
-  pr_subs : (Event.t * int) list;  (* handler indices, for fused blocks *)
-  pr_body : unit -> unit;  (* unwrapped body, for fused blocks *)
   mutable pr_level : int;
 }
 
@@ -58,85 +50,6 @@ type t = {
 let pos_string = function
   | Some (file, line, _, _) -> Printf.sprintf "%s:%d" file line
   | None -> "<no position>"
-
-(* The static schedule: contiguous runs of this design's handlers on
-   each sensitivity event collapse into one activation block, so a
-   fire pushes a single action per run instead of one per process and
-   the evaluation loop dispatches once per block.  The
-   block replays the bodies in subscription order — the order the
-   classic per-handler path schedules them in — and mirrors the
-   evaluation loop's own bookkeeping: one activation count per body, a
-   stop poll between bodies, and per-body crash containment when the
-   run asks for it (labels are only maintained then; they are
-   unobservable otherwise). *)
-let activation_block k names bodies =
-  let n = Array.length bodies in
-  fun () ->
-    if Kernel.containing k then begin
-      let i = ref 0 in
-      while !i < n && not (Kernel.stopping k) do
-        if !i > 0 then Kernel.add_activation k;
-        Kernel.set_label k (Array.unsafe_get names !i);
-        (try (Array.unsafe_get bodies !i) () with e -> Kernel.record_crash k e);
-        incr i
-      done
-    end
-    else begin
-      let i = ref 0 in
-      while !i < n && not (Kernel.stopping k) do
-        if !i > 0 then Kernel.add_activation k;
-        (Array.unsafe_get bodies !i) ();
-        incr i
-      done
-    end
-
-let fuse_blocks t procs =
-  (* Distinct sensitivity events, by physical identity (events embed
-     closures, so they are not hashable or comparable). *)
-  let events = ref [] in
-  Array.iter
-    (fun p ->
-      List.iter
-        (fun (ev, _) -> if not (List.memq ev !events) then events := ev :: !events)
-        p.pr_subs)
-    procs;
-  List.iter
-    (fun ev ->
-      let subs = ref [] in
-      Array.iter
-        (fun p ->
-          List.iter (fun (e, idx) -> if e == ev then subs := (idx, p) :: !subs) p.pr_subs)
-        procs;
-      let subs = List.sort (fun (a, _) (b, _) -> compare a b) !subs in
-      (* Maximal runs of consecutive handler indices become blocks;
-         handlers interleaved with foreign subscriptions stay where
-         they are, preserving fire-time order exactly. *)
-      let spans = ref [] in
-      let rec runs = function
-        | [] -> ()
-        | (first, p) :: rest ->
-          let members = ref [ p ] in
-          let last = ref first in
-          let rest = ref rest in
-          let continue_ = ref true in
-          while !continue_ do
-            match !rest with
-            | (idx, q) :: tail when idx = !last + 1 ->
-              members := q :: !members;
-              last := idx;
-              rest := tail
-            | _ -> continue_ := false
-          done;
-          let members = Array.of_list (List.rev !members) in
-          let names = Array.map (fun p -> p.pr_name) members in
-          let bodies = Array.map (fun p -> p.pr_body) members in
-          spans :=
-            ((first, !last), activation_block t.e_kernel names bodies) :: !spans;
-          runs !rest
-      in
-      runs subs;
-      Event.fuse ev (List.rev !spans))
-    !events
 
 let compile t =
   if not t.done_ then begin
@@ -213,8 +126,7 @@ let compile t =
                         (pos_string p.pr_pos))
                     stuck))))
     end;
-    t.levels <- (if n = 0 then 0 else !max_level + 1);
-    if Kernel.is_compiled t.e_kernel then fuse_blocks t procs
+    t.levels <- (if n = 0 then 0 else !max_level + 1)
   end
 
 let create kernel =
@@ -262,13 +174,7 @@ let process t ~name ?pos ?(initialize = true) ~sensitivity ?(writes = [])
   if t.done_ then
     invalid_arg
       (Printf.sprintf "Elab.process: %s registered after compilation" name);
-  let k = t.e_kernel in
-  let wrapped () =
-    Kernel.set_label k name;
-    body ()
-  in
-  let subs = List.map (fun ev -> (ev, Event.subscribe ev wrapped)) sensitivity in
-  if initialize then Kernel.schedule_now k wrapped;
+  Process.method_process t.e_kernel ~name ~initialize ~sensitivity body;
   let uid_of (Pack s) = Signal.uid s in
   t.procs <-
     {
@@ -277,8 +183,6 @@ let process t ~name ?pos ?(initialize = true) ~sensitivity ?(writes = [])
       pr_index = t.n_procs;
       pr_sensitivity = sensitivity;
       pr_writes = List.map uid_of writes;
-      pr_subs = subs;
-      pr_body = body;
       pr_level = 0;
     }
     :: t.procs;

@@ -1,21 +1,14 @@
-(** Compile-at-elaboration pipeline.
+(** Elaboration-time design check.
 
     The declarative front door to the simulation stack: a design
     registers typed signals, method processes (with sensitivity and
-    declared write sets) and leaf components on an [Elab.t]; just
-    before the first kernel step the design is {e compiled} —
-
-    {ul
-    {- the signal→process dependency graph is levelized (Kahn); a
-       zero-delay combinational cycle raises {!Cycle_error} carrying
-       the source positions of the offending registrations;}
-    {- on the compiled engine, contiguous handler runs on each
-       sensitivity event are fused into one activation block
-       ({!Event.fuse}).}}
-
-    The same registrations run unchanged on the classic engine, where
-    levels and blocks are simply ignored — which is what makes the
-    engines byte-identical in reports. *)
+    declared write sets) and leaf components on an [Elab.t].  Just
+    before the first kernel step the design is {e compiled}: the
+    signal→process dependency graph is levelized (Kahn), and a
+    zero-delay combinational cycle raises {!Cycle_error} carrying the
+    source positions of the offending registrations.  Compilation only
+    checks; the kernel schedules the registered processes as it would
+    any other method process. *)
 
 type t
 
@@ -43,14 +36,14 @@ val signal_bool : t -> ?init:bool -> string -> bool Signal.t
 val signal_int : t -> ?init:int -> string -> int Signal.t
 val signal_int64 : t -> ?init:int64 -> string -> int64 Signal.t
 
-(** Generic signal for non-scalar payloads (heap-backed — no arena
-    slot, structural equality by default). *)
+(** Generic signal for non-scalar payloads (structural equality by
+    default). *)
 val signal : t -> ?equal:('a -> 'a -> bool) -> init:'a -> string -> 'a Signal.t
 
 (** [process t ~name ?pos ?initialize ~sensitivity ?writes body]
-    registers a method process: [body] runs once per notification of
-    any [sensitivity] event (plus once at time zero unless
-    [initialize] is [false]).  [writes] declares the signals the body
+    registers a method process through {!Process.method_process}:
+    [body] runs once per notification of any [sensitivity] event (plus
+    once at time zero unless [initialize] is [false]).  [writes] declares the signals the body
     drives; it feeds levelization.  Pass [?pos:(__POS__)] so
     elaboration errors point at the registration site.
     @raise Invalid_argument after compilation has run. *)

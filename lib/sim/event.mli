@@ -9,7 +9,8 @@
 
     Notifications use delta semantics: subscribers run in the next
     delta cycle of the current instant, never within the notifying
-    phase. *)
+    phase.  A notification schedules the static subscribers, then the
+    dynamic ones, each in registration order. *)
 
 type t
 
@@ -26,20 +27,6 @@ val notify_after : t -> delay:int -> unit
 
 (** Subscribe statically (persistent). *)
 val on_event : t -> (unit -> unit) -> unit
-
-(** Like {!on_event}, returning the subscription's index (used by
-    {!Elab} to find the handler runs {!fuse} collapses). *)
-val subscribe : t -> (unit -> unit) -> int
-
-(** Install the fused view of the static subscribers (compiled
-    engine, used by {!Elab.compile}): each span [((first, last),
-    block)] — sorted, non-overlapping, inclusive handler-index runs —
-    is replaced by its single [block] action, handlers outside the
-    spans stay in place, so fire-time order is unchanged.  The view is
-    invalidated by any later {!subscribe}.
-    @raise Invalid_argument on unsorted, overlapping or out-of-range
-    spans. *)
-val fuse : t -> ((int * int) * (unit -> unit)) list -> unit
 
 (** Subscribe for a single notification. *)
 val once : t -> (unit -> unit) -> unit

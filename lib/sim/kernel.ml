@@ -63,8 +63,7 @@ module Heap = struct
       Some top
 end
 
-(* --- engine selection ------------------------------------------------ *)
-
+(* Held only for perfbench, which compiles against these names. *)
 type engine =
   | Classic
   | Compiled
@@ -72,17 +71,6 @@ type engine =
 let engine_name = function
   | Classic -> "classic"
   | Compiled -> "compiled"
-
-let engine_of_string = function
-  | "classic" -> Ok Classic
-  | "compiled" -> Ok Compiled
-  | s -> Error (Printf.sprintf "unknown engine %S (expected classic or compiled)" s)
-
-(* Process-global default, so frontends (CLI flags, campaign workers)
-   select the engine once and every kernel created afterwards follows. *)
-let default_engine = ref Classic
-let set_default_engine e = default_engine := e
-let get_default_engine () = !default_engine
 
 type diagnosis =
   | Completed
@@ -106,17 +94,9 @@ type t = {
   mutable now : int;
   mutable delta : int;
   timed : Heap.t;
-  (* classic (dynamic reference engine) queues *)
   runnable : (unit -> unit) Queue.t;
   next_delta : (unit -> unit) Queue.t;
-  mutable updates : (unit -> unit) list;
-  (* compiled engine queues *)
-  crun : (unit -> unit) Vec.t;
-  cnext : (unit -> unit) Vec.t;
-  mutable cupd : (unit -> unit) Vec.t;
-  mutable cupd_spare : (unit -> unit) Vec.t;
-  engine : engine;
-  arena : Arena.t;
+  mutable updates : (unit -> unit) list;  (* reversed request order *)
   mutable pre_run : (unit -> unit) list;  (* reversed registration order *)
   mutable seq : int;
   mutable stopping : bool;
@@ -138,16 +118,11 @@ type t = {
   advance_timer : Tabv_obs.Metrics.timer;
 }
 
-let create ?metrics ?engine () =
+let create ?metrics () =
   let metrics =
     match metrics with
     | Some m -> m
     | None -> Tabv_obs.Metrics.disabled ()
-  in
-  let engine =
-    match engine with
-    | Some e -> e
-    | None -> !default_engine
   in
   let t =
     {
@@ -157,12 +132,6 @@ let create ?metrics ?engine () =
       runnable = Queue.create ();
       next_delta = Queue.create ();
       updates = [];
-      crun = Vec.create ~dummy:ignore ();
-      cnext = Vec.create ~dummy:ignore ();
-      cupd = Vec.create ~dummy:ignore ();
-      cupd_spare = Vec.create ~dummy:ignore ();
-      engine;
-      arena = Arena.create ();
       pre_run = [];
       seq = 0;
       stopping = false;
@@ -200,9 +169,6 @@ let create ?metrics ?engine () =
   t
 
 let metrics t = t.metrics
-let engine t = t.engine
-let is_compiled t = t.engine = Compiled
-let arena t = t.arena
 let add_pre_run_hook t f = t.pre_run <- f :: t.pre_run
 
 let now t = t.now
@@ -219,43 +185,25 @@ let schedule_after t ~delay action =
   if delay < 0 then invalid_arg "Kernel.schedule_after: negative delay";
   schedule_at t ~time:(t.now + delay) action
 
-let schedule_now t action =
-  match t.engine with
-  | Classic -> Queue.add action t.runnable
-  | Compiled -> Vec.push t.crun action
+let schedule_now t action = Queue.add action t.runnable
+let schedule_next_delta t action = Queue.add action t.next_delta
 
-let schedule_next_delta t action =
-  match t.engine with
-  | Classic -> Queue.add action t.next_delta
-  | Compiled -> Vec.push t.cnext action
-
-(* One call per event fire instead of one per subscriber: the engine
-   dispatch is hoisted out of the fan-out loop.  [fs] is the event's
-   registration-ordered subscriber array, [n] its live prefix. *)
+(* One call per event fire: [fs] is the event's registration-ordered
+   handler array, [n] its live prefix. *)
 let schedule_next_delta_batch t fs n =
-  match t.engine with
-  | Classic ->
-    for i = 0 to n - 1 do
-      Queue.add (Array.unsafe_get fs i) t.next_delta
-    done
-  | Compiled ->
-    let v = t.cnext in
-    for i = 0 to n - 1 do
-      Vec.push v (Array.unsafe_get fs i)
-    done
+  for i = 0 to n - 1 do
+    Queue.add (Array.unsafe_get fs i) t.next_delta
+  done
 
-let request_update t action =
-  match t.engine with
-  | Classic -> t.updates <- action :: t.updates
-  | Compiled -> Vec.push t.cupd action
+let request_update t action = t.updates <- action :: t.updates
 
 let stop t = t.stopping <- true
 let stopping t = t.stopping
 
-(* Block-runner hooks (see {!Elab}): a fused activation block replays
-   several process bodies from one scheduled action, so it maintains
-   the per-activation bookkeeping the evaluation loop would otherwise
-   do — one [add_activation] per extra body, crash containment through
+(* Block-runner hooks (see [Checker.attach]): a checker pool steps
+   several monitors from one scheduled action, so it maintains the
+   per-activation bookkeeping the evaluation loop would otherwise do —
+   one [add_activation] per extra monitor, crash containment through
    [containing]/[record_crash] with the same attribution as the
    in-loop handler. *)
 let containing t = t.containing
@@ -273,36 +221,12 @@ let remove_waiter t = t.waiters <- t.waiters - 1
 let waiting_count t = t.waiters
 let set_label t name = t.label <- name
 
-(* --- shared run epilogue --------------------------------------------- *)
+(* --- the three-phase loop ----------------------------------------------- *)
 
-let conclude ?until t tripped =
-  let horizon_ok time =
-    match until with
-    | None -> true
-    | Some h -> time <= h
-  in
-  let ended_by_horizon =
-    match Heap.peek t.timed with
-    | Some e -> not (horizon_ok e.Heap.time)
-    | None -> false
-  in
-  t.diagnosis <-
-    (match t.crash with
-    | Some (name, error) -> Process_crashed { name; error }
-    | None -> (
-      match tripped with
-      | Some d -> d
-      | None ->
-        if (not t.stopping) && (not ended_by_horizon) && t.waiters > 0 then
-          (* Quiescent end with processes still blocked on events that
-             can no longer fire: event starvation, not completion. *)
-          Starved { waiting = t.waiters }
-        else Completed));
-  t.now
-
-(* --- classic engine: the dynamic reference loop ---------------------- *)
-
-let run_classic ?until ?(guard = default_guard) t =
+let run ?until ?(guard = default_guard) t =
+  (* Pre-run hooks first (elaboration checks the design here), in
+     registration order. *)
+  List.iter (fun hook -> hook ()) (List.rev t.pre_run);
   if t.running then invalid_arg "Kernel.run: already running";
   t.running <- true;
   t.stopping <- false;
@@ -407,145 +331,24 @@ let run_classic ?until ?(guard = default_guard) t =
       t.running <- false;
       t.containing <- false)
     (fun () -> loop ());
-  conclude ?until t !tripped
-
-(* --- compiled engine: static-schedule loop over the vector queues ----- *)
-
-(* Counter-for-counter mirror of [run_classic]: every [activations],
-   [update_actions], [deltas], [time_advances] and watchdog increment
-   happens at the same point of the same phase, so reports stay
-   byte-identical across engines.  Only the mechanisms differ: vector
-   queues instead of [Queue.t]/list accumulators and a double-buffered
-   update vector instead of [List.rev]. *)
-let run_compiled ?until ?(guard = default_guard) t =
-  if t.running then invalid_arg "Kernel.run: already running";
-  t.running <- true;
-  t.stopping <- false;
-  t.containing <- guard.contain_crashes;
-  t.crash <- None;
-  t.diagnosis <- Completed;
-  let steps0 = t.time_advances in
-  let tripped = ref None in
-  let horizon_ok time =
-    match until with
-    | None -> true
-    | Some h -> time <= h
+  let ended_by_horizon =
+    match Heap.peek t.timed with
+    | Some e -> not (horizon_ok e.Heap.time)
+    | None -> false
   in
-  let eval () =
-    if guard.contain_crashes then
-      while (not (Vec.is_empty t.crun)) && not t.stopping do
-        let action = Vec.pop t.crun in
-        t.activations <- t.activations + 1;
-        try action () with e -> record_crash t e
-      done
-    else
-      while (not (Vec.is_empty t.crun)) && not t.stopping do
-        let action = Vec.pop t.crun in
-        t.activations <- t.activations + 1;
-        action ()
-      done;
-    if Vec.is_empty t.crun then Vec.clear t.crun
-  in
-  let rec loop () =
-    if t.stopping || !tripped <> None then ()
-    else begin
-      (* Evaluation phase. *)
-      Tabv_obs.Metrics.start t.eval_timer;
-      eval ();
-      Tabv_obs.Metrics.stop t.eval_timer;
-      if t.stopping then ()
-      else begin
-        (* Update phase: swap in the spare vector so requests made by
-           the updates themselves land in the next round — the same
-           snapshot semantics as the classic engine's [List.rev]. *)
-        Tabv_obs.Metrics.start t.update_timer;
-        let updates = t.cupd in
-        t.cupd <- t.cupd_spare;
-        t.cupd_spare <- updates;
-        Vec.drain updates (fun u ->
-            t.update_actions <- t.update_actions + 1;
-            u ());
-        Tabv_obs.Metrics.stop t.update_timer;
-        (* Delta notification phase. *)
-        if not (Vec.is_empty t.cnext) then begin
-          match guard.max_delta_cycles with
-          | Some cap when t.delta >= cap ->
-            t.watchdog_trips <- t.watchdog_trips + 1;
-            Vec.clear t.cnext;
-            tripped := Some (Livelock { time = t.now; delta_cycles = t.delta })
-          | Some _ | None ->
-            Vec.transfer ~src:t.cnext ~dst:t.crun;
-            t.delta <- t.delta + 1;
-            t.deltas <- t.deltas + 1;
-            loop ()
-        end
-        else begin
-          (* Advance time to the next timed action, if any. *)
-          Tabv_obs.Metrics.start t.advance_timer;
-          let advanced =
-            match Heap.peek t.timed with
-            | Some { Heap.time; _ } when horizon_ok time ->
-              (match guard.max_steps with
-               | Some cap when t.time_advances - steps0 >= cap ->
-                 t.watchdog_trips <- t.watchdog_trips + 1;
-                 tripped := Some (Budget_exhausted { steps = cap });
-                 false
-               | Some _ | None ->
-                 t.now <- time;
-                 t.delta <- 0;
-                 t.time_advances <- t.time_advances + 1;
-                 let rec drain () =
-                   match Heap.peek t.timed with
-                   | Some entry when entry.Heap.time = time ->
-                     ignore (Heap.pop t.timed);
-                     Vec.push t.crun entry.Heap.action;
-                     drain ()
-                   | Some _ | None -> ()
-                 in
-                 drain ();
-                 true)
-            | Some _ | None -> false
-          in
-          Tabv_obs.Metrics.stop t.advance_timer;
-          if advanced then loop ()
-        end
-      end
-    end
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      t.running <- false;
-      t.containing <- false)
-    (fun () -> loop ());
-  conclude ?until t !tripped
-
-(* --- engine interface ------------------------------------------------- *)
-
-module type ENGINE = sig
-  val name : string
-  val run : ?until:int -> ?guard:guard -> t -> int
-end
-
-module Classic_engine : ENGINE = struct
-  let name = "classic"
-  let run = run_classic
-end
-
-module Compiled_engine : ENGINE = struct
-  let name = "compiled"
-  let run = run_compiled
-end
-
-let engine_impl : engine -> (module ENGINE) = function
-  | Classic -> (module Classic_engine)
-  | Compiled -> (module Compiled_engine)
-
-let run ?until ?guard t =
-  (* Pre-run hooks first (elaboration compiles the schedule here), in
-     registration order. *)
-  List.iter (fun hook -> hook ()) (List.rev t.pre_run);
-  let (module E : ENGINE) = engine_impl t.engine in
-  E.run ?until ?guard t
+  t.diagnosis <-
+    (match t.crash with
+    | Some (name, error) -> Process_crashed { name; error }
+    | None -> (
+      match !tripped with
+      | Some d -> d
+      | None ->
+        if (not t.stopping) && (not ended_by_horizon) && t.waiters > 0 then
+          (* Quiescent end with processes still blocked on events that
+             can no longer fire: event starvation, not completion. *)
+          Starved { waiting = t.waiters }
+        else Completed));
+  t.now
 
 let last_diagnosis t = t.diagnosis
 

@@ -13,38 +13,13 @@
 
 type t
 
-(** {2 Engine selection}
-
-    Two interchangeable execution engines drive the same three-phase
-    semantics:
-    {ul
-    {- [Classic] — the dynamic reference engine: closure queues, list
-       accumulators, per-instant allocation.  Unchanged semantics and
-       mechanics; the baseline every optimisation is diffed against.}
-    {- [Compiled] — the static-schedule engine produced by {!Elab}:
-       vector queues, a dense signal arena, preallocated update thunks
-       and fused activation blocks.}}
-
-    Reports and metrics are byte-identical across engines: the
-    compiled loop increments every counter at the same point of the
-    same phase, and delta-delayed signal updates make within-delta
-    execution order unobservable. *)
-
+(** Held only for perfbench; selects nothing (there is one engine). *)
 type engine =
   | Classic
   | Compiled
 
+(** Held only for perfbench; selects nothing. *)
 val engine_name : engine -> string
-
-(** Parse ["classic" | "compiled"]. *)
-val engine_of_string : string -> (engine, string) result
-
-(** Process-global default engine for subsequently created kernels
-    (initially [Classic]); set once by frontends ([tabv --engine],
-    campaign workers) before any kernel is created. *)
-val set_default_engine : engine -> unit
-
-val get_default_engine : unit -> engine
 
 (** How a {!run} ended.  [Completed] covers both an explicit {!stop}
     and reaching the [until] horizon; the other verdicts are the
@@ -92,27 +67,15 @@ val unguarded : guard
     [kernel.advance_phase]) on that registry; components created on
     this kernel ({!Signal}, {!Tlm}) instrument the same registry.
     Without [metrics] a private disabled registry is used: probes
-    still answer, push updates are no-ops.
-
-    [engine] fixes the execution engine for the kernel's lifetime
-    (default: {!get_default_engine}). *)
-val create : ?metrics:Tabv_obs.Metrics.t -> ?engine:engine -> unit -> t
+    still answer, push updates are no-ops. *)
+val create : ?metrics:Tabv_obs.Metrics.t -> unit -> t
 
 (** The registry this kernel (and everything created on it) reports to. *)
 val metrics : t -> Tabv_obs.Metrics.t
 
-(** The engine this kernel was created with. *)
-val engine : t -> engine
-
-val is_compiled : t -> bool
-
-(** The kernel's dense signal arena (slots are claimed by the typed
-    {!Signal} constructors). *)
-val arena : t -> Arena.t
-
 (** Register a hook run at the start of every {!run}, in registration
-    order.  {!Elab} uses this to compile the activation schedule before
-    the first step. *)
+    order.  {!Elab} uses this to check the design for zero-delay
+    cycles before the first step. *)
 val add_pre_run_hook : t -> (unit -> unit) -> unit
 
 (** Current simulation time (ns). *)
@@ -135,9 +98,8 @@ val schedule_now : t -> (unit -> unit) -> unit
 val schedule_next_delta : t -> (unit -> unit) -> unit
 
 (** [schedule_next_delta_batch t fs n] schedules the first [n] entries
-    of [fs] for the next delta in one call — {!Event}'s fan-out path,
-    with the engine dispatch hoisted out of the subscriber loop.  The
-    array must have at least [n] entries. *)
+    of [fs] for the next delta in one call: {!Event}'s fan-out path.
+    The array must have at least [n] entries. *)
 val schedule_next_delta_batch : t -> (unit -> unit) array -> int -> unit
 
 (** Register an update action for the update phase of the current
@@ -147,21 +109,19 @@ val request_update : t -> (unit -> unit) -> unit
 (** Stop the simulation at the end of the current evaluation phase. *)
 val stop : t -> unit
 
-(** Has {!stop} been called during the current run?  Fused activation
-    blocks (see {!Elab}) poll this between bodies so a [stop] issued
-    mid-block halts exactly where the classic per-action loop would. *)
+(** Has {!stop} been called during the current run?  A checker pool's
+    stepper polls this between monitors so a [stop] issued mid-pool
+    halts exactly where the per-action loop would. *)
 val stopping : t -> bool
 
 (** {2 Block-runner hooks}
 
-    A fused activation block ({!Elab}) or a checker pool's stepper
-    ([Checker.attach]) runs several bodies from one scheduled action;
-    these hooks let it keep the per-activation bookkeeping identical
-    to the evaluation loop's own. *)
+    A checker pool's stepper ([Checker.attach]) runs several bodies
+    from one scheduled action; these hooks let it keep the
+    per-activation bookkeeping identical to the evaluation loop's own. *)
 
 (** Is the current run containing crashes ([guard.contain_crashes])?
-    True during a {!run} given such a guard, on either engine, and
-    false outside runs.  Blocks use this to decide whether to
+    True during a {!run} given such a guard, and false outside runs.  Blocks use this to decide whether to
     attribute and contain per-body exceptions. *)
 val containing : t -> bool
 
@@ -192,24 +152,9 @@ val set_label : t -> string -> unit
     watchdog of [guard] (default {!default_guard}) trips, or the
     optional [until] horizon (ns) would be crossed; returns the final
     simulation time.  How the run ended is available from
-    {!last_diagnosis}.  Re-entrant calls are rejected.
-
-    Dispatches to the engine fixed at {!create} through the {!ENGINE}
-    seam, after running the pre-run hooks. *)
+    {!last_diagnosis}.  Re-entrant calls are rejected.  The pre-run
+    hooks run first. *)
 val run : ?until:int -> ?guard:guard -> t -> int
-
-(** {2 Engine seam}
-
-    The two loops behind {!run}.  [run] on a module obtained from
-    {!engine_impl} must only be applied to kernels created with the
-    matching engine. *)
-
-module type ENGINE = sig
-  val name : string
-  val run : ?until:int -> ?guard:guard -> t -> int
-end
-
-val engine_impl : engine -> (module ENGINE)
 
 (** Diagnosis of the most recent {!run} ([Completed] before any run). *)
 val last_diagnosis : t -> diagnosis

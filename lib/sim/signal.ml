@@ -1,32 +1,15 @@
-(* Storage split: a generic signal keeps its value pair in its own
-   record ([S_heap]); the typed constructors ([create_bool] & co.)
-   claim a slot of the kernel's dense arena instead ([S_slot]), so the
-   compiled engine's signal traffic is flat-array loads and stores
-   with a dirty-flag slot standing in for the per-signal pending flag.
-   Both
-   storages behave identically under both engines — the arena is a
-   layout change, not a semantics change. *)
-type 'a store =
-  | S_heap
-  | S_slot of {
-      pool : 'a Arena.pool;
-      slot : int;
-    }
-
 type 'a t = {
   kernel : Kernel.t;
   uid : int;  (* process-global, keys the elaboration graph *)
   name : string;
   equal : 'a -> 'a -> bool;
-  store : 'a store;
-  compiled : bool;
-  mutable current : 'a;  (* S_heap storage; initial value for S_slot *)
+  mutable current : 'a;
   mutable next : 'a;
-  mutable update_pending : bool;  (* S_heap; S_slot uses the dirty bit *)
+  mutable update_pending : bool;
   mutable transform : ('a -> 'a) option;  (* saboteur interposition *)
   changed : Event.t;
   mutable changes : int;
-  update_thunk : unit -> unit;  (* preallocated, compiled engine only *)
+  update : unit -> unit;  (* this signal's update-phase action *)
   m_writes : Tabv_obs.Metrics.counter;  (* shared per kernel *)
   m_updates : Tabv_obs.Metrics.counter;
 }
@@ -35,65 +18,26 @@ let uid_counter = ref 0
 
 let name t = t.name
 let uid t = t.uid
+let read t = t.current
 
-let read t =
-  match t.store with
-  | S_heap -> t.current
-  | S_slot { pool; slot } -> Arena.get pool slot
-
-(* The engine-interface read: tracing and reporting go through this
-   alias instead of reaching into signal internals, so they are
-   agnostic to where the value lives. *)
-let observe = read
-
-let get_next t =
-  match t.store with
-  | S_heap -> t.next
-  | S_slot { pool; slot } -> Arena.get_next pool slot
-
-let set_next t v =
-  match t.store with
-  | S_heap -> t.next <- v
-  | S_slot { pool; slot } -> Arena.set_next pool slot v
-
-let set_current t v =
-  match t.store with
-  | S_heap -> t.current <- v
-  | S_slot { pool; slot } -> Arena.set_cur pool slot v
-
-let pending t =
-  match t.store with
-  | S_heap -> t.update_pending
-  | S_slot { pool; slot } -> Arena.dirty pool slot
-
-let set_pending t =
-  match t.store with
-  | S_heap -> t.update_pending <- true
-  | S_slot { pool; slot } -> Arena.set_dirty pool slot
-
-let clear_pending t =
-  match t.store with
-  | S_heap -> t.update_pending <- false
-  | S_slot { pool; slot } -> Arena.clear_dirty pool slot
-
-let apply_update t () =
-  clear_pending t;
+let apply_update t =
+  t.update_pending <- false;
   let next =
     (* The interposition hook: a saboteur sees the driven value and
-       may replace it.  The next slot keeps the honest driven value so
-       a disarmed saboteur restores it at the next refresh/update. *)
+       may replace it.  [next] keeps the honest driven value so a
+       disarmed saboteur restores it at the next refresh/update. *)
     match t.transform with
-    | None -> get_next t
-    | Some f -> f (get_next t)
+    | None -> t.next
+    | Some f -> f t.next
   in
-  if not (t.equal (read t) next) then begin
-    set_current t next;
+  if not (t.equal t.current next) then begin
+    t.current <- next;
     t.changes <- t.changes + 1;
     Tabv_obs.Metrics.incr t.m_updates;
     Event.notify t.changed
   end
 
-let make kernel ~name ~equal ~store init =
+let make kernel ~name ~equal init =
   let metrics = Kernel.metrics kernel in
   incr uid_counter;
   let rec t =
@@ -102,51 +46,33 @@ let make kernel ~name ~equal ~store init =
       uid = !uid_counter;
       name;
       equal;
-      store;
-      compiled = Kernel.is_compiled kernel;
       current = init;
       next = init;
       update_pending = false;
       transform = None;
       changed = Event.create kernel (name ^ ".changed");
       changes = 0;
-      update_thunk = (fun () -> apply_update t ());
+      (* Allocated once here, so a write allocates nothing. *)
+      update = (fun () -> apply_update t);
       m_writes = Tabv_obs.Metrics.counter metrics "signal.writes";
       m_updates = Tabv_obs.Metrics.counter metrics "signal.updates";
     }
   in
   t
 
-let create kernel ~name ?(equal = ( = )) init =
-  make kernel ~name ~equal ~store:S_heap init
-
-let bool_equal (a : bool) b = a = b
-let int_equal (a : int) b = a = b
-
-let create_bool kernel ~name init =
-  let pool = Arena.bools (Kernel.arena kernel) in
-  let slot = Arena.alloc pool init in
-  make kernel ~name ~equal:bool_equal ~store:(S_slot { pool; slot }) init
-
-let create_int kernel ~name init =
-  let pool = Arena.ints (Kernel.arena kernel) in
-  let slot = Arena.alloc pool init in
-  make kernel ~name ~equal:int_equal ~store:(S_slot { pool; slot }) init
-
-let create_int64 kernel ~name init =
-  let pool = Arena.int64s (Kernel.arena kernel) in
-  let slot = Arena.alloc pool init in
-  make kernel ~name ~equal:Int64.equal ~store:(S_slot { pool; slot }) init
+let create kernel ~name ?(equal = ( = )) init = make kernel ~name ~equal init
+let create_bool kernel ~name init = make kernel ~name ~equal:Bool.equal init
+let create_int kernel ~name init = make kernel ~name ~equal:Int.equal init
+let create_int64 kernel ~name init = make kernel ~name ~equal:Int64.equal init
 
 let schedule_update t =
-  if not (pending t) then begin
-    set_pending t;
-    if t.compiled then Kernel.request_update t.kernel t.update_thunk
-    else Kernel.request_update t.kernel (apply_update t)
+  if not t.update_pending then begin
+    t.update_pending <- true;
+    Kernel.request_update t.kernel t.update
   end
 
 let write t v =
-  set_next t v;
+  t.next <- v;
   Tabv_obs.Metrics.incr t.m_writes;
   schedule_update t
 
@@ -164,7 +90,3 @@ let refresh t = schedule_update t
 
 let changed t = t.changed
 let change_count t = t.changes
-
-let force t v =
-  set_current t v;
-  set_next t v

@@ -10,18 +10,10 @@
 type 'a t
 
 (** [create kernel ~name ?equal init] — [equal] defaults to structural
-    equality.  Values live in the signal record itself; prefer the
-    typed constructors below (or {!Elab.signal_bool} & co.) for dense
-    arena storage and monomorphic comparison. *)
+    equality.  The value lives in the signal record itself. *)
 val create : Kernel.t -> name:string -> ?equal:('a -> 'a -> bool) -> 'a -> 'a t
 
-(** {2 Typed constructors (arena-backed)}
-
-    These claim a slot of the kernel's {!Arena}: current/next values
-    live in flat typed arrays, the pending-update flag in a dirty
-    bitset, and equality is monomorphic.  Semantics are identical to
-    {!create} under both engines. *)
-
+(** {!create} with a monomorphic [equal]. *)
 val create_bool : Kernel.t -> name:string -> bool -> bool t
 val create_int : Kernel.t -> name:string -> int -> int t
 val create_int64 : Kernel.t -> name:string -> int64 -> int64 t
@@ -33,11 +25,6 @@ val name : 'a t -> string
 val uid : 'a t -> int
 
 val read : 'a t -> 'a
-
-(** The engine-interface read used by tracing and reporting
-    ({!Trace_rec}, {!Trace_dump}): identical to {!read}, named to make
-    the engine-agnostic observation path explicit. *)
-val observe : 'a t -> 'a
 
 (** Schedule [v] as the value after the next update phase. *)
 val write : 'a t -> 'a -> unit
@@ -69,8 +56,3 @@ val changed : 'a t -> Event.t
 
 (** Number of effective value changes so far. *)
 val change_count : 'a t -> int
-
-(** Set the value immediately, bypassing the update phase; only for
-    elaboration-time initialisation (raises once simulation time or
-    delta has advanced beyond zero activity — see implementation). *)
-val force : 'a t -> 'a -> unit

@@ -1,5 +1,7 @@
 type t = { model : string; seed : int; ops : int; engine : string }
 
+let make ~model ~seed ~ops = { model; seed; ops; engine = "classic" }
+
 let equal a b = a = b
 
 (* Version-prefixed so a format bump invalidates stored fingerprints

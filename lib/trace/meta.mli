@@ -14,6 +14,12 @@ type t = {
   engine : string;  (** simulation kernel engine name *)
 }
 
+(** [make ~model ~seed ~ops] — the header of a run recorded now, with
+    [engine = "classic"], the one simulation engine.  Traces recorded
+    under the since-removed ["compiled"] engine read and recheck the
+    same way. *)
+val make : model:string -> seed:int -> ops:int -> t
+
 val equal : t -> t -> bool
 
 (** Stable hex digest of the tuple (plus the format version) — the

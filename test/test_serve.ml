@@ -455,6 +455,27 @@ let serve_cases =
                 "ops must be positive (got -3)" message;
               Alcotest.(check bool) "no trace file" false (Sys.file_exists trace)
             | _ -> Alcotest.fail "ops = -3 must be refused"));
+    slow_case "a served check naming the removed engine option is refused"
+      (fun () ->
+        let expected = expected_check_report () in
+        with_server (fun client _socket ->
+            let with_engine =
+              match Protocol.request_json ~id:0 (Protocol.Job (check_job ())) with
+              | J.Assoc fields -> J.Assoc (fields @ [ ("engine", J.String "classic") ])
+              | _ -> Alcotest.fail "a request is a JSON object"
+            in
+            Client.send client (J.to_string with_engine);
+            (match Client.next_event client with
+             | Ok (_, Protocol.Error { message }) ->
+               Alcotest.(check bool)
+                 (Printf.sprintf "names check.engine: %s" message)
+                 true
+                 (contains message "check.engine")
+             | Ok _ -> Alcotest.fail "a check carrying engine must be refused"
+             | Error e -> Alcotest.fail e);
+            Alcotest.(check string) "the same request without the field runs"
+              expected
+              (report_of (Client.request client (check_job ())))));
     slow_case "a daemon that cannot bind raises before running its body"
       (fun () ->
         with_server (fun _client socket ->

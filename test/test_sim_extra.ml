@@ -1,19 +1,12 @@
 open Tabv_sim
 
-(* Remaining simulation-layer corners: elaboration-time forcing,
-   payload defaults, method initialization, negative waits, stop/reuse. *)
+(* Remaining simulation-layer corners: payload defaults, method
+   initialization, negative waits, stop/reuse. *)
 
 let case name f = Alcotest.test_case name `Quick f
 
 let cases =
-  [ case "Signal.force sets the value immediately" (fun () ->
-      let k = Kernel.create () in
-      let s = Signal.create k ~name:"s" 0 in
-      Signal.force s 7;
-      Alcotest.(check int) "forced" 7 (Signal.read s);
-      (* No change event was produced. *)
-      Alcotest.(check int) "no changes" 0 (Signal.change_count s));
-    case "payload defaults" (fun () ->
+  [ case "payload defaults" (fun () ->
       let payload = Tlm.make_payload Tlm.Read in
       Alcotest.(check int) "address" 0 payload.Tlm.address;
       Alcotest.(check int64) "data" 0L payload.Tlm.data;

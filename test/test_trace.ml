@@ -356,36 +356,42 @@ let offline_cases =
 
 (* --- parallel re-checking ----------------------------------------- *)
 
-let record_des56 path ops_count =
+let record_des56 ?(engine = "classic") path ops_count =
   let ops = Tabv_duv.Workload.des56 ~seed:5 ~count:ops_count () in
-  let run_meta =
-    { Meta.model = "des56-rtl"; seed = 5; ops = ops_count; engine = "classic" }
-  in
+  let run_meta = { Meta.model = "des56-rtl"; seed = 5; ops = ops_count; engine } in
   Writer.with_file ~path run_meta (fun w ->
       Tabv_duv.Testbench.run_des56_rtl ~trace_writer:w
         ~properties:Tabv_duv.Des56_props.all ops)
 
 let recheck_cases =
   [ case "recheck report is identical to the live check" (fun () ->
-      with_temp (fun path ->
-          let live = record_des56 path 15 in
-          let run_fields =
-            [ ("model", Tabv_core.Report_json.String "des56-rtl");
-              ("seed", Tabv_core.Report_json.Int 5);
-              ("ops", Tabv_core.Report_json.Int 15) ]
-          in
-          let live_doc =
-            Tabv_core.Report_json.to_string
-              (Tabv_core.Report_json.verdict_report_json ~run:run_fields
-                 ~properties:live.Tabv_duv.Testbench.checker_stats ())
-          in
-          let rechecked =
-            Tabv_campaign.Recheck.run ~workers:2 ~retries:0 ~trace:path
-              Tabv_duv.Des56_props.all
-          in
-          Alcotest.(check string) "byte-identical" live_doc
-            (Tabv_core.Report_json.to_string
-               (Tabv_campaign.Recheck.report_json rechecked))));
+      (* ["compiled"] is the header [tabv record] wrote under the
+         since-removed compiled kernel engine: such traces must still
+         recheck to the live report. *)
+      List.iter
+        (fun engine ->
+          with_temp (fun path ->
+              let live = record_des56 ~engine path 15 in
+              let run_fields =
+                [ ("model", Tabv_core.Report_json.String "des56-rtl");
+                  ("seed", Tabv_core.Report_json.Int 5);
+                  ("ops", Tabv_core.Report_json.Int 15) ]
+              in
+              let live_doc =
+                Tabv_core.Report_json.to_string
+                  (Tabv_core.Report_json.verdict_report_json ~run:run_fields
+                     ~properties:live.Tabv_duv.Testbench.checker_stats ())
+              in
+              let rechecked =
+                Tabv_campaign.Recheck.run ~workers:2 ~retries:0 ~trace:path
+                  Tabv_duv.Des56_props.all
+              in
+              Alcotest.(check string) "header engine" engine
+                rechecked.Tabv_campaign.Recheck.meta.Meta.engine;
+              Alcotest.(check string) ("byte-identical, " ^ engine) live_doc
+                (Tabv_core.Report_json.to_string
+                   (Tabv_campaign.Recheck.report_json rechecked))))
+        [ "classic"; "compiled" ]);
     case "a stutter-heavy recording rechecks to the live report" (fun () ->
       (* Eight idle cycles between operations: most samples re-emit the
          previous env, so most offline steps reuse the valuation and
