@@ -502,8 +502,8 @@ let cache_gate ~quick =
           if !hits + !misses = 0 then 0.
           else float_of_int !hits /. float_of_int (!hits + !misses)
         in
-        ( t_legacy,
-          t_interned,
+        ( level,
+          (t_legacy, t_interned, hit_rate),
           J.Assoc
             [ ("level", J.String level);
               ("properties", J.Int (List.length props));
@@ -515,10 +515,14 @@ let cache_gate ~quick =
           timings ))
       levels
   in
-  let total pick = List.fold_left (fun a m -> a +. pick m) 0. measured in
-  let total_legacy = total (fun (l, _, _, _) -> l) in
-  let total_interned = total (fun (_, i, _, _) -> i) in
+  let total pick = List.fold_left (fun a (_, m, _, _) -> a +. pick m) 0. measured in
+  let total_legacy = total (fun (l, _, _) -> l) in
+  let total_interned = total (fun (_, i, _) -> i) in
   let overall = total_legacy /. total_interned in
+  let at_legacy, at_interned, at_hit_rate =
+    let _, tlm_at, _, _ = List.find (fun (level, _, _, _) -> level = "TLM-AT") measured in
+    tlm_at
+  in
   let stats = P.cache_stats () in
   { fields =
       [ ( "workload",
@@ -534,7 +538,11 @@ let cache_gate ~quick =
             ~distinct_transitions:stats.P.distinct_transitions
             ~interned_formulas:stats.P.interned_formulas () ) ];
     timings = List.concat_map (fun (_, _, _, timings) -> timings) measured;
-    checks = [ at_least "overall speedup" "x" overall 1.5 ] }
+    checks =
+      [ at_least "overall speedup" "x" overall 1.5;
+        at_least "TLM-AT cache hit rate" "" at_hit_rate 0.9;
+        at_least "TLM-AT interned speedup over legacy" "x" (at_legacy /. at_interned) 1. ]
+  }
 
 (* The DES56 RTL workload with all nine checkers, the densest checker
    configuration, as the obs and fault artefacts record it. *)

@@ -24,13 +24,14 @@ type t = {
   property : Property.t;
   temporal_body : bool;  (* vacuity only makes sense for temporal bodies *)
   initial : Progression.t;  (* obligation of a fresh instance *)
-  timed_initial : bool;  (* activating depends on the instant *)
   repeating : bool;  (* outer [always]: activate per evaluation point *)
   gate_atom : Interned.t option;  (* gate as interned atom, for sharing *)
   sampler : Sampler.t;
   eval : Interned.t -> bool;  (* [Sampler.evaluator sampler] *)
   counts : Sampler.counters;  (* [Sampler.counters sampler] *)
   mutable live : live_state list;  (* insertion order *)
+  mutable last_step : int;
+      (* instant [live] was last stepped: its waits count from here *)
   mutable started : bool;
   mutable failures : failure list;  (* unordered; sorted on read *)
   mutable activations : int;
@@ -96,13 +97,13 @@ let create ~sampler property =
     property;
     temporal_body = not (Simple_subset.is_boolean body);
     initial;
-    timed_initial = Progression.is_timed initial;
     repeating;
     gate_atom;
     sampler;
     eval = Sampler.evaluator sampler;
     counts = Sampler.counters sampler;
     live = [];
+    last_step = 0;
     started = false;
     failures = [];
     activations = 0;
@@ -145,11 +146,11 @@ let rec merge_sorted a b =
 
 (* Evaluation: every live record steps in place — each distinct state
    once, no matter how many live instances sit in it. *)
-let rec step_live stats ~time eval = function
+let rec step_live stats ~dt eval = function
   | [] -> ()
   | ls :: rest ->
-    ls.state <- Progression.step_atoms_in stats ~time eval ls.state;
-    step_live stats ~time eval rest
+    ls.state <- Progression.step_atoms_in stats ~dt eval ls.state;
+    step_live stats ~dt eval rest
 
 let resolved ls = Progression.is_true ls.state || Progression.is_false ls.state
 
@@ -195,9 +196,10 @@ let rec settle t ~time kept = function
         settle t ~time kept rest
       | exception Not_found -> settle t ~time (ls :: kept) rest
 
-(* Activation of a new instance. *)
+(* Activation of a new instance.  [initial] holds no wait, so its step
+   does not depend on [dt]. *)
 let activate t stats ~time =
-  let ob = Progression.step_atoms_in stats ~time t.eval t.initial in
+  let ob = Progression.step_atoms_in stats ~dt:0 t.eval t.initial in
   if Progression.is_true ob then begin
     t.passes <- t.passes + 1;
     t.trivial_passes <- t.trivial_passes + 1
@@ -222,10 +224,11 @@ let step_states t (stats : Progression.handle) ~time =
   let hits0 = stats.hits in
   let misses0 = stats.misses + stats.bypassed in
   if t.live != [] then begin
-    step_live stats ~time t.eval t.live;
+    step_live stats ~dt:(time - t.last_step) t.eval t.live;
     if not (settled t.live) then t.live <- settle t ~time [] t.live
   end;
   if t.repeating || not t.started then activate t stats ~time;
+  t.last_step <- time;
   t.cache_hits <- t.cache_hits + (stats.hits - hits0);
   t.cache_misses <- t.cache_misses + (stats.misses + stats.bypassed - misses0)
 
@@ -263,7 +266,9 @@ let activation_mask t =
     let row =
       match Progression.memo_row t.initial with
       | Progression.Dense_row atoms | Progression.Hashed_row atoms -> atoms
-      | Progression.Unstepped | Progression.Unmemoizable_row -> [||]
+      | Progression.Unstepped | Progression.Unmemoizable_row
+      | Progression.Rows_per_dt ->
+        [||]
     in
     t.activation_mask <-
       Array.fold_left
@@ -276,23 +281,20 @@ let activation_mask t =
    deltas.  It is replayable only if it changed nothing but counters:
    the sampler's prime completed, no failure was recorded, no cache or
    sampler-slot miss occurred, and either it was gated out (a no-op on
-   any multiset) or no instance was live before or after it, it did
+   any multiset) or no instance was live before or after it and it did
    not start a non-repeating monitor (whose later steps no longer
-   activate) and its activation did not progress a timed formula
-   (which bypasses the memo and interns an [at] state per instant).
-   An untimed activation without a miss was a memo hit, so it interned
-   nothing.  The flag is cleared first, so a step that raises is never
-   replayed. *)
+   activate).  An activation without a miss was a memo hit, so it
+   interned nothing; and with nothing live, no wait counts from the
+   [last_step] a replay leaves behind.  The flag is cleared first, so a
+   step that raises is never replayed. *)
 let step_recording t ~time ~valuation =
   t.replayable <- false;
   let stats = Progression.handle () in
   if t.stats != stats then t.stats <- stats;
-  let idle_before =
-    t.live == [] && (t.repeating || t.started) && not (t.repeating && t.timed_initial)
-  in
+  let idle_before = t.live == [] && (t.repeating || t.started) in
   if t.gate_atom == None && not idle_before then
-    (* Ungated and busy, or activating a timed formula: the step cannot
-       be replayable, so skip the capture. *)
+    (* Ungated and busy: the step cannot be replayable, so skip the
+       capture. *)
     step_core t stats ~time
   else begin
     Sampler.prime t.sampler ~time;
@@ -383,8 +385,9 @@ let evaluation_table t =
   List.sort compare
     (List.concat_map
        (fun ls ->
-         match Progression.next_evaluation_time ls.state with
-         | Some target -> List.map (fun _ -> target) ls.activations_at
+         match Progression.next_evaluation_in ls.state with
+         | Some remaining ->
+           List.map (fun _ -> t.last_step + remaining) ls.activations_at
          | None -> [])
        t.live)
 

@@ -64,10 +64,11 @@ val property : t -> Property.t
     counters: the sampler's prime completed (no atom raised), no
     failure was recorded, no transition-memo or sampler-slot miss
     occurred, and either the context gate held the step out, or no
-    instance was live before or after it, it was not the step that
-    starts a non-repeating monitor, and its activation did not
-    progress a timed formula (a [next_eps^tau] activation bypasses the
-    memo and interns an [at] state per instant). *)
+    instance was live before or after it and it was not the step that
+    starts a non-repeating monitor.  Waits count from the monitor's
+    last step, not from an absolute instant, so activating a
+    [next_eps^tau] property is an ordinary memo hit and its idle steps
+    replay like any other. *)
 
 (** Consume one evaluation point at instant [time] with a real step,
     never a replay.  The monitor primes its sampler first
@@ -146,7 +147,9 @@ val sampler : t -> Sampler.t
 
 (** The wrapper's "evaluation table" (Sec. IV): the next required
     evaluation instant of every live instance that is waiting on a
-    timed [next_eps^tau] obligation, sorted ascending. *)
+    timed [next_eps^tau] obligation, sorted ascending — the instant of
+    the monitor's last step plus the wait left
+    ({!Progression.next_evaluation_in}). *)
 val evaluation_table : t -> int list
 
 (** One-shot record of every counter above plus the deterministic

@@ -9,8 +9,9 @@ exception Not_in_nnf of Ltl.t
 type t = {
   onode : onode;
   oid : int;
-  has_at : bool;  (* contains a timed [At] wait *)
-  otimed : bool;  (* stepping depends on the current time *)
+  horizon : int;
+      (* the largest [remaining] of a wait in the state, or -1 when it
+         holds none: a step by any [dt] past it fails every wait alike *)
   mutable memo : memo_entry;
       (* transition memo, inlined into the hash-consed state so the
          hot path is one pointer load instead of a hashtable probe *)
@@ -21,17 +22,20 @@ and onode =
   | OFalse
   | OFormula of Interned.t
   | OAt of int * Interned.t
+      (* [next_eps^tau] wait: ns from the owning monitor's last step
+         until the operand is due *)
   | OAnd of t * t
   | OOr of t * t
 
-(* For an obligation without timed parts, the result of one step is a
-   pure function of the values of the atoms the progression reads —
-   and because progression never short-circuits, the set and order of
-   atoms read is fixed per state.  The memo therefore stores, per
-   state, the atom read-set (discovered on the first miss) and a table
-   from packed atom valuations to successor states: the paper's
+(* The result of one step is a pure function of the elapsed [dt] and
+   of the values of the atoms the progression reads — and because
+   progression never short-circuits, the set and order of atoms read
+   is fixed per (state, dt).  The memo therefore stores, per state and
+   per [dt], the atom read-set (discovered on the first miss) and a
+   table from packed atom valuations to successor states: the paper's
    explicit checker automaton, built lazily and only over reachable
-   states. *)
+   states.  Only a state holding a wait depends on [dt]; every other
+   state keeps one row. *)
 and memo_entry =
   | No_memo  (* state not stepped yet *)
   | Dense of {
@@ -45,6 +49,13 @@ and memo_entry =
       results : (int, t) Hashtbl.t;  (* packed valuation -> successor *)
     }
   | Unmemoizable  (* more than [max_memo_atoms] distinct atoms *)
+  | Per_dt of dt_row list
+      (* a state holding a wait: one row per clamped [dt], newest first *)
+
+and dt_row = {
+  dt : int;
+  mutable row : memo_entry;  (* never [Per_dt] *)
+}
 
 let onode_equal a b =
   match a, b with
@@ -59,7 +70,7 @@ let onode_hash = function
   | OTrue -> 0
   | OFalse -> 1
   | OFormula f -> Hashtbl.hash (2, Interned.id f)
-  | OAt (target, f) -> Hashtbl.hash (3, target, Interned.id f)
+  | OAt (remaining, f) -> Hashtbl.hash (3, remaining, Interned.id f)
   | OAnd (a, b) -> Hashtbl.hash (4, a.oid, b.oid)
   | OOr (a, b) -> Hashtbl.hash (5, a.oid, b.oid)
 
@@ -76,10 +87,8 @@ end)
    state itself before touching the memo), so they carry no mutable
    state in practice.  Sharing them keeps [is_true]/[is_false] a
    physical comparison against one node, domain-independent. *)
-let ob_true = { onode = OTrue; oid = 0; has_at = false; otimed = false; memo = No_memo }
-
-let ob_false =
-  { onode = OFalse; oid = 1; has_at = false; otimed = false; memo = No_memo }
+let ob_true = { onode = OTrue; oid = 0; horizon = -1; memo = No_memo }
+let ob_false = { onode = OFalse; oid = 1; horizon = -1; memo = No_memo }
 
 (* Per-domain obligation universe: hash-cons table, id counter and the
    transition-memo statistics all live behind [Domain.DLS], mirroring
@@ -120,16 +129,10 @@ let reset_universe () =
   Domain.DLS.set universe_key (fresh_universe ());
   Interned.reset_universe ()
 
-let onode_has_at = function
-  | OTrue | OFalse | OFormula _ -> false
-  | OAt _ -> true
-  | OAnd (a, b) | OOr (a, b) -> a.has_at || b.has_at
-
-let onode_timed = function
-  | OTrue | OFalse -> false
-  | OFormula f -> Interned.is_timed f
-  | OAt _ -> true
-  | OAnd (a, b) | OOr (a, b) -> a.otimed || b.otimed
+let onode_horizon = function
+  | OTrue | OFalse | OFormula _ -> -1
+  | OAt (remaining, _) -> remaining
+  | OAnd (a, b) | OOr (a, b) -> max a.horizon b.horizon
 
 let make onode =
   let u = universe () in
@@ -139,20 +142,12 @@ let make onode =
   | exception Not_found ->
     let oid = u.ob_counter in
     u.ob_counter <- oid + 1;
-    let ob =
-      {
-        onode;
-        oid;
-        has_at = onode_has_at onode;
-        otimed = onode_timed onode;
-        memo = No_memo;
-      }
-    in
+    let ob = { onode; oid; horizon = onode_horizon onode; memo = No_memo } in
     Ob_table.add u.ob_table onode ob;
     ob
 
 let formula f = make (OFormula f)
-let at target f = make (OAt (target, f))
+let at remaining f = make (OAt (remaining, f))
 
 (* Conjunction/disjunction with unit/absorption laws and O(1)
    duplicate collapse.  Binary operands are ordered by id: [and]/[or]
@@ -196,17 +191,16 @@ let is_false ob = ob == ob_false
 let verdict ob =
   if is_true ob then Some true else if is_false ob then Some false else None
 
-let has_timed_wait ob = ob.has_at
-let is_timed ob = ob.otimed
+let has_timed_wait ob = ob.horizon >= 0
 
-let rec next_evaluation_time ob =
+let rec next_evaluation_in ob =
   match ob.onode with
-  | OAt (target, _) -> Some target
+  | OAt (remaining, _) -> Some remaining
   | OTrue | OFalse | OFormula _ -> None
   | OAnd (a, b) | OOr (a, b) ->
-    if not ob.has_at then None
+    if ob.horizon < 0 then None
     else (
-      match next_evaluation_time a, next_evaluation_time b with
+      match next_evaluation_in a, next_evaluation_in b with
       | None, t | t, None -> t
       | Some x, Some y -> Some (min x y))
 
@@ -221,8 +215,7 @@ let max_dense_atoms = 8
 
 (* Placeholder successor of a dense row slot never taken; physically
    distinct from every interned obligation. *)
-let no_successor =
-  { onode = OFalse; oid = -1; has_at = false; otimed = false; memo = No_memo }
+let no_successor = { onode = OFalse; oid = -1; horizon = -1; memo = No_memo }
 
 type cache_stats = {
   cache_hits : int;
@@ -251,8 +244,9 @@ let cache_stats () =
 (* [eval] evaluates an interned [Atom] node at the current instant; it
    is the only window through which progression observes the DUV, so
    wrapping it (recording, per-instant caching) captures exactly the
-   atoms read. *)
-let rec progress ~time eval f =
+   atoms read.  Progressing into a [next_eps^tau] starts a wait of
+   [eps] from this step, whatever the instant. *)
+let rec progress eval f =
   match Interned.node f with
   | Interned.Atom _ -> if eval f then ob_true else ob_false
   | Interned.Not inner ->
@@ -260,46 +254,49 @@ let rec progress ~time eval f =
      | Interned.Atom _ -> if eval inner then ob_false else ob_true
      | _ -> raise (Not_in_nnf (Interned.to_ltl f)))
   | Interned.Implies _ -> raise (Not_in_nnf (Interned.to_ltl f))
-  | Interned.And (p, q) ->
-    ob_and (progress ~time eval p) (progress ~time eval q)
-  | Interned.Or (p, q) -> ob_or (progress ~time eval p) (progress ~time eval q)
+  | Interned.And (p, q) -> ob_and (progress eval p) (progress eval q)
+  | Interned.Or (p, q) -> ob_or (progress eval p) (progress eval q)
   | Interned.Next_n (1, p) -> formula p
   | Interned.Next_n (n, p) -> formula (Interned.next_n (n - 1) p)
-  | Interned.Next_event (ne, p) -> at (time + ne.Ltl.eps) p
+  | Interned.Next_event (ne, p) -> at ne.Ltl.eps p
   | Interned.Until (p, q) ->
-    ob_or (progress ~time eval q) (ob_and (progress ~time eval p) (formula f))
+    ob_or (progress eval q) (ob_and (progress eval p) (formula f))
   | Interned.Release (p, q) ->
-    ob_and (progress ~time eval q) (ob_or (progress ~time eval p) (formula f))
-  | Interned.Always p -> ob_and (progress ~time eval p) (formula f)
-  | Interned.Eventually p -> ob_or (progress ~time eval p) (formula f)
+    ob_and (progress eval q) (ob_or (progress eval p) (formula f))
+  | Interned.Always p -> ob_and (progress eval p) (formula f)
+  | Interned.Eventually p -> ob_or (progress eval p) (formula f)
 
-(* Structural step without memoization (used to compute misses). *)
-let rec compute ~time eval ob =
+(* Structural step by [dt] ns without memoization (used to compute
+   misses).  A wait still ahead shrinks by [dt], one due now
+   progresses its operand, and one skipped past fails. *)
+let rec compute ~dt eval ob =
   match ob.onode with
   | OTrue | OFalse -> ob
-  | OFormula f -> progress ~time eval f
-  | OAt (target, f) ->
-    if time < target then ob
-    else if time = target then progress ~time eval f
+  | OFormula f -> progress eval f
+  | OAt (remaining, f) ->
+    if remaining > dt then at (remaining - dt) f
+    else if remaining = dt then progress eval f
     else ob_false
-  | OAnd (a, b) -> ob_and (compute ~time eval a) (compute ~time eval b)
-  | OOr (a, b) -> ob_or (compute ~time eval a) (compute ~time eval b)
+  | OAnd (a, b) -> ob_and (compute ~dt eval a) (compute ~dt eval b)
+  | OOr (a, b) -> ob_or (compute ~dt eval a) (compute ~dt eval b)
 
 exception Too_many_atoms
 
-(* Memoized step of an untimed obligation.  The hot path — a state
-   already carrying its transition table — costs one pointer load, one
-   atom-evaluation pass to pack the valuation bits, and one array load
+(* Memoized step through one row of [ob]'s memo.  The hot path — a
+   row already carrying its transition table — costs one atom-
+   evaluation pass to pack the valuation bits and one array load
    (dense rows) or exception-based hashtable probe (wider rows);
-   nothing is allocated on a hit. *)
+   nothing is allocated on a hit.  A first visit seeds the row
+   through [install owner]: [ob] itself for a state without a wait,
+   its [dt_row] otherwise. *)
 let rec pack eval atoms i acc =
   if i >= Array.length atoms then acc
   else
     pack eval atoms (i + 1)
       (if eval (Array.unsafe_get atoms i) then acc lor (1 lsl i) else acc)
 
-let step_untimed_in stats ~time eval ob =
-  match ob.memo with
+let step_row stats ~dt eval ob row owner install =
+  match row with
   | Dense { atoms; successors } ->
     let bits = pack eval atoms 0 0 in
     let successor = Array.unsafe_get successors bits in
@@ -309,7 +306,7 @@ let step_untimed_in stats ~time eval ob =
     end
     else begin
       stats.misses <- stats.misses + 1;
-      let successor = compute ~time eval ob in
+      let successor = compute ~dt eval ob in
       stats.transitions <- stats.transitions + 1;
       Array.unsafe_set successors bits successor;
       successor
@@ -322,14 +319,14 @@ let step_untimed_in stats ~time eval ob =
        successor
      | exception Not_found ->
        stats.misses <- stats.misses + 1;
-       let successor = compute ~time eval ob in
+       let successor = compute ~dt eval ob in
        stats.transitions <- stats.transitions + 1;
        Hashtbl.add results bits successor;
        successor)
   | Unmemoizable ->
     stats.bypassed <- stats.bypassed + 1;
-    compute ~time eval ob
-  | No_memo ->
+    compute ~dt eval ob
+  | No_memo | Per_dt _ (* never a row *) ->
     (match ob.onode with
      | OTrue | OFalse -> ob
      | _ ->
@@ -352,47 +349,55 @@ let step_untimed_in stats ~time eval ob =
          end;
          v
        in
-       (match compute ~time recording ob with
+       (match compute ~dt recording ob with
         | successor ->
           let atoms = Array.of_list (List.rev !order) in
           stats.transitions <- stats.transitions + 1;
           if !count <= max_dense_atoms then begin
             let successors = Array.make (1 lsl !count) no_successor in
             successors.(!bits) <- successor;
-            ob.memo <- Dense { atoms; successors }
+            install owner (Dense { atoms; successors })
           end
           else begin
             let results = Hashtbl.create 8 in
             Hashtbl.add results !bits successor;
-            ob.memo <- Transitions { atoms; results }
+            install owner (Transitions { atoms; results })
           end;
           successor
         | exception Too_many_atoms ->
-          ob.memo <- Unmemoizable;
+          install owner Unmemoizable;
           stats.bypassed <- stats.bypassed + 1;
-          compute ~time eval ob))
+          compute ~dt eval ob))
 
-(* Full step: timed parts recurse structurally (their transitions
-   depend on absolute time and cannot be tabled); every untimed
-   subtree reached on the way goes through the memo. *)
-let rec step_eval_in stats ~time eval ob =
-  if not ob.otimed then step_untimed_in stats ~time eval ob
-  else
-    match ob.onode with
-    | OTrue | OFalse -> ob
-    | OFormula f -> progress ~time eval f
-    | OAt (target, f) ->
-      if time < target then ob
-      else if time = target then progress ~time eval f
-      else ob_false
-    | OAnd (a, b) ->
-      ob_and
-        (step_eval_in stats ~time eval a)
-        (step_eval_in stats ~time eval b)
-    | OOr (a, b) ->
-      ob_or
-        (step_eval_in stats ~time eval a)
-        (step_eval_in stats ~time eval b)
+let install_state ob entry = ob.memo <- entry
+let install_dt_row r entry = r.row <- entry
+
+let rec find_dt_row dt = function
+  | [] -> raise Not_found
+  | r :: rest -> if r.dt = dt then r else find_dt_row dt rest
+
+(* A state holding a wait steps through its row for [dt], clamped to
+   one past its horizon: every larger [dt] fails every wait and reads
+   the same atoms, so it shares that row. *)
+let step_atoms_in stats ~dt eval ob =
+  if ob.horizon < 0 then step_row stats ~dt eval ob ob.memo ob install_state
+  else begin
+    let dt = if dt > ob.horizon then ob.horizon + 1 else dt in
+    let rows =
+      match ob.memo with
+      | Per_dt rows -> rows
+      | No_memo | Dense _ | Transitions _ | Unmemoizable -> []
+    in
+    let r =
+      match find_dt_row dt rows with
+      | r -> r
+      | exception Not_found ->
+        let r = { dt; row = No_memo } in
+        ob.memo <- Per_dt (r :: rows);
+        r
+    in
+    step_row stats ~dt eval ob r.row r install_dt_row
+  end
 
 (* A handle is the calling domain's live statistics record itself:
    grabbing it once per monitor step replaces the per-state (and
@@ -414,6 +419,7 @@ type memo_row =
   | Dense_row of Interned.t array
   | Hashed_row of Interned.t array
   | Unmemoizable_row
+  | Rows_per_dt
 
 let memo_row ob =
   match ob.memo with
@@ -421,13 +427,13 @@ let memo_row ob =
   | Dense { atoms; _ } -> Dense_row atoms
   | Transitions { atoms; _ } -> Hashed_row atoms
   | Unmemoizable -> Unmemoizable_row
-let step_atoms_in (h : handle) ~time eval ob = step_eval_in h ~time eval ob
+  | Per_dt _ -> Rows_per_dt
 
 let rec pp ppf ob =
   match ob.onode with
   | OTrue -> Format.pp_print_string ppf "T"
   | OFalse -> Format.pp_print_string ppf "F"
   | OFormula f -> Format.fprintf ppf "{%a}" Interned.pp f
-  | OAt (target, f) -> Format.fprintf ppf "at[%dns]{%a}" target Interned.pp f
+  | OAt (remaining, f) -> Format.fprintf ppf "at[+%dns]{%a}" remaining Interned.pp f
   | OAnd (a, b) -> Format.fprintf ppf "(%a & %a)" pp a pp b
   | OOr (a, b) -> Format.fprintf ppf "(%a | %a)" pp a pp b

@@ -16,28 +16,32 @@ open Tabv_psl
     v}
 
     The paper's [next_eps^tau] operator progresses into a timed
-    obligation [at target] with [target = now + eps] (Def. III.3):
-    subsequent events leave it untouched while earlier than [target],
-    evaluate the operand at exactly [target], and {e fail} it when an
-    event arrives past [target] without one at [target] — exactly the
-    wrapper behaviour of Sec. IV.
+    obligation [at eps] (Def. III.3), a wait measured from the step
+    that started it.  Each step passes the [dt] elapsed since the
+    owning monitor's previous step: a wait with more than [dt] left
+    shrinks by [dt], one with exactly [dt] left evaluates its operand,
+    and one with less than [dt] left {e fails}, because an event
+    arrived past its instant without one at it — exactly the wrapper
+    behaviour of Sec. IV.  As there, the automaton is time-free and
+    the monitor's evaluation table says when each wait is due.
 
     {2 Interning and the transition memo}
 
     Obligations are hash-consed: each distinct residual formula is one
     heap node with a dense unique id, so identical live instances
-    collapse into one state.  For {e untimed} states the result of one
-    step is a pure function of the values of the atoms the progression
-    reads, and the atom read-set of a fixed state is itself fixed (the
-    progression never short-circuits); a domain-global
-    [(state, atom valuation) -> state] memo therefore tables the
+    collapse into one state.  The result of one step is a pure
+    function of [dt] and of the values of the atoms the progression
+    reads, and the atom read-set of a fixed state and [dt] is itself
+    fixed (the progression never short-circuits); a domain-global
+    [(state, dt, atom valuation) -> state] memo therefore tables the
     transition relation lazily, building the paper's explicit checker
-    automaton over reachable states only.  A row reading at most eight
-    atoms is a dense array indexed by the packed valuation, so a hit
-    is one array load; wider rows (up to 62 atoms) keep a hash table.
-    Timed ([at]) waits depend on absolute instants and always take the
-    direct rewriting path; the untimed subtrees beneath them still hit
-    the memo.
+    automaton over reachable states only.  Only a state holding a wait
+    depends on [dt]: it keeps one row per [dt], with every [dt] past
+    its longest wait sharing one row (they all fail every wait), so
+    its row count is bounded by [eps] over the event grid.  Every
+    other state keeps a single row.  A row reading at most eight atoms
+    is a dense array indexed by the packed valuation, so a hit is one
+    array load; wider rows (up to 62 atoms) keep a hash table.
 
     {2 Domain safety}
 
@@ -71,17 +75,13 @@ val is_true : t -> bool
 val is_false : t -> bool
 
 (** True when the obligation still contains a timed [at] node, i.e. a
-    [next_eps^tau] wait. *)
+    [next_eps^tau] wait: only such a state's step depends on [dt]. *)
 val has_timed_wait : t -> bool
 
-(** True when stepping the obligation depends on the current instant
-    (a timed wait, or a [next_eps^tau] to progress into one): such a
-    step bypasses the transition memo and may intern new states. *)
-val is_timed : t -> bool
-
-(** Earliest pending timed-evaluation instant, if any — the wrapper's
-    "evaluation table" entry for this instance. *)
-val next_evaluation_time : t -> int option
+(** Nanoseconds from the state's last step until its earliest pending
+    timed evaluation, if any — added to that step's instant, the
+    wrapper's "evaluation table" entry for this instance. *)
+val next_evaluation_in : t -> int option
 
 (** Obligation verdict at end of simulation: [Some true] iff resolved
     true, [Some false] iff resolved false, [None] when still pending
@@ -97,7 +97,7 @@ type cache_stats = {
   cache_misses : int;  (** steps that had to run the rewriting *)
   cache_bypassed : int;  (** steps of states with too many atoms *)
   distinct_states : int;  (** hash-consed obligations ever created *)
-  distinct_transitions : int;  (** memoized (state, valuation) pairs *)
+  distinct_transitions : int;  (** memoized (state, dt, valuation) triples *)
   interned_formulas : int;  (** hash-consed LTL terms ever created *)
 }
 
@@ -147,12 +147,14 @@ type memo_row =
       (** at most eight atoms: successors by packed valuation *)
   | Hashed_row of Interned.t array  (** nine to 62 atoms: a hash table *)
   | Unmemoizable_row  (** more than 62 atoms: always rewritten *)
+  | Rows_per_dt  (** a state holding a wait: one row per [dt] *)
 
 val memo_row : t -> memo_row
 
-(** [step_atoms_in handle ~time eval ob] consumes the evaluation
-    point at [time]: [eval] gives the value of each interned [Atom]
-    node the progression reads (the monitor passes its sampler's
-    {!Sampler.evaluator}).  Cache traffic is counted into [handle]
-    with plain field writes. *)
-val step_atoms_in : handle -> time:int -> (Interned.t -> bool) -> t -> t
+(** [step_atoms_in handle ~dt eval ob] consumes the evaluation point
+    [dt] ns after the owning monitor's previous step: [eval] gives the
+    value of each interned [Atom] node the progression reads (the
+    monitor passes its sampler's {!Sampler.evaluator}).  [dt] only
+    matters to a state holding a wait.  Cache traffic is counted into
+    [handle] with plain field writes. *)
+val step_atoms_in : handle -> dt:int -> (Interned.t -> bool) -> t -> t

@@ -2,11 +2,11 @@
 
    Every structurally distinct formula is represented by exactly one
    heap node, so equality is physical equality, every node carries a
-   dense unique id usable as a hash-table key, and derived attributes
-   (timedness, atom sets) are computed once per distinct term instead
-   of once per occurrence.  The table is domain-local and append-only:
-   terms are never forgotten, which keeps ids stable for the lifetime
-   of their domain — exactly what the checker's transition memo needs.
+   dense unique id usable as a hash-table key, and its hash is
+   computed once per distinct term instead of once per occurrence.
+   The table is domain-local and append-only: terms are never
+   forgotten, which keeps ids stable for the lifetime of their domain
+   — exactly what the checker's transition memo needs.
 
    Domain safety: every domain owns a private interning universe
    (table + id counter) behind [Domain.DLS], so concurrent workers
@@ -23,7 +23,6 @@ type t = {
   node : node;
   id : int;
   hkey : int;
-  timed : bool;  (* contains Next_event *)
   mutable sample_stamp : int;
       (* per-instant scratch slot for external atom-value caches (see
          the checker's [Sampler]): a cached boolean tagged by an
@@ -100,13 +99,6 @@ let universe () = Domain.DLS.get universe_key
 
 let reset_universe () = Domain.DLS.set universe_key (fresh_universe ())
 
-let node_timed = function
-  | Atom _ -> false
-  | Next_event _ -> true
-  | Not p | Next_n (_, p) | Always p | Eventually p -> p.timed
-  | And (p, q) | Or (p, q) | Implies (p, q) | Until (p, q) | Release (p, q) ->
-    p.timed || q.timed
-
 let make node =
   let u = universe () in
   (* Exception-based probe: hits (the common case once the formula set
@@ -121,7 +113,6 @@ let make node =
         node;
         id;
         hkey = node_hash node;
-        timed = node_timed node;
         sample_stamp = min_int;
         sample_value = false;
       }
@@ -201,7 +192,6 @@ let set_sample t ~stamp ~value =
   t.sample_value <- value
 let equal (a : t) (b : t) = a == b
 let compare (a : t) (b : t) = Stdlib.compare a.id b.id
-let is_timed t = t.timed
 let node t = t.node
 
 let rec is_nnf t =

@@ -2,13 +2,12 @@
 
     Structurally equal formulas share one heap node, so {!equal} is
     physical equality (O(1)), every node has a dense unique {!id}
-    usable as a hash-table key, and per-term attributes (e.g. whether
-    the term contains the timed [next_eps^tau] operator) are computed
-    once per distinct term.
+    usable as a hash-table key, and its hash is computed once per
+    distinct term.
 
     The intern table is domain-local ([Domain.DLS]) and append-only:
     ids are stable for the lifetime of the owning domain.  This is
-    what makes the checker's [(state, atom valuation) -> state]
+    what makes the checker's [(state, dt, atom valuation) -> state]
     transition memo sound — a state id observed once always denotes
     the same formula.
 
@@ -24,7 +23,6 @@ type t = private {
   node : node;
   id : int;  (** dense unique id *)
   hkey : int;  (** precomputed hash *)
-  timed : bool;  (** contains [Next_event] *)
   mutable sample_stamp : int;  (** see {!set_sample} *)
   mutable sample_value : bool;
 }
@@ -84,9 +82,6 @@ val equal : t -> t -> bool
 
 (** Total order on unique ids (creation order, not structural). *)
 val compare : t -> t -> int
-
-(** True iff the term contains a [Next_event] (timed) operator. *)
-val is_timed : t -> bool
 
 val node : t -> node
 val is_nnf : t -> bool

@@ -159,11 +159,12 @@ let gen_ltl_timed_nnf =
           Gen.map (fun p -> Ltl.Eventually p) (self (n - 1)) ])
 
 (* Timed trace with irregular (but grid-aligned) event spacing, like a
-   transaction stream. *)
+   transaction stream.  Gaps reach 90 ns, past the longest generated
+   wait (60 ns), so events skip past waits as well as land on them. *)
 let gen_timed_trace =
   let open Gen in
   let* len = int_range 1 25 in
-  let* gaps = list_repeat len (int_range 1 4) in
+  let* gaps = list_repeat len (int_range 1 9) in
   let* envs = list_repeat len gen_env in
   let entries =
     List.rev
@@ -183,14 +184,27 @@ let arb_timed_nnf_and_trace =
         (Format.asprintf "%a" Trace.pp trace))
     Gen.(pair gen_ltl_timed_nnf gen_timed_trace)
 
+(* The same, half the time with a transaction gate: the formula is
+   evaluated only at events where the gate holds. *)
+let arb_maybe_gated_timed_nnf_and_trace =
+  make
+    ~print:(fun (gate, (t, trace)) ->
+      Printf.sprintf "%s%s\non trace:\n%s" (Ltl.to_string t)
+        (match gate with
+         | Some gate -> " gated by " ^ Expr.to_string gate
+         | None -> "")
+        (Format.asprintf "%a" Trace.pp trace))
+    Gen.(pair (opt ~ratio:0.5 gen_atom_expr) (pair gen_ltl_timed_nnf gen_timed_trace))
+
 (* --- stepping checkers against lookup functions --------------------- *)
 
 (* Checkers read signals through compiled atoms ([Sampler]); the tests
    drive them with plain lookup functions instead, through these
    adaptors. *)
 
-(* One progression step, atoms evaluated by the reference interpreter. *)
-let progression_step ~time lookup ob =
+(* One progression step [dt] ns after the previous one, atoms
+   evaluated by the reference interpreter. *)
+let progression_step ~dt lookup ob =
   let eval atom =
     match Tabv_psl.Interned.node atom with
     | Tabv_psl.Interned.Atom e -> Expr.eval lookup e
@@ -198,7 +212,13 @@ let progression_step ~time lookup ob =
   in
   Tabv_checker.Progression.step_atoms_in
     (Tabv_checker.Progression.handle ())
-    ~time eval ob
+    ~dt eval ob
+
+(* The [dt] of entry [i] of [trace]: ns since the entry before it (0
+   for the first, whose obligation holds no wait yet). *)
+let trace_dt trace i =
+  if i = 0 then 0
+  else (Trace.get trace i).Trace.time - (Trace.get trace (i - 1)).Trace.time
 
 (* The lookup of the evaluation point being stepped: every sampler made
    by [lookup_sampler] reads its signals through it. *)

@@ -28,7 +28,8 @@ let run_progression formula trace =
     let entry = Trace.get trace i in
     match Progression.verdict !ob with
     | Some _ -> ()
-    | None -> ob := Helpers.progression_step ~time:entry.Trace.time (Trace.lookup entry) !ob
+    | None ->
+      ob := Helpers.progression_step ~dt:(Helpers.trace_dt trace i) (Trace.lookup entry) !ob
   done;
   Progression.verdict !ob
 

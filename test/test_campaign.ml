@@ -37,7 +37,7 @@ let universe_probe () =
   in
   let inputs = [ (true, false); (true, true); (false, false); (true, true) ] in
   let ob = ref (Progression.of_formula (Parser.formula_only "a until b")) in
-  List.iteri (fun i v -> ob := Helpers.progression_step ~time:(i * 10) (env v) !ob) inputs;
+  List.iter (fun v -> ob := Helpers.progression_step ~dt:10 (env v) !ob) inputs;
   let stats = Progression.cache_stats () in
   ( ids,
     Progression.verdict !ob,

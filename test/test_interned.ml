@@ -34,11 +34,6 @@ let hashcons_cases =
       Alcotest.(check bool) "next[2](next[3] p) == next[5] p" true
         (Interned.next_n 2 (Interned.next_n 3 p) == Interned.next_n 5 p);
       Alcotest.(check bool) "next[0] is identity" true (Interned.next_n 0 p == p));
-    case "is_timed reflects next_eps^tau" (fun () ->
-      Alcotest.(check bool) "timed" true
-        (Interned.is_timed (Interned.intern (formula "always(nexte[1,170](a))")));
-      Alcotest.(check bool) "untimed" false
-        (Interned.is_timed (Interned.intern (formula "always(next[17](a))"))));
     case "interning does not grow the table on re-insertion" (fun () ->
       let f = formula "always((a && b) || (a && b))" in
       let _ = Interned.intern f in
@@ -60,6 +55,9 @@ let hashcons_cases =
 
 (* --- step-level equivalence: interned engine vs. legacy ------------- *)
 
+(* The interned engine steps by the gap since the previous entry; the
+   legacy one by the entry's absolute instant, which is also where a
+   relative wait falls due. *)
 let verdicts_agree (f, trace) =
   let ob = ref (Progression.of_formula f) in
   let leg = ref (Legacy.of_formula f) in
@@ -67,11 +65,11 @@ let verdicts_agree (f, trace) =
   for i = 0 to Trace.length trace - 1 do
     let entry = Trace.get trace i in
     let lookup = Trace.lookup entry in
-    ob := Helpers.progression_step ~time:entry.Trace.time lookup !ob;
+    ob := Helpers.progression_step ~dt:(Helpers.trace_dt trace i) lookup !ob;
     leg := Legacy.step ~time:entry.Trace.time lookup !leg;
     if Progression.verdict !ob <> Legacy.verdict !leg then ok := false;
-    if Progression.next_evaluation_time !ob <> Legacy.next_evaluation_time !leg
-    then ok := false
+    let due = Option.map (( + ) entry.Trace.time) (Progression.next_evaluation_in !ob) in
+    if due <> Legacy.next_evaluation_time !leg then ok := false
   done;
   !ok
 
@@ -94,7 +92,7 @@ let wide_rows_agree n valuations =
       let lookup name =
         Scanf.sscanf_opt name "a%d" (fun i -> Expr.VBool (bits land (1 lsl i) <> 0))
       in
-      ob := Helpers.progression_step ~time:0 lookup !ob;
+      ob := Helpers.progression_step ~dt:0 lookup !ob;
       leg := Legacy.step ~time:0 lookup !leg;
       let agree = Progression.verdict !ob = Legacy.verdict !leg in
       if Progression.is_false !ob then begin
@@ -124,11 +122,13 @@ let step_equivalence_cases =
           if String.length name > 0 && name.[0] = 'a' then Some (Expr.VBool true)
           else None
         in
-        ignore (Helpers.progression_step ~time:0 all_true ob);
+        ignore (Helpers.progression_step ~dt:0 all_true ob);
         match Progression.memo_row ob with
         | Progression.Dense_row atoms -> ("dense", Array.length atoms)
         | Progression.Hashed_row atoms -> ("hashed", Array.length atoms)
-        | Progression.Unstepped | Progression.Unmemoizable_row -> ("none", 0)
+        | Progression.Unstepped | Progression.Unmemoizable_row
+        | Progression.Rows_per_dt ->
+          ("none", 0)
       in
       Alcotest.(check (pair string int)) "8 atoms" ("dense", 8) (row 8);
       Alcotest.(check (pair string int)) "9 atoms" ("hashed", 9) (row 9));
@@ -143,21 +143,26 @@ let step_equivalence_cases =
    lists (with attribution), activation/pass/pending counters, peak
    instance counts and the timed evaluation table. *)
 
-let eq_property f =
-  Property.make ~name:"eq" ~context:(Context.Transaction Context.Base_trans) f
+let eq_property ?gate f =
+  let context =
+    match gate with
+    | None -> Context.Base_trans
+    | Some gate -> Context.Trans_and gate
+  in
+  Property.make ~name:"eq" ~context:(Context.Transaction context) f
 
-let run_monitor (f, trace) =
-  let monitor = Helpers.monitor (eq_property f) in
+let run_monitor ?gate (f, trace) =
+  let monitor = Helpers.monitor (eq_property ?gate f) in
   for i = 0 to Trace.length trace - 1 do
     let entry = Trace.get trace i in
     Helpers.monitor_step monitor ~time:entry.Trace.time (Trace.lookup entry)
   done;
   monitor
 
-let monitors_agree (f, trace) =
-  let monitor = run_monitor (f, trace) in
+let monitors_agree ?gate (f, trace) =
+  let monitor = run_monitor ?gate (f, trace) in
   let reference =
-    match Reference_monitor.run `Legacy [ eq_property f ] trace with
+    match Reference_monitor.run `Legacy [ eq_property ?gate f ] trace with
     | [ (_, reference) ] -> reference
     | _ -> assert false
   in
@@ -184,11 +189,33 @@ let monitor_equivalence_cases =
   [ Helpers.qtest ~count:300 "monitor accounting engine-independent (general)"
       Helpers.arb_ltl_and_trace monitors_agree;
     Helpers.qtest ~count:300 "monitor accounting engine-independent (timed)"
-      Helpers.arb_timed_nnf_and_trace monitors_agree;
+      Helpers.arb_maybe_gated_timed_nnf_and_trace (fun (gate, arg) ->
+        monitors_agree ?gate arg);
     Helpers.qtest ~count:200 "distinct states never exceed live instances"
       Helpers.arb_ltl_and_trace (fun arg ->
         let monitor = run_monitor arg in
         Monitor.peak_distinct_states monitor <= Monitor.peak_instances monitor) ]
+
+(* --- bounded obligation universe ----------------------------------- *)
+
+(* A [next_eps^tau] wait counts from the monitor's last step, not from
+   an absolute instant, so a run on an approximately-timed model
+   reaches the same obligation states whatever its length. *)
+let universe_size model ~ops =
+  let open Tabv_duv in
+  Progression.reset_universe ();
+  let properties, grid_properties = Models.properties_for model None in
+  ignore (Models.run model ~seed:42 ~ops ~properties ~grid_properties);
+  (Progression.cache_stats ()).Progression.distinct_states
+
+let universe_cases =
+  [ case "TLM-AT obligation universe does not grow with run length" (fun () ->
+      List.iter
+        (fun model ->
+          Alcotest.(check int)
+            (Tabv_duv.Models.name model ^ " distinct states, 40 vs 400 ops")
+            (universe_size model ~ops:40) (universe_size model ~ops:400))
+        Tabv_duv.Models.[ Des56_at; Memctrl_at; Colorconv_at ]) ]
 
 (* --- shared sampler ------------------------------------------------ *)
 
@@ -262,4 +289,4 @@ let sampler_cases =
 let suite =
   ("interned",
    hashcons_cases @ step_equivalence_cases @ monitor_equivalence_cases
-   @ sampler_cases)
+   @ universe_cases @ sampler_cases)
