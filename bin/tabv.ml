@@ -138,6 +138,15 @@ let check_report_json_arg =
 let simulate_run ~cmd trace_out model count seed props_file metrics_flag
     metrics_json report_out =
   let fail = Cli.fail cmd in
+  (* A trace that cannot be opened, written or synced is reported by
+     operation and path, not as an uncaught exception. *)
+  let storage f =
+    try f ()
+    with Tabv_core.Io.Io_error { op; path; error } ->
+      fail
+        (Printf.sprintf "storage failure: %s on %s: %s" op path
+           (Unix.error_message error))
+  in
   (match Models.check_ops count with
    | Ok () -> ()
    | Error message -> fail message);
@@ -168,14 +177,13 @@ let simulate_run ~cmd trace_out model count seed props_file metrics_flag
       let meta =
         Tabv_trace.Meta.make ~model:(Cli.model_name model) ~seed ~ops:count
       in
-      Some (Tabv_trace.Writer.create ~path meta)
+      Some (storage (fun () -> Tabv_trace.Writer.create ~path meta))
   in
   let result =
-    Fun.protect
-      ~finally:(fun () -> Option.iter Tabv_trace.Writer.close writer)
-      (fun () ->
-        Cli.run_model ?metrics ?trace_writer:writer model ~seed ~ops:count
-          ~properties ~grid_properties)
+    storage (fun () ->
+        Tabv_trace.Writer.protect writer (fun () ->
+            Cli.run_model ?metrics ?trace_writer:writer model ~seed ~ops:count
+              ~properties ~grid_properties))
   in
   Printf.printf "simulated %dns, %d operations, %d kernel activations, %d transactions\n"
     result.Testbench.sim_time_ns result.Testbench.completed_ops

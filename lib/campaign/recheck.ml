@@ -14,7 +14,8 @@ let property_source p =
   Format.asprintf "property %s = %a %a;" p.Property.name Ltl.pp
     p.Property.formula Context.pp p.Property.context
 
-let exec_chunk ~trace ~properties =
+(* One pass over the trace: its meta and the chunk's payload. *)
+let check_chunk ~trace ~properties =
   (* Fresh universe per chunk, as Campaign.exec_job does per job: the
      verdict fields are universe-independent anyway, but a bounded
      per-chunk universe also keeps long recheck runs from accreting
@@ -24,9 +25,12 @@ let exec_chunk ~trace ~properties =
       let monitors =
         Tabv_checker.Offline.over_seq properties (Tabv_trace.Reader.to_seq reader)
       in
-      ( Tabv_trace.Reader.samples reader,
-        Tabv_trace.Reader.spans reader,
-        Tabv_checker.Offline.snapshots monitors ))
+      ( Tabv_trace.Reader.meta reader,
+        ( Tabv_trace.Reader.samples reader,
+          Tabv_trace.Reader.spans reader,
+          Tabv_checker.Offline.snapshots monitors ) ))
+
+let exec_chunk ~trace ~properties = snd (check_chunk ~trace ~properties)
 
 let probe path =
   Tabv_trace.Reader.with_file path (fun reader ->
@@ -86,19 +90,21 @@ let payload_of_json json =
 let run ?(exec = Executor.config Executor.In_domain) ?interrupted ~workers
     ~retries ~trace properties =
   if workers < 1 then invalid_arg "Recheck.run: workers must be >= 1";
-  (* Validate the file before spinning up any executor, so a damaged
-     trace fails with its Format_error, not a chunk failure. *)
-  let meta, _signals = probe trace in
   let count = List.length properties in
   let chunks = max 1 (min workers count) in
   if chunks = 1 && Executor.kind_of exec = Executor.In_domain then begin
     (* One in-domain chunk needs no worker pool: stream in the calling
-       domain.  Byte-identity with the pooled path is pinned by the
-       worker-count-independence tests. *)
-    let samples, spans, snapshots = exec_chunk ~trace ~properties in
+       domain, opening the trace once.  Its reader decodes the header
+       and raises a damaged file's Format_error itself.  Byte-identity
+       with the pooled path is pinned by the worker-count-independence
+       tests. *)
+    let meta, (samples, spans, snapshots) = check_chunk ~trace ~properties in
     { meta; snapshots; samples; spans }
   end
   else begin
+  (* Validate the file before spinning up any executor, so a damaged
+     trace fails with its Format_error, not a chunk failure. *)
+  let meta, _signals = probe trace in
   let bounds = chunk_bounds ~chunks count in
   let chunk_props =
     List.map (fun (start, len) -> sub_list start len properties) bounds

@@ -49,7 +49,9 @@ val payload_json :
 val probe : string -> Tabv_trace.Meta.t * string list
 
 (** [run ?exec ?interrupted ~workers ~retries ~trace properties]
-    re-checks the property set against the stored trace.
+    re-checks the property set against the stored trace.  One
+    in-domain chunk opens the trace once; a pooled run {!probe}s it
+    before any worker starts, then each chunk opens it again.
     @raise Chunk_failed when a chunk fails after its retries.
     @raise Invalid_argument when [workers < 1] or [retries < 0].
     @raise Tabv_trace.Reader.Format_error on a damaged file. *)

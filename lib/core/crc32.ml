@@ -32,8 +32,8 @@ let byte crc c =
   lnot r land 0xFFFFFFFF
 
 (* The uncomplemented shift register, for hot streaming folds (the
-   trace reader consumes millions of bytes one at a time; the
-   finalizing complements of [byte] would double its per-byte cost).
+   trace reader and writer fold every record of a trace, a run of
+   bytes at a time; the finalizing complements would be paid per run).
    [finish] recovers the CRC [update]/[byte] would have produced. *)
 module Raw = struct
   let table () = Lazy.force table

@@ -18,13 +18,12 @@ val string : string -> int
 (** [byte crc c] extends [crc] with the single byte [c]. *)
 val byte : int -> char -> int
 
-(** The uncomplemented shift register, for hot streaming folds where
-    the finalizing complements of {!byte} are measurable (the trace
-    reader folds one byte per call over whole files).  A caller keeps
-    [start], advances it per byte with
-    [tbl.((raw lxor Char.code c) land 0xFF) lxor (raw lsr 8)] against
-    the [table ()] it cached, and {!Raw.finish} recovers exactly the
-    value {!update}/{!byte} would have produced. *)
+(** The uncomplemented shift register, for hot streaming folds (the
+    trace reader and writer fold every record of every trace, a run of
+    bytes at a time).  A caller keeps [start], folds runs of bytes
+    into it with {!Raw.feed_string} against the [table ()] it cached,
+    and {!Raw.finish} recovers exactly the value {!update}/{!byte}
+    would have produced. *)
 module Raw : sig
   (** The forced 256-entry table (allocate-free after the first
       call). *)

@@ -1,6 +1,9 @@
 (* The production path must stay indistinguishable from a plain
    buffered channel: one [Atomic.get] per flushed chunk is the entire
-   cost of the seam when no hook is installed.  All the interesting
+   cost of the seam when no hook is installed.  A chunk is whatever
+   the caller flushes at once — a journal line, or a trace writer's
+   64 KiB of whole records — so the caller, not this module, decides
+   how many [write(2)] calls a file costs.  All the interesting
    behaviour — torn writes, lying fsyncs — lives in the hook, which
    only [Fault.Io] and the durability tests ever install. *)
 
@@ -91,6 +94,25 @@ let write_all fd path b pos len =
     written := !written + n
   done
 
+(* One chunk of [len] bytes of [b] from [pos] to the file: one hook
+   decision, then as many [write(2)] calls as the kernel needs. *)
+let push t b pos len =
+  match Atomic.get current_hook with
+  | None ->
+    write_all t.fd t.path b pos len;
+    t.offset <- t.offset + len
+  | Some h -> (
+    match h.on_write ~path:t.path ~offset:t.offset ~len with
+    | Write_through ->
+      write_all t.fd t.path b pos len;
+      t.offset <- t.offset + len
+    | Write_short { bytes; error } ->
+      let bytes = max 0 (min bytes len) in
+      write_all t.fd t.path b pos bytes;
+      t.offset <- t.offset + bytes;
+      io_error ~op:"write" ~path:t.path error
+    | Write_error error -> io_error ~op:"write" ~path:t.path error)
+
 let flush t =
   check_open t "flush";
   let len = t.buf_len in
@@ -99,22 +121,13 @@ let flush t =
        buffer empties even when the write errors); the data survives in
        [t.buf] until the next [write] because nothing re-enters. *)
     t.buf_len <- 0;
-    match Atomic.get current_hook with
-    | None ->
-      write_all t.fd t.path t.buf 0 len;
-      t.offset <- t.offset + len
-    | Some h -> (
-      match h.on_write ~path:t.path ~offset:t.offset ~len with
-      | Write_through ->
-        write_all t.fd t.path t.buf 0 len;
-        t.offset <- t.offset + len
-      | Write_short { bytes; error } ->
-        let bytes = max 0 (min bytes len) in
-        write_all t.fd t.path t.buf 0 bytes;
-        t.offset <- t.offset + bytes;
-        io_error ~op:"write" ~path:t.path error
-      | Write_error error -> io_error ~op:"write" ~path:t.path error)
+    push t t.buf 0 len
   end
+
+let flush_bytes t b ~len =
+  if len < 0 || len > Bytes.length b then invalid_arg "Io.flush_bytes";
+  flush t;
+  if len > 0 then push t b 0 len
 
 let fd_fsync t =
   try Unix.fsync t.fd

@@ -91,6 +91,13 @@ val write : t -> string -> unit
 (** Push staged bytes to the file as one chunk (one hook decision). *)
 val flush : t -> unit
 
+(** [flush_bytes t b ~len] pushes [b[0 .. len-1]] to the file as one
+    chunk, after anything {!write} staged: one hook decision for it,
+    and no copy into [t]'s staging buffer.  For callers that stage
+    their own records (the trace writer).  Fails like {!flush}.
+    @raise Invalid_argument when [len] is out of [b]'s bounds. *)
+val flush_bytes : t -> Bytes.t -> len:int -> unit
+
 (** {!flush}, then [fsync] (one hook decision each). *)
 val fsync : t -> unit
 

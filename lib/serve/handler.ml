@@ -112,11 +112,9 @@ let exec_check ~model ~seed ~ops ~props ~trace_out =
         Ok (Some (Tabv_trace.Writer.create ~path meta))
   in
   let result =
-    Fun.protect
-      ~finally:(fun () -> Option.iter Tabv_trace.Writer.close writer)
-      (fun () ->
-        Models.run ?trace_writer:writer model ~seed ~ops
-          ~properties ~grid_properties)
+    Tabv_trace.Writer.protect writer (fun () ->
+        Models.run ?trace_writer:writer model ~seed ~ops ~properties
+          ~grid_properties)
   in
   Ok
     {

@@ -3,15 +3,17 @@ open Tabv_psl
 (** Streaming binary trace reader.
 
     Memory is bounded by the signal dictionary (the current valuation
-    is kept for change-mask decoding), not by the trace length — a
-    multi-gigabyte campaign trace replays in O(signal count) live
-    words.  Every structural problem — wrong magic, unsupported
-    version, truncation (EOF before the end record), a failed
-    per-block CRC, counts that do not match the end record, trailing
-    bytes — raises {!Format_error} with the offending path, the byte
-    [offset] of the damage, and the [valid_prefix]: the byte length of
-    the CRC-verified prefix before it, i.e. exactly what a salvage
-    tool may keep.  A damaged file is refused, never silently misread,
+    is kept for change-mask decoding) plus one block buffer, not by
+    the trace length — a multi-gigabyte campaign trace replays in
+    O(signal count) live words.  The file is read a block at a time
+    (up to 64 KiB, one [read(2)] each, into a buffer no larger than
+    the file) and decoded from memory.  Every structural problem —
+    wrong magic, unsupported version, truncation (EOF before the end
+    record), a failed per-block CRC, counts that do not match the end
+    record, trailing bytes — raises {!Format_error} with the offending
+    path, the byte [offset] of the damage, and the [valid_prefix]: the
+    byte length of the CRC-verified prefix before it, i.e. exactly
+    what a salvage tool may keep.  A damaged file is refused, never silently misread,
     and a decoded entry is only ever surfaced after its block's CRC
     has verified. *)
 
@@ -28,7 +30,8 @@ exception
 
 (** Open the file and decode the header.
     @raise Format_error on a non-trace file or unsupported version.
-    @raise Sys_error like [open_in_bin]. *)
+    @raise Sys_error like [open_in_bin] (also when a later read
+    fails). *)
 val open_file : string -> t
 
 val meta : t -> Meta.t

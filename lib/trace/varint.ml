@@ -1,18 +1,28 @@
 exception Corrupt of string
 
-let rec write_uint buf v =
+let max_bytes = (Sys.int_size + 6) / 7
+
+let rec write_uint b pos v =
   let low = v land 0x7f in
   (* [lsr] is a logical shift, so a negative int drains to 0 after at
-     most 9 rounds instead of looping on sign bits. *)
+     most [max_bytes] rounds instead of looping on sign bits. *)
   let rest = v lsr 7 in
-  if rest = 0 then Buffer.add_char buf (Char.chr low)
+  if rest = 0 then begin
+    Bytes.unsafe_set b pos (Char.unsafe_chr low);
+    pos + 1
+  end
   else begin
-    Buffer.add_char buf (Char.chr (low lor 0x80));
-    write_uint buf rest
+    Bytes.unsafe_set b pos (Char.unsafe_chr (low lor 0x80));
+    write_uint b (pos + 1) rest
   end
 
-let write_zigzag buf v =
-  write_uint buf ((v lsl 1) lxor (v asr (Sys.int_size - 1)))
+let write_uint b pos v =
+  if pos < 0 || pos > Bytes.length b - max_bytes then
+    invalid_arg "Varint.write_uint";
+  write_uint b pos v
+
+let write_zigzag b pos v =
+  write_uint b pos ((v lsl 1) lxor (v asr (Sys.int_size - 1)))
 
 (* Raw decode of the full 63-bit pattern: the 9th byte (shift 56)
    carries bits 56..62, so bit 6 of that byte lands on the OCaml int
@@ -37,6 +47,5 @@ let read_uint next =
   if u < 0 then raise (Corrupt "uint varint exceeds 62 bits");
   u
 
-let read_zigzag next =
-  let u = read_raw next in
-  (u lsr 1) lxor (- (u land 1))
+let unzigzag u = (u lsr 1) lxor (- (u land 1))
+let read_zigzag next = unzigzag (read_raw next)

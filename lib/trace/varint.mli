@@ -8,8 +8,16 @@
 
 exception Corrupt of string
 
-val write_uint : Buffer.t -> int -> unit
-val write_zigzag : Buffer.t -> int -> unit
+(** The longest encoding of an [int]: 9 bytes on a 64-bit host. *)
+val max_bytes : int
+
+(** [write_uint b pos v] encodes [v] into [b] from [pos] and returns
+    the position after it.  The caller leaves {!max_bytes} of room.
+    @raise Invalid_argument when [b] has less room than that at
+    [pos]. *)
+val write_uint : Bytes.t -> int -> int -> int
+
+val write_zigzag : Bytes.t -> int -> int -> int
 
 (** [read_uint next] pulls bytes from [next] (which raises
     [End_of_file] when exhausted).
@@ -20,3 +28,7 @@ val write_zigzag : Buffer.t -> int -> unit
 val read_uint : (unit -> char) -> int
 
 val read_zigzag : (unit -> char) -> int
+
+(** The signed int a zigzag-mapped unsigned pattern stands for:
+    [read_zigzag next = unzigzag] of the raw decode. *)
+val unzigzag : int -> int

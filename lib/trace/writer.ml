@@ -1,17 +1,29 @@
 open Tabv_psl
 module Crc32 = Tabv_core.Crc32
+module Io = Tabv_core.Io
 
 type dict_entry = { name : string; kind : char }
 
+(* Staged records go to the file once at least this many bytes have
+   built up: one write(2), and one [Fault.Io] decision, per chunk
+   instead of per record. *)
+let chunk_bytes = 65536
+
 type t = {
-  io : Tabv_core.Io.t;
-  buf : Buffer.t;  (* staging area for one record *)
+  io : Io.t;
+  tbl : int array;  (* cached CRC table *)
+  mutable stage : Bytes.t;  (* encoded records not yet pushed *)
+  mutable staged : int;  (* bytes used in [stage] *)
+  mutable record_start : int;  (* where in [stage] the open record begins *)
   mutable dict : dict_entry array;  (* [||] until the first sample *)
   mutable dict_written : bool;
-  mutable prev_values : Expr.value array;  (* last committed sample *)
+  mutable prev : Expr.value array;  (* last committed sample *)
   mutable have_prev : bool;
   mutable prev_time : int;
-  mutable pending : (int * Expr.value array) option;
+  mutable pending : Expr.value array;  (* the sample awaiting a later one *)
+  mutable have_pending : bool;
+  mutable pending_time : int;
+  mutable changed : bool array;  (* per-signal change flags of a commit *)
   labels : (string, int) Hashtbl.t;
   mutable next_label : int;
   mutable prev_span_start : int;
@@ -21,37 +33,96 @@ type t = {
   mutable closed : bool;
 }
 
-let crc_le crc =
-  String.init Layout.crc_bytes (fun i -> Char.chr ((crc lsr (8 * i)) land 0xff))
+(* --- the stage: whole records, pushed a chunk at a time ------------- *)
 
-(* One staged record = one CRC-framed block = one IO chunk (a single
-   write boundary under the fault hook): body bytes, then the CRC of
-   the body, little-endian. *)
-let flush_buf t =
-  let body = Buffer.contents t.buf in
-  Buffer.clear t.buf;
-  Tabv_core.Io.write t.io body;
-  Tabv_core.Io.write t.io (crc_le (Crc32.string body));
-  Tabv_core.Io.flush t.io;
-  t.bytes <- t.bytes + String.length body + Layout.crc_bytes
+(* The stage doubles up to one chunk plus room for the record that
+   crosses it; only a record larger than that grows it further. *)
+let reserve t n =
+  let need = t.staged + n in
+  if need > Bytes.length t.stage then begin
+    let cap = max need (min (2 * Bytes.length t.stage) (chunk_bytes + 4096)) in
+    let grown = Bytes.create cap in
+    Bytes.blit t.stage 0 grown 0 t.staged;
+    t.stage <- grown
+  end
 
-let write_string buf s =
-  Varint.write_uint buf (String.length s);
-  Buffer.add_string buf s
+let add_char t c =
+  reserve t 1;
+  Bytes.unsafe_set t.stage t.staged c;
+  t.staged <- t.staged + 1
+
+let add_uint t v =
+  reserve t Varint.max_bytes;
+  t.staged <- Varint.write_uint t.stage t.staged v
+
+let add_zigzag t v =
+  reserve t Varint.max_bytes;
+  t.staged <- Varint.write_zigzag t.stage t.staged v
+
+let add_string t s =
+  let len = String.length s in
+  add_uint t len;
+  reserve t len;
+  Bytes.blit_string s 0 t.stage t.staged len;
+  t.staged <- t.staged + len
+
+(* [len] zero bytes to set bits in, at the returned offset. *)
+let add_bits t len =
+  reserve t len;
+  let at = t.staged in
+  Bytes.fill t.stage at len '\000';
+  t.staged <- at + len;
+  at
+
+let set_bit b at i =
+  let k = at + (i lsr 3) in
+  Bytes.unsafe_set b k
+    (Char.unsafe_chr (Char.code (Bytes.unsafe_get b k) lor (1 lsl (i land 7))))
+
+(* Hand the staged bytes to the file as one chunk.  They count as
+   consumed even when the write fails, as with [Io.flush]. *)
+let push t =
+  let len = t.staged in
+  t.staged <- 0;
+  t.record_start <- 0;
+  if len > 0 then Io.flush_bytes t.io t.stage ~len
+
+(* Close the record opened at [record_start] with the CRC of its body,
+   little-endian, computed in place; push once a chunk has built up.
+   Every chunk therefore ends on a record boundary, and a torn file is
+   still a CRC-verified prefix of whole records. *)
+let end_record t =
+  let body = t.staged - t.record_start in
+  let crc =
+    Crc32.Raw.finish
+      (Crc32.Raw.feed_string t.tbl Crc32.Raw.start
+         (Bytes.unsafe_to_string t.stage) ~pos:t.record_start ~len:body)
+  in
+  reserve t Layout.crc_bytes;
+  Bytes.set_int32_le t.stage t.staged (Int32.of_int crc);
+  t.staged <- t.staged + Layout.crc_bytes;
+  t.bytes <- t.bytes + body + Layout.crc_bytes;
+  if t.staged >= chunk_bytes then push t;
+  t.record_start <- t.staged
 
 let create ~path meta =
-  let io = Tabv_core.Io.create path in
-  let buf = Buffer.create 1024 in
+  let io = Io.create path in
   let t =
     {
       io;
-      buf;
+      tbl = Crc32.Raw.table ();
+      stage = Bytes.create 4096;
+      staged = 0;
+      record_start = 0;
       dict = [||];
       dict_written = false;
-      prev_values = [||];
+      prev = [||];
       have_prev = false;
       prev_time = 0;
-      pending = None;
+      pending = [||];
+      have_pending = false;
+      pending_time = 0;
+      changed = [||];
       labels = Hashtbl.create 8;
       next_label = 0;
       prev_span_start = 0;
@@ -61,17 +132,20 @@ let create ~path meta =
       closed = false;
     }
   in
-  (* The magic is raw (its own chunk, no CRC — a reader must be able
-     to recognize the format before trusting any framing); the meta
-     header is the first CRC-framed block. *)
-  Tabv_core.Io.write io Layout.magic;
-  Tabv_core.Io.flush io;
-  t.bytes <- String.length Layout.magic;
-  write_string buf meta.Meta.model;
-  Varint.write_zigzag buf meta.Meta.seed;
-  Varint.write_uint buf meta.Meta.ops;
-  write_string buf meta.Meta.engine;
-  flush_buf t;
+  (* The magic is raw (no CRC — a reader must be able to recognize the
+     format before trusting any framing); the meta header is the first
+     CRC-framed block.  Both are staged together, so the first chunk
+     too ends on a record boundary. *)
+  reserve t (String.length Layout.magic);
+  Bytes.blit_string Layout.magic 0 t.stage 0 (String.length Layout.magic);
+  t.staged <- String.length Layout.magic;
+  t.record_start <- t.staged;
+  t.bytes <- t.staged;
+  add_string t meta.Meta.model;
+  add_zigzag t meta.Meta.seed;
+  add_uint t meta.Meta.ops;
+  add_string t meta.Meta.engine;
+  end_record t;
   t
 
 let check_open t = if t.closed then invalid_arg "Trace writer: already closed"
@@ -84,97 +158,99 @@ let write_dict t env =
   t.dict <-
     Array.of_list
       (List.map (fun (name, v) -> { name; kind = kind_of_value v }) env);
-  if Array.length t.dict > Layout.max_dictionary then
-    invalid_arg "Trace writer: too many signals";
-  Buffer.add_char t.buf Layout.tag_dict;
-  Varint.write_uint t.buf (Array.length t.dict);
+  let n = Array.length t.dict in
+  if n > Layout.max_dictionary then invalid_arg "Trace writer: too many signals";
+  add_char t Layout.tag_dict;
+  add_uint t n;
   Array.iter
     (fun e ->
-      write_string t.buf e.name;
-      Buffer.add_char t.buf e.kind)
+      add_string t e.name;
+      add_char t e.kind)
     t.dict;
-  flush_buf t
+  end_record t;
+  t.prev <- Array.make n (Expr.VBool false);
+  t.pending <- Array.make n (Expr.VBool false);
+  t.changed <- Array.make n false
 
-(* Turn an environment into a dictionary-aligned value array, checking
-   that the signal set, order and kinds are stable across the run. *)
-let values_of_env t env =
+(* Check that an environment matches the dictionary — signal set,
+   order and kinds stable across the run — before anything changes. *)
+let check_env t env =
   let n = Array.length t.dict in
-  let values = Array.make n (Expr.VBool false) in
-  let i = ref 0 in
-  List.iter
-    (fun (name, v) ->
-      if !i >= n then invalid_arg "Trace writer: sample has extra signals";
-      let e = t.dict.(!i) in
+  let rec go i = function
+    | [] -> if i <> n then invalid_arg "Trace writer: sample is missing signals"
+    | (name, v) :: rest ->
+      if i >= n then invalid_arg "Trace writer: sample has extra signals";
+      let e = t.dict.(i) in
       if not (String.equal e.name name) then
         invalid_arg
-          (Printf.sprintf "Trace writer: signal %d is %S, dictionary says %S"
-             !i name e.name);
+          (Printf.sprintf "Trace writer: signal %d is %S, dictionary says %S" i
+             name e.name);
       if kind_of_value v <> e.kind then
         invalid_arg (Printf.sprintf "Trace writer: signal %S changed kind" name);
-      values.(!i) <- v;
-      incr i)
-    env;
-  if !i <> n then invalid_arg "Trace writer: sample is missing signals";
-  values
+      go (i + 1) rest
+  in
+  go 0 env
+
+let rec fill values i = function
+  | [] -> ()
+  | (_, v) :: rest ->
+    Array.unsafe_set values i v;
+    fill values (i + 1) rest
 
 (* Encode the pending sample: delta time, change mask, then the
    changed bool values bit-packed and the changed ints as zigzag
-   varints, all in dictionary order. *)
-let commit t time values =
+   varints, all in dictionary order.  The two value arrays then swap
+   roles: the committed sample becomes [prev], and the old [prev] is
+   free for the next pending one. *)
+let commit t =
+  let time = t.pending_time and values = t.pending and prev = t.prev in
+  if (not t.have_prev) && time < 0 then
+    invalid_arg "Trace writer: negative time";
+  add_char t Layout.tag_sample;
+  add_uint t (if t.have_prev then time - t.prev_time else time);
   let n = Array.length t.dict in
-  Buffer.add_char t.buf Layout.tag_sample;
-  if t.have_prev then Varint.write_uint t.buf (time - t.prev_time)
-  else begin
-    if time < 0 then invalid_arg "Trace writer: negative time";
-    Varint.write_uint t.buf time
-  end;
-  let changed i =
-    (not t.have_prev) || values.(i) <> t.prev_values.(i)
-  in
-  let add_bits test count =
-    let byte = ref 0 and fill = ref 0 in
-    for i = 0 to count - 1 do
-      if test i then byte := !byte lor (1 lsl !fill);
-      incr fill;
-      if !fill = 8 then begin
-        Buffer.add_char t.buf (Char.chr !byte);
-        byte := 0;
-        fill := 0
-      end
-    done;
-    if !fill > 0 then Buffer.add_char t.buf (Char.chr !byte)
-  in
-  add_bits changed n;
-  (* Bool values of the changed entries, bit-packed in dict order. *)
-  let changed_bools = ref [] in
-  for i = n - 1 downto 0 do
-    if changed i && t.dict.(i).kind = Layout.kind_bool then
-      changed_bools := i :: !changed_bools
-  done;
-  let changed_bools = Array.of_list !changed_bools in
-  add_bits
-    (fun j ->
-      match values.(changed_bools.(j)) with
-      | Expr.VBool b -> b
-      | Expr.VInt _ -> assert false)
-    (Array.length changed_bools);
+  let mask = add_bits t ((n + 7) / 8) in
+  let n_bools = ref 0 in
   for i = 0 to n - 1 do
-    if changed i && t.dict.(i).kind = Layout.kind_int then
-      match values.(i) with
-      | Expr.VInt v -> Varint.write_zigzag t.buf v
-      | Expr.VBool _ -> assert false
+    let c =
+      (not t.have_prev)
+      || not (Expr.equal_value (Array.unsafe_get values i) (Array.unsafe_get prev i))
+    in
+    Array.unsafe_set t.changed i c;
+    if c then begin
+      set_bit t.stage mask i;
+      match Array.unsafe_get values i with
+      | Expr.VBool _ -> incr n_bools
+      | Expr.VInt _ -> ()
+    end
   done;
-  flush_buf t;
-  t.prev_values <- values;
+  let bools = add_bits t ((!n_bools + 7) / 8) in
+  let j = ref 0 in
+  for i = 0 to n - 1 do
+    if Array.unsafe_get t.changed i then
+      match Array.unsafe_get values i with
+      | Expr.VBool b ->
+        if b then set_bit t.stage bools !j;
+        incr j
+      | Expr.VInt _ -> ()
+  done;
+  for i = 0 to n - 1 do
+    if Array.unsafe_get t.changed i then
+      match Array.unsafe_get values i with
+      | Expr.VInt v -> add_zigzag t v
+      | Expr.VBool _ -> ()
+  done;
+  end_record t;
+  t.prev <- values;
+  t.pending <- prev;
   t.have_prev <- true;
   t.prev_time <- time
 
 let flush_pending t =
-  match t.pending with
-  | None -> ()
-  | Some (time, values) ->
-    t.pending <- None;
-    commit t time values
+  if t.have_pending then begin
+    t.have_pending <- false;
+    commit t
+  end
 
 let sample t ~time env =
   check_open t;
@@ -182,78 +258,102 @@ let sample t ~time env =
     write_dict t env;
     t.dict_written <- true
   end;
-  let values = values_of_env t env in
-  (match t.pending with
-   | Some (pending_time, _) when time = pending_time ->
-     (* Last-wins within an instant, as in Trace_rec. *)
-     t.pending <- Some (time, values)
-   | Some (pending_time, _) when time < pending_time ->
-     invalid_arg
-       (Printf.sprintf "Trace writer: time went backwards (%d after %d)" time
-          pending_time)
-   | Some _ ->
-     flush_pending t;
-     t.pending <- Some (time, values);
-     t.n_samples <- t.n_samples + 1
-   | None ->
-     if t.have_prev && time <= t.prev_time then
-       invalid_arg
-         (Printf.sprintf "Trace writer: time went backwards (%d after %d)" time
-            t.prev_time);
-     t.pending <- Some (time, values);
-     t.n_samples <- t.n_samples + 1)
+  check_env t env;
+  if t.have_pending then begin
+    if time < t.pending_time then
+      invalid_arg
+        (Printf.sprintf "Trace writer: time went backwards (%d after %d)" time
+           t.pending_time);
+    (* A same-instant sample overwrites the pending one (last-wins, as
+       in Trace_rec); a later one proves it final. *)
+    if time > t.pending_time then begin
+      flush_pending t;
+      t.n_samples <- t.n_samples + 1
+    end
+  end
+  else begin
+    if t.have_prev && time <= t.prev_time then
+      invalid_arg
+        (Printf.sprintf "Trace writer: time went backwards (%d after %d)" time
+           t.prev_time);
+    t.n_samples <- t.n_samples + 1
+  end;
+  fill t.pending 0 env;
+  t.have_pending <- true;
+  t.pending_time <- time
 
 let span t ~label ~start_time ~end_time =
   check_open t;
   if end_time < start_time then
     invalid_arg "Trace writer: span ends before it starts";
   let id =
-    match Hashtbl.find_opt t.labels label with
-    | Some id -> id
-    | None ->
+    match Hashtbl.find t.labels label with
+    | id -> id
+    | exception Not_found ->
       let id = t.next_label in
       t.next_label <- id + 1;
       Hashtbl.add t.labels label id;
       (* Its own block: the reader resolves label ids at block
          boundaries, so a label may never share a CRC frame with the
          span that first uses it. *)
-      Buffer.add_char t.buf Layout.tag_label;
-      write_string t.buf label;
-      flush_buf t;
+      add_char t Layout.tag_label;
+      add_string t label;
+      end_record t;
       id
   in
-  Buffer.add_char t.buf Layout.tag_span;
-  Varint.write_uint t.buf id;
-  Varint.write_zigzag t.buf (start_time - t.prev_span_start);
-  Varint.write_uint t.buf (end_time - start_time);
+  add_char t Layout.tag_span;
+  add_uint t id;
+  add_zigzag t (start_time - t.prev_span_start);
+  add_uint t (end_time - start_time);
   t.prev_span_start <- start_time;
   t.n_spans <- t.n_spans + 1;
-  flush_buf t
+  end_record t
 
 let samples t = t.n_samples
 let spans t = t.n_spans
 let bytes_written t = t.bytes
 
-let close t =
+(* Release the file without an end record: push the whole records
+   staged so far, best effort, and drop the descriptor quietly.  The
+   file is then a torn trace, refused by the reader with its verified
+   prefix intact. *)
+let abort t =
   if not t.closed then begin
     t.closed <- true;
+    t.staged <- t.record_start;
+    (try push t with Io.Io_error _ -> ());
+    Io.close_noerr t.io
+  end
+
+let close t =
+  if not t.closed then
     match
       flush_pending t;
-      Buffer.add_char t.buf Layout.tag_end;
-      Varint.write_uint t.buf t.n_samples;
-      Varint.write_uint t.buf t.n_spans;
-      flush_buf t;
-      Tabv_core.Io.fsync t.io
+      add_char t Layout.tag_end;
+      add_uint t t.n_samples;
+      add_uint t t.n_spans;
+      end_record t;
+      push t;
+      Io.fsync t.io
     with
-    | () -> Tabv_core.Io.close t.io
+    | () ->
+      t.closed <- true;
+      Io.close t.io
     | exception e ->
-      (* Release the descriptor even when the end record cannot be
-         written (an injected IO fault); the file is then a trace
-         without an end record — torn, and refused by the reader. *)
-      Tabv_core.Io.close_noerr t.io;
-      raise e
-  end
+      let bt = Printexc.get_raw_backtrace () in
+      abort t;
+      Printexc.raise_with_backtrace e bt
+
+let protect writer f =
+  match f () with
+  | result ->
+    Option.iter close writer;
+    result
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    Option.iter abort writer;
+    Printexc.raise_with_backtrace e bt
 
 let with_file ~path meta f =
   let t = create ~path meta in
-  Fun.protect ~finally:(fun () -> close t) (fun () -> f t)
+  protect (Some t) (fun () -> f t)

@@ -5,38 +5,43 @@ open Tabv_psl
     Create one per recorded run, feed it {!sample}/{!span} calls from
     the testbench hooks (the same hooks that feed the in-memory
     {!Tabv_sim.Trace_rec} recorder), and {!close} it when the
-    simulation ends.  Memory is O(signal count): only the previous
-    valuation (for change masks) and at most one pending sample are
-    retained.
+    simulation ends.  Memory is O(signal count) plus one staging
+    buffer: two reused value arrays (the previous valuation, for
+    change masks, and at most one pending sample) and at most one
+    chunk of encoded records.
 
     Same-instant samples overwrite each other (last-wins), matching
     {!Tabv_sim.Trace_rec.sample}: a TLM run may complete several
     transactions in one instant and checkers observe the final
-    environment of the instant.  The pending-sample buffer is what
-    makes this streamable — a sample is only encoded once a strictly
-    later one (or {!close}) proves it final.
+    environment of the instant.  The pending sample is what makes
+    this streamable — a sample is only encoded once a strictly later
+    one (or {!close}) proves it final.
 
-    Every record is written as one CRC32-framed block through
-    {!Tabv_core.Io} (one write boundary per record under the
-    [Fault.Io] hook), and {!close} fsyncs before releasing the file —
-    a crash mid-run leaves a trace whose verified prefix is exactly
-    the committed records. *)
+    Every record is encoded as one CRC32-framed block into a staging
+    buffer, which goes to the file through {!Tabv_core.Io} once about
+    64 KiB are staged — one [write(2)], and one write decision under
+    the [Fault.Io] hook, per chunk — and at {!close}, which then
+    fsyncs before releasing the file.  Every chunk ends on a record
+    boundary, so a file cut anywhere is a CRC-verified prefix of whole
+    records; a crash mid-run loses at most the records still staged. *)
 type t
 
-(** [create ~path meta] opens [path] for writing and emits the header.
-    @raise Tabv_core.Io.Io_error when the file cannot be created or
-    written. *)
+(** [create ~path meta] opens [path] for writing and stages the magic
+    and the meta header.
+    @raise Tabv_core.Io.Io_error when the file cannot be created. *)
 val create : path:string -> Meta.t -> t
 
 (** Record the full environment at [time].  The first sample fixes the
     signal dictionary (names, order, bool/int kinds); every later
     sample must present the same signals in the same order.
     @raise Invalid_argument on time going backwards, a dictionary
-    mismatch, or a value changing kind. *)
+    mismatch, or a value changing kind.
+    @raise Tabv_core.Io.Io_error when a full chunk cannot be written. *)
 val sample : t -> time:int -> (string * Expr.value) list -> unit
 
 (** Record one completed transaction span.
-    @raise Invalid_argument if [end_time < start_time]. *)
+    @raise Invalid_argument if [end_time < start_time].
+    @raise Tabv_core.Io.Io_error when a full chunk cannot be written. *)
 val span : t -> label:string -> start_time:int -> end_time:int -> unit
 
 (** Samples committed so far (the pending one counts). *)
@@ -44,14 +49,25 @@ val samples : t -> int
 
 val spans : t -> int
 
-(** Bytes written so far (header included; pending sample excluded). *)
+(** Bytes encoded so far, staged or written (header included; pending
+    sample excluded).  After {!close} it is the file size. *)
 val bytes_written : t -> int
 
 (** Flush the pending sample, write the end record (sample/span
-    totals — the reader's truncation check) and close the file.
-    Idempotent. *)
+    totals — the reader's truncation check) and everything staged,
+    fsync and close the file.  Idempotent.  On failure the descriptor
+    is released and the error re-raised.
+    @raise Tabv_core.Io.Io_error when a write, the fsync or the close
+    fails. *)
 val close : t -> unit
 
-(** [with_file ~path meta f] = create, run [f], close (also on
-    exception). *)
+(** [protect writer f] runs [f ()], then {!close}s [writer] (if any).
+    When [f] raises, the writer is released quietly instead — the
+    whole records staged so far are written best-effort, with no end
+    record, so the file is a torn trace the reader refuses — and
+    [f]'s exception escapes, never one from the release.  A failing
+    {!close} after a normal return raises its own [Io_error]. *)
+val protect : t option -> (unit -> 'a) -> 'a
+
+(** [with_file ~path meta f] = {!create}, then [protect] [f]. *)
 val with_file : path:string -> Meta.t -> (t -> 'a) -> 'a

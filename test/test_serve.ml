@@ -391,7 +391,37 @@ let handler_cases =
           (Handler.cacheable
              (Protocol.Campaign
                 { manifest = J.Assoc [ ("jobs", J.List []) ]; workers = 1;
-                  retries = None; journal = true }))) ]
+                  retries = None; journal = true })));
+    (* The trace is closed after the run, not in a [finally]: an fsync
+       that fails there is the request's storage failure, not a
+       [Fun.Finally_raised] escaping the handler. *)
+    case "an EIO on the trace fsync is an honest storage failure" (fun () ->
+        let module Io_fault = Tabv_fault.Fault.Io in
+        let trace = Filename.temp_file "tabv_handler" ".trace" in
+        Io_fault.install
+          (Io_fault.arm
+             (Io_fault.plan ~name:"trace-fsync-eio" ~scope:".trace"
+                [ Io_fault.Fsync_eio { op = 0 } ]));
+        let outcome =
+          Fun.protect
+            ~finally:(fun () ->
+              Io_fault.uninstall ();
+              try Sys.remove trace with Sys_error _ -> ())
+            (fun () ->
+              Handler.execute ~state_dir:None
+                (Protocol.Check
+                   { model = Models.Des56_rtl; seed = 1; ops = 5; props = None;
+                     engine = None; trace_out = Some trace }))
+        in
+        match outcome with
+        | Error message ->
+          Alcotest.(check string) "names the operation and the path"
+            (Printf.sprintf
+               "storage failure: fsync on %s: %s (journaled work is \
+                preserved; fix the disk and resubmit)"
+               trace (Unix.error_message Unix.EIO))
+            message
+        | Ok _ -> Alcotest.fail "a failed trace fsync must fail the request") ]
 
 (* --- the daemon end to end -------------------------------------------- *)
 

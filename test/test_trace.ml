@@ -232,17 +232,17 @@ let corrupt_cases =
        | exception Varint.Corrupt _ -> ());
       (* The zigzag side still spans the full signed range (bit 62 is
          a legitimate zigzag payload bit), and max uint round-trips. *)
+      let encode write v =
+        let b = Bytes.create Varint.max_bytes in
+        Bytes.sub_string b 0 (write b 0 v)
+      in
       List.iter
         (fun v ->
-          let buf = Buffer.create 16 in
-          Varint.write_zigzag buf v;
           Alcotest.(check int) "zigzag round trip" v
-            (Varint.read_zigzag (next_of (Buffer.contents buf))))
+            (Varint.read_zigzag (next_of (encode Varint.write_zigzag v))))
         [ min_int; max_int; -1; 0; 1 ];
-      let buf = Buffer.create 16 in
-      Varint.write_uint buf max_int;
       Alcotest.(check int) "max uint round trip" max_int
-        (Varint.read_uint (next_of (Buffer.contents buf)))) ]
+        (Varint.read_uint (next_of (encode Varint.write_uint max_int)))) ]
 
 (* --- the offline checker API -------------------------------------- *)
 
@@ -464,6 +464,74 @@ let recheck_cases =
         (Tabv_duv.Des56_props.all @ Tabv_duv.Des56_props.tlm_reviewed ()
         @ Tabv_duv.Memctrl_props.all)) ]
 
+(* --- chunked writes ------------------------------------------------ *)
+
+(* The writer hands the file whole records about 64 KiB at a time:
+   one write decision per chunk under the IO hook (a record each would
+   be thousands), and every chunk ends on a record boundary, so a
+   crash between two chunks leaves a trace whose verified prefix is
+   exactly the chunks written. *)
+let chunk_cases =
+  [ case "a long recording is written in whole-record 64 KiB chunks" (fun () ->
+      with_temp (fun path ->
+          let writes = ref [] in
+          Tabv_core.Io.interpose
+            {
+              Tabv_core.Io.on_write =
+                (fun ~path:p ~offset ~len ->
+                  if String.equal p path then writes := (offset, len) :: !writes;
+                  Tabv_core.Io.Write_through);
+              on_fsync = (fun ~path:_ -> Tabv_core.Io.Fsync_through);
+              on_rename = (fun ~src:_ ~dst:_ -> Tabv_core.Io.Op_through);
+              on_close = (fun ~path:_ -> Tabv_core.Io.Op_through);
+            };
+          Fun.protect ~finally:Tabv_core.Io.clear_interpose (fun () ->
+              Writer.with_file ~path meta (fun w ->
+                  for i = 0 to 24_999 do
+                    Writer.sample w ~time:(i * 10)
+                      [ ("a", Expr.VBool (i land 1 = 0));
+                        ("n", Expr.VInt (i * 3)) ];
+                    if i mod 100 = 0 then
+                      Writer.span w ~label:"op" ~start_time:(i * 10)
+                        ~end_time:((i * 10) + 5)
+                  done));
+          let full = In_channel.(with_open_bin path input_all) in
+          let size = String.length full in
+          if size < 200_000 then Alcotest.failf "only %d bytes recorded" size;
+          let chunks = List.rev !writes in
+          let bound = ((size + 65535) / 65536) + 1 in
+          if List.length chunks > bound then
+            Alcotest.failf "%d write decisions for %d bytes (at most %d)"
+              (List.length chunks) size bound;
+          (* Contiguous chunks covering the whole file. *)
+          let covered =
+            List.fold_left
+              (fun at (offset, len) ->
+                Alcotest.(check int) "chunk starts where the last ended" at
+                  offset;
+                at + len)
+              0 chunks
+          in
+          Alcotest.(check int) "chunks cover the file" size covered;
+          (* A file cut at the end of any non-final chunk is refused,
+             and its verified prefix is exactly that chunk boundary. *)
+          let cut_path = path ^ ".cut" in
+          Fun.protect
+            ~finally:(fun () -> try Sys.remove cut_path with Sys_error _ -> ())
+            (fun () ->
+              List.iter
+                (fun (offset, len) ->
+                  let cut = offset + len in
+                  if cut < size then begin
+                    write_bytes cut_path (String.sub full 0 cut);
+                    match read_all cut_path with
+                    | () -> Alcotest.failf "cut at chunk end %d accepted" cut
+                    | exception Reader.Format_error { valid_prefix; _ } ->
+                      Alcotest.(check int) "verified prefix is the cut" cut
+                        valid_prefix
+                  end)
+                chunks))) ]
+
 (* --- bounded memory ----------------------------------------------- *)
 
 (* A long synthetic trace streamed through the reader must keep live
@@ -498,10 +566,33 @@ let memory_cases =
             let growth = !peak - baseline in
             if growth > 1_000_000 then
               Alcotest.failf
-                "live words grew by %d (trace is being materialized)" growth))
+                "live words grew by %d (trace is being materialized)" growth));
+    (* The writer keeps two value arrays and one chunk of staged
+       records, whatever the length of the run. *)
+    Alcotest.test_case "writing a 200k-sample trace keeps live words flat"
+      `Slow (fun () ->
+        with_temp (fun path ->
+            let n = 200_000 in
+            Gc.full_major ();
+            let baseline = (Gc.stat ()).Gc.live_words in
+            let peak = ref baseline in
+            Writer.with_file ~path meta (fun w ->
+                for i = 0 to n - 1 do
+                  Writer.sample w ~time:(i * 10)
+                    [ ("a", Expr.VBool (i land 1 = 0));
+                      ("n", Expr.VInt (i * 3)) ];
+                  if i mod 50_000 = 0 then begin
+                    Gc.full_major ();
+                    let live = (Gc.stat ()).Gc.live_words in
+                    if live > !peak then peak := live
+                  end
+                done);
+            let growth = !peak - baseline in
+            if growth > 100_000 then
+              Alcotest.failf "live words grew by %d while writing" growth))
   ]
 
 let suite =
   ( "trace",
     roundtrip_cases @ corrupt_cases @ offline_cases @ recheck_cases
-    @ memory_cases )
+    @ chunk_cases @ memory_cases )
