@@ -22,6 +22,25 @@ open Tabv_psl
 open Tabv_duv
 module J = Tabv_core.Report_json
 
+(* Every simulation below goes through the one runner. *)
+let checked properties model workload =
+  Testbench.run { Testbench.default with properties } model workload
+
+(* The evaluation trace of one unchecked run, recorded through the
+   binary writer and read back. *)
+let recorded_trace model workload =
+  let path = Filename.temp_file "tabv_bench" ".trace" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Tabv_trace.Writer.with_file ~path
+        (Tabv_trace.Meta.make ~model:"bench" ~seed:0 ~ops:0)
+        (fun writer ->
+          ignore
+            (Testbench.run { Testbench.default with trace_writer = Some writer } model
+               workload));
+      snd (Tabv_trace.Reader.read_trace path))
+
 (* --- timing -------------------------------------------------------- *)
 
 (* The one sampler behind every timing in this file.  Each side runs
@@ -134,33 +153,25 @@ let checker_sets props =
   let take n = List.filteri (fun i _ -> i < n) props in
   [ ("1 C", take 1); ("5 C", take 5); ("All C", props) ]
 
-(* Every DUV is checked by its RTL set at RTL and TLM-CA and by its
-   abstracted set at TLM-AT. *)
-let levels_of ~rtl_sets ~tlm_sets (rtl, ca, at) =
-  [ { level_name = "RTL"; run = rtl; checker_sets = rtl_sets };
-    { level_name = "TLM-CA"; run = ca; checker_sets = rtl_sets };
-    { level_name = "TLM-AT"; run = at; checker_sets = tlm_sets } ]
-
-let des56_levels ops =
-  levels_of ~rtl_sets:(checker_sets Des56_props.all)
-    ~tlm_sets:(checker_sets (Des56_props.tlm_reviewed ()))
-    ( (fun properties -> Testbench.run_des56_rtl ~properties ops),
-      (fun properties -> Testbench.run_des56_tlm_ca ~properties ops),
-      fun properties -> Testbench.run_des56_tlm_at ~properties ops )
-
-let colorconv_levels bursts =
-  levels_of ~rtl_sets:(checker_sets Colorconv_props.all)
-    ~tlm_sets:(checker_sets (Colorconv_props.tlm_reviewed ()))
-    ( (fun properties -> Testbench.run_colorconv_rtl ~gap_cycles:6 ~properties bursts),
-      (fun properties -> Testbench.run_colorconv_tlm_ca ~gap_cycles:6 ~properties bursts),
-      fun properties -> Testbench.run_colorconv_tlm_at ~gap_cycles:6 ~properties bursts )
-
-let memctrl_levels ops =
-  levels_of ~rtl_sets:[ ("All C", Memctrl_props.all) ]
-    ~tlm_sets:[ ("All C", Memctrl_props.tlm_auto_safe ()) ]
-    ( (fun properties -> Memctrl_testbench.run_rtl ~properties ops),
-      (fun properties -> Memctrl_testbench.run_tlm_ca ~properties ops),
-      fun properties -> Memctrl_testbench.run_tlm_at ~properties ops )
+(* One DUV's Table I rows: its RTL, TLM-CA and TLM-AT models from the
+   catalog over one seeded workload, each checked by a split of the
+   level's built-in set (the Fig. 3 set at RTL and TLM-CA, the
+   abstracted set at TLM-AT). *)
+let levels_of ?(gap_cycles = 2) ~columns ~seed ~ops duv =
+  List.filter_map
+    (fun level ->
+      Option.map
+        (fun model ->
+          (* The workload is generated once, outside every timed run. *)
+          let (Models.Entry (m, workload)) = Models.entry model in
+          let workload = workload ~seed ~ops in
+          { level_name = String.uppercase_ascii (Models.level_name level);
+            run =
+              (fun properties ->
+                Testbench.run { Testbench.default with properties; gap_cycles } m workload);
+            checker_sets = columns (fst (Models.properties_for model None)) })
+        (Models.of_duv_level duv level))
+    [ Models.Rtl; Models.Tlm_ca; Models.Tlm_at ]
 
 (* --- Fig. 6 ------------------------------------------------------ *)
 
@@ -197,11 +208,13 @@ let ablation_naive_scaling ops =
           ~context:(Context.Transaction Context.Base_trans) p.Property.formula)
       [ Des56_props.p1; Des56_props.p3 ]
   in
-  let naive_result = Testbench.run_des56_tlm_at ~properties:naive ops in
+  let naive_result = checked naive (Testbench.des56_tlm_at ()) ops in
   let abstracted = Des56_props.tlm_auto_safe () in
-  let abstracted_result = Testbench.run_des56_tlm_at ~properties:abstracted ops in
-  let stuck result =
-    List.fold_left (fun a s -> a + s.Testbench.pending) 0 result.Testbench.checker_stats
+  let abstracted_result = checked abstracted (Testbench.des56_tlm_at ()) ops in
+  let stuck (result : Testbench.run_result) =
+    List.fold_left
+      (fun a (s : Tabv_obs.Checker_snapshot.t) -> a + s.pending)
+      0 result.checker_stats
   in
   Printf.printf "naive reuse      : %d failures, %d stuck instances (incorrect verdicts)\n"
     (Testbench.total_failures naive_result) (stuck naive_result);
@@ -222,13 +235,15 @@ let ablation_grid_wrapper ops =
   in
   let timings =
     sample ~repeat:5
-      [ ("base", fun () -> ignore (Testbench.run_des56_tlm_at ops));
+      [ ("base", fun () -> ignore (checked [] (Testbench.des56_tlm_at ()) ops));
         ( "strict",
-          fun () -> ignore (Testbench.run_des56_tlm_at ~properties:auto_safe ops) );
+          fun () -> ignore (checked auto_safe (Testbench.des56_tlm_at ()) ops) );
         ( "grid",
           fun () ->
             ignore
-              (Testbench.run_des56_tlm_at ~grid_properties:(auto_safe @ with_q2) ops) ) ]
+              (Testbench.run
+                 { Testbench.default with grid_properties = auto_safe @ with_q2 }
+                 (Testbench.des56_tlm_at ()) ops) ) ]
   in
   let t_base = best_of timings "base" in
   let t_strict = best_of timings "strict" and t_grid = best_of timings "grid" in
@@ -238,11 +253,6 @@ let ablation_grid_wrapper ops =
   Printf.printf "grid wrapper   (%d props, incl. q2)   : %8.3f s (+%.1f%%)\n\n"
     (List.length auto_safe + List.length with_q2)
     t_grid (pct_over ~base:t_base t_grid)
-
-let recorded_trace result =
-  match result.Testbench.trace with
-  | Some trace -> trace
-  | None -> failwith "testbench recorded no trace"
 
 (* Replay through the shipped monitors with a real [Monitor.step] at
    every sample, never a replay: the backend comparisons below time the
@@ -271,7 +281,7 @@ let ablation_checker_backend ops =
   print_endline
     "=== Ablation: checker synthesis backend (DES56 RTL trace replay, all 9 \
      checkers) ===";
-  let trace = recorded_trace (Testbench.run_des56_rtl ~record_trace:true ops) in
+  let trace = recorded_trace (Testbench.des56_rtl ()) ops in
   let props = Des56_props.all in
   let t_prog, t_auto, _ =
     versus ~repeat:5
@@ -285,12 +295,12 @@ let ablation_checker_backend ops =
 let ablation_wrapper_stats ops =
   print_endline "=== Wrapper statistics (Sec. IV): instance pool sizing ===";
   let properties = Des56_props.tlm_auto_safe () in
-  let result = Testbench.run_des56_tlm_at ~properties ops in
+  let result = checked properties (Testbench.des56_tlm_at ()) ops in
   Printf.printf "%-6s %18s %12s\n" "prop" "paper bound" "peak live";
   List.iter
-    (fun stat ->
-      Printf.printf "%-6s %18d %12d\n" stat.Testbench.property_name Des56_iface.latency
-        stat.Testbench.peak_instances)
+    (fun (stat : Tabv_obs.Checker_snapshot.t) ->
+      Printf.printf "%-6s %18d %12d\n" stat.property_name Des56_iface.latency
+        stat.peak_instances)
     result.Testbench.checker_stats;
   print_newline ()
 
@@ -304,26 +314,26 @@ let bechamel_section () =
   let test name f = Test.make ~name (Staged.stage (fun () -> ignore (f ()))) in
   let table1_des56 =
     Test.make_grouped ~name:"table1_des56"
-      [ test "rtl_0c" (fun () -> Testbench.run_des56_rtl des_ops);
+      [ test "rtl_0c" (fun () -> checked [] (Testbench.des56_rtl ()) des_ops);
         test "rtl_all_c" (fun () ->
-            Testbench.run_des56_rtl ~properties:Des56_props.all des_ops);
-        test "tlm_ca_0c" (fun () -> Testbench.run_des56_tlm_ca des_ops);
+            checked Des56_props.all (Testbench.des56_rtl ()) des_ops);
+        test "tlm_ca_0c" (fun () -> checked [] Testbench.des56_tlm_ca des_ops);
         test "tlm_ca_all_c" (fun () ->
-            Testbench.run_des56_tlm_ca ~properties:Des56_props.all des_ops);
-        test "tlm_at_0c" (fun () -> Testbench.run_des56_tlm_at des_ops);
+            checked Des56_props.all Testbench.des56_tlm_ca des_ops);
+        test "tlm_at_0c" (fun () -> checked [] (Testbench.des56_tlm_at ()) des_ops);
         test "tlm_at_all_c" (fun () ->
-            Testbench.run_des56_tlm_at ~properties:(Des56_props.tlm_reviewed ()) des_ops) ]
+            checked (Des56_props.tlm_reviewed ()) (Testbench.des56_tlm_at ()) des_ops) ]
   in
   let table1_colorconv =
     Test.make_grouped ~name:"table1_colorconv"
-      [ test "rtl_0c" (fun () -> Testbench.run_colorconv_rtl cc_bursts);
+      [ test "rtl_0c" (fun () -> checked [] Testbench.colorconv_rtl cc_bursts);
         test "rtl_all_c" (fun () ->
-            Testbench.run_colorconv_rtl ~properties:Colorconv_props.all cc_bursts);
+            checked Colorconv_props.all Testbench.colorconv_rtl cc_bursts);
         test "tlm_ca_all_c" (fun () ->
-            Testbench.run_colorconv_tlm_ca ~properties:Colorconv_props.all cc_bursts);
+            checked Colorconv_props.all Testbench.colorconv_tlm_ca cc_bursts);
         test "tlm_at_all_c" (fun () ->
-            Testbench.run_colorconv_tlm_at
-              ~properties:(Colorconv_props.tlm_reviewed ()) cc_bursts) ]
+            checked (Colorconv_props.tlm_reviewed ()) Testbench.colorconv_tlm_at
+              cc_bursts) ]
   in
   let fig3_bench =
     Test.make_grouped ~name:"fig3_abstraction"
@@ -332,8 +342,8 @@ let bechamel_section () =
   in
   let fig6_bench =
     Test.make_grouped ~name:"fig6_speedup_inputs"
-      [ test "des56_rtl" (fun () -> Testbench.run_des56_rtl des_ops);
-        test "des56_tlm_at" (fun () -> Testbench.run_des56_tlm_at des_ops) ]
+      [ test "des56_rtl" (fun () -> checked [] (Testbench.des56_rtl ()) des_ops);
+        test "des56_tlm_at" (fun () -> checked [] (Testbench.des56_tlm_at ()) des_ops) ]
   in
   let grouped =
     Test.make_grouped ~name:"tabv"
@@ -370,15 +380,18 @@ let paper ~quick ~bechamel =
     table_for levels
   in
   let des_rows =
-    table "DES56" (des56_levels (Workload.des56 ~seed:42 ~count:des_count ()))
+    table "DES56" (levels_of ~columns:checker_sets ~seed:42 ~ops:des_count Models.Des56)
   in
   let cc_rows =
     table "ColorConv"
-      (colorconv_levels (Workload.colorconv ~seed:42 ~count:pixel_count ()))
+      (levels_of ~gap_cycles:6 ~columns:checker_sets ~seed:42 ~ops:pixel_count
+         Models.Colorconv)
   in
   ignore
     (table "MemCtrl (extension: third IP, asymmetric latencies)"
-       (memctrl_levels (Workload.memctrl ~seed:42 ~count:(des_count * 2) ())));
+       (levels_of
+          ~columns:(fun props -> [ ("All C", props) ])
+          ~seed:42 ~ops:(des_count * 2) Models.Memctrl));
   fig6 ~des_rows ~cc_rows;
   let ablation_ops = Workload.des56 ~seed:42 ~count:(des_count / 4) () in
   ablation_naive_scaling ablation_ops;
@@ -467,16 +480,15 @@ let cache_gate ~quick =
   let ops_count = if quick then 500 else 1000 and replicate = 8 in
   let ops = Workload.des56 ~seed:42 ~count:ops_count () in
   let levels =
-    [ ("RTL", Testbench.run_des56_rtl ~record_trace:true ops, Des56_props.all);
-      ("TLM-CA", Testbench.run_des56_tlm_ca ~record_trace:true ops, Des56_props.all);
+    [ ("RTL", recorded_trace (Testbench.des56_rtl ()) ops, Des56_props.all);
+      ("TLM-CA", recorded_trace Testbench.des56_tlm_ca ops, Des56_props.all);
       ( "TLM-AT",
-        Testbench.run_des56_tlm_at ~record_trace:true ops,
+        recorded_trace (Testbench.des56_tlm_at ()) ops,
         Des56_props.tlm_auto_safe () ) ]
   in
   let measured =
     List.map
-      (fun (level, run, props) ->
-        let trace = recorded_trace run in
+      (fun (level, trace, props) ->
         let props = replicate_properties replicate props in
         (* Correctness first: both engines must agree on everything
            observable before their times are worth comparing. *)
@@ -562,13 +574,15 @@ let obs_gate_pct = 5.0
 let obs_gate ~quick =
   let ops_count = if quick then 1000 else 2000 in
   let ops = Workload.des56 ~seed:42 ~count:ops_count () in
-  let run_disabled () = Testbench.run_des56_rtl ~properties:Des56_props.all ops in
+  let run_disabled () = checked Des56_props.all (Testbench.des56_rtl ()) ops in
   let run_enabled () =
     (* A fresh registry per run: every attach appends pull probes, so
        reusing one registry across timed runs would make later runs
        snapshot ever-longer probe lists. *)
     let metrics = Tabv_obs.Metrics.create ~enabled:true () in
-    Testbench.run_des56_rtl ~metrics ~properties:Des56_props.all ops
+    Testbench.run
+      { Testbench.default with properties = Des56_props.all; metrics = Some metrics }
+      (Testbench.des56_rtl ()) ops
   in
   let t_disabled, t_enabled, timings =
     versus ~repeat:7
@@ -650,7 +664,7 @@ let fault_gate ~quick =
   let ops_count = if quick then 1000 else 2000 in
   let ops = Workload.des56 ~seed:42 ~count:ops_count () in
   let latent_plan =
-    match Duv_fault.plan_for Duv_fault.Des56 Duv_fault.Rtl "out_stuck0_late" with
+    match Duv_fault.plan_for Models.Des56 Models.Rtl "out_stuck0_late" with
     | Some plan -> plan
     | None -> failwith "out_stuck0_late has no RTL carrier"
   in
@@ -659,10 +673,14 @@ let fault_gate ~quick =
       max_steps = None;
       contain_crashes = true }
   in
-  let run_plain () = Testbench.run_des56_rtl ~properties:Des56_props.all ops in
+  let run_plain () = checked Des56_props.all (Testbench.des56_rtl ()) ops in
   let run_armed () =
-    Testbench.run_des56_rtl ~properties:Des56_props.all
-      ~fault_plan:latent_plan ~guard ops
+    Testbench.run
+      { Testbench.default with
+        properties = Des56_props.all;
+        fault_plan = Some latent_plan;
+        guard = Some guard }
+      (Testbench.des56_rtl ()) ops
   in
   let reference = run_plain () in
   let armed = run_armed () in
@@ -788,17 +806,19 @@ let trace_gate ~quick =
   let gap_cycles = 8 in
   let live () =
     Tabv_checker.Progression.reset_universe ();
-    Testbench.run_des56_rtl ~gap_cycles ~properties:props ops
+    Testbench.run
+      { Testbench.default with properties = props; gap_cycles }
+      (Testbench.des56_rtl ()) ops
   in
-  (* One recording pass: the binary trace via the writer tap, the VCD
-     via the legacy in-memory trace. *)
-  let recorded =
-    Tabv_trace.Writer.with_file ~path:trace_path meta (fun w ->
-        Tabv_checker.Progression.reset_universe ();
-        Testbench.run_des56_rtl ~gap_cycles ~properties:props
-          ~record_trace:true ~trace_writer:w ops)
-  in
-  Tabv_sim.Trace_dump.to_file (recorded_trace recorded) vcd_path;
+  (* One recording pass through the writer tap; the VCD is the same
+     recording read back and exported, as `tabv trace` does. *)
+  Tabv_trace.Writer.with_file ~path:trace_path meta (fun w ->
+      Tabv_checker.Progression.reset_universe ();
+      ignore
+        (Testbench.run
+           { Testbench.default with properties = props; gap_cycles; trace_writer = Some w }
+           (Testbench.des56_rtl ()) ops));
+  Tabv_sim.Trace_dump.to_file (snd (Tabv_trace.Reader.read_trace trace_path)) vcd_path;
   let recheck () =
     Tabv_campaign.Recheck.run ~workers:1 ~retries:0 ~trace:trace_path props
   in
@@ -848,7 +868,11 @@ let check_job ?trace_out ~ops seed =
 let one_shot_report ~ops seed =
   Tabv_checker.Progression.reset_universe ();
   let properties, grid_properties = Models.properties_for Models.Des56_rtl None in
-  let result = Models.run Models.Des56_rtl ~seed ~ops ~properties ~grid_properties in
+  let result =
+    Models.run
+      { Testbench.default with properties; grid_properties }
+      Models.Des56_rtl ~seed ~ops
+  in
   J.to_string (Models.verdict_report Models.Des56_rtl ~seed ~ops result) ^ "\n"
 
 (* The campaign the chaos gate's fault-free control client submits,

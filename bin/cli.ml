@@ -88,10 +88,6 @@ let user_props ~fail model =
        | Error message -> fail (Printf.sprintf "%s: %s" path message));
       properties)
 
-let properties_for = Models.properties_for
-let run_model = Models.run
-let supports_trace = Models.supports_trace
-
 (* --- executor / journal / interrupt plumbing ---------------------- *)
 
 let isolate_arg =

@@ -9,7 +9,7 @@
      qualify   build the fault x property detection matrix
      serve     persistent concurrent verification daemon over a socket
      client    submit one request to a running serve daemon
-     trace     dump a VCD waveform of a short DES56 RTL run
+     trace     export a recorded binary trace as a VCD waveform
      replay    check properties offline against a VCD waveform
      fig3      reproduce the paper's Fig. 3 rewriting demonstration
 
@@ -20,6 +20,7 @@
 open Cmdliner
 open Tabv_psl
 open Tabv_duv
+module Checker_snapshot = Tabv_obs.Checker_snapshot
 
 (* --- abstract ----------------------------------------------------- *)
 
@@ -162,12 +163,12 @@ let simulate_run ~cmd trace_out model count seed props_file metrics_flag
     else None
   in
   let user = Cli.user_props ~fail model props_file in
-  let properties, grid_properties = Cli.properties_for model user in
+  let properties, grid_properties = Models.properties_for model user in
   let writer =
     match trace_out with
     | None -> None
     | Some path ->
-      if not (Cli.supports_trace model) then
+      if not (Models.supports_trace model) then
         fail
           (Printf.sprintf
              "%s records no trace (the loosely-timed model is deliberately \
@@ -182,14 +183,16 @@ let simulate_run ~cmd trace_out model count seed props_file metrics_flag
   let result =
     storage (fun () ->
         Tabv_trace.Writer.protect writer (fun () ->
-            Cli.run_model ?metrics ?trace_writer:writer model ~seed ~ops:count
-              ~properties ~grid_properties))
+            Models.run
+              { Testbench.default with
+                properties; grid_properties; metrics; trace_writer = writer }
+              model ~seed ~ops:count))
   in
   Printf.printf "simulated %dns, %d operations, %d kernel activations, %d transactions\n"
     result.Testbench.sim_time_ns result.Testbench.completed_ops
     result.Testbench.kernel_activations result.Testbench.transactions;
   List.iter
-    (fun stat -> Format.printf "%a@." Testbench.pp_checker_stat stat)
+    (fun stat -> Format.printf "%a@." Checker_snapshot.pp stat)
     result.Testbench.checker_stats;
   (match (trace_out, writer) with
    | Some path, Some w ->
@@ -205,10 +208,10 @@ let simulate_run ~cmd trace_out model count seed props_file metrics_flag
         Printf.printf
           "  %-24s cache %d/%d (%.1f%% hit), peak live %d, peak distinct \
            states %d\n"
-          stat.Testbench.property_name stat.Testbench.cache_hits
-          (stat.Testbench.cache_hits + stat.Testbench.cache_misses)
-          (100. *. Testbench.cache_hit_rate stat)
-          stat.Testbench.peak_instances stat.Testbench.peak_distinct_states)
+          stat.Checker_snapshot.property_name stat.cache_hits
+          (stat.cache_hits + stat.cache_misses)
+          (100. *. Checker_snapshot.cache_hit_rate stat)
+          stat.peak_instances stat.peak_distinct_states)
       result.Testbench.checker_stats;
     let c = Tabv_checker.Progression.cache_stats () in
     Printf.printf
@@ -255,7 +258,7 @@ let simulate_run ~cmd trace_out model count seed props_file metrics_flag
       (fun stat ->
         List.iter
           (fun f -> Format.printf "  %a@." Tabv_checker.Monitor.pp_failure f)
-          stat.Testbench.failures)
+          stat.Checker_snapshot.failures)
       result.Testbench.checker_stats;
     exit 1
   end
@@ -349,7 +352,7 @@ let recheck_cmd =
              trace_in Tabv_trace.Meta.pp meta)
     in
     let user = Cli.user_props ~fail model props in
-    let properties, grid_properties = Cli.properties_for model user in
+    let properties, grid_properties = Models.properties_for model user in
     if grid_properties <> [] then
       fail
         (Printf.sprintf
@@ -404,7 +407,7 @@ let recheck_cmd =
       (List.length properties) Tabv_trace.Meta.pp result.Recheck.meta
       result.Recheck.samples result.Recheck.spans;
     List.iter
-      (fun stat -> Format.printf "%a@." Testbench.pp_checker_stat stat)
+      (fun stat -> Format.printf "%a@." Checker_snapshot.pp stat)
       result.Recheck.snapshots;
     (match report_out with
      | None -> ()
@@ -436,24 +439,26 @@ let recheck_cmd =
 (* --- trace -------------------------------------------------------- *)
 
 let trace_cmd =
+  let input =
+    Arg.(required & opt (some file) None & info [ "input"; "i" ] ~docv:"FILE"
+           ~doc:"Binary trace recorded by 'tabv record'.")
+  in
   let out =
     Arg.(value & opt string "des56.vcd" & info [ "output"; "o" ] ~docv:"FILE"
            ~doc:"Output VCD file.")
   in
-  let count =
-    Arg.(value & opt int 3 & info [ "ops"; "n" ] ~docv:"N" ~doc:"Operations to trace.")
-  in
-  let run out count =
-    let ops = Workload.des56 ~seed:1 ~count () in
-    let result = Testbench.run_des56_rtl ~record_trace:true ops in
-    match result.Testbench.trace with
-    | None -> prerr_endline "no trace recorded"; exit 1
-    | Some trace ->
+  let run input out =
+    match Tabv_trace.Reader.read_trace input with
+    | _, trace ->
       Tabv_sim.Trace_dump.to_file trace out;
       Printf.printf "wrote %s (%d evaluation points)\n" out (Trace.length trace)
+    | exception Tabv_trace.Reader.Format_error { path; message; offset; valid_prefix } ->
+      Cli.fail "trace"
+        (Printf.sprintf "%s: %s (at byte %d; verified prefix %d bytes)" path
+           message offset valid_prefix)
   in
-  let doc = "Dump a VCD waveform of a short DES56 RTL simulation." in
-  Cmd.v (Cmd.info "trace" ~doc) Term.(const run $ out $ count)
+  let doc = "Export a recorded binary trace as a VCD waveform." in
+  Cmd.v (Cmd.info "trace" ~doc) Term.(const run $ input $ out)
 
 (* --- replay ------------------------------------------------------- *)
 
@@ -559,9 +564,9 @@ let campaign_cmd =
           | Some v -> v
           | None -> fail (Printf.sprintf "unknown %s %S" what name)
         in
-        let duvs = List.map (parse_with "DUV" Campaign.duv_of_name) duvs in
+        let duvs = List.map (parse_with "DUV" Models.duv_of_name) duvs in
         let levels =
-          List.map (parse_with "level" Campaign.level_of_name) levels
+          List.map (parse_with "level" Models.level_of_name) levels
         in
         let selection = parse_with "selection" Campaign.selection_of_name props in
         { Campaign.manifest_jobs =
@@ -665,7 +670,7 @@ let qualify_cmd =
       journal_path resume =
     let fail = Cli.fail "qualify" in
     let duv =
-      match Campaign.duv_of_name duv with
+      match Models.duv_of_name duv with
       | Some d -> d
       | None -> fail (Printf.sprintf "unknown DUV %S" duv)
     in
@@ -675,7 +680,7 @@ let qualify_cmd =
       in
       List.map
         (fun name ->
-          match Campaign.level_of_name name with
+          match Models.level_of_name name with
           | Some l -> l
           | None -> fail (Printf.sprintf "unknown level %S" name))
         names
@@ -1038,7 +1043,7 @@ let client_cmd =
                  { manifest; workers; retries = Some retries; journal })
           | `Qualify ->
             let duv =
-              match Tabv_campaign.Campaign.duv_of_name duv with
+              match Models.duv_of_name duv with
               | Some d -> d
               | None -> fail (Printf.sprintf "unknown DUV %S" duv)
             in
@@ -1048,7 +1053,7 @@ let client_cmd =
               in
               List.map
                 (fun name ->
-                  match Tabv_campaign.Campaign.level_of_name name with
+                  match Models.level_of_name name with
                   | Some l -> l
                   | None -> fail (Printf.sprintf "unknown level %S" name))
                 names
@@ -1140,29 +1145,29 @@ let doctor_cmd =
          (Parser.formula_only "next(a) until next(b)")
        = Exhaustive.Holds);
     let quick_ops = Workload.des56 ~seed:1 ~count:10 () in
+    let checked properties model workload =
+      Testbench.total_failures
+        (Testbench.run { Testbench.default with properties } model workload)
+    in
     check "DES56 RTL end-to-end with all checkers"
-      (Testbench.total_failures
-         (Testbench.run_des56_rtl ~properties:Des56_props.all quick_ops)
-       = 0);
+      (checked Des56_props.all (Testbench.des56_rtl ()) quick_ops = 0);
     check "DES56 TLM-AT end-to-end with reviewed checkers"
-      (Testbench.total_failures
-         (Testbench.run_des56_tlm_at ~properties:(Des56_props.tlm_reviewed ()) quick_ops)
+      (checked (Des56_props.tlm_reviewed ()) (Testbench.des56_tlm_at ()) quick_ops
        = 0);
     check "wrong abstraction is detected"
-      (Testbench.total_failures
-         (Testbench.run_des56_tlm_at ~model_latency_ns:160
-            ~properties:(Des56_props.tlm_auto_safe ()) quick_ops)
+      (checked (Des56_props.tlm_auto_safe ())
+         (Testbench.des56_tlm_at ~latency_ns:160 ())
+         quick_ops
        > 0);
     let quick_bursts = Workload.colorconv ~seed:1 ~count:50 () in
     check "ColorConv TLM-AT end-to-end with reviewed checkers"
-      (Testbench.total_failures
-         (Testbench.run_colorconv_tlm_at
-            ~properties:(Colorconv_props.tlm_reviewed ()) quick_bursts)
+      (checked (Colorconv_props.tlm_reviewed ()) Testbench.colorconv_tlm_at
+         quick_bursts
        = 0);
     let mem_ops = Workload.memctrl ~seed:1 ~count:20 () in
     check "MemCtrl RTL read-back"
-      ((Memctrl_testbench.run_rtl mem_ops).Testbench.outputs
-       = List.map Int64.of_int (Memctrl_testbench.reference_reads mem_ops));
+      ((Testbench.run Testbench.default Testbench.memctrl_rtl mem_ops).outputs
+       = List.map Int64.of_int (Memctrl_iface.reference_reads mem_ops));
     let record_recheck_identity =
       (* Record a short run with a binary trace tapped in, then replay
          the same property set offline: the verdict documents must be
@@ -1174,8 +1179,10 @@ let doctor_cmd =
           let meta = Tabv_trace.Meta.make ~model:"des56-rtl" ~seed:1 ~ops:10 in
           let live =
             Tabv_trace.Writer.with_file ~path meta (fun writer ->
-                Testbench.run_des56_rtl ~trace_writer:writer
-                  ~properties:Des56_props.all quick_ops)
+                Testbench.run
+                  { Testbench.default with
+                    properties = Des56_props.all; trace_writer = Some writer }
+                  (Testbench.des56_rtl ()) quick_ops)
           in
           let live_doc =
             Tabv_core.Report_json.to_string
@@ -1209,8 +1216,8 @@ let doctor_cmd =
     let executor_smoke =
       let open Tabv_campaign in
       let jobs =
-        Campaign.expand_matrix ~duvs:[ Campaign.Des56 ]
-          ~levels:[ Campaign.Rtl; Campaign.Tlm_ca ] ~seeds:[ 1 ] ~ops:10 ()
+        Campaign.expand_matrix ~duvs:[ Models.Des56 ]
+          ~levels:[ Models.Rtl; Models.Tlm_ca ] ~seeds:[ 1 ] ~ops:10 ()
       in
       let report exec =
         Tabv_core.Report_json.to_string
@@ -1224,8 +1231,8 @@ let doctor_cmd =
     let journal_smoke =
       let open Tabv_campaign in
       let jobs =
-        Campaign.expand_matrix ~duvs:[ Campaign.Colorconv ]
-          ~levels:[ Campaign.Rtl ] ~seeds:[ 1; 2 ] ~ops:10 ()
+        Campaign.expand_matrix ~duvs:[ Models.Colorconv ]
+          ~levels:[ Models.Rtl ] ~seeds:[ 1; 2 ] ~ops:10 ()
       in
       let fingerprint = Campaign.fingerprint ~retries:1 jobs in
       let path = Filename.temp_file "tabv_doctor" ".journal" in
@@ -1263,8 +1270,8 @@ let doctor_cmd =
          uninterrupted one. *)
       let open Tabv_campaign in
       let jobs =
-        Campaign.expand_matrix ~duvs:[ Campaign.Colorconv ]
-          ~levels:[ Campaign.Rtl ] ~seeds:[ 1; 2 ] ~ops:10 ()
+        Campaign.expand_matrix ~duvs:[ Models.Colorconv ]
+          ~levels:[ Models.Rtl ] ~seeds:[ 1; 2 ] ~ops:10 ()
       in
       let fingerprint = Campaign.fingerprint ~retries:1 jobs in
       let path = Filename.temp_file "tabv_doctor" ".journal" in
@@ -1318,11 +1325,12 @@ let doctor_cmd =
     (let expected_check =
        Tabv_checker.Progression.reset_universe ();
        let properties, grid_properties =
-         Cli.properties_for Models.Des56_rtl None
+         Models.properties_for Models.Des56_rtl None
        in
        let result =
-         Cli.run_model Models.Des56_rtl ~seed:5 ~ops:15 ~properties
-           ~grid_properties
+         Models.run
+           { Testbench.default with properties; grid_properties }
+           Models.Des56_rtl ~seed:5 ~ops:15
        in
        Tabv_core.Report_json.to_string
          (Models.verdict_report Models.Des56_rtl ~seed:5 ~ops:15 result)

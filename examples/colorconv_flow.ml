@@ -9,9 +9,12 @@ open Tabv_duv
 
 let banner title = Printf.printf "\n=== %s ===\n" title
 
-let show (result : Testbench.run_result) =
+(* Run [model] over [workload] with [properties] attached and print
+   each checker's statistics. *)
+let show properties model workload =
+  let result = Testbench.run { Testbench.default with properties } model workload in
   List.iter
-    (fun stat -> Format.printf "  %a@." Testbench.pp_checker_stat stat)
+    (fun stat -> Format.printf "  %a@." Tabv_obs.Checker_snapshot.pp stat)
     result.Testbench.checker_stats;
   Printf.printf "  -> %s\n"
     (if Testbench.total_failures result = 0 then "all checkers passed"
@@ -21,10 +24,10 @@ let () =
   let bursts = Workload.colorconv ~seed:7 ~count:500 () in
 
   banner "Step 1: RTL ABV (12 properties: latency, pipeline chaining, ranges)";
-  show (Testbench.run_colorconv_rtl ~properties:Colorconv_props.all bursts);
+  show Colorconv_props.all Testbench.colorconv_rtl bursts;
 
   banner "Step 2: unabstracted reuse on TLM-CA";
-  show (Testbench.run_colorconv_tlm_ca ~properties:Colorconv_props.all bursts);
+  show Colorconv_props.all Testbench.colorconv_tlm_ca bursts;
 
   banner "Step 3: abstraction — v1..v7 are removed by the AT model";
   let reports = Colorconv_props.abstraction_reports () in
@@ -38,7 +41,7 @@ let () =
     (List.length deleted);
 
   banner "Step 4: TLM-AT ABV with the post-review set";
-  show (Testbench.run_colorconv_tlm_at ~properties:(Colorconv_props.tlm_reviewed ()) bursts);
+  show (Colorconv_props.tlm_reviewed ()) Testbench.colorconv_tlm_at bursts;
 
   banner "Detailed report for c12 (black-pixel luma, timed across 8 stages)";
   List.iter

@@ -14,7 +14,7 @@
 
 open Tabv_psl
 open Tabv_sim
-open Tabv_checker
+open Tabv_duv
 
 let clock_period = 10
 let latency = 4  (* load + 4 shift-add steps are folded into 4 cycles *)
@@ -116,137 +116,135 @@ let workload =
     let zero = Random.State.float state 1.0 < 0.2 in
     ((if zero then 0 else Random.State.int state 256), Random.State.int state 256))
 
-let run_rtl ~properties =
-  let kernel = Kernel.create () in
-  let clock = Clock.create kernel ~name:"clk" ~period:clock_period () in
-  let model = Mul8_rtl.create kernel clock in
-  (* One pool, one sampler: every checker samples the same edges, and
-     the pool steps as one unit per edge. *)
-  let sampler = Sampler.create (Mul8_rtl.resolve model) in
-  let checkers =
-    Checker.attach
-      (Checker.Attach.spec sampler (Checker.Attach.clock_edge clock))
-      kernel properties
-  in
-  let results = ref [] in
-  Process.method_process kernel ~name:"collect" ~initialize:false
-    ~sensitivity:[ Clock.posedge clock ]
-    (fun () ->
-      if Signal.read model.Mul8_rtl.done_ then
-        results := Signal.read model.Mul8_rtl.product :: !results);
-  Process.spawn kernel ~name:"driver" (fun () ->
-    let negedge = Clock.negedge clock in
-    Process.wait_event negedge;
-    List.iter
-      (fun (a, b) ->
-        Signal.write model.Mul8_rtl.start true;
-        Signal.write model.Mul8_rtl.a a;
-        Signal.write model.Mul8_rtl.b b;
-        Process.wait_event negedge;
-        Signal.write model.Mul8_rtl.start false;
-        for _ = 1 to latency + 2 do
-          Process.wait_event negedge
-        done)
-      workload;
-    for _ = 1 to 3 do
-      Process.wait_event negedge
-    done;
-    Kernel.stop kernel);
-  ignore (Kernel.run kernel);
-  (List.rev !results, checkers)
+(* The RTL model as a model value: the one runner creates the kernel
+   and the clock, attaches the checkers at the rising edges and runs
+   the collector and the driver this function returns. *)
+let mul8_rtl =
+  Testbench.rtl (fun kernel clock ~gap_cycles ~emit workload ->
+      let model = Mul8_rtl.create kernel clock in
+      { Testbench.sampling = Clock_edge clock;
+        resolve = Mul8_rtl.resolve model;
+        env = (fun () -> []);
+        binding = { Tabv_fault.Fault.kernel; signals = []; sockets = [] };
+        completed = (fun () -> 0);
+        collect =
+          Some
+            (fun () ->
+              if Signal.read model.Mul8_rtl.done_ then
+                emit (Int64.of_int (Signal.read model.Mul8_rtl.product)));
+        drive =
+          (fun () ->
+            let negedge = Clock.negedge clock in
+            Process.wait_event negedge;
+            List.iter
+              (fun (a, b) ->
+                Signal.write model.Mul8_rtl.start true;
+                Signal.write model.Mul8_rtl.a a;
+                Signal.write model.Mul8_rtl.b b;
+                Process.wait_event negedge;
+                Signal.write model.Mul8_rtl.start false;
+                for _ = 1 to latency + gap_cycles do
+                  Process.wait_event negedge
+                done)
+              workload;
+            for _ = 1 to 3 do
+              Process.wait_event negedge
+            done;
+            Kernel.stop kernel)
+      })
 
 (* ------------------------------------------------------------------ *)
 (* 5. The TLM-AT model: one write, one blocking read per operation.   *)
 
 type Tlm.ext += Mul_write of int * int | Mul_idle | Mul_read of int ref * bool ref
 
-let run_tlm ~model_latency_ns ~properties =
-  let kernel = Kernel.create () in
-  (* Observable mirror. *)
-  let start_obs = ref false and a_obs = ref 0 and b_obs = ref 0 in
-  let done_obs = ref false and product_obs = ref 0 in
-  let resolve = function
-    | "start" -> Some (fun () -> Expr.VBool !start_obs)
-    | "a" -> Some (fun () -> Expr.VInt !a_obs)
-    | "b" -> Some (fun () -> Expr.VInt !b_obs)
-    | "done" -> Some (fun () -> Expr.VBool !done_obs)
-    | "product" -> Some (fun () -> Expr.VInt !product_obs)
-    | _ -> None
-  in
-  let ready_time = ref 0 and result = ref 0 in
-  let transport payload =
-    match payload.Tlm.extension with
-    | Some (Mul_write (a, b)) ->
-      result := a * b;
-      ready_time := Kernel.now kernel + model_latency_ns;
-      start_obs := true;
-      a_obs := a;
-      b_obs := b;
-      done_obs := false
-    | Some Mul_idle -> start_obs := false
-    | Some (Mul_read (product, valid)) ->
-      let now = Kernel.now kernel in
-      if now < !ready_time then Process.wait_ns kernel (!ready_time - now);
-      product := !result;
-      valid := true;
-      start_obs := false;
-      done_obs := true;
-      product_obs := !result
-    | Some _ | None -> payload.Tlm.response_ok <- false
-  in
-  let target = Tlm.Target.create kernel ~name:"mul8_at" transport in
-  let initiator = Tlm.Initiator.create kernel ~name:"mul8_init" in
-  Tlm.Initiator.bind initiator target;
-  let sampler = Sampler.create resolve in
-  let checkers =
-    Checker.attach
-      (Checker.Attach.spec sampler (Checker.Attach.transaction initiator))
-      kernel properties
-  in
-  let results = ref [] in
-  Process.spawn kernel ~name:"driver" (fun () ->
-    Process.wait_ns kernel clock_period;
-    let transport extension =
-      Tlm.Initiator.b_transport initiator (Tlm.make_payload ~extension Tlm.Write)
-    in
-    List.iter
-      (fun (a, b) ->
-        transport (Mul_write (a, b));
-        Process.wait_ns kernel clock_period;
-        transport Mul_idle;
-        let product = ref 0 and valid = ref false in
-        transport (Mul_read (product, valid));
-        if !valid then results := !product :: !results;
-        (* done falls one period later: emit the instant. *)
-        Process.wait_ns kernel clock_period;
-        done_obs := false;
-        transport Mul_idle;
-        Process.wait_ns kernel (2 * clock_period))
-      workload;
-    Process.wait_ns kernel clock_period;
-    Kernel.stop kernel);
-  ignore (Kernel.run kernel);
-  (List.rev !results, checkers)
+let mul8_tlm_at ~latency_ns =
+  Testbench.tlm ~socket:"mul8_init" (fun kernel initiator ~gap_cycles ~emit workload ->
+      (* Observable mirror. *)
+      let start_obs = ref false and a_obs = ref 0 and b_obs = ref 0 in
+      let done_obs = ref false and product_obs = ref 0 in
+      let resolve = function
+        | "start" -> Some (fun () -> Expr.VBool !start_obs)
+        | "a" -> Some (fun () -> Expr.VInt !a_obs)
+        | "b" -> Some (fun () -> Expr.VInt !b_obs)
+        | "done" -> Some (fun () -> Expr.VBool !done_obs)
+        | "product" -> Some (fun () -> Expr.VInt !product_obs)
+        | _ -> None
+      in
+      let ready_time = ref 0 and result = ref 0 in
+      let transport payload =
+        match payload.Tlm.extension with
+        | Some (Mul_write (a, b)) ->
+          result := a * b;
+          ready_time := Kernel.now kernel + latency_ns;
+          start_obs := true;
+          a_obs := a;
+          b_obs := b;
+          done_obs := false
+        | Some Mul_idle -> start_obs := false
+        | Some (Mul_read (product, valid)) ->
+          let now = Kernel.now kernel in
+          if now < !ready_time then Process.wait_ns kernel (!ready_time - now);
+          product := !result;
+          valid := true;
+          start_obs := false;
+          done_obs := true;
+          product_obs := !result
+        | Some _ | None -> payload.Tlm.response_ok <- false
+      in
+      Tlm.Initiator.bind initiator (Tlm.Target.create kernel ~name:"mul8_at" transport);
+      { Testbench.sampling = Transactions { initiator; grid_period = None };
+        resolve;
+        env = (fun () -> []);
+        binding = { Tabv_fault.Fault.kernel; signals = []; sockets = [] };
+        completed = (fun () -> 0);
+        collect = None;
+        drive =
+          (fun () ->
+            Process.wait_ns kernel clock_period;
+            let transport extension =
+              Tlm.Initiator.b_transport initiator (Tlm.make_payload ~extension Tlm.Write)
+            in
+            List.iter
+              (fun (a, b) ->
+                transport (Mul_write (a, b));
+                Process.wait_ns kernel clock_period;
+                transport Mul_idle;
+                let product = ref 0 and valid = ref false in
+                transport (Mul_read (product, valid));
+                if !valid then emit (Int64.of_int !product);
+                (* done falls one period later: emit the instant. *)
+                Process.wait_ns kernel clock_period;
+                done_obs := false;
+                transport Mul_idle;
+                Process.wait_ns kernel (gap_cycles * clock_period))
+              workload;
+            Process.wait_ns kernel clock_period;
+            Kernel.stop kernel)
+      })
+
+(* Both models run through the one runner, which builds the kernel,
+   the shared sampler and the checker pool. *)
+let run model ~properties =
+  let result = Testbench.run { Testbench.default with properties } model workload in
+  (List.map Int64.to_int result.Testbench.outputs, result.Testbench.checker_stats)
 
 (* ------------------------------------------------------------------ *)
 
-let print_monitor monitor =
-  let failures = Monitor.failures monitor in
-  Printf.printf "  %-4s %s (%d activations, %d failures)\n"
-    (Monitor.property monitor).Property.name
-    (if failures = [] then "pass" else "FAIL")
-    (Monitor.activations monitor)
-    (List.length failures)
+let print_checker (stat : Tabv_obs.Checker_snapshot.t) =
+  Printf.printf "  %-4s %s (%d activations, %d failures)\n" stat.property_name
+    (if stat.failures = [] then "pass" else "FAIL")
+    stat.activations (List.length stat.failures)
 
 let () =
   let expected = List.map (fun (a, b) -> a * b) workload in
 
   print_endline "=== Custom IP: 8x8 shift-add multiplier, latency 4 ===";
   print_endline "\nStep 1-3: RTL model + RTL ABV";
-  let rtl_results, rtl_checkers = run_rtl ~properties:rtl_properties in
+  let rtl_results, rtl_checkers = run mul8_rtl ~properties:rtl_properties in
   Printf.printf "  functional: %s\n"
     (if rtl_results = expected then "all products correct" else "WRONG RESULTS");
-  List.iter (fun c -> print_monitor (Checker.monitor c)) rtl_checkers;
+  List.iter print_checker rtl_checkers;
 
   print_endline "\nStep 4: abstraction (clock 10 ns, no signals removed)";
   let reports =
@@ -264,12 +262,12 @@ let () =
 
   print_endline "\nStep 5: TLM-AT model + abstracted checkers";
   let tlm_results, tlm_checkers =
-    run_tlm ~model_latency_ns:(latency * clock_period) ~properties:tlm_properties
+    run (mul8_tlm_at ~latency_ns:(latency * clock_period)) ~properties:tlm_properties
   in
   Printf.printf "  functional: %s\n"
     (if tlm_results = expected then "all products correct" else "WRONG RESULTS");
-  List.iter (fun c -> print_monitor (Checker.monitor c)) tlm_checkers;
+  List.iter print_checker tlm_checkers;
 
   print_endline "\nStep 6: a wrong abstraction (latency 30 ns instead of 40)";
-  let _, bad_checkers = run_tlm ~model_latency_ns:30 ~properties:tlm_properties in
-  List.iter (fun c -> print_monitor (Checker.monitor c)) bad_checkers
+  let _, bad_checkers = run (mul8_tlm_at ~latency_ns:30) ~properties:tlm_properties in
+  List.iter print_checker bad_checkers

@@ -13,9 +13,12 @@ open Tabv_duv
 
 let banner title = Printf.printf "\n=== %s ===\n" title
 
-let show (result : Testbench.run_result) =
+(* Run [model] over [workload] with [properties] attached and print
+   each checker's statistics. *)
+let show properties model workload =
+  let result = Testbench.run { Testbench.default with properties } model workload in
   List.iter
-    (fun stat -> Format.printf "  %a@." Testbench.pp_checker_stat stat)
+    (fun stat -> Format.printf "  %a@." Tabv_obs.Checker_snapshot.pp stat)
     result.Testbench.checker_stats;
   let failures = Testbench.total_failures result in
   Printf.printf "  -> %s\n"
@@ -25,10 +28,10 @@ let () =
   let ops = Workload.des56 ~seed:7 ~count:200 () in
 
   banner "Step 1: RTL ABV (9 properties at the clock edges)";
-  show (Testbench.run_des56_rtl ~properties:Des56_props.all ops);
+  show Des56_props.all (Testbench.des56_rtl ()) ops;
 
   banner "Step 2: unabstracted reuse on TLM-CA (one transaction per cycle)";
-  show (Testbench.run_des56_tlm_ca ~properties:Des56_props.all ops);
+  show Des56_props.all Testbench.des56_tlm_ca ops;
 
   banner "Step 3: automatic abstraction (Methodology III.1)";
   let reports = Des56_props.abstraction_reports () in
@@ -45,7 +48,7 @@ let () =
     reports;
 
   banner "Step 4: TLM-AT ABV with the post-review property set";
-  show (Testbench.run_des56_tlm_at ~properties:(Des56_props.tlm_reviewed ()) ops);
+  show (Des56_props.tlm_reviewed ()) (Testbench.des56_tlm_at ()) ops;
 
   banner "Why abstraction is needed: raw RTL checkers on TLM-AT misfire";
   let raw =
@@ -57,4 +60,4 @@ let () =
           p.Tabv_psl.Property.formula)
       [ Des56_props.p1; Des56_props.p3 ]
   in
-  show (Testbench.run_des56_tlm_at ~properties:raw ops)
+  show raw (Testbench.des56_tlm_at ()) ops

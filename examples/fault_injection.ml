@@ -12,13 +12,16 @@ open Tabv_duv
 
 let banner title = Printf.printf "\n=== %s ===\n" title
 
-let report (result : Testbench.run_result) =
+(* Run [model] over [ops] under run record [r] and print the first
+   failure of each failing checker. *)
+let report r model ops =
+  let result = Testbench.run r model ops in
   List.iter
-    (fun stat ->
-      if stat.Testbench.failures <> [] then begin
-        Printf.printf "  %s: %d failure(s), first:\n" stat.Testbench.property_name
-          (List.length stat.Testbench.failures);
-        match stat.Testbench.failures with
+    (fun (stat : Tabv_obs.Checker_snapshot.t) ->
+      if stat.failures <> [] then begin
+        Printf.printf "  %s: %d failure(s), first:\n" stat.property_name
+          (List.length stat.failures);
+        match stat.failures with
         | f :: _ -> Format.printf "    %a@." Tabv_checker.Monitor.pp_failure f
         | [] -> ()
       end)
@@ -29,44 +32,42 @@ let report (result : Testbench.run_result) =
    plan installed on the named RTL port through the signal
    interposition hook. *)
 let rtl_fault name =
-  match Duv_fault.plan_for Duv_fault.Des56 Duv_fault.Rtl name with
+  match Duv_fault.plan_for Models.Des56 Models.Rtl name with
   | Some plan -> plan
   | None -> failwith (name ^ " has no RTL carrier")
 
 let () =
   let ops = Workload.des56 ~seed:99 ~count:50 ~zero_fraction:0.4 () in
+  let rtl_checked = { Testbench.default with properties = Des56_props.all } in
+  let at_checked =
+    { Testbench.default with properties = Des56_props.tlm_reviewed () }
+  in
 
   banner "Healthy RTL model: all 9 properties pass";
-  report (Testbench.run_des56_rtl ~properties:Des56_props.all ops);
+  report rtl_checked (Testbench.des56_rtl ()) ops;
 
   banner "RTL bug: result delivered one cycle late";
   print_endline "  (caught by the next[n] latency properties; the until-based p2";
   print_endline "   tolerates it — until does not count time, Sec. III-A)";
-  report
-    (Testbench.run_des56_rtl ~fault:Des56_rtl.Rdy_one_cycle_late
-       ~properties:Des56_props.all ops);
+  report rtl_checked (Testbench.des56_rtl ~fault:Des56_rtl.Rdy_one_cycle_late ()) ops;
 
   banner "RTL bug: rdy_next_cycle stuck low";
   report
-    (Testbench.run_des56_rtl ~fault_plan:(rtl_fault "rdy_nc_stuck0")
-       ~properties:Des56_props.all ops);
+    { rtl_checked with fault_plan = Some (rtl_fault "rdy_nc_stuck0") }
+    (Testbench.des56_rtl ()) ops;
 
   banner "RTL bug: datapath zeroes the result";
   report
-    (Testbench.run_des56_rtl ~fault_plan:(rtl_fault "out_stuck0")
-       ~properties:Des56_props.all ops);
+    { rtl_checked with fault_plan = Some (rtl_fault "out_stuck0") }
+    (Testbench.des56_rtl ()) ops;
 
   banner "Correct TLM-AT abstraction: abstracted properties pass";
-  report (Testbench.run_des56_tlm_at ~properties:(Des56_props.tlm_reviewed ()) ops);
+  report at_checked (Testbench.des56_tlm_at ()) ops;
 
   banner "Wrong TLM-AT abstraction: model completes in 160 ns instead of 170";
   print_endline "  (Theorem III.2: the failure proves the TLM model is not timing";
   print_endline "   equivalent to its RTL source)";
-  report
-    (Testbench.run_des56_tlm_at ~model_latency_ns:160
-       ~properties:(Des56_props.tlm_reviewed ()) ops);
+  report at_checked (Testbench.des56_tlm_at ~latency_ns:160 ()) ops;
 
   banner "Wrong TLM-AT abstraction: model completes in 180 ns";
-  report
-    (Testbench.run_des56_tlm_at ~model_latency_ns:180
-       ~properties:(Des56_props.tlm_reviewed ()) ops)
+  report at_checked (Testbench.des56_tlm_at ~latency_ns:180 ()) ops

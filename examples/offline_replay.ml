@@ -2,8 +2,9 @@
    later — no re-simulation, exactly like replaying a VCD produced by
    any simulator.
 
-     1. simulate the DES56 RTL model and dump the evaluation trace to
-        a VCD file;
+     1. simulate the DES56 RTL model, record its evaluation trace and
+        export it to a VCD file (what `tabv record` then `tabv trace`
+        do);
      2. read the VCD back (any VCD in the supported subset works);
      3. replay the RTL property set over the parsed waveform and print
         the coverage report;
@@ -16,8 +17,7 @@ open Tabv_sim
 open Tabv_duv
 
 let vcd_path = Filename.temp_file "tabv_offline" ".vcd"
-
-let dump_trace trace = Trace_dump.to_file trace vcd_path
+let trace_path = Filename.temp_file "tabv_offline" ".trace"
 
 let replay title trace =
   Printf.printf "\n=== %s ===\n" title;
@@ -27,13 +27,14 @@ let replay title trace =
 let () =
   (* 1. Record. *)
   let ops = Workload.des56 ~seed:77 ~count:40 ~zero_fraction:0.4 () in
-  let result = Testbench.run_des56_rtl ~record_trace:true ops in
-  let trace =
-    match result.Testbench.trace with
-    | Some trace -> trace
-    | None -> failwith "no trace recorded"
-  in
-  dump_trace trace;
+  let meta = Tabv_trace.Meta.make ~model:"des56-rtl" ~seed:77 ~ops:40 in
+  Tabv_trace.Writer.with_file ~path:trace_path meta (fun writer ->
+      ignore
+        (Testbench.run
+           { Testbench.default with trace_writer = Some writer }
+           (Testbench.des56_rtl ()) ops));
+  let _, trace = Tabv_trace.Reader.read_trace trace_path in
+  Trace_dump.to_file trace vcd_path;
   Printf.printf "recorded %d evaluation points into a VCD file\n" (Trace.length trace);
 
   (* 2. Read back. *)
@@ -67,4 +68,5 @@ let () =
   in
   replay "replaying a tampered waveform (rdy one point late)"
     (Trace.of_list tampered);
-  Sys.remove vcd_path
+  Sys.remove vcd_path;
+  Sys.remove trace_path

@@ -34,11 +34,15 @@ let () =
      evaluates q1 at transaction events and verifies out != 0 exactly
      170 ns after each zero-block strobe. *)
   let ops = Workload.des56 ~seed:2024 ~count:100 ~zero_fraction:0.5 () in
-  let result = Testbench.run_des56_tlm_at ~properties:[ q1 ] ops in
+  let result =
+    Testbench.run
+      { Testbench.default with properties = [ q1 ] }
+      (Testbench.des56_tlm_at ()) ops
+  in
   Printf.printf "simulated %d operations in %d ns of virtual time\n"
     result.Testbench.completed_ops result.Testbench.sim_time_ns;
   List.iter
-    (fun stat -> Format.printf "%a@." Testbench.pp_checker_stat stat)
+    (fun stat -> Format.printf "%a@." Tabv_obs.Checker_snapshot.pp stat)
     result.Testbench.checker_stats;
   if Testbench.total_failures result = 0 then
     print_endline "q1 holds on the TLM-AT model — abstraction verified."

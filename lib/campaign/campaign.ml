@@ -10,23 +10,11 @@
    its spec, and everything reported in JSON is simulation-derived (no
    wall clock, no worker count, no executor kind). *)
 
-open Tabv_psl
 open Tabv_checker
 open Tabv_duv
 module J = Tabv_core.Report_json
 
 (* --- job model ------------------------------------------------------ *)
-
-type duv =
-  | Des56
-  | Colorconv
-  | Memctrl
-
-type level =
-  | Rtl
-  | Tlm_ca
-  | Tlm_at
-  | Tlm_lt
 
 type selection =
   | All
@@ -38,8 +26,8 @@ type chaos_kind =
   | Chaos_hard of Tabv_fault.Fault.hard_failure
 
 type job = {
-  duv : duv;
-  level : level;
+  duv : Models.duv;
+  level : Models.level;
   seed : int;
   ops : int;
   selection : selection;
@@ -51,17 +39,6 @@ let job ?(selection = All) ?(chaos = 0) ?(chaos_kind = Chaos_raise) ~duv ~level
     ~seed ~ops () =
   { duv; level; seed; ops; selection; chaos; chaos_kind }
 
-let duv_name = function
-  | Des56 -> "des56"
-  | Colorconv -> "colorconv"
-  | Memctrl -> "memctrl"
-
-let level_name = function
-  | Rtl -> "rtl"
-  | Tlm_ca -> "tlm-ca"
-  | Tlm_at -> "tlm-at"
-  | Tlm_lt -> "tlm-lt"
-
 let selection_name = function
   | All -> "all"
   | Take n -> string_of_int n
@@ -70,19 +47,6 @@ let selection_name = function
 let chaos_kind_name = function
   | Chaos_raise -> "raise"
   | Chaos_hard f -> Tabv_fault.Fault.hard_failure_name f
-
-let duv_of_name = function
-  | "des56" -> Some Des56
-  | "colorconv" -> Some Colorconv
-  | "memctrl" -> Some Memctrl
-  | _ -> None
-
-let level_of_name = function
-  | "rtl" -> Some Rtl
-  | "tlm-ca" -> Some Tlm_ca
-  | "tlm-at" -> Some Tlm_at
-  | "tlm-lt" -> Some Tlm_lt
-  | _ -> None
 
 let selection_of_name = function
   | "all" -> Some All
@@ -97,16 +61,16 @@ let chaos_kind_of_name = function
   | s -> Option.map (fun f -> Chaos_hard f) (Tabv_fault.Fault.hard_failure_of_name s)
 
 let job_name job =
-  Printf.sprintf "%s/%s seed=%d ops=%d props=%s" (duv_name job.duv)
-    (level_name job.level) job.seed job.ops (selection_name job.selection)
+  Printf.sprintf "%s/%s seed=%d ops=%d props=%s" (Models.duv_name job.duv)
+    (Models.level_name job.level) job.seed job.ops (selection_name job.selection)
 
 let validate job =
-  match job.duv, job.level with
-  | (Colorconv | Memctrl), Tlm_lt ->
+  match Models.of_duv_level job.duv job.level with
+  | None ->
     Error
       (Printf.sprintf "%s: loosely-timed level exists only for des56"
          (job_name job))
-  | _ -> (
+  | Some _ -> (
     match Models.check_ops job.ops with
     | Error msg -> Error (job_name job ^ ": " ^ msg)
     | Ok () when job.seed < 0 -> Error (job_name job ^ ": seed must be >= 0")
@@ -118,9 +82,8 @@ let expand_matrix ?(selection = All) ~duvs ~levels ~seeds ~ops () =
     (fun duv ->
       List.concat_map
         (fun level ->
-          match duv, level with
-          | (Colorconv | Memctrl), Tlm_lt -> []
-          | _ ->
+          if Models.of_duv_level duv level = None then []
+          else
             List.map
               (fun seed ->
                 { duv; level; seed; ops; selection; chaos = 0;
@@ -189,7 +152,7 @@ let job_of_json_what what json =
     | None -> Error (what ^ ": missing \"duv\"")
     | Some v ->
       let* name = open_string (what ^ ".duv") v in
-      (match duv_of_name name with
+      (match Models.duv_of_name name with
        | Some duv -> Ok duv
        | None -> Error (Printf.sprintf "%s: unknown duv %S" what name))
   in
@@ -198,7 +161,7 @@ let job_of_json_what what json =
     | None -> Error (what ^ ": missing \"level\"")
     | Some v ->
       let* name = open_string (what ^ ".level") v in
-      (match level_of_name name with
+      (match Models.level_of_name name with
        | Some level -> Ok level
        | None -> Error (Printf.sprintf "%s: unknown level %S" what name))
   in
@@ -249,8 +212,8 @@ let job_spec_of_json json = job_of_json_what "job" json
    the journal fingerprint are built from. *)
 let job_spec_json job =
   J.Assoc
-    ([ ("duv", J.String (duv_name job.duv));
-       ("level", J.String (level_name job.level));
+    ([ ("duv", J.String (Models.duv_name job.duv));
+       ("level", J.String (Models.level_name job.level));
        ("seed", J.Int job.seed);
        ("ops", J.Int job.ops);
        ("props", J.String (selection_name job.selection));
@@ -280,12 +243,12 @@ let matrix_of_json json =
   let* duvs =
     match field "duvs" with
     | None -> Error "matrix: missing \"duvs\""
-    | Some v -> names "matrix.duvs" duv_of_name v
+    | Some v -> names "matrix.duvs" Models.duv_of_name v
   in
   let* levels =
     match field "levels" with
     | None -> Error "matrix: missing \"levels\""
-    | Some v -> names "matrix.levels" level_of_name v
+    | Some v -> names "matrix.levels" Models.level_of_name v
   in
   let* seeds =
     match field "seeds" with
@@ -354,74 +317,11 @@ let () =
     | Chaos -> Some "chaos: injected crash"
     | _ -> None)
 
-(* DES56/LT checks boolean invariants only — the loosely-timed model
-   is deliberately not timing equivalent (Theorem III.2's
-   precondition), so timed abstracted properties would fail by
-   design.  Same built-in invariant as [tabv check -m des56-tlm-lt]. *)
-let lt_invariant () =
-  [ Property.make ~name:"lt_inv"
-      ~context:(Context.Transaction Context.Base_trans)
-      (Parser.formula_only "always(!rdy || ds)") ]
-
-let builtin_properties duv level =
-  match duv, level with
-  | Des56, (Rtl | Tlm_ca) -> Des56_props.all
-  | Des56, Tlm_at -> Des56_props.tlm_reviewed ()
-  | Des56, Tlm_lt -> lt_invariant ()
-  | Colorconv, (Rtl | Tlm_ca) -> Colorconv_props.all
-  | Colorconv, Tlm_at -> Colorconv_props.tlm_reviewed ()
-  | Memctrl, (Rtl | Tlm_ca) -> Memctrl_props.all
-  | Memctrl, Tlm_at -> Memctrl_props.tlm_auto_safe ()
-  | (Colorconv | Memctrl), Tlm_lt ->
-    (* Rejected by [validate] before any job runs. *)
-    invalid_arg "Campaign: tlm-lt is only defined for des56"
-
 let select selection properties =
   match selection with
   | All -> properties
   | No_checkers -> []
   | Take n -> List.filteri (fun i _ -> i < n) properties
-
-(* One (DUV, level) run through the matching testbench entry point.
-   The qualification runner calls this directly with a fault plan and
-   a watchdog guard; plain campaign jobs go through [run_testbench]
-   with neither. *)
-let run_level ?(selection = All) ?metrics ?fault_plan ?guard duv level ~seed ~ops
-    =
-  let properties = select selection (builtin_properties duv level) in
-  match duv with
-  | Des56 ->
-    let workload = Workload.des56 ~seed ~count:ops () in
-    (match level with
-     | Rtl -> Testbench.run_des56_rtl ?metrics ?fault_plan ?guard ~properties workload
-     | Tlm_ca ->
-       Testbench.run_des56_tlm_ca ?metrics ?fault_plan ?guard ~properties workload
-     | Tlm_at ->
-       Testbench.run_des56_tlm_at ?metrics ?fault_plan ?guard ~properties workload
-     | Tlm_lt ->
-       Testbench.run_des56_tlm_lt ?metrics ?fault_plan ?guard ~properties workload)
-  | Colorconv ->
-    let bursts = Workload.colorconv ~seed ~count:ops () in
-    (match level with
-     | Rtl -> Testbench.run_colorconv_rtl ?metrics ?fault_plan ?guard ~properties bursts
-     | Tlm_ca ->
-       Testbench.run_colorconv_tlm_ca ?metrics ?fault_plan ?guard ~properties bursts
-     | Tlm_at ->
-       Testbench.run_colorconv_tlm_at ?metrics ?fault_plan ?guard ~properties bursts
-     | Tlm_lt -> invalid_arg "Campaign: tlm-lt is only defined for des56")
-  | Memctrl ->
-    let workload = Workload.memctrl ~seed ~count:ops () in
-    (match level with
-     | Rtl -> Memctrl_testbench.run_rtl ?metrics ?fault_plan ?guard ~properties workload
-     | Tlm_ca ->
-       Memctrl_testbench.run_tlm_ca ?metrics ?fault_plan ?guard ~properties workload
-     | Tlm_at ->
-       Memctrl_testbench.run_tlm_at ?metrics ?fault_plan ?guard ~properties workload
-     | Tlm_lt -> invalid_arg "Campaign: tlm-lt is only defined for des56")
-
-let run_testbench job ~metrics =
-  run_level ~selection:job.selection ?metrics job.duv job.level ~seed:job.seed
-    ~ops:job.ops
 
 (* --- execution payloads --------------------------------------------- *)
 
@@ -511,7 +411,16 @@ let exec_job ~attempt ~metrics_enabled job =
     if metrics_enabled then Some (Tabv_obs.Metrics.create ~enabled:true ())
     else None
   in
-  payload_of_run (run_testbench job ~metrics)
+  (* [validate] has accepted every job that reaches a worker. *)
+  let model = Option.get (Models.of_duv_level job.duv job.level) in
+  let properties, grid_properties = Models.properties_for model None in
+  payload_of_run
+    (Models.run
+       { Testbench.default with
+         properties = select job.selection properties;
+         grid_properties;
+         metrics }
+       model ~seed:job.seed ~ops:job.ops)
 
 (* --- worker protocol ------------------------------------------------- *)
 
@@ -807,8 +716,8 @@ let job_json r =
   let open J in
   let base =
     [ ("id", Int r.job_id);
-      ("duv", String (duv_name r.job.duv));
-      ("level", String (level_name r.job.level));
+      ("duv", String (Models.duv_name r.job.duv));
+      ("level", String (Models.level_name r.job.level));
       ("seed", Int r.job.seed);
       ("ops", Int r.job.ops);
       ("props", String (selection_name r.job.selection));

@@ -6,7 +6,7 @@
     {!Executor} — either the historical pool of spawned OCaml
     [Domain]s, or a pool of crash-isolated worker subprocesses.  Each
     job runs a fresh simulation kernel and a fresh metrics registry
-    end-to-end through the existing testbench entry points; a failing
+    end-to-end through {!Tabv_duv.Models.run}; a failing
     job is retried under a bounded policy and recorded as a
     crashed / killed / timed-out outcome, so one diverging job never
     kills the campaign.
@@ -43,17 +43,6 @@
 
 (** {1 Job model} *)
 
-type duv =
-  | Des56
-  | Colorconv
-  | Memctrl
-
-type level =
-  | Rtl
-  | Tlm_ca
-  | Tlm_at
-  | Tlm_lt  (** DES56 only: loosely-timed, boolean invariants only *)
-
 (** Which slice of the level's built-in property set to attach.
     [Take n] keeps the first [n] (the paper's 1-checker / 5-checker
     columns); [No_checkers] runs the bare testbench (the "w/out c."
@@ -74,8 +63,8 @@ type chaos_kind =
   | Chaos_hard of Tabv_fault.Fault.hard_failure
 
 type job = {
-  duv : duv;
-  level : level;
+  duv : Tabv_duv.Models.duv;
+  level : Tabv_duv.Models.level;
   seed : int;  (** workload seed *)
   ops : int;  (** workload size (operations / pixels) *)
   selection : selection;
@@ -92,50 +81,36 @@ type job = {
     [selection] defaulting to [All], [chaos] to [0] and [chaos_kind]
     to [Chaos_raise]. *)
 val job :
-  ?selection:selection -> ?chaos:int -> ?chaos_kind:chaos_kind -> duv:duv ->
-  level:level -> seed:int -> ops:int -> unit -> job
+  ?selection:selection ->
+  ?chaos:int ->
+  ?chaos_kind:chaos_kind ->
+  duv:Tabv_duv.Models.duv ->
+  level:Tabv_duv.Models.level ->
+  seed:int ->
+  ops:int ->
+  unit ->
+  job
 
-val duv_name : duv -> string
-val level_name : level -> string
 val selection_name : selection -> string
 val chaos_kind_name : chaos_kind -> string
-val duv_of_name : string -> duv option
-val level_of_name : string -> level option
 val selection_of_name : string -> selection option
 val chaos_kind_of_name : string -> chaos_kind option
 
-(** [Error reason] for combinations the testbenches cannot run
-    (currently: [Tlm_lt] on anything but DES56). *)
+(** [Error reason] for combinations the catalog has no model for
+    ({!Tabv_duv.Models.of_duv_level}: [Tlm_lt] on anything but DES56)
+    and for out-of-range numbers. *)
 val validate : job -> (unit, string) result
-
-(** The built-in property suite a campaign attaches at one (DUV,
-    level): the Fig. 3 sets at RTL/TLM-CA, the abstracted
-    (auto-safe + reviewed) sets at TLM-AT, the boolean invariant at
-    TLM-LT.  @raise Invalid_argument on [Tlm_lt] off DES56. *)
-val builtin_properties : duv -> level -> Tabv_psl.Property.t list
-
-(** One (DUV, level) run through the matching testbench entry point —
-    the primitive under both campaign jobs and {!Qualify} fault runs.
-    [fault_plan] and [guard] are forwarded to the testbench (see
-    {!Tabv_duv.Testbench}); defaults run clean and unguarded.
-    @raise Invalid_argument on [Tlm_lt] off DES56. *)
-val run_level :
-  ?selection:selection ->
-  ?metrics:Tabv_obs.Metrics.t ->
-  ?fault_plan:Tabv_fault.Fault.plan ->
-  ?guard:Tabv_sim.Kernel.guard ->
-  duv ->
-  level ->
-  seed:int ->
-  ops:int ->
-  Tabv_duv.Testbench.run_result
 
 (** Deterministic matrix expansion: DUV-major, then level, then seed
     order; invalid combinations ([Tlm_lt] off DES56) are skipped, so a
     matrix may name [Tlm_lt] once and only DES56 picks it up. *)
 val expand_matrix :
   ?selection:selection ->
-  duvs:duv list -> levels:level list -> seeds:int list -> ops:int -> unit ->
+  duvs:Tabv_duv.Models.duv list ->
+  levels:Tabv_duv.Models.level list ->
+  seeds:int list ->
+  ops:int ->
+  unit ->
   job list
 
 (** {1 Manifests} *)
@@ -197,7 +172,7 @@ type exec_payload = {
 
 (** Execute one attempt of one job in the calling domain/process:
     resets the checker universe, arms the chaos hook
-    ([attempt <= chaos]), runs the testbench.  Raises on [Chaos_raise]
+    ([attempt <= chaos]), runs the model.  Raises on [Chaos_raise]
     chaos; {e does not return} on armed [Chaos_hard] chaos.  This is
     the single execution primitive shared by the in-domain executor
     and the [_worker] serve loop. *)

@@ -22,17 +22,6 @@ let ( let* ) = Result.bind
 let job_guard =
   { Kernel.max_delta_cycles = Some 10_000; max_steps = None; contain_crashes = true }
 
-let fault_duv = function
-  | Campaign.Des56 -> Duv_fault.Des56
-  | Campaign.Colorconv -> Duv_fault.Colorconv
-  | Campaign.Memctrl -> Duv_fault.Memctrl
-
-let fault_level = function
-  | Campaign.Rtl -> Duv_fault.Rtl
-  | Campaign.Tlm_ca -> Duv_fault.Tlm_ca
-  | Campaign.Tlm_at -> Duv_fault.Tlm_at
-  | Campaign.Tlm_lt -> Duv_fault.Tlm_lt
-
 let diagnosis_kind = function
   | Kernel.Completed -> "completed"
   | Kernel.Starved _ -> "starved"
@@ -58,7 +47,7 @@ type fault_row = {
 }
 
 type level_report = {
-  level : Campaign.level;
+  level : Models.level;
   baseline_failures : int;
   baseline_diagnosis : Kernel.diagnosis;
   rows : fault_row list;
@@ -71,14 +60,14 @@ type level_report = {
 
 type scenario = {
   scenario : string;
-  scenario_level : Campaign.level;
+  scenario_level : Models.level;
   expected : string;
   diagnosis : Kernel.diagnosis;
   matched : bool;
 }
 
 type report = {
-  duv : Campaign.duv;
+  duv : Models.duv;
   seed : int;
   ops : int;
   levels : level_report list;
@@ -91,28 +80,35 @@ type report = {
 exception Interrupted
 
 type pool_job =
-  | Baseline of Campaign.level
+  | Baseline of Models.level
   | Fault_run of {
-      level : Campaign.level;
+      level : Models.level;
       fault : string;
       plan : Fault.plan;
     }
   | Scenario_run of {
       name : string;
-      level : Campaign.level;
+      level : Models.level;
       plan : Fault.plan;
       expected : string;
     }
 
-let exec_pool_job ~duv ~seed ~ops = function
-  | Baseline level -> Campaign.run_level duv level ~seed ~ops ~guard:job_guard
-  | Fault_run { level; plan; _ } ->
-    Campaign.run_level duv level ~seed ~ops ~fault_plan:plan ~guard:job_guard
-  | Scenario_run { level; plan; _ } ->
-    (* The scenarios assert termination diagnoses, not property
-       verdicts: run bare (no checkers). *)
-    Campaign.run_level ~selection:Campaign.No_checkers duv level ~seed ~ops
-      ~fault_plan:plan ~guard:job_guard
+(* Baselines and fault runs attach the level's built-in suite; the
+   scenarios assert termination diagnoses, not property verdicts, so
+   they run bare (no checkers). *)
+let exec_pool_job ~duv ~seed ~ops job =
+  let level, fault_plan, checked =
+    match job with
+    | Baseline level -> (level, None, true)
+    | Fault_run { level; plan; _ } -> (level, Some plan, true)
+    | Scenario_run { level; plan; _ } -> (level, Some plan, false)
+  in
+  (* [run] validates every level before a job is built. *)
+  let model = Option.get (Models.of_duv_level duv level) in
+  let properties = if checked then fst (Models.properties_for model None) else [] in
+  Models.run
+    { Testbench.default with properties; fault_plan; guard = Some job_guard }
+    model ~seed ~ops
 
 let dedup levels =
   List.fold_left
@@ -120,7 +116,7 @@ let dedup levels =
     [] levels
   |> List.rev
 
-let scenarios_for ~fduv levels =
+let scenarios_for ~duv levels =
   let first = List.hd levels in
   let chaos =
     [ ( "crash",
@@ -135,7 +131,7 @@ let scenarios_for ~fduv levels =
       (fun level ->
         Option.map
           (fun plan -> ("deadlock", level, plan, "starved"))
-          (Duv_fault.hang_plan fduv (fault_level level) ~index:2))
+          (Duv_fault.hang_plan duv level ~index:2))
       levels
   in
   chaos @ Option.to_list deadlock
@@ -145,8 +141,7 @@ let scenarios_for ~fduv levels =
    catalog) order, scenarios last.  A worker process regenerates the
    identical array from the request parameters and picks one index. *)
 let pool_jobs ~duv ~levels =
-  let fduv = fault_duv duv in
-  let names = Duv_fault.fault_names fduv in
+  let names = Duv_fault.fault_names duv in
   let fault_jobs =
     List.concat_map
       (fun level ->
@@ -155,7 +150,7 @@ let pool_jobs ~duv ~levels =
              (fun fault ->
                Option.map
                  (fun plan -> Fault_run { level; fault; plan })
-                 (Duv_fault.plan_for fduv (fault_level level) fault))
+                 (Duv_fault.plan_for duv level fault))
              names)
       levels
   in
@@ -163,7 +158,7 @@ let pool_jobs ~duv ~levels =
     List.map
       (fun (name, level, plan, expected) ->
         Scenario_run { name; level; plan; expected })
-      (scenarios_for ~fduv levels)
+      (scenarios_for ~duv levels)
   in
   Array.of_list (fault_jobs @ scenario_jobs)
 
@@ -218,9 +213,9 @@ let exec_index ~duv ~levels ~seed ~ops index =
 let request_json ~duv ~levels ~seed ~ops ~index =
   J.Assoc
     [ ("op", J.String "qualify_job");
-      ("duv", J.String (Campaign.duv_name duv));
+      ("duv", J.String (Models.duv_name duv));
       ( "levels",
-        J.List (List.map (fun l -> J.String (Campaign.level_name l)) levels) );
+        J.List (List.map (fun l -> J.String (Models.level_name l)) levels) );
       ("seed", J.Int seed);
       ("ops", J.Int ops);
       ("index", J.Int index) ]
@@ -232,15 +227,15 @@ let journal_kind = "qualify"
 let params_json ~duv ~levels ~seed ~ops =
   J.Assoc
     [ ("kind", J.String journal_kind);
-      ("duv", J.String (Campaign.duv_name duv));
+      ("duv", J.String (Models.duv_name duv));
       ( "levels",
-        J.List (List.map (fun l -> J.String (Campaign.level_name l)) levels) );
+        J.List (List.map (fun l -> J.String (Models.level_name l)) levels) );
       ("seed", J.Int seed);
       ("ops", J.Int ops) ]
 
 let fingerprint ~duv ~levels ~seed ~ops =
   Journal.fingerprint_of_string
-    (J.to_string (params_json ~duv:(duv : Campaign.duv) ~levels:(dedup levels) ~seed ~ops))
+    (J.to_string (params_json ~duv:(duv : Models.duv) ~levels:(dedup levels) ~seed ~ops))
 
 (* --- running --------------------------------------------------------- *)
 
@@ -259,8 +254,7 @@ let run ?(workers = 1) ?(retries = 1) ?exec ?journal ?interrupted ~duv ~levels
     | Some config -> config
     | None -> Executor.config Executor.In_domain
   in
-  let fduv = fault_duv duv in
-  let names = Duv_fault.fault_names fduv in
+  let names = Duv_fault.fault_names duv in
   let jobs = pool_jobs ~duv ~levels in
   let n = Array.length jobs in
   let replayed_tbl : (int, qrun) Hashtbl.t = Hashtbl.create 16 in
@@ -320,7 +314,7 @@ let run ?(workers = 1) ?(retries = 1) ?exec ?journal ?interrupted ~duv ~levels
       let rows =
         List.map
           (fun fault ->
-            match Duv_fault.plan_for fduv (fault_level level) fault with
+            match Duv_fault.plan_for duv level fault with
             | None -> { fault; outcome = No_carrier }
             | Some plan ->
               let r = result !i in
@@ -333,9 +327,9 @@ let run ?(workers = 1) ?(retries = 1) ?exec ?journal ?interrupted ~duv ~levels
               in
               let verdict = Detect.summary verdicts in
               (match level, verdict with
-               | Campaign.Rtl, Detect.Detected ->
+               | Models.Rtl, Detect.Detected ->
                  rtl_detected := fault :: !rtl_detected
-               | Campaign.Tlm_ca, (Detect.Missed | Detect.Latent) ->
+               | Models.Tlm_ca, (Detect.Missed | Detect.Latent) ->
                  ca_missed := fault :: !ca_missed
                | _ -> ());
               {
@@ -398,7 +392,7 @@ let run ?(workers = 1) ?(retries = 1) ?exec ?journal ?interrupted ~duv ~levels
           diagnosis;
           matched = diagnosis_kind diagnosis = expected;
         })
-      (scenarios_for ~fduv levels)
+      (scenarios_for ~duv levels)
   in
   (* The re-use claim, falsifiable: a fault the RTL suite detects,
      whose TLM-CA carrier exists, must be detected at TLM-CA too. *)
@@ -440,7 +434,7 @@ let row_json row =
 let level_json l =
   let open J in
   Assoc
-    [ ("level", String (Campaign.level_name l.level));
+    [ ("level", String (Models.level_name l.level));
       ("baseline_failures", Int l.baseline_failures);
       ("baseline_diagnosis", Fault.diagnosis_json l.baseline_diagnosis);
       ("faults", List (List.map row_json l.rows));
@@ -456,7 +450,7 @@ let scenario_json s =
   let open J in
   Assoc
     [ ("scenario", String s.scenario);
-      ("level", String (Campaign.level_name s.scenario_level));
+      ("level", String (Models.level_name s.scenario_level));
       ("expected", String s.expected);
       ("diagnosis", Fault.diagnosis_json s.diagnosis);
       ("matched", Bool s.matched) ]
@@ -467,7 +461,7 @@ let report_json report =
     [ ("schema", Int qualify_schema_version);
       ( "qualify",
         Assoc
-          [ ("duv", String (Campaign.duv_name report.duv));
+          [ ("duv", String (Models.duv_name report.duv));
             ("seed", Int report.seed);
             ("ops", Int report.ops) ] );
       ("levels", List (List.map level_json report.levels));
@@ -484,13 +478,12 @@ let verdict_cell = function
   | Qualified { verdict = Detect.Latent; _ } -> "L"
 
 let pp_report ppf report =
-  let fduv = fault_duv report.duv in
-  let names = Duv_fault.fault_names fduv in
+  let names = Duv_fault.fault_names report.duv in
   Format.fprintf ppf "detection matrix (%s, seed=%d, ops=%d)@."
-    (Campaign.duv_name report.duv) report.seed report.ops;
+    (Models.duv_name report.duv) report.seed report.ops;
   Format.fprintf ppf "%-16s" "fault";
   List.iter
-    (fun l -> Format.fprintf ppf " %8s" (Campaign.level_name l.level))
+    (fun l -> Format.fprintf ppf " %8s" (Models.level_name l.level))
     report.levels;
   Format.fprintf ppf "@.";
   List.iter
@@ -507,14 +500,14 @@ let pp_report ppf report =
     (fun l ->
       Format.fprintf ppf
         "%s: %d detected, %d missed, %d latent of %d applicable (coverage %.2f)@."
-        (Campaign.level_name l.level) l.detected l.missed l.latent l.applicable
+        (Models.level_name l.level) l.detected l.missed l.latent l.applicable
         l.coverage)
     report.levels;
   List.iter
     (fun s ->
       Format.fprintf ppf "resilience %-9s @@%s: expected %s, got %s%s@."
         s.scenario
-        (Campaign.level_name s.scenario_level)
+        (Models.level_name s.scenario_level)
         s.expected
         (Kernel.diagnosis_to_string s.diagnosis)
         (if s.matched then "" else "  <- MISMATCH"))

@@ -50,7 +50,7 @@ type fault_row = {
 }
 
 type level_report = {
-  level : Campaign.level;
+  level : Tabv_duv.Models.level;
   baseline_failures : int;
   baseline_diagnosis : Tabv_sim.Kernel.diagnosis;
   rows : fault_row list;  (** catalog order *)
@@ -63,14 +63,14 @@ type level_report = {
 
 type scenario = {
   scenario : string;  (** "crash" | "livelock" | "deadlock" *)
-  scenario_level : Campaign.level;
+  scenario_level : Tabv_duv.Models.level;
   expected : string;  (** diagnosis kind *)
   diagnosis : Tabv_sim.Kernel.diagnosis;
   matched : bool;
 }
 
 type report = {
-  duv : Campaign.duv;
+  duv : Tabv_duv.Models.duv;
   seed : int;
   ops : int;
   levels : level_report list;  (** in requested order *)
@@ -101,8 +101,8 @@ val qrun_of_json : Tabv_core.Report_json.json -> (qrun, string) result
     parameters and picks one index.
     @raise Invalid_argument on an out-of-range index. *)
 val exec_index :
-  duv:Campaign.duv ->
-  levels:Campaign.level list ->
+  duv:Tabv_duv.Models.duv ->
+  levels:Tabv_duv.Models.level list ->
   seed:int ->
   ops:int ->
   int ->
@@ -116,8 +116,8 @@ val journal_kind : string
 (** Journal fingerprint of one qualification run's parameters (levels
     are deduplicated first, mirroring {!run}). *)
 val fingerprint :
-  duv:Campaign.duv ->
-  levels:Campaign.level list ->
+  duv:Tabv_duv.Models.duv ->
+  levels:Tabv_duv.Models.level list ->
   seed:int ->
   ops:int ->
   string
@@ -151,8 +151,8 @@ val run :
   ?exec:Executor.config ->
   ?journal:Journal.t ->
   ?interrupted:(unit -> bool) ->
-  duv:Campaign.duv ->
-  levels:Campaign.level list ->
+  duv:Tabv_duv.Models.duv ->
+  levels:Tabv_duv.Models.level list ->
   seed:int ->
   ops:int ->
   unit ->

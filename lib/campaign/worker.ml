@@ -36,7 +36,7 @@ let decode_request json =
   | "qualify_job" ->
     let* duv =
       let* name = Wire.string_field what "duv" fields in
-      match Campaign.duv_of_name name with
+      match Tabv_duv.Models.duv_of_name name with
       | Some duv -> Ok duv
       | None -> Error (Printf.sprintf "%s: unknown duv %S" what name)
     in
@@ -47,7 +47,7 @@ let decode_request json =
         (fun item ->
           match item with
           | J.String name ->
-            (match Campaign.level_of_name name with
+            (match Tabv_duv.Models.level_of_name name with
              | Some level -> Ok level
              | None -> Error (Printf.sprintf "%s: unknown level %S" what name))
           | _ -> Error (what ^ ".levels: expected strings"))

@@ -1,174 +1,4 @@
-open Tabv_sim
 open Tabv_fault
-
-type duv =
-  | Des56
-  | Colorconv
-  | Memctrl
-
-type level =
-  | Rtl
-  | Tlm_ca
-  | Tlm_at
-  | Tlm_lt
-
-let duv_to_string = function
-  | Des56 -> "des56"
-  | Colorconv -> "colorconv"
-  | Memctrl -> "memctrl"
-
-let level_to_string = function
-  | Rtl -> "rtl"
-  | Tlm_ca -> "tlm-ca"
-  | Tlm_at -> "tlm-at"
-  | Tlm_lt -> "tlm-lt"
-
-(* {2 Lens helpers} *)
-
-let bool_lens get set =
-  { Fault.get = (fun () -> if get () then 1L else 0L);
-    set = (fun v -> set (Int64.logand v 1L <> 0L));
-    width = 1
-  }
-
-let int_lens ~width get set =
-  { Fault.get = (fun () -> Int64.of_int (get ()));
-    set = (fun v -> set (Int64.to_int v));
-    width
-  }
-
-let int64_lens get set = { Fault.get; set; width = 64 }
-
-(* {2 Bindings} *)
-
-let des56_rtl_binding kernel (m : Des56_rtl.t) =
-  { Fault.kernel;
-    signals =
-      [ ("ds", Fault.Bool_signal (Des56_rtl.ds m));
-        ("decrypt", Fault.Bool_signal (Des56_rtl.decrypt m));
-        ("key", Fault.Int64_signal { signal = Des56_rtl.key m; width = 64 });
-        ("indata", Fault.Int64_signal { signal = Des56_rtl.indata m; width = 64 });
-        ("out", Fault.Int64_signal { signal = Des56_rtl.out m; width = 64 });
-        ("rdy", Fault.Bool_signal (Des56_rtl.rdy m));
-        ("rdy_next_cycle", Fault.Bool_signal (Des56_rtl.rdy_next_cycle m));
-        ("rdy_next_next_cycle", Fault.Bool_signal (Des56_rtl.rdy_next_next_cycle m))
-      ];
-    sockets = []
-  }
-
-let des56_tlm_binding kernel initiator (obs : Des56_iface.observables) =
-  let fields =
-    [ ("ds", bool_lens (fun () -> obs.ds) (fun v -> obs.ds <- v));
-      ( "decrypt_obs",
-        bool_lens (fun () -> obs.decrypt_obs) (fun v -> obs.decrypt_obs <- v) );
-      ("key_obs", int64_lens (fun () -> obs.key_obs) (fun v -> obs.key_obs <- v));
-      ("indata", int64_lens (fun () -> obs.indata) (fun v -> obs.indata <- v));
-      ("out", int64_lens (fun () -> obs.out) (fun v -> obs.out <- v));
-      ("rdy", bool_lens (fun () -> obs.rdy) (fun v -> obs.rdy <- v));
-      ( "rdy_next_cycle",
-        bool_lens (fun () -> obs.rdy_next_cycle) (fun v -> obs.rdy_next_cycle <- v) );
-      ( "rdy_next_next_cycle",
-        bool_lens
-          (fun () -> obs.rdy_next_next_cycle)
-          (fun v -> obs.rdy_next_next_cycle <- v) )
-    ]
-  in
-  { Fault.kernel;
-    signals = [];
-    sockets = [ (Tlm.Initiator.name initiator, { Fault.initiator; fields }) ]
-  }
-
-let colorconv_rtl_binding kernel (m : Colorconv_rtl.t) =
-  let valids = Colorconv_rtl.valids m in
-  let valid_signals =
-    Array.to_list
-      (Array.mapi
-         (fun i s -> (Printf.sprintf "v%d" (i + 1), Fault.Bool_signal s))
-         valids)
-  in
-  { Fault.kernel;
-    signals =
-      [ ("dv", Fault.Bool_signal (Colorconv_rtl.dv m));
-        ("r", Fault.Int_signal { signal = Colorconv_rtl.r m; width = 8 });
-        ("g", Fault.Int_signal { signal = Colorconv_rtl.g m; width = 8 });
-        ("b", Fault.Int_signal { signal = Colorconv_rtl.b m; width = 8 });
-        ("ovalid", Fault.Bool_signal (Colorconv_rtl.ovalid m));
-        ("y", Fault.Int_signal { signal = Colorconv_rtl.y m; width = 8 });
-        ("cb", Fault.Int_signal { signal = Colorconv_rtl.cb m; width = 8 });
-        ("cr", Fault.Int_signal { signal = Colorconv_rtl.cr m; width = 8 })
-      ]
-      @ valid_signals;
-    sockets = []
-  }
-
-let colorconv_tlm_binding kernel initiator (obs : Colorconv_iface.observables) =
-  let valid_fields =
-    List.init 7 (fun i ->
-        ( Printf.sprintf "v%d" (i + 1),
-          bool_lens (fun () -> obs.valids.(i)) (fun v -> obs.valids.(i) <- v) ))
-  in
-  let fields =
-    [ ("dv", bool_lens (fun () -> obs.dv) (fun v -> obs.dv <- v));
-      ("r", int_lens ~width:8 (fun () -> obs.r) (fun v -> obs.r <- v));
-      ("g", int_lens ~width:8 (fun () -> obs.g) (fun v -> obs.g <- v));
-      ("b", int_lens ~width:8 (fun () -> obs.b) (fun v -> obs.b <- v));
-      ("ovalid", bool_lens (fun () -> obs.ovalid) (fun v -> obs.ovalid <- v));
-      ("y", int_lens ~width:8 (fun () -> obs.y) (fun v -> obs.y <- v));
-      ("cb", int_lens ~width:8 (fun () -> obs.cb) (fun v -> obs.cb <- v));
-      ("cr", int_lens ~width:8 (fun () -> obs.cr) (fun v -> obs.cr <- v))
-    ]
-    @ valid_fields
-  in
-  { Fault.kernel;
-    signals = [];
-    sockets = [ (Tlm.Initiator.name initiator, { Fault.initiator; fields }) ]
-  }
-
-let memctrl_rtl_binding kernel (m : Memctrl_rtl.t) =
-  { Fault.kernel;
-    signals =
-      [ ("req", Fault.Bool_signal (Memctrl_rtl.req m));
-        ("we", Fault.Bool_signal (Memctrl_rtl.we m));
-        ("addr", Fault.Int_signal { signal = Memctrl_rtl.addr m; width = 8 });
-        ("wdata", Fault.Int_signal { signal = Memctrl_rtl.wdata m; width = 16 });
-        ("ack", Fault.Bool_signal (Memctrl_rtl.ack m));
-        ("ack_next_cycle", Fault.Bool_signal (Memctrl_rtl.ack_next_cycle m));
-        ("rdata", Fault.Int_signal { signal = Memctrl_rtl.rdata m; width = 16 })
-      ];
-    sockets = []
-  }
-
-let memctrl_tlm_binding kernel initiator (obs : Memctrl_iface.observables) =
-  let fields =
-    [ ("req", bool_lens (fun () -> obs.req) (fun v -> obs.req <- v));
-      ("we", bool_lens (fun () -> obs.we) (fun v -> obs.we <- v));
-      ("addr", int_lens ~width:8 (fun () -> obs.addr) (fun v -> obs.addr <- v));
-      ("wdata", int_lens ~width:16 (fun () -> obs.wdata) (fun v -> obs.wdata <- v));
-      ("ack", bool_lens (fun () -> obs.ack) (fun v -> obs.ack <- v));
-      ( "ack_next_cycle",
-        bool_lens (fun () -> obs.ack_next_cycle) (fun v -> obs.ack_next_cycle <- v) );
-      ("rdata", int_lens ~width:16 (fun () -> obs.rdata) (fun v -> obs.rdata <- v))
-    ]
-  in
-  { Fault.kernel;
-    signals = [];
-    sockets = [ (Tlm.Initiator.name initiator, { Fault.initiator; fields }) ]
-  }
-
-(* {2 Sockets} *)
-
-let socket_for duv level =
-  match (duv, level) with
-  | _, Rtl -> None
-  | Des56, Tlm_ca -> Some "des56_ca_init"
-  | Des56, Tlm_at -> Some "des56_at_init"
-  | Des56, Tlm_lt -> Some "des56_lt_init"
-  | Colorconv, Tlm_ca -> Some "colorconv_ca_init"
-  | Colorconv, Tlm_at -> Some "colorconv_at_init"
-  | Colorconv, Tlm_lt -> None
-  | Memctrl, Tlm_ca -> Some "memctrl_ca_init"
-  | Memctrl, Tlm_at -> Some "memctrl_at_init"
-  | Memctrl, Tlm_lt -> None
 
 (* {2 Named fault catalog}
 
@@ -181,15 +11,29 @@ let socket_for duv level =
    stage-valids at TLM-AT) or where the model keeps no comparable
    observable (TLM-LT). *)
 
-let signal_plan ~name ~signal fault =
-  Fault.plan ~name [ Fault.Signal_fault { signal; fault } ]
-
-let field_plan ~name ~socket ~field fault =
-  Fault.plan ~name
-    [ Fault.Tlm_mutation { socket; fault = Fault.Corrupt_field { field; fault } } ]
-
 (* One clock period, ns (all three DUVs use the same reference clock). *)
 let period = 10
+
+(* One named fault: the RTL port it corrupts, the TLM observable field
+   carrying the same state, and the saboteur on each side. *)
+type named = {
+  fault : string;
+  signal : string;
+  field : string;
+  at_rtl : Fault.signal_fault;
+  at_tlm : Fault.signal_fault;
+}
+
+let named ?field ?at_tlm fault signal at_rtl =
+  { fault;
+    signal;
+    field = Option.value field ~default:signal;
+    at_rtl;
+    at_tlm = Option.value at_tlm ~default:at_rtl
+  }
+
+let stuck0 = Fault.Stuck_at_0 { from_ns = 0 }
+let stuck1 = Fault.Stuck_at_1 { from_ns = 0 }
 
 (* DES56: rdy is written at the edge ending round 16 (t = 160 for an
    op strobed at t = 0 with the standard testbench schedule) and is
@@ -197,128 +41,69 @@ let period = 10
    [170, 180) covers the update instant of the first result; the TLM
    window [180, 190) covers the transaction-end instant where the
    lens applies.  Both corrupt exactly one observation of [rdy]. *)
-let des56_rtl_glitch_from = 17 * period
-let des56_tlm_glitch_from = 18 * period
+let rdy_glitch from = Fault.Glitch { bit = 0; from_ns = from * period; duration_ns = period }
 
-let des56_fault_names =
-  [ "out_stuck0"; "rdy_nc_stuck0"; "rdy_glitch"; "key_flip"; "out_stuck0_late" ]
+(* In canonical (report) order. *)
+let catalog : Models.duv -> named list = function
+  | Des56 ->
+    [ (* Datapath bug: the result bus reads all-zeroes. *)
+      named "out_stuck0" "out" stuck0;
+      (* The early-warning flag never asserts (abstracted away at AT). *)
+      named "rdy_nc_stuck0" "rdy_next_cycle" stuck0;
+      (* A one-observation glitch on the completion handshake. *)
+      named "rdy_glitch" "rdy" (rdy_glitch 17) ~at_tlm:(rdy_glitch 18);
+      (* A transient key-bus upset mid-operation: functionally
+         corrupting but invisible to the interface properties — the
+         canonical miss. *)
+      named "key_flip" "key" ~field:"key_obs" (Fault.Bit_flip { bit = 5; at_ns = 4 * period });
+      (* Same bug as out_stuck0, armed long after the workload ends:
+         the canonical latent fault (never exercised). *)
+      named "out_stuck0_late" "out" (Fault.Stuck_at_0 { from_ns = 1_000_000_000 }) ]
+  | Colorconv ->
+    [ (* Output handshake dead: no pixel is ever flagged valid. *)
+      named "ovalid_stuck0" "ovalid" stuck0;
+      (* Luma bus stuck high: 255 is outside the ITU-R range [16, 235]. *)
+      named "y_stuck1" "y" stuck1;
+      (* A mid-pipeline occupancy flag dies; its carrier (v3) is
+         removed by the RTL-to-TLM-AT abstraction. *)
+      named "v3_stuck0" "v3" stuck0 ]
+  | Memctrl ->
+    [ (* Completion handshake dead at every level. *)
+      named "ack_stuck0" "ack" stuck0;
+      (* Early-warning flag dead (abstracted away at TLM-AT). *)
+      named "ack_nc_stuck0" "ack_next_cycle" stuck0;
+      (* Read-data bus stuck high: corrupts data but no interface
+         property checks read values against an oracle — a designed-in
+         miss. *)
+      named "rdata_stuck1" "rdata" stuck1 ]
 
-let des56_plan_for level name =
-  let socket = socket_for Des56 level in
-  match (name, level, socket) with
-  (* Datapath bug: the result bus reads all-zeroes. *)
-  | "out_stuck0", Rtl, _ ->
-    Some (signal_plan ~name ~signal:"out" (Fault.Stuck_at_0 { from_ns = 0 }))
-  | "out_stuck0", (Tlm_ca | Tlm_at), Some socket ->
-    Some (field_plan ~name ~socket ~field:"out" (Fault.Stuck_at_0 { from_ns = 0 }))
-  | "out_stuck0", _, _ -> None
-  (* The early-warning flag never asserts (abstracted away at AT/LT). *)
-  | "rdy_nc_stuck0", Rtl, _ ->
-    Some
-      (signal_plan ~name ~signal:"rdy_next_cycle" (Fault.Stuck_at_0 { from_ns = 0 }))
-  | "rdy_nc_stuck0", Tlm_ca, Some socket ->
-    Some
-      (field_plan ~name ~socket ~field:"rdy_next_cycle"
-         (Fault.Stuck_at_0 { from_ns = 0 }))
-  | "rdy_nc_stuck0", _, _ -> None
-  (* A one-observation glitch on the completion handshake. *)
-  | "rdy_glitch", Rtl, _ ->
-    Some
-      (signal_plan ~name ~signal:"rdy"
-         (Fault.Glitch { bit = 0; from_ns = des56_rtl_glitch_from; duration_ns = period }))
-  | "rdy_glitch", (Tlm_ca | Tlm_at), Some socket ->
-    Some
-      (field_plan ~name ~socket ~field:"rdy"
-         (Fault.Glitch { bit = 0; from_ns = des56_tlm_glitch_from; duration_ns = period }))
-  | "rdy_glitch", _, _ -> None
-  (* A transient key-bus upset mid-operation: functionally corrupting
-     but invisible to the interface properties — the canonical miss. *)
-  | "key_flip", Rtl, _ ->
-    Some (signal_plan ~name ~signal:"key" (Fault.Bit_flip { bit = 5; at_ns = 4 * period }))
-  | "key_flip", (Tlm_ca | Tlm_at), Some socket ->
-    Some
-      (field_plan ~name ~socket ~field:"key_obs"
-         (Fault.Bit_flip { bit = 5; at_ns = 4 * period }))
-  | "key_flip", _, _ -> None
-  (* Same bug as out_stuck0, armed long after the workload ends: the
-     canonical latent fault (never exercised). *)
-  | "out_stuck0_late", Rtl, _ ->
-    Some (signal_plan ~name ~signal:"out" (Fault.Stuck_at_0 { from_ns = 1_000_000_000 }))
-  | "out_stuck0_late", (Tlm_ca | Tlm_at), Some socket ->
-    Some
-      (field_plan ~name ~socket ~field:"out"
-         (Fault.Stuck_at_0 { from_ns = 1_000_000_000 }))
-  | "out_stuck0_late", _, _ -> None
-  | _ ->
-    invalid_arg (Printf.sprintf "Duv_fault.plan_for: unknown des56 fault %S" name)
+let fault_names duv = List.map (fun f -> f.fault) (catalog duv)
 
-let colorconv_fault_names = [ "ovalid_stuck0"; "y_stuck1"; "v3_stuck0" ]
+(* The initiator socket of [duv]'s model at [level]; [None] at RTL or
+   where the DUV has no model at that level. *)
+let socket_of duv level = Option.bind (Models.of_duv_level duv level) Models.socket
 
-let colorconv_plan_for level name =
-  let socket = socket_for Colorconv level in
-  match (name, level, socket) with
-  (* Output handshake dead: no pixel is ever flagged valid. *)
-  | "ovalid_stuck0", Rtl, _ ->
-    Some (signal_plan ~name ~signal:"ovalid" (Fault.Stuck_at_0 { from_ns = 0 }))
-  | "ovalid_stuck0", (Tlm_ca | Tlm_at), Some socket ->
-    Some (field_plan ~name ~socket ~field:"ovalid" (Fault.Stuck_at_0 { from_ns = 0 }))
-  | "ovalid_stuck0", _, _ -> None
-  (* Luma bus stuck high: 255 is outside the ITU-R range [16, 235]. *)
-  | "y_stuck1", Rtl, _ ->
-    Some (signal_plan ~name ~signal:"y" (Fault.Stuck_at_1 { from_ns = 0 }))
-  | "y_stuck1", (Tlm_ca | Tlm_at), Some socket ->
-    Some (field_plan ~name ~socket ~field:"y" (Fault.Stuck_at_1 { from_ns = 0 }))
-  | "y_stuck1", _, _ -> None
-  (* A mid-pipeline occupancy flag dies; its carrier (v3) is removed
-     by the RTL-to-TLM-AT abstraction. *)
-  | "v3_stuck0", Rtl, _ ->
-    Some (signal_plan ~name ~signal:"v3" (Fault.Stuck_at_0 { from_ns = 0 }))
-  | "v3_stuck0", Tlm_ca, Some socket ->
-    Some (field_plan ~name ~socket ~field:"v3" (Fault.Stuck_at_0 { from_ns = 0 }))
-  | "v3_stuck0", _, _ -> None
-  | _ ->
-    invalid_arg (Printf.sprintf "Duv_fault.plan_for: unknown colorconv fault %S" name)
-
-let memctrl_fault_names = [ "ack_stuck0"; "ack_nc_stuck0"; "rdata_stuck1" ]
-
-let memctrl_plan_for level name =
-  let socket = socket_for Memctrl level in
-  match (name, level, socket) with
-  (* Completion handshake dead at every level. *)
-  | "ack_stuck0", Rtl, _ ->
-    Some (signal_plan ~name ~signal:"ack" (Fault.Stuck_at_0 { from_ns = 0 }))
-  | "ack_stuck0", (Tlm_ca | Tlm_at), Some socket ->
-    Some (field_plan ~name ~socket ~field:"ack" (Fault.Stuck_at_0 { from_ns = 0 }))
-  | "ack_stuck0", _, _ -> None
-  (* Early-warning flag dead (abstracted away at TLM-AT). *)
-  | "ack_nc_stuck0", Rtl, _ ->
-    Some
-      (signal_plan ~name ~signal:"ack_next_cycle" (Fault.Stuck_at_0 { from_ns = 0 }))
-  | "ack_nc_stuck0", Tlm_ca, Some socket ->
-    Some
-      (field_plan ~name ~socket ~field:"ack_next_cycle"
-         (Fault.Stuck_at_0 { from_ns = 0 }))
-  | "ack_nc_stuck0", _, _ -> None
-  (* Read-data bus stuck high: corrupts data but no interface property
-     checks read values against an oracle — a designed-in miss. *)
-  | "rdata_stuck1", Rtl, _ ->
-    Some (signal_plan ~name ~signal:"rdata" (Fault.Stuck_at_1 { from_ns = 0 }))
-  | "rdata_stuck1", (Tlm_ca | Tlm_at), Some socket ->
-    Some (field_plan ~name ~socket ~field:"rdata" (Fault.Stuck_at_1 { from_ns = 0 }))
-  | "rdata_stuck1", _, _ -> None
-  | _ ->
-    invalid_arg (Printf.sprintf "Duv_fault.plan_for: unknown memctrl fault %S" name)
-
-let fault_names = function
-  | Des56 -> des56_fault_names
-  | Colorconv -> colorconv_fault_names
-  | Memctrl -> memctrl_fault_names
-
-let plan_for duv level name =
-  match duv with
-  | Des56 -> des56_plan_for level name
-  | Colorconv -> colorconv_plan_for level name
-  | Memctrl -> memctrl_plan_for level name
+let plan_for duv (level : Models.level) name =
+  let f =
+    match List.find_opt (fun f -> f.fault = name) (catalog duv) with
+    | Some f -> f
+    | None ->
+      invalid_arg
+        (Printf.sprintf "Duv_fault.plan_for: unknown %s fault %S" (Models.duv_name duv)
+           name)
+  in
+  let field_plan socket =
+    Fault.plan ~name
+      [ Fault.Tlm_mutation
+          { socket; fault = Fault.Corrupt_field { field = f.field; fault = f.at_tlm } } ]
+  in
+  match level, socket_of duv level with
+  | Rtl, _ ->
+    Some (Fault.plan ~name [ Fault.Signal_fault { signal = f.signal; fault = f.at_rtl } ])
+  | Tlm_ca, Some socket -> Some (field_plan socket)
+  | Tlm_at, Some socket when not (List.mem f.signal (Models.abstracted_signals duv)) ->
+    Some (field_plan socket)
+  | (Tlm_ca | Tlm_at | Tlm_lt), _ -> None
 
 (* {2 Chaos / resilience plans} *)
 
@@ -333,4 +118,4 @@ let hang_plan duv level ~index =
     (fun socket ->
       Fault.plan ~name:"chaos-hang"
         [ Fault.Tlm_mutation { socket; fault = Fault.Hang { index } } ])
-    (socket_for duv level)
+    (socket_of duv level)

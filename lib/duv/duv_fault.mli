@@ -1,69 +1,23 @@
-open Tabv_sim
 open Tabv_fault
 
-(** Per-DUV fault adapters: bindings that make each model injectable
-    through the generic {!Fault} subsystem, plus a catalog of named
-    cross-level faults for qualification campaigns.
-
-    A binding resolves a {!Fault.plan}'s names against one concrete
-    design: at RTL the property signals become saboteur targets; at
-    the TLM levels the initiator socket takes the mutators and the
-    model's {e observables} record provides the {!Fault.lens}es for
-    [Corrupt_field] — corruption lands on exactly the state the
-    property checkers sample (one delta after transport), so no DUV
-    logic is touched at any level.
+(** A catalog of named cross-level faults for qualification campaigns.
 
     The catalog names conceptual design bugs ("out_stuck0",
     "rdy_glitch", ...) and compiles each into the level-appropriate
-    plan; {!plan_for} answers [None] where the fault's carrier was
-    abstracted away at that level (e.g. [rdy_next_cycle] at TLM-AT). *)
-
-type duv =
-  | Des56
-  | Colorconv
-  | Memctrl
-
-type level =
-  | Rtl
-  | Tlm_ca
-  | Tlm_at
-  | Tlm_lt
-
-val duv_to_string : duv -> string
-val level_to_string : level -> string
-
-(** {2 Bindings} *)
-
-val des56_rtl_binding : Kernel.t -> Des56_rtl.t -> Fault.binding
-
-(** [des56_tlm_binding kernel initiator obs] — works for CA, AT and LT
-    models alike (they share the observables record). *)
-val des56_tlm_binding :
-  Kernel.t -> Tlm.Initiator.t -> Des56_iface.observables -> Fault.binding
-
-val colorconv_rtl_binding : Kernel.t -> Colorconv_rtl.t -> Fault.binding
-
-val colorconv_tlm_binding :
-  Kernel.t -> Tlm.Initiator.t -> Colorconv_iface.observables -> Fault.binding
-
-val memctrl_rtl_binding : Kernel.t -> Memctrl_rtl.t -> Fault.binding
-
-val memctrl_tlm_binding :
-  Kernel.t -> Tlm.Initiator.t -> Memctrl_iface.observables -> Fault.binding
-
-(** {2 Named fault catalog} *)
+    plan: a saboteur on the port signal at RTL, a [Corrupt_field]
+    mutator on the model's initiator socket ({!Models.socket}) at the
+    TLM levels.  Each model resolves a plan's names through the fault
+    binding it hands {!Testbench.run}.  {!plan_for} answers [None]
+    where the fault's carrier was abstracted away at that level (e.g.
+    [rdy_next_cycle] at TLM-AT). *)
 
 (** Fault names for one DUV, in canonical (report) order. *)
-val fault_names : duv -> string list
+val fault_names : Models.duv -> string list
 
 (** The level-appropriate plan for a named fault; [None] when the
     fault has no carrier at that level.
     @raise Invalid_argument on an unknown fault name. *)
-val plan_for : duv -> level -> string -> Fault.plan option
-
-(** Initiator socket name of the given TLM testbench ([None] at RTL
-    or for levels a DUV does not implement). *)
-val socket_for : duv -> level -> string option
+val plan_for : Models.duv -> Models.level -> string -> Fault.plan option
 
 (** {2 Chaos / resilience plans} *)
 
@@ -73,4 +27,4 @@ val livelock_plan : at_ns:int -> Fault.plan
 (** A [Hang] mutator on the DUV's initiator socket (TLM levels only):
     the driver blocks forever and the run ends [Starved] — the
     deadlock scenario. *)
-val hang_plan : duv -> level -> index:int -> Fault.plan option
+val hang_plan : Models.duv -> Models.level -> index:int -> Fault.plan option

@@ -15,6 +15,16 @@ type op =
     }
   | Read of { addr : int }
 
+let reference_reads ops =
+  let memory = Array.make address_space 0 in
+  List.filter_map
+    (function
+      | Write { addr; wdata } ->
+        memory.(addr land (address_space - 1)) <- wdata;
+        None
+      | Read { addr } -> Some memory.(addr land (address_space - 1)))
+    ops
+
 type observables = {
   mutable req : bool;
   mutable we : bool;

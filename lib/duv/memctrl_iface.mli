@@ -26,6 +26,9 @@ type op =
     }
   | Read of { addr : int }
 
+(** Expected read-data sequence for a workload (reference model). *)
+val reference_reads : op list -> int list
+
 type observables = {
   mutable req : bool;
   mutable we : bool;

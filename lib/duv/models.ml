@@ -1,16 +1,28 @@
-(* The built-in DUV model catalog as one first-class enumeration.
+(* The model catalog: every DUV x level the tool can drive, as one
+   first-class enumeration, with the facts every entry point shares.
 
-   `tabv check` / `record` / `recheck` and the `tabv serve` request
-   handler must agree on everything that shapes a run — the model
-   names, the interface signals a property may mention, which property
-   set a run attaches (including the Methodology III.1 abstraction on
-   the approximately-timed models) and which testbench entry point
-   drives it — because the byte-identity contracts (record+recheck ==
-   live check; served report == one-shot CLI report) depend on the two
-   paths building runs identically.  This module is that single
-   spec; [bin/cli.ml] and [lib/serve] are both thin clients of it. *)
+   `tabv check` / `record` / `recheck`, campaigns, qualification runs
+   and the `tabv serve` request handler must agree on everything that
+   shapes a run — the model names, the interface signals a property may
+   mention, which property set a run attaches (including the
+   Methodology III.1 abstraction on the approximately-timed models) and
+   which model value drives it — because the byte-identity contracts
+   (record+recheck == live check; served report == one-shot CLI report;
+   campaign job == one-shot check) depend on every path building runs
+   identically.  This module is that single spec. *)
 
 open Tabv_psl
+
+type duv =
+  | Des56
+  | Colorconv
+  | Memctrl
+
+type level =
+  | Rtl
+  | Tlm_ca
+  | Tlm_at
+  | Tlm_lt
 
 type t =
   | Des56_rtl
@@ -24,20 +36,74 @@ type t =
   | Memctrl_ca
   | Memctrl_at
 
-let names =
-  [ ("des56-rtl", Des56_rtl); ("des56-tlm-ca", Des56_ca);
-    ("des56-tlm-at", Des56_at); ("des56-tlm-lt", Des56_lt);
-    ("colorconv-rtl", Colorconv_rtl); ("colorconv-tlm-ca", Colorconv_ca);
-    ("colorconv-tlm-at", Colorconv_at); ("memctrl-rtl", Memctrl_rtl);
-    ("memctrl-tlm-ca", Memctrl_ca); ("memctrl-tlm-at", Memctrl_at) ]
+let duv_names = [ ("des56", Des56); ("colorconv", Colorconv); ("memctrl", Memctrl) ]
 
-let name model = fst (List.find (fun (_, m) -> m = model) names)
+let level_names =
+  [ ("rtl", Rtl); ("tlm-ca", Tlm_ca); ("tlm-at", Tlm_at); ("tlm-lt", Tlm_lt) ]
+
+let name_of names v = fst (List.find (fun (_, x) -> x = v) names)
+let duv_name = name_of duv_names
+let level_name = name_of level_names
+let duv_of_name n = List.assoc_opt n duv_names
+let level_of_name n = List.assoc_opt n level_names
+
+let duv_of = function
+  | Des56_rtl | Des56_ca | Des56_at | Des56_lt -> Des56
+  | Colorconv_rtl | Colorconv_ca | Colorconv_at -> Colorconv
+  | Memctrl_rtl | Memctrl_ca | Memctrl_at -> Memctrl
+
+let level_of = function
+  | Des56_rtl | Colorconv_rtl | Memctrl_rtl -> Rtl
+  | Des56_ca | Colorconv_ca | Memctrl_ca -> Tlm_ca
+  | Des56_at | Colorconv_at | Memctrl_at -> Tlm_at
+  | Des56_lt -> Tlm_lt
+
+let all =
+  [ Des56_rtl; Des56_ca; Des56_at; Des56_lt; Colorconv_rtl; Colorconv_ca;
+    Colorconv_at; Memctrl_rtl; Memctrl_ca; Memctrl_at ]
+
+(* The loosely-timed level exists only for DES56: [t] has no other LT
+   constructor, so this is [None] exactly there. *)
+let of_duv_level duv level =
+  List.find_opt (fun m -> duv_of m = duv && level_of m = level) all
+
+let name model = duv_name (duv_of model) ^ "-" ^ level_name (level_of model)
+let names = List.map (fun m -> (name m, m)) all
 let of_name n = List.assoc_opt n names
 
-let known_signals = function
-  | Des56_rtl | Des56_ca | Des56_at | Des56_lt -> Des56_iface.signal_names
-  | Colorconv_rtl | Colorconv_ca | Colorconv_at -> Colorconv_iface.signal_names
-  | Memctrl_rtl | Memctrl_ca | Memctrl_at -> Memctrl_iface.signal_names
+(* Every catalog entry as its model value and its seeded workload. *)
+type entry =
+  | Entry : 'w Testbench.model * (seed:int -> ops:int -> 'w) -> entry
+
+let des56 ~seed ~ops = Workload.des56 ~seed ~count:ops ()
+let colorconv ~seed ~ops = Workload.colorconv ~seed ~count:ops ()
+let memctrl ~seed ~ops = Workload.memctrl ~seed ~count:ops ()
+
+let entry = function
+  | Des56_rtl -> Entry (Testbench.des56_rtl (), des56)
+  | Des56_ca -> Entry (Testbench.des56_tlm_ca, des56)
+  | Des56_at -> Entry (Testbench.des56_tlm_at (), des56)
+  | Des56_lt -> Entry (Testbench.des56_tlm_lt, des56)
+  | Colorconv_rtl -> Entry (Testbench.colorconv_rtl, colorconv)
+  | Colorconv_ca -> Entry (Testbench.colorconv_tlm_ca, colorconv)
+  | Colorconv_at -> Entry (Testbench.colorconv_tlm_at, colorconv)
+  | Memctrl_rtl -> Entry (Testbench.memctrl_rtl, memctrl)
+  | Memctrl_ca -> Entry (Testbench.memctrl_tlm_ca, memctrl)
+  | Memctrl_at -> Entry (Testbench.memctrl_tlm_at (), memctrl)
+
+let socket model =
+  let (Entry (m, _)) = entry model in
+  m.Testbench.socket
+
+let run r model ~seed ~ops =
+  let (Entry (m, workload)) = entry model in
+  Testbench.run r m (workload ~seed ~ops)
+
+let known_signals model =
+  match duv_of model with
+  | Des56 -> Des56_iface.signal_names
+  | Colorconv -> Colorconv_iface.signal_names
+  | Memctrl -> Memctrl_iface.signal_names
 
 let check_signals model properties =
   let known = known_signals model in
@@ -71,104 +137,53 @@ let abstract_for_at ~abstracted_signals properties =
     ([], []) reports
   |> fun (strict, grid) -> (List.rev strict, List.rev grid)
 
+let abstracted_signals = function
+  | Des56 -> Des56_props.abstracted_signals
+  | Colorconv -> Colorconv_props.abstracted_signals
+  | Memctrl -> Memctrl_props.abstracted_signals
+
 (* The property sets a run actually attaches for [model], given the
    optional user property set: [(properties, grid_properties)] in
-   attach (= report) order. *)
+   attach (= report) order.  A user set is reused unabstracted at RTL
+   and TLM-CA and abstracted (Methodology III.1) above. *)
 let properties_for model user =
-  let rtl_or builtin =
-    match user with
-    | Some properties -> properties
-    | None -> builtin
-  in
-  match model with
-  | Des56_rtl | Des56_ca -> (rtl_or Des56_props.all, [])
-  | Des56_at ->
-    (match user with
-     | Some properties ->
-       abstract_for_at ~abstracted_signals:Des56_props.abstracted_signals
-         properties
-     | None -> (Des56_props.tlm_reviewed (), []))
-  | Des56_lt ->
-    (* Boolean invariants only: the LT model is not timing equivalent,
-       timed properties would fail by design. *)
-    (match user with
-     | Some properties ->
-       ( List.filter
-           (fun p -> Simple_subset.is_boolean p.Property.formula)
-           (fst
-              (abstract_for_at
-                 ~abstracted_signals:Des56_props.abstracted_signals properties)),
-         [] )
-     | None ->
-       ( [ Property.make ~name:"lt_inv"
-             ~context:(Context.Transaction Context.Base_trans)
-             (Parser.formula_only "always(!rdy || ds)") ],
-         [] ))
-  | Colorconv_rtl | Colorconv_ca -> (rtl_or Colorconv_props.all, [])
-  | Colorconv_at ->
-    (match user with
-     | Some properties ->
-       abstract_for_at ~abstracted_signals:Colorconv_props.abstracted_signals
-         properties
-     | None -> (Colorconv_props.tlm_reviewed (), []))
-  | Memctrl_rtl | Memctrl_ca -> (rtl_or Memctrl_props.all, [])
-  | Memctrl_at ->
-    (match user with
-     | Some properties ->
-       ( fst
-           (abstract_for_at
-              ~abstracted_signals:Memctrl_props.abstracted_signals properties),
-         [] )
-     | None -> (Memctrl_props.tlm_auto_safe (), []))
-
-(* Drive [model] over its seeded workload with [properties] attached
-   (and, on the AT models, [grid_properties] under the grid wrapper).
-   [trace_writer] taps the checker evaluation points into a binary
-   trace. *)
-let run ?metrics ?trace_writer model ~seed ~ops ~properties
-    ~grid_properties =
-  match model with
-  | Des56_rtl ->
-    Testbench.run_des56_rtl ?metrics ?trace_writer ~properties
-      (Workload.des56 ~seed ~count:ops ())
-  | Des56_ca ->
-    Testbench.run_des56_tlm_ca ?metrics ?trace_writer ~properties
-      (Workload.des56 ~seed ~count:ops ())
-  | Des56_at ->
-    Testbench.run_des56_tlm_at ?metrics ?trace_writer ~properties
-      ~grid_properties
-      (Workload.des56 ~seed ~count:ops ())
-  | Des56_lt ->
-    Testbench.run_des56_tlm_lt ?metrics ~properties
-      (Workload.des56 ~seed ~count:ops ())
-  | Colorconv_rtl ->
-    Testbench.run_colorconv_rtl ?metrics ?trace_writer ~properties
-      (Workload.colorconv ~seed ~count:ops ())
-  | Colorconv_ca ->
-    Testbench.run_colorconv_tlm_ca ?metrics ?trace_writer
-      ~properties
-      (Workload.colorconv ~seed ~count:ops ())
-  | Colorconv_at ->
-    Testbench.run_colorconv_tlm_at ?metrics ?trace_writer
-      ~properties ~grid_properties
-      (Workload.colorconv ~seed ~count:ops ())
-  | Memctrl_rtl ->
-    Memctrl_testbench.run_rtl ?metrics ?trace_writer ~properties
-      (Workload.memctrl ~seed ~count:ops ())
-  | Memctrl_ca ->
-    Memctrl_testbench.run_tlm_ca ?metrics ?trace_writer ~properties
-      (Workload.memctrl ~seed ~count:ops ())
-  | Memctrl_at ->
-    Memctrl_testbench.run_tlm_at ?metrics ?trace_writer ~properties
-      (Workload.memctrl ~seed ~count:ops ())
+  let duv = duv_of model in
+  let abstract = abstract_for_at ~abstracted_signals:(abstracted_signals duv) in
+  match level_of model, user with
+  | (Rtl | Tlm_ca), Some properties -> (properties, [])
+  | (Rtl | Tlm_ca), None ->
+    ( (match duv with
+       | Des56 -> Des56_props.all
+       | Colorconv -> Colorconv_props.all
+       | Memctrl -> Memctrl_props.all),
+      [] )
+  | Tlm_at, None ->
+    ( (match duv with
+       | Des56 -> Des56_props.tlm_reviewed ()
+       | Colorconv -> Colorconv_props.tlm_reviewed ()
+       | Memctrl -> Memctrl_props.tlm_auto_safe ()),
+      [] )
+  | Tlm_at, Some properties when duv = Memctrl ->
+    (* The MemCtrl TLM-AT model has no grid pool. *)
+    (fst (abstract properties), [])
+  | Tlm_at, Some properties -> abstract properties
+  (* Boolean invariants only at TLM-LT: the model is not timing
+     equivalent (Theorem III.2's precondition), so timed abstracted
+     properties would fail by design. *)
+  | Tlm_lt, None ->
+    ( [ Property.make ~name:"lt_inv"
+          ~context:(Context.Transaction Context.Base_trans)
+          (Parser.formula_only "always(!rdy || ds)") ],
+      [] )
+  | Tlm_lt, Some properties ->
+    ( List.filter
+        (fun p -> Simple_subset.is_boolean p.Property.formula)
+        (fst (abstract properties)),
+      [] )
 
 (* The LT model records nothing: it exists to violate timing
    equivalence, so a trace of it would not replay meaningfully. *)
-let supports_trace = function
-  | Des56_lt -> false
-  | Des56_rtl | Des56_ca | Des56_at | Colorconv_rtl | Colorconv_ca
-  | Colorconv_at | Memctrl_rtl | Memctrl_ca | Memctrl_at ->
-    true
+let supports_trace model = level_of model <> Tlm_lt
 
 (* The deterministic verdict report of one run: run identification
    plus per-property counters in attach order.  `recheck` builds the

@@ -1,16 +1,27 @@
-(** The built-in DUV model catalog.
+(** The model catalog.
 
-    One first-class enumeration of every model `tabv` can drive, with
-    the plumbing every entry point shares: model names, the interface
-    signals a property may mention, which property set a run attaches
-    (including the Methodology III.1 abstraction on the
-    approximately-timed models) and which testbench drives it.
+    One first-class enumeration of every model `tabv` can drive — each
+    DUV at each abstraction level — with the facts every entry point
+    shares: model, DUV and level names, initiator sockets, the
+    interface signals a property may mention, which property set a run
+    attaches (including the Methodology III.1 abstraction on the
+    approximately-timed models) and the model value that drives it.
 
-    [bin/cli.ml] (one-shot subcommands) and {!Tabv_serve} (the
-    verification service) are both thin clients of this module — the
-    byte-identity contracts (record + recheck == live check; served
-    report == one-shot CLI report) depend on every path building runs
-    identically. *)
+    The CLI, campaigns, qualification runs and {!Tabv_serve} are all
+    thin clients of this module — the byte-identity contracts
+    (record + recheck == live check; served report == one-shot CLI
+    report) depend on every path building runs identically. *)
+
+type duv =
+  | Des56
+  | Colorconv
+  | Memctrl
+
+type level =
+  | Rtl
+  | Tlm_ca
+  | Tlm_at
+  | Tlm_lt  (** DES56 only: loosely-timed, boolean invariants only *)
 
 type t =
   | Des56_rtl
@@ -24,11 +35,36 @@ type t =
   | Memctrl_ca
   | Memctrl_at
 
-(** CLI-name / model pairs, in documentation order. *)
+val duv_name : duv -> string
+val level_name : level -> string
+val duv_of_name : string -> duv option
+val level_of_name : string -> level option
+
+val duv_of : t -> duv
+val level_of : t -> level
+
+(** The model of one DUV at one level; [None] where the DUV has no
+    model at that level (the loosely-timed level exists only for
+    DES56). *)
+val of_duv_level : duv -> level -> t option
+
+(** CLI-name / model pairs, in documentation order.  A model's name is
+    its DUV's and its level's, joined by ["-"] (["des56-tlm-ca"]). *)
 val names : (string * t) list
 
 val name : t -> string
 val of_name : string -> t option
+
+(** A catalog entry: the model value and the generator of its seeded
+    workload of [ops] operations ({!Workload}). *)
+type entry =
+  | Entry : 'w Testbench.model * (seed:int -> ops:int -> 'w) -> entry
+
+val entry : t -> entry
+
+(** Name of the model's initiator socket, the target of TLM fault
+    mutators; [None] at RTL. *)
+val socket : t -> string option
 
 (** The interface signal names properties may mention on this model. *)
 val known_signals : t -> string list
@@ -45,6 +81,9 @@ val check_signals : t -> Tabv_psl.Property.t list -> (unit, string) result
     run of no operations would report every property vacuous. *)
 val check_ops : int -> (unit, string) result
 
+(** The signals the DUV's TLM-AT model abstracts away. *)
+val abstracted_signals : duv -> string list
+
 (** Split the automatically-safe Methodology III.1 abstractions of
     [properties] into strict-wrapper properties and grid-wrapper ones
     (timed operators under until/release need the full clock grid).
@@ -56,23 +95,20 @@ val abstract_for_at :
 
 (** [properties_for model user] — the [(properties, grid_properties)]
     a run actually attaches, in attach (= report) order, given the
-    optional user property set. *)
+    optional user property set.  [None] selects the built-in suite:
+    the Fig. 3 sets at RTL/TLM-CA, the abstracted (auto-safe +
+    reviewed) sets at TLM-AT, the boolean invariant [lt_inv] at
+    TLM-LT. *)
 val properties_for :
   t ->
   Tabv_psl.Property.t list option ->
   Tabv_psl.Property.t list * Tabv_psl.Property.t list
 
-(** Drive [model] over its seeded workload.  [trace_writer] taps the
-    checker evaluation points into a binary trace. *)
-val run :
-  ?metrics:Tabv_obs.Metrics.t ->
-  ?trace_writer:Tabv_trace.Writer.t ->
-  t ->
-  seed:int ->
-  ops:int ->
-  properties:Tabv_psl.Property.t list ->
-  grid_properties:Tabv_psl.Property.t list ->
-  Testbench.run_result
+(** [run r model ~seed ~ops] drives [model] over its seeded workload
+    of [ops] operations through {!Testbench.run}.  The workload is
+    generated on every call; a caller timing runs takes it from
+    {!entry} once. *)
+val run : Testbench.run -> t -> seed:int -> ops:int -> Testbench.run_result
 
 (** Whether `tabv record` accepts this model (the LT model is not
     timing equivalent, so a trace of it would not replay

@@ -1,13 +1,14 @@
 open Tabv_psl
-open Tabv_checker
+open Tabv_sim
 
-(** Testbenches: drive each DUV model over a workload, optionally with
-    checkers attached and/or an evaluation trace recorded.
+(** The one runner: every model — the catalog's ten ({!Models}) and
+    any design brought from outside — is a {!model} value, and {!run}
+    drives it.
 
-    Conventions shared by all testbenches (clock period 10 ns):
+    Conventions shared by all models (clock period 10 ns):
     {ul
     {- RTL: inputs are driven on the falling edge, sampled at the next
-       rising edge; checkers and the trace recorder sample at rising
+       rising edge; checkers and the trace tap sample at rising
        edges;}
     {- TLM-CA: one cycle-frame transaction per 10 ns, so checkers see
        exactly one evaluation point per clock cycle;}
@@ -15,24 +16,110 @@ open Tabv_checker
        I/O signals change (strobe rise, strobe fall, result ready,
        ready fall).}} *)
 
-(** Re-export of {!Tabv_obs.Checker_snapshot.t}: per-property checker
-    statistics are one shared record from monitor to JSON report. *)
-type checker_stat = Tabv_obs.Checker_snapshot.t = {
-  property_name : string;
-  engine : string;  (** checker backend; always ["progression"] *)
-  activations : int;
-  passes : int;
-  trivial_passes : int;
-  vacuous : bool;  (** evaluated but never non-trivially activated *)
-  peak_instances : int;
-  peak_distinct_states : int;
-      (** peak distinct hash-consed live states *)
-  pending : int;
-  steps : int;  (** evaluation points consumed (after context gating) *)
-  cache_hits : int;  (** monitor steps answered from the transition memo *)
-  cache_misses : int;  (** monitor steps that ran the rewriting *)
-  failures : Monitor.failure list;
+(** {1 Models} *)
+
+(** Where a model's checkers and trace tap sample. *)
+type sampling =
+  | Clock_edge of Clock.t  (** RTL: the clock's rising edges *)
+  | Frames of Tlm.Initiator.t
+      (** TLM-CA: the end of every cycle frame; RTL properties are
+          reused unabstracted ({!Tabv_checker.Checker.Attach.transaction_unabstracted}) *)
+  | Transactions of {
+      initiator : Tlm.Initiator.t;
+      grid_period : int option;
+          (** adds the grid pool on this reference clock period
+              ({!Tabv_checker.Checker.Attach.grid}), for
+              [grid_properties] *)
+    }  (** TLM-AT/LT: transaction ends *)
+
+(** What a model hands the runner once elaborated on a fresh kernel:
+    only what differs between designs. *)
+type elaborated = {
+  sampling : sampling;
+  resolve : Expr.resolver;  (** the checkers' window onto the design *)
+  env : unit -> (string * Expr.value) list;
+      (** what the trace tap records at each evaluation point *)
+  binding : Tabv_fault.Fault.binding;  (** where a fault plan lands *)
+  completed : unit -> int;  (** operations the design finished *)
+  collect : (unit -> unit) option;
+      (** RTL: reads the outputs at every rising edge *)
+  drive : unit -> unit;
+      (** the driver thread: applies the workload, then stops the
+          kernel *)
 }
+
+(** A model over workloads of type ['w].  [elaborate kernel
+    ~gap_cycles ~emit workload] builds the design and its driver on
+    [kernel]; the driver (or the collector) passes each result to
+    [emit], in order, and leaves [gap_cycles] idle cycles between
+    operations. *)
+type 'w model = {
+  socket : string option;  (** initiator socket name; [None] at RTL *)
+  elaborate :
+    Kernel.t -> gap_cycles:int -> emit:(int64 -> unit) -> 'w -> elaborated;
+}
+
+(** An RTL model, elaborated against the 10 ns clock ["clk"]. *)
+val rtl :
+  (Kernel.t -> Clock.t -> gap_cycles:int -> emit:(int64 -> unit) -> 'w -> elaborated) ->
+  'w model
+
+(** A TLM model whose initiator socket is named [socket]. *)
+val tlm :
+  socket:string ->
+  (Kernel.t ->
+  Tlm.Initiator.t ->
+  gap_cycles:int ->
+  emit:(int64 -> unit) ->
+  'w ->
+  elaborated) ->
+  'w model
+
+(** [fault] injects a design bug (see {!Des56_rtl.fault}). *)
+val des56_rtl : ?fault:Des56_rtl.fault -> unit -> Des56_iface.op list model
+
+val des56_tlm_ca : Des56_iface.op list model
+
+(** The driver issues the blocking read right after the strobe-fall
+    instant, so the read-end event lands exactly at the model's
+    completion time — [latency_ns] different from 170 models a
+    wrongly abstracted TLM model. *)
+val des56_tlm_at : ?latency_ns:int -> unit -> Des56_iface.op list model
+
+(** Loosely-timed model: operations complete within the write call;
+    deliberately {e not} timing equivalent, so timed abstracted
+    properties are expected to fail (Theorem III.2's precondition). *)
+val des56_tlm_lt : Des56_iface.op list model
+
+val colorconv_rtl : Colorconv.pixel list list model
+val colorconv_tlm_ca : Colorconv.pixel list list model
+val colorconv_tlm_at : Colorconv.pixel list list model
+val memctrl_rtl : Memctrl_iface.op list model
+val memctrl_tlm_ca : Memctrl_iface.op list model
+
+(** [write_latency_ns]/[read_latency_ns] override the model latencies
+    (defaults 20/30 ns) to emulate a wrong abstraction. *)
+val memctrl_tlm_at :
+  ?write_latency_ns:int -> ?read_latency_ns:int -> unit -> Memctrl_iface.op list model
+
+(** {1 Running} *)
+
+(** Everything a run takes besides the model and its workload. *)
+type run = {
+  properties : Property.t list;
+  grid_properties : Property.t list;
+      (** checked by the grid pool; only models sampling
+          [Transactions] with a [grid_period] take them *)
+  metrics : Tabv_obs.Metrics.t option;
+  trace_writer : Tabv_trace.Writer.t option;
+      (** taps every evaluation point into a binary trace *)
+  fault_plan : Tabv_fault.Fault.plan option;
+  guard : Kernel.guard option;
+  gap_cycles : int;  (** idle cycles between operations *)
+}
+
+(** No checkers, metrics, trace, faults or guard; 2 gap cycles. *)
+val default : run
 
 type run_result = {
   sim_time_ns : int;
@@ -41,31 +128,29 @@ type run_result = {
   transactions : int;  (** 0 for RTL runs *)
   completed_ops : int;
   outputs : int64 list;  (** DES56 results / packed YCbCr pixels, in order *)
-  checker_stats : checker_stat list;
+  checker_stats : Tabv_obs.Checker_snapshot.t list;
   metrics : (string * Tabv_obs.Metrics.value) list;
       (** end-of-run registry snapshot; [[]] unless the run was given
           an enabled {!Tabv_obs.Metrics.t} *)
-  trace : Trace.t option;
-  diagnosis : Tabv_sim.Kernel.diagnosis;
+  diagnosis : Kernel.diagnosis;
       (** how the simulation ended ([Completed] for a clean stop;
           [Starved]/[Livelock]/[Budget_exhausted]/[Process_crashed]
-          under fault injection or a tripped {!Tabv_sim.Kernel.guard}) *)
+          under fault injection or a tripped {!Kernel.guard}) *)
   faults_triggered : int;
       (** activations of the run's {!Tabv_fault.Fault.plan}; [0] when
           no plan was given or the plan was latent (never exercised) *)
 }
 
+(** [run r model workload]: create the kernel, elaborate [model],
+    install [r.fault_plan], attach the checker pools, tap
+    [r.trace_writer], start the collector and the driver, simulate
+    under [r.guard] and report.
+    @raise Invalid_argument when [r.grid_properties] is not empty and
+    the model has no grid pool. *)
+val run : run -> 'w model -> 'w -> run_result
+
 (** Total failures across all checkers. *)
 val total_failures : run_result -> int
-
-(** Snapshot a monitor's counters (used by sibling testbenches, e.g.
-    {!Memctrl_testbench}); alias of {!Monitor.snapshot}. *)
-val stat_of_monitor : Monitor.t -> checker_stat
-
-(** [hits / (hits + misses)], 0 when the checker never stepped. *)
-val cache_hit_rate : checker_stat -> float
-
-val pp_checker_stat : Format.formatter -> checker_stat -> unit
 
 (** The versioned observability document for one run
     ({!Tabv_core.Report_json.metrics_json}): run counters, the
@@ -78,163 +163,62 @@ val metrics_json :
   run_result ->
   Tabv_core.Report_json.json
 
-(** {1 Checker-pool plumbing}
+(** Pack a converted pixel as [y lor (cb lsl 8) lor (cr lsl 16)] for
+    the [outputs] list. *)
+val pack_ycbcr : Colorconv.ycbcr -> int64
 
-    Shared by the sibling testbenches (e.g. {!Memctrl_testbench}). *)
+(** {1 Benchmark entry points}
 
-(** A fresh shared atom sampler over the model's resolver, whose
-    query/eval counters are published on the kernel's metrics registry
-    (when enabled) as the summed probes [checker.sampler.queries] /
-    [checker.sampler.evals]. *)
-val pool_sampler : Tabv_sim.Kernel.t -> Expr.resolver -> Sampler.t
+    One-line wrappers over {!run}, kept with exactly the arguments the
+    repository benchmark passes.  Everything else calls {!run} or
+    {!Models.run}. *)
 
-(** End-of-run registry snapshot; [[]] when the kernel's registry is
-    disabled (so default runs never pay for snapshotting). *)
-val metrics_snapshot :
-  Tabv_sim.Kernel.t -> (string * Tabv_obs.Metrics.value) list
-
-(** {1 Trace-writer plumbing}
-
-    Every testbench accepts an optional streaming binary
-    {!Tabv_trace.Writer.t} ([?trace_writer]) fed from the same hooks
-    as the in-memory recorder; disarmed runs pay nothing.  These
-    helpers are shared with the sibling testbenches. *)
-
-(** Publish a writer's volume counters ([trace.samples]/[trace.spans]/
-    [trace.bytes]) as pull probes when the kernel's registry is armed;
-    no-op for [None] or a disabled registry. *)
-val arm_writer : Tabv_sim.Kernel.t -> Tabv_trace.Writer.t option -> unit
-
-(** Feed one evaluation point to an optional writer. *)
-val write_sample :
-  Tabv_trace.Writer.t option ->
-  time:int ->
-  (string * Expr.value) list ->
-  unit
-
-(** Feed one completed transaction to an optional writer: a sample at
-    the transaction end (last-wins within an instant) plus a
-    begin/end span labelled by the TLM command. *)
-val write_transaction :
-  Tabv_trace.Writer.t option ->
-  Tabv_sim.Tlm.transaction ->
-  (string * Expr.value) list ->
-  unit
-
-(** Compile an optional fault plan onto a design binding; [None] or an
-    empty plan installs nothing (zero overhead on fault-free runs). *)
-val install_plan :
-  Tabv_fault.Fault.binding ->
-  Tabv_fault.Fault.plan option ->
-  Tabv_fault.Fault.installed option
-
-(** Fault activations of an installed plan; [0] for [None]. *)
-val faults_triggered_of : Tabv_fault.Fault.installed option -> int
-
-(** {1 DES56} *)
-
-(** [gap_cycles] idle cycles between operations (default 2);
-    [fault] injects a design bug (see {!Des56_rtl.fault}). *)
 val run_des56_rtl :
   ?properties:Property.t list ->
-  ?sim_engine:Tabv_sim.Kernel.engine ->  (* held only for perfbench; selects nothing *)
+  ?sim_engine:Kernel.engine ->  (* held only for perfbench; selects nothing *)
   ?metrics:Tabv_obs.Metrics.t ->
-  ?record_trace:bool ->
   ?trace_writer:Tabv_trace.Writer.t ->
-  ?gap_cycles:int ->
-  ?fault:Des56_rtl.fault ->
-  ?fault_plan:Tabv_fault.Fault.plan ->
-  ?guard:Tabv_sim.Kernel.guard ->
   Des56_iface.op list ->
   run_result
 
-(** RTL properties applied {e unabstracted} to the cycle-accurate TLM
-    model (the paper's TLM-CA rows). *)
 val run_des56_tlm_ca :
   ?properties:Property.t list ->
-  ?sim_engine:Tabv_sim.Kernel.engine ->  (* held only for perfbench; selects nothing *)
+  ?sim_engine:Kernel.engine ->
   ?metrics:Tabv_obs.Metrics.t ->
-  ?record_trace:bool ->
   ?trace_writer:Tabv_trace.Writer.t ->
-  ?gap_cycles:int ->
-  ?fault_plan:Tabv_fault.Fault.plan ->
-  ?guard:Tabv_sim.Kernel.guard ->
   Des56_iface.op list ->
   run_result
 
-(** Abstracted (transaction-context) properties on the
-    approximately-timed model.  The driver issues the blocking read
-    right after the strobe-fall instant, so the read-end event lands
-    exactly at the model's completion time — [model_latency_ns]
-    different from 170 models a wrongly abstracted TLM model. *)
 val run_des56_tlm_at :
   ?properties:Property.t list ->
   ?grid_properties:Property.t list ->
-  ?sim_engine:Tabv_sim.Kernel.engine ->  (* held only for perfbench; selects nothing *)
+  ?sim_engine:Kernel.engine ->
   ?metrics:Tabv_obs.Metrics.t ->
-  ?record_trace:bool ->
   ?trace_writer:Tabv_trace.Writer.t ->
-  ?gap_cycles:int ->
-  ?model_latency_ns:int ->
-  ?fault_plan:Tabv_fault.Fault.plan ->
-  ?guard:Tabv_sim.Kernel.guard ->
   Des56_iface.op list ->
   run_result
-(** [grid_properties] are checked with the grid-mode wrapper
-    ({!Checker.Attach.grid}), which handles until-based timed
-    properties such as the paper's [q2]. *)
-
-(** Loosely-timed model: operations complete within the write call;
-    deliberately {e not} timing equivalent, so timed abstracted
-    properties are expected to fail (Theorem III.2's precondition). *)
-val run_des56_tlm_lt :
-  ?properties:Property.t list ->
-  ?metrics:Tabv_obs.Metrics.t ->
-  ?gap_cycles:int ->
-  ?fault_plan:Tabv_fault.Fault.plan ->
-  ?guard:Tabv_sim.Kernel.guard ->
-  Des56_iface.op list ->
-  run_result
-
-(** {1 ColorConv} *)
 
 val run_colorconv_rtl :
   ?properties:Property.t list ->
-  ?sim_engine:Tabv_sim.Kernel.engine ->  (* held only for perfbench; selects nothing *)
+  ?sim_engine:Kernel.engine ->
   ?metrics:Tabv_obs.Metrics.t ->
-  ?record_trace:bool ->
   ?trace_writer:Tabv_trace.Writer.t ->
-  ?gap_cycles:int ->
-  ?fault_plan:Tabv_fault.Fault.plan ->
-  ?guard:Tabv_sim.Kernel.guard ->
   Colorconv.pixel list list ->
   run_result
 
 val run_colorconv_tlm_ca :
   ?properties:Property.t list ->
-  ?sim_engine:Tabv_sim.Kernel.engine ->  (* held only for perfbench; selects nothing *)
+  ?sim_engine:Kernel.engine ->
   ?metrics:Tabv_obs.Metrics.t ->
-  ?record_trace:bool ->
   ?trace_writer:Tabv_trace.Writer.t ->
-  ?gap_cycles:int ->
-  ?fault_plan:Tabv_fault.Fault.plan ->
-  ?guard:Tabv_sim.Kernel.guard ->
   Colorconv.pixel list list ->
   run_result
 
 val run_colorconv_tlm_at :
   ?properties:Property.t list ->
   ?grid_properties:Property.t list ->
-  ?sim_engine:Tabv_sim.Kernel.engine ->  (* held only for perfbench; selects nothing *)
+  ?sim_engine:Kernel.engine ->
   ?metrics:Tabv_obs.Metrics.t ->
-  ?record_trace:bool ->
   ?trace_writer:Tabv_trace.Writer.t ->
-  ?gap_cycles:int ->
-  ?fault_plan:Tabv_fault.Fault.plan ->
-  ?guard:Tabv_sim.Kernel.guard ->
   Colorconv.pixel list list ->
   run_result
-
-(** Pack a converted pixel as [y lor (cb lsl 8) lor (cr lsl 16)] for
-    the [outputs] list. *)
-val pack_ycbcr : Colorconv.ycbcr -> int64

@@ -113,8 +113,10 @@ let exec_check ~model ~seed ~ops ~props ~trace_out =
   in
   let result =
     Tabv_trace.Writer.protect writer (fun () ->
-        Models.run ?trace_writer:writer model ~seed ~ops ~properties
-          ~grid_properties)
+        Models.run
+          { Tabv_duv.Testbench.default with
+            properties; grid_properties; trace_writer = writer }
+          model ~seed ~ops)
   in
   Ok
     {

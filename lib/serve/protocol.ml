@@ -49,8 +49,8 @@ type job =
       journal : bool;  (* journal into the daemon's state dir *)
     }
   | Qualify of {
-      duv : Tabv_campaign.Campaign.duv;
-      levels : Tabv_campaign.Campaign.level list;
+      duv : Tabv_duv.Models.duv;
+      levels : Tabv_duv.Models.level list;
       seed : int;
       ops : int;
       workers : int;
@@ -110,11 +110,11 @@ let job_json job =
       @ [ ("journal", J.Bool journal) ]
     | Qualify { duv; levels; seed; ops; workers; retries } ->
       [ ("op", J.String "qualify");
-        ("duv", J.String (Tabv_campaign.Campaign.duv_name duv));
+        ("duv", J.String (Tabv_duv.Models.duv_name duv));
         ( "levels",
           J.List
             (List.map
-               (fun l -> J.String (Tabv_campaign.Campaign.level_name l))
+               (fun l -> J.String (Tabv_duv.Models.level_name l))
                levels) );
         ("seed", J.Int seed); ("ops", J.Int ops); ("workers", J.Int workers);
         ("retries", J.Int retries) ]
@@ -205,7 +205,7 @@ let decode_job what op fields =
   | "qualify" ->
     let* duv_name = Wire.string_field what "duv" fields in
     let* duv =
-      match Tabv_campaign.Campaign.duv_of_name duv_name with
+      match Tabv_duv.Models.duv_of_name duv_name with
       | Some d -> Ok d
       | None -> Error (Printf.sprintf "%s: unknown duv %S" what duv_name)
     in
@@ -216,7 +216,7 @@ let decode_job what op fields =
         (fun item ->
           match item with
           | J.String name ->
-            (match Tabv_campaign.Campaign.level_of_name name with
+            (match Tabv_duv.Models.level_of_name name with
              | Some l -> Ok l
              | None -> Error (Printf.sprintf "%s: unknown level %S" what name))
           | _ -> Error (what ^ ".levels: expected strings"))

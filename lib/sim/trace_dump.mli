@@ -3,12 +3,8 @@
     Widths are derived from the first entry: booleans become 1-bit
     wires, integers [width]-bit vectors (default 62, the portable
     OCaml [int] payload).  The signal set is taken from the first
-    entry, so traces recorded by {!Trace_rec} (whose entries share one
-    environment shape) dump completely. *)
-
-(** [to_channel ?width trace oc] writes the VCD; the channel is
-    flushed but left open. *)
-val to_channel : ?width:int -> Tabv_psl.Trace.t -> out_channel -> unit
+    entry, so a recorded trace (every sample of one run shares one
+    environment shape; see [Tabv_trace.Writer]) dumps completely. *)
 
 (** [to_file ?width trace path] creates/overwrites [path]. *)
 val to_file : ?width:int -> Tabv_psl.Trace.t -> string -> unit

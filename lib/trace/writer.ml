@@ -264,8 +264,8 @@ let sample t ~time env =
       invalid_arg
         (Printf.sprintf "Trace writer: time went backwards (%d after %d)" time
            t.pending_time);
-    (* A same-instant sample overwrites the pending one (last-wins, as
-       in Trace_rec); a later one proves it final. *)
+    (* A same-instant sample overwrites the pending one (last-wins); a
+       later one proves it final. *)
     if time > t.pending_time then begin
       flush_pending t;
       t.n_samples <- t.n_samples + 1

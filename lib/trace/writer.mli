@@ -3,17 +3,15 @@ open Tabv_psl
 (** Streaming binary trace writer.
 
     Create one per recorded run, feed it {!sample}/{!span} calls from
-    the testbench hooks (the same hooks that feed the in-memory
-    {!Tabv_sim.Trace_rec} recorder), and {!close} it when the
-    simulation ends.  Memory is O(signal count) plus one staging
+    the trace tap (which samples exactly where the checker pools do),
+    and {!close} it when the simulation ends.  Memory is O(signal count) plus one staging
     buffer: two reused value arrays (the previous valuation, for
     change masks, and at most one pending sample) and at most one
     chunk of encoded records.
 
-    Same-instant samples overwrite each other (last-wins), matching
-    {!Tabv_sim.Trace_rec.sample}: a TLM run may complete several
-    transactions in one instant and checkers observe the final
-    environment of the instant.  The pending sample is what makes
+    Same-instant samples overwrite each other (last-wins): a TLM run
+    may complete several transactions in one instant and checkers
+    observe the final environment of the instant.  The pending sample is what makes
     this streamable — a sample is only encoded once a strictly later
     one (or {!close}) proves it final.
 

@@ -244,3 +244,19 @@ let monitor ?sampler property =
 let monitor_step m ~time lookup =
   current_lookup := lookup;
   Tabv_checker.Monitor.step m ~time
+
+(* One run of [model] over [workload] under run record [r], with its
+   evaluation trace recorded through the binary writer to a temporary
+   file and read back: the one trace tap, as `tabv record` uses it. *)
+let run_traced r model workload =
+  let path = Filename.temp_file "tabv_test" ".trace" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let result =
+        Tabv_trace.Writer.with_file ~path
+          (Tabv_trace.Meta.make ~model:"test" ~seed:0 ~ops:0)
+          (fun writer ->
+            Tabv_duv.Testbench.run { r with trace_writer = Some writer } model workload)
+      in
+      (result, snd (Tabv_trace.Reader.read_trace path)))

@@ -157,21 +157,20 @@ let equivalence_cases =
    the tabled automata; the live checkers sampled the same evaluation
    points. *)
 let replay_automata ?fault ops =
-  let result =
-    Tabv_duv.Testbench.run_des56_rtl ?fault ~record_trace:true
-      ~properties:Tabv_duv.Des56_props.all ops
+  let result, trace =
+    Helpers.run_traced
+      { Tabv_duv.Testbench.default with properties = Tabv_duv.Des56_props.all }
+      (Tabv_duv.Testbench.des56_rtl ?fault ())
+      ops
   in
-  match result.Tabv_duv.Testbench.trace with
-  | Some trace ->
-    (result, Reference_monitor.run `Automaton Tabv_duv.Des56_props.all trace)
-  | None -> Alcotest.fail "no trace recorded"
+  (result, Reference_monitor.run `Automaton Tabv_duv.Des56_props.all trace)
 
 let integration_cases =
   [ case "automaton engine verifies DES56 RTL like progression" (fun () ->
       let ops = Tabv_duv.Workload.des56 ~seed:21 ~count:10 () in
       let prog, auto = replay_automata ops in
       List.iter2
-        (fun (p : Tabv_duv.Testbench.checker_stat) (property, a) ->
+        (fun (p : Tabv_obs.Checker_snapshot.t) (property, a) ->
           Alcotest.(check string) "same property" p.property_name
             property.Property.name;
           Alcotest.(check int) (p.property_name ^ " activations") p.activations

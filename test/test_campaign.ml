@@ -7,6 +7,7 @@
 open Tabv_psl
 open Tabv_campaign
 module C = Campaign
+module M = Tabv_duv.Models
 module J = Tabv_core.Report_json
 
 let case name f = Alcotest.test_case name `Quick f
@@ -76,14 +77,14 @@ let dls_cases =
 (* --- matrix expansion -------------------------------------------------- *)
 
 let job_label j =
-  Printf.sprintf "%s/%s/s%d" (C.duv_name j.C.duv) (C.level_name j.C.level)
+  Printf.sprintf "%s/%s/s%d" (M.duv_name j.C.duv) (M.level_name j.C.level)
     j.C.seed
 
 let matrix_cases =
   [ case "expansion is DUV-major, then level, then seed" (fun () ->
       let jobs =
-        C.expand_matrix ~duvs:[ C.Des56; C.Colorconv ]
-          ~levels:[ C.Rtl; C.Tlm_ca ] ~seeds:[ 1; 2 ] ~ops:10 ()
+        C.expand_matrix ~duvs:[ M.Des56; M.Colorconv ]
+          ~levels:[ M.Rtl; M.Tlm_ca ] ~seeds:[ 1; 2 ] ~ops:10 ()
       in
       Alcotest.(check (list string)) "order"
         [ "des56/rtl/s1"; "des56/rtl/s2"; "des56/tlm-ca/s1"; "des56/tlm-ca/s2";
@@ -92,17 +93,17 @@ let matrix_cases =
         (List.map job_label jobs));
     case "tlm-lt is kept for DES56 and skipped elsewhere" (fun () ->
       let jobs =
-        C.expand_matrix ~duvs:[ C.Des56; C.Colorconv; C.Memctrl ]
-          ~levels:[ C.Tlm_lt ] ~seeds:[ 1 ] ~ops:10 ()
+        C.expand_matrix ~duvs:[ M.Des56; M.Colorconv; M.Memctrl ]
+          ~levels:[ M.Tlm_lt ] ~seeds:[ 1 ] ~ops:10 ()
       in
       Alcotest.(check (list string)) "only des56" [ "des56/tlm-lt/s1" ]
         (List.map job_label jobs));
     case "validate rejects what the testbenches cannot run" (fun () ->
-      let bad = C.job ~duv:C.Memctrl ~level:C.Tlm_lt ~seed:1 ~ops:10 () in
+      let bad = C.job ~duv:M.Memctrl ~level:M.Tlm_lt ~seed:1 ~ops:10 () in
       (match C.validate bad with
        | Error _ -> ()
        | Ok () -> Alcotest.fail "memctrl/tlm-lt accepted");
-      (match C.validate (C.job ~duv:C.Des56 ~level:C.Rtl ~seed:1 ~ops:0 ()) with
+      (match C.validate (C.job ~duv:M.Des56 ~level:M.Rtl ~seed:1 ~ops:0 ()) with
        | Error _ -> ()
        | Ok () -> Alcotest.fail "ops=0 accepted");
       match
@@ -113,14 +114,15 @@ let matrix_cases =
     case "name round-trips" (fun () ->
       List.iter
         (fun duv ->
-          Alcotest.(check bool) (C.duv_name duv) true
-            (C.duv_of_name (C.duv_name duv) = Some duv))
-        [ C.Des56; C.Colorconv; C.Memctrl ];
+          Alcotest.(check bool) (M.duv_name duv) true
+            (M.duv_of_name (M.duv_name duv) = Some duv))
+        [ M.Des56; M.Colorconv; M.Memctrl ];
       List.iter
         (fun level ->
-          Alcotest.(check bool) (C.level_name level) true
-            (C.level_of_name (C.level_name level) = Some level))
-        [ C.Rtl; C.Tlm_ca; C.Tlm_at; C.Tlm_lt ];
+          Alcotest.(check bool) (M.level_name level) true
+            (M.level_of_name (M.level_name level)
+             = Some level))
+        [ M.Rtl; M.Tlm_ca; M.Tlm_at; M.Tlm_lt ];
       List.iter
         (fun sel ->
           Alcotest.(check bool) (C.selection_name sel) true
@@ -234,7 +236,7 @@ let json_parser_cases =
 (* A small but non-trivial matrix shared by the merging, journal and
    executor suites. *)
 let small_matrix =
-  C.expand_matrix ~duvs:[ C.Des56; C.Colorconv ] ~levels:[ C.Rtl; C.Tlm_ca ]
+  C.expand_matrix ~duvs:[ M.Des56; M.Colorconv ] ~levels:[ M.Rtl; M.Tlm_ca ]
     ~seeds:[ 1 ] ~ops:8 ()
 
 (* --- wire framing ------------------------------------------------------ *)
@@ -274,16 +276,16 @@ let payload_cases =
           match C.job_spec_of_json (J.of_string (J.to_string (C.job_spec_json job))) with
           | Ok back -> Alcotest.(check bool) "identical" true (back = job)
           | Error e -> Alcotest.fail e)
-        [ C.job ~duv:C.Des56 ~level:C.Rtl ~seed:1 ~ops:5 ();
-          C.job ~selection:(C.Take 2) ~chaos:3 ~duv:C.Memctrl ~level:C.Tlm_at
+        [ C.job ~duv:M.Des56 ~level:M.Rtl ~seed:1 ~ops:5 ();
+          C.job ~selection:(C.Take 2) ~chaos:3 ~duv:M.Memctrl ~level:M.Tlm_at
             ~seed:7 ~ops:12 ();
           C.job ~chaos:1 ~chaos_kind:(C.Chaos_hard Tabv_fault.Fault.Abort)
-            ~duv:C.Colorconv ~level:C.Tlm_ca ~seed:2 ~ops:6 ();
+            ~duv:M.Colorconv ~level:M.Tlm_ca ~seed:2 ~ops:6 ();
           C.job ~chaos:2 ~chaos_kind:(C.Chaos_hard Tabv_fault.Fault.Busy_loop)
-            ~selection:C.No_checkers ~duv:C.Des56 ~level:C.Tlm_lt ~seed:3
+            ~selection:C.No_checkers ~duv:M.Des56 ~level:M.Tlm_lt ~seed:3
             ~ops:4 () ]);
     slow_case "exec payloads survive the wire byte-for-byte" (fun () ->
-      let job = C.job ~duv:C.Des56 ~level:C.Rtl ~seed:1 ~ops:5 () in
+      let job = C.job ~duv:M.Des56 ~level:M.Rtl ~seed:1 ~ops:5 () in
       let payload = C.exec_job ~attempt:1 ~metrics_enabled:true job in
       let emitted = J.to_string (C.payload_json payload) in
       match C.payload_of_json (J.of_string emitted) with
@@ -293,7 +295,7 @@ let payload_cases =
           (J.to_string (C.payload_json back)));
     slow_case "qualify qruns survive the wire byte-for-byte" (fun () ->
       let qrun =
-        Qualify.exec_index ~duv:C.Colorconv ~levels:[ C.Rtl ] ~seed:1 ~ops:5 0
+        Qualify.exec_index ~duv:M.Colorconv ~levels:[ M.Rtl ] ~seed:1 ~ops:5 0
       in
       let emitted = J.to_string (Qualify.qrun_json qrun) in
       match Qualify.qrun_of_json (J.of_string emitted) with
@@ -470,8 +472,8 @@ let executor_cases =
          one that crashes forever: attempts, outcomes and the recorded
          error string must not betray where the job ran. *)
       let jobs =
-        [ C.job ~chaos:1 ~duv:C.Des56 ~level:C.Rtl ~seed:1 ~ops:5 ();
-          C.job ~chaos:99 ~duv:C.Colorconv ~level:C.Rtl ~seed:1 ~ops:5 () ]
+        [ C.job ~chaos:1 ~duv:M.Des56 ~level:M.Rtl ~seed:1 ~ops:5 ();
+          C.job ~chaos:99 ~duv:M.Colorconv ~level:M.Rtl ~seed:1 ~ops:5 () ]
       in
       let report exec =
         J.to_string (C.report_json (C.run ~workers:2 ~retries:1 ~exec jobs))
@@ -482,8 +484,8 @@ let executor_cases =
     slow_case "an aborting job is contained and classified as killed" (fun () ->
       let jobs =
         [ C.job ~chaos:99 ~chaos_kind:(C.Chaos_hard Tabv_fault.Fault.Abort)
-            ~duv:C.Des56 ~level:C.Rtl ~seed:1 ~ops:5 ();
-          C.job ~duv:C.Colorconv ~level:C.Rtl ~seed:1 ~ops:5 () ]
+            ~duv:M.Des56 ~level:M.Rtl ~seed:1 ~ops:5 ();
+          C.job ~duv:M.Colorconv ~level:M.Rtl ~seed:1 ~ops:5 () ]
       in
       let s = C.run ~workers:2 ~retries:1 ~exec:(subprocess ()) jobs in
       Alcotest.(check int) "killed" 1 s.C.killed;
@@ -499,8 +501,8 @@ let executor_cases =
     slow_case "a busy-looping job trips the wall-clock watchdog" (fun () ->
       let jobs =
         [ C.job ~chaos:99 ~chaos_kind:(C.Chaos_hard Tabv_fault.Fault.Busy_loop)
-            ~duv:C.Des56 ~level:C.Rtl ~seed:1 ~ops:5 ();
-          C.job ~duv:C.Des56 ~level:C.Rtl ~seed:2 ~ops:5 () ]
+            ~duv:M.Des56 ~level:M.Rtl ~seed:1 ~ops:5 ();
+          C.job ~duv:M.Des56 ~level:M.Rtl ~seed:2 ~ops:5 () ]
       in
       let s =
         C.run ~workers:2 ~retries:0 ~exec:(subprocess ~job_timeout_s:0.5 ())
@@ -515,7 +517,7 @@ let executor_cases =
       let report exec =
         J.to_string
           (Qualify.report_json
-             (Qualify.run ~workers:2 ~exec ~duv:C.Colorconv ~levels:[ C.Rtl ]
+             (Qualify.run ~workers:2 ~exec ~duv:M.Colorconv ~levels:[ M.Rtl ]
                 ~seed:1 ~ops:6 ()))
       in
       Alcotest.(check string) "executor-independent"
@@ -523,7 +525,7 @@ let executor_cases =
         (report (subprocess ())));
     slow_case "qualify journals resume byte-identically" (fun () ->
       with_temp_journal (fun path ->
-        let duv = C.Colorconv and levels = [ C.Rtl ] and seed = 1 and ops = 6 in
+        let duv = M.Colorconv and levels = [ M.Rtl ] and seed = 1 and ops = 6 in
         let fingerprint = Qualify.fingerprint ~duv ~levels ~seed ~ops in
         let open_j resume =
           journal_open ~path ~kind:Qualify.journal_kind ~fingerprint ~resume
@@ -544,7 +546,7 @@ let executor_cases =
       let polls = ref 0 in
       match
         Qualify.run ~workers:1 ~interrupted:(fun () -> incr polls; !polls > 2)
-          ~duv:C.Colorconv ~levels:[ C.Rtl ] ~seed:1 ~ops:6 ()
+          ~duv:M.Colorconv ~levels:[ M.Rtl ] ~seed:1 ~ops:6 ()
       with
       | _ -> Alcotest.fail "expected Interrupted"
       | exception Qualify.Interrupted -> ()) ]
@@ -578,8 +580,8 @@ let run_cases =
         (s.C.merged_metrics <> []));
     slow_case "a crashing job retries and then completes" (fun () ->
       let jobs =
-        [ C.job ~duv:C.Des56 ~level:C.Rtl ~seed:1 ~ops:5 ();
-          C.job ~chaos:1 ~duv:C.Des56 ~level:C.Tlm_ca ~seed:1 ~ops:5 () ]
+        [ C.job ~duv:M.Des56 ~level:M.Rtl ~seed:1 ~ops:5 ();
+          C.job ~chaos:1 ~duv:M.Des56 ~level:M.Tlm_ca ~seed:1 ~ops:5 () ]
       in
       let s = C.run ~workers:2 ~retries:1 jobs in
       Alcotest.(check int) "completed" 2 s.C.completed;
@@ -589,8 +591,8 @@ let run_cases =
       Alcotest.(check bool) "green" true (C.all_green s));
     slow_case "a persistently crashing job is isolated" (fun () ->
       let jobs =
-        [ C.job ~chaos:99 ~duv:C.Des56 ~level:C.Rtl ~seed:1 ~ops:5 ();
-          C.job ~duv:C.Colorconv ~level:C.Rtl ~seed:1 ~ops:5 () ]
+        [ C.job ~chaos:99 ~duv:M.Des56 ~level:M.Rtl ~seed:1 ~ops:5 ();
+          C.job ~duv:M.Colorconv ~level:M.Rtl ~seed:1 ~ops:5 () ]
       in
       let s = C.run ~workers:2 ~retries:1 jobs in
       Alcotest.(check int) "completed" 1 s.C.completed;
@@ -607,7 +609,7 @@ let run_cases =
       Alcotest.(check bool) "other job completed" true
         (survivor.C.outcome = C.Completed));
     slow_case "crashed jobs are stamped in the report JSON" (fun () ->
-      let jobs = [ C.job ~chaos:99 ~duv:C.Des56 ~level:C.Rtl ~seed:1 ~ops:5 () ] in
+      let jobs = [ C.job ~chaos:99 ~duv:M.Des56 ~level:M.Rtl ~seed:1 ~ops:5 () ] in
       let s = C.run ~retries:0 jobs in
       let doc = J.of_string (J.to_string (C.report_json s)) in
       match J.member "jobs" doc with
@@ -621,7 +623,7 @@ let run_cases =
       | _ -> Alcotest.fail "report jobs malformed");
     slow_case "property selection changes the attached checker set" (fun () ->
       let run_sel selection =
-        let jobs = [ C.job ~selection ~duv:C.Des56 ~level:C.Rtl ~seed:1 ~ops:5 () ] in
+        let jobs = [ C.job ~selection ~duv:M.Des56 ~level:M.Rtl ~seed:1 ~ops:5 () ] in
         List.length (List.hd (C.run jobs).C.results).C.checker_stats
       in
       Alcotest.(check int) "none" 0 (run_sel C.No_checkers);

@@ -1,10 +1,12 @@
 open Tabv_psl
 open Tabv_duv
+module Checker_snapshot = Tabv_obs.Checker_snapshot
 
 let case name f = Alcotest.test_case name `Quick f
 
 let des_ops = Workload.des56 ~seed:7 ~count:12 ()
 let cc_bursts = Workload.colorconv ~seed:7 ~count:30 ()
+let mem_ops = Workload.memctrl ~seed:7 ~count:30 ()
 
 let expected_des_outputs ops =
   List.map
@@ -21,102 +23,111 @@ let expected_cc_outputs bursts =
 let check_outputs name expected (result : Testbench.run_result) =
   Alcotest.(check (list int64)) (name ^ " outputs") expected result.Testbench.outputs
 
+let run ?(properties = []) model workload =
+  Testbench.run { Testbench.default with properties } model workload
+
 (* --- functional correctness of every model --- *)
 
 let functional_cases =
   [ case "DES56 RTL computes DES" (fun () ->
-      check_outputs "rtl" (expected_des_outputs des_ops) (Testbench.run_des56_rtl des_ops));
+      check_outputs "rtl" (expected_des_outputs des_ops) (run (Testbench.des56_rtl ()) des_ops));
     case "DES56 TLM-CA computes DES" (fun () ->
-      check_outputs "ca" (expected_des_outputs des_ops)
-        (Testbench.run_des56_tlm_ca des_ops));
+      check_outputs "ca" (expected_des_outputs des_ops) (run Testbench.des56_tlm_ca des_ops));
     case "DES56 TLM-AT computes DES" (fun () ->
       check_outputs "at" (expected_des_outputs des_ops)
-        (Testbench.run_des56_tlm_at des_ops));
+        (run (Testbench.des56_tlm_at ()) des_ops));
     case "ColorConv RTL converts pixels" (fun () ->
       check_outputs "rtl" (expected_cc_outputs cc_bursts)
-        (Testbench.run_colorconv_rtl cc_bursts));
+        (run Testbench.colorconv_rtl cc_bursts));
     case "ColorConv TLM-CA converts pixels" (fun () ->
       check_outputs "ca" (expected_cc_outputs cc_bursts)
-        (Testbench.run_colorconv_tlm_ca cc_bursts));
+        (run Testbench.colorconv_tlm_ca cc_bursts));
     case "ColorConv TLM-AT converts pixels" (fun () ->
       check_outputs "at" (expected_cc_outputs cc_bursts)
-        (Testbench.run_colorconv_tlm_at cc_bursts)) ]
+        (run Testbench.colorconv_tlm_at cc_bursts)) ]
 
-(* --- timing equivalence (Def. III.1): RTL and TLM-CA traces agree
-   on every evaluation point --- *)
+(* --- timing equivalence (Def. III.1), on the traces the one tap
+   records --- *)
+
+let traced model workload = snd (Helpers.run_traced Testbench.default model workload)
 
 let entry_env (entry : Trace.entry) = List.sort compare entry.Trace.env
 
-(* The RTL trace also contains the elaboration-time edge at 0 ns that
-   precedes the first TLM frame; align on common instants. *)
-let check_timing_equivalent (rtl : Testbench.run_result) (ca : Testbench.run_result) =
-  match rtl.Testbench.trace, ca.Testbench.trace with
-  | Some rtl_trace, Some ca_trace ->
-    let rtl_entries =
-      List.filter (fun (e : Trace.entry) -> e.Trace.time >= 10) (Trace.to_list rtl_trace)
-    in
-    let ca_entries = Trace.to_list ca_trace in
-    let rec compare_entries i rtl_list ca_list =
-      match rtl_list, ca_list with
-      | [], _ | _, [] -> i
-      | (re : Trace.entry) :: rtl_rest, (ce : Trace.entry) :: ca_rest ->
-        if re.Trace.time <> ce.Trace.time || entry_env re <> entry_env ce then
-          Alcotest.failf "traces diverge at common index %d (%dns vs %dns)" i
-            re.Trace.time ce.Trace.time
-        else compare_entries (i + 1) rtl_rest ca_rest
-    in
-    let compared = compare_entries 0 rtl_entries ca_entries in
-    Alcotest.(check bool) "nonempty" true (compared > 50)
-  | _ -> Alcotest.fail "traces missing"
+(* RTL and TLM-CA traces agree on every evaluation point.  The RTL
+   trace also contains the elaboration-time edge at 0 ns that precedes
+   the first TLM frame; align on common instants. *)
+let check_timing_equivalent rtl_trace ca_trace =
+  let rtl_entries =
+    List.filter (fun (e : Trace.entry) -> e.Trace.time >= 10) (Trace.to_list rtl_trace)
+  in
+  let ca_entries = Trace.to_list ca_trace in
+  let rec compare_entries i rtl_list ca_list =
+    match rtl_list, ca_list with
+    | [], _ | _, [] -> i
+    | (re : Trace.entry) :: rtl_rest, (ce : Trace.entry) :: ca_rest ->
+      if re.Trace.time <> ce.Trace.time || entry_env re <> entry_env ce then
+        Alcotest.failf "traces diverge at common index %d (%dns vs %dns)" i
+          re.Trace.time ce.Trace.time
+      else compare_entries (i + 1) rtl_rest ca_rest
+  in
+  let compared = compare_entries 0 rtl_entries ca_entries in
+  Alcotest.(check bool) "nonempty" true (compared > 50)
+
+(* Every TLM-AT event instant lies on the RTL clock grid. *)
+let check_on_grid at_trace =
+  List.iter
+    (fun (entry : Trace.entry) ->
+      Alcotest.(check int) "on grid" 0 (entry.Trace.time mod 10))
+    (Trace.to_list at_trace)
+
+(* At every TLM-AT event instant, each signal the abstraction keeps
+   carries the value the RTL trace carries at that instant. *)
+let check_preserved ~abstracted_signals rtl_trace at_trace =
+  List.iter
+    (fun (at_entry : Trace.entry) ->
+      match Trace.index_at_time rtl_trace ~from:0 ~time:at_entry.Trace.time with
+      | None -> Alcotest.failf "no RTL edge at %dns" at_entry.Trace.time
+      | Some i ->
+        let rtl_entry = Trace.get rtl_trace i in
+        List.iter
+          (fun (name, av) ->
+            if not (List.mem name abstracted_signals) then
+              match Trace.lookup rtl_entry name with
+              | Some rv when Expr.equal_value rv av -> ()
+              | Some _ -> Alcotest.failf "%s differs at %dns" name at_entry.Trace.time
+              | None -> Alcotest.failf "signal %s missing at %dns" name at_entry.Trace.time)
+          at_entry.Trace.env)
+    (Trace.to_list at_trace)
 
 let timing_equivalence_cases =
   [ case "DES56 RTL and TLM-CA traces are identical" (fun () ->
-      let rtl = Testbench.run_des56_rtl ~record_trace:true des_ops in
-      let ca = Testbench.run_des56_tlm_ca ~record_trace:true des_ops in
-      check_timing_equivalent rtl ca);
+      check_timing_equivalent
+        (traced (Testbench.des56_rtl ()) des_ops)
+        (traced Testbench.des56_tlm_ca des_ops));
     case "ColorConv RTL and TLM-CA traces are identical" (fun () ->
-      let rtl = Testbench.run_colorconv_rtl ~record_trace:true cc_bursts in
-      let ca = Testbench.run_colorconv_tlm_ca ~record_trace:true cc_bursts in
-      check_timing_equivalent rtl ca);
+      check_timing_equivalent
+        (traced Testbench.colorconv_rtl cc_bursts)
+        (traced Testbench.colorconv_tlm_ca cc_bursts));
     case "DES56 TLM-AT events are a subset of the RTL clock grid" (fun () ->
-      let at = Testbench.run_des56_tlm_at ~record_trace:true des_ops in
-      match at.Testbench.trace with
-      | Some trace ->
-        List.iter
-          (fun (entry : Trace.entry) ->
-            Alcotest.(check int) "on grid" 0 (entry.Trace.time mod 10))
-          (Trace.to_list trace)
-      | None -> Alcotest.fail "trace missing");
+      check_on_grid (traced (Testbench.des56_tlm_at ()) des_ops));
+    case "ColorConv TLM-AT events are a subset of the RTL clock grid" (fun () ->
+      check_on_grid (traced Testbench.colorconv_tlm_at cc_bursts));
+    case "MemCtrl TLM-AT events are a subset of the RTL clock grid" (fun () ->
+      check_on_grid (traced (Testbench.memctrl_tlm_at ()) mem_ops));
     case "DES56 TLM-AT agrees with RTL on the preserved signals (Def. III.1)" (fun () ->
-      (* At every TLM-AT event instant, the preserved observable
-         signals (ds, rdy, out when rdy) must carry the same values the
-         RTL trace carries at that instant. *)
-      let rtl = Testbench.run_des56_rtl ~record_trace:true des_ops in
-      let at = Testbench.run_des56_tlm_at ~record_trace:true des_ops in
-      match rtl.Testbench.trace, at.Testbench.trace with
-      | Some rtl_trace, Some at_trace ->
-        let check_signal name (rtl_entry : Trace.entry) (at_entry : Trace.entry) =
-          match Trace.lookup rtl_entry name, Trace.lookup at_entry name with
-          | Some rv, Some av ->
-            if not (Expr.equal_value rv av) then
-              Alcotest.failf "%s differs at %dns" name at_entry.Trace.time
-          | _ -> Alcotest.failf "signal %s missing at %dns" name at_entry.Trace.time
-        in
-        List.iter
-          (fun (at_entry : Trace.entry) ->
-            match
-              Trace.index_at_time rtl_trace ~from:0 ~time:at_entry.Trace.time
-            with
-            | None -> Alcotest.failf "no RTL edge at %dns" at_entry.Trace.time
-            | Some i ->
-              let rtl_entry = Trace.get rtl_trace i in
-              check_signal "ds" rtl_entry at_entry;
-              check_signal "rdy" rtl_entry at_entry;
-              (match Trace.lookup at_entry "rdy" with
-               | Some (Expr.VBool true) -> check_signal "out" rtl_entry at_entry
-               | _ -> ()))
-          (Trace.to_list at_trace)
-      | _ -> Alcotest.fail "traces missing") ]
+      check_preserved ~abstracted_signals:Des56_props.abstracted_signals
+        (traced (Testbench.des56_rtl ()) des_ops)
+        (traced (Testbench.des56_tlm_at ()) des_ops));
+    case "ColorConv TLM-AT agrees with RTL on the preserved signals (Def. III.1)"
+      (fun () ->
+        check_preserved ~abstracted_signals:Colorconv_props.abstracted_signals
+          (traced Testbench.colorconv_rtl cc_bursts)
+          (traced Testbench.colorconv_tlm_at cc_bursts));
+    case "MemCtrl TLM-AT agrees with RTL on the preserved signals (Def. III.1)"
+      (fun () ->
+        check_preserved ~abstracted_signals:Memctrl_props.abstracted_signals
+          (traced Testbench.memctrl_rtl mem_ops)
+          (traced (Testbench.memctrl_tlm_at ()) mem_ops)) ]
 
 (* --- end-to-end ABV: RTL properties hold on the RTL and TLM-CA
    models; abstracted properties hold on the TLM-AT model --- *)
@@ -124,7 +135,7 @@ let timing_equivalence_cases =
 let no_failures name (result : Testbench.run_result) =
   List.iter
     (fun stat ->
-      match stat.Testbench.failures with
+      match stat.Checker_snapshot.failures with
       | [] -> ()
       | failure :: _ ->
         Alcotest.failf "%s: %a" name Tabv_checker.Monitor.pp_failure failure)
@@ -133,37 +144,35 @@ let no_failures name (result : Testbench.run_result) =
 let has_activity (result : Testbench.run_result) =
   List.iter
     (fun stat ->
-      if stat.Testbench.activations = 0 && stat.Testbench.passes = 0 then
-        Alcotest.failf "checker %s never activated" stat.Testbench.property_name)
+      if stat.Checker_snapshot.activations = 0 && stat.Checker_snapshot.passes = 0 then
+        Alcotest.failf "checker %s never activated" stat.Checker_snapshot.property_name)
     result.Testbench.checker_stats
 
 let abv_cases =
   [ case "all 9 RTL properties hold on DES56 RTL" (fun () ->
-      let result = Testbench.run_des56_rtl ~properties:Des56_props.all des_ops in
+      let result = run ~properties:Des56_props.all (Testbench.des56_rtl ()) des_ops in
       no_failures "des56 rtl" result;
       has_activity result);
     case "all 9 RTL properties hold on DES56 TLM-CA (unabstracted reuse)" (fun () ->
-      let result = Testbench.run_des56_tlm_ca ~properties:Des56_props.all des_ops in
+      let result = run ~properties:Des56_props.all Testbench.des56_tlm_ca des_ops in
       no_failures "des56 tlm-ca" result;
       has_activity result);
     case "auto-safe abstracted properties hold on DES56 TLM-AT" (fun () ->
       let properties = Des56_props.tlm_auto_safe () in
       Alcotest.(check bool) "some survive" true (List.length properties >= 3);
-      let result = Testbench.run_des56_tlm_at ~properties des_ops in
+      let result = run ~properties (Testbench.des56_tlm_at ()) des_ops in
       no_failures "des56 tlm-at" result);
     case "all 12 RTL properties hold on ColorConv RTL" (fun () ->
-      let result = Testbench.run_colorconv_rtl ~properties:Colorconv_props.all cc_bursts in
+      let result = run ~properties:Colorconv_props.all Testbench.colorconv_rtl cc_bursts in
       no_failures "colorconv rtl" result;
       has_activity result);
     case "all 12 RTL properties hold on ColorConv TLM-CA" (fun () ->
-      let result =
-        Testbench.run_colorconv_tlm_ca ~properties:Colorconv_props.all cc_bursts
-      in
+      let result = run ~properties:Colorconv_props.all Testbench.colorconv_tlm_ca cc_bursts in
       no_failures "colorconv tlm-ca" result);
     case "auto-safe abstracted properties hold on ColorConv TLM-AT" (fun () ->
       let properties = Colorconv_props.tlm_auto_safe () in
       Alcotest.(check bool) "some survive" true (List.length properties >= 3);
-      let result = Testbench.run_colorconv_tlm_at ~properties cc_bursts in
+      let result = run ~properties Testbench.colorconv_tlm_at cc_bursts in
       no_failures "colorconv tlm-at" result);
     case "unabstracted RTL properties misfire on TLM-AT (paper motivation)" (fun () ->
       (* Reusing p1/p3 without abstraction on the AT model counts
@@ -171,7 +180,7 @@ let abv_cases =
          in time, so either failures or stuck instances result.  This
          is the motivating problem of Sec. III-A. *)
       let kernelish =
-        Testbench.run_des56_tlm_at des_ops
+        run (Testbench.des56_tlm_at ()) des_ops
           ~properties:
             (List.map
                (fun p ->
@@ -185,7 +194,7 @@ let abv_cases =
       let misbehaved =
         List.exists
           (fun stat ->
-            stat.Testbench.failures <> [] || stat.Testbench.pending > 0)
+            stat.Checker_snapshot.failures <> [] || stat.Checker_snapshot.pending > 0)
           kernelish.Testbench.checker_stats
       in
       Alcotest.(check bool) "misfires" true misbehaved) ]
@@ -194,74 +203,48 @@ let abv_cases =
    simulation equals the declarative semantics on the recorded
    trace --- *)
 
+(* Online verdict of each checker against the declarative semantics on
+   the trace the tap recorded from the same run. *)
+let check_consistent ~properties model =
+  let result, trace =
+    Helpers.run_traced { Testbench.default with properties } model des_ops
+  in
+  List.iter
+    (fun (stat : Checker_snapshot.t) ->
+      let property =
+        List.find (fun p -> p.Property.name = stat.property_name) properties
+      in
+      Alcotest.(check bool)
+        (stat.property_name ^ " agrees")
+        (stat.failures <> [])
+        (Tabv_psl.Semantics.violated trace property.Property.formula))
+    result.Testbench.checker_stats
+
 let consistency_cases =
   [ case "wrapper verdicts match Semantics on the recorded AT trace" (fun () ->
-      let properties = Des56_props.tlm_auto_safe () in
-      let result =
-        Testbench.run_des56_tlm_at ~record_trace:true ~properties des_ops
-      in
-      match result.Testbench.trace with
-      | None -> Alcotest.fail "no trace"
-      | Some trace ->
-        List.iter
-          (fun stat ->
-            let property =
-              List.find
-                (fun p -> p.Property.name = stat.Testbench.property_name)
-                properties
-            in
-            let online_failed = stat.Testbench.failures <> [] in
-            let offline_failed =
-              Tabv_psl.Semantics.violated trace property.Property.formula
-            in
-            if online_failed <> offline_failed then
-              Alcotest.failf "%s: online %b vs offline %b"
-                stat.Testbench.property_name online_failed offline_failed)
-          result.Testbench.checker_stats);
+      check_consistent ~properties:(Des56_props.tlm_auto_safe ())
+        (Testbench.des56_tlm_at ()));
     case "same consistency on a wrongly abstracted model" (fun () ->
-      let properties = Des56_props.tlm_auto_safe () in
-      let result =
-        Testbench.run_des56_tlm_at ~model_latency_ns:160 ~record_trace:true
-          ~properties des_ops
-      in
-      match result.Testbench.trace with
-      | None -> Alcotest.fail "no trace"
-      | Some trace ->
-        List.iter
-          (fun stat ->
-            let property =
-              List.find
-                (fun p -> p.Property.name = stat.Testbench.property_name)
-                properties
-            in
-            Alcotest.(check bool)
-              (stat.Testbench.property_name ^ " agrees")
-              (stat.Testbench.failures <> [])
-              (Tabv_psl.Semantics.violated trace property.Property.formula))
-          result.Testbench.checker_stats) ]
+      check_consistent ~properties:(Des56_props.tlm_auto_safe ())
+        (Testbench.des56_tlm_at ~latency_ns:160 ())) ]
 
 (* --- loosely timed: the timing-equivalence boundary --- *)
 
 let lt_cases =
   [ case "TLM-LT still computes DES correctly" (fun () ->
-      check_outputs "lt" (expected_des_outputs des_ops)
-        (Testbench.run_des56_tlm_lt des_ops));
+      check_outputs "lt" (expected_des_outputs des_ops) (run Testbench.des56_tlm_lt des_ops));
     case "timed abstracted properties fail on the non-equivalent LT model" (fun () ->
       (* Theorem III.2's precondition (timing equivalence) is violated
          by construction: q3 must flag it. *)
       let result =
-        Testbench.run_des56_tlm_lt ~properties:(Des56_props.tlm_auto_safe ()) des_ops
+        run ~properties:(Des56_props.tlm_auto_safe ()) Testbench.des56_tlm_lt des_ops
       in
       Alcotest.(check bool) "failures" true (Testbench.total_failures result > 0));
     case "boolean-only invariants survive even at LT" (fun () ->
       (* At LT, delivery happens within the strobe call, so rdy
          implies ds at every evaluation point. *)
-      let invariant =
-        [ Property.make ~name:"lt_inv"
-            ~context:(Context.Transaction Context.Base_trans)
-            (Parser.formula_only "always(!rdy || ds)") ]
-      in
-      let result = Testbench.run_des56_tlm_lt ~properties:invariant des_ops in
+      let invariant = fst (Models.properties_for Models.Des56_lt None) in
+      let result = run ~properties:invariant Testbench.des56_tlm_lt des_ops in
       Alcotest.(check int) "no failures" 0 (Testbench.total_failures result)) ]
 
 (* --- paper q2 on a sparse AT trace: the documented gap --- *)
@@ -281,12 +264,12 @@ let q2_cases =
         | Some q -> q
         | None -> Alcotest.fail "q2 missing"
       in
-      let result = Testbench.run_des56_tlm_at ~properties:[ q2 ] des_ops in
+      let result = run ~properties:[ q2 ] (Testbench.des56_tlm_at ()) des_ops in
       (* The strict Def. III.3 semantics cannot discharge the until's
          timed operands between transactions; see DESIGN.md. *)
       Alcotest.(check bool) "q2 fails or hangs under the strict wrapper" true
         (Testbench.total_failures result > 0
-         || List.exists (fun s -> s.Testbench.pending > 0) result.Testbench.checker_stats)) ]
+         || List.exists (fun s -> s.Checker_snapshot.pending > 0) result.Testbench.checker_stats)) ]
 
 let suite =
   ("duv_models",

@@ -177,11 +177,13 @@ let pool_cases =
       let ops = Workload.des56 ~seed:3 ~count:4 () in
       let run properties =
         Tabv_checker.Progression.reset_universe ();
-        Testbench.run_des56_rtl ~guard:containing_guard ~properties ops
+        Testbench.run
+          { Testbench.default with properties; guard = Some containing_guard }
+          (Testbench.des56_rtl ()) ops
       in
       let stat r name =
         List.find
-          (fun (s : Testbench.checker_stat) -> s.property_name = name)
+          (fun (s : Tabv_obs.Checker_snapshot.t) -> s.property_name = name)
           r.Testbench.checker_stats
       in
       let with_bad = run [ good1; bad; good2 ]

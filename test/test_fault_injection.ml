@@ -9,23 +9,28 @@ let ops = Workload.des56 ~seed:3 ~count:8 ()
 
 let failing_properties (result : Testbench.run_result) =
   List.filter_map
-    (fun stat ->
-      if stat.Testbench.failures <> [] then Some stat.Testbench.property_name else None)
+    (fun (stat : Tabv_obs.Checker_snapshot.t) ->
+      if stat.failures <> [] then Some stat.property_name else None)
     result.Testbench.checker_stats
+
+(* One run of [model] over [workload] with [properties] attached and
+   [fault_plan] installed, under [guard]. *)
+let run ?(properties = []) ?fault_plan ?guard model workload =
+  Testbench.run { Testbench.default with properties; fault_plan; guard } model workload
 
 (* Value faults are the catalog's stuck-at saboteurs; only the
    one-cycle-late timing bug is behavioural ([Des56_rtl.fault]). *)
 let catalog_plan level name =
-  match Duv_fault.plan_for Duv_fault.Des56 level name with
+  match Duv_fault.plan_for Models.Des56 level name with
   | Some plan -> plan
-  | None -> Alcotest.failf "no %s carrier for %s" name
-              (Duv_fault.level_to_string level)
+  | None -> Alcotest.failf "no %s carrier for %s" name (Models.level_name level)
 
 let rtl_cases =
   [ case "late rdy caught by the next[n] properties, tolerated by until" (fun () ->
       let result =
-        Testbench.run_des56_rtl ~fault:Des56_rtl.Rdy_one_cycle_late
-          ~properties:Des56_props.all ops
+        run ~properties:Des56_props.all
+          (Testbench.des56_rtl ~fault:Des56_rtl.Rdy_one_cycle_late ())
+          ops
       in
       let failing = failing_properties result in
       List.iter
@@ -40,9 +45,8 @@ let rtl_cases =
       Alcotest.(check bool) "p4 unaffected" false (List.mem "p4" failing));
     case "stuck rdy_next_cycle caught by p3/p5/p7" (fun () ->
       let result =
-        Testbench.run_des56_rtl
-          ~fault_plan:(catalog_plan Duv_fault.Rtl "rdy_nc_stuck0")
-          ~properties:Des56_props.all ops
+        run ~fault_plan:(catalog_plan Models.Rtl "rdy_nc_stuck0")
+          ~properties:Des56_props.all (Testbench.des56_rtl ()) ops
       in
       let failing = failing_properties result in
       List.iter
@@ -56,17 +60,16 @@ let rtl_cases =
       (* Force indata = 0 so p1's antecedent fires. *)
       let zero_ops = Workload.des56 ~seed:3 ~count:8 ~zero_fraction:1.0 () in
       let result =
-        Testbench.run_des56_rtl
-          ~fault_plan:(catalog_plan Duv_fault.Rtl "out_stuck0")
-          ~properties:Des56_props.all zero_ops
+        run ~fault_plan:(catalog_plan Models.Rtl "out_stuck0")
+          ~properties:Des56_props.all (Testbench.des56_rtl ()) zero_ops
       in
       let failing = failing_properties result in
       Alcotest.(check bool) "p1 fails" true (List.mem "p1" failing);
       Alcotest.(check bool) "p3 unaffected" false (List.mem "p3" failing));
     case "faulty model still computes until the fault point" (fun () ->
       let result =
-        Testbench.run_des56_rtl
-          ~fault_plan:(catalog_plan Duv_fault.Rtl "rdy_nc_stuck0") ops
+        run ~fault_plan:(catalog_plan Models.Rtl "rdy_nc_stuck0")
+          (Testbench.des56_rtl ()) ops
       in
       Alcotest.(check int) "ops complete" (List.length ops)
         result.Testbench.completed_ops) ]
@@ -77,20 +80,22 @@ let tlm_cases =
          read-end event land before the instant q1/q3 require: exactly
          the failure Theorem III.2 attributes to a wrong abstraction. *)
       let result =
-        Testbench.run_des56_tlm_at ~model_latency_ns:160
-          ~properties:(Des56_props.tlm_auto_safe ()) ops
+        run ~properties:(Des56_props.tlm_auto_safe ())
+          (Testbench.des56_tlm_at ~latency_ns:160 ())
+          ops
       in
       let failing = failing_properties result in
       Alcotest.(check bool) "q3 fails" true (List.mem "q3" failing));
     case "correct TLM latency passes the same properties" (fun () ->
       let result =
-        Testbench.run_des56_tlm_at ~properties:(Des56_props.tlm_auto_safe ()) ops
+        run ~properties:(Des56_props.tlm_auto_safe ()) (Testbench.des56_tlm_at ()) ops
       in
       Alcotest.(check int) "no failures" 0 (Testbench.total_failures result));
     case "slow TLM model also caught" (fun () ->
       let result =
-        Testbench.run_des56_tlm_at ~model_latency_ns:180
-          ~properties:(Des56_props.tlm_auto_safe ()) ops
+        run ~properties:(Des56_props.tlm_auto_safe ())
+          (Testbench.des56_tlm_at ~latency_ns:180 ())
+          ops
       in
       Alcotest.(check bool) "failures" true (Testbench.total_failures result > 0)) ]
 
@@ -107,8 +112,9 @@ let zero_ops = Workload.des56 ~seed:3 ~count:8 ~zero_fraction:1.0 ()
 let plan_cases =
   [ case "catalog saboteur at RTL is caught by p1" (fun () ->
       let result =
-        Testbench.run_des56_rtl ~properties:Des56_props.all
-          ~fault_plan:(catalog_plan Duv_fault.Rtl "out_stuck0") zero_ops
+        run ~properties:Des56_props.all
+          ~fault_plan:(catalog_plan Models.Rtl "out_stuck0")
+          (Testbench.des56_rtl ()) zero_ops
       in
       Alcotest.(check bool) "triggered" true (result.Testbench.faults_triggered > 0);
       Alcotest.(check bool) "p1 fails" true
@@ -116,8 +122,9 @@ let plan_cases =
     case "same conceptual fault at TLM-CA is caught by the re-used suite"
       (fun () ->
         let result =
-          Testbench.run_des56_tlm_ca ~properties:Des56_props.all
-            ~fault_plan:(catalog_plan Duv_fault.Tlm_ca "out_stuck0") zero_ops
+          run ~properties:Des56_props.all
+            ~fault_plan:(catalog_plan Models.Tlm_ca "out_stuck0")
+            Testbench.des56_tlm_ca zero_ops
         in
         Alcotest.(check bool) "triggered" true
           (result.Testbench.faults_triggered > 0);
@@ -126,21 +133,21 @@ let plan_cases =
     case "same conceptual fault at TLM-AT is caught by the abstracted suite"
       (fun () ->
         let result =
-          Testbench.run_des56_tlm_at
+          run
             ~properties:(Des56_props.tlm_reviewed ())
-            ~fault_plan:(catalog_plan Duv_fault.Tlm_at "out_stuck0") zero_ops
+            ~fault_plan:(catalog_plan Models.Tlm_at "out_stuck0")
+            (Testbench.des56_tlm_at ()) zero_ops
         in
         Alcotest.(check bool) "triggered" true
           (result.Testbench.faults_triggered > 0);
         Alcotest.(check bool) "failures" true
           (Testbench.total_failures result > 0));
     case "never-exercised fault is attributed Latent, not Missed" (fun () ->
-      let baseline =
-        Testbench.run_des56_rtl ~properties:Des56_props.all zero_ops
-      in
+      let baseline = run ~properties:Des56_props.all (Testbench.des56_rtl ()) zero_ops in
       let result =
-        Testbench.run_des56_rtl ~properties:Des56_props.all
-          ~fault_plan:(catalog_plan Duv_fault.Rtl "out_stuck0_late") zero_ops
+        run ~properties:Des56_props.all
+          ~fault_plan:(catalog_plan Models.Rtl "out_stuck0_late")
+          (Testbench.des56_rtl ()) zero_ops
       in
       Alcotest.(check int) "never triggered" 0 result.Testbench.faults_triggered;
       let verdicts =
@@ -167,13 +174,13 @@ let plan_cases =
 let diagnosis_cases =
   [ case "TLM Hang mutator deadlocks into a Starved diagnosis" (fun () ->
       let plan =
-        match Duv_fault.hang_plan Duv_fault.Des56 Duv_fault.Tlm_ca ~index:1 with
+        match Duv_fault.hang_plan Models.Des56 Models.Tlm_ca ~index:1 with
         | Some plan -> plan
         | None -> Alcotest.fail "expected a TLM-CA initiator socket"
       in
       let result =
-        Testbench.run_des56_tlm_ca ~properties:Des56_props.all ~fault_plan:plan
-          ~guard:Tabv_campaign.Qualify.job_guard ops
+        run ~properties:Des56_props.all ~fault_plan:plan
+          ~guard:Tabv_campaign.Qualify.job_guard Testbench.des56_tlm_ca ops
       in
       (match result.Testbench.diagnosis with
        | K.Starved { waiting } ->
@@ -184,9 +191,9 @@ let diagnosis_cases =
         (result.Testbench.completed_ops < List.length ops));
     case "chaos crash is contained into a Process_crashed diagnosis" (fun () ->
       let result =
-        Testbench.run_des56_rtl ~properties:Des56_props.all
+        run ~properties:Des56_props.all
           ~fault_plan:(Duv_fault.crash_plan ~at_ns:45 ~name:"test_crash")
-          ~guard:Tabv_campaign.Qualify.job_guard ops
+          ~guard:Tabv_campaign.Qualify.job_guard (Testbench.des56_rtl ()) ops
       in
       match result.Testbench.diagnosis with
       | K.Process_crashed { name; _ } ->
@@ -197,16 +204,16 @@ let diagnosis_cases =
     case "chaos livelock trips the delta cap into a Livelock diagnosis"
       (fun () ->
         let result =
-          Testbench.run_des56_rtl ~properties:Des56_props.all
+          run ~properties:Des56_props.all
             ~fault_plan:(Duv_fault.livelock_plan ~at_ns:45)
-            ~guard:Tabv_campaign.Qualify.job_guard ops
+            ~guard:Tabv_campaign.Qualify.job_guard (Testbench.des56_rtl ()) ops
         in
         match result.Testbench.diagnosis with
         | K.Livelock { time; _ } -> Alcotest.(check int) "at injection" 45 time
         | d ->
           Alcotest.failf "expected livelock, got %s" (K.diagnosis_to_string d));
     case "run diagnosis is surfaced in the metrics JSON" (fun () ->
-      let result = Testbench.run_des56_rtl ~properties:Des56_props.all ops in
+      let result = run ~properties:Des56_props.all (Testbench.des56_rtl ()) ops in
       let doc = J.of_string (J.to_string (Testbench.metrics_json result)) in
       let run_section =
         match J.member "run" doc with
@@ -451,16 +458,16 @@ let qualify_cases =
         let report workers =
           J.to_string
             (Qualify.report_json
-               (Qualify.run ~workers ~duv:Campaign.Des56
-                  ~levels:[ Campaign.Rtl; Campaign.Tlm_ca ] ~seed:1 ~ops:8 ()))
+               (Qualify.run ~workers ~duv:Models.Des56
+                  ~levels:[ Models.Rtl; Models.Tlm_ca ] ~seed:1 ~ops:8 ()))
         in
         Alcotest.(check string) "1 worker = 4 workers" (report 1) (report 4));
     Alcotest.test_case "RTL detections carry over to TLM-CA (re-use claim)"
       `Slow (fun () ->
         let open Tabv_campaign in
         let report =
-          Qualify.run ~workers:2 ~duv:Campaign.Des56
-            ~levels:[ Campaign.Rtl; Campaign.Tlm_ca ] ~seed:1 ~ops:40 ()
+          Qualify.run ~workers:2 ~duv:Models.Des56
+            ~levels:[ Models.Rtl; Models.Tlm_ca ] ~seed:1 ~ops:40 ()
         in
         Alcotest.(check (list string)) "no cross-level regressions" []
           report.Qualify.regressions;
@@ -470,10 +477,10 @@ let qualify_cases =
         List.iter
           (fun (lr : Qualify.level_report) ->
             Alcotest.(check bool)
-              (Campaign.level_name lr.Qualify.level ^ " detects something")
+              (Models.level_name lr.Qualify.level ^ " detects something")
               true (lr.Qualify.detected > 0);
             Alcotest.(check bool)
-              (Campaign.level_name lr.Qualify.level ^ " clean baseline")
+              (Models.level_name lr.Qualify.level ^ " clean baseline")
               true
               (lr.Qualify.baseline_failures = 0
                && lr.Qualify.baseline_diagnosis = K.Completed))

@@ -22,10 +22,15 @@ let q_named name =
   | Some q -> q
   | None -> Alcotest.failf "no abstracted property %s" name
 
-let grid_stat name (result : Testbench.run_result) =
+(* DES56 TLM-AT over [ops]: [properties] in the strict pool,
+   [grid_properties] in the grid pool. *)
+let run_at ?(properties = []) ?(grid_properties = []) model =
+  Testbench.run { Testbench.default with properties; grid_properties } model ops
+
+let grid_stat name (result : Testbench.run_result) : Tabv_obs.Checker_snapshot.t =
   match
     List.find_opt
-      (fun s -> s.Testbench.property_name = name)
+      (fun (s : Tabv_obs.Checker_snapshot.t) -> s.property_name = name)
       result.Testbench.checker_stats
   with
   | Some stat -> stat
@@ -34,39 +39,39 @@ let grid_stat name (result : Testbench.run_result) =
 let cases =
   [ case "q2 passes under the grid wrapper on TLM-AT" (fun () ->
       let q2 = q_named "q2" in
-      let result = Testbench.run_des56_tlm_at ~grid_properties:[ q2 ] ops in
+      let result = run_at ~grid_properties:[ q2 ] (Testbench.des56_tlm_at ()) in
       let stat = grid_stat "q2" result in
-      Alcotest.(check int) "no failures" 0 (List.length stat.Testbench.failures);
-      Alcotest.(check bool) "activated" true (stat.Testbench.activations > 0));
+      Alcotest.(check int) "no failures" 0 (List.length stat.failures);
+      Alcotest.(check bool) "activated" true (stat.activations > 0));
     case "q2 fails under the strict wrapper on the same workload" (fun () ->
       let q2 = q_named "q2" in
-      let result = Testbench.run_des56_tlm_at ~properties:[ q2 ] ops in
+      let result = run_at ~properties:[ q2 ] (Testbench.des56_tlm_at ()) in
       let stat = grid_stat "q2" result in
       Alcotest.(check bool) "fails or hangs" true
-        (stat.Testbench.failures <> [] || stat.Testbench.pending > 0));
+        (stat.failures <> [] || stat.pending > 0));
     case "grid wrapper also discharges the plain timed properties" (fun () ->
       let result =
-        Testbench.run_des56_tlm_at ~grid_properties:(Des56_props.tlm_auto_safe ()) ops
+        run_at ~grid_properties:(Des56_props.tlm_auto_safe ()) (Testbench.des56_tlm_at ())
       in
       Alcotest.(check int) "no failures" 0 (Testbench.total_failures result));
     case "grid wrapper catches a wrong abstraction too" (fun () ->
       let q2 = q_named "q2" in
       let result =
-        Testbench.run_des56_tlm_at ~model_latency_ns:160
-          ~grid_properties:[ q2; q_named "q3" ] ops
+        run_at ~grid_properties:[ q2; q_named "q3" ]
+          (Testbench.des56_tlm_at ~latency_ns:160 ())
       in
       Alcotest.(check bool) "failures" true (Testbench.total_failures result > 0));
     case "grid wrapper evaluates once per clock period" (fun () ->
       let q3 = q_named "q3" in
-      let strict = Testbench.run_des56_tlm_at ~properties:[ q3 ] ops in
-      let grid = Testbench.run_des56_tlm_at ~grid_properties:[ q3 ] ops in
+      let strict = run_at ~properties:[ q3 ] (Testbench.des56_tlm_at ()) in
+      let grid = run_at ~grid_properties:[ q3 ] (Testbench.des56_tlm_at ()) in
       let strict_stat = grid_stat "q3" strict in
       let grid_stat = grid_stat "q3" grid in
       (* Grid mode consumes many more evaluation points: every 10 ns
          versus only at transactions. *)
       Alcotest.(check bool) "more steps in grid mode" true
-        (Tabv_duv.Testbench.(grid_stat.passes + grid_stat.activations)
-         > strict_stat.Testbench.passes + strict_stat.Testbench.activations));
+        (grid_stat.passes + grid_stat.activations
+         > strict_stat.passes + strict_stat.activations));
     case "rejects clock-context properties" (fun () ->
       let kernel = Tabv_sim.Kernel.create () in
       match

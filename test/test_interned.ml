@@ -205,7 +205,9 @@ let universe_size model ~ops =
   let open Tabv_duv in
   Progression.reset_universe ();
   let properties, grid_properties = Models.properties_for model None in
-  ignore (Models.run model ~seed:42 ~ops ~properties ~grid_properties);
+  ignore
+    (Models.run { Testbench.default with properties; grid_properties } model ~seed:42
+       ~ops);
   (Progression.cache_stats ()).Progression.distinct_states
 
 let universe_cases =

@@ -7,30 +7,33 @@ open Tabv_duv
 let case name f = Alcotest.test_case name `Quick f
 
 let ops = Workload.memctrl ~seed:13 ~count:40 ()
-let expected = List.map Int64.of_int (Memctrl_testbench.reference_reads ops)
+let expected = List.map Int64.of_int (Memctrl_iface.reference_reads ops)
+
+let run ?(properties = []) model =
+  Testbench.run { Testbench.default with properties } model ops
 
 let failing (result : Testbench.run_result) =
   List.filter_map
-    (fun stat ->
-      if stat.Testbench.failures <> [] then Some stat.Testbench.property_name else None)
+    (fun (stat : Tabv_obs.Checker_snapshot.t) ->
+      if stat.failures <> [] then Some stat.property_name else None)
     result.Testbench.checker_stats
 
 let functional_cases =
   [ case "RTL read-back matches the reference memory" (fun () ->
-      let result = Memctrl_testbench.run_rtl ops in
+      let result = run Testbench.memctrl_rtl in
       Alcotest.(check (list int64)) "reads" expected result.Testbench.outputs;
       Alcotest.(check int) "ops" (List.length ops) result.Testbench.completed_ops);
     case "TLM-AT read-back matches the reference memory" (fun () ->
-      let result = Memctrl_testbench.run_tlm_at ops in
+      let result = run (Testbench.memctrl_tlm_at ()) in
       Alcotest.(check (list int64)) "reads" expected result.Testbench.outputs);
     case "all 8 RTL properties hold on the RTL model" (fun () ->
-      let result = Memctrl_testbench.run_rtl ~properties:Memctrl_props.all ops in
+      let result = run ~properties:Memctrl_props.all Testbench.memctrl_rtl in
       Alcotest.(check (list string)) "no failures" [] (failing result));
     case "TLM-CA read-back matches the reference memory" (fun () ->
-      let result = Memctrl_testbench.run_tlm_ca ops in
+      let result = run Testbench.memctrl_tlm_ca in
       Alcotest.(check (list int64)) "reads" expected result.Testbench.outputs);
     case "all 8 RTL properties reuse unabstracted on TLM-CA" (fun () ->
-      let result = Memctrl_testbench.run_tlm_ca ~properties:Memctrl_props.all ops in
+      let result = run ~properties:Memctrl_props.all Testbench.memctrl_tlm_ca in
       Alcotest.(check (list string)) "no failures" [] (failing result)) ]
 
 let abstraction_cases =
@@ -60,21 +63,21 @@ let abstraction_cases =
 let abv_cases =
   [ case "auto-safe abstracted properties hold on TLM-AT" (fun () ->
       let result =
-        Memctrl_testbench.run_tlm_at ~properties:(Memctrl_props.tlm_auto_safe ()) ops
+        run ~properties:(Memctrl_props.tlm_auto_safe ()) (Testbench.memctrl_tlm_at ())
       in
       Alcotest.(check (list string)) "no failures" [] (failing result));
     case "wrong write latency caught by tn1 only" (fun () ->
       let result =
-        Memctrl_testbench.run_tlm_at ~write_latency_ns:30
-          ~properties:(Memctrl_props.tlm_auto_safe ()) ops
+        run ~properties:(Memctrl_props.tlm_auto_safe ())
+          (Testbench.memctrl_tlm_at ~write_latency_ns:30 ())
       in
       let failed = failing result in
       Alcotest.(check bool) "tn1 fails" true (List.mem "tn1" failed);
       Alcotest.(check bool) "tn2 unaffected" false (List.mem "tn2" failed));
     case "wrong read latency caught by tn2 only" (fun () ->
       let result =
-        Memctrl_testbench.run_tlm_at ~read_latency_ns:20
-          ~properties:(Memctrl_props.tlm_auto_safe ()) ops
+        run ~properties:(Memctrl_props.tlm_auto_safe ())
+          (Testbench.memctrl_tlm_at ~read_latency_ns:20 ())
       in
       let failed = failing result in
       Alcotest.(check bool) "tn2 fails" true (List.mem "tn2" failed);

@@ -374,7 +374,10 @@ let integration_cases =
       let run () =
         let metrics = Metrics.create ~enabled:true () in
         let ops = Tabv_duv.Workload.des56 ~seed:7 ~count:12 () in
-        (Tabv_duv.Testbench.run_des56_rtl ~metrics ops).metrics
+        (Tabv_duv.Testbench.run
+           { Tabv_duv.Testbench.default with metrics = Some metrics }
+           (Tabv_duv.Testbench.des56_rtl ()) ops)
+          .metrics
       in
       let mentions_cache name =
         let rec scan i =
@@ -389,12 +392,18 @@ let integration_cases =
       Alcotest.(check bool) "non-trivial" true (List.length a > 5));
     case "disabled-by-default runs snapshot nothing" (fun () ->
       let ops = Tabv_duv.Workload.des56 ~seed:7 ~count:4 () in
-      let r = Tabv_duv.Testbench.run_des56_rtl ops in
+      let r =
+        Tabv_duv.Testbench.run Tabv_duv.Testbench.default (Tabv_duv.Testbench.des56_rtl ()) ops
+      in
       Alcotest.(check int) "empty" 0 (List.length r.metrics));
     case "metrics_json carries the schema version" (fun () ->
       let metrics = Metrics.create ~enabled:true () in
       let ops = Tabv_duv.Workload.des56 ~seed:7 ~count:4 () in
-      let r = Tabv_duv.Testbench.run_des56_rtl ~metrics ops in
+      let r =
+        Tabv_duv.Testbench.run
+          { Tabv_duv.Testbench.default with metrics = Some metrics }
+          (Tabv_duv.Testbench.des56_rtl ()) ops
+      in
       let json =
         Tabv_core.Report_json.to_string
           (Tabv_duv.Testbench.metrics_json

@@ -59,7 +59,9 @@ let soak_cases =
   [ Alcotest.test_case "soak: 500-op DES56 RTL with all checkers" `Slow (fun () ->
       let ops = Tabv_duv.Workload.des56 ~seed:101 ~count:500 () in
       let result =
-        Tabv_duv.Testbench.run_des56_rtl ~properties:Tabv_duv.Des56_props.all ops
+        Tabv_duv.Testbench.run
+          { Tabv_duv.Testbench.default with properties = Tabv_duv.Des56_props.all }
+          (Tabv_duv.Testbench.des56_rtl ()) ops
       in
       Alcotest.(check int) "ops" 500 result.Tabv_duv.Testbench.completed_ops;
       Alcotest.(check int) "failures" 0 (Tabv_duv.Testbench.total_failures result));
@@ -67,19 +69,22 @@ let soak_cases =
       (fun () ->
         let bursts = Tabv_duv.Workload.colorconv ~seed:101 ~count:20_000 () in
         let result =
-          Tabv_duv.Testbench.run_colorconv_tlm_ca
-            ~properties:Tabv_duv.Colorconv_props.all bursts
+          Tabv_duv.Testbench.run
+            { Tabv_duv.Testbench.default with properties = Tabv_duv.Colorconv_props.all }
+            Tabv_duv.Testbench.colorconv_tlm_ca bursts
         in
         Alcotest.(check int) "failures" 0 (Tabv_duv.Testbench.total_failures result));
     Alcotest.test_case "soak: 2000-op MemCtrl AT read-back" `Slow (fun () ->
       let ops = Tabv_duv.Workload.memctrl ~seed:101 ~count:2000 () in
       let result =
-        Tabv_duv.Memctrl_testbench.run_tlm_at
-          ~properties:(Tabv_duv.Memctrl_props.tlm_auto_safe ()) ops
+        Tabv_duv.Testbench.run
+          { Tabv_duv.Testbench.default with
+            properties = Tabv_duv.Memctrl_props.tlm_auto_safe () }
+          (Tabv_duv.Testbench.memctrl_tlm_at ()) ops
       in
       Alcotest.(check int) "failures" 0 (Tabv_duv.Testbench.total_failures result);
       Alcotest.(check (list int64)) "reads"
-        (List.map Int64.of_int (Tabv_duv.Memctrl_testbench.reference_reads ops))
+        (List.map Int64.of_int (Tabv_duv.Memctrl_iface.reference_reads ops))
         result.Tabv_duv.Testbench.outputs) ]
 
 let suite = ("robustness", suite_cases @ soak_cases)

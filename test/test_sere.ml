@@ -73,7 +73,11 @@ let methodology_cases =
         Parser.property_exn ~name:"sere1" "always({ds; true} |-> !ds) @clk_pos"
       in
       let ops = Tabv_duv.Workload.des56 ~seed:17 ~count:10 () in
-      let result = Tabv_duv.Testbench.run_des56_rtl ~properties:[ p ] ops in
+      let result =
+        Tabv_duv.Testbench.run
+          { Tabv_duv.Testbench.default with properties = [ p ] }
+          (Tabv_duv.Testbench.des56_rtl ()) ops
+      in
       Alcotest.(check int) "no failures" 0 (Tabv_duv.Testbench.total_failures result)) ]
 
 let suite = ("sere", structure_cases @ semantic_cases @ methodology_cases)

@@ -433,7 +433,9 @@ let expected_check_report () =
     Models.properties_for Models.Des56_rtl None
   in
   let result =
-    Models.run Models.Des56_rtl ~seed:5 ~ops:15 ~properties ~grid_properties
+    Models.run
+      { Tabv_duv.Testbench.default with properties; grid_properties }
+      Models.Des56_rtl ~seed:5 ~ops:15
   in
   J.to_string (Models.verdict_report Models.Des56_rtl ~seed:5 ~ops:15 result)
   ^ "\n"

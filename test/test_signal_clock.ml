@@ -131,27 +131,4 @@ let tlm_cases =
       | () -> Alcotest.fail "expected Invalid_argument"
       | exception Invalid_argument _ -> ()) ]
 
-let trace_rec_cases =
-  [ case "recorder collects ordered samples" (fun () ->
-      let rec_ = Trace_rec.create () in
-      Trace_rec.sample rec_ ~time:0 [ ("a", Tabv_psl.Expr.VBool true) ];
-      Trace_rec.sample rec_ ~time:10 [ ("a", Tabv_psl.Expr.VBool false) ];
-      let trace = Trace_rec.to_trace rec_ in
-      Alcotest.(check int) "length" 2 (Tabv_psl.Trace.length trace));
-    case "same-time sample overwrites" (fun () ->
-      let rec_ = Trace_rec.create () in
-      Trace_rec.sample rec_ ~time:5 [ ("a", Tabv_psl.Expr.VInt 1) ];
-      Trace_rec.sample rec_ ~time:5 [ ("a", Tabv_psl.Expr.VInt 2) ];
-      let trace = Trace_rec.to_trace rec_ in
-      Alcotest.(check int) "length" 1 (Tabv_psl.Trace.length trace);
-      match Tabv_psl.Trace.lookup (Tabv_psl.Trace.get trace 0) "a" with
-      | Some (Tabv_psl.Expr.VInt 2) -> ()
-      | _ -> Alcotest.fail "expected overwritten value");
-    case "time going backwards rejected" (fun () ->
-      let rec_ = Trace_rec.create () in
-      Trace_rec.sample rec_ ~time:10 [];
-      match Trace_rec.sample rec_ ~time:5 [] with
-      | () -> Alcotest.fail "expected Invalid_argument"
-      | exception Invalid_argument _ -> ()) ]
-
-let suite = ("signal_clock_tlm", signal_cases @ clock_cases @ tlm_cases @ trace_rec_cases)
+let suite = ("signal_clock_tlm", signal_cases @ clock_cases @ tlm_cases)

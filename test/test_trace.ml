@@ -125,7 +125,7 @@ let roundtrip_cases =
               Seq.iter ignore (Reader.to_seq reader);
               Alcotest.(check (list string))
                 "dict order" [ "b"; "a" ] (Reader.signals reader))));
-    case "same-instant samples collapse last-wins (as in Trace_rec)" (fun () ->
+    case "same-instant samples collapse last-wins" (fun () ->
       with_temp (fun path ->
           Writer.with_file ~path meta (fun w ->
               Writer.sample w ~time:10 [ ("x", Expr.VBool true) ];
@@ -248,10 +248,7 @@ let corrupt_cases =
 
 let des56_trace ops_count =
   let ops = Tabv_duv.Workload.des56 ~seed:3 ~count:ops_count () in
-  let result = Tabv_duv.Testbench.run_des56_rtl ~record_trace:true ops in
-  match result.Tabv_duv.Testbench.trace with
-  | Some trace -> trace
-  | None -> Alcotest.fail "testbench recorded no trace"
+  snd (Helpers.run_traced Tabv_duv.Testbench.default (Tabv_duv.Testbench.des56_rtl ()) ops)
 
 (* A pool taking a real [Monitor.step] at every sample, never a
    replay: the reference [Offline] must agree with. *)
@@ -360,8 +357,10 @@ let record_des56 ?(engine = "classic") path ops_count =
   let ops = Tabv_duv.Workload.des56 ~seed:5 ~count:ops_count () in
   let run_meta = { Meta.model = "des56-rtl"; seed = 5; ops = ops_count; engine } in
   Writer.with_file ~path run_meta (fun w ->
-      Tabv_duv.Testbench.run_des56_rtl ~trace_writer:w
-        ~properties:Tabv_duv.Des56_props.all ops)
+      Tabv_duv.Testbench.run
+        { Tabv_duv.Testbench.default with
+          properties = Tabv_duv.Des56_props.all; trace_writer = Some w }
+        (Tabv_duv.Testbench.des56_rtl ()) ops)
 
 let recheck_cases =
   [ case "recheck report is identical to the live check" (fun () ->
@@ -405,8 +404,12 @@ let recheck_cases =
           in
           let live =
             Writer.with_file ~path run_meta (fun w ->
-                Tabv_duv.Testbench.run_des56_rtl ~gap_cycles:8 ~trace_writer:w
-                  ~properties:Tabv_duv.Des56_props.all ops)
+                Tabv_duv.Testbench.run
+                  { Tabv_duv.Testbench.default with
+                    properties = Tabv_duv.Des56_props.all;
+                    trace_writer = Some w;
+                    gap_cycles = 8 }
+                  (Tabv_duv.Testbench.des56_rtl ()) ops)
           in
           let samples = ref 0 and reemitted = ref 0 and prev = ref [] in
           Reader.with_file path (fun reader ->

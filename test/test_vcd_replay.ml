@@ -126,20 +126,19 @@ let replay_cases =
       (* Record a live simulation trace, then replay the RTL property
          set offline over it. *)
       let ops = Tabv_duv.Workload.des56 ~seed:31 ~count:8 ~zero_fraction:0.5 ~decrypt_fraction:0.5 () in
-      let result = Tabv_duv.Testbench.run_des56_rtl ~record_trace:true ops in
-      match result.Tabv_duv.Testbench.trace with
-      | None -> Alcotest.fail "no trace"
-      | Some trace ->
-        let outcomes = replay Tabv_duv.Des56_props.all trace in
-        Alcotest.(check bool) "all pass" true (all_passed outcomes);
-        List.iter
-          (fun monitor ->
-            let property = Tabv_checker.Monitor.property monitor in
-            if property.Property.name <> "p8" then
-              Alcotest.(check bool)
-                (property.name ^ " not vacuous")
-                false
-                (Tabv_checker.Monitor.vacuous monitor))
-          outcomes) ]
+      let _, trace =
+        Helpers.run_traced Tabv_duv.Testbench.default (Tabv_duv.Testbench.des56_rtl ()) ops
+      in
+      let outcomes = replay Tabv_duv.Des56_props.all trace in
+      Alcotest.(check bool) "all pass" true (all_passed outcomes);
+      List.iter
+        (fun monitor ->
+          let property = Tabv_checker.Monitor.property monitor in
+          if property.Property.name <> "p8" then
+            Alcotest.(check bool)
+              (property.name ^ " not vacuous")
+              false
+              (Tabv_checker.Monitor.vacuous monitor))
+        outcomes) ]
 
 let suite = ("vcd_replay", reader_cases @ roundtrip_cases @ replay_cases)
