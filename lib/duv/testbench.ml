@@ -568,26 +568,34 @@ let memctrl_tlm_ca =
               emit (Int64.of_int frame.Memctrl_iface.m_rdata);
             Process.wait_ns kernel period
           in
+          (* Idle frames hold the last request's inputs, and a read
+             keeps the write data, exactly as the RTL signals do
+             between strobes. *)
+          let held = ref (Memctrl_iface.make_frame ()) in
+          let idle_frame () =
+            let h = !held in
+            Memctrl_iface.make_frame ~we:h.Memctrl_iface.m_we ~addr:h.Memctrl_iface.m_addr
+              ~wdata:h.Memctrl_iface.m_wdata ()
+          in
           List.iter
             (fun op ->
-              let is_read =
+              let frame, is_read =
                 match op with
-                | Memctrl_iface.Read _ -> true
-                | Memctrl_iface.Write _ -> false
+                | Memctrl_iface.Write { addr; wdata } ->
+                  (Memctrl_iface.make_frame ~req:true ~we:true ~addr ~wdata (), false)
+                | Memctrl_iface.Read { addr } ->
+                  ( Memctrl_iface.make_frame ~req:true ~addr
+                      ~wdata:!held.Memctrl_iface.m_wdata (),
+                    true )
               in
-              (match op with
-               | Memctrl_iface.Write { addr; wdata } ->
-                 send_frame
-                   (Memctrl_iface.make_frame ~req:true ~we:true ~addr ~wdata ())
-                   false
-               | Memctrl_iface.Read { addr } ->
-                 send_frame (Memctrl_iface.make_frame ~req:true ~addr ()) false);
+              held := frame;
+              send_frame frame false;
               for _ = 1 to op_latency op + gap_cycles do
-                send_frame (Memctrl_iface.make_frame ()) is_read
+                send_frame (idle_frame ()) is_read
               done)
             ops;
           for _ = 1 to 3 do
-            send_frame (Memctrl_iface.make_frame ()) false
+            send_frame (idle_frame ()) false
           done;
           Kernel.stop kernel))
 

@@ -108,6 +108,10 @@ let timing_equivalence_cases =
       check_timing_equivalent
         (traced Testbench.colorconv_rtl cc_bursts)
         (traced Testbench.colorconv_tlm_ca cc_bursts));
+    case "MemCtrl RTL and TLM-CA traces are identical" (fun () ->
+      check_timing_equivalent
+        (traced Testbench.memctrl_rtl mem_ops)
+        (traced Testbench.memctrl_tlm_ca mem_ops));
     case "DES56 TLM-AT events are a subset of the RTL clock grid" (fun () ->
       check_on_grid (traced (Testbench.des56_tlm_at ()) des_ops));
     case "ColorConv TLM-AT events are a subset of the RTL clock grid" (fun () ->
