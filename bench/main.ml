@@ -157,7 +157,7 @@ let checker_sets props =
    catalog over one seeded workload, each checked by a split of the
    level's built-in set (the Fig. 3 set at RTL and TLM-CA, the
    abstracted set at TLM-AT). *)
-let levels_of ?(gap_cycles = 2) ~columns ~seed ~ops duv =
+let levels_of ~gap_cycles ~columns ~seed ~ops duv =
   List.filter_map
     (fun level ->
       Option.map
@@ -380,7 +380,9 @@ let paper ~quick ~bechamel =
     table_for levels
   in
   let des_rows =
-    table "DES56" (levels_of ~columns:checker_sets ~seed:42 ~ops:des_count Models.Des56)
+    table "DES56"
+      (levels_of ~gap_cycles:Testbench.default.gap_cycles ~columns:checker_sets ~seed:42
+         ~ops:des_count Models.Des56)
   in
   let cc_rows =
     table "ColorConv"
@@ -389,7 +391,7 @@ let paper ~quick ~bechamel =
   in
   ignore
     (table "MemCtrl (extension: third IP, asymmetric latencies)"
-       (levels_of
+       (levels_of ~gap_cycles:Testbench.default.gap_cycles
           ~columns:(fun props -> [ ("All C", props) ])
           ~seed:42 ~ops:(des_count * 2) Models.Memctrl));
   fig6 ~des_rows ~cc_rows;

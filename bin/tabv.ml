@@ -440,7 +440,7 @@ let recheck_cmd =
 
 let trace_cmd =
   let input =
-    Arg.(required & opt (some file) None & info [ "input"; "i" ] ~docv:"FILE"
+    Arg.(required & opt (some file) None & info [ "trace-in"; "i" ] ~docv:"FILE"
            ~doc:"Binary trace recorded by 'tabv record'.")
   in
   let out =

@@ -40,9 +40,6 @@ val level_name : level -> string
 val duv_of_name : string -> duv option
 val level_of_name : string -> level option
 
-val duv_of : t -> duv
-val level_of : t -> level
-
 (** The model of one DUV at one level; [None] where the DUV has no
     model at that level (the loosely-timed level exists only for
     DES56). *)

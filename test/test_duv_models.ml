@@ -119,17 +119,17 @@ let timing_equivalence_cases =
     case "MemCtrl TLM-AT events are a subset of the RTL clock grid" (fun () ->
       check_on_grid (traced (Testbench.memctrl_tlm_at ()) mem_ops));
     case "DES56 TLM-AT agrees with RTL on the preserved signals (Def. III.1)" (fun () ->
-      check_preserved ~abstracted_signals:Des56_props.abstracted_signals
+      check_preserved ~abstracted_signals:(Models.abstracted_signals Models.Des56)
         (traced (Testbench.des56_rtl ()) des_ops)
         (traced (Testbench.des56_tlm_at ()) des_ops));
     case "ColorConv TLM-AT agrees with RTL on the preserved signals (Def. III.1)"
       (fun () ->
-        check_preserved ~abstracted_signals:Colorconv_props.abstracted_signals
+        check_preserved ~abstracted_signals:(Models.abstracted_signals Models.Colorconv)
           (traced Testbench.colorconv_rtl cc_bursts)
           (traced Testbench.colorconv_tlm_at cc_bursts));
     case "MemCtrl TLM-AT agrees with RTL on the preserved signals (Def. III.1)"
       (fun () ->
-        check_preserved ~abstracted_signals:Memctrl_props.abstracted_signals
+        check_preserved ~abstracted_signals:(Models.abstracted_signals Models.Memctrl)
           (traced Testbench.memctrl_rtl mem_ops)
           (traced (Testbench.memctrl_tlm_at ()) mem_ops)) ]
 
