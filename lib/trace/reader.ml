@@ -383,16 +383,4 @@ let with_file path f =
   let t = open_file path in
   Fun.protect ~finally:(fun () -> close t) (fun () -> f t)
 
-let read_trace path =
-  with_file path (fun t ->
-      let entries = ref [] in
-      let rec drain () =
-        match next t with
-        | None -> ()
-        | Some (Entry.Sample { time; env }) ->
-          entries := { Trace.time; env } :: !entries;
-          drain ()
-        | Some (Entry.Span _) -> drain ()
-      in
-      drain ();
-      (t.meta, Trace.of_list (List.rev !entries)))
+let read_trace path = with_file path (fun t -> (t.meta, Entry.to_trace (to_seq t)))
