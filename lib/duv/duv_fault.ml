@@ -24,13 +24,8 @@ type named = {
   at_tlm : Fault.signal_fault;
 }
 
-let named ?field ?at_tlm fault signal at_rtl =
-  { fault;
-    signal;
-    field = Option.value field ~default:signal;
-    at_rtl;
-    at_tlm = Option.value at_tlm ~default:at_rtl
-  }
+(* The common case: the same saboteur on a same-named field. *)
+let named fault signal at_rtl = { fault; signal; field = signal; at_rtl; at_tlm = at_rtl }
 
 let stuck0 = Fault.Stuck_at_0 { from_ns = 0 }
 let stuck1 = Fault.Stuck_at_1 { from_ns = 0 }
@@ -51,11 +46,12 @@ let catalog : Models.duv -> named list = function
       (* The early-warning flag never asserts (abstracted away at AT). *)
       named "rdy_nc_stuck0" "rdy_next_cycle" stuck0;
       (* A one-observation glitch on the completion handshake. *)
-      named "rdy_glitch" "rdy" (rdy_glitch 17) ~at_tlm:(rdy_glitch 18);
+      { (named "rdy_glitch" "rdy" (rdy_glitch 17)) with at_tlm = rdy_glitch 18 };
       (* A transient key-bus upset mid-operation: functionally
          corrupting but invisible to the interface properties — the
          canonical miss. *)
-      named "key_flip" "key" ~field:"key_obs" (Fault.Bit_flip { bit = 5; at_ns = 4 * period });
+      { (named "key_flip" "key" (Fault.Bit_flip { bit = 5; at_ns = 4 * period })) with
+        field = "key_obs" };
       (* Same bug as out_stuck0, armed long after the workload ends:
          the canonical latent fault (never exercised). *)
       named "out_stuck0_late" "out" (Fault.Stuck_at_0 { from_ns = 1_000_000_000 }) ]
