@@ -332,57 +332,55 @@ let recheck_cmd =
   let run trace_in props workers executor retries report_out =
     let fail = Cli.fail "recheck" in
     let open Tabv_campaign in
-    (* Header + dictionary gate: a non-trace file, a stale version or
-       a truncated header is a usage error (exit 2), reported with the
-       trace's identity when we have one. *)
-    let meta, trace_signals =
-      try Recheck.probe trace_in with
-      | Tabv_trace.Reader.Format_error { path; message; offset; valid_prefix } ->
+    (* The gate judges the header and dictionary of the reader the
+       recheck then steps, so the trace is opened once.  A non-trace
+       file, a stale version or a truncated header is a usage error
+       (exit 2), reported with the trace's identity when we have
+       one. *)
+    let plan meta trace_signals =
+      let model =
+        match Cli.model_of_name meta.Tabv_trace.Meta.model with
+        | Some model -> model
+        | None ->
+          fail
+            (Format.asprintf
+               "%s: recorded from unknown model %a — stale trace or newer tabv?"
+               trace_in Tabv_trace.Meta.pp meta)
+      in
+      let user = Cli.user_props ~fail model props in
+      let properties, grid_properties = Models.properties_for model user in
+      if grid_properties <> [] then
         fail
-          (Printf.sprintf "%s: %s (at byte %d; verified prefix %d bytes)" path
-             message offset valid_prefix)
-    in
-    let model =
-      match Cli.model_of_name meta.Tabv_trace.Meta.model with
-      | Some model -> model
-      | None ->
-        fail
-          (Format.asprintf
-             "%s: recorded from unknown model %a — stale trace or newer tabv?"
-             trace_in Tabv_trace.Meta.pp meta)
-    in
-    let user = Cli.user_props ~fail model props in
-    let properties, grid_properties = Models.properties_for model user in
-    if grid_properties <> [] then
-      fail
-        (Printf.sprintf
-           "%d propert%s need full-grid transactions (grid wrapper) and \
-            cannot be re-checked against a recorded trace: %s"
-           (List.length grid_properties)
-           (if List.length grid_properties = 1 then "y" else "ies")
-           (String.concat ", "
-              (List.map (fun p -> p.Property.name) grid_properties)));
-    if properties = [] then fail "no properties to re-check";
-    (* Fingerprint/dictionary gate: every signal a property samples
-       must have been recorded, or the verdicts would silently differ
-       from a live check.  (An empty trace has no dictionary; nothing
-       is sampled either, so any property set is fine.) *)
-    if trace_signals <> [] then begin
-      let missing = Property.missing_signals ~known:trace_signals properties in
-      if missing <> [] then
-        fail
-          (Format.asprintf
-             "%s: trace (%a) does not record signal(s) %s — stale trace or \
-              mismatched property set"
-             trace_in Tabv_trace.Meta.pp meta
-             (String.concat ", " missing))
-    end;
-    let workers =
-      match workers with
-      | Some w when w >= 1 -> w
-      | Some w -> fail (Printf.sprintf "--workers must be >= 1 (got %d)" w)
-      | None ->
-        min (Domain.recommended_domain_count ()) (List.length properties)
+          (Printf.sprintf
+             "%d propert%s need full-grid transactions (grid wrapper) and \
+              cannot be re-checked against a recorded trace: %s"
+             (List.length grid_properties)
+             (if List.length grid_properties = 1 then "y" else "ies")
+             (String.concat ", "
+                (List.map (fun p -> p.Property.name) grid_properties)));
+      if properties = [] then fail "no properties to re-check";
+      (* Fingerprint/dictionary gate: every signal a property samples
+         must have been recorded, or the verdicts would silently differ
+         from a live check.  (An empty trace has no dictionary; nothing
+         is sampled either, so any property set is fine.) *)
+      if trace_signals <> [] then begin
+        let missing = Property.missing_signals ~known:trace_signals properties in
+        if missing <> [] then
+          fail
+            (Format.asprintf
+               "%s: trace (%a) does not record signal(s) %s — stale trace or \
+                mismatched property set"
+               trace_in Tabv_trace.Meta.pp meta
+               (String.concat ", " missing))
+      end;
+      let workers =
+        match workers with
+        | Some w when w >= 1 -> w
+        | Some w -> fail (Printf.sprintf "--workers must be >= 1 (got %d)" w)
+        | None ->
+          min (Domain.recommended_domain_count ()) (List.length properties)
+      in
+      Ok (workers, properties)
     in
     let exec =
       match executor with
@@ -390,21 +388,22 @@ let recheck_cmd =
       | `Subprocess -> Executor.config Executor.Subprocess
     in
     let result =
-      try
+      match
         Cli.with_interrupt (fun interrupted ->
-            Recheck.run ~exec ~interrupted ~workers ~retries ~trace:trace_in
-              properties)
+            Recheck.run_validated ~exec ~interrupted ~retries ~trace:trace_in plan)
       with
-      | Tabv_trace.Reader.Format_error { path; message; offset; valid_prefix } ->
+      | result -> Result.get_ok result
+      | exception
+          Tabv_trace.Reader.Format_error { path; message; offset; valid_prefix } ->
         fail
           (Printf.sprintf "%s: %s (at byte %d; verified prefix %d bytes)" path
              message offset valid_prefix)
-      | Recheck.Chunk_failed message ->
+      | exception Recheck.Chunk_failed message ->
         Printf.eprintf "tabv recheck: chunk failed: %s\n" message;
         exit 1
     in
     Format.printf "rechecked %d properties against %a: %d samples, %d spans@."
-      (List.length properties) Tabv_trace.Meta.pp result.Recheck.meta
+      (List.length result.Recheck.snapshots) Tabv_trace.Meta.pp result.Recheck.meta
       result.Recheck.samples result.Recheck.spans;
     List.iter
       (fun stat -> Format.printf "%a@." Checker_snapshot.pp stat)

@@ -83,15 +83,16 @@ module Mul8_rtl = struct
       ~sensitivity:[ Clock.posedge clock ] on_posedge;
     t
 
-  (* How a checker reads each signal: resolved once per atom when the
-     checker is attached, then called at every evaluation point. *)
-  let resolve t = function
-    | "start" -> Some (fun () -> Expr.VBool (Signal.read t.start))
-    | "a" -> Some (fun () -> Expr.VInt (Signal.read t.a))
-    | "b" -> Some (fun () -> Expr.VInt (Signal.read t.b))
-    | "done" -> Some (fun () -> Expr.VBool (Signal.read t.done_))
-    | "product" -> Some (fun () -> Expr.VInt (Signal.read t.product))
-    | _ -> None
+  (* The model's signal table: each observable signal's name and a
+     reader of its current value.  A checker resolves each atom's
+     signals in it once, when the checker is attached, and a trace tap
+     reads every reader, in this order, at each evaluation point. *)
+  let signals t =
+    [ ("start", fun () -> Expr.VBool (Signal.read t.start));
+      ("a", fun () -> Expr.VInt (Signal.read t.a));
+      ("b", fun () -> Expr.VInt (Signal.read t.b));
+      ("done", fun () -> Expr.VBool (Signal.read t.done_));
+      ("product", fun () -> Expr.VInt (Signal.read t.product)) ]
 end
 
 (* ------------------------------------------------------------------ *)
@@ -116,13 +117,6 @@ let workload =
     let zero = Random.State.float state 1.0 < 0.2 in
     ((if zero then 0 else Random.State.int state 256), Random.State.int state 256))
 
-(* What a trace tap records at each evaluation point: every signal,
-   read through the model's resolver. *)
-let env_of resolve () =
-  List.map
-    (fun name -> (name, (Option.get (resolve name)) ()))
-    [ "start"; "a"; "b"; "done"; "product" ]
-
 (* The RTL model as a model value: the one runner creates the kernel
    and the clock, attaches the checkers at the rising edges and runs
    the collector and the driver this function returns. *)
@@ -130,8 +124,7 @@ let mul8_rtl =
   Testbench.rtl (fun kernel clock ~gap_cycles ~emit workload ->
       let model = Mul8_rtl.create kernel clock in
       { Testbench.sampling = Clock_edge clock;
-        resolve = Mul8_rtl.resolve model;
-        env = env_of (Mul8_rtl.resolve model);
+        signals = Mul8_rtl.signals model;
         binding = { Tabv_fault.Fault.kernel; signals = []; sockets = [] };
         completed = (fun () -> 0);  (* this walkthrough counts no operations *)
         collect =
@@ -167,16 +160,16 @@ type Tlm.ext += Mul_write of int * int | Mul_idle | Mul_read of int ref * bool r
 
 let mul8_tlm_at ~latency_ns =
   Testbench.tlm ~socket:"mul8_init" (fun kernel initiator ~gap_cycles ~emit workload ->
-      (* Observable mirror. *)
+      (* Observable mirror, and its signal table: the same names, in
+         the same order, as the RTL model's. *)
       let start_obs = ref false and a_obs = ref 0 and b_obs = ref 0 in
       let done_obs = ref false and product_obs = ref 0 in
-      let resolve = function
-        | "start" -> Some (fun () -> Expr.VBool !start_obs)
-        | "a" -> Some (fun () -> Expr.VInt !a_obs)
-        | "b" -> Some (fun () -> Expr.VInt !b_obs)
-        | "done" -> Some (fun () -> Expr.VBool !done_obs)
-        | "product" -> Some (fun () -> Expr.VInt !product_obs)
-        | _ -> None
+      let signals =
+        [ ("start", fun () -> Expr.VBool !start_obs);
+          ("a", fun () -> Expr.VInt !a_obs);
+          ("b", fun () -> Expr.VInt !b_obs);
+          ("done", fun () -> Expr.VBool !done_obs);
+          ("product", fun () -> Expr.VInt !product_obs) ]
       in
       let ready_time = ref 0 and result = ref 0 in
       let transport payload =
@@ -201,8 +194,7 @@ let mul8_tlm_at ~latency_ns =
       in
       Tlm.Initiator.bind initiator (Tlm.Target.create kernel ~name:"mul8_at" transport);
       { Testbench.sampling = Transactions { initiator; grid_period = None };
-        resolve;
-        env = env_of resolve;
+        signals;
         binding = { Tabv_fault.Fault.kernel; signals = []; sockets = [] };
         completed = (fun () -> 0);  (* this walkthrough counts no operations *)
         collect = None;

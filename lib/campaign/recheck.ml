@@ -14,39 +14,27 @@ let property_source p =
   Format.asprintf "property %s = %a %a;" p.Property.name Ltl.pp
     p.Property.formula Context.pp p.Property.context
 
-(* One pass over the trace: its meta and the chunk's payload. *)
-let check_chunk ~trace ~properties =
+module Reader = Tabv_trace.Reader
+
+(* One pass over an open trace: the chunk's payload. *)
+let check_reader reader properties =
   (* Fresh universe per chunk, as Campaign.exec_job does per job: the
      verdict fields are universe-independent anyway, but a bounded
      per-chunk universe also keeps long recheck runs from accreting
      interned state. *)
   Tabv_checker.Progression.reset_universe ();
-  Tabv_trace.Reader.with_file trace (fun reader ->
-      let monitors =
-        Tabv_checker.Offline.over_seq properties (Tabv_trace.Reader.to_seq reader)
-      in
-      ( Tabv_trace.Reader.meta reader,
-        ( Tabv_trace.Reader.samples reader,
-          Tabv_trace.Reader.spans reader,
-          Tabv_checker.Offline.snapshots monitors ) ))
+  let monitors = Tabv_checker.Offline.over_reader properties reader in
+  ( Reader.samples reader,
+    Reader.spans reader,
+    Tabv_checker.Offline.snapshots monitors )
 
-let exec_chunk ~trace ~properties = snd (check_chunk ~trace ~properties)
+let exec_chunk ~trace ~properties =
+  Reader.with_file trace (fun reader -> check_reader reader properties)
 
-let probe path =
-  Tabv_trace.Reader.with_file path (fun reader ->
-      (* The dictionary precedes the first sample, but spans may come
-         first — scan until the dictionary shows up (or the trace ends
-         without samples, which legitimately has no signals). *)
-      let rec scan () =
-        match Tabv_trace.Reader.signals reader with
-        | _ :: _ as signals -> signals
-        | [] ->
-          (match Tabv_trace.Reader.next reader with
-           | Some _ -> scan ()
-           | None -> [])
-      in
-      let signals = scan () in
-      (Tabv_trace.Reader.meta reader, signals))
+let rec drain reader =
+  match Reader.step reader with
+  | Reader.End -> ()
+  | Reader.Changed | Reader.Unchanged -> drain reader
 
 (* Contiguous balanced chunks: chunk i gets every property, in order,
    exactly once across chunks.  Chunk boundaries are a function of
@@ -87,25 +75,11 @@ let payload_of_json json =
   let* snapshots = Wire.map_result Wire.checker_snapshot_of_json items in
   Ok (samples, spans, snapshots)
 
-let run ?(exec = Executor.config Executor.In_domain) ?interrupted ~workers
-    ~retries ~trace properties =
-  if workers < 1 then invalid_arg "Recheck.run: workers must be >= 1";
-  let count = List.length properties in
-  let chunks = max 1 (min workers count) in
-  if chunks = 1 && Executor.kind_of exec = Executor.In_domain then begin
-    (* One in-domain chunk needs no worker pool: stream in the calling
-       domain, opening the trace once.  Its reader decodes the header
-       and raises a damaged file's Format_error itself.  Byte-identity
-       with the pooled path is pinned by the worker-count-independence
-       tests. *)
-    let meta, (samples, spans, snapshots) = check_chunk ~trace ~properties in
-    { meta; snapshots; samples; spans }
-  end
-  else begin
-  (* Validate the file before spinning up any executor, so a damaged
-     trace fails with its Format_error, not a chunk failure. *)
-  let meta, _signals = probe trace in
-  let bounds = chunk_bounds ~chunks count in
+(* The pooled run over a trace whose header and dictionary have been
+   validated: every chunk opens the trace again. *)
+let run_pooled ~exec ?interrupted ~workers ~retries ~trace ~meta ~chunks
+    properties =
+  let bounds = chunk_bounds ~chunks (List.length properties) in
   let chunk_props =
     List.map (fun (start, len) -> sub_list start len properties) bounds
   in
@@ -143,7 +117,54 @@ let run ?(exec = Executor.config Executor.In_domain) ?interrupted ~workers
          chunk_props)
   in
   { meta; snapshots; samples = !samples; spans = !spans }
-  end
+
+let run_validated ?(exec = Executor.config Executor.In_domain) ?interrupted
+    ~retries ~trace plan =
+  let reader = Reader.open_file trace in
+  let release () = Reader.close reader in
+  match
+    let signals = Reader.dictionary reader in
+    (* A trace that records no signal is verified to its end before it
+       is judged, so a damaged one is refused as damaged whatever the
+       plan says. *)
+    if signals = [] then drain reader;
+    (signals, plan (Reader.meta reader) signals)
+  with
+  | exception e ->
+    release ();
+    raise e
+  | _, Error e ->
+    release ();
+    Error e
+  | signals, Ok (workers, properties) ->
+    let meta = Reader.meta reader in
+    let chunks = max 1 (min workers (List.length properties)) in
+    if workers >= 1 && chunks = 1 && Executor.kind_of exec = Executor.In_domain
+    then
+      (* One in-domain chunk needs no worker pool: it steps the reader
+         the plan was judged on (a trace without signals was read to
+         its end to be judged, so it is read again).  Byte-identity
+         with the pooled path is pinned by the worker-count-independence
+         tests. *)
+      Fun.protect ~finally:release (fun () ->
+          let samples, spans, snapshots =
+            if signals = [] then exec_chunk ~trace ~properties
+            else check_reader reader properties
+          in
+          Ok { meta; snapshots; samples; spans })
+    else begin
+      release ();
+      if workers < 1 then invalid_arg "Recheck.run: workers must be >= 1";
+      Ok
+        (run_pooled ~exec ?interrupted ~workers ~retries ~trace ~meta ~chunks
+           properties)
+    end
+
+let run ?exec ?interrupted ~workers ~retries ~trace properties =
+  if workers < 1 then invalid_arg "Recheck.run: workers must be >= 1";
+  Result.get_ok
+    (run_validated ?exec ?interrupted ~retries ~trace (fun _ _ ->
+         Ok (workers, properties)))
 
 let report_json result =
   J.verdict_report_json

@@ -6,9 +6,9 @@ open Tabv_psl
     set is replayed against a recorded binary trace through the shared
     campaign executors — worker domains in-process or crash-isolated
     worker subprocesses — with the property set split into contiguous
-    per-worker chunks.  Each chunk streams the trace independently
-    through [Offline.over_seq] (bounded memory) with a fresh checker
-    universe, so the merged per-property verdicts are
+    per-worker chunks.  Each chunk steps the trace's reader
+    independently through [Offline.over_reader] (bounded memory, atoms
+    read from the dictionary slots) with a fresh checker universe, so the merged per-property verdicts are
     byte-identical for any worker count and either executor — and to
     the live check of the same run. *)
 
@@ -42,16 +42,33 @@ val exec_chunk :
 val payload_json :
   int * int * Tabv_obs.Checker_snapshot.t list -> Tabv_core.Report_json.json
 
-(** Open the trace, decode the header and scan just far enough to know
-    the signal dictionary (first sample record): [(meta, signals)].
-    The CLI's fingerprint/lint gate.
-    @raise Tabv_trace.Reader.Format_error like {!Tabv_trace.Reader}. *)
-val probe : string -> Tabv_trace.Meta.t * string list
+(** [run_validated ?exec ?interrupted ~retries ~trace plan] opens
+    [trace] once and decodes its header and signal dictionary
+    ({!Tabv_trace.Reader.dictionary}: spans before it are verified on
+    the way, the first sample is not consumed).  [plan meta signals]
+    then judges the recording — the CLI's and the daemon's model and
+    signal gate — and returns the worker count and the properties to
+    re-check, or refuses.  A refusal closes the trace and is returned
+    as is.  One in-domain chunk steps the same reader; a pooled run
+    closes it (its probe, run before any worker starts) and every
+    chunk opens the trace again.  A trace that records no signal is
+    verified to its end before [plan] sees it, and is re-checked from
+    a second open.
+    @raise Chunk_failed when a chunk fails after its retries.
+    @raise Invalid_argument when the planned worker count is below 1
+    or [retries < 0].
+    @raise Tabv_trace.Reader.Format_error on a damaged file. *)
+val run_validated :
+  ?exec:Executor.config ->
+  ?interrupted:(unit -> bool) ->
+  retries:int ->
+  trace:string ->
+  (Tabv_trace.Meta.t -> string list -> (int * Property.t list, 'e) Stdlib.result) ->
+  (result, 'e) Stdlib.result
 
 (** [run ?exec ?interrupted ~workers ~retries ~trace properties]
-    re-checks the property set against the stored trace.  One
-    in-domain chunk opens the trace once; a pooled run {!probe}s it
-    before any worker starts, then each chunk opens it again.
+    re-checks the property set against the stored trace: a
+    {!run_validated} whose plan accepts every recording.
     @raise Chunk_failed when a chunk fails after its retries.
     @raise Invalid_argument when [workers < 1] or [retries < 0].
     @raise Tabv_trace.Reader.Format_error on a damaged file. *)

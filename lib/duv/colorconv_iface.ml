@@ -35,7 +35,7 @@ let create_observables () =
     valids = Array.make 7 false;
   }
 
-let bindings obs =
+let signals obs =
   [ ("dv", fun () -> Duv_util.vbool obs.dv);
     ("r", fun () -> Duv_util.vint obs.r);
     ("g", fun () -> Duv_util.vint obs.g);
@@ -46,9 +46,6 @@ let bindings obs =
     ("cr", fun () -> Duv_util.vint obs.cr) ]
   @ List.mapi (fun i name -> (name, fun () -> Duv_util.vbool obs.valids.(i))) valid_names
 
-let resolve obs = Duv_util.resolver_of (bindings obs)
-
-let env_of obs = List.map (fun (name, thunk) -> (name, thunk ())) (bindings obs)
 
 type frame = {
   c_dv : bool;

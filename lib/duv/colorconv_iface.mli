@@ -12,6 +12,10 @@ open Tabv_sim
 val latency : int
 
 val clock_period : int
+
+(** The stage-valid flags [v1]..[v7], in stage order. *)
+val valid_names : string list
+
 val signal_names : string list
 
 (** Names of the stage-valid signals removed by the RTL-to-TLM-AT
@@ -32,9 +36,9 @@ type observables = {
 
 val create_observables : unit -> observables
 
-(** Property-layer view, resolved once per atom by a checker pool. *)
-val resolve : observables -> Tabv_psl.Expr.resolver
-val env_of : observables -> (string * Tabv_psl.Expr.value) list
+(** The mirror's ordered signal table, in {!signal_names} order: what
+    checker pools resolve atoms through and the trace tap reads. *)
+val signals : observables -> Duv_util.signals
 
 (** TLM-CA cycle frame. *)
 type frame = {

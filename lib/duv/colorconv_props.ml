@@ -35,8 +35,6 @@ let abstraction_reports () =
   Tabv_core.Methodology.abstract_all ~clock_period:Colorconv_iface.clock_period
     ~abstracted_signals ~rename all
 
-let tlm_all () = Tabv_core.Methodology.surviving (abstraction_reports ())
-
 let tlm_auto_safe () =
   List.filter_map
     (fun report ->

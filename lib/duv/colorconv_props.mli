@@ -9,7 +9,6 @@ val all : Property.t list
 val abstracted_signals : string list
 val take : int -> Property.t list
 val abstraction_reports : unit -> Tabv_core.Methodology.report list
-val tlm_all : unit -> Property.t list
 val tlm_auto_safe : unit -> Property.t list
 
 (** Post-review set: the auto-safe properties plus manual refinements

@@ -88,7 +88,7 @@ let cb t = t.cb
 let cr t = t.cr
 let valids t = t.valids
 
-let bindings t =
+let signals t =
   [ ("dv", fun () -> Duv_util.vbool (Signal.read t.dv));
     ("r", fun () -> Duv_util.vint (Signal.read t.r));
     ("g", fun () -> Duv_util.vint (Signal.read t.g));
@@ -97,12 +97,7 @@ let bindings t =
     ("y", fun () -> Duv_util.vint (Signal.read t.y));
     ("cb", fun () -> Duv_util.vint (Signal.read t.cb));
     ("cr", fun () -> Duv_util.vint (Signal.read t.cr)) ]
-  @ Array.to_list
-      (Array.mapi
-         (fun i signal ->
-           (Printf.sprintf "v%d" (i + 1), fun () -> Duv_util.vbool (Signal.read signal)))
-         t.valids)
-
-let resolve t = Duv_util.resolver_of (bindings t)
-let env t = List.map (fun (name, thunk) -> (name, thunk ())) (bindings t)
+  @ List.mapi
+      (fun i name -> (name, fun () -> Duv_util.vbool (Signal.read t.valids.(i))))
+      Colorconv_iface.valid_names
 let completed t = t.completed

@@ -28,7 +28,8 @@ val cr : t -> int Signal.t
 (** Stage-occupancy flag signals v1..v7. *)
 val valids : t -> bool Signal.t array
 
-(** Property-layer view, resolved once per atom by a checker pool. *)
-val resolve : t -> Tabv_psl.Expr.resolver
-val env : t -> (string * Tabv_psl.Expr.value) list
+(** The ordered signal table, in {!Colorconv_iface.signal_names}
+    order: what checker pools resolve atoms through and the trace tap
+    reads. *)
+val signals : t -> Duv_util.signals
 val completed : t -> int

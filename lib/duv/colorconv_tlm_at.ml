@@ -56,5 +56,4 @@ let create kernel =
 
 let target t = t.target
 let observables t = t.obs
-let resolve t = Colorconv_iface.resolve t.obs
 let completed t = t.completed

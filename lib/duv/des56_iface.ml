@@ -36,26 +36,15 @@ let create_observables () =
     rdy_next_next_cycle = false;
   }
 
-let resolve obs =
-  Duv_util.resolver_of
-    [ ("ds", fun () -> Duv_util.vbool obs.ds);
-      ("decrypt", fun () -> Duv_util.vbool obs.decrypt_obs);
-      ("key", fun () -> Duv_util.vdata obs.key_obs);
-      ("indata", fun () -> Duv_util.vdata obs.indata);
-      ("out", fun () -> Duv_util.vdata obs.out);
-      ("rdy", fun () -> Duv_util.vbool obs.rdy);
-      ("rdy_next_cycle", fun () -> Duv_util.vbool obs.rdy_next_cycle);
-      ("rdy_next_next_cycle", fun () -> Duv_util.vbool obs.rdy_next_next_cycle) ]
-
-let env_of obs =
-  [ ("ds", Duv_util.vbool obs.ds);
-    ("decrypt", Duv_util.vbool obs.decrypt_obs);
-    ("key", Duv_util.vdata obs.key_obs);
-    ("indata", Duv_util.vdata obs.indata);
-    ("out", Duv_util.vdata obs.out);
-    ("rdy", Duv_util.vbool obs.rdy);
-    ("rdy_next_cycle", Duv_util.vbool obs.rdy_next_cycle);
-    ("rdy_next_next_cycle", Duv_util.vbool obs.rdy_next_next_cycle) ]
+let signals obs =
+  [ ("ds", fun () -> Duv_util.vbool obs.ds);
+    ("decrypt", fun () -> Duv_util.vbool obs.decrypt_obs);
+    ("key", fun () -> Duv_util.vdata obs.key_obs);
+    ("indata", fun () -> Duv_util.vdata obs.indata);
+    ("out", fun () -> Duv_util.vdata obs.out);
+    ("rdy", fun () -> Duv_util.vbool obs.rdy);
+    ("rdy_next_cycle", fun () -> Duv_util.vbool obs.rdy_next_cycle);
+    ("rdy_next_next_cycle", fun () -> Duv_util.vbool obs.rdy_next_next_cycle) ]
 
 type frame = {
   f_ds : bool;

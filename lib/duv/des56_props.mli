@@ -26,9 +26,6 @@ val take : int -> Property.t list
     [pK] to [qK]). *)
 val abstraction_reports : unit -> Tabv_core.Methodology.report list
 
-(** The abstracted TLM properties that survived. *)
-val tlm_all : unit -> Property.t list
-
 (** Surviving TLM properties whose signal abstraction was a logical
     consequence or a no-op, and whose timed operators are dischargeable
     on sparse AT traces — safe for fully automatic reuse. *)

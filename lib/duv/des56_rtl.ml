@@ -95,25 +95,14 @@ let rdy t = t.rdy
 let rdy_next_cycle t = t.rdy_next_cycle
 let rdy_next_next_cycle t = t.rdy_next_next_cycle
 
-let resolve t =
-  Duv_util.resolver_of
-    [ ("ds", fun () -> Duv_util.vbool (Signal.read t.ds));
-      ("decrypt", fun () -> Duv_util.vbool (Signal.read t.decrypt));
-      ("key", fun () -> Duv_util.vdata (Signal.read t.key));
-      ("indata", fun () -> Duv_util.vdata (Signal.read t.indata));
-      ("out", fun () -> Duv_util.vdata (Signal.read t.out));
-      ("rdy", fun () -> Duv_util.vbool (Signal.read t.rdy));
-      ("rdy_next_cycle", fun () -> Duv_util.vbool (Signal.read t.rdy_next_cycle));
-      ("rdy_next_next_cycle", fun () -> Duv_util.vbool (Signal.read t.rdy_next_next_cycle)) ]
-
-let env t =
-  [ ("ds", Duv_util.vbool (Signal.read t.ds));
-    ("decrypt", Duv_util.vbool (Signal.read t.decrypt));
-    ("key", Duv_util.vdata (Signal.read t.key));
-    ("indata", Duv_util.vdata (Signal.read t.indata));
-    ("out", Duv_util.vdata (Signal.read t.out));
-    ("rdy", Duv_util.vbool (Signal.read t.rdy));
-    ("rdy_next_cycle", Duv_util.vbool (Signal.read t.rdy_next_cycle));
-    ("rdy_next_next_cycle", Duv_util.vbool (Signal.read t.rdy_next_next_cycle)) ]
+let signals t =
+  [ ("ds", fun () -> Duv_util.vbool (Signal.read t.ds));
+    ("decrypt", fun () -> Duv_util.vbool (Signal.read t.decrypt));
+    ("key", fun () -> Duv_util.vdata (Signal.read t.key));
+    ("indata", fun () -> Duv_util.vdata (Signal.read t.indata));
+    ("out", fun () -> Duv_util.vdata (Signal.read t.out));
+    ("rdy", fun () -> Duv_util.vbool (Signal.read t.rdy));
+    ("rdy_next_cycle", fun () -> Duv_util.vbool (Signal.read t.rdy_next_cycle));
+    ("rdy_next_next_cycle", fun () -> Duv_util.vbool (Signal.read t.rdy_next_next_cycle)) ]
 
 let completed t = t.completed

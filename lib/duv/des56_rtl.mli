@@ -41,12 +41,11 @@ val rdy : t -> bool Signal.t
 val rdy_next_cycle : t -> bool Signal.t
 val rdy_next_next_cycle : t -> bool Signal.t
 
-(** Property-layer view of the current (pre-edge) port values,
-    resolved once per atom by a checker pool. *)
-val resolve : t -> Tabv_psl.Expr.resolver
-
-(** Environment snapshot for trace recording. *)
-val env : t -> (string * Tabv_psl.Expr.value) list
+(** The ordered signal table: each port's name and a reader of its
+    current (pre-edge) value, in {!Des56_iface.signal_names} order.
+    Checker pools resolve atoms through it and the trace tap reads it
+    at every evaluation point. *)
+val signals : t -> Duv_util.signals
 
 (** Operations completed since creation. *)
 val completed : t -> int

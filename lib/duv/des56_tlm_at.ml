@@ -74,5 +74,4 @@ let create ?(latency_ns = op_latency_ns) kernel =
 
 let target t = t.target
 let observables t = t.obs
-let resolve t = Des56_iface.resolve t.obs
 let completed t = t.completed

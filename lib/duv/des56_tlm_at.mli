@@ -34,6 +34,4 @@ val target : t -> Tlm.Target.t
     transaction. *)
 val observables : t -> Des56_iface.observables
 
-(** Property-layer view, resolved once per atom by a checker pool. *)
-val resolve : t -> Tabv_psl.Expr.resolver
 val completed : t -> int

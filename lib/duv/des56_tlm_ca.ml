@@ -91,5 +91,4 @@ let create kernel =
 
 let target t = t.target
 let observables t = t.obs
-let resolve t = Des56_iface.resolve t.obs
 let completed t = t.completed

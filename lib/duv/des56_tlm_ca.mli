@@ -22,6 +22,4 @@ val target : t -> Tlm.Target.t
 (** Mirror of the observable interface, updated at each frame. *)
 val observables : t -> Des56_iface.observables
 
-(** Property-layer view, resolved once per atom by a checker pool. *)
-val resolve : t -> Tabv_psl.Expr.resolver
 val completed : t -> int

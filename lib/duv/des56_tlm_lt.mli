@@ -20,6 +20,4 @@ val create : Kernel.t -> t
 val target : t -> Tlm.Target.t
 val observables : t -> Des56_iface.observables
 
-(** Property-layer view, resolved once per atom by a checker pool. *)
-val resolve : t -> Tabv_psl.Expr.resolver
 val completed : t -> int

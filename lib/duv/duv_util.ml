@@ -4,7 +4,9 @@ let int_of_data v =
     let truncated = Int64.to_int v in
     if truncated = 0 then 1 else truncated
 
-let resolver_of bindings name = List.assoc_opt name bindings
+type signals = (string * (unit -> Tabv_psl.Expr.value)) list
+
+let resolver_of signals name = List.assoc_opt name signals
 
 (* Structured constants: a boolean read allocates nothing. *)
 let vtrue = Tabv_psl.Expr.VBool true

@@ -9,12 +9,16 @@
     [0x8000000000000000L] to [0]). *)
 val int_of_data : int64 -> int
 
-(** The resolver of a model's [(name, reader)] bindings, for
-    observable environments backed by mutable state: a checker pool's
-    sampler ({!Tabv_checker.Sampler.create}) resolves each signal once,
-    when an atom is compiled, and then calls the reader directly. *)
-val resolver_of :
-  (string * (unit -> Tabv_psl.Expr.value)) list -> Tabv_psl.Expr.resolver
+(** A model's signal table: each observable signal's name and a
+    reader of its current value, in the model's fixed signal order.
+    A model builds its table once, when it is elaborated. *)
+type signals = (string * (unit -> Tabv_psl.Expr.value)) list
+
+(** The resolver over a signal table, for observable environments
+    backed by mutable state: a checker pool's sampler
+    ({!Tabv_checker.Sampler.create}) resolves each signal once, when an
+    atom is compiled, and then calls the reader directly. *)
+val resolver_of : signals -> Tabv_psl.Expr.resolver
 
 (** [vbool b] is one of two preallocated values: a boolean read does
     not allocate. *)

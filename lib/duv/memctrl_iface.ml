@@ -39,7 +39,7 @@ let create_observables () =
   { req = false; we = false; addr = 0; wdata = 0; ack = false;
     ack_next_cycle = false; rdata = 0 }
 
-let bindings obs =
+let signals obs =
   [ ("req", fun () -> Duv_util.vbool obs.req);
     ("we", fun () -> Duv_util.vbool obs.we);
     ("addr", fun () -> Duv_util.vint obs.addr);
@@ -48,8 +48,6 @@ let bindings obs =
     ("ack_next_cycle", fun () -> Duv_util.vbool obs.ack_next_cycle);
     ("rdata", fun () -> Duv_util.vint obs.rdata) ]
 
-let resolve obs = Duv_util.resolver_of (bindings obs)
-let env_of obs = List.map (fun (name, thunk) -> (name, thunk ())) (bindings obs)
 
 type frame = {
   m_req : bool;

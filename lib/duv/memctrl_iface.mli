@@ -41,9 +41,9 @@ type observables = {
 
 val create_observables : unit -> observables
 
-(** Property-layer view, resolved once per atom by a checker pool. *)
-val resolve : observables -> Tabv_psl.Expr.resolver
-val env_of : observables -> (string * Tabv_psl.Expr.value) list
+(** The mirror's ordered signal table, in {!signal_names} order: what
+    checker pools resolve atoms through and the trace tap reads. *)
+val signals : observables -> Duv_util.signals
 
 (** TLM-CA cycle frame: one transaction per clock period carrying the
     full I/O bundle. *)

@@ -86,7 +86,7 @@ let ack t = t.ack
 let ack_next_cycle t = t.ack_next_cycle
 let rdata t = t.rdata
 
-let bindings t =
+let signals t =
   [ ("req", fun () -> Duv_util.vbool (Signal.read t.req));
     ("we", fun () -> Duv_util.vbool (Signal.read t.we));
     ("addr", fun () -> Duv_util.vint (Signal.read t.addr));
@@ -95,7 +95,4 @@ let bindings t =
     ("ack_next_cycle", fun () -> Duv_util.vbool (Signal.read t.ack_next_cycle));
     ("rdata", fun () -> Duv_util.vint (Signal.read t.rdata)) ]
 
-let resolve t = Duv_util.resolver_of (bindings t)
-let env t = List.map (fun (name, thunk) -> (name, thunk ())) (bindings t)
 let completed t = t.completed
-let peek t address = t.memory.(address land (Memctrl_iface.address_space - 1))

@@ -25,10 +25,8 @@ val ack : t -> bool Signal.t
 val ack_next_cycle : t -> bool Signal.t
 val rdata : t -> int Signal.t
 
-(** Property-layer view, resolved once per atom by a checker pool. *)
-val resolve : t -> Tabv_psl.Expr.resolver
-val env : t -> (string * Tabv_psl.Expr.value) list
+(** The ordered signal table, in {!Memctrl_iface.signal_names}
+    order: what checker pools resolve atoms through and the trace tap
+    reads. *)
+val signals : t -> Duv_util.signals
 val completed : t -> int
-
-(** Direct view of a memory word (for test oracles). *)
-val peek : t -> int -> int

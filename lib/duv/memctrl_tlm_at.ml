@@ -104,6 +104,4 @@ let create ?write_latency_ns ?read_latency_ns kernel =
 
 let target t = t.target
 let observables t = t.obs
-let resolve t = Memctrl_iface.resolve t.obs
 let completed t = t.completed
-let peek t address = t.memory.(address land (Memctrl_iface.address_space - 1))

@@ -16,7 +16,4 @@ val create : ?write_latency_ns:int -> ?read_latency_ns:int -> Kernel.t -> t
 val target : t -> Tlm.Target.t
 val observables : t -> Memctrl_iface.observables
 
-(** Property-layer view, resolved once per atom by a checker pool. *)
-val resolve : t -> Tabv_psl.Expr.resolver
 val completed : t -> int
-val peek : t -> int -> int

@@ -97,6 +97,4 @@ let create kernel =
 
 let target t = t.target
 let observables t = t.obs
-let resolve t = Memctrl_iface.resolve t.obs
 let completed t = t.completed
-let peek t address = t.memory.(address land (Memctrl_iface.address_space - 1))

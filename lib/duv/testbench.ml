@@ -13,8 +13,7 @@ type sampling =
 
 type elaborated = {
   sampling : sampling;
-  resolve : Expr.resolver;
-  env : unit -> (string * Expr.value) list;
+  signals : Duv_util.signals;
   binding : Fault.binding;
   completed : unit -> int;
   collect : (unit -> unit) option;
@@ -97,9 +96,10 @@ let colorconv_fields (obs : Colorconv_iface.observables) =
     ("cb", int_lens ~width:8 (fun () -> obs.cb) (fun v -> obs.cb <- v));
     ("cr", int_lens ~width:8 (fun () -> obs.cr) (fun v -> obs.cr <- v))
   ]
-  @ List.init 7 (fun i ->
-        ( Printf.sprintf "v%d" (i + 1),
-          bool_lens (fun () -> obs.valids.(i)) (fun v -> obs.valids.(i) <- v) ))
+  @ List.mapi
+      (fun i name ->
+        (name, bool_lens (fun () -> obs.valids.(i)) (fun v -> obs.valids.(i) <- v)))
+      Colorconv_iface.valid_names
 
 let memctrl_fields (obs : Memctrl_iface.observables) =
   [ ("req", bool_lens (fun () -> obs.req) (fun v -> obs.req <- v));
@@ -118,8 +118,7 @@ let des56_rtl ?fault () =
   rtl (fun kernel clock ~gap_cycles ~emit ops ->
       let model = Des56_rtl.create ?fault kernel clock in
       { sampling = Clock_edge clock;
-        resolve = Des56_rtl.resolve model;
-        env = (fun () -> Des56_rtl.env model);
+        signals = Des56_rtl.signals model;
         binding =
           rtl_binding kernel
             [ ("ds", Fault.Bool_signal (Des56_rtl.ds model));
@@ -163,10 +162,9 @@ let des56_rtl ?fault () =
 
 (* The three DES56 TLM models share the observables record: what the
    checkers read, the tap records and the fault lenses corrupt. *)
-let des56_tlm kernel initiator obs ~sampling ~resolve ~completed drive =
+let des56_tlm kernel initiator obs ~sampling ~completed drive =
   { sampling;
-    resolve;
-    env = (fun () -> Des56_iface.env_of obs);
+    signals = Des56_iface.signals obs;
     binding = tlm_binding kernel initiator (des56_fields obs);
     completed;
     collect = None;
@@ -178,7 +176,7 @@ let des56_tlm_ca =
       let model = Des56_tlm_ca.create kernel in
       Tlm.Initiator.bind initiator (Des56_tlm_ca.target model);
       des56_tlm kernel initiator (Des56_tlm_ca.observables model)
-        ~sampling:(Frames initiator) ~resolve:(Des56_tlm_ca.resolve model)
+        ~sampling:(Frames initiator)
         ~completed:(fun () -> Des56_tlm_ca.completed model)
         (fun () ->
           Process.wait_ns kernel period;
@@ -230,7 +228,6 @@ let des56_tlm_at ?latency_ns () =
         ~sampling:
           (Transactions
              { initiator; grid_period = Some Des56_iface.clock_period })
-        ~resolve:(Des56_tlm_at.resolve model)
         ~completed:(fun () -> Des56_tlm_at.completed model)
         (fun () ->
           Process.wait_ns kernel period;
@@ -260,7 +257,6 @@ let des56_tlm_lt =
       Tlm.Initiator.bind initiator (Des56_tlm_lt.target model);
       des56_tlm kernel initiator (Des56_tlm_lt.observables model)
         ~sampling:(Transactions { initiator; grid_period = None })
-        ~resolve:(Des56_tlm_lt.resolve model)
         ~completed:(fun () -> Des56_tlm_lt.completed model)
         (fun () ->
           Process.wait_ns kernel period;
@@ -288,15 +284,13 @@ let colorconv_rtl =
   rtl (fun kernel clock ~gap_cycles ~emit bursts ->
       let model = Colorconv_rtl.create kernel clock in
       let valids =
-        Array.to_list
-          (Array.mapi
-             (fun i s -> (Printf.sprintf "v%d" (i + 1), Fault.Bool_signal s))
-             (Colorconv_rtl.valids model))
+        List.mapi
+          (fun i name -> (name, Fault.Bool_signal (Colorconv_rtl.valids model).(i)))
+          Colorconv_iface.valid_names
       in
       let byte signal = Fault.Int_signal { signal; width = 8 } in
       { sampling = Clock_edge clock;
-        resolve = Colorconv_rtl.resolve model;
-        env = (fun () -> Colorconv_rtl.env model);
+        signals = Colorconv_rtl.signals model;
         binding =
           rtl_binding kernel
             ([ ("dv", Fault.Bool_signal (Colorconv_rtl.dv model));
@@ -344,10 +338,9 @@ let colorconv_rtl =
             Kernel.stop kernel)
       })
 
-let colorconv_tlm kernel initiator obs ~sampling ~resolve ~completed drive =
+let colorconv_tlm kernel initiator obs ~sampling ~completed drive =
   { sampling;
-    resolve;
-    env = (fun () -> Colorconv_iface.env_of obs);
+    signals = Colorconv_iface.signals obs;
     binding = tlm_binding kernel initiator (colorconv_fields obs);
     completed;
     collect = None;
@@ -359,7 +352,7 @@ let colorconv_tlm_ca =
       let model = Colorconv_tlm_ca.create kernel in
       Tlm.Initiator.bind initiator (Colorconv_tlm_ca.target model);
       colorconv_tlm kernel initiator (Colorconv_tlm_ca.observables model)
-        ~sampling:(Frames initiator) ~resolve:(Colorconv_tlm_ca.resolve model)
+        ~sampling:(Frames initiator)
         ~completed:(fun () -> Colorconv_tlm_ca.completed model)
         (fun () ->
           Process.wait_ns kernel period;
@@ -450,7 +443,6 @@ let colorconv_tlm_at =
         ~sampling:
           (Transactions
              { initiator; grid_period = Some Colorconv_iface.clock_period })
-        ~resolve:(Colorconv_tlm_at.resolve model)
         ~completed:(fun () -> Colorconv_tlm_at.completed model)
         (fun () ->
           let transport extension =
@@ -493,8 +485,7 @@ let memctrl_rtl =
   rtl (fun kernel clock ~gap_cycles ~emit ops ->
       let model = Memctrl_rtl.create kernel clock in
       { sampling = Clock_edge clock;
-        resolve = Memctrl_rtl.resolve model;
-        env = (fun () -> Memctrl_rtl.env model);
+        signals = Memctrl_rtl.signals model;
         binding =
           rtl_binding kernel
             [ ("req", Fault.Bool_signal (Memctrl_rtl.req model));
@@ -540,10 +531,9 @@ let memctrl_rtl =
             Kernel.stop kernel)
       })
 
-let memctrl_tlm kernel initiator obs ~sampling ~resolve ~completed drive =
+let memctrl_tlm kernel initiator obs ~sampling ~completed drive =
   { sampling;
-    resolve;
-    env = (fun () -> Memctrl_iface.env_of obs);
+    signals = Memctrl_iface.signals obs;
     binding = tlm_binding kernel initiator (memctrl_fields obs);
     completed;
     collect = None;
@@ -555,7 +545,7 @@ let memctrl_tlm_ca =
       let model = Memctrl_tlm_ca.create kernel in
       Tlm.Initiator.bind initiator (Memctrl_tlm_ca.target model);
       memctrl_tlm kernel initiator (Memctrl_tlm_ca.observables model)
-        ~sampling:(Frames initiator) ~resolve:(Memctrl_tlm_ca.resolve model)
+        ~sampling:(Frames initiator)
         ~completed:(fun () -> Memctrl_tlm_ca.completed model)
         (fun () ->
           Process.wait_ns kernel period;
@@ -605,7 +595,6 @@ let memctrl_tlm_at ?write_latency_ns ?read_latency_ns () =
       Tlm.Initiator.bind initiator (Memctrl_tlm_at.target model);
       memctrl_tlm kernel initiator (Memctrl_tlm_at.observables model)
         ~sampling:(Transactions { initiator; grid_period = None })
-        ~resolve:(Memctrl_tlm_at.resolve model)
         ~completed:(fun () -> Memctrl_tlm_at.completed model)
         (fun () ->
           Process.wait_ns kernel period;
@@ -694,22 +683,23 @@ let attach_pools kernel e r =
   let attach sampler mode properties =
     Checker.attach (Checker.Attach.spec sampler mode) kernel properties
   in
+  let resolve = Duv_util.resolver_of e.signals in
   match e.sampling with
   | Transactions { initiator; grid_period = Some clock_period } ->
-    let sampler = pool_sampler kernel e.resolve in
-    let grid_sampler = pool_sampler kernel e.resolve in
+    let sampler = pool_sampler kernel resolve in
+    let grid_sampler = pool_sampler kernel resolve in
     attach sampler (Checker.Attach.transaction initiator) r.properties
     @ attach grid_sampler (Checker.Attach.grid ~clock_period ()) r.grid_properties
   | _ when r.grid_properties <> [] ->
     invalid_arg "Testbench.run: grid properties on a model without a grid pool"
   | Clock_edge clock ->
-    attach (pool_sampler kernel e.resolve) (Checker.Attach.clock_edge clock)
+    attach (pool_sampler kernel resolve) (Checker.Attach.clock_edge clock)
       r.properties
   | Frames initiator ->
-    attach (pool_sampler kernel e.resolve)
+    attach (pool_sampler kernel resolve)
       (Checker.Attach.transaction_unabstracted initiator) r.properties
   | Transactions { initiator; grid_period = None } ->
-    attach (pool_sampler kernel e.resolve) (Checker.Attach.transaction initiator)
+    attach (pool_sampler kernel resolve) (Checker.Attach.transaction initiator)
       r.properties
 
 let span_label transaction =
@@ -719,9 +709,11 @@ let span_label transaction =
 
 (* The trace tap samples exactly where the checker pools do (posedge
    at RTL, transaction end at TLM), so a stored trace carries the
-   evaluation points a live pool saw.  A TLM sample is taken at the
-   transaction end (last-wins within an instant) beside a begin/end
-   span labelled by the command.  An armed metrics registry
+   evaluation points a live pool saw.  The writer binds the model's
+   signal table once; each evaluation point then reads its readers
+   straight into the writer's pending slot array.  A TLM sample is
+   taken at the transaction end (last-wins within an instant) beside a
+   begin/end span labelled by the command.  An armed metrics registry
    additionally publishes the writer's volume counters. *)
 let tap kernel e writer =
   let metrics = Kernel.metrics kernel in
@@ -733,14 +725,15 @@ let tap kernel e writer =
     Tabv_obs.Metrics.probe metrics ~combine:`Sum "trace.bytes" (fun () ->
         Tabv_trace.Writer.bytes_written writer)
   end;
+  Tabv_trace.Writer.bind writer e.signals;
   match e.sampling with
   | Clock_edge clock ->
     Process.method_process kernel ~name:"trace_bin" ~initialize:false
       ~sensitivity:[ Clock.posedge clock ]
-      (fun () -> Tabv_trace.Writer.sample writer ~time:(Kernel.now kernel) (e.env ()))
+      (fun () -> Tabv_trace.Writer.record writer ~time:(Kernel.now kernel))
   | Frames initiator | Transactions { initiator; _ } ->
     Tlm.Initiator.on_transaction initiator (fun transaction ->
-        Tabv_trace.Writer.sample writer ~time:transaction.Tlm.end_time (e.env ());
+        Tabv_trace.Writer.record writer ~time:transaction.Tlm.end_time;
         Tabv_trace.Writer.span writer ~label:(span_label transaction)
           ~start_time:transaction.Tlm.start_time
           ~end_time:transaction.Tlm.end_time)

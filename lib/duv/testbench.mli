@@ -36,9 +36,10 @@ type sampling =
     only what differs between designs. *)
 type elaborated = {
   sampling : sampling;
-  resolve : Expr.resolver;  (** the checkers' window onto the design *)
-  env : unit -> (string * Expr.value) list;
-      (** what the trace tap records at each evaluation point *)
+  signals : Duv_util.signals;
+      (** the design's ordered signal table, built once: checker pools
+          resolve their atoms through it, and the trace tap reads it at
+          every evaluation point, in this order *)
   binding : Tabv_fault.Fault.binding;  (** where a fault plan lands *)
   completed : unit -> int;  (** operations the design finished *)
   collect : (unit -> unit) option;

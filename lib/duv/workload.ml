@@ -39,18 +39,20 @@ let colorconv ~seed ~count ?(burst = 8) ?(black_fraction = 0.1) () =
 
 let memctrl ~seed ~count ?(write_fraction = 0.5) () =
   let state = Random.State.make [| seed; 0x3E3 |] in
-  let written = ref [] in
+  (* Written addresses, oldest first: the [k]-th newest is
+     [written.(n_written - 1 - k)]. *)
+  let written = Array.make (max 0 count) 0 and n_written = ref 0 in
   List.init count (fun _ ->
-    if Random.State.float state 1.0 < write_fraction || !written = [] then begin
+    if Random.State.float state 1.0 < write_fraction || !n_written = 0 then begin
       let addr = Random.State.int state Memctrl_iface.address_space in
-      written := addr :: !written;
+      written.(!n_written) <- addr;
+      incr n_written;
       Memctrl_iface.Write { addr; wdata = Random.State.int state 0x10000 }
     end
     else begin
-      let candidates = !written in
       let addr =
         if Random.State.bool state then
-          List.nth candidates (Random.State.int state (List.length candidates))
+          written.(!n_written - 1 - Random.State.int state !n_written)
         else Random.State.int state Memctrl_iface.address_space
       in
       Memctrl_iface.Read { addr }

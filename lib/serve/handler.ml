@@ -124,59 +124,55 @@ let exec_check ~model ~seed ~ops ~props ~trace_out =
       report = render (Models.verdict_report model ~seed ~ops result);
     }
 
+(* The trace is opened once: the model and signal gate judges the
+   header and dictionary of the reader the recheck then steps. *)
 let exec_recheck ~interrupted ~trace ~props ~workers ~retries =
-  let* meta, trace_signals =
-    match Recheck.probe trace with
-    | probe -> Ok probe
-    | exception Tabv_trace.Reader.Format_error { path; message; offset; valid_prefix } ->
-      Error
-        (Printf.sprintf "%s: %s (at byte %d; verified prefix %d bytes)" path
-           message offset valid_prefix)
-  in
-  let* model =
-    match Models.of_name meta.Tabv_trace.Meta.model with
-    | Some model -> Ok model
-    | None ->
-      Error
-        (Printf.sprintf "%s: recorded from unknown model %S" trace
-           meta.Tabv_trace.Meta.model)
-  in
-  let* user = user_props model props in
-  let properties, grid_properties = Models.properties_for model user in
-  let* () =
-    if grid_properties = [] then Ok ()
-    else
-      Error
-        (Printf.sprintf
-           "%d propert(ies) need full-grid transactions and cannot be \
-            re-checked against a recorded trace"
-           (List.length grid_properties))
-  in
-  let* () =
-    if properties <> [] then Ok () else Error "no properties to re-check"
-  in
-  let* () =
-    if trace_signals = [] then Ok ()
-    else begin
-      let missing =
-        Tabv_psl.Property.missing_signals ~known:trace_signals properties
-      in
-      if missing = [] then Ok ()
+  let plan meta trace_signals =
+    let* model =
+      match Models.of_name meta.Tabv_trace.Meta.model with
+      | Some model -> Ok model
+      | None ->
+        Error
+          (Printf.sprintf "%s: recorded from unknown model %S" trace
+             meta.Tabv_trace.Meta.model)
+    in
+    let* user = user_props model props in
+    let properties, grid_properties = Models.properties_for model user in
+    let* () =
+      if grid_properties = [] then Ok ()
       else
         Error
-          (Printf.sprintf "%s: trace does not record signal(s) %s" trace
-             (String.concat ", " missing))
-    end
+          (Printf.sprintf
+             "%d propert(ies) need full-grid transactions and cannot be \
+              re-checked against a recorded trace"
+             (List.length grid_properties))
+    in
+    let* () =
+      if properties <> [] then Ok () else Error "no properties to re-check"
+    in
+    let* () =
+      if trace_signals = [] then Ok ()
+      else begin
+        let missing =
+          Tabv_psl.Property.missing_signals ~known:trace_signals properties
+        in
+        if missing = [] then Ok ()
+        else
+          Error
+            (Printf.sprintf "%s: trace does not record signal(s) %s" trace
+               (String.concat ", " missing))
+      end
+    in
+    Ok (workers, properties)
   in
-  match
-    Recheck.run ~interrupted ~workers ~retries ~trace properties
-  with
-  | result ->
+  match Recheck.run_validated ~interrupted ~retries ~trace plan with
+  | Ok result ->
     Ok
       {
         green = Recheck.total_failures result = 0;
         report = render (Recheck.report_json result);
       }
+  | Error refusal -> Error refusal
   | exception Tabv_trace.Reader.Format_error { path; message; offset; valid_prefix } ->
     Error
       (Printf.sprintf "%s: %s (at byte %d; verified prefix %d bytes)" path

@@ -88,8 +88,6 @@ type guard = {
 let default_guard =
   { max_delta_cycles = Some 1_000_000; max_steps = None; contain_crashes = false }
 
-let unguarded = { max_delta_cycles = None; max_steps = None; contain_crashes = false }
-
 type t = {
   mutable now : int;
   mutable delta : int;
@@ -218,7 +216,6 @@ let record_crash t e =
 
 let add_waiter t = t.waiters <- t.waiters + 1
 let remove_waiter t = t.waiters <- t.waiters - 1
-let waiting_count t = t.waiters
 let set_label t name = t.label <- name
 
 (* --- the three-phase loop ----------------------------------------------- *)
@@ -361,11 +358,7 @@ let diagnosis_to_string = function
   | Process_crashed { name; error } ->
     Printf.sprintf "process_crashed(%s: %s)" name error
 
-let pp_diagnosis ppf d = Format.pp_print_string ppf (diagnosis_to_string d)
-
 let activation_count t = t.activations
 let delta_count t = t.deltas
-let time_advance_count t = t.time_advances
-let update_action_count t = t.update_actions
 let watchdog_trip_count t = t.watchdog_trips
 let contained_crash_count t = t.contained_crashes

@@ -53,10 +53,6 @@ type guard = {
     terminate by default. *)
 val default_guard : guard
 
-(** All watchdogs off (the pre-diagnosis behaviour: a livelocked
-    design hangs). *)
-val unguarded : guard
-
 (** [create ?metrics ()] — when [metrics] is given, the kernel
     registers its phase probes ([kernel.activations],
     [kernel.delta_cycles], [kernel.time_advances],
@@ -141,9 +137,6 @@ val add_waiter : t -> unit
 
 val remove_waiter : t -> unit
 
-(** Threads currently blocked on an event wait. *)
-val waiting_count : t -> int
-
 (** Name the process about to run, for [Process_crashed] attribution;
     {!Process} calls this before each body/continuation resume. *)
 val set_label : t -> string -> unit
@@ -160,7 +153,6 @@ val run : ?until:int -> ?guard:guard -> t -> int
 val last_diagnosis : t -> diagnosis
 
 val diagnosis_to_string : diagnosis -> string
-val pp_diagnosis : Format.formatter -> diagnosis -> unit
 
 (** Number of evaluation-phase process activations so far (a good
     proxy for simulator load, used by the benchmarks). *)
@@ -168,12 +160,6 @@ val activation_count : t -> int
 
 (** Number of delta cycles executed so far. *)
 val delta_count : t -> int
-
-(** Number of time-advance steps taken so far. *)
-val time_advance_count : t -> int
-
-(** Number of update-phase actions applied so far. *)
-val update_action_count : t -> int
 
 (** Watchdogs tripped so far (livelock caps and step budgets). *)
 val watchdog_trip_count : t -> int

@@ -29,11 +29,16 @@ type t = {
   mutable dict : dict_entry array;
   mutable dict_read : bool;
   mutable values : Expr.value array;  (* current valuation *)
-  mutable env_cache : (string * Expr.value) list;  (* last emitted env *)
+  mutable bits : Bytes.t;  (* a sample's change mask, then its bool bits *)
+  mutable env_cache : (string * Expr.value) list;  (* last emitted env ... *)
+  mutable env_current : bool;  (* ... and whether [values] still holds it *)
   mutable have_prev : bool;
   mutable prev_time : int;
   mutable labels : string array;
   mutable prev_span_start : int;
+  mutable span_label : string;  (* the last span decoded *)
+  mutable span_start : int;
+  mutable span_end : int;
   mutable n_samples : int;
   mutable n_spans : int;
   mutable last_good : int;  (* offset after the last verified block *)
@@ -91,19 +96,22 @@ let byte t () =
   t.cur <- t.cur + 1;
   c
 
-(* [len] bytes, or a truncation reported at the offset they start
-   at. *)
-let really_read ?(eof = eof_message) t len =
+(* [len] bytes into [dst] at [at], or a truncation reported at the
+   offset they start at. *)
+let read_into ?(eof = eof_message) t dst ~at len =
   let start = pos t in
-  let b = Bytes.create len in
   let filled = ref 0 in
   while !filled < len do
     if t.cur >= t.lim && not (refill t) then corrupt_at t start eof;
     let k = min (len - !filled) (t.lim - t.cur) in
-    Bytes.blit t.buf t.cur b !filled k;
+    Bytes.blit t.buf t.cur dst (at + !filled) k;
     t.cur <- t.cur + k;
     filled := !filled + k
-  done;
+  done
+
+let really_read ?eof t len =
+  let b = Bytes.create len in
+  read_into ?eof t b ~at:0 len;
   Bytes.unsafe_to_string b
 
 (* The 4 CRC bytes closing a block: compared against the CRC of the
@@ -114,13 +122,13 @@ let end_block t =
   let expect = Crc32.Raw.finish t.crc in
   let stored =
     if t.lim - t.cur >= Layout.crc_bytes then begin
-      let v = Bytes.get_int32_le t.buf t.cur in
+      let v = Int32.to_int (Bytes.get_int32_le t.buf t.cur) in
       t.cur <- t.cur + Layout.crc_bytes;
       v
     end
-    else String.get_int32_le (really_read t Layout.crc_bytes) 0
+    else Int32.to_int (String.get_int32_le (really_read t Layout.crc_bytes) 0)
   in
-  if Int32.to_int stored land 0xFFFF_FFFF <> expect then
+  if stored land 0xFFFF_FFFF <> expect then
     corrupt t "record checksum mismatch";
   t.crc <- Crc32.Raw.start;
   t.crc_from <- t.cur;
@@ -181,11 +189,16 @@ let open_file path =
       dict = [||];
       dict_read = false;
       values = [||];
+      bits = Bytes.empty;
       env_cache = [];
+      env_current = true;
       have_prev = false;
       prev_time = 0;
       labels = [||];
       prev_span_start = 0;
+      span_label = "";
+      span_start = 0;
+      span_end = 0;
       n_samples = 0;
       n_spans = 0;
       last_good = 0;
@@ -226,6 +239,8 @@ let open_file path =
 
 let meta t = t.meta
 let signals t = Array.to_list (Array.map (fun e -> e.name) t.dict)
+let values t = t.values
+let time t = t.prev_time
 let samples t = t.n_samples
 let spans t = t.n_spans
 let valid_prefix t = t.last_good
@@ -249,12 +264,17 @@ let read_dict t =
           corrupt t "unknown signal kind";
         { name; kind });
   t.dict_read <- true;
-  t.values <- Array.make n (Expr.VBool false)
+  t.values <- Array.make n (Expr.VBool false);
+  t.bits <- Bytes.create (2 * ((n + 7) / 8))
 
-let bit s i = Char.code (String.unsafe_get s (i lsr 3)) land (1 lsl (i land 7)) <> 0
+let bit b i = Char.code (Bytes.unsafe_get b (i lsr 3)) land (1 lsl (i land 7)) <> 0
 let vtrue = Expr.VBool true
 let vfalse = Expr.VBool false
 
+(* Decode a sample into [values] and say whether its change mask has
+   a bit set.  The mask and the bool bits go into the reader's own
+   [bits] buffer, so an all-zero mask allocates nothing and skips the
+   value loops. *)
 let read_sample t =
   if not t.dict_read then corrupt t "sample before signal dictionary";
   let dt = read_uint t in
@@ -267,44 +287,44 @@ let read_sample t =
   in
   let first = not t.have_prev in
   let n = Array.length t.dict in
-  let changed = really_read t ((n + 7) / 8) in
-  let changed_bools = ref 0 and changed_ints = ref 0 in
-  for i = 0 to n - 1 do
-    if bit changed i then
-      if t.dict.(i).kind = Layout.kind_bool then incr changed_bools
-      else incr changed_ints
+  let mask_len = (n + 7) / 8 in
+  let bits = t.bits in
+  read_into t bits ~at:0 mask_len;
+  (* Only the [n] mask bits count, not the last byte's padding. *)
+  let any = ref false in
+  for k = 0 to mask_len - 1 do
+    let valid = if k = mask_len - 1 && n land 7 <> 0 then (1 lsl (n land 7)) - 1 else 0xFF in
+    if Char.code (Bytes.unsafe_get bits k) land valid <> 0 then any := true
   done;
-  let bool_bits = really_read t ((!changed_bools + 7) / 8) in
-  let j = ref 0 in
-  for i = 0 to n - 1 do
-    if bit changed i && t.dict.(i).kind = Layout.kind_bool then begin
-      t.values.(i) <- (if bit bool_bits !j then vtrue else vfalse);
-      incr j
-    end
-  done;
-  for i = 0 to n - 1 do
-    if bit changed i && t.dict.(i).kind = Layout.kind_int then
-      t.values.(i) <- Expr.VInt (read_zigzag t)
-  done;
+  let changed = !any in
+  if changed then begin
+    let changed_bools = ref 0 in
+    for i = 0 to n - 1 do
+      if bit bits i && t.dict.(i).kind = Layout.kind_bool then incr changed_bools
+    done;
+    read_into t bits ~at:mask_len ((!changed_bools + 7) / 8);
+    let j = ref 0 in
+    for i = 0 to n - 1 do
+      if bit bits i && t.dict.(i).kind = Layout.kind_bool then begin
+        t.values.(i) <- (if bit bits ((8 * mask_len) + !j) then vtrue else vfalse);
+        incr j
+      end
+    done;
+    for i = 0 to n - 1 do
+      if bit bits i && t.dict.(i).kind = Layout.kind_int then
+        t.values.(i) <- Expr.VInt (read_zigzag t)
+    done;
+    t.env_current <- false
+  end;
   if first && n > 0 then
     (* The first sample must carry every signal. *)
     for i = 0 to n - 1 do
-      if not (bit changed i) then corrupt t "first sample is missing signals"
+      if not (bit bits i) then corrupt t "first sample is missing signals"
     done;
   t.have_prev <- true;
   t.prev_time <- time;
   t.n_samples <- t.n_samples + 1;
-  (* A change-mask-0 sample re-emits the previous env, physically —
-     no allocation, and downstream consumers (offline checking reuses
-     the previous valuation) can detect stuttering with one pointer
-     compare. *)
-  let env =
-    if (not first) && !changed_bools = 0 && !changed_ints = 0 then
-      t.env_cache
-    else List.init n (fun i -> (t.dict.(i).name, t.values.(i)))
-  in
-  t.env_cache <- env;
-  Entry.Sample { time; env }
+  changed
 
 let read_span t =
   let id = read_uint t in
@@ -314,7 +334,9 @@ let read_span t =
   if duration < 0 then corrupt t "negative span duration";
   t.prev_span_start <- start_time;
   t.n_spans <- t.n_spans + 1;
-  Entry.Span { label = t.labels.(id); start_time; end_time = start_time + duration }
+  t.span_label <- t.labels.(id);
+  t.span_start <- start_time;
+  t.span_end <- start_time + duration
 
 let read_end t =
   let want_samples = read_uint t in
@@ -331,45 +353,98 @@ let read_end t =
   end;
   t.finished <- true
 
-(* Each tag opens a new CRC-framed block; the entry is only surfaced
-   once [end_block] has verified it, so a corrupted record can never
-   escape as decoded data. *)
-let rec next t =
-  if t.finished || t.closed then None
-  else begin
-    if t.cur >= t.lim && not (refill t) then
-      corrupt t "truncated (no end record)";
-    t.crc <- Crc32.Raw.start;
-    t.crc_from <- t.cur;
-    let tag = Bytes.unsafe_get t.buf t.cur in
-    t.cur <- t.cur + 1;
-    if tag = Layout.tag_dict then begin
-      read_dict t;
-      end_block t;
-      next t
-    end
-    else if tag = Layout.tag_sample then begin
-      let entry = read_sample t in
-      end_block t;
-      Some entry
-    end
-    else if tag = Layout.tag_label then begin
-      let label = read_string t in
-      end_block t;
-      t.labels <- Array.append t.labels [| label |];
-      next t
-    end
-    else if tag = Layout.tag_span then begin
-      let entry = read_span t in
-      end_block t;
-      Some entry
-    end
-    else if tag = Layout.tag_end then begin
-      read_end t;
-      None
-    end
-    else corrupt t (Printf.sprintf "unknown record tag 0x%02x" (Char.code tag))
+type record =
+  | Dictionary
+  | Label
+  | Changed_sample
+  | Unchanged_sample
+  | Span_record
+  | End_record
+
+(* The one decoder: one CRC-framed record per call.  Each tag opens a
+   new block, and a record is only reported once [end_block] has
+   verified it, so a corrupted record can never escape as decoded
+   data. *)
+let read_record t =
+  if t.cur >= t.lim && not (refill t) then corrupt t "truncated (no end record)";
+  t.crc <- Crc32.Raw.start;
+  t.crc_from <- t.cur;
+  let tag = Bytes.unsafe_get t.buf t.cur in
+  t.cur <- t.cur + 1;
+  if tag = Layout.tag_sample then begin
+    let changed = read_sample t in
+    end_block t;
+    if changed then Changed_sample else Unchanged_sample
   end
+  else if tag = Layout.tag_span then begin
+    read_span t;
+    end_block t;
+    Span_record
+  end
+  else if tag = Layout.tag_dict then begin
+    read_dict t;
+    end_block t;
+    Dictionary
+  end
+  else if tag = Layout.tag_label then begin
+    let label = read_string t in
+    end_block t;
+    t.labels <- Array.append t.labels [| label |];
+    Label
+  end
+  else if tag = Layout.tag_end then begin
+    read_end t;
+    End_record
+  end
+  else corrupt t (Printf.sprintf "unknown record tag 0x%02x" (Char.code tag))
+
+let live t = not (t.finished || t.closed)
+
+let dictionary t =
+  (* The dictionary precedes the first sample, so this consumes no
+     sample; spans before it are decoded, counted and verified. *)
+  while live t && not t.dict_read do
+    ignore (read_record t)
+  done;
+  signals t
+
+type step =
+  | Changed
+  | Unchanged
+  | End
+
+let rec step t =
+  if not (live t) then End
+  else
+    match read_record t with
+    | Changed_sample -> Changed
+    | Unchanged_sample -> Unchanged
+    | End_record -> End
+    | Dictionary | Label | Span_record -> step t
+
+(* An env is rebuilt only when [values] changed since the last one;
+   a sample with no changes re-emits the previous env physically. *)
+let refresh_env t =
+  t.env_cache <-
+    List.init (Array.length t.dict) (fun i -> (t.dict.(i).name, t.values.(i)));
+  t.env_current <- true
+
+let sample_entry t =
+  if not t.env_current then refresh_env t;
+  Entry.Sample { time = t.prev_time; env = t.env_cache }
+
+let rec next t =
+  if not (live t) then None
+  else
+    match read_record t with
+    | Changed_sample -> Some (sample_entry t)
+    | Unchanged_sample -> Some (sample_entry t)
+    | Span_record ->
+      Some
+        (Entry.Span
+           { label = t.span_label; start_time = t.span_start; end_time = t.span_end })
+    | End_record -> None
+    | Dictionary | Label -> next t
 
 let to_seq t =
   let rec seq () =

@@ -36,11 +36,44 @@ val open_file : string -> t
 
 val meta : t -> Meta.t
 
-(** Signal dictionary, in sample order — [[]] until the first sample
-    record has been read (or for an empty trace). *)
+(** Signal dictionary, in sample order — [[]] until the dictionary
+    record has been read (or for a trace without samples). *)
 val signals : t -> string list
 
-(** Next entry, [None] once the end record has been consumed.
+(** Decode records up to the signal dictionary and return it, like
+    {!signals}.  The dictionary precedes the first sample, so no sample
+    is consumed; spans recorded before it are decoded, counted and
+    CRC-verified on the way.  A trace without samples has no
+    dictionary: it is then read to its end, and the result is [[]].
+    @raise Format_error on corruption or truncation. *)
+val dictionary : t -> string list
+
+(** The current valuation: slot [i] holds the value of the [i]-th
+    dictionary signal at the last sample decoded.  The array is the
+    reader's own, updated in place by every sample; it exists once the
+    dictionary has been read ([[||]] before). *)
+val values : t -> Expr.value array
+
+(** Time of the last sample decoded. *)
+val time : t -> int
+
+type step =
+  | Changed  (** a sample whose change mask has a bit set *)
+  | Unchanged
+      (** a sample with an all-zero change mask: {!values} stand as
+          they were, and decoding it allocated nothing *)
+  | End  (** the end record has been consumed *)
+
+(** [step t] decodes the next sample into {!values} (at {!time}).
+    Spans on the way are decoded, counted and CRC-verified, not
+    returned.  A sample is only reported once its block's CRC has
+    verified.
+    @raise Format_error on corruption or truncation. *)
+val step : t -> step
+
+(** Next entry, [None] once the end record has been consumed: the same
+    decoder as {!step}, with each sample's env built from {!values}.
+    A sample with no changes re-emits the previous env physically.
     @raise Format_error on corruption or truncation. *)
 val next : t -> Entry.t option
 

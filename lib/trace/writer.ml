@@ -15,8 +15,12 @@ type t = {
   mutable stage : Bytes.t;  (* encoded records not yet pushed *)
   mutable staged : int;  (* bytes used in [stage] *)
   mutable record_start : int;  (* where in [stage] the open record begins *)
+  mutable bound : bool;  (* the signal names and their order are fixed *)
+  mutable names : string array;  (* the bound names, in dictionary order *)
+  mutable readers : (unit -> Expr.value) array;  (* a bound table's readers *)
   mutable dict : dict_entry array;  (* [||] until the first sample *)
   mutable dict_written : bool;
+  mutable incoming : Expr.value array;  (* the sample being admitted *)
   mutable prev : Expr.value array;  (* last committed sample *)
   mutable have_prev : bool;
   mutable prev_time : int;
@@ -114,8 +118,12 @@ let create ~path meta =
       stage = Bytes.create 4096;
       staged = 0;
       record_start = 0;
+      bound = false;
+      names = [||];
+      readers = [||];
       dict = [||];
       dict_written = false;
+      incoming = [||];
       prev = [||];
       have_prev = false;
       prev_time = 0;
@@ -154,10 +162,30 @@ let kind_of_value = function
   | Expr.VBool _ -> Layout.kind_bool
   | Expr.VInt _ -> Layout.kind_int
 
-let write_dict t env =
+(* Fix the signal names and their order, and size the three value
+   arrays: the sample being admitted, the pending one and the last
+   committed one. *)
+let bind_names t names =
+  let n = Array.length names in
+  t.bound <- true;
+  t.names <- names;
+  t.incoming <- Array.make n (Expr.VBool false);
+  t.pending <- Array.make n (Expr.VBool false);
+  t.prev <- Array.make n (Expr.VBool false);
+  t.changed <- Array.make n false
+
+let bind t signals =
+  check_open t;
+  if t.bound then invalid_arg "Trace writer: signals already bound";
+  bind_names t (Array.of_list (List.map fst signals));
+  t.readers <- Array.of_list (List.map snd signals)
+
+(* The dictionary takes its kinds from the first sample admitted. *)
+let write_dict t =
   t.dict <-
-    Array.of_list
-      (List.map (fun (name, v) -> { name; kind = kind_of_value v }) env);
+    Array.mapi
+      (fun i name -> { name; kind = kind_of_value t.incoming.(i) })
+      t.names;
   let n = Array.length t.dict in
   if n > Layout.max_dictionary then invalid_arg "Trace writer: too many signals";
   add_char t Layout.tag_dict;
@@ -168,34 +196,15 @@ let write_dict t env =
       add_char t e.kind)
     t.dict;
   end_record t;
-  t.prev <- Array.make n (Expr.VBool false);
-  t.pending <- Array.make n (Expr.VBool false);
-  t.changed <- Array.make n false
+  t.dict_written <- true
 
-(* Check that an environment matches the dictionary — signal set,
-   order and kinds stable across the run — before anything changes. *)
-let check_env t env =
-  let n = Array.length t.dict in
-  let rec go i = function
-    | [] -> if i <> n then invalid_arg "Trace writer: sample is missing signals"
-    | (name, v) :: rest ->
-      if i >= n then invalid_arg "Trace writer: sample has extra signals";
-      let e = t.dict.(i) in
-      if not (String.equal e.name name) then
-        invalid_arg
-          (Printf.sprintf "Trace writer: signal %d is %S, dictionary says %S" i
-             name e.name);
-      if kind_of_value v <> e.kind then
-        invalid_arg (Printf.sprintf "Trace writer: signal %S changed kind" name);
-      go (i + 1) rest
-  in
-  go 0 env
-
-let rec fill values i = function
-  | [] -> ()
-  | (_, v) :: rest ->
-    Array.unsafe_set values i v;
-    fill values (i + 1) rest
+(* Once the dictionary is written, every value keeps its signal's
+   kind. *)
+let check_kind t i v =
+  if t.dict_written && kind_of_value v <> (Array.unsafe_get t.dict i).kind then
+    invalid_arg
+      (Printf.sprintf "Trace writer: signal %S changed kind"
+         (Array.unsafe_get t.names i))
 
 (* Encode the pending sample: delta time, change mask, then the
    changed bool values bit-packed and the changed ints as zigzag
@@ -252,20 +261,17 @@ let flush_pending t =
     commit t
   end
 
-let sample t ~time env =
-  check_open t;
-  if not t.dict_written then begin
-    write_dict t env;
-    t.dict_written <- true
-  end;
-  check_env t env;
+(* Admit the sample filled into [incoming] at [time]: the one path
+   both taps take once the values are in place.  A same-instant sample
+   overwrites the pending one (last-wins); a later one proves it final
+   and commits it.  The admitted array becomes the pending one. *)
+let admit t ~time =
+  if not t.dict_written then write_dict t;
   if t.have_pending then begin
     if time < t.pending_time then
       invalid_arg
         (Printf.sprintf "Trace writer: time went backwards (%d after %d)" time
            t.pending_time);
-    (* A same-instant sample overwrites the pending one (last-wins); a
-       later one proves it final. *)
     if time > t.pending_time then begin
       flush_pending t;
       t.n_samples <- t.n_samples + 1
@@ -278,9 +284,46 @@ let sample t ~time env =
            t.prev_time);
     t.n_samples <- t.n_samples + 1
   end;
-  fill t.pending 0 env;
+  let free = t.pending in
+  t.pending <- t.incoming;
+  t.incoming <- free;
   t.have_pending <- true;
   t.pending_time <- time
+
+let record t ~time =
+  check_open t;
+  let readers = t.readers and incoming = t.incoming in
+  if (not t.bound) || Array.length readers <> Array.length t.names then
+    invalid_arg "Trace writer: no signal table bound";
+  for i = 0 to Array.length readers - 1 do
+    let v = (Array.unsafe_get readers i) () in
+    check_kind t i v;
+    Array.unsafe_set incoming i v
+  done;
+  admit t ~time
+
+(* The list adapter: the first sample fixes the names; every sample
+   is checked against them — signal set, order and kinds stable across
+   the run — while it fills [incoming], before anything is admitted. *)
+let sample t ~time env =
+  check_open t;
+  if not t.bound then bind_names t (Array.of_list (List.map fst env));
+  let n = Array.length t.names in
+  let rec fill i = function
+    | [] -> if i <> n then invalid_arg "Trace writer: sample is missing signals"
+    | (name, v) :: rest ->
+      if i >= n then invalid_arg "Trace writer: sample has extra signals";
+      let expected = Array.unsafe_get t.names i in
+      if not (String.equal expected name) then
+        invalid_arg
+          (Printf.sprintf "Trace writer: signal %d is %S, dictionary says %S" i
+             name expected);
+      check_kind t i v;
+      Array.unsafe_set t.incoming i v;
+      fill (i + 1) rest
+  in
+  fill 0 env;
+  admit t ~time
 
 let span t ~label ~start_time ~end_time =
   check_open t;

@@ -2,12 +2,17 @@ open Tabv_psl
 
 (** Streaming binary trace writer.
 
-    Create one per recorded run, feed it {!sample}/{!span} calls from
-    the trace tap (which samples exactly where the checker pools do),
-    and {!close} it when the simulation ends.  Memory is O(signal count) plus one staging
-    buffer: two reused value arrays (the previous valuation, for
-    change masks, and at most one pending sample) and at most one
-    chunk of encoded records.
+    Create one per recorded run, {!bind} the model's signal table, feed
+    it {!record}/{!span} calls from the trace tap (which samples
+    exactly where the checker pools do), and {!close} it when the
+    simulation ends.  A bound table's readers are read straight into
+    the writer's slot array: a sample builds no list and compares no
+    name.  {!sample} takes an environment list instead, for tools and
+    tests; it validates the list and then admits the sample through
+    the same code.  Memory is O(signal count) plus one staging buffer:
+    three reused value arrays (the sample being admitted, at most one
+    pending sample, and the previous valuation, for change masks) and
+    at most one chunk of encoded records.
 
     Same-instant samples overwrite each other (last-wins): a TLM run
     may complete several transactions in one instant and checkers
@@ -29,8 +34,23 @@ type t
     @raise Tabv_core.Io.Io_error when the file cannot be created. *)
 val create : path:string -> Meta.t -> t
 
-(** Record the full environment at [time].  The first sample fixes the
-    signal dictionary (names, order, bool/int kinds); every later
+(** [bind t signals] fixes the signal names and their order to
+    [signals]' and keeps its readers for {!record}.  The dictionary is
+    written at the first sample, which also fixes each signal's
+    bool/int kind.
+    @raise Invalid_argument when names are already bound (by {!bind}
+    or a first {!sample}). *)
+val bind : t -> (string * (unit -> Expr.value)) list -> unit
+
+(** [record t ~time] reads every bound reader, in order, into the
+    sample at [time].
+    @raise Invalid_argument when no table is bound, on time going
+    backwards, or a value changing kind.
+    @raise Tabv_core.Io.Io_error when a full chunk cannot be written. *)
+val record : t -> time:int -> unit
+
+(** Record the full environment at [time], as a list.  The first
+    sample fixes the signal names unless a table is bound; every
     sample must present the same signals in the same order.
     @raise Invalid_argument on time going backwards, a dictionary
     mismatch, or a value changing kind.

@@ -446,11 +446,11 @@ let write_sweep_trace path =
       Writer.span w ~label:"write" ~start_time:15 ~end_time:35)
 
 (* Stream everything, returning the entries surfaced before the first
-   [Format_error] (if any) and where the damage was reported. *)
+   [Format_error] (if any) and how and where the damage was reported. *)
 let drain path =
   match Reader.open_file path with
-  | exception Reader.Format_error { offset; valid_prefix; _ } ->
-    ([], Some (offset, valid_prefix))
+  | exception Reader.Format_error { message; offset; valid_prefix; _ } ->
+    ([], Some (message, offset, valid_prefix))
   | t ->
     let acc = ref [] and err = ref None in
     (try
@@ -462,10 +462,49 @@ let drain path =
          | None -> ()
        in
        go ()
-     with Reader.Format_error { offset; valid_prefix; _ } ->
-       err := Some (offset, valid_prefix));
+     with Reader.Format_error { message; offset; valid_prefix; _ } ->
+       err := Some (message, offset, valid_prefix));
     Reader.close t;
     (List.rev !acc, !err)
+
+(* The stepping path over the same file (the offline checker's): the
+   dictionary first, then every sample's time and valuation, and how
+   and where it reported damage. *)
+let step_drain path =
+  match Reader.open_file path with
+  | exception Reader.Format_error { message; offset; valid_prefix; _ } ->
+    ([], Some (message, offset, valid_prefix))
+  | t ->
+    let acc = ref [] and err = ref None in
+    (try
+       ignore (Reader.dictionary t);
+       let rec go () =
+         match Reader.step t with
+         | Reader.Changed | Reader.Unchanged ->
+           acc := (Reader.time t, Array.to_list (Reader.values t)) :: !acc;
+           go ()
+         | Reader.End -> ()
+       in
+       go ()
+     with Reader.Format_error { message; offset; valid_prefix; _ } ->
+       err := Some (message, offset, valid_prefix));
+    Reader.close t;
+    (List.rev !acc, !err)
+
+let samples_of entries =
+  List.filter_map
+    (function
+      | Tabv_trace.Entry.Sample { time; env } -> Some (time, List.map snd env)
+      | Tabv_trace.Entry.Span _ -> None)
+    entries
+
+(* Both decoding paths must surface the same samples and report the
+   same damage: message, offset and verified prefix. *)
+let check_paths_agree what path entries err =
+  let stepped, step_err = step_drain path in
+  if step_err <> err then Alcotest.failf "%s: stepping reported other damage" what;
+  if stepped <> samples_of entries then
+    Alcotest.failf "%s: stepping surfaced other samples" what
 
 let trace_sweep_cases =
   [ case "truncating a trace at any byte reports the verified prefix"
@@ -477,11 +516,14 @@ let trace_sweep_cases =
           let clean, clean_err = drain path in
           Alcotest.(check bool) "clean trace reads clean" true
             (clean_err = None);
+          check_paths_agree "clean" path clean clean_err;
           for cut = 0 to String.length full - 1 do
             write_raw path (String.sub full 0 cut);
-            match drain path with
-            | _, None -> Alcotest.failf "cut at %d went undetected" cut
-            | entries, Some (offset, valid_prefix) ->
+            let entries, err = drain path in
+            check_paths_agree (Printf.sprintf "cut at %d" cut) path entries err;
+            match err with
+            | None -> Alcotest.failf "cut at %d went undetected" cut
+            | Some (_, offset, valid_prefix) ->
               if not (is_prefix entries clean) then
                 Alcotest.failf "cut at %d surfaced out-of-prefix entries" cut;
               if valid_prefix > cut then
@@ -499,9 +541,11 @@ let trace_sweep_cases =
           let clean, _ = drain path in
           for i = 0 to String.length full - 1 do
             write_raw path (flip_byte full i);
-            match drain path with
-            | _, None -> Alcotest.failf "flip at %d went undetected" i
-            | entries, Some _ ->
+            let entries, err = drain path in
+            check_paths_agree (Printf.sprintf "flip at %d" i) path entries err;
+            match err with
+            | None -> Alcotest.failf "flip at %d went undetected" i
+            | Some _ ->
               if not (is_prefix entries clean) then
                 Alcotest.failf "flip at %d surfaced out-of-prefix entries" i
           done)) ]

@@ -278,7 +278,37 @@ let q2_cases =
         (Testbench.total_failures result > 0
          || List.exists (fun s -> s.Checker_snapshot.pending > 0) result.Testbench.checker_stats)) ]
 
+(* --- one signal table per model --- *)
+
+(* Checker pools and the trace tap both read a model's one signal
+   table, in its order: the order is the trace dictionary's, so it must
+   be the DUV's documented signal order at every level. *)
+let signal_table_cases =
+  [ case "each model's signal table lists its DUV's signals in order" (fun () ->
+      List.iter
+        (fun (name, m) ->
+          let expected =
+            match m with
+            | Models.Des56_rtl | Des56_ca | Des56_at | Des56_lt ->
+              Des56_iface.signal_names
+            | Colorconv_rtl | Colorconv_ca | Colorconv_at ->
+              Colorconv_iface.signal_names
+            | Memctrl_rtl | Memctrl_ca | Memctrl_at -> Memctrl_iface.signal_names
+          in
+          let (Models.Entry (model, workload)) = Models.entry m in
+          let elaborated =
+            model.Testbench.elaborate
+              (Tabv_sim.Kernel.create ())
+              ~gap_cycles:2 ~emit:ignore
+              (workload ~seed:1 ~ops:1)
+          in
+          Alcotest.(check (list string))
+            (name ^ " table") expected
+            (List.map fst elaborated.Testbench.signals))
+        Models.names;
+      Alcotest.(check int) "ten models" 10 (List.length Models.names)) ]
+
 let suite =
   ("duv_models",
    functional_cases @ timing_equivalence_cases @ abv_cases @ consistency_cases
-   @ lt_cases @ q2_cases @ more_timing_equivalence_cases)
+   @ lt_cases @ q2_cases @ more_timing_equivalence_cases @ signal_table_cases)

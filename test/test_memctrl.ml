@@ -83,4 +83,31 @@ let abv_cases =
       Alcotest.(check bool) "tn2 fails" true (List.mem "tn2" failed);
       Alcotest.(check bool) "tn1 unaffected" false (List.mem "tn1" failed)) ]
 
-let suite = ("memctrl", functional_cases @ abstraction_cases @ abv_cases)
+(* The generator's op lists, pinned by digest against the quadratic
+   list-based generator it replaced: the same draws pick the same
+   addresses. *)
+let render ops =
+  String.concat ";"
+    (List.map
+       (function
+         | Memctrl_iface.Write { addr; wdata } -> Printf.sprintf "W%d,%d" addr wdata
+         | Memctrl_iface.Read { addr } -> Printf.sprintf "R%d" addr)
+       ops)
+
+let workload_cases =
+  [ case "workload op lists are pinned" (fun () ->
+      List.iter
+        (fun (seed, count, digest) ->
+          Alcotest.(check string)
+            (Printf.sprintf "seed %d, %d ops" seed count)
+            digest
+            (Digest.to_hex
+               (Digest.string (render (Workload.memctrl ~seed ~count ())))))
+        [ (1, 1, "3081b7e0a3fd035249c89d8f64931283");
+          (42, 20, "523d86aeccc5b659d786d9862a11efc2");
+          (7, 300, "3f97f3aa2b858f3c9fec5df077029924");
+          (13, 2000, "cb675a0c8b80d96812f4a8d17781c517");
+          (1, 16000, "b946dc3cf869f8602a3310ce4b928aa8") ]) ]
+
+let suite =
+  ("memctrl", functional_cases @ abstraction_cases @ abv_cases @ workload_cases)

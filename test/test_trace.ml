@@ -324,10 +324,30 @@ let offline_cases =
             (Tabv_checker.Offline.over_seq properties (List.to_seq entries))
         in
         let offline_universe = Tabv_checker.Progression.cache_stats () in
+        (* The same samples recorded through the writer and re-checked
+           through the reader's stepping path: slot-resolved atoms, and
+           the change mask instead of physical equality. *)
+        let recorded, recorded_universe =
+          with_temp (fun path ->
+              Writer.with_file ~path meta (fun w ->
+                  List.iter
+                    (function
+                      | Entry.Sample { time; env } -> Writer.sample w ~time env
+                      | Entry.Span _ -> ())
+                    entries);
+              Tabv_checker.Progression.reset_universe ();
+              let snapshots =
+                Tabv_checker.Offline.snapshots
+                  (Tabv_checker.Offline.over_file properties path)
+              in
+              (snapshots, Tabv_checker.Progression.cache_stats ()))
+        in
         Tabv_checker.Progression.reset_universe ();
         let stepped = step_every_sample properties entries in
-        offline = stepped
-        && offline_universe = Tabv_checker.Progression.cache_stats ());
+        let stepped_universe = Tabv_checker.Progression.cache_stats () in
+        offline = stepped && recorded = stepped
+        && offline_universe = stepped_universe
+        && recorded_universe = stepped_universe);
     case "over_file matches over_trace on a recorded run" (fun () ->
       let trace = des56_trace 12 in
       let props = Tabv_duv.Des56_props.all in
@@ -595,7 +615,124 @@ let memory_cases =
               Alcotest.failf "live words grew by %d while writing" growth))
   ]
 
+(* --- the stepping reader's edge cases ------------------------------ *)
+
+let steps reader =
+  let rec go acc =
+    match Reader.step reader with
+    | Reader.End -> List.rev acc
+    | Reader.Changed -> go ((Reader.time reader, true) :: acc)
+    | Reader.Unchanged -> go ((Reader.time reader, false) :: acc)
+  in
+  go []
+
+let transaction_property name formula =
+  Property.make ~name ~context:(Context.Transaction Context.Base_trans) formula
+
+let edge_cases =
+  [ case "a zero-signal trace steps unchanged and rechecks like its entries"
+      (fun () ->
+        with_temp (fun path ->
+            Writer.with_file ~path meta (fun w ->
+                List.iter (fun time -> Writer.sample w ~time []) [ 0; 10; 30 ]);
+            Reader.with_file path (fun reader ->
+                Alcotest.(check (list string)) "no signals" []
+                  (Reader.dictionary reader);
+                Alcotest.(check (list (pair int bool)))
+                  "every sample unchanged"
+                  [ (0, false); (10, false); (30, false) ]
+                  (steps reader));
+            (* Constant atoms only: the valuation is never primed, and
+               every monitor takes a plain step. *)
+            let properties =
+              [ transaction_property "z1"
+                  (Ltl.Always (Ltl.Next_n (1, Ltl.Atom (Expr.Bool true))));
+                transaction_property "z2" (Ltl.Eventually (Ltl.Atom (Expr.Bool false)))
+              ]
+            in
+            let _, trace = Reader.read_trace path in
+            Tabv_checker.Progression.reset_universe ();
+            let of_entries =
+              Tabv_checker.Offline.snapshots
+                (Tabv_checker.Offline.over_trace properties trace)
+            in
+            let rechecked =
+              Tabv_campaign.Recheck.run ~workers:1 ~retries:0 ~trace:path
+                properties
+            in
+            Alcotest.(check int) "samples" 3 rechecked.Tabv_campaign.Recheck.samples;
+            Alcotest.(check bool) "same snapshots" true
+              (of_entries = rechecked.Tabv_campaign.Recheck.snapshots)));
+    case "spans before the dictionary are decoded, not samples" (fun () ->
+      with_temp (fun path ->
+          Writer.with_file ~path meta (fun w ->
+              Writer.span w ~label:"read" ~start_time:0 ~end_time:5;
+              Writer.span w ~label:"write" ~start_time:2 ~end_time:8;
+              Writer.sample w ~time:10 [ ("a", Expr.VBool true); ("n", Expr.VInt 4) ];
+              Writer.sample w ~time:20 [ ("a", Expr.VBool true); ("n", Expr.VInt 4) ];
+              Writer.sample w ~time:30 [ ("a", Expr.VBool true); ("n", Expr.VInt 5) ]);
+          Reader.with_file path (fun reader ->
+              Alcotest.(check (list string)) "not read yet" [] (Reader.signals reader);
+              Alcotest.(check (list string)) "dictionary" [ "a"; "n" ]
+                (Reader.dictionary reader);
+              Alcotest.(check int) "spans on the way" 2 (Reader.spans reader);
+              Alcotest.(check int) "no sample consumed" 0 (Reader.samples reader);
+              Alcotest.(check (list (pair int bool)))
+                "steps" [ (10, true); (20, false); (30, true) ] (steps reader);
+              Alcotest.(check bool) "last valuation" true
+                (Reader.values reader = [| Expr.VBool true; Expr.VInt 5 |]));
+          let seen = ref [] in
+          let rechecked =
+            Tabv_campaign.Recheck.run_validated ~retries:0 ~trace:path
+              (fun _meta signals ->
+                seen := signals;
+                Ok (1, [ transaction_property "p" (Ltl.Always (Ltl.Atom (Expr.Var "a"))) ]))
+          in
+          Alcotest.(check (list string)) "planned on the dictionary" [ "a"; "n" ] !seen;
+          match rechecked with
+          | Error () -> Alcotest.fail "refused"
+          | Ok result ->
+            Alcotest.(check int) "samples" 3 result.Tabv_campaign.Recheck.samples;
+            Alcotest.(check int) "spans" 2 result.Tabv_campaign.Recheck.spans;
+            Alcotest.(check int) "no failures" 0
+              (Tabv_campaign.Recheck.total_failures result)));
+    case "a refused plan returns its refusal" (fun () ->
+      with_temp (fun path ->
+          Writer.with_file ~path meta (fun w ->
+              Writer.sample w ~time:0 [ ("a", Expr.VBool true) ]);
+          match
+            Tabv_campaign.Recheck.run_validated ~retries:0 ~trace:path
+              (fun meta signals ->
+                Error (meta.Meta.model, signals))
+          with
+          | Ok _ -> Alcotest.fail "ran a refused plan"
+          | Error (model, signals) ->
+            Alcotest.(check string) "meta" "test-model" model;
+            Alcotest.(check (list string)) "signals" [ "a" ] signals));
+    Alcotest.test_case "an unchanged sample allocates nothing" `Slow (fun () ->
+        with_temp (fun path ->
+            let n = 50_000 in
+            Writer.with_file ~path meta (fun w ->
+                for i = 0 to n - 1 do
+                  Writer.sample w ~time:(i * 10)
+                    [ ("a", Expr.VBool true); ("n", Expr.VInt 3) ]
+                done);
+            Reader.with_file path (fun reader ->
+                ignore (Reader.dictionary reader);
+                Alcotest.(check bool) "first sample changed" true
+                  (Reader.step reader = Reader.Changed);
+                let before = Gc.minor_words () in
+                let unchanged = ref 0 in
+                while Reader.step reader = Reader.Unchanged do
+                  incr unchanged
+                done;
+                let words = Gc.minor_words () -. before in
+                Alcotest.(check int) "unchanged samples" (n - 1) !unchanged;
+                if words > 1000. then
+                  Alcotest.failf "%.0f minor words for %d unchanged samples" words
+                    !unchanged))) ]
+
 let suite =
   ( "trace",
     roundtrip_cases @ corrupt_cases @ offline_cases @ recheck_cases
-    @ chunk_cases @ memory_cases )
+    @ chunk_cases @ memory_cases @ edge_cases )
