@@ -46,7 +46,6 @@ let signals obs =
     ("cr", fun () -> Duv_util.vint obs.cr) ]
   @ List.mapi (fun i name -> (name, fun () -> Duv_util.vbool obs.valids.(i))) valid_names
 
-
 type frame = {
   c_dv : bool;
   c_r : int;

@@ -48,7 +48,6 @@ let signals obs =
     ("ack_next_cycle", fun () -> Duv_util.vbool obs.ack_next_cycle);
     ("rdata", fun () -> Duv_util.vint obs.rdata) ]
 
-
 type frame = {
   m_req : bool;
   m_we : bool;
