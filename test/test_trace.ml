@@ -696,19 +696,39 @@ let edge_cases =
             Alcotest.(check int) "spans" 2 result.Tabv_campaign.Recheck.spans;
             Alcotest.(check int) "no failures" 0
               (Tabv_campaign.Recheck.total_failures result)));
-    case "a refused plan returns its refusal" (fun () ->
+    case "a refused plan returns its refusal and leaks no descriptor" (fun () ->
+      let open_fds () =
+        match Sys.readdir "/proc/self/fd" with
+        | entries -> Some (Array.length entries)
+        | exception Sys_error _ -> None
+      in
       with_temp (fun path ->
           Writer.with_file ~path meta (fun w ->
               Writer.sample w ~time:0 [ ("a", Expr.VBool true) ]);
-          match
-            Tabv_campaign.Recheck.run_validated ~retries:0 ~trace:path
-              (fun meta signals ->
-                Error (meta.Meta.model, signals))
-          with
-          | Ok _ -> Alcotest.fail "ran a refused plan"
-          | Error (model, signals) ->
-            Alcotest.(check string) "meta" "test-model" model;
-            Alcotest.(check (list string)) "signals" [ "a" ] signals));
+          let before = open_fds () in
+          (match
+             Tabv_campaign.Recheck.run_validated ~retries:0 ~trace:path
+               (fun meta signals -> Error (meta.Meta.model, signals))
+           with
+           | Ok _ -> Alcotest.fail "ran a refused plan"
+           | Error (model, signals) ->
+             Alcotest.(check string) "meta" "test-model" model;
+             Alcotest.(check (list string)) "signals" [ "a" ] signals);
+          (match
+             Tabv_campaign.Recheck.run_validated ~retries:0 ~trace:path
+               (fun _ _ -> failwith "plan raised")
+           with
+           | Ok _ | Error () -> Alcotest.fail "a raising plan returned"
+           | exception Failure _ -> ());
+          let full = In_channel.(with_open_bin path input_all) in
+          write_bytes path (String.sub full 0 (String.length full - 1));
+          (match
+             Tabv_campaign.Recheck.run_validated ~retries:0 ~trace:path
+               (fun _ _ -> Ok (1, []))
+           with
+           | Ok _ | Error () -> Alcotest.fail "a damaged trace rechecked"
+           | exception Reader.Format_error _ -> ());
+          Alcotest.(check (option int)) "no descriptor leaked" before (open_fds ())));
     Alcotest.test_case "an unchanged sample allocates nothing" `Slow (fun () ->
         with_temp (fun path ->
             let n = 50_000 in
