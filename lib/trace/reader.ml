@@ -422,23 +422,22 @@ let rec step t =
     | End_record -> End
     | Dictionary | Label | Span_record -> step t
 
-(* An env is rebuilt only when [values] changed since the last one;
-   a sample with no changes re-emits the previous env physically. *)
-let refresh_env t =
-  t.env_cache <-
-    List.init (Array.length t.dict) (fun i -> (t.dict.(i).name, t.values.(i)));
-  t.env_current <- true
-
+(* An env is rebuilt only when [values] changed since the last one
+   was built; a sample with no changes re-emits the previous env
+   physically. *)
 let sample_entry t =
-  if not t.env_current then refresh_env t;
+  if not t.env_current then begin
+    t.env_cache <-
+      List.init (Array.length t.dict) (fun i -> (t.dict.(i).name, t.values.(i)));
+    t.env_current <- true
+  end;
   Entry.Sample { time = t.prev_time; env = t.env_cache }
 
 let rec next t =
   if not (live t) then None
   else
     match read_record t with
-    | Changed_sample -> Some (sample_entry t)
-    | Unchanged_sample -> Some (sample_entry t)
+    | Changed_sample | Unchanged_sample -> Some (sample_entry t)
     | Span_record ->
       Some
         (Entry.Span
