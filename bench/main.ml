@@ -1256,7 +1256,7 @@ let durability_gate ~quick =
   with_scratch_dir "tabv_bench_dur" @@ fun dir ->
   let path = Journal.state_path ~dir ~kind:journal_kind ~fingerprint:fp in
   let journaled ~resume =
-    match Journal.open_ ~path ~kind:journal_kind ~fingerprint:fp ~resume () with
+    match Journal.open_ ~path ~kind:journal_kind ~fingerprint:fp ~resume with
     | Error msg -> failwith ("durability bench: " ^ msg)
     | Ok journal ->
       Fun.protect

@@ -6,7 +6,9 @@
    journal / interrupt plumbing and the JSON report writers — because
    the whole point of recording is that `record` + `recheck` is
    byte-identical to the live `check`.  One spec here, many terms
-   there. *)
+   there; what each job admits and refuses lives in the libraries
+   ([Models.simulate], [Recheck.plan], [Campaign.admit]), which the
+   serve daemon calls too. *)
 
 open Cmdliner
 open Tabv_psl
@@ -24,50 +26,71 @@ let fail cmd msg =
   Printf.eprintf "tabv %s: %s\n" cmd msg;
   exit 2
 
-(* --- models --------------------------------------------------------
+(* --- models -------------------------------------------------------- *)
 
-   The catalog itself (names, property sets, testbench dispatch) lives
-   in [Tabv_duv.Models] so the serve daemon executes requests through
-   exactly the plumbing the one-shot subcommands use; this section only
-   dresses it in cmdliner clothes. *)
+let model_enum = Arg.enum Models.names
 
-type model = Models.t
-
-let model_conv = Arg.enum Models.names
-let model_name = Models.name
-let model_of_name = Models.of_name
+let model_doc =
+  "One of des56-rtl, des56-tlm-ca, des56-tlm-at, des56-tlm-lt, \
+   colorconv-rtl, colorconv-tlm-ca, colorconv-tlm-at, memctrl-rtl, \
+   memctrl-tlm-ca, memctrl-tlm-at."
 
 let model_arg =
   Arg.(
     required
-    & opt (some model_conv) None
-    & info [ "model"; "m" ] ~docv:"MODEL"
-        ~doc:
-          "One of des56-rtl, des56-tlm-ca, des56-tlm-at, des56-tlm-lt, \
-           colorconv-rtl, colorconv-tlm-ca, colorconv-tlm-at, memctrl-rtl, \
-           memctrl-tlm-ca, memctrl-tlm-at.")
+    & opt (some model_enum) None
+    & info [ "model"; "m" ] ~docv:"MODEL" ~doc:model_doc)
 
-(* --- workload flags ----------------------------------------------- *)
+(* --- workload flags -----------------------------------------------
 
-let ops_arg =
-  Arg.(
-    value & opt int 200
-    & info [ "ops"; "n" ] ~docv:"N" ~doc:"Workload size (operations or pixels).")
+   `check` and `record` run 200 operations of seed 42 by default; a
+   qualification matrix runs 40 of seed 1.  `tabv client` leaves the
+   flags unset and takes the default of the subcommand it mirrors. *)
 
-let seed_arg =
-  Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Workload seed.")
+let check_seed = 42
+let check_size = 200
+let qualify_seed = 1
+let qualify_size = 40
 
-let props_arg =
-  Arg.(
-    value
-    & opt (some file) None
-    & info [ "props"; "p" ] ~docv:"FILE"
-        ~doc:
-          "Check the RTL properties from this file instead of the built-in \
-           set.  On an approximately-timed model the properties are first \
-           abstracted with Methodology III.1 (clock 10 ns, the model's \
-           abstracted signals); only the automatically-safe results are \
-           attached.")
+let ops_info =
+  Arg.info [ "ops"; "n" ] ~docv:"N" ~doc:"Workload size (operations or pixels)."
+
+let seed_info = Arg.info [ "seed" ] ~docv:"SEED" ~doc:"Workload seed."
+let ops_arg = Arg.(value & opt int check_size & ops_info)
+let seed_arg = Arg.(value & opt int check_seed & seed_info)
+
+let props_info =
+  Arg.info [ "props"; "p" ] ~docv:"FILE"
+    ~doc:
+      "Check the RTL properties from this file instead of the built-in \
+       set.  On an approximately-timed model the properties are first \
+       abstracted with Methodology III.1 (clock 10 ns, the model's \
+       abstracted signals); only the automatically-safe results are \
+       attached."
+
+let props_arg = Arg.(value & opt (some file) None & props_info)
+
+(* [levels ~fail names] — abstraction levels by name; none named means
+   the three timing-equivalent levels. *)
+let levels ~fail names =
+  List.map
+    (fun name ->
+      match Models.level_of_name name with
+      | Some l -> l
+      | None -> fail (Printf.sprintf "unknown level %S" name))
+    (if names = [] then [ "rtl"; "tlm-ca"; "tlm-at" ] else names)
+
+let duv ~fail name =
+  match Models.duv_of_name name with
+  | Some d -> d
+  | None -> fail (Printf.sprintf "unknown DUV %S" name)
+
+(* A worker-count flag: at least 1, and by default the machine's
+   recommended domain count capped by the work items. *)
+let workers ~fail ~cap = function
+  | Some w when w >= 1 -> w
+  | Some w -> fail (Printf.sprintf "--workers must be >= 1 (got %d)" w)
+  | None -> min (Domain.recommended_domain_count ()) cap
 
 (* --- property files ----------------------------------------------- *)
 
@@ -78,15 +101,10 @@ let parse_props_file path =
     Printf.eprintf "%s:%d:%d: %s\n" path line col message;
     exit 1
 
-(* The user's property file, if any.  One naming signals the model
-   lacks is a usage error, refused before anything runs. *)
-let user_props ~fail model =
-  Option.map (fun path ->
-      let properties = parse_props_file path in
-      (match Models.check_signals model properties with
-       | Ok () -> ()
-       | Error message -> fail (Printf.sprintf "%s: %s" path message));
-      properties)
+(* The property source of a `-p FILE` flag: read when the job is
+   admitted, named by its path. *)
+let props_source path : Models.props =
+ fun () -> Ok (Option.map (fun path -> (path, parse_props_file path)) path)
 
 (* --- executor / journal / interrupt plumbing ---------------------- *)
 
@@ -138,23 +156,6 @@ let executor_of_flags ~fail ~isolate ~timeout =
   | false, None -> config In_domain
   | true, timeout -> config ?job_timeout_s:timeout Subprocess
 
-(* Open (or not) the journal named by the flags. *)
-let journal_of_flags ~fail ~kind ~fingerprint ~path ~resume =
-  match (path, resume) with
-  | None, true -> fail "--resume requires --journal"
-  | None, false -> None
-  | Some path, resume ->
-    (match Tabv_campaign.Journal.open_ ~path ~kind ~fingerprint ~resume () with
-     | Ok j ->
-       let dropped = Tabv_campaign.Journal.truncated_bytes j in
-       if dropped > 0 then
-         Printf.eprintf
-           "%s: dropped %d bytes of torn/corrupt journal suffix (the \
-            affected jobs will re-run)\n%!"
-           path dropped;
-       Some j
-     | Error msg -> fail (Printf.sprintf "%s: %s" path msg))
-
 (* Run [f interrupted] with SIGINT/SIGTERM captured into [interrupted]
    (restoring the previous dispositions afterwards), so a ^C drains
    gracefully: workers die, the journal keeps its completed records,
@@ -169,6 +170,29 @@ let with_interrupt f =
       Sys.set_signal Sys.sigint previous_int;
       Sys.set_signal Sys.sigterm previous_term)
     (fun () -> f (fun () -> Atomic.get flag))
+
+(* Run [f journal interrupted] under [with_interrupt] and the journal
+   the flags name, if any, closed afterwards whatever happens. *)
+let with_journal ~fail ~kind ~fingerprint ~path ~resume f =
+  let journal =
+    match (path, resume) with
+    | None, true -> fail "--resume requires --journal"
+    | None, false -> None
+    | Some path, resume ->
+      (match Tabv_campaign.Journal.open_ ~path ~kind ~fingerprint ~resume with
+       | Ok j ->
+         let dropped = Tabv_campaign.Journal.truncated_bytes j in
+         if dropped > 0 then
+           Printf.eprintf
+             "%s: dropped %d bytes of torn/corrupt journal suffix (the \
+              affected jobs will re-run)\n%!"
+             path dropped;
+         Some j
+       | Error msg -> fail (Printf.sprintf "%s: %s" path msg))
+  in
+  Fun.protect
+    ~finally:(fun () -> Option.iter Tabv_campaign.Journal.close journal)
+    (fun () -> with_interrupt (f journal))
 
 (* The "how to pick the run back up" part of an interrupt message. *)
 let resume_hint = function
@@ -196,5 +220,17 @@ let report_json_arg ~doc =
     & opt (some string) None
     & info [ "report-json" ] ~docv:"FILE" ~doc)
 
-let verdict_report ~model ~seed ~ops result =
-  Models.verdict_report model ~seed ~ops result
+(* The verdict line of check, record and recheck: exit 1 listing every
+   failure, or say that all checkers passed. *)
+let print_verdict snapshots =
+  match Tabv_obs.Checker_snapshot.total_failures snapshots with
+  | 0 -> print_endline "all checkers passed"
+  | failures ->
+    Printf.printf "%d failure(s):\n" failures;
+    List.iter
+      (fun stat ->
+        List.iter
+          (fun f -> Format.printf "  %a@." Tabv_checker.Monitor.pp_failure f)
+          stat.Tabv_obs.Checker_snapshot.failures)
+      snapshots;
+    exit 1

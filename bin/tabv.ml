@@ -139,18 +139,6 @@ let check_report_json_arg =
 let simulate_run ~cmd trace_out model count seed props_file metrics_flag
     metrics_json report_out =
   let fail = Cli.fail cmd in
-  (* A trace that cannot be opened, written or synced is reported by
-     operation and path, not as an uncaught exception. *)
-  let storage f =
-    try f ()
-    with Tabv_core.Io.Io_error { op; path; error } ->
-      fail
-        (Printf.sprintf "storage failure: %s on %s: %s" op path
-           (Unix.error_message error))
-  in
-  (match Models.check_ops count with
-   | Ok () -> ()
-   | Error message -> fail message);
   let metrics =
     if metrics_flag || metrics_json <> None then begin
       let m = Tabv_obs.Metrics.create ~enabled:true () in
@@ -162,31 +150,19 @@ let simulate_run ~cmd trace_out model count seed props_file metrics_flag
     end
     else None
   in
-  let user = Cli.user_props ~fail model props_file in
-  let properties, grid_properties = Models.properties_for model user in
-  let writer =
-    match trace_out with
-    | None -> None
-    | Some path ->
-      if not (Models.supports_trace model) then
-        fail
-          (Printf.sprintf
-             "%s records no trace (the loosely-timed model is deliberately \
-              not timing equivalent, so a recording would not replay \
-              meaningfully)"
-             (Cli.model_name model));
-      let meta =
-        Tabv_trace.Meta.make ~model:(Cli.model_name model) ~seed ~ops:count
-      in
-      Some (storage (fun () -> Tabv_trace.Writer.create ~path meta))
-  in
-  let result =
-    storage (fun () ->
-        Tabv_trace.Writer.protect writer (fun () ->
-            Models.run
-              { Testbench.default with
-                properties; grid_properties; metrics; trace_writer = writer }
-              model ~seed ~ops:count))
+  let result, writer =
+    match
+      Models.simulate ?metrics ?trace_out model ~seed ~ops:count
+        ~props:(Cli.props_source props_file)
+    with
+    | Ok run -> run
+    | Error message -> fail message
+    (* A trace that cannot be opened, written or synced is reported by
+       operation and path, not as an uncaught exception. *)
+    | exception Tabv_core.Io.Io_error { op; path; error } ->
+      fail
+        (Printf.sprintf "storage failure: %s on %s: %s" op path
+           (Unix.error_message error))
   in
   Printf.printf "simulated %dns, %d operations, %d kernel activations, %d transactions\n"
     result.Testbench.sim_time_ns result.Testbench.completed_ops
@@ -241,7 +217,7 @@ let simulate_run ~cmd trace_out model count seed props_file metrics_flag
      Cli.write_json ~announce:"metrics" path
        (Testbench.metrics_json
           ~run:
-            [ ("model", String (Cli.model_name model));
+            [ ("model", String (Models.name model));
               ("seed", Int seed);
               ("ops", Int count) ]
           result));
@@ -249,19 +225,8 @@ let simulate_run ~cmd trace_out model count seed props_file metrics_flag
    | None -> ()
    | Some path ->
      Cli.write_json ~announce:"verdict report" path
-       (Cli.verdict_report ~model ~seed ~ops:count result));
-  let failures = Testbench.total_failures result in
-  if failures = 0 then print_endline "all checkers passed"
-  else begin
-    Printf.printf "%d failure(s):\n" failures;
-    List.iter
-      (fun stat ->
-        List.iter
-          (fun f -> Format.printf "  %a@." Tabv_checker.Monitor.pp_failure f)
-          stat.Checker_snapshot.failures)
-      result.Testbench.checker_stats;
-    exit 1
-  end
+       (Models.verdict_report model ~seed ~ops:count result));
+  Cli.print_verdict result.Testbench.checker_stats
 
 let check_cmd =
   let doc = "Run a built-in DUV model with its property checkers attached." in
@@ -311,8 +276,11 @@ let recheck_cmd =
   in
   let executor =
     Arg.(value
-         & opt (Arg.enum [ ("in-domain", `In_domain); ("subprocess", `Subprocess) ])
-             `In_domain
+         & opt
+             (Arg.enum
+                [ ("in-domain", Tabv_campaign.Executor.In_domain);
+                  ("subprocess", Tabv_campaign.Executor.Subprocess) ])
+             Tabv_campaign.Executor.In_domain
          & info [ "executor" ] ~docv:"KIND"
              ~doc:"Where chunks run: $(b,in-domain) (worker domains in this \
                    process) or $(b,subprocess) (crash-isolated worker \
@@ -330,74 +298,21 @@ let recheck_cmd =
          the recorded run."
   in
   let run trace_in props workers executor retries report_out =
-    let fail = Cli.fail "recheck" in
     let open Tabv_campaign in
-    (* The gate judges the header and dictionary of the reader the
-       recheck then steps, so the trace is opened once.  A non-trace
-       file, a stale version or a truncated header is a usage error
-       (exit 2), reported with the trace's identity when we have
-       one. *)
-    let plan meta trace_signals =
-      let model =
-        match Cli.model_of_name meta.Tabv_trace.Meta.model with
-        | Some model -> model
-        | None ->
-          fail
-            (Format.asprintf
-               "%s: recorded from unknown model %a — stale trace or newer tabv?"
-               trace_in Tabv_trace.Meta.pp meta)
-      in
-      let user = Cli.user_props ~fail model props in
-      let properties, grid_properties = Models.properties_for model user in
-      if grid_properties <> [] then
-        fail
-          (Printf.sprintf
-             "%d propert%s need full-grid transactions (grid wrapper) and \
-              cannot be re-checked against a recorded trace: %s"
-             (List.length grid_properties)
-             (if List.length grid_properties = 1 then "y" else "ies")
-             (String.concat ", "
-                (List.map (fun p -> p.Property.name) grid_properties)));
-      if properties = [] then fail "no properties to re-check";
-      (* Fingerprint/dictionary gate: every signal a property samples
-         must have been recorded, or the verdicts would silently differ
-         from a live check.  (An empty trace has no dictionary; nothing
-         is sampled either, so any property set is fine.) *)
-      if trace_signals <> [] then begin
-        let missing = Property.missing_signals ~known:trace_signals properties in
-        if missing <> [] then
-          fail
-            (Format.asprintf
-               "%s: trace (%a) does not record signal(s) %s — stale trace or \
-                mismatched property set"
-               trace_in Tabv_trace.Meta.pp meta
-               (String.concat ", " missing))
-      end;
-      let workers =
-        match workers with
-        | Some w when w >= 1 -> w
-        | Some w -> fail (Printf.sprintf "--workers must be >= 1 (got %d)" w)
-        | None ->
-          min (Domain.recommended_domain_count ()) (List.length properties)
-      in
-      Ok (workers, properties)
-    in
-    let exec =
-      match executor with
-      | `In_domain -> Executor.config Executor.In_domain
-      | `Subprocess -> Executor.config Executor.Subprocess
-    in
+    (* The plan judges the header and dictionary of the reader the
+       recheck then steps, so the trace is opened once.  A damaged
+       trace and every refusal of the plan are usage errors (exit 2). *)
     let result =
       match
         Cli.with_interrupt (fun interrupted ->
-            Recheck.run_validated ~exec ~interrupted ~retries ~trace:trace_in plan)
+            Tabv_trace.Reader.catch_format_error (fun () ->
+                Recheck.run_validated ~exec:(Executor.config executor)
+                  ~interrupted ~retries ~trace:trace_in
+                  (Recheck.plan ~trace:trace_in
+                     ~props:(Cli.props_source props) ~workers)))
       with
-      | result -> Result.get_ok result
-      | exception
-          Tabv_trace.Reader.Format_error { path; message; offset; valid_prefix } ->
-        fail
-          (Printf.sprintf "%s: %s (at byte %d; verified prefix %d bytes)" path
-             message offset valid_prefix)
+      | Ok result -> result
+      | Error refusal -> Cli.fail "recheck" refusal
       | exception Recheck.Chunk_failed message ->
         Printf.eprintf "tabv recheck: chunk failed: %s\n" message;
         exit 1
@@ -413,18 +328,7 @@ let recheck_cmd =
      | Some path ->
        Cli.write_json ~announce:"verdict report" path
          (Recheck.report_json result));
-    let failures = Recheck.total_failures result in
-    if failures = 0 then print_endline "all checkers passed"
-    else begin
-      Printf.printf "%d failure(s):\n" failures;
-      List.iter
-        (fun stat ->
-          List.iter
-            (fun f -> Format.printf "  %a@." Tabv_checker.Monitor.pp_failure f)
-            stat.Tabv_obs.Checker_snapshot.failures)
-        result.Recheck.snapshots;
-      exit 1
-    end
+    Cli.print_verdict result.Recheck.snapshots
   in
   let doc =
     "Re-check a property set against a recorded binary trace — in parallel, \
@@ -447,14 +351,14 @@ let trace_cmd =
            ~doc:"Output VCD file.")
   in
   let run input out =
-    match Tabv_trace.Reader.read_trace input with
-    | _, trace ->
+    match
+      Tabv_trace.Reader.catch_format_error (fun () ->
+          Ok (snd (Tabv_trace.Reader.read_trace input)))
+    with
+    | Ok trace ->
       Tabv_sim.Trace_dump.to_file trace out;
       Printf.printf "wrote %s (%d evaluation points)\n" out (Trace.length trace)
-    | exception Tabv_trace.Reader.Format_error { path; message; offset; valid_prefix } ->
-      Cli.fail "trace"
-        (Printf.sprintf "%s: %s (at byte %d; verified prefix %d bytes)" path
-           message offset valid_prefix)
+    | Error message -> Cli.fail "trace" message
   in
   let doc = "Export a recorded binary trace as a VCD waveform." in
   Cmd.v (Cmd.info "trace" ~doc) Term.(const run $ input $ out)
@@ -514,10 +418,10 @@ let campaign_cmd =
            ~doc:"Comma-separated DUVs: des56, colorconv, memctrl.")
   in
   let levels =
-    Arg.(value & opt (list string) [ "rtl"; "tlm-ca"; "tlm-at" ]
+    Arg.(value & opt (list string) []
          & info [ "levels" ] ~docv:"LEVELS"
              ~doc:"Comma-separated abstraction levels: rtl, tlm-ca, tlm-at, \
-                   tlm-lt (DES56 only).")
+                   tlm-lt (DES56 only).  Default: rtl, tlm-ca, tlm-at.")
   in
   let seeds =
     Arg.(value & opt (list int) [ 1 ] & info [ "seeds" ] ~docv:"SEEDS"
@@ -558,53 +462,29 @@ let campaign_cmd =
          | Ok m -> m
          | Error msg -> fail (Printf.sprintf "%s: %s" path msg))
       | None ->
-        let parse_with what of_name name =
-          match of_name name with
-          | Some v -> v
-          | None -> fail (Printf.sprintf "unknown %s %S" what name)
+        let duvs = List.map (Cli.duv ~fail) duvs in
+        let levels = Cli.levels ~fail levels in
+        let selection =
+          match Campaign.selection_of_name props with
+          | Some selection -> selection
+          | None -> fail (Printf.sprintf "unknown selection %S" props)
         in
-        let duvs = List.map (parse_with "DUV" Models.duv_of_name) duvs in
-        let levels =
-          List.map (parse_with "level" Models.level_of_name) levels
-        in
-        let selection = parse_with "selection" Campaign.selection_of_name props in
         { Campaign.manifest_jobs =
             Campaign.expand_matrix ~selection ~duvs ~levels ~seeds ~ops ();
           manifest_retries = None }
     in
-    let jobs = manifest.Campaign.manifest_jobs in
-    if jobs = [] then fail "empty campaign (no jobs)";
-    List.iter
-      (fun job ->
-        match Campaign.validate job with
-        | Ok () -> ()
-        | Error msg -> fail msg)
-      jobs;
-    let retries =
-      match (retries, manifest.Campaign.manifest_retries) with
-      | Some r, _ -> r
-      | None, Some r -> r
-      | None, None -> 1
+    let { Campaign.jobs; retries; fingerprint } =
+      match Campaign.admit ?retries manifest with
+      | Ok campaign -> campaign
+      | Error msg -> fail msg
     in
-    let workers =
-      match workers with
-      | Some w when w >= 1 -> w
-      | Some w -> fail (Printf.sprintf "--workers must be >= 1 (got %d)" w)
-      | None -> min (Domain.recommended_domain_count ()) (List.length jobs)
-    in
+    let workers = Cli.workers ~fail ~cap:(List.length jobs) workers in
     let exec = Cli.executor_of_flags ~fail ~isolate ~timeout in
-    let journal =
-      Cli.journal_of_flags ~fail ~kind:Campaign.journal_kind
-        ~fingerprint:(Campaign.fingerprint ~retries jobs) ~path:journal_path
-        ~resume
-    in
     let summary =
-      Fun.protect
-        ~finally:(fun () -> Option.iter Journal.close journal)
-        (fun () ->
-          Cli.with_interrupt (fun interrupted ->
-            Campaign.run ~workers ~retries ~clock:Unix.gettimeofday ~exec
-              ?journal ~interrupted jobs))
+      Cli.with_journal ~fail ~kind:Campaign.journal_kind ~fingerprint
+        ~path:journal_path ~resume (fun journal interrupted ->
+          Campaign.run ~workers ~retries ~clock:Unix.gettimeofday ~exec
+            ?journal ~interrupted jobs)
     in
     Format.printf "%a@." Campaign.pp_summary summary;
     (match report_out with
@@ -643,11 +523,11 @@ let qualify_cmd =
                  tlm-at, tlm-lt (DES56 only).  Default: rtl tlm-ca tlm-at.")
   in
   let seed =
-    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED"
+    Arg.(value & opt int Cli.qualify_seed & info [ "seed" ] ~docv:"SEED"
            ~doc:"Workload seed (shared by every job in the matrix).")
   in
   let ops =
-    Arg.(value & opt int 40 & info [ "ops"; "n" ] ~docv:"N"
+    Arg.(value & opt int Cli.qualify_size & info [ "ops"; "n" ] ~docv:"N"
            ~doc:"Workload size per job (operations / pixels).")
   in
   let workers =
@@ -668,42 +548,17 @@ let qualify_cmd =
   let run duv levels seed ops workers retries report_out isolate timeout
       journal_path resume =
     let fail = Cli.fail "qualify" in
-    let duv =
-      match Models.duv_of_name duv with
-      | Some d -> d
-      | None -> fail (Printf.sprintf "unknown DUV %S" duv)
-    in
-    let levels =
-      let names =
-        if levels = [] then [ "rtl"; "tlm-ca"; "tlm-at" ] else levels
-      in
-      List.map
-        (fun name ->
-          match Models.level_of_name name with
-          | Some l -> l
-          | None -> fail (Printf.sprintf "unknown level %S" name))
-        names
-    in
-    let workers =
-      match workers with
-      | Some w when w >= 1 -> w
-      | Some w -> fail (Printf.sprintf "--workers must be >= 1 (got %d)" w)
-      | None -> Domain.recommended_domain_count ()
-    in
+    let duv = Cli.duv ~fail duv in
+    let levels = Cli.levels ~fail levels in
+    let workers = Cli.workers ~fail ~cap:max_int workers in
     let exec = Cli.executor_of_flags ~fail ~isolate ~timeout in
-    let journal =
-      Cli.journal_of_flags ~fail ~kind:Qualify.journal_kind
-        ~fingerprint:(Qualify.fingerprint ~duv ~levels ~seed ~ops)
-        ~path:journal_path ~resume
-    in
     let report =
       try
-        Fun.protect
-          ~finally:(fun () -> Option.iter Journal.close journal)
-          (fun () ->
-            Cli.with_interrupt (fun interrupted ->
-              Qualify.run ~workers ~retries ~exec ?journal ~interrupted ~duv
-                ~levels ~seed ~ops ()))
+        Cli.with_journal ~fail ~kind:Qualify.journal_kind
+          ~fingerprint:(Qualify.fingerprint ~duv ~levels ~seed ~ops)
+          ~path:journal_path ~resume (fun journal interrupted ->
+            Qualify.run ~workers ~retries ~exec ?journal ~interrupted ~duv
+              ~levels ~seed ~ops ())
       with
       | Invalid_argument msg -> fail msg
       | Qualify.Interrupted ->
@@ -884,7 +739,10 @@ let serve_cmd =
 
 (* --- client ------------------------------------------------------- *)
 
-let client_cmd =
+(* The request a `tabv client` command line asks for.  Each job takes
+   the defaults of the one-shot subcommand it mirrors, so a served
+   report equals that subcommand's without extra flags. *)
+let client_request =
   let open Tabv_serve in
   let op =
     Arg.(required
@@ -893,9 +751,11 @@ let client_cmd =
                 (Arg.enum
                    [ ("check", `Check); ("record", `Record);
                      ("recheck", `Recheck); ("campaign", `Campaign);
-                     ("qualify", `Qualify); ("ping", `Ping);
-                     ("stats", `Stats); ("invalidate", `Invalidate);
-                     ("shutdown", `Shutdown) ]))
+                     ("qualify", `Qualify);
+                     ("ping", `Control Protocol.Ping);
+                     ("stats", `Control Protocol.Stats);
+                     ("invalidate", `Control Protocol.Invalidate);
+                     ("shutdown", `Control Protocol.Shutdown) ]))
              None
          & info [] ~docv:"OP"
              ~doc:"Request to submit: a job (check, record, recheck, \
@@ -903,17 +763,12 @@ let client_cmd =
                    invalidate, shutdown).")
   in
   let model =
-    Arg.(value & opt (some (Arg.enum Models.names)) None
+    Arg.(value & opt (some Cli.model_enum) None
          & info [ "model"; "m" ] ~docv:"MODEL"
              ~doc:"DUV model for check/record requests.")
   in
-  let ops =
-    Arg.(value & opt int 40 & info [ "ops"; "n" ] ~docv:"N"
-           ~doc:"Workload size (operations / pixels).")
-  in
-  let seed =
-    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Workload seed.")
-  in
+  let ops = Arg.(value & opt (some int) None & Cli.ops_info) in
+  let seed = Arg.(value & opt (some int) None & Cli.seed_info) in
   let props =
     Arg.(value & opt (some file) None & info [ "props"; "p" ] ~docv:"FILE"
            ~doc:"Property file; its source is sent inline, so the daemon \
@@ -952,12 +807,63 @@ let client_cmd =
   let workers =
     Arg.(value & opt int 2 & info [ "workers"; "j" ] ~docv:"N"
            ~doc:"Worker count used by the daemon for this request's inner \
-                 pool (recheck/campaign/qualify; default 2).")
+                 pool (recheck/campaign/qualify; default 2).  Reports do \
+                 not depend on it.")
   in
   let retries =
-    Arg.(value & opt int 1 & info [ "retries" ] ~docv:"N"
-           ~doc:"Retries per crashing inner job (default 1).")
+    Arg.(value & opt (some int) None & info [ "retries" ] ~docv:"N"
+           ~doc:"Retries per crashing inner job (default 1; a campaign \
+                 manifest's 'retries' key is used when this flag is \
+                 absent).")
   in
+  let request op model ops seed props trace_out trace_in manifest journal duv
+      levels workers retries =
+    let fail = Cli.fail "client" in
+    let required flag what = function
+      | Some v -> v
+      | None -> fail (Printf.sprintf "--%s is required for %s" flag what)
+    in
+    let props = Option.map Cli.read_file props in
+    let check trace_out =
+      Protocol.Check
+        { model = required "model" "this op" model;
+          seed = Option.value seed ~default:Cli.check_seed;
+          ops = Option.value ops ~default:Cli.check_size;
+          props; engine = None; trace_out }
+    in
+    match op with
+    | `Control control -> Protocol.Control control
+    | `Check -> Protocol.Job (check None)
+    | `Record ->
+      Protocol.Job (check (Some (required "trace-out" "record" trace_out)))
+    | `Recheck ->
+      Protocol.Job
+        (Protocol.Recheck
+           { trace = required "trace-in" "recheck" trace_in; props; workers;
+             retries = Option.value retries ~default:1 })
+    | `Campaign ->
+      let path = required "manifest" "campaign" manifest in
+      let manifest =
+        match Tabv_core.Report_json.of_string (Cli.read_file path) with
+        | json -> json
+        | exception Tabv_core.Report_json.Parse_error { line; col; message } ->
+          fail (Printf.sprintf "%s:%d:%d: %s" path line col message)
+      in
+      Protocol.Job (Protocol.Campaign { manifest; workers; retries; journal })
+    | `Qualify ->
+      Protocol.Job
+        (Protocol.Qualify
+           { duv = Cli.duv ~fail duv; levels = Cli.levels ~fail levels;
+             seed = Option.value seed ~default:Cli.qualify_seed;
+             ops = Option.value ops ~default:Cli.qualify_size; workers;
+             retries = Option.value retries ~default:1 })
+  in
+  Term.(
+    const request $ op $ model $ ops $ seed $ props $ trace_out $ trace_in
+    $ manifest $ journal $ duv $ levels $ workers $ retries)
+
+let client_cmd =
+  let open Tabv_serve in
   let attempts =
     Arg.(value & opt int 10 & info [ "retry-attempts" ] ~docv:"N"
            ~doc:"Resubmissions on backpressure rejection before giving up \
@@ -976,9 +882,7 @@ let client_cmd =
         "Write the report to FILE ('-' or absent: stdout).  The bytes are \
          exactly what the one-shot CLI's --report-json would have written."
   in
-  let run op socket tcp model ops seed props trace_out trace_in
-      manifest journal duv levels workers retries attempts retry_seed
-      report_out =
+  let run request socket tcp attempts retry_seed report_out =
     let fail = Cli.fail "client" in
     let endpoint =
       match (tcp, socket) with
@@ -994,74 +898,8 @@ let client_cmd =
     Fun.protect
       ~finally:(fun () -> Client.close client)
       (fun () ->
-        let props_src = Option.map Cli.read_file props in
-        let require_model () =
-          match model with
-          | Some m -> m
-          | None -> fail "--model is required for this op"
-        in
-        let job =
-          match op with
-          | `Check ->
-            Some
-              (Protocol.Check
-                 { model = require_model (); seed; ops; props = props_src;
-                   engine = None; trace_out = None })
-          | `Record ->
-            let path =
-              match trace_out with
-              | Some p -> p
-              | None -> fail "--trace-out is required for record"
-            in
-            Some
-              (Protocol.Check
-                 { model = require_model (); seed; ops; props = props_src;
-                   engine = None; trace_out = Some path })
-          | `Recheck ->
-            let trace =
-              match trace_in with
-              | Some p -> p
-              | None -> fail "--trace-in is required for recheck"
-            in
-            Some (Protocol.Recheck { trace; props = props_src; workers; retries })
-          | `Campaign ->
-            let path =
-              match manifest with
-              | Some p -> p
-              | None -> fail "--manifest is required for campaign"
-            in
-            let manifest =
-              match Tabv_core.Report_json.of_string (Cli.read_file path) with
-              | json -> json
-              | exception Tabv_core.Report_json.Parse_error
-                  { line; col; message } ->
-                fail (Printf.sprintf "%s:%d:%d: %s" path line col message)
-            in
-            Some
-              (Protocol.Campaign
-                 { manifest; workers; retries = Some retries; journal })
-          | `Qualify ->
-            let duv =
-              match Models.duv_of_name duv with
-              | Some d -> d
-              | None -> fail (Printf.sprintf "unknown DUV %S" duv)
-            in
-            let levels =
-              let names =
-                if levels = [] then [ "rtl"; "tlm-ca"; "tlm-at" ] else levels
-              in
-              List.map
-                (fun name ->
-                  match Models.level_of_name name with
-                  | Some l -> l
-                  | None -> fail (Printf.sprintf "unknown level %S" name))
-                names
-            in
-            Some (Protocol.Qualify { duv; levels; seed; ops; workers; retries })
-          | `Ping | `Stats | `Invalidate | `Shutdown -> None
-        in
-        match job with
-        | Some job ->
+        match request with
+        | Protocol.Job job ->
           let backoff_seed =
             match retry_seed with
             | Some s -> s
@@ -1086,15 +924,7 @@ let client_cmd =
                retry_after_ms;
              exit 75
            | Client.Failed message -> fail message)
-        | None ->
-          let control =
-            match op with
-            | `Ping -> Protocol.Ping
-            | `Stats -> Protocol.Stats
-            | `Invalidate -> Protocol.Invalidate
-            | `Shutdown -> Protocol.Shutdown
-            | _ -> assert false
-          in
+        | Protocol.Control control ->
           (match Client.control client control with
            | Client.Pong -> print_endline "pong"
            | Client.Stats json ->
@@ -1111,9 +941,74 @@ let client_cmd =
   in
   Cmd.v (Cmd.info "client" ~doc)
     Term.(
-      const run $ op $ socket_arg $ tcp_arg $ model $ ops $ seed $ props
-      $ trace_out $ trace_in $ manifest $ journal $ duv
-      $ levels $ workers $ retries $ attempts $ retry_seed $ report_out)
+      const run $ client_request $ socket_arg $ tcp_arg $ attempts
+      $ retry_seed $ report_out)
+
+(* --- the serve smoke script ----------------------------------------- *)
+
+type 'a served = {
+  cold : string option;  (* the first reply's report, if it ran cold *)
+  warm_identical : bool;  (* the second reply was warm, with those bytes *)
+  more : 'a;
+  shut_down : bool;
+}
+
+(* The daemon script `tabv doctor` and the `_serve_golden` hook share:
+   boot a daemon with two [executor] workers and a state directory on a
+   fresh temp socket, submit [job] cold and then warm, run [more client
+   ~state], and ask the daemon to drain.  The temp tree is swept on
+   every exit path, so a failed step leaves no socket or journal
+   behind. *)
+let serve_script ~executor job more =
+  let open Tabv_serve in
+  let dir = Filename.temp_file "tabv_serve" ".smoke" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let state = Filename.concat dir "state" in
+  Unix.mkdir state 0o700;
+  let socket = Filename.concat dir "tabv.sock" in
+  let sweep d =
+    match Sys.readdir d with
+    | entries ->
+      Array.iter
+        (fun entry ->
+          try Sys.remove (Filename.concat d entry) with Sys_error _ -> ())
+        entries;
+      (try Unix.rmdir d with Unix.Unix_error _ -> ())
+    | exception Sys_error _ -> ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      sweep state;
+      sweep dir)
+    (fun () ->
+      let config =
+        { (Server.default_config ~socket ()) with
+          workers = 2; executor; state_dir = Some state }
+      in
+      Server.with_daemon config (fun () ->
+          match Client.connect (`Unix socket) with
+          | Error msg -> failwith msg
+          | Ok client ->
+            Fun.protect
+              ~finally:(fun () -> Client.close client)
+              (fun () ->
+                let cold =
+                  match Client.request client job with
+                  | Client.Result { warm = false; report; _ } -> Some report
+                  | _ -> None
+                in
+                let warm_identical =
+                  match Client.request client job with
+                  | Client.Result { warm = true; report; _ } ->
+                    cold = Some report
+                  | _ -> false
+                in
+                let more = more client ~state in
+                let shut_down =
+                  Client.control client Protocol.Shutdown = Client.Shutting_down
+                in
+                { cold; warm_identical; more; shut_down })))
 
 (* --- doctor ------------------------------------------------------- *)
 
@@ -1175,31 +1070,18 @@ let doctor_cmd =
       Fun.protect
         ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
         (fun () ->
-          let meta = Tabv_trace.Meta.make ~model:"des56-rtl" ~seed:1 ~ops:10 in
-          let live =
-            Tabv_trace.Writer.with_file ~path meta (fun writer ->
-                Testbench.run
-                  { Testbench.default with
-                    properties = Des56_props.all; trace_writer = Some writer }
-                  (Testbench.des56_rtl ()) quick_ops)
+          let live, _ =
+            Result.get_ok
+              (Models.simulate ~trace_out:path Models.Des56_rtl ~seed:1 ~ops:10
+                 ~props:(fun () -> Ok None))
           in
-          let live_doc =
-            Tabv_core.Report_json.to_string
-              (Tabv_core.Report_json.verdict_report_json
-                 ~run:[ ("model", Tabv_core.Report_json.String "des56-rtl") ]
-                 ~properties:live.Testbench.checker_stats ())
-          in
-          let rechecked =
-            Tabv_campaign.Recheck.run ~workers:2 ~retries:0 ~trace:path
-              Des56_props.all
-          in
-          let recheck_doc =
-            Tabv_core.Report_json.to_string
-              (Tabv_core.Report_json.verdict_report_json
-                 ~run:[ ("model", Tabv_core.Report_json.String "des56-rtl") ]
-                 ~properties:rechecked.Tabv_campaign.Recheck.snapshots ())
-          in
-          live_doc = recheck_doc)
+          let open Tabv_campaign in
+          Tabv_core.Report_json.(
+            to_string (Models.verdict_report Models.Des56_rtl ~seed:1 ~ops:10 live)
+            = to_string
+                (Recheck.report_json
+                   (Recheck.run ~workers:2 ~retries:0 ~trace:path
+                      Des56_props.all))))
     in
     check "record + recheck reports byte-identically to the live check"
       record_recheck_identity;
@@ -1227,7 +1109,9 @@ let doctor_cmd =
     in
     check "subprocess executor matches in-domain (byte-identical report)"
       executor_smoke;
-    let journal_smoke =
+    (* Both journal checks run a journaled campaign over one fixture:
+       the same jobs, fingerprint and temp journal. *)
+    let with_journal_fixture f =
       let open Tabv_campaign in
       let jobs =
         Campaign.expand_matrix ~duvs:[ Models.Colorconv ]
@@ -1235,210 +1119,112 @@ let doctor_cmd =
       in
       let fingerprint = Campaign.fingerprint ~retries:1 jobs in
       let path = Filename.temp_file "tabv_doctor" ".journal" in
+      let run ~resume =
+        match
+          Journal.open_ ~path ~kind:Campaign.journal_kind ~fingerprint ~resume
+        with
+        | Error msg -> failwith msg
+        | Ok journal ->
+          Fun.protect
+            ~finally:(fun () -> Journal.close journal)
+            (fun () -> Campaign.run ~workers:2 ~journal jobs)
+      in
+      let report summary =
+        Tabv_core.Report_json.to_string (Campaign.report_json summary)
+      in
       Fun.protect
         ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-        (fun () ->
-          let with_journal ~resume f =
-            match
-              Journal.open_ ~path ~kind:Campaign.journal_kind ~fingerprint
-                ~resume ()
-            with
-            | Error msg -> failwith msg
-            | Ok j ->
-              Fun.protect ~finally:(fun () -> Journal.close j) (fun () -> f j)
-          in
-          let fresh =
-            with_journal ~resume:false (fun journal ->
-              Campaign.run ~workers:2 ~journal jobs)
-          in
-          let resumed =
-            with_journal ~resume:true (fun journal ->
-              Campaign.run ~workers:2 ~journal jobs)
-          in
-          resumed.Campaign.replayed = List.length jobs
-          && Tabv_core.Report_json.to_string (Campaign.report_json fresh)
-             = Tabv_core.Report_json.to_string (Campaign.report_json resumed))
+        (fun () -> f ~jobs ~path ~run ~report)
     in
     check "journal round-trip (resume replays all jobs byte-identically)"
-      journal_smoke;
-    let journal_recovery =
-      (* Crash-image recovery: run a journaled campaign, truncate the
-         journal at arbitrary bytes (torn appends, lost fsyncs), and
-         resume each image — the CRC framing must salvage the valid
-         prefix and every resumed report must be byte-identical to the
-         uninterrupted one. *)
-      let open Tabv_campaign in
-      let jobs =
-        Campaign.expand_matrix ~duvs:[ Models.Colorconv ]
-          ~levels:[ Models.Rtl ] ~seeds:[ 1; 2 ] ~ops:10 ()
-      in
-      let fingerprint = Campaign.fingerprint ~retries:1 jobs in
-      let path = Filename.temp_file "tabv_doctor" ".journal" in
-      Fun.protect
-        ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-        (fun () ->
-          let with_journal ~resume f =
-            match
-              Journal.open_ ~path ~kind:Campaign.journal_kind ~fingerprint
-                ~resume ()
-            with
-            | Error msg -> failwith msg
-            | Ok j ->
-              Fun.protect ~finally:(fun () -> Journal.close j) (fun () -> f j)
-          in
-          let fresh =
-            with_journal ~resume:false (fun journal ->
-                Campaign.run ~workers:2 ~journal jobs)
-          in
-          let expected =
-            Tabv_core.Report_json.to_string (Campaign.report_json fresh)
-          in
-          let full = In_channel.with_open_bin path In_channel.input_all in
-          let len = String.length full in
-          let cuts = [ 1; len / 3; len / 2; len - 2 ] in
-          List.for_all
-            (fun cut ->
-              let cut = max 0 (min cut len) in
-              Out_channel.with_open_bin path (fun oc ->
-                  Out_channel.output_string oc (String.sub full 0 cut));
-              let resumed =
-                with_journal ~resume:true (fun journal ->
-                    Campaign.run ~workers:2 ~journal jobs)
-              in
-              Tabv_core.Report_json.to_string (Campaign.report_json resumed)
-              = expected)
-            cuts)
-    in
+      (with_journal_fixture (fun ~jobs ~path:_ ~run ~report ->
+           let fresh = run ~resume:false in
+           let resumed = run ~resume:true in
+           resumed.Tabv_campaign.Campaign.replayed = List.length jobs
+           && report fresh = report resumed));
+    (* Crash-image recovery: truncate the journal at arbitrary bytes
+       (torn appends, lost fsyncs) and resume each image — the CRC
+       framing must salvage the valid prefix and every resumed report
+       must be byte-identical to the uninterrupted one. *)
     check "journal recovery (resume from truncated crash images, byte-identical)"
-      journal_recovery;
-    (* Serve smoke: an in-process daemon on a temp socket must answer a
-       check and a 2-job campaign with exactly the bytes the one-shot
-       paths produce, replay the check warm, and drain cleanly on a
-       shutdown request. *)
-    let serve_check_cold = ref false
-    and serve_check_warm = ref false
-    and serve_campaign_ok = ref false
-    and serve_journal_ok = ref false
-    and serve_state_clean = ref false
-    and serve_shutdown_ok = ref false in
-    (let expected_check =
-       Tabv_checker.Progression.reset_universe ();
-       let properties, grid_properties =
-         Models.properties_for Models.Des56_rtl None
-       in
-       let result =
-         Models.run
-           { Testbench.default with properties; grid_properties }
-           Models.Des56_rtl ~seed:5 ~ops:15
-       in
-       Tabv_core.Report_json.to_string
-         (Models.verdict_report Models.Des56_rtl ~seed:5 ~ops:15 result)
-       ^ "\n"
-     in
-     let manifest_json =
-       let job level =
-         Tabv_core.Report_json.Assoc
-           [ ("duv", Tabv_core.Report_json.String "des56");
-             ("level", Tabv_core.Report_json.String level);
-             ("seed", Tabv_core.Report_json.Int 1);
-             ("ops", Tabv_core.Report_json.Int 10) ]
-       in
-       Tabv_core.Report_json.Assoc
-         [ ("jobs", Tabv_core.Report_json.List [ job "rtl"; job "tlm-ca" ]) ]
-     in
-     let expected_campaign =
-       match Tabv_campaign.Campaign.manifest_of_json manifest_json with
-       | Error msg -> failwith msg
-       | Ok m ->
-         Tabv_core.Report_json.to_string
-           (Tabv_campaign.Campaign.report_json
-              (Tabv_campaign.Campaign.run ~workers:2 ~retries:1
-                 m.Tabv_campaign.Campaign.manifest_jobs))
-         ^ "\n"
-     in
-     let dir = Filename.temp_file "tabv_doctor" ".serve" in
-     Sys.remove dir;
-     Unix.mkdir dir 0o700;
-     let state = Filename.concat dir "state" in
-     Unix.mkdir state 0o700;
-     let socket = Filename.concat dir "tabv.sock" in
-     (* The sweep must run on *every* exit path — a failed smoke check
-        must not leave stale journals (or the socket) behind in the
-        temp tree. *)
-     let sweep d =
-       match Sys.readdir d with
-       | entries ->
-         Array.iter
-           (fun entry ->
-             try Sys.remove (Filename.concat d entry) with Sys_error _ -> ())
-           entries;
-         (try Unix.rmdir d with Unix.Unix_error _ -> ())
-       | exception Sys_error _ -> ()
-     in
-     Fun.protect
-       ~finally:(fun () ->
-         sweep state;
-         sweep dir)
-       (fun () ->
-         let config =
-           { (Tabv_serve.Server.default_config ~socket ()) with
-             workers = 2;
-             state_dir = Some state }
-         in
-         Tabv_serve.Server.with_daemon config (fun () ->
-           match Tabv_serve.Client.connect (`Unix socket) with
-           | Error msg -> prerr_endline ("serve smoke: " ^ msg)
-           | Ok client ->
-             let job =
-               Tabv_serve.Protocol.Check
-                 { model = Models.Des56_rtl; seed = 5; ops = 15; props = None;
-                   engine = None; trace_out = None }
-             in
-             (match Tabv_serve.Client.request client job with
-              | Tabv_serve.Client.Result { ok = true; warm = false; report } ->
-                serve_check_cold := report = expected_check
-              | _ -> ());
-             (match Tabv_serve.Client.request client job with
-              | Tabv_serve.Client.Result { ok = true; warm = true; report } ->
-                serve_check_warm := report = expected_check
-              | _ -> ());
-             (match
-                Tabv_serve.Client.request client
-                  (Tabv_serve.Protocol.Campaign
-                     { manifest = manifest_json; workers = 2;
-                       retries = Some 1; journal = false })
-              with
-              | Tabv_serve.Client.Result { ok = true; warm = false; report } ->
-                serve_campaign_ok := report = expected_campaign
-              | _ -> ());
-             (match
-                Tabv_serve.Client.request client
-                  (Tabv_serve.Protocol.Campaign
-                     { manifest = manifest_json; workers = 2;
-                       retries = Some 1; journal = true })
-              with
-              | Tabv_serve.Client.Result { ok = true; report; _ } ->
-                serve_journal_ok := report = expected_campaign
-              | _ -> ());
-             (* A completed journaled campaign must collect its own
-                journal: nothing may be left in the state dir. *)
-             serve_state_clean := Sys.readdir state = [||];
-             (match
-                Tabv_serve.Client.control client Tabv_serve.Protocol.Shutdown
-              with
-              | Tabv_serve.Client.Shutting_down -> serve_shutdown_ok := true
-              | _ -> ());
-             Tabv_serve.Client.close client)));
+      (with_journal_fixture (fun ~jobs:_ ~path ~run ~report ->
+           let expected = report (run ~resume:false) in
+           let full = In_channel.with_open_bin path In_channel.input_all in
+           let len = String.length full in
+           List.for_all
+             (fun cut ->
+               let cut = max 0 (min cut len) in
+               Out_channel.with_open_bin path (fun oc ->
+                   Out_channel.output_string oc (String.sub full 0 cut));
+               report (run ~resume:true) = expected)
+             [ 1; len / 3; len / 2; len - 2 ]));
+    (* Serve smoke: an in-process daemon must answer a check and a
+       2-job campaign with exactly the bytes the one-shot paths
+       produce, replay the check warm, and drain cleanly on a shutdown
+       request. *)
+    let expected_check =
+      Tabv_checker.Progression.reset_universe ();
+      let result, _ =
+        Result.get_ok
+          (Models.simulate Models.Des56_rtl ~seed:5 ~ops:15
+             ~props:(fun () -> Ok None))
+      in
+      Tabv_core.Report_json.to_string
+        (Models.verdict_report Models.Des56_rtl ~seed:5 ~ops:15 result)
+      ^ "\n"
+    in
+    let manifest_json =
+      let open Tabv_core.Report_json in
+      let job level =
+        Assoc
+          [ ("duv", String "des56"); ("level", String level); ("seed", Int 1);
+            ("ops", Int 10) ]
+      in
+      Assoc [ ("jobs", List [ job "rtl"; job "tlm-ca" ]) ]
+    in
+    let expected_campaign =
+      let open Tabv_campaign.Campaign in
+      match manifest_of_json manifest_json with
+      | Error msg -> failwith msg
+      | Ok m ->
+        Tabv_core.Report_json.to_string
+          (report_json (run ~workers:2 ~retries:1 m.manifest_jobs))
+        ^ "\n"
+    in
+    let smoke =
+      let open Tabv_serve in
+      let campaign ~journal client =
+        match
+          Client.request client
+            (Protocol.Campaign
+               { manifest = manifest_json; workers = 2; retries = Some 1;
+                 journal })
+        with
+        | Client.Result { ok = true; report; _ } -> report = expected_campaign
+        | _ -> false
+      in
+      serve_script ~executor:Server.In_domain_workers
+        (Protocol.Check
+           { model = Models.Des56_rtl; seed = 5; ops = 15; props = None;
+             engine = None; trace_out = None })
+        (fun client ~state ->
+          let plain = campaign ~journal:false client in
+          let journaled = campaign ~journal:true client in
+          (* A completed journaled campaign must collect its own
+             journal: nothing may be left in the state dir. *)
+          (plain, journaled, Sys.readdir state = [||]))
+    in
+    let campaign_ok, journal_ok, state_clean = smoke.more in
     check "serve: socket check is byte-identical to the one-shot path"
-      !serve_check_cold;
-    check "serve: warm replay is byte-identical" !serve_check_warm;
-    check "serve: 2-job campaign over the socket is byte-identical"
-      !serve_campaign_ok;
+      (smoke.cold = Some expected_check);
+    check "serve: warm replay is byte-identical"
+      (smoke.cold = Some expected_check && smoke.warm_identical);
+    check "serve: 2-job campaign over the socket is byte-identical" campaign_ok;
     check "serve: journaled campaign matches the plain one byte-for-byte"
-      !serve_journal_ok;
+      journal_ok;
     check "serve: state dir holds no stale journals after the smoke"
-      !serve_state_clean;
-    check "serve: graceful shutdown drains" !serve_shutdown_ok;
+      state_clean;
+    check "serve: graceful shutdown drains" smoke.shut_down;
     if !failures = 0 then print_endline "all checks passed"
     else begin
       Printf.printf "%d check(s) FAILED\n" !failures;
@@ -1473,62 +1259,38 @@ let () =
     exit 0
   end
 
-(* Hidden two-process golden hook: `tabv _serve_golden OUT` boots a
-   daemon on a temp socket with *subprocess* workers, submits the same
-   check the rc_des56_rtl_live.json golden rule runs, verifies the
-   warm replay is byte-identical, and writes the report bytes to OUT
-   so the test suite can diff them against the one-shot CLI's file. *)
+(* Hidden two-process golden hook: `tabv _serve_golden OUT ARGS...`
+   builds a job from the `tabv client` arguments ARGS, serves it with
+   the smoke script on *subprocess* workers, checks that the warm
+   replay is byte-identical, and writes the report bytes to OUT so the
+   test suite can diff them against the one-shot CLI's file. *)
 let () =
-  if Array.length Sys.argv > 2 && Sys.argv.(1) = "_serve_golden" then begin
-    let out = Sys.argv.(2) in
+  if Array.length Sys.argv > 3 && Sys.argv.(1) = "_serve_golden" then begin
     let die msg =
       prerr_endline ("tabv _serve_golden: " ^ msg);
       exit 1
     in
-    let dir = Filename.temp_file "tabv_serve" ".golden" in
-    Sys.remove dir;
-    Unix.mkdir dir 0o700;
-    let socket = Filename.concat dir "tabv.sock" in
-    let config =
-      { (Tabv_serve.Server.default_config ~socket ()) with
-        workers = 2;
-        executor = Tabv_serve.Server.Subprocess_workers }
+    let argv =
+      Array.append [| "tabv client" |]
+        (Array.sub Sys.argv 3 (Array.length Sys.argv - 3))
     in
-    let cold =
-      Tabv_serve.Server.with_daemon config (fun () ->
-          let client =
-            match Tabv_serve.Client.connect (`Unix socket) with
-            | Ok c -> c
-            | Error msg -> die msg
-          in
-          let job =
-            Tabv_serve.Protocol.Check
-              { model = Models.Des56_rtl; seed = 42; ops = 20; props = None;
-                engine = None; trace_out = None }
-          in
-          let cold =
-            match Tabv_serve.Client.request client job with
-            | Tabv_serve.Client.Result { ok = true; warm = false; report } ->
-              report
-            | Tabv_serve.Client.Result _ -> die "unexpected first reply shape"
-            | Tabv_serve.Client.Rejected _ -> die "rejected"
-            | Tabv_serve.Client.Failed msg -> die msg
-          in
-          (match Tabv_serve.Client.request client job with
-           | Tabv_serve.Client.Result { ok = true; warm = true; report }
-             when report = cold ->
-             ()
-           | _ -> die "warm replay is not byte-identical");
-          (match Tabv_serve.Client.control client Tabv_serve.Protocol.Shutdown with
-           | Tabv_serve.Client.Shutting_down -> ()
-           | _ -> die "shutdown refused");
-          Tabv_serve.Client.close client;
-          cold)
+    let job =
+      match Cmd.eval_value ~argv (Cmd.v (Cmd.info "client") client_request) with
+      | Ok (`Ok (Tabv_serve.Protocol.Job job)) -> job
+      | _ -> die "the arguments name no job"
     in
-    Out_channel.with_open_bin out (fun oc -> Out_channel.output_string oc cold);
-    (try Sys.remove socket with Sys_error _ -> ());
-    (try Unix.rmdir dir with Unix.Unix_error _ -> ());
-    exit 0
+    let served =
+      serve_script ~executor:Tabv_serve.Server.Subprocess_workers job
+        (fun _ ~state:_ -> ())
+    in
+    match served with
+    | { cold = Some report; warm_identical = true; shut_down = true; _ } ->
+      Out_channel.with_open_bin Sys.argv.(2) (fun oc ->
+          Out_channel.output_string oc report);
+      exit 0
+    | { cold = None; _ } -> die "the first reply was not a cold result"
+    | { warm_identical = false; _ } -> die "warm replay is not byte-identical"
+    | _ -> die "shutdown refused"
   end
 
 let () =

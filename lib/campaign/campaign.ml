@@ -396,7 +396,7 @@ let payload_of_json json =
       p_diagnosis;
     }
 
-let exec_job ~attempt ~metrics_enabled job =
+let exec_job ~attempt job =
   (* Fresh interning + obligation universes per attempt: job
      statistics become placement-independent (the determinism
      contract) and a crashed attempt's half-built tables are
@@ -407,10 +407,6 @@ let exec_job ~attempt ~metrics_enabled job =
     | Chaos_raise -> raise Chaos
     | Chaos_hard failure -> Tabv_fault.Fault.execute_hard_failure failure
   end;
-  let metrics =
-    if metrics_enabled then Some (Tabv_obs.Metrics.create ~enabled:true ())
-    else None
-  in
   (* [validate] has accepted every job that reaches a worker. *)
   let model = Option.get (Models.of_duv_level job.duv job.level) in
   let properties, grid_properties = Models.properties_for model None in
@@ -419,16 +415,15 @@ let exec_job ~attempt ~metrics_enabled job =
        { Testbench.default with
          properties = select job.selection properties;
          grid_properties;
-         metrics }
+         metrics = Some (Tabv_obs.Metrics.create ~enabled:true ()) }
        model ~seed:job.seed ~ops:job.ops)
 
 (* --- worker protocol ------------------------------------------------- *)
 
-let request_json ~attempt ~metrics job =
+let request_json ~attempt job =
   J.Assoc
     [ ("op", J.String "campaign_job");
       ("attempt", J.Int attempt);
-      ("metrics", J.Bool metrics);
       ("job", job_spec_json job) ]
 
 (* --- results --------------------------------------------------------- *)
@@ -513,6 +508,27 @@ let fingerprint ~retries jobs =
           [ ("kind", J.String journal_kind);
             ("retries", J.Int retries);
             ("jobs", J.List (List.map job_spec_json jobs)) ]))
+
+type admitted = {
+  jobs : job list;
+  retries : int;
+  fingerprint : string;
+}
+
+let admit ?retries manifest =
+  match manifest.manifest_jobs with
+  | [] -> Error "empty campaign (no jobs)"
+  | jobs ->
+    let* () =
+      List.fold_left (fun acc job -> Result.bind acc (fun () -> validate job))
+        (Ok ()) jobs
+    in
+    let retries =
+      match (retries, manifest.manifest_retries) with
+      | Some r, _ | None, Some r -> r
+      | None, None -> 1
+    in
+    Ok { jobs; retries; fingerprint = fingerprint ~retries jobs }
 
 let record_json ~attempts payload =
   J.Assoc [ ("attempts", J.Int attempts); ("payload", payload_json payload) ]
@@ -610,8 +626,8 @@ let summarize ~workers ~retries ~replayed ~pending ~wall_seconds results =
     wall_seconds;
   }
 
-let run ?(workers = 1) ?(retries = 1) ?(clock = fun () -> 0.) ?(metrics = true)
-    ?exec ?journal ?interrupted jobs =
+let run ?(workers = 1) ?(retries = 1) ?(clock = fun () -> 0.) ?exec ?journal
+    ?interrupted jobs =
   (match
      List.find_map
        (fun j -> Result.fold ~ok:(fun () -> None) ~error:Option.some (validate j))
@@ -652,9 +668,9 @@ let run ?(workers = 1) ?(retries = 1) ?(clock = fun () -> 0.) ?(metrics = true)
       execute =
         (fun i ~attempt ->
           let t0 = clock () in
-          let p = exec_job ~attempt ~metrics_enabled:metrics jobs.(i) in
+          let p = exec_job ~attempt jobs.(i) in
           (p, clock () -. t0));
-      request = (fun i ~attempt -> request_json ~attempt ~metrics jobs.(i));
+      request = (fun i ~attempt -> request_json ~attempt jobs.(i));
       decode =
         (fun _ json -> Result.map (fun p -> (p, 0.)) (payload_of_json json));
       on_result =

@@ -176,15 +176,14 @@ type exec_payload = {
     chaos; {e does not return} on armed [Chaos_hard] chaos.  This is
     the single execution primitive shared by the in-domain executor
     and the [_worker] serve loop. *)
-val exec_job : attempt:int -> metrics_enabled:bool -> job -> exec_payload
+val exec_job : attempt:int -> job -> exec_payload
 
 val payload_json : exec_payload -> Tabv_core.Report_json.json
 val payload_of_json : Tabv_core.Report_json.json -> (exec_payload, string) result
 
 (** The [{"op":"campaign_job",..}] request document the subprocess
     executor ships to a worker for one attempt of one job. *)
-val request_json :
-  attempt:int -> metrics:bool -> job -> Tabv_core.Report_json.json
+val request_json : attempt:int -> job -> Tabv_core.Report_json.json
 
 (** {1 Journals} *)
 
@@ -195,6 +194,23 @@ val journal_kind : string
     of the canonical spec JSON, so a journal can only ever resume the
     exact campaign that wrote it. *)
 val fingerprint : retries:int -> job list -> string
+
+(** {1 Admission} *)
+
+(** A campaign ready to run: its jobs, its retry budget and the journal
+    fingerprint of both. *)
+type admitted = {
+  jobs : job list;
+  retries : int;
+  fingerprint : string;  (** {!fingerprint} [~retries jobs] *)
+}
+
+(** [admit ?retries manifest] — the admission policy of a campaign,
+    shared by [tabv campaign] and the serve daemon: the manifest must
+    hold at least one job and every job must {!validate} (the first
+    refusal is returned).  The retry budget is [retries] (the flag or
+    request), else the manifest's, else 1. *)
+val admit : ?retries:int -> manifest -> (admitted, string) result
 
 (** {1 Running} *)
 
@@ -254,18 +270,16 @@ type summary = {
   wall_seconds : float;  (** excluded from JSON *)
 }
 
-(** [run ?workers ?retries ?clock ?metrics ?exec ?journal ?interrupted
-    jobs] executes the campaign on [workers] workers (default 1) with
+(** [run ?workers ?retries ?clock ?exec ?journal ?interrupted jobs] executes the campaign on [workers] workers (default 1) with
     up to [retries] retries per failing job (default 1).
 
     [clock] (seconds, default [fun () -> 0.]) feeds only the wall-time
     fields; pass [Unix.gettimeofday] from binaries that link [unix].
-    [metrics] (default [true]) attaches a fresh enabled registry to
-    every job.
+    Every job runs with a fresh enabled metrics registry.
 
     [exec] selects the executor (default
     [Executor.config Executor.In_domain]); see {!Executor} for the
-    subprocess pool, watchdog and backoff knobs.
+    subprocess pool and its watchdog.
 
     [journal] must have been opened with {!journal_kind} and
     {!fingerprint} over exactly [jobs] and [retries]: its replayed
@@ -285,7 +299,6 @@ val run :
   ?workers:int ->
   ?retries:int ->
   ?clock:(unit -> float) ->
-  ?metrics:bool ->
   ?exec:Executor.config ->
   ?journal:Journal.t ->
   ?interrupted:(unit -> bool) ->

@@ -20,37 +20,27 @@ type kind =
 type config = {
   c_kind : kind;
   job_timeout_s : float option;
-  backoff_base_s : float;
-  backoff_seed : int;
   worker_argv : string array;
-  obs : Tabv_obs.Metrics.t option;
-  obs_prefix : string;
 }
 
-let config ?job_timeout_s ?(backoff_base_s = 0.) ?(backoff_seed = 0) ?worker_argv
-    ?obs ?(obs_prefix = "campaign") kind =
+let default_argv () = [| Sys.executable_name; "_worker" |]
+
+let config ?job_timeout_s ?worker_argv kind =
   let worker_argv =
     match worker_argv with
     | Some argv ->
       if Array.length argv = 0 then
         invalid_arg "Executor.config: worker_argv must not be empty";
       argv
-    | None -> [| Sys.executable_name; "_worker" |]
+    | None -> default_argv ()
   in
   (match job_timeout_s with
    | Some t when t <= 0. ->
      invalid_arg "Executor.config: job_timeout_s must be positive"
    | _ -> ());
-  if backoff_base_s < 0. then
-    invalid_arg "Executor.config: backoff_base_s must be >= 0";
-  { c_kind = kind; job_timeout_s; backoff_base_s; backoff_seed; worker_argv;
-    obs; obs_prefix }
+  { c_kind = kind; job_timeout_s; worker_argv }
 
 let kind_of c = c.c_kind
-
-let kind_name = function
-  | In_domain -> "in-domain"
-  | Subprocess -> "subprocess"
 
 type failure =
   | Crashed of { error : string }
@@ -80,48 +70,9 @@ type 'a tasks = {
   on_result : int -> 'a task_result -> unit;
 }
 
-(* Deterministic decorrelated-jitter retry delay (AWS architecture
-   blog vintage): d1 = base, dn = min(cap, base + u * (3 * d(n-1) -
-   base)) where u in [0, 1) is a hash of (seed, task, n).  Compared to
-   plain exponential-with-fixed-jitter, successive delays from
-   different seeds decorrelate quickly — a fleet of clients rejected
-   at the same instant does not re-stampede on the same schedule.
-   Only *when* a retry runs depends on this — never what it produces.
-   Shared with the serve client's backpressure retries, which is why
-   it lives in the interface. *)
-let backoff_s ~seed ~task ~base_s ~attempt =
-  if base_s <= 0. || attempt < 1 then 0.
-  else begin
-    let cap = 32. *. base_s in
-    let frac n =
-      float_of_int (Hashtbl.hash (seed, task, n) land 0xFFFF) /. 65536.
-    in
-    let rec grow d n =
-      if n > attempt then d
-      else grow (Float.min cap (base_s +. (frac n *. ((3. *. d) -. base_s)))) (n + 1)
-    in
-    grow base_s 2
-  end
-
-let backoff config ~task ~attempt =
-  backoff_s ~seed:config.backoff_seed ~task ~base_s:config.backoff_base_s
-    ~attempt
-
-let respawn_counter config =
-  match config.obs with
-  | None -> None
-  | Some m -> Some (Tabv_obs.Metrics.counter m (config.obs_prefix ^ ".workers_respawned"))
-
-let timeout_counter config =
-  match config.obs with
-  | None -> None
-  | Some m -> Some (Tabv_obs.Metrics.counter m (config.obs_prefix ^ ".jobs_timed_out"))
-
-let bump = Option.iter Tabv_obs.Metrics.incr
-
 (* --- in-domain pool -------------------------------------------------- *)
 
-let run_in_domain config ~workers ~retries ~interrupted tasks =
+let run_in_domain ~workers ~retries ~interrupted tasks =
   let n = tasks.count in
   let slots : 'a task_result option array = Array.make n None in
   let next = Atomic.make 0 in
@@ -140,11 +91,7 @@ let run_in_domain config ~workers ~retries ~interrupted tasks =
                 let error = Printexc.to_string e in
                 if attempt > retries then
                   { attempts = attempt; outcome = Failed (Crashed { error }) }
-                else begin
-                  let d = backoff config ~task:i ~attempt in
-                  if d > 0. then Unix.sleepf d;
-                  attempt_loop (attempt + 1)
-                end
+                else attempt_loop (attempt + 1)
             in
             let r = attempt_loop 1 in
             slots.(i) <- Some r;
@@ -197,18 +144,16 @@ let posix_signal n =
   else if n = Sys.sigsys then 31
   else -n
 
-type worker_state = {
-  mutable pid : int;
-  mutable to_w : Unix.file_descr;
-  mutable from_w : Unix.file_descr;
-  mutable stream : Wire.stream;
-  mutable current : (int * int) option;  (* (task, attempt) in flight *)
-  mutable deadline : float;  (* watchdog expiry; [infinity] when idle *)
-  mutable alive : bool;
+(* --- worker processes ------------------------------------------------ *)
+
+type process = {
+  pid : int;
+  to_worker : Unix.file_descr;
+  from_worker : Unix.file_descr;
 }
 
-let spawn_process argv =
-  (* Both pipes are close-on-exec end to end: [create_process] dup2s
+let spawn ?(argv = default_argv ()) () =
+  (* Both pipes are close-on-exec from creation: [create_process] dup2s
      the child's ends onto fds 0/1 (which clears the flag on the
      copies), so the worker inherits nothing else — in particular not
      the write end of {e its own} stdin pipe (which would swallow the
@@ -226,36 +171,64 @@ let spawn_process argv =
   in
   Unix.close req_read;
   Unix.close rsp_write;
-  (pid, req_write, rsp_read)
+  { pid; to_worker = req_write; from_worker = rsp_read }
+
+let close_noerr fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+let reap p =
+  (* The worker is dead or dying: release our pipe ends and collect
+     the exit status (after a SIGKILL the zombie is immediate). *)
+  close_noerr p.to_worker;
+  close_noerr p.from_worker;
+  let status =
+    match Unix.waitpid [] p.pid with
+    | _, status -> status
+    | exception Unix.Unix_error _ -> Unix.WEXITED 127
+  in
+  match status with
+  | Unix.WSIGNALED sg -> Killed { signal = posix_signal sg }
+  | Unix.WEXITED code ->
+    Crashed
+      { error = Printf.sprintf "worker exited with code %d before replying" code }
+  | Unix.WSTOPPED sg ->
+    Crashed
+      { error = Printf.sprintf "worker stopped by signal %d" (posix_signal sg) }
+
+let kill p =
+  (try Unix.kill p.pid Sys.sigkill with Unix.Unix_error _ -> ());
+  ignore (reap p)
+
+let protocol_error what = Crashed { error = "worker protocol error: " ^ what }
+
+let reply_of_frame frame =
+  match J.of_string frame with
+  | exception J.Parse_error _ -> Error (`Protocol "unparsable reply")
+  | json ->
+    (match (J.member "ok" json, J.member "error" json) with
+     | Some payload, _ -> Ok payload
+     | None, Some (J.String error) -> Error (`Job error)
+     | None, _ -> Error (`Protocol "reply without ok/error"))
+
+(* --- subprocess pool ------------------------------------------------- *)
+
+type worker_state = {
+  mutable proc : process;
+  mutable stream : Wire.stream;
+  mutable current : (int * int) option;  (* (task, attempt) in flight *)
+  mutable deadline : float;  (* watchdog expiry; [infinity] when idle *)
+  mutable alive : bool;
+}
 
 let spawn_worker argv =
-  let pid, to_w, from_w = spawn_process argv in
-  { pid; to_w; from_w; stream = Wire.stream (); current = None;
+  { proc = spawn ~argv (); stream = Wire.stream (); current = None;
     deadline = infinity; alive = true }
 
 let respawn argv w =
-  let pid, to_w, from_w = spawn_process argv in
-  w.pid <- pid;
-  w.to_w <- to_w;
-  w.from_w <- from_w;
+  w.proc <- spawn ~argv ();
   w.stream <- Wire.stream ();
   w.current <- None;
   w.deadline <- infinity;
   w.alive <- true
-
-let close_noerr fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
-let reap w =
-  (* The worker is dead or dying: release our pipe ends and collect
-     the exit status (after a SIGKILL the zombie is immediate). *)
-  close_noerr w.to_w;
-  close_noerr w.from_w;
-  w.alive <- false;
-  match Unix.waitpid [] w.pid with
-  | _, status -> status
-  | exception Unix.Unix_error _ -> Unix.WEXITED 127
-
-let kill_noerr pid = try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ()
 
 let write_all fd s =
   let len = String.length s in
@@ -270,15 +243,13 @@ let write_all fd s =
 let run_subprocess config ~workers ~retries ~interrupted tasks =
   let n = tasks.count in
   let slots : 'a task_result option array = Array.make n None in
-  let respawned = respawn_counter config in
-  let timed_out = timeout_counter config in
-  (* Pending work: (task, attempt, not_before).  Retries re-enter here
-     with their backoff delay; order never affects results. *)
+  (* Pending work: (task, attempt).  Failed attempts re-enter here;
+     order never affects results. *)
   let pending = ref [] in
   let remaining = ref 0 in
   for i = n - 1 downto 0 do
     if not (tasks.skip i) then begin
-      pending := (i, 1, 0.) :: !pending;
+      pending := (i, 1) :: !pending;
       incr remaining
     end
   done;
@@ -299,64 +270,39 @@ let run_subprocess config ~workers ~retries ~interrupted tasks =
     let fail_attempt task attempt failure =
       if attempt > retries then
         finish task { attempts = attempt; outcome = Failed failure }
-      else begin
-        let d = backoff config ~task ~attempt in
-        pending := (task, attempt + 1, Unix.gettimeofday () +. d) :: !pending
-      end
+      else pending := (task, attempt + 1) :: !pending
+    in
+    (* Kill (or, after its EOF, just reap) a worker and start its
+       replacement while work remains. *)
+    let replace w =
+      w.alive <- false;
+      kill w.proc;
+      if !remaining > 0 then respawn config.worker_argv w
     in
     let worker_died w =
-      let status = reap w in
+      w.alive <- false;
+      let failure = reap w.proc in
       (match w.current with
        | None -> ()
        | Some (task, attempt) ->
-         let failure =
-           match status with
-           | Unix.WSIGNALED sg -> Killed { signal = posix_signal sg }
-           | Unix.WEXITED code ->
-             Crashed
-               { error =
-                   Printf.sprintf "worker exited with code %d before replying" code }
-           | Unix.WSTOPPED sg ->
-             Crashed { error = Printf.sprintf "worker stopped by signal %d" (posix_signal sg) }
-         in
          w.current <- None;
          fail_attempt task attempt failure);
-      if !remaining > 0 then begin
-        respawn config.worker_argv w;
-        bump respawned
-      end
+      if !remaining > 0 then respawn config.worker_argv w
     in
     let handle_reply w frame =
       match w.current with
       | None ->
         (* An unsolicited frame is a protocol violation: replace the
            worker, nothing was in flight so nothing fails. *)
-        kill_noerr w.pid;
-        ignore (reap w);
-        if !remaining > 0 then begin
-          respawn config.worker_argv w;
-          bump respawned
-        end
+        replace w
       | Some (task, attempt) ->
         w.current <- None;
         w.deadline <- infinity;
-        (match J.of_string frame with
-         | exception J.Parse_error _ ->
-           fail_attempt task attempt
-             (Crashed { error = "worker protocol error: unparsable reply" })
-         | json ->
-           (match (J.member "ok" json, J.member "error" json) with
-            | Some payload, _ ->
-              (match tasks.decode task payload with
-               | Ok v -> finish task { attempts = attempt; outcome = Done v }
-               | Error e ->
-                 fail_attempt task attempt
-                   (Crashed { error = "worker protocol error: " ^ e }))
-            | None, Some (J.String error) ->
-              fail_attempt task attempt (Crashed { error })
-            | None, _ ->
-              fail_attempt task attempt
-                (Crashed { error = "worker protocol error: reply without ok/error" })))
+        (match Result.map (tasks.decode task) (reply_of_frame frame) with
+         | Ok (Ok v) -> finish task { attempts = attempt; outcome = Done v }
+         | Ok (Error what) | Error (`Protocol what) ->
+           fail_attempt task attempt (protocol_error what)
+         | Error (`Job error) -> fail_attempt task attempt (Crashed { error }))
     in
     let send w task attempt =
       let payload = J.to_string (tasks.request task ~attempt) in
@@ -365,59 +311,53 @@ let run_subprocess config ~workers ~retries ~interrupted tasks =
         (match config.job_timeout_s with
          | None -> infinity
          | Some t -> Unix.gettimeofday () +. t);
-      match write_all w.to_w (Wire.encode_frame payload) with
+      match write_all w.proc.to_worker (Wire.encode_frame payload) with
       | () -> ()
       | exception Unix.Unix_error ((Unix.EPIPE | Unix.EBADF), _, _) ->
         (* Worker already dead; its EOF is (or will be) readable and
            the death handler re-queues the attempt. *)
         ()
     in
-    (* Pop the ready pending task with the lowest index (stable,
-       debuggable order; results don't depend on it). *)
-    let pop_ready now =
-      let ready, rest =
-        List.partition (fun (_, _, nb) -> nb <= now) !pending
-      in
-      match List.sort (fun (a, _, _) (b, _, _) -> compare a b) ready with
+    (* Pop the pending task with the lowest index (stable, debuggable
+       order; results don't depend on it). *)
+    let pop () =
+      match List.sort compare !pending with
       | [] -> None
-      | ((task, attempt, _) as chosen) :: _ ->
-        pending := List.filter (fun p -> p != chosen) ready @ rest;
-        Some (task, attempt)
+      | chosen :: rest ->
+        pending := rest;
+        Some chosen
     in
-    let assign now =
+    let assign () =
       Array.iter
         (fun w ->
           if w.alive && w.current = None then
-            match pop_ready now with
+            match pop () with
             | Some (task, attempt) -> send w task attempt
             | None -> ())
         pool
     in
     let abort_all () =
-      Array.iter
-        (fun w ->
-          if w.alive then begin
-            kill_noerr w.pid;
-            ignore (reap w)
-          end)
-        pool
+      Array.iter (fun w -> if w.alive then begin
+        w.alive <- false;
+        kill w.proc
+      end) pool
     in
     let shutdown () =
       (* Closing a worker's stdin makes its serve loop see EOF and
          exit cleanly; then reap. *)
-      Array.iter (fun w -> if w.alive then close_noerr w.to_w) pool;
+      Array.iter (fun w -> if w.alive then close_noerr w.proc.to_worker) pool;
       Array.iter (fun w -> if w.alive then begin
-        close_noerr w.from_w;
         w.alive <- false;
-        (try ignore (Unix.waitpid [] w.pid) with Unix.Unix_error _ -> ())
+        close_noerr w.proc.from_worker;
+        (try ignore (Unix.waitpid [] w.proc.pid) with Unix.Unix_error _ -> ())
       end) pool
     in
     let rec loop () =
       if interrupted () then abort_all ()
       else if !remaining = 0 then shutdown ()
       else begin
+        assign ();
         let now = Unix.gettimeofday () in
-        assign now;
         (* Watchdogs: SIGKILL any worker past its deadline. *)
         Array.iter
           (fun w ->
@@ -425,20 +365,16 @@ let run_subprocess config ~workers ~retries ~interrupted tasks =
               (match w.current with
                | Some (task, attempt) ->
                  w.current <- None;
-                 bump timed_out;
                  fail_attempt task attempt Timed_out
                | None -> ());
-              kill_noerr w.pid;
-              ignore (reap w);
-              if !remaining > 0 then begin
-                respawn config.worker_argv w;
-                bump respawned
-              end
+              replace w
             end)
           pool;
         let busy_fds =
           Array.to_list pool
-          |> List.filter_map (fun w -> if w.alive && w.current <> None then Some w.from_w else None)
+          |> List.filter_map (fun w ->
+                 if w.alive && w.current <> None then Some w.proc.from_worker
+                 else None)
         in
         let timeout =
           let next_deadline =
@@ -446,20 +382,13 @@ let run_subprocess config ~workers ~retries ~interrupted tasks =
               (fun acc w -> if w.alive then min acc w.deadline else acc)
               infinity pool
           in
-          let next_retry =
-            List.fold_left (fun acc (_, _, nb) -> min acc nb) infinity !pending
-          in
-          let horizon = min next_deadline next_retry in
-          if horizon = infinity then 0.2
-          else Float.max 0. (Float.min 0.2 (horizon -. now))
+          if next_deadline = infinity then 0.2
+          else Float.max 0. (Float.min 0.2 (next_deadline -. now))
         in
         let readable =
-          if busy_fds = [] then begin
-            (* Nothing in flight: either retries are cooling down or
-               every task is terminal.  Sleep to the horizon. *)
-            if !remaining > 0 && timeout > 0. then Unix.sleepf timeout;
-            []
-          end
+          (* Nothing in flight means a watchdog just re-queued its
+             attempt: the next pass assigns it. *)
+          if busy_fds = [] then []
           else
             match Unix.select busy_fds [] [] timeout with
             | readable, _, _ -> readable
@@ -469,12 +398,12 @@ let run_subprocess config ~workers ~retries ~interrupted tasks =
           (fun fd ->
             match
               Array.to_list pool
-              |> List.find_opt (fun w -> w.alive && w.from_w == fd)
+              |> List.find_opt (fun w -> w.alive && w.proc.from_worker == fd)
             with
             | None -> ()
             | Some w ->
               let buf = Bytes.create 65536 in
-              (match Unix.read w.from_w buf 0 (Bytes.length buf) with
+              (match Unix.read fd buf 0 (Bytes.length buf) with
                | 0 -> worker_died w
                | n ->
                  Wire.feed w.stream (Bytes.sub_string buf 0 n);
@@ -482,7 +411,7 @@ let run_subprocess config ~workers ~retries ~interrupted tasks =
                    match Wire.pop w.stream with
                    | Some frame ->
                      handle_reply w frame;
-                     drain ()
+                     if w.alive then drain ()
                    | None -> ()
                    | exception Wire.Protocol_error _ ->
                      (* Garbage on the pipe: replace the worker; the
@@ -490,15 +419,9 @@ let run_subprocess config ~workers ~retries ~interrupted tasks =
                      (match w.current with
                       | Some (task, attempt) ->
                         w.current <- None;
-                        fail_attempt task attempt
-                          (Crashed { error = "worker protocol error: bad frame" })
+                        fail_attempt task attempt (protocol_error "bad frame")
                       | None -> ());
-                     kill_noerr w.pid;
-                     ignore (reap w);
-                     if !remaining > 0 then begin
-                       respawn config.worker_argv w;
-                       bump respawned
-                     end
+                     replace w
                  in
                  drain ()
                | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()))
@@ -512,13 +435,10 @@ let run_subprocess config ~workers ~retries ~interrupted tasks =
          | Some behavior -> (try Sys.set_signal Sys.sigpipe behavior with Invalid_argument _ -> ())
          | None -> ());
         (* Never leak workers, whatever happened above. *)
-        Array.iter
-          (fun w ->
-            if w.alive then begin
-              kill_noerr w.pid;
-              ignore (reap w)
-            end)
-          pool)
+        Array.iter (fun w -> if w.alive then begin
+          w.alive <- false;
+          kill w.proc
+        end) pool)
       loop;
     slots
   end
@@ -529,5 +449,5 @@ let run config ~workers ~retries ?(interrupted = fun () -> false) tasks =
   if retries < 0 then invalid_arg "Executor.run: retries must be >= 0";
   if workers < 1 then invalid_arg "Executor.run: workers must be >= 1";
   match config.c_kind with
-  | In_domain -> run_in_domain config ~workers ~retries ~interrupted tasks
+  | In_domain -> run_in_domain ~workers ~retries ~interrupted tasks
   | Subprocess -> run_subprocess config ~workers ~retries ~interrupted tasks

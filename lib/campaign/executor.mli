@@ -19,14 +19,10 @@
        respawned.  A per-task wall-clock watchdog SIGKILLs workers
        that exceed [job_timeout_s] ({!Timed_out}).}}
 
-    Failed attempts are retried up to [retries] times under seeded
-    decorrelated-jitter backoff ({!backoff_s}: capped growth from
-    [backoff_base_s] with a deterministic per-(seed, task, attempt)
-    jitter).  Task {e results}
-    stay deterministic either way: what executes, how often it is
-    attempted on a deterministic failure, and everything a task
-    returns are pure functions of the task — wall-clock only decides
-    {e when} retries happen, never {e what} they produce.
+    Failed attempts are retried at once, up to [retries] times.  Task
+    {e results} stay deterministic either way: what executes, how
+    often it is attempted on a deterministic failure, and everything a
+    task returns are pure functions of the task.
 
     The executor reports how each task ended; turning failures into
     report rows (and keeping wall-clock metadata out of them) is the
@@ -38,42 +34,15 @@ type kind =
 
 type config
 
-(** [config ?job_timeout_s ?backoff_base_s ?backoff_seed ?worker_argv
-    ?obs ?obs_prefix kind].
+(** [config ?job_timeout_s ?worker_argv kind].
 
     [job_timeout_s] — per-attempt wall-clock watchdog ({!Subprocess}
     only; ignored in-domain where a stuck domain cannot be killed).
-    [backoff_base_s] (default [0.]) — base retry delay; [0.] retries
-    immediately.  [backoff_seed] (default [0]) seeds the jitter.
     [worker_argv] (default [[| Sys.executable_name; "_worker" |]]) —
-    how to launch a worker; test binaries point it at themselves.
-    [obs] registers [<obs_prefix>.workers_respawned] and
-    [<obs_prefix>.jobs_timed_out] counters ([obs_prefix] default
-    ["campaign"]); this registry is runner-level observability and
-    must never be merged into a deterministic report. *)
-val config :
-  ?job_timeout_s:float ->
-  ?backoff_base_s:float ->
-  ?backoff_seed:int ->
-  ?worker_argv:string array ->
-  ?obs:Tabv_obs.Metrics.t ->
-  ?obs_prefix:string ->
-  kind ->
-  config
+    how to launch a worker; test binaries point it at themselves. *)
+val config : ?job_timeout_s:float -> ?worker_argv:string array -> kind -> config
 
 val kind_of : config -> kind
-val kind_name : kind -> string
-
-(** [backoff_s ~seed ~task ~base_s ~attempt] — the deterministic
-    decorrelated-jitter retry delay used between attempts: [d1 =
-    base_s], [dn = min (32 * base_s) (base_s + u * (3 * d(n-1) -
-    base_s))] with [u] in [[0, 1)] hashed from [(seed, task, n)].
-    Pure function of its arguments; [0.] when [base_s <= 0.] or
-    [attempt < 1].  Exposed because the serve client reuses it for
-    backpressure retries — distinct seeds decorrelate a fleet of
-    clients rejected at the same instant, where fixed server advice
-    would re-stampede them in lockstep. *)
-val backoff_s : seed:int -> task:int -> base_s:float -> attempt:int -> float
 
 (** How a task ultimately failed (after all retries). *)
 type failure =
@@ -86,6 +55,44 @@ type failure =
   | Timed_out  (** wall-clock watchdog expired — {!Subprocess} only *)
 
 val failure_to_string : failure -> string
+
+(** {1 Worker processes}
+
+    The process code of the {!Subprocess} pool, shared with the serve
+    daemon's subprocess workers. *)
+
+(** A live worker process and our ends of its pipes: [to_worker] is its
+    stdin, [from_worker] its stdout. *)
+type process = {
+  pid : int;
+  to_worker : Unix.file_descr;
+  from_worker : Unix.file_descr;
+}
+
+(** [spawn ?argv ()] starts a worker (default argv
+    [[| Sys.executable_name; "_worker" |]]).  Both pipes are
+    close-on-exec from creation, so a worker inherits no other
+    worker's pipe ends. *)
+val spawn : ?argv:string array -> unit -> process
+
+(** Close our pipe ends, wait for the process and classify its death:
+    {!Killed} with the POSIX signal number, or {!Crashed} naming the
+    exit code. *)
+val reap : process -> failure
+
+(** SIGKILL the process, then {!reap} it. *)
+val kill : process -> unit
+
+(** [protocol_error what] — the {!Crashed} failure of a worker that
+    broke the frame protocol ("worker protocol error: [what]"). *)
+val protocol_error : string -> failure
+
+(** A worker's reply frame: [Ok payload] for [{"ok":payload}],
+    [Error (`Job message)] for [{"error":message}], and
+    [Error (`Protocol what)] for anything else. *)
+val reply_of_frame :
+  string ->
+  (Tabv_core.Report_json.json, [ `Job of string | `Protocol of string ]) result
 
 type 'a outcome =
   | Done of 'a

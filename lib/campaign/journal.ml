@@ -165,7 +165,7 @@ let write_line io line =
   Tabv_core.Io.write io (frame line ^ "\n");
   Tabv_core.Io.fsync io
 
-let open_ ?obs ~path ~kind ~fingerprint ~resume () =
+let open_ ~path ~kind ~fingerprint ~resume =
   let* replayed, valid_len, total_len =
     if resume && Sys.file_exists path then begin
       (* An unreadable path (a directory, bad permissions) is an
@@ -205,7 +205,7 @@ let open_ ?obs ~path ~kind ~fingerprint ~resume () =
       Error
         (Printf.sprintf "journal: %s %s: %s" op path (Unix.error_message error))
   in
-  let t =
+  Ok
     {
       path;
       kind;
@@ -215,13 +215,6 @@ let open_ ?obs ~path ~kind ~fingerprint ~resume () =
       truncated_bytes = total_len - valid_len;
       lock = Mutex.create ();
     }
-  in
-  (match obs with
-   | None -> ()
-   | Some registry ->
-     Tabv_obs.Metrics.probe registry ~combine:`Max (kind ^ ".journal_records")
-       (fun () -> t.count));
-  Ok t
 
 let replayed t = t.replayed
 let records t = t.count

@@ -45,7 +45,7 @@
 
 type t
 
-(** [open_ ?obs ~path ~kind ~fingerprint ~resume ()].
+(** [open_ ~path ~kind ~fingerprint ~resume].
 
     With [resume = false]: truncate/create [path] and write a fresh
     header.  With [resume = true]: read [path] back (missing file =
@@ -53,17 +53,9 @@ type t
     the replayable records from the valid prefix (truncating any
     torn / corrupt suffix), and reopen for appending.  [Error] on a
     corrupted or malformed header, wrong kind, or fingerprint
-    mismatch — never an exception for bad file contents.
-
-    [obs] registers a [<kind>.journal_records] probe (current record
-    count, replayed ones included) on the given registry. *)
+    mismatch — never an exception for bad file contents. *)
 val open_ :
-  ?obs:Tabv_obs.Metrics.t ->
-  path:string ->
-  kind:string ->
-  fingerprint:string ->
-  resume:bool ->
-  unit ->
+  path:string -> kind:string -> fingerprint:string -> resume:bool ->
   (t, string) result
 
 (** Records read back by [open_ ~resume:true], ascending [id].

@@ -160,6 +160,60 @@ let run_validated ?(exec = Executor.config Executor.In_domain) ?interrupted
            properties)
     end
 
+let plan ~trace ~props ~workers meta trace_signals =
+  let ( let* ) = Result.bind in
+  let module Models = Tabv_duv.Models in
+  let* model =
+    match Models.of_name meta.Tabv_trace.Meta.model with
+    | Some model -> Ok model
+    | None ->
+      Error
+        (Format.asprintf
+           "%s: recorded from unknown model %a — stale trace or newer tabv?"
+           trace Tabv_trace.Meta.pp meta)
+  in
+  let* user = Models.user_properties model props in
+  let properties, grid_properties = Models.properties_for model user in
+  let* () =
+    match grid_properties with
+    | [] -> Ok ()
+    | grid ->
+      Error
+        (Printf.sprintf
+           "%d propert%s need full-grid transactions (grid wrapper) and \
+            cannot be re-checked against a recorded trace: %s"
+           (List.length grid)
+           (if List.length grid = 1 then "y" else "ies")
+           (String.concat ", " (List.map (fun p -> p.Property.name) grid)))
+  in
+  let* () =
+    if properties = [] then Error "no properties to re-check" else Ok ()
+  in
+  (* Every signal a property samples must have been recorded, or the
+     verdicts would silently differ from a live check.  (An empty trace
+     has no dictionary; nothing is sampled either, so any property set
+     is fine.) *)
+  let* () =
+    match
+      if trace_signals = [] then []
+      else Property.missing_signals ~known:trace_signals properties
+    with
+    | [] -> Ok ()
+    | missing ->
+      Error
+        (Format.asprintf
+           "%s: trace (%a) does not record signal(s) %s — stale trace or \
+            mismatched property set"
+           trace Tabv_trace.Meta.pp meta
+           (String.concat ", " missing))
+  in
+  match workers with
+  | None ->
+    Ok (min (Domain.recommended_domain_count ()) (List.length properties),
+        properties)
+  | Some w when w >= 1 -> Ok (w, properties)
+  | Some w -> Error (Printf.sprintf "--workers must be >= 1 (got %d)" w)
+
 let run ?exec ?interrupted ~workers ~retries ~trace properties =
   if workers < 1 then invalid_arg "Recheck.run: workers must be >= 1";
   Result.get_ok

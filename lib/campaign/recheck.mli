@@ -66,6 +66,23 @@ val run_validated :
   (Tabv_trace.Meta.t -> string list -> (int * Property.t list, 'e) Stdlib.result) ->
   (result, 'e) Stdlib.result
 
+(** [plan ~trace ~props ~workers] — the admission policy of a recheck,
+    for {!run_validated}, shared by [tabv recheck] and the serve
+    daemon.  It refuses, in order: a trace recorded from a model the
+    catalog does not know; user properties naming signals the model
+    lacks ({!Tabv_duv.Models.user_properties}); properties that need
+    the full-grid wrapper; an empty property set; properties sampling
+    a signal the trace does not record; and a worker count below 1.
+    [workers = None] is the recommended domain count capped by the
+    property count. *)
+val plan :
+  trace:string ->
+  props:Tabv_duv.Models.props ->
+  workers:int option ->
+  Tabv_trace.Meta.t ->
+  string list ->
+  (int * Property.t list, string) Stdlib.result
+
 (** [run ?exec ?interrupted ~workers ~retries ~trace properties]
     re-checks the property set against the stored trace: a
     {!run_validated} whose plan accepts every recording.

@@ -24,7 +24,6 @@ let decode_request json =
   match op with
   | "campaign_job" ->
     let* attempt = Wire.int_field what "attempt" fields in
-    let* metrics = Wire.bool_field what "metrics" fields in
     let* job =
       let* v = Wire.field what "job" fields in
       Campaign.job_spec_of_json v
@@ -32,7 +31,7 @@ let decode_request json =
     Ok
       (fun () ->
         Campaign.payload_json
-          (Campaign.exec_job ~attempt ~metrics_enabled:metrics job))
+          (Campaign.exec_job ~attempt job))
   | "qualify_job" ->
     let* duv =
       let* name = Wire.string_field what "duv" fields in

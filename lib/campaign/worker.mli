@@ -16,7 +16,7 @@
 
     Requests:
     {ul
-    {- [{"op":"campaign_job","attempt":n,"metrics":b,"job":{..}}] —
+    {- [{"op":"campaign_job","attempt":n,"job":{..}}] —
        one attempt of one {!Campaign} job
        ({!Campaign.request_json});}
     {- [{"op":"qualify_job","duv":..,"levels":[..],"seed":n,"ops":n,

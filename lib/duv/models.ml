@@ -185,6 +185,57 @@ let properties_for model user =
    equivalence, so a trace of it would not replay meaningfully. *)
 let supports_trace model = level_of model <> Tlm_lt
 
+let ( let* ) = Result.bind
+
+type props = unit -> ((string * Property.t list) option, string) result
+
+(* The caller's property source, judged against [model]: a set naming
+   a signal the model lacks is refused, prefixed with the source's
+   name. *)
+let user_properties model props =
+  let* user = props () in
+  match user with
+  | None -> Ok None
+  | Some (source, properties) ->
+    (match check_signals model properties with
+     | Ok () -> Ok (Some properties)
+     | Error message -> Error (source ^ ": " ^ message))
+
+(* The admission policy and run of one check or record job, for every
+   entry point: the refusals in order (ops, the user's properties,
+   recordability), then the trace and the run.  A trace that cannot be
+   opened, written or synced raises [Io_error] for the caller to word. *)
+let simulate ?metrics ?trace_out model ~seed ~ops ~props =
+  let* () = check_ops ops in
+  let* user = user_properties model props in
+  let* () =
+    match trace_out with
+    | Some _ when not (supports_trace model) ->
+      Error
+        (Printf.sprintf
+           "%s records no trace (the loosely-timed model is deliberately \
+            not timing equivalent, so a recording would not replay \
+            meaningfully)"
+           (name model))
+    | Some _ | None -> Ok ()
+  in
+  let properties, grid_properties = properties_for model user in
+  let writer =
+    Option.map
+      (fun path ->
+        Tabv_trace.Writer.create ~path
+          (Tabv_trace.Meta.make ~model:(name model) ~seed ~ops))
+      trace_out
+  in
+  let result =
+    Tabv_trace.Writer.protect writer (fun () ->
+        run
+          { Testbench.default with
+            properties; grid_properties; metrics; trace_writer = writer }
+          model ~seed ~ops)
+  in
+  Ok (result, writer)
+
 (* The deterministic verdict report of one run: run identification
    plus per-property counters in attach order.  `recheck` builds the
    same document from the trace meta + merged snapshots; the serve

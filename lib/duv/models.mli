@@ -112,6 +112,38 @@ val run : Testbench.run -> t -> seed:int -> ops:int -> Testbench.run_result
     meaningfully). *)
 val supports_trace : t -> bool
 
+(** A caller's property source, read when a job is admitted: [Ok None]
+    selects the built-in suite, [Ok (Some (source, properties))] a user
+    set named [source] (a file path, or ["props"] for inline text).
+    Reading and parsing it is the caller's step. *)
+type props =
+  unit -> ((string * Tabv_psl.Property.t list) option, string) result
+
+(** [user_properties model props] reads [props] and refuses a set
+    naming signals [model] lacks ({!check_signals}), the message
+    prefixed with the source's name. *)
+val user_properties :
+  t -> props -> (Tabv_psl.Property.t list option, string) result
+
+(** [simulate ?metrics ?trace_out model ~seed ~ops ~props] — one check
+    ([trace_out = None]) or record job, admitted and run the same way
+    by [tabv check], [tabv record] and the serve daemon.  It refuses,
+    in order: [ops] ({!check_ops}), the user's properties
+    ({!user_properties}), then a trace of a model that records none
+    ({!supports_trace}); then opens the trace and runs {!run} inside
+    {!Tabv_trace.Writer.protect}.  The writer is returned for its
+    counters.
+    @raise Tabv_core.Io.Io_error when the trace cannot be opened,
+    written or synced — each caller words it. *)
+val simulate :
+  ?metrics:Tabv_obs.Metrics.t ->
+  ?trace_out:string ->
+  t ->
+  seed:int ->
+  ops:int ->
+  props:props ->
+  (Testbench.run_result * Tabv_trace.Writer.t option, string) result
+
 (** The deterministic verdict report of one run: run identification
     plus per-property counters in attach order.  Every producer of
     this document (live check, recheck-from-trace, the serve daemon

@@ -215,18 +215,37 @@ let request t job =
       (Printf.sprintf "cannot reach the server: %s" (Unix.error_message e))
   | () -> await_terminal t ~id
 
+(* Deterministic decorrelated-jitter retry delay (AWS architecture
+   blog vintage): d1 = base, dn = min(cap, base + u * (3 * d(n-1) -
+   base)) where u in [0, 1) is a hash of (seed, task, n).  Compared to
+   plain exponential-with-fixed-jitter, successive delays from
+   different seeds decorrelate quickly — a fleet of clients rejected
+   at the same instant does not re-stampede on the same schedule.
+   [0.] when [base_s <= 0.] or [attempt < 1]. *)
+let backoff_s ~seed ~task ~base_s ~attempt =
+  if base_s <= 0. || attempt < 1 then 0.
+  else begin
+    let cap = 32. *. base_s in
+    let frac n =
+      float_of_int (Hashtbl.hash (seed, task, n) land 0xFFFF) /. 65536.
+    in
+    let rec grow d n =
+      if n > attempt then d
+      else grow (Float.min cap (base_s +. (frac n *. ((3. *. d) -. base_s)))) (n + 1)
+    in
+    grow base_s 2
+  end
+
 (* Submit with bounded retries on backpressure.  With [backoff_seed]
-   the server's advice seeds the campaign executor's decorrelated-
-   jitter backoff ({!Tabv_campaign.Executor.backoff_s}) so a fleet of
-   clients rejected at the same instant spreads out instead of
-   re-stampeding in lockstep; without it the raw advice is honored
-   as-is (deterministic, for tests). *)
+   the server's advice seeds {!backoff_s} so a fleet of clients
+   rejected at the same instant spreads out instead of re-stampeding
+   in lockstep; without it the raw advice is honored as-is
+   (deterministic, for tests). *)
 let retry_delay_s ?backoff_seed ~attempt retry_after_ms =
   let advice = float_of_int retry_after_ms /. 1000. in
   match backoff_seed with
   | None -> advice
-  | Some seed ->
-    Tabv_campaign.Executor.backoff_s ~seed ~task:0 ~base_s:advice ~attempt
+  | Some seed -> backoff_s ~seed ~task:0 ~base_s:advice ~attempt
 
 let request_with_retry ?(attempts = 10) ?backoff_seed t job =
   let rec go attempt =

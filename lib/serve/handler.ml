@@ -51,72 +51,40 @@ let cacheable = function
    server's state directory — fingerprinted, so concurrent *distinct*
    campaigns never collide ({!Journal.state_path}).  The server rejects
    concurrent requests mapping to the same path at admission. *)
+let journal_path ~dir (campaign : Campaign.admitted) =
+  Journal.state_path ~dir ~kind:Campaign.journal_kind
+    ~fingerprint:campaign.fingerprint
+
+let ( let* ) = Result.bind
+
+let admit_campaign ~manifest ~retries =
+  let* m = Campaign.manifest_of_json manifest in
+  Campaign.admit ?retries m
+
 let campaign_journal_path ~state_dir job =
   match job with
   | Protocol.Campaign { manifest; workers = _; retries; journal = true } ->
-    (match Campaign.manifest_of_json manifest with
-     | Error _ -> None
-     | Ok m ->
-       let retries =
-         match (retries, m.Campaign.manifest_retries) with
-         | Some r, _ -> r
-         | None, Some r -> r
-         | None, None -> 1
-       in
-       let fingerprint =
-         Campaign.fingerprint ~retries m.Campaign.manifest_jobs
-       in
-       Some
-         (Journal.state_path ~dir:state_dir ~kind:Campaign.journal_kind
-            ~fingerprint))
+    Result.to_option
+      (Result.map (journal_path ~dir:state_dir) (admit_campaign ~manifest ~retries))
   | _ -> None
 
 (* --- execution ----------------------------------------------------- *)
 
 let render doc = J.to_string doc ^ "\n"
 
-let parse_props = function
+(* The request's property source: inline text, named "props". *)
+let inline_props props () =
+  match props with
   | None -> Ok None
   | Some source ->
     (match Tabv_psl.Parser.file source with
-     | properties -> Ok (Some properties)
+     | properties -> Ok (Some ("props", properties))
      | exception Tabv_psl.Parser.Parse_error { line; col; message } ->
        Error (Printf.sprintf "props:%d:%d: %s" line col message))
 
-let ( let* ) = Result.bind
-
-(* The user's properties, refused when they read signals the model
-   lacks — before any simulation or recheck runs. *)
-let user_props model props =
-  let* user = parse_props props in
-  match user with
-  | Some properties ->
-    let* () = Models.check_signals model properties in
-    Ok user
-  | None -> Ok None
-
 let exec_check ~model ~seed ~ops ~props ~trace_out =
-  let* () = Models.check_ops ops in
-  let* user = user_props model props in
-  let properties, grid_properties = Models.properties_for model user in
-  let* writer =
-    match trace_out with
-    | None -> Ok None
-    | Some path ->
-      if not (Models.supports_trace model) then
-        Error
-          (Printf.sprintf "%s records no trace (loosely-timed model)"
-             (Models.name model))
-      else
-        let meta = Tabv_trace.Meta.make ~model:(Models.name model) ~seed ~ops in
-        Ok (Some (Tabv_trace.Writer.create ~path meta))
-  in
-  let result =
-    Tabv_trace.Writer.protect writer (fun () ->
-        Models.run
-          { Tabv_duv.Testbench.default with
-            properties; grid_properties; trace_writer = writer }
-          model ~seed ~ops)
+  let* result, _ =
+    Models.simulate ?trace_out model ~seed ~ops ~props:(inline_props props)
   in
   Ok
     {
@@ -124,48 +92,13 @@ let exec_check ~model ~seed ~ops ~props ~trace_out =
       report = render (Models.verdict_report model ~seed ~ops result);
     }
 
-(* The trace is opened once: the model and signal gate judges the
-   header and dictionary of the reader the recheck then steps. *)
 let exec_recheck ~interrupted ~trace ~props ~workers ~retries =
-  let plan meta trace_signals =
-    let* model =
-      match Models.of_name meta.Tabv_trace.Meta.model with
-      | Some model -> Ok model
-      | None ->
-        Error
-          (Printf.sprintf "%s: recorded from unknown model %S" trace
-             meta.Tabv_trace.Meta.model)
-    in
-    let* user = user_props model props in
-    let properties, grid_properties = Models.properties_for model user in
-    let* () =
-      if grid_properties = [] then Ok ()
-      else
-        Error
-          (Printf.sprintf
-             "%d propert(ies) need full-grid transactions and cannot be \
-              re-checked against a recorded trace"
-             (List.length grid_properties))
-    in
-    let* () =
-      if properties <> [] then Ok () else Error "no properties to re-check"
-    in
-    let* () =
-      if trace_signals = [] then Ok ()
-      else begin
-        let missing =
-          Tabv_psl.Property.missing_signals ~known:trace_signals properties
-        in
-        if missing = [] then Ok ()
-        else
-          Error
-            (Printf.sprintf "%s: trace does not record signal(s) %s" trace
-               (String.concat ", " missing))
-      end
-    in
-    Ok (workers, properties)
-  in
-  match Recheck.run_validated ~interrupted ~retries ~trace plan with
+  match
+    Tabv_trace.Reader.catch_format_error (fun () ->
+        Recheck.run_validated ~interrupted ~retries ~trace
+          (Recheck.plan ~trace ~props:(inline_props props)
+             ~workers:(Some workers)))
+  with
   | Ok result ->
     Ok
       {
@@ -173,33 +106,11 @@ let exec_recheck ~interrupted ~trace ~props ~workers ~retries =
         report = render (Recheck.report_json result);
       }
   | Error refusal -> Error refusal
-  | exception Tabv_trace.Reader.Format_error { path; message; offset; valid_prefix } ->
-    Error
-      (Printf.sprintf "%s: %s (at byte %d; verified prefix %d bytes)" path
-         message offset valid_prefix)
-  | exception Recheck.Chunk_failed message ->
-    Error ("chunk failed: " ^ message)
+  | exception Recheck.Chunk_failed message -> Error ("chunk failed: " ^ message)
 
 let exec_campaign ~interrupted ~state_dir ~manifest ~workers ~retries ~journal
     =
-  let* m = Campaign.manifest_of_json manifest in
-  let jobs = m.Campaign.manifest_jobs in
-  let* () = if jobs <> [] then Ok () else Error "empty campaign (no jobs)" in
-  let* () =
-    let rec validate = function
-      | [] -> Ok ()
-      | job :: rest ->
-        let* () = Campaign.validate job in
-        validate rest
-    in
-    validate jobs
-  in
-  let retries =
-    match (retries, m.Campaign.manifest_retries) with
-    | Some r, _ -> r
-    | None, Some r -> r
-    | None, None -> 1
-  in
+  let* campaign = admit_campaign ~manifest ~retries in
   let* journal =
     if not journal then Ok None
     else
@@ -207,24 +118,23 @@ let exec_campaign ~interrupted ~state_dir ~manifest ~workers ~retries ~journal
       | None -> Error "this server has no state directory (journal requests \
                        need --state-dir)"
       | Some dir ->
-        let path =
-          Journal.state_path ~dir ~kind:Campaign.journal_kind
-            ~fingerprint:(Campaign.fingerprint ~retries jobs)
-        in
+        let path = journal_path ~dir campaign in
         (* resume:true doubles as crash recovery: a journal left by a
            previous daemon's in-flight campaign is replayed instead of
            re-run, and a missing file is simply a fresh journal. *)
         (match
            Journal.open_ ~path ~kind:Campaign.journal_kind
-             ~fingerprint:(Campaign.fingerprint ~retries jobs) ~resume:true ()
+             ~fingerprint:campaign.fingerprint ~resume:true
          with
-         | Ok j -> Ok (Some j)
+         | Ok j -> Ok (Some (path, j))
          | Error msg -> Error (Printf.sprintf "%s: %s" path msg))
   in
   let summary =
     Fun.protect
-      ~finally:(fun () -> Option.iter Journal.close journal)
-      (fun () -> Campaign.run ~workers ~retries ?journal ~interrupted jobs)
+      ~finally:(fun () -> Option.iter (fun (_, j) -> Journal.close j) journal)
+      (fun () ->
+        Campaign.run ~workers ~retries:campaign.retries
+          ?journal:(Option.map snd journal) ~interrupted campaign.jobs)
   in
   let* () =
     if summary.Campaign.pending = 0 then Ok ()
@@ -237,17 +147,9 @@ let exec_campaign ~interrupted ~state_dir ~manifest ~workers ~retries ~journal
      removing it keeps the state directory from accumulating one file
      per historical campaign (crash recovery only needs journals of
      campaigns that did NOT complete). *)
-  (match journal with
-   | Some _ ->
-     (match state_dir with
-      | Some dir ->
-        let path =
-          Journal.state_path ~dir ~kind:Campaign.journal_kind
-            ~fingerprint:(Campaign.fingerprint ~retries jobs)
-        in
-        (try Sys.remove path with Sys_error _ -> ())
-      | None -> ())
-   | None -> ());
+  Option.iter
+    (fun (path, _) -> try Sys.remove path with Sys_error _ -> ())
+    journal;
   Ok
     {
       green = Campaign.all_green summary;
@@ -298,11 +200,18 @@ let execute ?(interrupted = fun () -> false) ~state_dir job =
 (* [{"op":"serve_request","state_dir":..?,"request":{..}}] — execute
    one serve job inside a [_worker] subprocess.  The reply payload is
    [{"green":b,"report":text}]; request-level failures use the
-   worker's standard [{"error":..}] path (via Failure). *)
+   worker's standard [{"error":..}] path, raised as [Refused] so the
+   error carries the message itself, as an in-domain worker's does. *)
 let worker_op = "serve_request"
 
+exception Refused of string
+
+let () =
+  Printexc.register_printer (function
+    | Refused message -> Some message
+    | _ -> None)
+
 let decode_worker_request json =
-  let ( let* ) = Result.bind in
   let* fields = Tabv_campaign.Wire.open_assoc worker_op json in
   let* state_dir =
     match List.assoc_opt "state_dir" fields with
@@ -327,7 +236,7 @@ let decode_worker_request json =
       match execute ~state_dir job with
       | Ok { green; report } ->
         J.Assoc [ ("green", J.Bool green); ("report", J.String report) ]
-      | Error msg -> failwith msg)
+      | Error msg -> raise (Refused msg))
 
 let worker_request_json ~state_dir job =
   J.Assoc
@@ -338,7 +247,6 @@ let worker_request_json ~state_dir job =
     @ [ ("request", Protocol.request_json ~id:0 (Protocol.Job job)) ])
 
 let decode_worker_reply json =
-  let ( let* ) = Result.bind in
   let what = worker_op ^ " reply" in
   let* fields = Tabv_campaign.Wire.open_assoc what json in
   let* green = Tabv_campaign.Wire.bool_field what "green" fields in

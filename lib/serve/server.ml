@@ -37,6 +37,7 @@ module J = Tabv_core.Report_json
 module Frame = Tabv_core.Frame
 module Metrics = Tabv_obs.Metrics
 module Journal = Tabv_campaign.Journal
+module Executor = Tabv_campaign.Executor
 
 type executor =
   | In_domain_workers
@@ -50,8 +51,6 @@ type config = {
   queue_bound : int;
   retry_after_ms : int;  (* base advice in rejected events *)
   warm_bound : int;
-  backlog_bound : int;  (* outgoing bytes buffered per connection *)
-  frame_bound : int;  (* largest request frame body a client may announce *)
   job_timeout_s : float option;  (* per-request deadline; None = no deadline *)
   conn_idle_timeout_s : float;  (* max silence mid-frame before disconnect *)
   breaker_threshold : int;  (* consecutive worker failures before quarantine *)
@@ -59,10 +58,17 @@ type config = {
   shed_watermark : int option;  (* queue depth where low-priority shedding
                                    starts; None = 3/4 of the bound *)
   state_dir : string option;  (* journals for journaled campaigns *)
-  journal_gc_age_s : float;  (* stale-journal GC horizon at startup *)
-  worker_argv : string array;  (* how to launch a subprocess worker *)
   obs : Metrics.t option;  (* server observability registry *)
 }
+
+(* Outgoing bytes buffered per connection before the client is
+   dropped, and the largest request frame body a client may announce. *)
+let backlog_bound = 64 * 1024 * 1024
+let frame_bound = 64 * 1024 * 1024
+
+(* Journals older than a week have no recovery value; startup collects
+   them. *)
+let journal_gc_age_s = 7. *. 24. *. 3600.
 
 let default_config ~socket () =
   {
@@ -73,16 +79,12 @@ let default_config ~socket () =
     queue_bound = 64;
     retry_after_ms = 250;
     warm_bound = 32;
-    backlog_bound = 64 * 1024 * 1024;
-    frame_bound = 64 * 1024 * 1024;
     job_timeout_s = Some 300.;
     conn_idle_timeout_s = 60.;
     breaker_threshold = 3;
     breaker_cooldown_s = 5.;
     shed_watermark = None;
     state_dir = None;
-    journal_gc_age_s = 7. *. 24. *. 3600.;
-    worker_argv = [| Sys.executable_name; "_worker" |];
     obs = None;
   }
 
@@ -116,7 +118,6 @@ type conn = {
   c_out : string Queue.t;  (* pending outgoing frames, oldest first *)
   mutable c_out_off : int;  (* bytes of the head frame already written *)
   mutable c_out_len : int;  (* total unwritten bytes across the queue *)
-  c_out_bound : int;  (* backlog bytes before the client is dropped *)
   mutable c_overflow : bool;  (* backlog over bound: disconnect pending *)
   mutable c_dead : bool;
   mutable c_frame_deadline : float option;
@@ -141,12 +142,10 @@ type dworker = {
   mutable d_domain : unit Domain.t option;
 }
 
-(* One subprocess worker (coordinator-side): the live process, its
-   pipe ends, and the plain-frame reassembly stream. *)
+(* One subprocess worker (coordinator-side): the live process and the
+   plain-frame reassembly stream of its replies. *)
 type proc = {
-  p_pid : int;
-  p_to : Unix.file_descr;
-  p_from : Unix.file_descr;
+  p : Executor.process;
   p_stream : Frame.stream;
 }
 
@@ -195,8 +194,6 @@ type t = {
 
 let close_noerr fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
-let set_cloexec fd = try Unix.set_close_on_exec fd with Unix.Unix_error _ -> ()
-
 let rec write_all fd s off len =
   if len > 0 then begin
     let n = Unix.write_substring fd s off len in
@@ -213,7 +210,7 @@ let send_frame conn payload =
     let frame = Frame.encode ~version:Protocol.frame_version payload in
     Queue.add frame conn.c_out;
     conn.c_out_len <- conn.c_out_len + String.length frame;
-    if conn.c_out_len > conn.c_out_bound then conn.c_overflow <- true
+    if conn.c_out_len > backlog_bound then conn.c_overflow <- true
   end
 
 (* Best-effort synchronous flush of the backlog (teardown, protocol
@@ -266,40 +263,6 @@ let dworker_loop state_dir w wake_w outbox outbox_lock =
   in
   loop ()
 
-(* --- subprocess worker pool ---------------------------------------- *)
-
-let spawn_proc config =
-  let req_r, req_w = Unix.pipe ~cloexec:false () in
-  let rep_r, rep_w = Unix.pipe ~cloexec:false () in
-  set_cloexec req_w;
-  set_cloexec rep_r;
-  let pid =
-    Unix.create_process config.worker_argv.(0) config.worker_argv req_r rep_w
-      Unix.stderr
-  in
-  close_noerr req_r;
-  close_noerr rep_w;
-  { p_pid = pid; p_to = req_w; p_from = rep_r; p_stream = Frame.stream () }
-
-let kill_proc proc =
-  (try Unix.kill proc.p_pid Sys.sigkill with Unix.Unix_error _ -> ());
-  close_noerr proc.p_to;
-  close_noerr proc.p_from;
-  (try ignore (Unix.waitpid [] proc.p_pid) with Unix.Unix_error _ -> ())
-
-(* Reap a worker that closed its pipe, classifying the death for the
-   failure message. *)
-let reap_proc proc =
-  close_noerr proc.p_to;
-  close_noerr proc.p_from;
-  match Unix.waitpid [] proc.p_pid with
-  | _, Unix.WSIGNALED signal ->
-    Printf.sprintf "worker killed by signal %d" signal
-  | _, Unix.WEXITED code ->
-    Printf.sprintf "worker exited with code %d before replying" code
-  | _, Unix.WSTOPPED _ -> "worker stopped"
-  | exception Unix.Unix_error _ -> "worker vanished"
-
 (* --- server construction ------------------------------------------- *)
 
 let make_pool config =
@@ -350,8 +313,7 @@ let listen_unix path =
       | `Unknown -> ())
    | _ -> ()
    | exception Unix.Unix_error _ -> ());
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  set_cloexec fd;
+  let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (try Unix.bind fd (Unix.ADDR_UNIX path)
    with Unix.Unix_error (e, _, _) ->
      close_noerr fd;
@@ -372,8 +334,7 @@ let listen_tcp host port =
        with Failure _ ->
          failwith (Printf.sprintf "cannot resolve host %s" host))
   in
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  set_cloexec fd;
+  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt fd Unix.SO_REUSEADDR true;
   (try Unix.bind fd (Unix.ADDR_INET (addr, port))
    with Unix.Unix_error (e, _, _) ->
@@ -423,7 +384,7 @@ let create (config : config) =
      recovery value and would accumulate forever. *)
   (match config.state_dir with
    | Some dir ->
-     ignore (Journal.gc_stale ~dir ~max_age_s:config.journal_gc_age_s ())
+     ignore (Journal.gc_stale ~dir ~max_age_s:journal_gc_age_s ())
    | None -> ());
   {
     config;
@@ -491,7 +452,9 @@ let start_on_pworker t w running =
     match w.s_proc with
     | Some proc -> proc
     | None ->
-      let proc = spawn_proc t.config in
+      let proc =
+        { p = Executor.spawn (); p_stream = Frame.stream () }
+      in
       w.s_proc <- Some proc;
       proc
   in
@@ -501,7 +464,7 @@ let start_on_pworker t w running =
       running.r_queued.q_job
   in
   let frame = Frame.encode (J.to_string request) in
-  try write_all proc.p_to frame 0 (String.length frame)
+  try write_all proc.p.to_worker frame 0 (String.length frame)
   with Unix.Unix_error _ ->
     (* The worker died between requests (EPIPE with SIGPIPE ignored):
        leave it marked busy — the select loop watches a busy worker's
@@ -753,7 +716,7 @@ let service_pworker t w =
   | Some proc ->
     let buf = Bytes.create 65536 in
     let died, chunk =
-      match Unix.read proc.p_from buf 0 65536 with
+      match Unix.read proc.p.from_worker buf 0 65536 with
       | 0 -> (true, "")
       | n -> (false, Bytes.sub_string buf 0 n)
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
@@ -765,25 +728,23 @@ let service_pworker t w =
        malformed reply), not the request — those count against the
        slot's circuit breaker; a clean [{"error":..}] reply is the
        job's own fault and counts as worker success. *)
+    let infra what =
+      ( `Infra,
+        Error (Executor.failure_to_string (Executor.protocol_error what)) )
+    in
     let pop () =
       match Frame.pop proc.p_stream with
-      | exception Frame.Protocol_error _ ->
-        Some (`Infra, Error "worker spoke garbage")
+      | exception Frame.Protocol_error _ -> Some (infra "bad frame")
       | None -> None
-      | Some payload ->
-        (match J.of_string payload with
-         | exception J.Parse_error _ ->
-           Some (`Infra, Error "unparsable worker reply")
-         | json ->
-           (match J.member "ok" json with
-            | Some payload ->
-              (match Handler.decode_worker_reply payload with
-               | Ok outcome -> Some (`Sound, Ok outcome)
-               | Error e -> Some (`Infra, Error e))
-            | None ->
-              (match J.member "error" json with
-               | Some (J.String message) -> Some (`Sound, Error message)
-               | _ -> Some (`Infra, Error "malformed worker reply"))))
+      | Some frame ->
+        Some
+          (match
+             Result.map Handler.decode_worker_reply
+               (Executor.reply_of_frame frame)
+           with
+           | Ok (Ok outcome) -> (`Sound, Ok outcome)
+           | Ok (Error what) | Error (`Protocol what) -> infra what
+           | Error (`Job message) -> (`Sound, Error message))
     in
     let record_outcome verdict =
       match verdict with
@@ -792,7 +753,7 @@ let service_pworker t w =
           ~now:(Unix.gettimeofday ());
         (* A worker that garbles its pipe has nothing trustworthy left
            to say: kill it and respawn lazily. *)
-        kill_proc proc;
+        Executor.kill proc.p;
         w.s_proc <- None
       | `Sound -> Sched.Breaker.record_success t.breakers.(w.s_idx)
     in
@@ -807,7 +768,10 @@ let service_pworker t w =
        if w.s_proc <> None then ignore (pop ())
      | None ->
        if died then begin
-         let message = reap_proc proc in
+         let message =
+           Executor.failure_to_string
+             (Executor.reap proc.p)
+         in
          w.s_proc <- None;
          match w.s_busy with
          | Some running ->
@@ -832,11 +796,10 @@ let accept_conn t listener =
         c_fd = fd;
         c_stream =
           Frame.stream ~expect_version:Protocol.frame_version
-            ~max_frame:t.config.frame_bound ();
+            ~max_frame:frame_bound ();
         c_out = Queue.create ();
         c_out_off = 0;
         c_out_len = 0;
-        c_out_bound = t.config.backlog_bound;
         c_overflow = false;
         c_dead = false;
         c_frame_deadline = None;
@@ -882,7 +845,7 @@ let disconnect t conn =
            w.s_busy <- None;
            (match w.s_proc with
             | Some proc ->
-              kill_proc proc;
+              Executor.kill proc.p;
               w.s_proc <- None
             | None -> ())
          | _ -> ())
@@ -1030,7 +993,7 @@ let enforce_deadlines t =
              w.s_busy <- None;
              (match w.s_proc with
               | Some proc ->
-                kill_proc proc;
+                Executor.kill proc.p;
                 w.s_proc <- None
               | None -> ())
            | _ -> ())
@@ -1091,9 +1054,7 @@ let teardown t =
    | Processes workers ->
      Array.iter
        (fun w ->
-         (match w.s_proc with
-          | Some proc -> kill_proc proc
-          | None -> ());
+         Option.iter (fun proc -> Executor.kill proc.p) w.s_proc;
          w.s_proc <- None)
        workers);
   (match Unix.lstat t.config.socket with
@@ -1171,7 +1132,7 @@ let run ?(interrupted = fun () -> false) ?(on_ready = fun () -> ()) config =
              Array.to_list workers
              |> List.filter_map (fun w ->
                     match w.s_proc with
-                    | Some proc when w.s_busy <> None -> Some proc.p_from
+                    | Some proc when w.s_busy <> None -> Some proc.p.from_worker
                     | _ -> None))
       in
       let writes =
@@ -1202,7 +1163,7 @@ let run ?(interrupted = fun () -> false) ?(on_ready = fun () -> ()) config =
                  Array.iter
                    (fun w ->
                      match w.s_proc with
-                     | Some proc when proc.p_from == fd -> service_pworker t w
+                     | Some proc when proc.p.from_worker == fd -> service_pworker t w
                      | _ -> ())
                    workers)
           end)

@@ -99,3 +99,9 @@ val with_file : string -> (t -> 'a) -> 'a
     the materialized sample trace (spans discarded).  For tooling and
     tests — re-checking should stay on the streaming path. *)
 val read_trace : string -> Meta.t * Trace.t
+
+(** [catch_format_error f] is [f ()], with a {!Format_error} it raises
+    turned into [Error "PATH: MESSAGE (at byte N; verified prefix M
+    bytes)"] — the one text every entry point reports a damaged trace
+    with. *)
+val catch_format_error : (unit -> ('a, string) result) -> ('a, string) result

@@ -1,5 +1,17 @@
 (* Shared alcotest testables and qcheck generators. *)
 
+(* Hidden subprocess-worker hook: the serve tests' subprocess workers
+   re-execute *this* binary with [_worker].  It runs here, as the first
+   test module initializes: every module that assembles a qcheck suite
+   depends on this one, and assembling one prints a seed banner on
+   stdout that would corrupt the frame protocol. *)
+let () =
+  if Array.length Sys.argv > 1 && Sys.argv.(1) = "_worker" then begin
+    Tabv_serve.Handler.register_worker_op ();
+    Tabv_campaign.Worker.main ();
+    exit 0
+  end
+
 open Tabv_psl
 
 let ltl = Alcotest.testable Ltl.pp Ltl.equal

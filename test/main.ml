@@ -1,13 +1,3 @@
-(* Hidden subprocess-executor hook: the campaign tests exercise
-   process isolation with the default worker argv, which re-executes
-   *this* binary with [_worker].  Must run before Alcotest sees the
-   command line. *)
-let () =
-  if Array.length Sys.argv > 1 && Sys.argv.(1) = "_worker" then begin
-    Tabv_campaign.Worker.main ();
-    exit 0
-  end
-
 let () =
   Alcotest.run "tabv"
     [ Test_expr.suite;

@@ -286,7 +286,7 @@ let payload_cases =
             ~ops:4 () ]);
     slow_case "exec payloads survive the wire byte-for-byte" (fun () ->
       let job = C.job ~duv:M.Des56 ~level:M.Rtl ~seed:1 ~ops:5 () in
-      let payload = C.exec_job ~attempt:1 ~metrics_enabled:true job in
+      let payload = C.exec_job ~attempt:1 job in
       let emitted = J.to_string (C.payload_json payload) in
       match C.payload_of_json (J.of_string emitted) with
       | Error e -> Alcotest.fail e
@@ -313,7 +313,7 @@ let with_temp_journal f =
     (fun () -> f path)
 
 let journal_open ~path ~kind ~fingerprint ~resume =
-  match Journal.open_ ~path ~kind ~fingerprint ~resume () with
+  match Journal.open_ ~path ~kind ~fingerprint ~resume with
   | Ok j -> j
   | Error e -> Alcotest.fail e
 
@@ -337,10 +337,10 @@ let journal_cases =
       with_temp_journal (fun path ->
         Journal.close
           (journal_open ~path ~kind:"t" ~fingerprint:"fp" ~resume:false);
-        (match Journal.open_ ~path ~kind:"t" ~fingerprint:"other" ~resume:true () with
+        (match Journal.open_ ~path ~kind:"t" ~fingerprint:"other" ~resume:true with
          | Error _ -> ()
          | Ok _ -> Alcotest.fail "fingerprint mismatch accepted");
-        match Journal.open_ ~path ~kind:"u" ~fingerprint:"fp" ~resume:true () with
+        match Journal.open_ ~path ~kind:"u" ~fingerprint:"fp" ~resume:true with
         | Error _ -> ()
         | Ok _ -> Alcotest.fail "kind mismatch accepted"));
     case "a torn trailing line is dropped, not fatal" (fun () ->
@@ -417,13 +417,10 @@ let journal_cases =
 
 (* --- subprocess executor ----------------------------------------------- *)
 
-(* The test binary cannot serve as its own worker: assembling the
-   qcheck suites prints a seed banner on stdout at module init, before
-   main.ml's [_worker] hook can run, and that banner would corrupt the
-   frame protocol.  The executor tests therefore run their workers out
-   of the real tabv binary, located relative to this executable
-   (dune builds both under _build/default; the test stanza depends on
-   it). *)
+(* The executor tests run their workers out of the real tabv binary,
+   located relative to this executable (dune builds both under
+   _build/default; the test stanza depends on it), so they also pin
+   [worker_argv]. *)
 let tabv_exe =
   Filename.concat
     (Filename.dirname Sys.executable_name)
@@ -437,7 +434,7 @@ let backoff_cases =
   [ case "retry backoff is deterministic, jittered and capped" (fun () ->
       let base_s = 0.25 in
       let d ~seed ~task attempt =
-        Executor.backoff_s ~seed ~task ~base_s ~attempt
+        Tabv_serve.Client.backoff_s ~seed ~task ~base_s ~attempt
       in
       (* Pure function of (seed, task, attempt). *)
       Alcotest.(check (float 0.)) "replayable"
@@ -457,7 +454,7 @@ let backoff_cases =
           (delay >= base_s && delay <= 32. *. base_s)
       done;
       Alcotest.(check (float 0.)) "degenerate base yields no delay" 0.
-        (Executor.backoff_s ~seed:1 ~task:1 ~base_s:0. ~attempt:3)) ]
+        (Tabv_serve.Client.backoff_s ~seed:1 ~task:1 ~base_s:0. ~attempt:3)) ]
 
 let executor_cases =
   [ slow_case "subprocess reports are byte-identical to in-domain" (fun () ->

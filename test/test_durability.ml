@@ -16,8 +16,7 @@ module Reader = Tabv_trace.Reader
 
 let case name f = Alcotest.test_case name `Quick f
 
-let qtest ?(count = 100) name arb prop =
-  QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb prop)
+let qtest ?(count = 100) = Helpers.qtest ~count
 
 let read_file path =
   let ic = open_in_bin path in
@@ -272,7 +271,7 @@ let fault_io_cases =
 (* --- journal under injected filesystem faults ---------------------- *)
 
 let journal_open ~path ~resume =
-  match Journal.open_ ~path ~kind:"t" ~fingerprint:"fp" ~resume () with
+  match Journal.open_ ~path ~kind:"t" ~fingerprint:"fp" ~resume with
   | Ok j -> j
   | Error e -> Alcotest.fail e
 
@@ -379,9 +378,11 @@ let rec is_prefix l r =
   | _, [] -> false
   | x :: l, y :: r -> x = y && is_prefix l r
 
-let flip_byte s i =
+(* [s] with bit [bit] (0-7) of byte [i] flipped: the sweeps below try
+   every bit of every byte. *)
+let flip_bit s i bit =
   let b = Bytes.of_string s in
-  Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x01));
+  Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)));
   Bytes.to_string b
 
 let journal_sweep_cases =
@@ -413,16 +414,19 @@ let journal_sweep_cases =
           let full = read_file path in
           let refused = ref 0 and salvaged = ref 0 in
           for i = 0 to String.length full - 1 do
-            write_raw path (flip_byte full i);
-            match Journal.open_ ~path ~kind:"t" ~fingerprint:"fp" ~resume:true () with
-            | Error _ -> incr refused (* a damaged header is fatal *)
-            | Ok j ->
-              incr salvaged;
-              if not (is_prefix (Journal.replayed j) records) then
-                Alcotest.failf "flip at %d replayed out-of-prefix records" i;
-              if Journal.records j >= 3 then
-                Alcotest.failf "flip at %d went undetected" i;
-              Journal.close j
+            for bit = 0 to 7 do
+              write_raw path (flip_bit full i bit);
+              match Journal.open_ ~path ~kind:"t" ~fingerprint:"fp" ~resume:true with
+              | Error _ -> incr refused (* a damaged header is fatal *)
+              | Ok j ->
+                incr salvaged;
+                if not (is_prefix (Journal.replayed j) records) then
+                  Alcotest.failf "flip of bit %d at %d replayed out-of-prefix \
+                                  records" bit i;
+                if Journal.records j >= 3 then
+                  Alcotest.failf "flip of bit %d at %d went undetected" bit i;
+                Journal.close j
+            done
           done;
           (* Both regimes must actually occur: header flips refuse,
              record flips salvage. *)
@@ -540,14 +544,17 @@ let trace_sweep_cases =
           let full = read_file path in
           let clean, _ = drain path in
           for i = 0 to String.length full - 1 do
-            write_raw path (flip_byte full i);
-            let entries, err = drain path in
-            check_paths_agree (Printf.sprintf "flip at %d" i) path entries err;
-            match err with
-            | None -> Alcotest.failf "flip at %d went undetected" i
-            | Some _ ->
-              if not (is_prefix entries clean) then
-                Alcotest.failf "flip at %d surfaced out-of-prefix entries" i
+            for bit = 0 to 7 do
+              write_raw path (flip_bit full i bit);
+              let entries, err = drain path in
+              let where = Printf.sprintf "flip of bit %d at %d" bit i in
+              check_paths_agree where path entries err;
+              match err with
+              | None -> Alcotest.failf "%s went undetected" where
+              | Some _ ->
+                if not (is_prefix entries clean) then
+                  Alcotest.failf "%s surfaced out-of-prefix entries" where
+            done
           done)) ]
 
 let suite =

@@ -852,7 +852,44 @@ let serve_cases =
                Alcotest.(check int) "exactly the silent connection timed out" 1
                  timed_out
              | _ -> Alcotest.fail "expected stats");
-            Client.close doomed)) ]
+            Client.close doomed));
+    (* A subprocess worker killed by a signal is reported in the
+       campaign executor's wording, with the POSIX signal number (6 for
+       SIGABRT), not OCaml's internal encoding of it. *)
+    slow_case "a served worker killed by SIGABRT reports signal 6" (fun () ->
+        let manifest =
+          J.Assoc
+            [ ( "jobs",
+                J.List
+                  [ J.Assoc
+                      [ ("duv", J.String "des56"); ("level", J.String "rtl");
+                        ("seed", J.Int 1); ("ops", J.Int 5); ("chaos", J.Int 1);
+                        ("chaos_kind", J.String "abort") ] ] ) ]
+        in
+        with_server
+          ~configure:(fun c ->
+            { c with Server.workers = 1; executor = Server.Subprocess_workers })
+          (fun client _socket ->
+            match
+              Client.request client
+                (Protocol.Campaign
+                   { manifest; workers = 1; retries = None; journal = false })
+            with
+            | Client.Failed message ->
+              Alcotest.(check string) "the executor's wording"
+                "killed by signal 6" message
+            | _ -> Alcotest.fail "an aborted worker must fail the request"));
+    slow_case "a subprocess worker's refusal reads as an in-domain one"
+      (fun () ->
+        with_server
+          ~configure:(fun c ->
+            { c with Server.workers = 1; executor = Server.Subprocess_workers })
+          (fun client _socket ->
+            match Client.request client (check_job ~ops:0 ()) with
+            | Client.Failed message ->
+              Alcotest.(check string) "the admission's own text"
+                "ops must be positive (got 0)" message
+            | _ -> Alcotest.fail "ops = 0 must be refused")) ]
 
 let suite =
   ( "serve",
