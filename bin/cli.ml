@@ -30,16 +30,15 @@ let fail cmd msg =
 
 let model_enum = Arg.enum Models.names
 
-let model_doc =
-  "One of des56-rtl, des56-tlm-ca, des56-tlm-at, des56-tlm-lt, \
-   colorconv-rtl, colorconv-tlm-ca, colorconv-tlm-at, memctrl-rtl, \
-   memctrl-tlm-ca, memctrl-tlm-at."
-
 let model_arg =
   Arg.(
     required
     & opt (some model_enum) None
-    & info [ "model"; "m" ] ~docv:"MODEL" ~doc:model_doc)
+    & info [ "model"; "m" ] ~docv:"MODEL"
+        ~doc:
+          "One of des56-rtl, des56-tlm-ca, des56-tlm-at, des56-tlm-lt, \
+           colorconv-rtl, colorconv-tlm-ca, colorconv-tlm-at, memctrl-rtl, \
+           memctrl-tlm-ca, memctrl-tlm-at.")
 
 (* --- workload flags -----------------------------------------------
 
@@ -59,16 +58,17 @@ let seed_info = Arg.info [ "seed" ] ~docv:"SEED" ~doc:"Workload seed."
 let ops_arg = Arg.(value & opt int check_size & ops_info)
 let seed_arg = Arg.(value & opt int check_seed & seed_info)
 
-let props_info =
-  Arg.info [ "props"; "p" ] ~docv:"FILE"
-    ~doc:
-      "Check the RTL properties from this file instead of the built-in \
-       set.  On an approximately-timed model the properties are first \
-       abstracted with Methodology III.1 (clock 10 ns, the model's \
-       abstracted signals); only the automatically-safe results are \
-       attached."
-
-let props_arg = Arg.(value & opt (some file) None & props_info)
+let props_arg =
+  Arg.(
+    value
+    & opt (some file) None
+    & info [ "props"; "p" ] ~docv:"FILE"
+        ~doc:
+          "Check the RTL properties from this file instead of the built-in \
+           set.  On an approximately-timed model the properties are first \
+           abstracted with Methodology III.1 (clock 10 ns, the model's \
+           abstracted signals); only the automatically-safe results are \
+           attached.")
 
 (* [levels ~fail names] — abstraction levels by name; none named means
    the three timing-equivalent levels. *)

@@ -272,8 +272,8 @@ let run_subprocess config ~workers ~retries ~interrupted tasks =
         finish task { attempts = attempt; outcome = Failed failure }
       else pending := (task, attempt + 1) :: !pending
     in
-    (* Kill (or, after its EOF, just reap) a worker and start its
-       replacement while work remains. *)
+    (* SIGKILL and reap a worker, and start its replacement while work
+       remains. *)
     let replace w =
       w.alive <- false;
       kill w.proc;

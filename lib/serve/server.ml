@@ -452,9 +452,7 @@ let start_on_pworker t w running =
     match w.s_proc with
     | Some proc -> proc
     | None ->
-      let proc =
-        { p = Executor.spawn (); p_stream = Frame.stream () }
-      in
+      let proc = { p = Executor.spawn (); p_stream = Frame.stream () } in
       w.s_proc <- Some proc;
       proc
   in
@@ -768,10 +766,7 @@ let service_pworker t w =
        if w.s_proc <> None then ignore (pop ())
      | None ->
        if died then begin
-         let message =
-           Executor.failure_to_string
-             (Executor.reap proc.p)
-         in
+         let message = Executor.failure_to_string (Executor.reap proc.p) in
          w.s_proc <- None;
          match w.s_busy with
          | Some running ->
