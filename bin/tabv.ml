@@ -152,7 +152,7 @@ let simulate_run ~cmd trace_out model count seed props_file metrics_flag
   in
   let result, writer =
     match
-      Models.simulate ?metrics ?trace_out model ~seed ~ops:count
+      Models.simulate ~metrics ~trace_out model ~seed ~ops:count
         ~props:(Cli.props_source props_file)
     with
     | Ok run -> run
@@ -474,7 +474,7 @@ let campaign_cmd =
           manifest_retries = None }
     in
     let { Campaign.jobs; retries; fingerprint } =
-      match Campaign.admit ?retries manifest with
+      match Campaign.admit ~retries manifest with
       | Ok campaign -> campaign
       | Error msg -> fail msg
     in
@@ -1072,7 +1072,8 @@ let doctor_cmd =
         (fun () ->
           let live, _ =
             Result.get_ok
-              (Models.simulate ~trace_out:path Models.Des56_rtl ~seed:1 ~ops:10
+              (Models.simulate ~metrics:None ~trace_out:(Some path)
+                 Models.Des56_rtl ~seed:1 ~ops:10
                  ~props:(fun () -> Ok None))
           in
           let open Tabv_campaign in
@@ -1166,7 +1167,8 @@ let doctor_cmd =
       Tabv_checker.Progression.reset_universe ();
       let result, _ =
         Result.get_ok
-          (Models.simulate Models.Des56_rtl ~seed:5 ~ops:15
+          (Models.simulate ~metrics:None ~trace_out:None Models.Des56_rtl
+             ~seed:5 ~ops:15
              ~props:(fun () -> Ok None))
       in
       Tabv_core.Report_json.to_string

@@ -515,7 +515,7 @@ type admitted = {
   fingerprint : string;
 }
 
-let admit ?retries manifest =
+let admit ~retries manifest =
   match manifest.manifest_jobs with
   | [] -> Error "empty campaign (no jobs)"
   | jobs ->

@@ -205,12 +205,12 @@ type admitted = {
   fingerprint : string;  (** {!fingerprint} [~retries jobs] *)
 }
 
-(** [admit ?retries manifest] — the admission policy of a campaign,
+(** [admit ~retries manifest] — the admission policy of a campaign,
     shared by [tabv campaign] and the serve daemon: the manifest must
     hold at least one job and every job must {!validate} (the first
     refusal is returned).  The retry budget is [retries] (the flag or
     request), else the manifest's, else 1. *)
-val admit : ?retries:int -> manifest -> (admitted, string) result
+val admit : retries:int option -> manifest -> (admitted, string) result
 
 (** {1 Running} *)
 

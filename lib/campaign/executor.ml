@@ -23,8 +23,6 @@ type config = {
   worker_argv : string array;
 }
 
-let default_argv () = [| Sys.executable_name; "_worker" |]
-
 let config ?job_timeout_s ?worker_argv kind =
   let worker_argv =
     match worker_argv with
@@ -32,7 +30,7 @@ let config ?job_timeout_s ?worker_argv kind =
       if Array.length argv = 0 then
         invalid_arg "Executor.config: worker_argv must not be empty";
       argv
-    | None -> default_argv ()
+    | None -> [| Sys.executable_name; "_worker" |]
   in
   (match job_timeout_s with
    | Some t when t <= 0. ->
@@ -152,7 +150,8 @@ type process = {
   from_worker : Unix.file_descr;
 }
 
-let spawn ?(argv = default_argv ()) () =
+let spawn config =
+  let argv = config.worker_argv in
   (* Both pipes are close-on-exec from creation: [create_process] dup2s
      the child's ends onto fds 0/1 (which clears the flag on the
      copies), so the worker inherits nothing else — in particular not
@@ -219,12 +218,12 @@ type worker_state = {
   mutable alive : bool;
 }
 
-let spawn_worker argv =
-  { proc = spawn ~argv (); stream = Wire.stream (); current = None;
+let spawn_worker config =
+  { proc = spawn config; stream = Wire.stream (); current = None;
     deadline = infinity; alive = true }
 
-let respawn argv w =
-  w.proc <- spawn ~argv ();
+let respawn config w =
+  w.proc <- spawn config;
   w.stream <- Wire.stream ();
   w.current <- None;
   w.deadline <- infinity;
@@ -261,7 +260,7 @@ let run_subprocess config ~workers ~retries ~interrupted tasks =
       try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore)
       with Invalid_argument _ -> None
     in
-    let pool = Array.init (min workers !remaining) (fun _ -> spawn_worker config.worker_argv) in
+    let pool = Array.init (min workers !remaining) (fun _ -> spawn_worker config) in
     let finish task result =
       slots.(task) <- Some result;
       tasks.on_result task result;
@@ -277,7 +276,7 @@ let run_subprocess config ~workers ~retries ~interrupted tasks =
     let replace w =
       w.alive <- false;
       kill w.proc;
-      if !remaining > 0 then respawn config.worker_argv w
+      if !remaining > 0 then respawn config w
     in
     let worker_died w =
       w.alive <- false;
@@ -287,7 +286,7 @@ let run_subprocess config ~workers ~retries ~interrupted tasks =
        | Some (task, attempt) ->
          w.current <- None;
          fail_attempt task attempt failure);
-      if !remaining > 0 then respawn config.worker_argv w
+      if !remaining > 0 then respawn config w
     in
     let handle_reply w frame =
       match w.current with

@@ -69,11 +69,10 @@ type process = {
   from_worker : Unix.file_descr;
 }
 
-(** [spawn ?argv ()] starts a worker (default argv
-    [[| Sys.executable_name; "_worker" |]]).  Both pipes are
-    close-on-exec from creation, so a worker inherits no other
-    worker's pipe ends. *)
-val spawn : ?argv:string array -> unit -> process
+(** [spawn config] starts a worker from [config]'s [worker_argv].  Both
+    pipes are close-on-exec from creation, so a worker inherits no
+    other worker's pipe ends. *)
+val spawn : config -> process
 
 (** Close our pipe ends, wait for the process and classify its death:
     {!Killed} with the POSIX signal number, or {!Crashed} naming the

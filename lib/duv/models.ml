@@ -205,7 +205,7 @@ let user_properties model props =
    entry point: the refusals in order (ops, the user's properties,
    recordability), then the trace and the run.  A trace that cannot be
    opened, written or synced raises [Io_error] for the caller to word. *)
-let simulate ?metrics ?trace_out model ~seed ~ops ~props =
+let simulate ~metrics ~trace_out model ~seed ~ops ~props =
   let* () = check_ops ops in
   let* user = user_properties model props in
   let* () =

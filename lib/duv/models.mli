@@ -125,7 +125,7 @@ type props =
 val user_properties :
   t -> props -> (Tabv_psl.Property.t list option, string) result
 
-(** [simulate ?metrics ?trace_out model ~seed ~ops ~props] — one check
+(** [simulate ~metrics ~trace_out model ~seed ~ops ~props] — one check
     ([trace_out = None]) or record job, admitted and run the same way
     by [tabv check], [tabv record] and the serve daemon.  It refuses,
     in order: [ops] ({!check_ops}), the user's properties
@@ -136,8 +136,8 @@ val user_properties :
     @raise Tabv_core.Io.Io_error when the trace cannot be opened,
     written or synced — each caller words it. *)
 val simulate :
-  ?metrics:Tabv_obs.Metrics.t ->
-  ?trace_out:string ->
+  metrics:Tabv_obs.Metrics.t option ->
+  trace_out:string option ->
   t ->
   seed:int ->
   ops:int ->

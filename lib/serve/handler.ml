@@ -59,7 +59,7 @@ let ( let* ) = Result.bind
 
 let admit_campaign ~manifest ~retries =
   let* m = Campaign.manifest_of_json manifest in
-  Campaign.admit ?retries m
+  Campaign.admit ~retries m
 
 let campaign_journal_path ~state_dir job =
   match job with
@@ -84,7 +84,8 @@ let inline_props props () =
 
 let exec_check ~model ~seed ~ops ~props ~trace_out =
   let* result, _ =
-    Models.simulate ?trace_out model ~seed ~ops ~props:(inline_props props)
+    Models.simulate ~metrics:None ~trace_out model ~seed ~ops
+      ~props:(inline_props props)
   in
   Ok
     {
