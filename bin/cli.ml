@@ -85,12 +85,10 @@ let duv ~fail name =
   | Some d -> d
   | None -> fail (Printf.sprintf "unknown DUV %S" name)
 
-(* A worker-count flag: at least 1, and by default the machine's
-   recommended domain count capped by the work items. *)
-let workers ~fail ~cap = function
-  | Some w when w >= 1 -> w
-  | Some w -> fail (Printf.sprintf "--workers must be >= 1 (got %d)" w)
-  | None -> min (Domain.recommended_domain_count ()) cap
+let workers ~fail ~cap w =
+  match Tabv_campaign.Executor.workers ~cap w with
+  | Ok w -> w
+  | Error msg -> fail msg
 
 (* --- property files ----------------------------------------------- *)
 

@@ -956,9 +956,9 @@ type 'a served = {
 (* The daemon script `tabv doctor` and the `_serve_golden` hook share:
    boot a daemon with two [executor] workers and a state directory on a
    fresh temp socket, submit [job] cold and then warm, run [more client
-   ~state], and ask the daemon to drain.  The temp tree is swept on
-   every exit path, so a failed step leaves no socket or journal
-   behind. *)
+   ~state], and ask the daemon to drain.  A daemon the client cannot
+   reach is an [Error].  The temp tree is swept on every exit path, so
+   a failed step leaves no socket or journal behind. *)
 let serve_script ~executor job more =
   let open Tabv_serve in
   let dir = Filename.temp_file "tabv_serve" ".smoke" in
@@ -988,7 +988,7 @@ let serve_script ~executor job more =
       in
       Server.with_daemon config (fun () ->
           match Client.connect (`Unix socket) with
-          | Error msg -> failwith msg
+          | Error msg -> Error msg
           | Ok client ->
             Fun.protect
               ~finally:(fun () -> Client.close client)
@@ -1008,7 +1008,7 @@ let serve_script ~executor job more =
                 let shut_down =
                   Client.control client Protocol.Shutdown = Client.Shutting_down
                 in
-                { cold; warm_identical; more; shut_down })))
+                Ok { cold; warm_identical; more; shut_down })))
 
 (* --- doctor ------------------------------------------------------- *)
 
@@ -1205,16 +1205,23 @@ let doctor_cmd =
         | Client.Result { ok = true; report; _ } -> report = expected_campaign
         | _ -> false
       in
-      serve_script ~executor:Server.In_domain_workers
-        (Protocol.Check
-           { model = Models.Des56_rtl; seed = 5; ops = 15; props = None;
-             engine = None; trace_out = None })
-        (fun client ~state ->
-          let plain = campaign ~journal:false client in
-          let journaled = campaign ~journal:true client in
-          (* A completed journaled campaign must collect its own
-             journal: nothing may be left in the state dir. *)
-          (plain, journaled, Sys.readdir state = [||]))
+      match
+        serve_script ~executor:Server.In_domain_workers
+          (Protocol.Check
+             { model = Models.Des56_rtl; seed = 5; ops = 15; props = None;
+               engine = None; trace_out = None })
+          (fun client ~state ->
+            let plain = campaign ~journal:false client in
+            let journaled = campaign ~journal:true client in
+            (* A completed journaled campaign must collect its own
+               journal: nothing may be left in the state dir. *)
+            (plain, journaled, Sys.readdir state = [||]))
+      with
+      | Ok smoke -> smoke
+      | Error msg ->
+        prerr_endline ("serve smoke: " ^ msg);
+        { cold = None; warm_identical = false; more = (false, false, false);
+          shut_down = false }
     in
     let campaign_ok, journal_ok, state_clean = smoke.more in
     check "serve: socket check is byte-identical to the one-shot path"
@@ -1286,13 +1293,14 @@ let () =
         (fun _ ~state:_ -> ())
     in
     match served with
-    | { cold = Some report; warm_identical = true; shut_down = true; _ } ->
+    | Error msg -> die msg
+    | Ok { cold = Some report; warm_identical = true; shut_down = true; _ } ->
       Out_channel.with_open_bin Sys.argv.(2) (fun oc ->
           Out_channel.output_string oc report);
       exit 0
-    | { cold = None; _ } -> die "the first reply was not a cold result"
-    | { warm_identical = false; _ } -> die "warm replay is not byte-identical"
-    | _ -> die "shutdown refused"
+    | Ok { cold = None; _ } -> die "the first reply was not a cold result"
+    | Ok { warm_identical = false; _ } -> die "warm replay is not byte-identical"
+    | Ok _ -> die "shutdown refused"
   end
 
 let () =

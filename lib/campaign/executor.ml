@@ -20,25 +20,21 @@ type kind =
 type config = {
   c_kind : kind;
   job_timeout_s : float option;
-  worker_argv : string array;
 }
 
-let config ?job_timeout_s ?worker_argv kind =
-  let worker_argv =
-    match worker_argv with
-    | Some argv ->
-      if Array.length argv = 0 then
-        invalid_arg "Executor.config: worker_argv must not be empty";
-      argv
-    | None -> [| Sys.executable_name; "_worker" |]
-  in
+let config ?job_timeout_s kind =
   (match job_timeout_s with
    | Some t when t <= 0. ->
      invalid_arg "Executor.config: job_timeout_s must be positive"
    | _ -> ());
-  { c_kind = kind; job_timeout_s; worker_argv }
+  { c_kind = kind; job_timeout_s }
 
 let kind_of c = c.c_kind
+
+let workers ~cap = function
+  | Some w when w >= 1 -> Ok w
+  | Some w -> Error (Printf.sprintf "--workers must be >= 1 (got %d)" w)
+  | None -> Ok (min (Domain.recommended_domain_count ()) cap)
 
 type failure =
   | Crashed of { error : string }
@@ -150,8 +146,8 @@ type process = {
   from_worker : Unix.file_descr;
 }
 
-let spawn config =
-  let argv = config.worker_argv in
+let spawn () =
+  let argv = [| Sys.executable_name; "_worker" |] in
   (* Both pipes are close-on-exec from creation: [create_process] dup2s
      the child's ends onto fds 0/1 (which clears the flag on the
      copies), so the worker inherits nothing else — in particular not
@@ -218,12 +214,12 @@ type worker_state = {
   mutable alive : bool;
 }
 
-let spawn_worker config =
-  { proc = spawn config; stream = Wire.stream (); current = None;
+let spawn_worker () =
+  { proc = spawn (); stream = Wire.stream (); current = None;
     deadline = infinity; alive = true }
 
-let respawn config w =
-  w.proc <- spawn config;
+let respawn w =
+  w.proc <- spawn ();
   w.stream <- Wire.stream ();
   w.current <- None;
   w.deadline <- infinity;
@@ -260,7 +256,7 @@ let run_subprocess config ~workers ~retries ~interrupted tasks =
       try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore)
       with Invalid_argument _ -> None
     in
-    let pool = Array.init (min workers !remaining) (fun _ -> spawn_worker config) in
+    let pool = Array.init (min workers !remaining) (fun _ -> spawn_worker ()) in
     let finish task result =
       slots.(task) <- Some result;
       tasks.on_result task result;
@@ -276,7 +272,7 @@ let run_subprocess config ~workers ~retries ~interrupted tasks =
     let replace w =
       w.alive <- false;
       kill w.proc;
-      if !remaining > 0 then respawn config w
+      if !remaining > 0 then respawn w
     in
     let worker_died w =
       w.alive <- false;
@@ -286,7 +282,7 @@ let run_subprocess config ~workers ~retries ~interrupted tasks =
        | Some (task, attempt) ->
          w.current <- None;
          fail_attempt task attempt failure);
-      if !remaining > 0 then respawn config w
+      if !remaining > 0 then respawn w
     in
     let handle_reply w frame =
       match w.current with

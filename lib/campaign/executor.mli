@@ -34,15 +34,18 @@ type kind =
 
 type config
 
-(** [config ?job_timeout_s ?worker_argv kind].
+(** [config ?job_timeout_s kind].
 
     [job_timeout_s] — per-attempt wall-clock watchdog ({!Subprocess}
-    only; ignored in-domain where a stuck domain cannot be killed).
-    [worker_argv] (default [[| Sys.executable_name; "_worker" |]]) —
-    how to launch a worker; test binaries point it at themselves. *)
-val config : ?job_timeout_s:float -> ?worker_argv:string array -> kind -> config
+    only; ignored in-domain where a stuck domain cannot be killed). *)
+val config : ?job_timeout_s:float -> kind -> config
 
 val kind_of : config -> kind
+
+(** [workers ~cap w] — the worker count a [--workers] flag asks for:
+    [w] when at least 1, and by default the recommended domain count
+    capped by the [cap] work items.  [Error] for a count below 1. *)
+val workers : cap:int -> int option -> (int, string) result
 
 (** How a task ultimately failed (after all retries). *)
 type failure =
@@ -69,10 +72,10 @@ type process = {
   from_worker : Unix.file_descr;
 }
 
-(** [spawn config] starts a worker from [config]'s [worker_argv].  Both
-    pipes are close-on-exec from creation, so a worker inherits no
-    other worker's pipe ends. *)
-val spawn : config -> process
+(** [spawn ()] starts a worker: this binary re-executed with the
+    hidden [_worker] argv hook.  Both pipes are close-on-exec from
+    creation, so a worker inherits no other worker's pipe ends. *)
+val spawn : unit -> process
 
 (** Close our pipe ends, wait for the process and classify its death:
     {!Killed} with the POSIX signal number, or {!Crashed} naming the

@@ -207,12 +207,8 @@ let plan ~trace ~props ~workers meta trace_signals =
            trace Tabv_trace.Meta.pp meta
            (String.concat ", " missing))
   in
-  match workers with
-  | None ->
-    Ok (min (Domain.recommended_domain_count ()) (List.length properties),
-        properties)
-  | Some w when w >= 1 -> Ok (w, properties)
-  | Some w -> Error (Printf.sprintf "--workers must be >= 1 (got %d)" w)
+  let* workers = Executor.workers ~cap:(List.length properties) workers in
+  Ok (workers, properties)
 
 let run ?exec ?interrupted ~workers ~retries ~trace properties =
   if workers < 1 then invalid_arg "Recheck.run: workers must be >= 1";

@@ -72,9 +72,8 @@ val run_validated :
     catalog does not know; user properties naming signals the model
     lacks ({!Tabv_duv.Models.user_properties}); properties that need
     the full-grid wrapper; an empty property set; properties sampling
-    a signal the trace does not record; and a worker count below 1.
-    [workers = None] is the recommended domain count capped by the
-    property count. *)
+    a signal the trace does not record; and a worker count below 1
+    ({!Executor.workers}, capped by the property count). *)
 val plan :
   trace:string ->
   props:Tabv_duv.Models.props ->

@@ -453,7 +453,7 @@ let start_on_pworker t w running =
     | Some proc -> proc
     | None ->
       let proc =
-        { p = Executor.spawn (Executor.config Executor.Subprocess);
+        { p = Executor.spawn ();
           p_stream = Frame.stream () }
       in
       w.s_proc <- Some proc;

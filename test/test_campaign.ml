@@ -417,18 +417,10 @@ let journal_cases =
 
 (* --- subprocess executor ----------------------------------------------- *)
 
-(* The executor tests run their workers out of the real tabv binary,
-   located relative to this executable (dune builds both under
-   _build/default; the test stanza depends on it), so they also pin
-   [worker_argv]. *)
-let tabv_exe =
-  Filename.concat
-    (Filename.dirname Sys.executable_name)
-    (Filename.concat ".." (Filename.concat "bin" "tabv.exe"))
-
+(* The executor tests' workers re-execute this test binary, whose
+   [_worker] hook is in Helpers. *)
 let subprocess ?job_timeout_s () =
-  Executor.config ?job_timeout_s ~worker_argv:[| tabv_exe; "_worker" |]
-    Executor.Subprocess
+  Executor.config ?job_timeout_s Executor.Subprocess
 
 let backoff_cases =
   [ case "retry backoff is deterministic, jittered and capped" (fun () ->
