@@ -270,8 +270,9 @@ type summary = {
   wall_seconds : float;  (** excluded from JSON *)
 }
 
-(** [run ?workers ?retries ?clock ?exec ?journal ?interrupted jobs] executes the campaign on [workers] workers (default 1) with
-    up to [retries] retries per failing job (default 1).
+(** [run ?workers ?retries ?clock ?exec ?journal ?interrupted jobs]
+    executes the campaign on [workers] workers (default 1) with up to
+    [retries] retries per failing job (default 1).
 
     [clock] (seconds, default [fun () -> 0.]) feeds only the wall-time
     fields; pass [Unix.gettimeofday] from binaries that link [unix].

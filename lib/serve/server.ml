@@ -452,10 +452,7 @@ let start_on_pworker t w running =
     match w.s_proc with
     | Some proc -> proc
     | None ->
-      let proc =
-        { p = Executor.spawn ();
-          p_stream = Frame.stream () }
-      in
+      let proc = { p = Executor.spawn (); p_stream = Frame.stream () } in
       w.s_proc <- Some proc;
       proc
   in
