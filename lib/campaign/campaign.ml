@@ -102,21 +102,6 @@ type manifest = {
 (* Small result-monad helpers for manifest decoding. *)
 let ( let* ) r f = Result.bind r f
 
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: xs ->
-    let* y = f x in
-    let* ys = map_result f xs in
-    Ok (y :: ys)
-
-let open_assoc what = function
-  | J.Assoc fields -> Ok fields
-  | _ -> Error (what ^ ": expected an object")
-
-let open_list what = function
-  | J.List items -> Ok items
-  | _ -> Error (what ^ ": expected an array")
-
 let open_int what = function
   | J.Int n -> Ok n
   | _ -> Error (what ^ ": expected an integer")
@@ -140,7 +125,7 @@ let selection_of_json what = function
   | _ -> Error (Printf.sprintf "%s: props must be \"all\", \"none\" or n" what)
 
 let job_of_json_what what json =
-  let* fields = open_assoc what json in
+  let* fields = Wire.open_assoc what json in
   let* () =
     check_keys what
       [ "duv"; "level"; "seed"; "ops"; "props"; "chaos"; "chaos_kind" ]
@@ -226,12 +211,12 @@ let job_spec_json job =
 
 let matrix_of_json json =
   let what = "matrix" in
-  let* fields = open_assoc what json in
+  let* fields = Wire.open_assoc what json in
   let* () = check_keys what [ "duvs"; "levels"; "seeds"; "ops"; "props" ] fields in
   let field key = List.assoc_opt key fields in
   let names what_key of_name = function
     | J.List items ->
-      map_result
+      Wire.map_result
         (fun item ->
           let* name = open_string what_key item in
           match of_name name with
@@ -254,8 +239,8 @@ let matrix_of_json json =
     match field "seeds" with
     | None -> Ok [ 0 ]
     | Some v ->
-      let* items = open_list "matrix.seeds" v in
-      map_result (open_int "matrix.seeds") items
+      let* items = Wire.open_list "matrix.seeds" v in
+      Wire.map_result (open_int "matrix.seeds") items
   in
   let* ops =
     match field "ops" with
@@ -276,7 +261,7 @@ let matrix_of_json json =
   Ok jobs
 
 let manifest_of_json json =
-  let* fields = open_assoc "manifest" json in
+  let* fields = Wire.open_assoc "manifest" json in
   let* () = check_keys "manifest" [ "retries"; "jobs"; "matrix" ] fields in
   let field key = List.assoc_opt key fields in
   let* manifest_retries =
@@ -290,8 +275,8 @@ let manifest_of_json json =
     match field "jobs" with
     | None -> Ok []
     | Some v ->
-      let* items = open_list "jobs" v in
-      map_result (fun (i, j) -> job_of_json i j) (List.mapi (fun i j -> (i, j)) items)
+      let* items = Wire.open_list "jobs" v in
+      Wire.map_result (fun (i, j) -> job_of_json i j) (List.mapi (fun i j -> (i, j)) items)
   in
   let* expanded =
     match field "matrix" with

@@ -5,13 +5,14 @@
 
    The subprocess pool is a single-threaded coordinator around
    [Unix.select]: each worker is a forked re-execution of the current
-   binary speaking the {!Wire} frame protocol over its stdin/stdout,
+   binary speaking the {!Tabv_core.Frame} protocol over its stdin/stdout,
    with exactly one outstanding request at a time.  Death of any kind
    — crash, abort, OOM kill, watchdog SIGKILL — surfaces as EOF on the
    worker's pipe plus a [waitpid] status, so containment is the OS's,
    not [try/with]'s. *)
 
 module J = Tabv_core.Report_json
+module Frame = Tabv_core.Frame
 
 type kind =
   | In_domain
@@ -144,6 +145,7 @@ type process = {
   pid : int;
   to_worker : Unix.file_descr;
   from_worker : Unix.file_descr;
+  replies : Frame.stream;  (* reassembly of the reply frames *)
 }
 
 let spawn () =
@@ -166,13 +168,21 @@ let spawn () =
   in
   Unix.close req_read;
   Unix.close rsp_write;
-  { pid; to_worker = req_write; from_worker = rsp_read }
+  (* A coordinator never blocks on a reply: a descriptor it looks up
+     after another worker's pipe was closed and reused may have
+     nothing to read yet. *)
+  Unix.set_nonblock rsp_read;
+  { pid; to_worker = req_write; from_worker = rsp_read;
+    replies = Frame.stream () }
+
+let reply_fd p = p.from_worker
 
 let close_noerr fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
-let reap p =
-  (* The worker is dead or dying: release our pipe ends and collect
-     the exit status (after a SIGKILL the zombie is immediate). *)
+(* A worker that already exited keeps its own status: SIGKILL does not
+   change a zombie's, and after a SIGKILL the zombie is immediate. *)
+let kill p =
+  (try Unix.kill p.pid Sys.sigkill with Unix.Unix_error _ -> ());
   close_noerr p.to_worker;
   close_noerr p.from_worker;
   let status =
@@ -189,42 +199,6 @@ let reap p =
     Crashed
       { error = Printf.sprintf "worker stopped by signal %d" (posix_signal sg) }
 
-let kill p =
-  (try Unix.kill p.pid Sys.sigkill with Unix.Unix_error _ -> ());
-  ignore (reap p)
-
-let protocol_error what = Crashed { error = "worker protocol error: " ^ what }
-
-let reply_of_frame frame =
-  match J.of_string frame with
-  | exception J.Parse_error _ -> Error (`Protocol "unparsable reply")
-  | json ->
-    (match (J.member "ok" json, J.member "error" json) with
-     | Some payload, _ -> Ok payload
-     | None, Some (J.String error) -> Error (`Job error)
-     | None, _ -> Error (`Protocol "reply without ok/error"))
-
-(* --- subprocess pool ------------------------------------------------- *)
-
-type worker_state = {
-  mutable proc : process;
-  mutable stream : Wire.stream;
-  mutable current : (int * int) option;  (* (task, attempt) in flight *)
-  mutable deadline : float;  (* watchdog expiry; [infinity] when idle *)
-  mutable alive : bool;
-}
-
-let spawn_worker () =
-  { proc = spawn (); stream = Wire.stream (); current = None;
-    deadline = infinity; alive = true }
-
-let respawn w =
-  w.proc <- spawn ();
-  w.stream <- Wire.stream ();
-  w.current <- None;
-  w.deadline <- infinity;
-  w.alive <- true
-
 let write_all fd s =
   let len = String.length s in
   let rec go off =
@@ -234,6 +208,69 @@ let write_all fd s =
     end
   in
   go 0
+
+let send p request =
+  (* A worker that died since its last reply fails the write (EPIPE,
+     with SIGPIPE ignored); its EOF on the reply pipe reports the
+     death. *)
+  try write_all p.to_worker (Frame.encode (J.to_string request))
+  with Unix.Unix_error _ -> ()
+
+type 'a reply =
+  | Replied of 'a
+  | Refused of string
+  | Lost of failure
+
+let read_reply p ~decode =
+  (* A worker that breaks the protocol has nothing trustworthy left to
+     say: it is killed, and the failure names the break. *)
+  let broken what =
+    ignore (kill p);
+    Some (Lost (Crashed { error = "worker protocol error: " ^ what }))
+  in
+  let buf = Bytes.create 65536 in
+  match Unix.read p.from_worker buf 0 (Bytes.length buf) with
+  | exception
+      Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
+    None
+  | 0 | (exception Unix.Unix_error _) -> Some (Lost (kill p))
+  | n ->
+    Frame.feed p.replies (Bytes.sub_string buf 0 n);
+    (match Frame.pop p.replies with
+     | exception Frame.Protocol_error _ -> broken "bad frame"
+     | None -> None
+     | Some _ when Frame.stream_length p.replies > 0 ->
+       (* One request in flight, one reply: more is a broken worker. *)
+       broken "bytes after the reply"
+     | Some frame ->
+       (match J.of_string frame with
+        | exception J.Parse_error _ -> broken "unparsable reply"
+        | json ->
+          (match (J.member "ok" json, J.member "error" json) with
+           | Some payload, _ ->
+             (match decode payload with
+              | Ok v -> Some (Replied v)
+              | Error what -> broken what)
+           | None, Some (J.String error) -> Some (Refused error)
+           | None, _ -> broken "reply without ok/error")))
+
+(* --- subprocess pool ------------------------------------------------- *)
+
+type worker_state = {
+  mutable proc : process;
+  mutable current : (int * int) option;  (* (task, attempt) in flight *)
+  mutable deadline : float;  (* watchdog expiry; [infinity] when idle *)
+  mutable alive : bool;
+}
+
+let spawn_worker () =
+  { proc = spawn (); current = None; deadline = infinity; alive = true }
+
+let respawn w =
+  w.proc <- spawn ();
+  w.current <- None;
+  w.deadline <- infinity;
+  w.alive <- true
 
 let run_subprocess config ~workers ~retries ~interrupted tasks =
   let n = tasks.count in
@@ -267,51 +304,19 @@ let run_subprocess config ~workers ~retries ~interrupted tasks =
         finish task { attempts = attempt; outcome = Failed failure }
       else pending := (task, attempt + 1) :: !pending
     in
-    (* SIGKILL and reap a worker, and start its replacement while work
+    (* A worker whose process is gone: start its replacement while work
        remains. *)
     let replace w =
       w.alive <- false;
-      kill w.proc;
       if !remaining > 0 then respawn w
     in
-    let worker_died w =
-      w.alive <- false;
-      let failure = reap w.proc in
-      (match w.current with
-       | None -> ()
-       | Some (task, attempt) ->
-         w.current <- None;
-         fail_attempt task attempt failure);
-      if !remaining > 0 then respawn w
-    in
-    let handle_reply w frame =
-      match w.current with
-      | None ->
-        (* An unsolicited frame is a protocol violation: replace the
-           worker, nothing was in flight so nothing fails. *)
-        replace w
-      | Some (task, attempt) ->
-        w.current <- None;
-        w.deadline <- infinity;
-        (match Result.map (tasks.decode task) (reply_of_frame frame) with
-         | Ok (Ok v) -> finish task { attempts = attempt; outcome = Done v }
-         | Ok (Error what) | Error (`Protocol what) ->
-           fail_attempt task attempt (protocol_error what)
-         | Error (`Job error) -> fail_attempt task attempt (Crashed { error }))
-    in
-    let send w task attempt =
-      let payload = J.to_string (tasks.request task ~attempt) in
+    let start w task attempt =
       w.current <- Some (task, attempt);
       w.deadline <-
         (match config.job_timeout_s with
          | None -> infinity
          | Some t -> Unix.gettimeofday () +. t);
-      match write_all w.proc.to_worker (Wire.encode_frame payload) with
-      | () -> ()
-      | exception Unix.Unix_error ((Unix.EPIPE | Unix.EBADF), _, _) ->
-        (* Worker already dead; its EOF is (or will be) readable and
-           the death handler re-queues the attempt. *)
-        ()
+      send w.proc (tasks.request task ~attempt)
     in
     (* Pop the pending task with the lowest index (stable, debuggable
        order; results don't depend on it). *)
@@ -327,14 +332,14 @@ let run_subprocess config ~workers ~retries ~interrupted tasks =
         (fun w ->
           if w.alive && w.current = None then
             match pop () with
-            | Some (task, attempt) -> send w task attempt
+            | Some (task, attempt) -> start w task attempt
             | None -> ())
         pool
     in
     let abort_all () =
       Array.iter (fun w -> if w.alive then begin
         w.alive <- false;
-        kill w.proc
+        ignore (kill w.proc)
       end) pool
     in
     let shutdown () =
@@ -362,6 +367,7 @@ let run_subprocess config ~workers ~retries ~interrupted tasks =
                  w.current <- None;
                  fail_attempt task attempt Timed_out
                | None -> ());
+              ignore (kill w.proc);
               replace w
             end)
           pool;
@@ -395,31 +401,19 @@ let run_subprocess config ~workers ~retries ~interrupted tasks =
               Array.to_list pool
               |> List.find_opt (fun w -> w.alive && w.proc.from_worker == fd)
             with
-            | None -> ()
-            | Some w ->
-              let buf = Bytes.create 65536 in
-              (match Unix.read fd buf 0 (Bytes.length buf) with
-               | 0 -> worker_died w
-               | n ->
-                 Wire.feed w.stream (Bytes.sub_string buf 0 n);
-                 let rec drain () =
-                   match Wire.pop w.stream with
-                   | Some frame ->
-                     handle_reply w frame;
-                     if w.alive then drain ()
-                   | None -> ()
-                   | exception Wire.Protocol_error _ ->
-                     (* Garbage on the pipe: replace the worker; the
-                        in-flight attempt fails and retries. *)
-                     (match w.current with
-                      | Some (task, attempt) ->
-                        w.current <- None;
-                        fail_attempt task attempt (protocol_error "bad frame")
-                      | None -> ());
-                     replace w
-                 in
-                 drain ()
-               | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()))
+            | Some ({ current = Some (task, attempt); _ } as w) ->
+              (match read_reply w.proc ~decode:(tasks.decode task) with
+               | None -> ()
+               | Some reply ->
+                 w.current <- None;
+                 w.deadline <- infinity;
+                 (match reply with
+                  | Replied v -> finish task { attempts = attempt; outcome = Done v }
+                  | Refused error -> fail_attempt task attempt (Crashed { error })
+                  | Lost failure ->
+                    fail_attempt task attempt failure;
+                    replace w))
+            | _ -> ())
           readable;
         loop ()
       end
@@ -432,7 +426,7 @@ let run_subprocess config ~workers ~retries ~interrupted tasks =
         (* Never leak workers, whatever happened above. *)
         Array.iter (fun w -> if w.alive then begin
           w.alive <- false;
-          kill w.proc
+          ignore (kill w.proc)
         end) pool)
       loop;
     slots

@@ -13,11 +13,11 @@
     {- {!Subprocess} — a pool of forked OS worker processes (the
        binary re-executes itself with a hidden [_worker] argv hook)
        exchanging requests and replies as length-prefixed JSON frames
-       over pipes ({!Wire}).  The OS is the containment boundary:
-       a worker death of {e any} kind is observed as EOF + [waitpid]
-       status, classified as {!Killed} / {!Crashed}, and the worker is
-       respawned.  A per-task wall-clock watchdog SIGKILLs workers
-       that exceed [job_timeout_s] ({!Timed_out}).}}
+       over pipes ({!Tabv_core.Frame}).  The OS is the containment
+       boundary: a worker death of {e any} kind is observed as EOF +
+       [waitpid] status, classified as {!Killed} / {!Crashed}, and the
+       worker is respawned.  A per-task wall-clock watchdog SIGKILLs
+       workers that exceed [job_timeout_s] ({!Timed_out}).}}
 
     Failed attempts are retried at once, up to [retries] times.  Task
     {e results} stay deterministic either way: what executes, how
@@ -64,37 +64,46 @@ val failure_to_string : failure -> string
     The process code of the {!Subprocess} pool, shared with the serve
     daemon's subprocess workers. *)
 
-(** A live worker process and our ends of its pipes: [to_worker] is its
-    stdin, [from_worker] its stdout. *)
-type process = {
-  pid : int;
-  to_worker : Unix.file_descr;
-  from_worker : Unix.file_descr;
-}
+(** A live worker process: this binary re-executed with the hidden
+    [_worker] argv hook, a request pipe to its stdin and a reply pipe
+    from its stdout. *)
+type process
 
-(** [spawn ()] starts a worker: this binary re-executed with the
-    hidden [_worker] argv hook.  Both pipes are close-on-exec from
+(** [spawn ()] starts a worker.  Both pipes are close-on-exec from
     creation, so a worker inherits no other worker's pipe ends. *)
 val spawn : unit -> process
 
-(** Close our pipe ends, wait for the process and classify its death:
-    {!Killed} with the POSIX signal number, or {!Crashed} naming the
-    exit code. *)
-val reap : process -> failure
+(** The non-blocking descriptor its replies arrive on.  EOF there
+    means the worker died. *)
+val reply_fd : process -> Unix.file_descr
 
-(** SIGKILL the process, then {!reap} it. *)
-val kill : process -> unit
+(** Send one request frame.  A worker that died fails the write
+    quietly: its EOF on {!reply_fd} reports the death. *)
+val send : process -> Tabv_core.Report_json.json -> unit
 
-(** [protocol_error what] — the {!Crashed} failure of a worker that
-    broke the frame protocol ("worker protocol error: [what]"). *)
-val protocol_error : string -> failure
+(** SIGKILL the process, close our pipe ends and wait for it.  Returns
+    how it died: {!Killed} with the POSIX signal number, or {!Crashed}
+    naming the exit code (a worker that had already exited keeps its
+    own status). *)
+val kill : process -> failure
 
-(** A worker's reply frame: [Ok payload] for [{"ok":payload}],
-    [Error (`Job message)] for [{"error":message}], and
-    [Error (`Protocol what)] for anything else. *)
-val reply_of_frame :
-  string ->
-  (Tabv_core.Report_json.json, [ `Job of string | `Protocol of string ]) result
+(** The reply to the one request in flight. *)
+type 'a reply =
+  | Replied of 'a  (** [{"ok":payload}], decoded *)
+  | Refused of string
+      (** [{"error":message}]: the job failed; the worker is sound *)
+  | Lost of failure
+      (** the worker died, or broke the frame protocol (a bad frame,
+          an unparsable or undecodable reply, bytes after the reply)
+          and was killed; either way it has been reaped *)
+
+(** [read_reply p ~decode] — [p]'s reply pipe turned readable: read it,
+    and return the reply once its frame is complete ([None] until
+    then), decoding an [ok] payload with [decode]. *)
+val read_reply :
+  process ->
+  decode:(Tabv_core.Report_json.json -> ('a, string) result) ->
+  'a reply option
 
 type 'a outcome =
   | Done of 'a

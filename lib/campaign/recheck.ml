@@ -107,6 +107,10 @@ let run_pooled ~exec ?interrupted ~workers ~retries ~trace ~meta ~chunks
            match results.(index) with
            | None -> raise (Chunk_failed "interrupted before completion")
            | Some { Executor.outcome = Executor.Failed failure; _ } ->
+             (* Every chunk reads the whole trace, so damage fails each
+                of them: read it through here, and a damaged trace is
+                refused as damage, as a one-chunk run refuses it. *)
+             Reader.with_file trace drain;
              raise (Chunk_failed (Executor.failure_to_string failure))
            | Some { Executor.outcome = Executor.Done (s, sp, snaps); _ } ->
              (* Every chunk reads the whole trace; the totals are the

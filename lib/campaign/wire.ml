@@ -11,9 +11,9 @@
    This module holds the generic halves: decoding the shared
    observability records (checker snapshots, metrics snapshots, kernel
    diagnoses — the emitters live in [Tabv_core.Report_json] and
-   [Tabv_fault.Fault]) and the length-prefixed frame protocol.
-   Campaign- and qualify-specific payload codecs live next to their
-   types in [Campaign] and [Qualify]. *)
+   [Tabv_fault.Fault]).  The length-prefixed frames are
+   [Tabv_core.Frame]'s.  Campaign- and qualify-specific payload codecs
+   live next to their types in [Campaign] and [Qualify]. *)
 
 module J = Tabv_core.Report_json
 module Snapshot = Tabv_obs.Checker_snapshot
@@ -181,34 +181,3 @@ let diagnosis_of_json json =
     let* error = string_field what "error" fields in
     Ok (Kernel.Process_crashed { name; error })
   | other -> Error (Printf.sprintf "%s: unknown kind %S" what other)
-
-(* --- framing ---------------------------------------------------------
-
-   The length-prefixed frame protocol itself now lives in
-   {!Tabv_core.Frame} (it is shared with the [tabv serve] socket
-   protocol, which additionally uses Frame's versioned headers); this
-   module re-exports the plain-header subset the worker pipes speak so
-   the executor and worker keep one import. *)
-
-module Frame = Tabv_core.Frame
-
-let header_length = Frame.header_length
-let encode_frame payload = Frame.encode payload
-let decode_header = Frame.decode_header
-let write_frame oc payload = Frame.write oc payload
-
-(* [None] on a clean EOF at a frame boundary.
-   @raise Failure on a malformed header or truncated body. *)
-let read_frame ic = Frame.read ic
-
-(* Incremental frame accumulator for the coordinator's non-blocking
-   reads: feed raw chunks, pop complete frames. *)
-type stream = Frame.stream
-
-let stream () = Frame.stream ()
-let stream_length = Frame.stream_length
-let feed = Frame.feed
-
-exception Protocol_error = Frame.Protocol_error
-
-let pop = Frame.pop

@@ -9,10 +9,10 @@
 
     This module holds the generic halves: decoders for the shared
     observability records (whose emitters live in
-    {!Tabv_core.Report_json} and {!Tabv_fault.Fault}) and the
-    length-prefixed frame protocol.  Campaign- and qualify-specific
-    payload codecs live next to their types in [Campaign] and
-    [Qualify]. *)
+    {!Tabv_core.Report_json} and {!Tabv_fault.Fault}).  The
+    length-prefixed frames are {!Tabv_core.Frame}'s.  Campaign- and
+    qualify-specific payload codecs live next to their types in
+    [Campaign] and [Qualify]. *)
 
 (** {2 Result-monad helpers (shared by the payload codecs)} *)
 
@@ -54,50 +54,3 @@ val metrics_snapshot_of_json :
 (** Inverse of {!Tabv_fault.Fault.diagnosis_json}. *)
 val diagnosis_of_json :
   Tabv_core.Report_json.json -> (Tabv_sim.Kernel.diagnosis, string) result
-
-(** {2 Length-prefixed frames}
-
-    8 lowercase hex digits (payload byte length) + ['\n'] + payload.
-    Fixed-width, so both sides read an exact header before the body —
-    no scanning, no ambiguity with payload bytes.
-
-    These are re-exports of the plain-header subset of
-    {!Tabv_core.Frame}, which owns the protocol (and adds the
-    versioned headers the [tabv serve] socket protocol uses); kept
-    here so the executor, worker and journal share one import. *)
-
-val header_length : int
-
-val encode_frame : string -> string
-
-(** [None] on anything that is not 8 hex digits + newline. *)
-val decode_header : string -> int option
-
-(** Write one frame and flush. *)
-val write_frame : out_channel -> string -> unit
-
-(** Blocking read of one frame.  [None] on a clean EOF at a frame
-    boundary.
-    @raise Failure on a malformed header or truncated body. *)
-val read_frame : in_channel -> string option
-
-(** {2 Incremental frame accumulator}
-
-    For the coordinator's non-blocking reads: feed raw chunks, pop
-    complete frames. *)
-
-type stream
-
-val stream : unit -> stream
-
-(** Bytes currently buffered (useful to detect a partial trailing
-    frame after EOF). *)
-val stream_length : stream -> int
-
-val feed : stream -> string -> unit
-
-exception Protocol_error of string
-
-(** Pop the next complete frame, if any.
-    @raise Protocol_error on a malformed buffered header. *)
-val pop : stream -> string option

@@ -2,6 +2,7 @@
    stdin/stdout.  See worker.mli for the protocol. *)
 
 module J = Tabv_core.Report_json
+module Frame = Tabv_core.Frame
 
 let ( let* ) = Result.bind
 
@@ -106,10 +107,10 @@ let reply_of_request payload =
 
 let serve ic oc =
   let rec loop () =
-    match Wire.read_frame ic with
+    match Frame.read ic with
     | None -> ()
     | Some payload ->
-      Wire.write_frame oc (J.to_string (reply_of_request payload));
+      Frame.write oc (J.to_string (reply_of_request payload));
       loop ()
   in
   loop ()

@@ -1,7 +1,6 @@
 (** Length-prefixed frame protocol shared by every tabv peer-to-peer
-    channel: the subprocess-executor worker pipes
-    ({!Tabv_campaign.Wire} re-exports this module) and the
-    [tabv serve] client sockets.
+    channel: the subprocess-executor worker pipes and the [tabv serve]
+    client sockets.
 
     Two fixed-width header formats:
 

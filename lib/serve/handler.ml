@@ -10,9 +10,9 @@
    The rendered bytes are what travels (and what the warm cache
    stores) — never re-encoded JSON.
 
-   [execute] runs wherever the server's worker pool puts it: a worker
-   domain (in-domain pool) or a worker subprocess (the registered
-   ["serve_request"] op).  Both paths call exactly this function. *)
+   [execute] runs wherever a server worker slot puts it: a worker
+   domain or a worker subprocess (the registered ["serve_request"]
+   op).  Both paths call exactly this function. *)
 
 module J = Tabv_core.Report_json
 module Models = Tabv_duv.Models
@@ -165,6 +165,28 @@ let exec_qualify ~interrupted ~duv ~levels ~seed ~ops ~workers ~retries =
     Ok { green = Qualify.ok report; report = render (Qualify.report_json report) }
   | exception Invalid_argument msg -> Error msg
   | exception Qualify.Interrupted -> Error "interrupted before the pool drained"
+
+(* A campaign arming hard chaos (abort, allocation storm, busy loop)
+   ends the process that runs it: on a daemon whose workers are domains
+   of its own process, every client's work.  Such a campaign is refused
+   there, before any of its jobs runs; only a worker process runs it. *)
+let in_domain_refusal = function
+  | Protocol.Campaign { manifest; retries; _ } ->
+    (match admit_campaign ~manifest ~retries with
+     | Error _ -> None  (* [execute] refuses the manifest itself *)
+     | Ok campaign ->
+       List.find_map
+         (fun (job : Campaign.job) ->
+           match job.chaos_kind with
+           | Campaign.Chaos_hard _ when job.chaos > 0 ->
+             Some
+               (Printf.sprintf
+                  "chaos_kind %S would end this daemon's own process: \
+                   only a daemon started with --isolate runs it"
+                  (Campaign.chaos_kind_name job.chaos_kind))
+           | Campaign.Chaos_hard _ | Campaign.Chaos_raise -> None)
+         campaign.jobs)
+  | Protocol.Check _ | Protocol.Recheck _ | Protocol.Qualify _ -> None
 
 (* Execute one job in the calling domain (fresh checker universe
    first — one-shot CLI semantics).  [Error] is a request-level

@@ -3,10 +3,11 @@
 
    One single-threaded coordinator (this module's select loop) owns
    every socket, the bounded fair scheduler, the warm result cache and
-   the request bookkeeping; verification work itself runs on a warm
-   worker pool — OCaml domains in-process, or crash-isolated [_worker]
-   subprocesses speaking the registered ["serve_request"] op.  The
-   coordinator never blocks on work or on a slow client: reads are
+   the request bookkeeping; verification work itself runs in worker
+   slots, each with a warm worker — a domain of this process, or a
+   crash-isolated [_worker] subprocess speaking the registered
+   ["serve_request"] op.  The coordinator never blocks on work or on a
+   slow client: reads are
    non-blocking through incremental frame streams, writes go through
    per-connection backlogs drained when the socket is writable.
 
@@ -126,39 +127,32 @@ type conn = {
          forever unless it is timed out *)
 }
 
-(* One in-domain worker: a spawned domain blocking on its mailbox.
-   Results come back through a shared outbox plus a self-pipe byte so
-   the coordinator's select wakes up. *)
-type dtask =
-  | Run of running
-  | Quit
-
-type dworker = {
-  d_idx : int;
-  d_lock : Mutex.t;
-  d_cond : Condition.t;
-  mutable d_task : dtask option;
-  mutable d_busy : running option;  (* coordinator-side view *)
-  mutable d_domain : unit Domain.t option;
+(* A worker, and the descriptor its replies arrive on: EOF there means
+   it died.  An in-domain worker is a domain of this process holding
+   the other end of a socket pair; its jobs and their outcomes pass as
+   OCaml values through [job] and [outcome], announced by one byte
+   each way. *)
+type worker = {
+  w_fd : Unix.file_descr;
+  w_kind : worker_kind;
 }
 
-(* One subprocess worker (coordinator-side): the live process and the
-   plain-frame reassembly stream of its replies. *)
-type proc = {
-  p : Executor.process;
-  p_stream : Frame.stream;
-}
+and worker_kind =
+  | Domain_worker of {
+      domain : unit Domain.t;
+      job : running option Atomic.t;
+      outcome : (Handler.outcome, string) result option Atomic.t;
+    }
+  | Process_worker of Executor.process
 
-type pworker = {
-  s_idx : int;
-  mutable s_proc : proc option;
-  mutable s_busy : running option;
+(* One worker slot: its circuit breaker (consecutive infrastructure
+   failures quarantine the slot), the request it runs, and its worker,
+   started by the slot's first job and again after a worker is lost. *)
+type slot = {
+  breaker : Sched.Breaker.t;
+  mutable job : running option;
+  mutable worker : worker option;
 }
-
-type pool =
-  | Domains of dworker array * Unix.file_descr * Unix.file_descr
-      (* workers, wake-pipe read end, write end *)
-  | Processes of pworker array
 
 type t = {
   config : config;
@@ -170,15 +164,10 @@ type t = {
      with exactly one owner each, and every live (conn, id) key. *)
   active_journals : (string, unit) Hashtbl.t;
   inflight : (key, unit) Hashtbl.t;
-  outbox : (key * (Handler.outcome, string) result) Queue.t;
-  outbox_lock : Mutex.t;
   mutable next_conn : int;
   mutable draining : bool;
   mutable listeners : Unix.file_descr list;
-  pool : pool;
-  (* One circuit breaker per worker slot, indexed like the pool:
-     consecutive infrastructure failures quarantine the slot. *)
-  breakers : Sched.Breaker.t array;
+  slots : slot array;
   (* instruments *)
   m_requests : Metrics.counter;
   m_rejected : Metrics.counter;
@@ -229,64 +218,133 @@ let flush_backlog conn =
 let send_event conn ~id event =
   send_frame conn (J.to_string (Protocol.event_json ~id event))
 
-(* --- in-domain worker pool ----------------------------------------- *)
+(* --- worker slots -------------------------------------------------- *)
 
-let dworker_loop state_dir w wake_w outbox outbox_lock =
-  let rec loop () =
-    Mutex.lock w.d_lock;
-    while w.d_task = None do
-      Condition.wait w.d_cond w.d_lock
-    done;
-    let task = Option.get w.d_task in
-    w.d_task <- None;
-    Mutex.unlock w.d_lock;
-    match task with
-    | Quit -> ()
-    | Run r ->
+(* An in-domain worker's loop on its end of the socket pair: one byte
+   in per job, one byte out once [outcome] holds the job's result.
+   EOF ends the loop (teardown); leaving it closes this end, which the
+   coordinator reads as the worker's death. *)
+let domain_loop ~state_dir fd job outcome =
+  let byte = Bytes.create 1 in
+  let rec serve () =
+    match Unix.read fd byte 0 1 with
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> serve ()
+    | 0 | (exception Unix.Unix_error _) -> ()
+    | _ ->
+      let r = Option.get (Atomic.get job) in
       let result =
-        match
-          Handler.execute
-            ~interrupted:(fun () -> Atomic.get r.r_interrupted)
-            ~state_dir r.r_queued.q_job
-        with
-        | result -> result
-        | exception e -> Error (Printexc.to_string e)
+        match Handler.in_domain_refusal r.r_queued.q_job with
+        | Some refusal -> Error refusal
+        | None ->
+          (match
+             Handler.execute
+               ~interrupted:(fun () -> Atomic.get r.r_interrupted)
+               ~state_dir r.r_queued.q_job
+           with
+           | result -> result
+           | exception e -> Error (Printexc.to_string e))
       in
-      Mutex.lock outbox_lock;
-      Queue.add (r.r_queued.q_key, result) outbox;
-      Mutex.unlock outbox_lock;
-      (* Wake the coordinator; a full pipe just means it is already
-         awash in wakeups. *)
-      (try ignore (Unix.write_substring wake_w "x" 0 1) with
-       | Unix.Unix_error _ -> ());
-      loop ()
+      Atomic.set outcome (Some result);
+      (* A failed write means the coordinator has closed its end. *)
+      (match Unix.write_substring fd "x" 0 1 with
+       | _ -> serve ()
+       | exception Unix.Unix_error _ -> ())
   in
-  loop ()
+  Fun.protect ~finally:(fun () -> close_noerr fd) serve
+
+(* Start [running] on [slot], starting the slot's worker first if it
+   has none — the one place the daemon's executor kind is read. *)
+let start config slot running =
+  let worker =
+    match slot.worker with
+    | Some worker -> worker
+    | None ->
+      let worker =
+        match config.executor with
+        | In_domain_workers ->
+          let ours, theirs =
+            Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0
+          in
+          Unix.set_nonblock ours;
+          let job = Atomic.make None and outcome = Atomic.make None in
+          let domain =
+            try
+              Domain.spawn (fun () ->
+                  domain_loop ~state_dir:config.state_dir theirs job outcome)
+            with e ->
+              close_noerr ours;
+              close_noerr theirs;
+              raise e
+          in
+          { w_fd = ours; w_kind = Domain_worker { domain; job; outcome } }
+        | Subprocess_workers ->
+          let p = Executor.spawn () in
+          { w_fd = Executor.reply_fd p; w_kind = Process_worker p }
+      in
+      slot.worker <- Some worker;
+      worker
+  in
+  slot.job <- Some running;
+  match worker.w_kind with
+  | Domain_worker d ->
+    Atomic.set d.job (Some running);
+    (* A dead domain fails the write; its EOF reports the death. *)
+    (try ignore (Unix.write_substring worker.w_fd "x" 0 1)
+     with Unix.Unix_error _ -> ())
+  | Process_worker p ->
+    Executor.send p
+      (Handler.worker_request_json ~state_dir:config.state_dir
+         running.r_queued.q_job)
+
+(* Stop the job on [slot], if any — the one rule besides {!start} that
+   depends on the kind of worker; [true] when the slot is free at
+   once.  A worker process is SIGKILLed, and the slot's next job starts
+   a new one.  An in-domain job can only be asked to stop (its
+   interrupt flag) and keeps the slot until its result comes back;
+   [~retire] (teardown) also ends the domain, once that result is in. *)
+let stop slot ~retire =
+  Option.iter (fun r -> Atomic.set r.r_interrupted true) slot.job;
+  (match slot.worker with
+   | Some { w_kind = Process_worker p; _ } ->
+     ignore (Executor.kill p);
+     slot.worker <- None;
+     slot.job <- None
+   | Some { w_fd; w_kind = Domain_worker d } when retire ->
+     close_noerr w_fd;
+     Domain.join d.domain;
+     slot.worker <- None
+   | Some { w_kind = Domain_worker _; _ } | None -> ());
+  slot.job = None
+
+(* [worker]'s descriptor turned readable: [Some (sound, result)] once
+   it has answered or died, [None] while a reply frame is incomplete.
+   A clean [{"error":..}] reply is the job's own failure and leaves the
+   worker sound; a garbled reply or a dead worker does not, and the
+   slot loses its worker. *)
+let read_reply slot worker =
+  match worker.w_kind with
+  | Domain_worker d ->
+    (match Unix.read worker.w_fd (Bytes.create 1) 0 1 with
+     | exception
+         Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
+       ->
+       None
+     | 1 -> Some (true, Option.get (Atomic.get d.outcome))
+     | _ | (exception Unix.Unix_error _) ->
+       close_noerr worker.w_fd;
+       Domain.join d.domain;
+       slot.worker <- None;
+       Some (false, Error "crashed: worker domain exited"))
+  | Process_worker p ->
+    (match Executor.read_reply p ~decode:Handler.decode_worker_reply with
+     | None -> None
+     | Some (Executor.Replied outcome) -> Some (true, Ok outcome)
+     | Some (Executor.Refused message) -> Some (true, Error message)
+     | Some (Executor.Lost failure) ->
+       slot.worker <- None;
+       Some (false, Error (Executor.failure_to_string failure)))
 
 (* --- server construction ------------------------------------------- *)
-
-let make_pool config =
-  match config.executor with
-  | In_domain_workers ->
-    let wake_r, wake_w = Unix.pipe ~cloexec:true () in
-    Unix.set_nonblock wake_r;
-    Unix.set_nonblock wake_w;
-    let workers =
-      Array.init config.workers (fun i ->
-          {
-            d_idx = i;
-            d_lock = Mutex.create ();
-            d_cond = Condition.create ();
-            d_task = None;
-            d_busy = None;
-            d_domain = None;
-          })
-    in
-    Domains (workers, wake_r, wake_w)
-  | Subprocess_workers ->
-    Processes
-      (Array.init config.workers (fun i ->
-           { s_idx = i; s_proc = None; s_busy = None }))
 
 let listen_unix path =
   (* A leftover socket file makes bind fail, but the file may belong
@@ -356,10 +414,15 @@ let create (config : config) =
     Sched.create ?watermark:config.shed_watermark ~bound:config.queue_bound ()
   in
   let conns = Hashtbl.create 16 in
-  let breakers =
+  let slots =
     Array.init config.workers (fun _ ->
-        Sched.Breaker.create ~threshold:config.breaker_threshold
-          ~cooldown_s:config.breaker_cooldown_s ())
+        {
+          breaker =
+            Sched.Breaker.create ~threshold:config.breaker_threshold
+              ~cooldown_s:config.breaker_cooldown_s ();
+          job = None;
+          worker = None;
+        })
   in
   let inflight = Hashtbl.create 16 in
   let active_journals = Hashtbl.create 8 in
@@ -375,11 +438,11 @@ let create (config : config) =
       Hashtbl.length active_journals);
   Metrics.probe obs "serve.jobs_shed" (fun () -> Sched.shed_count sched);
   Metrics.probe obs "serve.breaker_trips" (fun () ->
-      Array.fold_left (fun acc b -> acc + Sched.Breaker.trips b) 0 breakers);
+      Array.fold_left (fun acc s -> acc + Sched.Breaker.trips s.breaker) 0 slots);
   Metrics.probe obs "serve.breaker_open" (fun () ->
       Array.fold_left
-        (fun acc b -> acc + if Sched.Breaker.is_open b then 1 else 0)
-        0 breakers);
+        (fun acc s -> acc + if Sched.Breaker.is_open s.breaker then 1 else 0)
+        0 slots);
   (* Stale-journal GC: journals of long-dead campaigns have no
      recovery value and would accumulate forever. *)
   (match config.state_dir with
@@ -394,13 +457,10 @@ let create (config : config) =
     conns;
     active_journals;
     inflight;
-    outbox = Queue.create ();
-    outbox_lock = Mutex.create ();
     next_conn = 0;
     draining = false;
     listeners = [];
-    pool = make_pool config;
-    breakers;
+    slots;
     m_requests = Metrics.counter obs "serve.requests_total";
     m_rejected = Metrics.counter obs "serve.requests_rejected";
     m_cancelled = Metrics.counter obs "serve.requests_cancelled";
@@ -440,83 +500,30 @@ let retry_advice_ms t =
   t.config.retry_after_ms
   * (1 + 4 * Sched.depth t.sched / max 1 t.config.queue_bound)
 
-let start_on_dworker w running =
-  w.d_busy <- Some running;
-  Mutex.lock w.d_lock;
-  w.d_task <- Some (Run running);
-  Condition.signal w.d_cond;
-  Mutex.unlock w.d_lock
-
-let start_on_pworker t w running =
-  let proc =
-    match w.s_proc with
-    | Some proc -> proc
-    | None ->
-      let proc = { p = Executor.spawn (); p_stream = Frame.stream () } in
-      w.s_proc <- Some proc;
-      proc
-  in
-  w.s_busy <- Some running;
-  let request =
-    Handler.worker_request_json ~state_dir:t.config.state_dir
-      running.r_queued.q_job
-  in
-  let frame = Frame.encode (J.to_string request) in
-  try write_all proc.p.to_worker frame 0 (String.length frame)
-  with Unix.Unix_error _ ->
-    (* The worker died between requests (EPIPE with SIGPIPE ignored):
-       leave it marked busy — the select loop watches a busy worker's
-       reply pipe, sees the EOF, reaps the corpse and fails the
-       request through the normal worker-death path. *)
-    ()
-
-(* Hand queued requests to idle, non-quarantined workers, telling
-   their clients.  A slot whose breaker is open is skipped; an expired
+(* Hand queued requests to idle, non-quarantined slots, telling their
+   clients.  A slot whose breaker is open is skipped; an expired
    quarantine admits exactly one half-open probe job. *)
 let try_dispatch t =
   let now = Unix.gettimeofday () in
-  let breaker_ok idx = Sched.Breaker.available t.breakers.(idx) ~now in
-  let idle_slots () =
-    match t.pool with
-    | Domains (workers, _, _) ->
-      Array.to_list workers
-      |> List.filter_map (fun w ->
-             if w.d_busy = None && breaker_ok w.d_idx then Some (`D w)
-             else None)
-    | Processes workers ->
-      Array.to_list workers
-      |> List.filter_map (fun w ->
-             if w.s_busy = None && breaker_ok w.s_idx then Some (`P w)
-             else None)
-  in
-  let rec go = function
-    | [] -> ()
-    | slot :: slots ->
-      (match Sched.next t.sched with
-       | None -> ()
-       | Some (_client, queued) ->
-         let running =
-           {
-             r_queued = queued;
-             r_interrupted = Atomic.make false;
-             r_started_at = Unix.gettimeofday ();
-             r_cancelled = false;
-             r_deadlined = false;
-           }
-         in
-         (match Hashtbl.find_opt t.conns queued.q_key.k_conn with
-          | Some conn -> send_event conn ~id:queued.q_key.k_req Protocol.Started
-          | None -> ());
-         (match slot with
-          | `D w ->
-            Sched.Breaker.probe_started t.breakers.(w.d_idx);
-            start_on_dworker w running
-          | `P w ->
-            Sched.Breaker.probe_started t.breakers.(w.s_idx);
-            start_on_pworker t w running);
-         go slots)
-  in
-  go (idle_slots ())
+  Array.iter
+    (fun slot ->
+      if slot.job = None && Sched.Breaker.available slot.breaker ~now then
+        match Sched.next t.sched with
+        | None -> ()
+        | Some (_client, queued) ->
+          (match Hashtbl.find_opt t.conns queued.q_key.k_conn with
+           | Some conn -> send_event conn ~id:queued.q_key.k_req Protocol.Started
+           | None -> ());
+          Sched.Breaker.probe_started slot.breaker;
+          start t.config slot
+            {
+              r_queued = queued;
+              r_interrupted = Atomic.make false;
+              r_started_at = Unix.gettimeofday ();
+              r_cancelled = false;
+              r_deadlined = false;
+            })
+    t.slots
 
 (* --- request admission --------------------------------------------- *)
 
@@ -664,119 +671,22 @@ let finish t running result =
     ()
   else finish_live t running result
 
-(* Drain the in-domain outbox: match results to their workers, answer
-   clients, refill the workers. *)
-let drain_outbox t =
-  match t.pool with
-  | Processes _ -> ()
-  | Domains (workers, wake_r, _) ->
-    (* Swallow the wakeup bytes. *)
-    let buf = Bytes.create 64 in
-    let rec swallow () =
-      match Unix.read wake_r buf 0 64 with
-      | n when n > 0 -> swallow ()
-      | _ -> ()
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-        ()
-      | exception Unix.Unix_error _ -> ()
-    in
-    swallow ();
-    let rec pop () =
-      Mutex.lock t.outbox_lock;
-      let next =
-        if Queue.is_empty t.outbox then None else Some (Queue.take t.outbox)
-      in
-      Mutex.unlock t.outbox_lock;
-      match next with
-      | None -> ()
-      | Some (key, result) ->
-        Array.iter
-          (fun w ->
-            match w.d_busy with
-            | Some running when running.r_queued.q_key = key ->
-              w.d_busy <- None;
-              (* The domain came back alive: whatever the job's own
-                 verdict, the worker infrastructure is healthy. *)
-              Sched.Breaker.record_success t.breakers.(w.d_idx);
-              finish t running result
-            | _ -> ())
-          workers;
-        pop ()
-    in
-    pop ();
-    try_dispatch t
-
-(* A subprocess worker's pipe turned readable: feed its stream, pop
-   complete reply frames, or observe its death. *)
-let service_pworker t w =
-  match w.s_proc with
-  | None -> ()
-  | Some proc ->
-    let buf = Bytes.create 65536 in
-    let died, chunk =
-      match Unix.read proc.p.from_worker buf 0 65536 with
-      | 0 -> (true, "")
-      | n -> (false, Bytes.sub_string buf 0 n)
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-        (false, "")
-      | exception Unix.Unix_error _ -> (true, "")
-    in
-    if chunk <> "" then Frame.feed proc.p_stream chunk;
-    (* [infra]: the failure indicts the worker itself (garbled pipe,
-       malformed reply), not the request — those count against the
-       slot's circuit breaker; a clean [{"error":..}] reply is the
-       job's own fault and counts as worker success. *)
-    let infra what =
-      ( `Infra,
-        Error (Executor.failure_to_string (Executor.protocol_error what)) )
-    in
-    let pop () =
-      match Frame.pop proc.p_stream with
-      | exception Frame.Protocol_error _ -> Some (infra "bad frame")
-      | None -> None
-      | Some frame ->
-        Some
-          (match
-             Result.map Handler.decode_worker_reply
-               (Executor.reply_of_frame frame)
-           with
-           | Ok (Ok outcome) -> (`Sound, Ok outcome)
-           | Ok (Error what) | Error (`Protocol what) -> infra what
-           | Error (`Job message) -> (`Sound, Error message))
-    in
-    let record_outcome verdict =
-      match verdict with
-      | `Infra ->
-        Sched.Breaker.record_failure t.breakers.(w.s_idx)
-          ~now:(Unix.gettimeofday ());
-        (* A worker that garbles its pipe has nothing trustworthy left
-           to say: kill it and respawn lazily. *)
-        Executor.kill proc.p;
-        w.s_proc <- None
-      | `Sound -> Sched.Breaker.record_success t.breakers.(w.s_idx)
-    in
-    (match pop () with
-     | Some (verdict, result) ->
-       (match w.s_busy with
-        | Some running ->
-          w.s_busy <- None;
-          record_outcome verdict;
-          finish t running result
-        | None -> record_outcome verdict);
-       if w.s_proc <> None then ignore (pop ())
-     | None ->
-       if died then begin
-         let message = Executor.failure_to_string (Executor.reap proc.p) in
-         w.s_proc <- None;
-         match w.s_busy with
-         | Some running ->
-           w.s_busy <- None;
-           Sched.Breaker.record_failure t.breakers.(w.s_idx)
-             ~now:(Unix.gettimeofday ());
-           finish t running (Error message)
-         | None -> ()
-       end);
-    try_dispatch t
+(* A busy slot's descriptor turned readable: once its worker has
+   answered or died, count that against the slot's breaker, settle the
+   request and refill the slot. *)
+let service_slot t slot =
+  match (slot.worker, slot.job) with
+  | Some worker, Some running ->
+    (match read_reply slot worker with
+     | None -> ()
+     | Some (sound, result) ->
+       if sound then Sched.Breaker.record_success slot.breaker
+       else
+         Sched.Breaker.record_failure slot.breaker ~now:(Unix.gettimeofday ());
+       slot.job <- None;
+       finish t running result;
+       try_dispatch t)
+  | _ -> ()
 
 (* --- connection lifecycle ------------------------------------------ *)
 
@@ -815,36 +725,18 @@ let disconnect t conn =
       Metrics.incr t.m_cancelled;
       release_request t q)
     dropped;
-  (* Cancel this client's in-flight work: in-domain requests get their
-     interrupt flag (the worker frees itself at the next interruption
-     point and the result is discarded); subprocess workers are killed
-     outright and respawn lazily. *)
-  (match t.pool with
-   | Domains (workers, _, _) ->
-     Array.iter
-       (fun w ->
-         match w.d_busy with
-         | Some running when running.r_queued.q_key.k_conn = conn.c_id ->
-           running.r_cancelled <- true;
-           Atomic.set running.r_interrupted true
-         | _ -> ())
-       workers
-   | Processes workers ->
-     Array.iter
-       (fun w ->
-         match w.s_busy with
-         | Some running when running.r_queued.q_key.k_conn = conn.c_id ->
-           running.r_cancelled <- true;
-           release_request t running.r_queued;
-           Metrics.incr t.m_cancelled;
-           w.s_busy <- None;
-           (match w.s_proc with
-            | Some proc ->
-              Executor.kill proc.p;
-              w.s_proc <- None
-            | None -> ())
-         | _ -> ())
-       workers);
+  (* Cancel this client's running jobs; their results are discarded.
+     A slot whose worker was killed settles its request now, an
+     in-domain job when its result comes back. *)
+  Array.iter
+    (fun slot ->
+      match slot.job with
+      | Some running when running.r_queued.q_key.k_conn = conn.c_id ->
+        running.r_cancelled <- true;
+        if stop slot ~retire:false then
+          finish t running (Error "cancelled: client disconnected")
+      | _ -> ())
+    t.slots;
   close_noerr conn.c_fd;
   try_dispatch t
  end
@@ -928,14 +820,13 @@ let service_conn_write t conn =
 
 (* --- watchdogs ----------------------------------------------------- *)
 
-(* Per-request deadlines, swept once per select tick.  A subprocess
-   job over deadline is SIGKILLed (the campaign watchdog's containment
-   boundary) and the slot respawns lazily; an in-domain job can only
-   be asked to stop — its interrupt flag is set, the client is
-   answered and the reservations released immediately, but the domain
-   itself stays pinned until the job reaches an interruption point
-   (honest limitation of in-process containment; [--isolate] is the
-   strong form).  Either way the error event echoes the deadline. *)
+(* Per-request deadlines, swept once per select tick.  The client is
+   answered and the reservations released at once, and the job is
+   stopped ({!stop}): a worker process is SIGKILLed (the campaign
+   watchdog's containment boundary), while an in-domain job keeps its
+   domain pinned until it reaches an interruption point (honest
+   limitation of in-process containment; [--isolate] is the strong
+   form).  Either way the error event echoes the deadline. *)
 let deadline_error_message t elapsed_s =
   match t.config.job_timeout_s with
   | None -> assert false
@@ -946,7 +837,6 @@ let deadline_error_message t elapsed_s =
 
 let deadline_expire t running ~now =
   running.r_deadlined <- true;
-  Atomic.set running.r_interrupted true;
   release_request t running.r_queued;
   Metrics.incr t.m_deadlined;
   Metrics.incr t.m_failed;
@@ -967,32 +857,18 @@ let enforce_deadlines t =
       (not r.r_deadlined) && (not r.r_cancelled)
       && now -. r.r_started_at > limit
     in
-    (match t.pool with
-     | Domains (workers, _, _) ->
-       Array.iter
-         (fun w ->
-           match w.d_busy with
-           | Some running when overdue running -> deadline_expire t running ~now
-           | _ -> ())
-         workers
-     | Processes workers ->
-       Array.iter
-         (fun w ->
-           match w.s_busy with
-           | Some running when overdue running ->
-             deadline_expire t running ~now;
-             (* The watchdog kill is an infrastructure event on this
-                slot: repeated poison pins point at the worker until
-                the breaker quarantines it. *)
-             Sched.Breaker.record_failure t.breakers.(w.s_idx) ~now;
-             w.s_busy <- None;
-             (match w.s_proc with
-              | Some proc ->
-                Executor.kill proc.p;
-                w.s_proc <- None
-              | None -> ())
-           | _ -> ())
-         workers)
+    Array.iter
+      (fun slot ->
+        match slot.job with
+        | Some running when overdue running ->
+          deadline_expire t running ~now;
+          (* A worker killed over a deadline is an infrastructure event
+             on its slot: repeated poison pins point at the worker until
+             the breaker quarantines it. *)
+          if stop slot ~retire:false then
+            Sched.Breaker.record_failure slot.breaker ~now
+        | _ -> ())
+      t.slots
 
 (* Disconnect peers that went silent mid-frame past the idle
    timeout — their reservations release through the normal disconnect
@@ -1011,11 +887,7 @@ let enforce_conn_timeouts t =
 
 (* --- the main loop ------------------------------------------------- *)
 
-let pool_busy t =
-  match t.pool with
-  | Domains (workers, _, _) ->
-    Array.exists (fun w -> w.d_busy <> None) workers
-  | Processes workers -> Array.exists (fun w -> w.s_busy <> None) workers
+let busy t = Array.exists (fun slot -> slot.job <> None) t.slots
 
 let close_listeners t =
   List.iter
@@ -1032,26 +904,7 @@ let teardown t =
       close_noerr conn.c_fd)
     t.conns;
   Hashtbl.reset t.conns;
-  (match t.pool with
-   | Domains (workers, wake_r, wake_w) ->
-     Array.iter
-       (fun w ->
-         Mutex.lock w.d_lock;
-         w.d_task <- Some Quit;
-         Condition.signal w.d_cond;
-         Mutex.unlock w.d_lock)
-       workers;
-     Array.iter
-       (fun w -> Option.iter Domain.join w.d_domain)
-       workers;
-     close_noerr wake_r;
-     close_noerr wake_w
-   | Processes workers ->
-     Array.iter
-       (fun w ->
-         Option.iter (fun proc -> Executor.kill proc.p) w.s_proc;
-         w.s_proc <- None)
-       workers);
+  Array.iter (fun slot -> ignore (stop slot ~retire:true)) t.slots;
   (match Unix.lstat t.config.socket with
    | { Unix.st_kind = Unix.S_SOCK; _ } ->
      (try Unix.unlink t.config.socket with Unix.Unix_error _ -> ())
@@ -1069,17 +922,6 @@ let run ?(interrupted = fun () -> false) ?(on_ready = fun () -> ()) config =
   (match config.tcp with
    | Some (host, port) -> t.listeners <- t.listeners @ [ listen_tcp host port ]
    | None -> ());
-  (match t.pool with
-   | Domains (workers, _, wake_w) ->
-     Array.iter
-       (fun w ->
-         w.d_domain <-
-           Some
-             (Domain.spawn (fun () ->
-                  dworker_loop config.state_dir w wake_w t.outbox
-                    t.outbox_lock)))
-       workers
-   | Processes _ -> ());
   (* A peer that hangs up must surface as EPIPE on the write — the
      default SIGPIPE disposition would kill the whole daemon the first
      time a backlog flushes into a closed socket.  Restored on exit
@@ -1113,7 +955,7 @@ let run ?(interrupted = fun () -> false) ?(on_ready = fun () -> ()) config =
     enforce_conn_timeouts t;
     if Sched.depth t.sched > 0 then try_dispatch t;
     let done_ =
-      t.draining && Sched.depth t.sched = 0 && not (pool_busy t)
+      t.draining && Sched.depth t.sched = 0 && not (busy t)
       && Hashtbl.fold (fun _ c acc -> acc && c.c_out_len = 0) t.conns true
     in
     if done_ then ()
@@ -1121,14 +963,12 @@ let run ?(interrupted = fun () -> false) ?(on_ready = fun () -> ()) config =
       let reads =
         t.listeners
         @ Hashtbl.fold (fun _ c acc -> c.c_fd :: acc) t.conns []
-        @ (match t.pool with
-           | Domains (_, wake_r, _) -> [ wake_r ]
-           | Processes workers ->
-             Array.to_list workers
-             |> List.filter_map (fun w ->
-                    match w.s_proc with
-                    | Some proc when w.s_busy <> None -> Some proc.p.from_worker
-                    | _ -> None))
+        @ Array.fold_left
+            (fun acc slot ->
+              match (slot.job, slot.worker) with
+              | Some _, Some worker -> worker.w_fd :: acc
+              | _ -> acc)
+            [] t.slots
       in
       let writes =
         Hashtbl.fold
@@ -1151,16 +991,16 @@ let run ?(interrupted = fun () -> false) ?(on_ready = fun () -> ()) config =
             with
             | Some conn -> service_conn_read t conn
             | None ->
-              (match t.pool with
-               | Domains (_, wake_r, _) when fd == wake_r -> drain_outbox t
-               | Domains _ -> ()
-               | Processes workers ->
-                 Array.iter
-                   (fun w ->
-                     match w.s_proc with
-                     | Some proc when proc.p.from_worker == fd -> service_pworker t w
-                     | _ -> ())
-                   workers)
+              (match
+                 Array.find_opt
+                   (fun slot ->
+                     match slot.worker with
+                     | Some worker -> worker.w_fd == fd
+                     | None -> false)
+                   t.slots
+               with
+               | Some slot -> service_slot t slot
+               | None -> ())
           end)
         readable;
       List.iter
@@ -1174,19 +1014,6 @@ let run ?(interrupted = fun () -> false) ?(on_ready = fun () -> ()) config =
             service_conn_write t conn
           | _ -> ())
         writable;
-      (* In-domain results may land between selects; poll the outbox
-         even without a wakeup byte (cheap, and makes the loop robust
-         to a full wake pipe). *)
-      (match t.pool with
-       | Domains _ ->
-         let nonempty =
-           Mutex.lock t.outbox_lock;
-           let n = not (Queue.is_empty t.outbox) in
-           Mutex.unlock t.outbox_lock;
-           n
-         in
-         if nonempty then drain_outbox t
-       | Processes _ -> ());
       loop ()
     end
   in

@@ -272,3 +272,10 @@ let run_traced r model workload =
             Tabv_duv.Testbench.run { r with trace_writer = Some writer } model workload)
       in
       (result, snd (Tabv_trace.Reader.read_trace path)))
+
+(* This process's count of open file descriptors, where /proc shows
+   it: a test that must leak none compares it before and after. *)
+let open_fds () =
+  match Sys.readdir "/proc/self/fd" with
+  | entries -> Some (Array.length entries)
+  | exception Sys_error _ -> None

@@ -9,6 +9,7 @@ open Tabv_campaign
 module C = Campaign
 module M = Tabv_duv.Models
 module J = Tabv_core.Report_json
+module Frame = Tabv_core.Frame
 
 let case name f = Alcotest.test_case name `Quick f
 let slow_case name f = Alcotest.test_case name `Slow f
@@ -243,29 +244,29 @@ let small_matrix =
 
 let wire_cases =
   [ case "frames are length-prefixed with a fixed 9-byte header" (fun () ->
-      let frame = Wire.encode_frame "hello" in
+      let frame = Frame.encode "hello" in
       Alcotest.(check string) "encoding" "00000005\nhello" frame;
       Alcotest.(check (option int)) "header decodes" (Some 5)
-        (Wire.decode_header (String.sub frame 0 Wire.header_length));
+        (Frame.decode_header (String.sub frame 0 Frame.header_length));
       Alcotest.(check (option int)) "garbage header" None
-        (Wire.decode_header "0x5\nhelloo");
+        (Frame.decode_header "0x5\nhelloo");
       (* underscore-tolerant int_of_string must not leak through *)
       Alcotest.(check (option int)) "underscores rejected" None
-        (Wire.decode_header "0000_005\n"));
+        (Frame.decode_header "0000_005\n"));
     case "a stream fed byte by byte pops whole frames" (fun () ->
-      let s = Wire.stream () in
-      let bytes = Wire.encode_frame "first" ^ Wire.encode_frame "" in
-      String.iter (fun c -> Wire.feed s (String.make 1 c)) bytes;
-      Alcotest.(check (option string)) "first" (Some "first") (Wire.pop s);
-      Alcotest.(check (option string)) "empty frame" (Some "") (Wire.pop s);
-      Alcotest.(check (option string)) "drained" None (Wire.pop s);
-      Alcotest.(check int) "no residue" 0 (Wire.stream_length s));
+      let s = Frame.stream () in
+      let bytes = Frame.encode "first" ^ Frame.encode "" in
+      String.iter (fun c -> Frame.feed s (String.make 1 c)) bytes;
+      Alcotest.(check (option string)) "first" (Some "first") (Frame.pop s);
+      Alcotest.(check (option string)) "empty frame" (Some "") (Frame.pop s);
+      Alcotest.(check (option string)) "drained" None (Frame.pop s);
+      Alcotest.(check int) "no residue" 0 (Frame.stream_length s));
     case "a corrupt header raises Protocol_error" (fun () ->
-      let s = Wire.stream () in
-      Wire.feed s "not-hex!!\nwhatever";
-      match Wire.pop s with
+      let s = Frame.stream () in
+      Frame.feed s "not-hex!!\nwhatever";
+      match Frame.pop s with
       | _ -> Alcotest.fail "corrupt header accepted"
-      | exception Wire.Protocol_error _ -> ()) ]
+      | exception Frame.Protocol_error _ -> ()) ]
 
 (* --- execution payloads ------------------------------------------------ *)
 

@@ -7,7 +7,8 @@
    in-process one-shot path, explicit backpressure with scaled retry
    advice, cancellation on client disconnect, per-request deadlines,
    mid-frame silence timeouts, cache invalidation and graceful
-   shutdown drain. *)
+   shutdown drain, the worker-lifecycle cases on both executors, and
+   no descriptor left open once a daemon has drained. *)
 
 open Tabv_serve
 module J = Tabv_core.Report_json
@@ -471,6 +472,153 @@ let report_of = function
   | Client.Rejected _ -> Alcotest.fail "unexpected backpressure rejection"
   | Client.Failed msg -> Alcotest.fail msg
 
+(* The value of the [serve.*] metric [name] in the daemon's stats
+   reply, or -1 when it is missing. *)
+let metric client name =
+  match Client.control client Protocol.Stats with
+  | Client.Stats json ->
+    (match J.member "metrics" json with
+     | Some metrics ->
+       (match J.member name metrics with
+        | Some m ->
+          (match J.member "value" m with Some (J.Int n) -> n | _ -> -1)
+        | None -> -1)
+     | None -> -1)
+  | _ -> Alcotest.fail "expected stats"
+
+(* A one-job campaign whose first attempt aborts its process. *)
+let abort_manifest =
+  J.Assoc
+    [ ( "jobs",
+        J.List
+          [ J.Assoc
+              [ ("duv", J.String "des56"); ("level", J.String "rtl");
+                ("seed", J.Int 1); ("ops", J.Int 5); ("chaos", J.Int 1);
+                ("chaos_kind", J.String "abort") ] ] ) ]
+
+(* The daemon cases below run on both executors: on in-domain workers
+   in their place in the suite, and on subprocess workers at its end. *)
+
+let warm_replay executor () =
+  let expected = expected_check_report () in
+  with_server
+    ~configure:(fun c -> { c with Server.executor })
+    (fun client _socket ->
+      (match Client.request client (check_job ()) with
+       | Client.Result { ok = true; warm = false; report } ->
+         Alcotest.(check string) "cold run matches the one-shot path"
+           expected report
+       | _ -> Alcotest.fail "expected a cold ok result");
+      match Client.request client (check_job ()) with
+      | Client.Result { ok = true; warm = true; report } ->
+        Alcotest.(check string) "warm replay is the same bytes" expected
+          report
+      | _ -> Alcotest.fail "expected a warm ok result")
+
+(* A breaker that trips on one failure shows that a cancellation is not
+   counted as one: an in-domain job returns, a killed worker process is
+   the client's doing. *)
+let disconnect_cancels executor () =
+  with_server
+    ~configure:(fun c ->
+      { c with Server.workers = 1; executor; breaker_threshold = 1 })
+    (fun client socket ->
+      (* A second client fires a request and vanishes once it
+         runs; its work must be discarded and the worker must
+         come back to serve the surviving client.  Leaving only
+         after [Started] keeps the doomed job ahead of the
+         surviving one on the single worker, so its cancellation
+         is counted before the surviving result is sent. *)
+      (match Client.connect (`Unix socket) with
+       | Error e -> Alcotest.fail e
+       | Ok doomed ->
+         Client.send_request doomed ~id:0
+           (Protocol.Job (check_job ~seed:200 ~ops:400 ()));
+         let rec wait_started () =
+           match Client.next_event doomed with
+           | Ok (0, Protocol.Started) -> ()
+           | Ok (0, Protocol.Accepted _) -> wait_started ()
+           | Ok _ -> Alcotest.fail "unexpected event for the doomed job"
+           | Error e -> Alcotest.fail e
+         in
+         wait_started ();
+         Client.close doomed);
+      (match Client.request client (check_job ()) with
+       | Client.Result { ok = true; _ } -> ()
+       | _ -> Alcotest.fail "worker never came back");
+      Alcotest.(check int) "the abandoned request was cancelled" 1
+        (metric client "serve.requests_cancelled");
+      Alcotest.(check int) "its reservations were released" 0
+        (metric client "serve.inflight_keys");
+      Alcotest.(check int) "the cancellation tripped no breaker" 0
+        (metric client "serve.breaker_trips"))
+
+let shutdown_drains executor () =
+  with_server
+    ~configure:(fun c -> { c with Server.executor })
+    (fun client _socket ->
+      (* Pipeline a job, then shutdown on the same connection:
+         the job was accepted, so its result must still arrive. *)
+      Client.send_request client ~id:0
+        (Protocol.Job (check_job ~seed:300 ~ops:100 ()));
+      Client.send_request client ~id:1 (Protocol.Control Protocol.Shutdown);
+      let got_result = ref false
+      and got_drain = ref false in
+      let rec pump () =
+        if not (!got_result && !got_drain) then
+          match Client.next_event client with
+          | Error e -> Alcotest.fail e
+          | Ok (0, Protocol.Result { ok = true; _ }) ->
+            got_result := true;
+            pump ()
+          | Ok (1, Protocol.Shutting_down) ->
+            got_drain := true;
+            pump ()
+          | Ok (_, _) -> pump ()
+      in
+      pump ())
+
+(* A worker process killed over a deadline counts against its slot's
+   breaker (here it trips it, and the zero cooldown admits the next
+   job at once); an in-domain job that overruns is only asked to stop,
+   and its domain comes back sound. *)
+let deadline_fires executor () =
+  with_server
+    ~configure:(fun c ->
+      { c with Server.workers = 1; executor; job_timeout_s = Some 0.2;
+        breaker_threshold = 1; breaker_cooldown_s = 0. })
+    (fun client _socket ->
+      (* ~1.4s of real work against a 0.2s deadline: the client
+         must get an error event naming the deadline, and the
+         worker slot must come back for the next request. *)
+      (match
+         Client.request client (check_job ~seed:700 ~ops:20_000 ())
+       with
+       | Client.Failed msg ->
+         Alcotest.(check bool)
+           (Printf.sprintf "echoes the deadline: %s" msg)
+           true
+           (contains msg "deadline exceeded"
+            && contains msg "--job-timeout")
+       | Client.Result _ -> Alcotest.fail "the deadline never fired"
+       | Client.Rejected _ -> Alcotest.fail "unexpected rejection");
+      (match Client.request client (check_job ()) with
+       | Client.Result { ok = true; _ } -> ()
+       | _ -> Alcotest.fail "worker never came back after the deadline");
+      Alcotest.(check int) "breaker trips"
+        (match executor with
+         | Server.Subprocess_workers -> 1
+         | Server.In_domain_workers -> 0)
+        (metric client "serve.breaker_trips"))
+
+let leaks_no_descriptor executor () =
+  let before = Helpers.open_fds () in
+  with_server
+    ~configure:(fun c -> { c with Server.executor })
+    (fun client _socket -> ignore (report_of (Client.request client (check_job ()))));
+  Alcotest.(check (option int)) "descriptors once the daemon has drained" before
+    (Helpers.open_fds ())
+
 let serve_cases =
   [ slow_case "a served check of no operations is refused before its trace opens"
       (fun () ->
@@ -519,19 +667,8 @@ let serve_cases =
              | () -> Alcotest.fail "a second daemon started on a held socket"
              | exception Failure _ -> ());
             Alcotest.(check bool) "body never ran" false !ran));
-    slow_case "warm replay is byte-identical to the cold run" (fun () ->
-        let expected = expected_check_report () in
-        with_server (fun client _socket ->
-            (match Client.request client (check_job ()) with
-             | Client.Result { ok = true; warm = false; report } ->
-               Alcotest.(check string) "cold run matches the one-shot path"
-                 expected report
-             | _ -> Alcotest.fail "expected a cold ok result");
-            match Client.request client (check_job ()) with
-            | Client.Result { ok = true; warm = true; report } ->
-              Alcotest.(check string) "warm replay is the same bytes" expected
-                report
-            | _ -> Alcotest.fail "expected a warm ok result"));
+    slow_case "warm replay is byte-identical to the cold run"
+      (warm_replay Server.In_domain_workers);
     slow_case "invalidate drops the warm cache" (fun () ->
         with_server (fun client _socket ->
             ignore (report_of (Client.request client (check_job ())));
@@ -686,93 +823,12 @@ let serve_cases =
             match Client.control client Protocol.Ping with
             | Client.Pong -> ()
             | _ -> Alcotest.fail "original daemon no longer answers"));
-    slow_case "disconnect mid-request cancels and frees the worker" (fun () ->
-        with_server
-          ~configure:(fun c -> { c with Server.workers = 1 })
-          (fun client socket ->
-            (* A second client fires a request and vanishes once it
-               runs; its work must be discarded and the worker must
-               come back to serve the surviving client.  Leaving only
-               after [Started] keeps the doomed job ahead of the
-               surviving one on the single worker, so its cancellation
-               is counted before the surviving result is sent. *)
-            (match Client.connect (`Unix socket) with
-             | Error e -> Alcotest.fail e
-             | Ok doomed ->
-               Client.send_request doomed ~id:0
-                 (Protocol.Job (check_job ~seed:200 ~ops:400 ()));
-               let rec wait_started () =
-                 match Client.next_event doomed with
-                 | Ok (0, Protocol.Started) -> ()
-                 | Ok (0, Protocol.Accepted _) -> wait_started ()
-                 | Ok _ -> Alcotest.fail "unexpected event for the doomed job"
-                 | Error e -> Alcotest.fail e
-               in
-               wait_started ();
-               Client.close doomed);
-            (match Client.request client (check_job ()) with
-             | Client.Result { ok = true; _ } -> ()
-             | _ -> Alcotest.fail "worker never came back");
-            match Client.control client Protocol.Stats with
-            | Client.Stats json ->
-              let cancelled =
-                match J.member "metrics" json with
-                | Some metrics ->
-                  (match J.member "serve.requests_cancelled" metrics with
-                   | Some counter ->
-                     (match J.member "value" counter with
-                      | Some (J.Int n) -> n
-                      | _ -> -1)
-                   | None -> -1)
-                | None -> -1
-              in
-              Alcotest.(check int) "the abandoned request was cancelled" 1
-                cancelled
-            | _ -> Alcotest.fail "expected stats"));
-    slow_case "shutdown drains accepted work before exiting" (fun () ->
-        with_server (fun client _socket ->
-            (* Pipeline a job, then shutdown on the same connection:
-               the job was accepted, so its result must still arrive. *)
-            Client.send_request client ~id:0
-              (Protocol.Job (check_job ~seed:300 ~ops:100 ()));
-            Client.send_request client ~id:1 (Protocol.Control Protocol.Shutdown);
-            let got_result = ref false
-            and got_drain = ref false in
-            let rec pump () =
-              if not (!got_result && !got_drain) then
-                match Client.next_event client with
-                | Error e -> Alcotest.fail e
-                | Ok (0, Protocol.Result { ok = true; _ }) ->
-                  got_result := true;
-                  pump ()
-                | Ok (1, Protocol.Shutting_down) ->
-                  got_drain := true;
-                  pump ()
-                | Ok (_, _) -> pump ()
-            in
-            pump ()));
-    slow_case "an overrunning job is deadlined with an honest error" (fun () ->
-        with_server
-          ~configure:(fun c ->
-            { c with Server.workers = 1; job_timeout_s = Some 0.2 })
-          (fun client _socket ->
-            (* ~1.4s of real work against a 0.2s deadline: the client
-               must get an error event naming the deadline, and the
-               worker slot must come back for the next request. *)
-            (match
-               Client.request client (check_job ~seed:700 ~ops:20_000 ())
-             with
-             | Client.Failed msg ->
-               Alcotest.(check bool)
-                 (Printf.sprintf "echoes the deadline: %s" msg)
-                 true
-                 (contains msg "deadline exceeded"
-                  && contains msg "--job-timeout")
-             | Client.Result _ -> Alcotest.fail "the deadline never fired"
-             | Client.Rejected _ -> Alcotest.fail "unexpected rejection");
-            match Client.request client (check_job ()) with
-            | Client.Result { ok = true; _ } -> ()
-            | _ -> Alcotest.fail "worker never came back after the deadline"));
+    slow_case "disconnect mid-request cancels and frees the worker"
+      (disconnect_cancels Server.In_domain_workers);
+    slow_case "shutdown drains accepted work before exiting"
+      (shutdown_drains Server.In_domain_workers);
+    slow_case "an overrunning job is deadlined with an honest error"
+      (deadline_fires Server.In_domain_workers);
     slow_case "a client silent mid-frame is timed out and releases its reservations"
       (fun () ->
         let journaled_campaign () =
@@ -836,36 +892,13 @@ let serve_cases =
              | Client.Rejected _ ->
                Alcotest.fail "the dead client's journal reservation leaked"
              | Client.Failed msg -> Alcotest.fail msg);
-            (match Client.control client Protocol.Stats with
-             | Client.Stats json ->
-               let timed_out =
-                 match J.member "metrics" json with
-                 | Some metrics ->
-                   (match J.member "serve.connections_timed_out" metrics with
-                    | Some counter ->
-                      (match J.member "value" counter with
-                       | Some (J.Int n) -> n
-                       | _ -> -1)
-                    | None -> -1)
-                 | None -> -1
-               in
-               Alcotest.(check int) "exactly the silent connection timed out" 1
-                 timed_out
-             | _ -> Alcotest.fail "expected stats");
+            Alcotest.(check int) "exactly the silent connection timed out" 1
+              (metric client "serve.connections_timed_out");
             Client.close doomed));
     (* A subprocess worker killed by a signal is reported in the
        campaign executor's wording, with the POSIX signal number (6 for
        SIGABRT), not OCaml's internal encoding of it. *)
     slow_case "a served worker killed by SIGABRT reports signal 6" (fun () ->
-        let manifest =
-          J.Assoc
-            [ ( "jobs",
-                J.List
-                  [ J.Assoc
-                      [ ("duv", J.String "des56"); ("level", J.String "rtl");
-                        ("seed", J.Int 1); ("ops", J.Int 5); ("chaos", J.Int 1);
-                        ("chaos_kind", J.String "abort") ] ] ) ]
-        in
         with_server
           ~configure:(fun c ->
             { c with Server.workers = 1; executor = Server.Subprocess_workers })
@@ -873,7 +906,8 @@ let serve_cases =
             match
               Client.request client
                 (Protocol.Campaign
-                   { manifest; workers = 1; retries = None; journal = false })
+                   { manifest = abort_manifest; workers = 1; retries = None;
+                     journal = false })
             with
             | Client.Failed message ->
               Alcotest.(check string) "the executor's wording"
@@ -889,7 +923,66 @@ let serve_cases =
             | Client.Failed message ->
               Alcotest.(check string) "the admission's own text"
                 "ops must be positive (got 0)" message
-            | _ -> Alcotest.fail "ops = 0 must be refused")) ]
+            | _ -> Alcotest.fail "ops = 0 must be refused"));
+    (* Every chunk of a pooled recheck reads the whole trace, so damage
+       is refused as damage, in the words of a one-chunk recheck. *)
+    slow_case "a served recheck on two workers refuses a damaged trace alike"
+      (fun () ->
+        with_server (fun client socket ->
+            let trace = Filename.concat (Filename.dirname socket) "cut.trace" in
+            ignore
+              (report_of
+                 (Client.request client
+                    (Protocol.Check
+                       { model = Models.Des56_rtl; seed = 42; ops = 20;
+                         props = None; engine = None; trace_out = Some trace })));
+            Unix.truncate trace 300;
+            let refusal workers =
+              match
+                Client.request client
+                  (Protocol.Recheck { trace; props = None; workers; retries = 0 })
+              with
+              | Client.Failed message -> message
+              | _ -> Alcotest.failf "rechecked a damaged trace on %d worker(s)" workers
+            in
+            let one = refusal 1 in
+            Alcotest.(check bool)
+              (Printf.sprintf "one worker names the damage: %s" one)
+              true
+              (contains one "truncated (unexpected end of file)");
+            Alcotest.(check string) "two workers refuse it alike" one (refusal 2)));
+    slow_case "an in-domain daemon refuses a campaign arming hard chaos"
+      (fun () ->
+        let expected = expected_check_report () in
+        with_server (fun client _socket ->
+            (match
+               Client.request client
+                 (Protocol.Campaign
+                    { manifest = abort_manifest; workers = 1; retries = None;
+                      journal = false })
+             with
+             | Client.Failed message ->
+               Alcotest.(check string) "names the kind and --isolate"
+                 "chaos_kind \"abort\" would end this daemon's own process: \
+                  only a daemon started with --isolate runs it"
+                 message
+             | _ -> Alcotest.fail "an armed abort must be refused");
+            Alcotest.(check string) "the daemon still serves" expected
+              (report_of (Client.request client (check_job ())));
+            Alcotest.(check int) "no reservation left" 0
+              (metric client "serve.inflight_keys")));
+    slow_case "warm replay is byte-identical to the cold run, on subprocess workers"
+      (warm_replay Server.Subprocess_workers);
+    slow_case "disconnect mid-request cancels and frees the worker, on subprocess workers"
+      (disconnect_cancels Server.Subprocess_workers);
+    slow_case "shutdown drains accepted work before exiting, on subprocess workers"
+      (shutdown_drains Server.Subprocess_workers);
+    slow_case "an overrunning job is deadlined with an honest error, on subprocess workers"
+      (deadline_fires Server.Subprocess_workers);
+    slow_case "an in-domain daemon leaks no descriptor"
+      (leaks_no_descriptor Server.In_domain_workers);
+    slow_case "a subprocess daemon leaks no descriptor"
+      (leaks_no_descriptor Server.Subprocess_workers) ]
 
 let suite =
   ( "serve",

@@ -697,15 +697,10 @@ let edge_cases =
             Alcotest.(check int) "no failures" 0
               (Tabv_campaign.Recheck.total_failures result)));
     case "a refused plan returns its refusal and leaks no descriptor" (fun () ->
-      let open_fds () =
-        match Sys.readdir "/proc/self/fd" with
-        | entries -> Some (Array.length entries)
-        | exception Sys_error _ -> None
-      in
       with_temp (fun path ->
           Writer.with_file ~path meta (fun w ->
               Writer.sample w ~time:0 [ ("a", Expr.VBool true) ]);
-          let before = open_fds () in
+          let before = Helpers.open_fds () in
           (match
              Tabv_campaign.Recheck.run_validated ~retries:0 ~trace:path
                (fun meta signals -> Error (meta.Meta.model, signals))
@@ -728,7 +723,8 @@ let edge_cases =
            with
            | Ok _ | Error () -> Alcotest.fail "a damaged trace rechecked"
            | exception Reader.Format_error _ -> ());
-          Alcotest.(check (option int)) "no descriptor leaked" before (open_fds ())));
+          Alcotest.(check (option int)) "no descriptor leaked" before
+            (Helpers.open_fds ())));
     Alcotest.test_case "an unchanged sample allocates nothing" `Slow (fun () ->
         with_temp (fun path ->
             let n = 50_000 in
