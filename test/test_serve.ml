@@ -898,32 +898,40 @@ let serve_cases =
     (* A subprocess worker killed by a signal is reported in the
        campaign executor's wording, with the POSIX signal number (6 for
        SIGABRT), not OCaml's internal encoding of it. *)
+    (* On a breaker that trips on one failure: a dead worker counts as
+       one, a clean [{"error":..}] reply (the case after) does not. *)
     slow_case "a served worker killed by SIGABRT reports signal 6" (fun () ->
         with_server
           ~configure:(fun c ->
-            { c with Server.workers = 1; executor = Server.Subprocess_workers })
+            { c with Server.workers = 1; executor = Server.Subprocess_workers;
+              breaker_threshold = 1 })
           (fun client _socket ->
-            match
-              Client.request client
-                (Protocol.Campaign
-                   { manifest = abort_manifest; workers = 1; retries = None;
-                     journal = false })
-            with
-            | Client.Failed message ->
-              Alcotest.(check string) "the executor's wording"
-                "killed by signal 6" message
-            | _ -> Alcotest.fail "an aborted worker must fail the request"));
+            (match
+               Client.request client
+                 (Protocol.Campaign
+                    { manifest = abort_manifest; workers = 1; retries = None;
+                      journal = false })
+             with
+             | Client.Failed message ->
+               Alcotest.(check string) "the executor's wording"
+                 "killed by signal 6" message
+             | _ -> Alcotest.fail "an aborted worker must fail the request");
+            Alcotest.(check int) "the dead worker tripped its breaker" 1
+              (metric client "serve.breaker_trips")));
     slow_case "a subprocess worker's refusal reads as an in-domain one"
       (fun () ->
         with_server
           ~configure:(fun c ->
-            { c with Server.workers = 1; executor = Server.Subprocess_workers })
+            { c with Server.workers = 1; executor = Server.Subprocess_workers;
+              breaker_threshold = 1 })
           (fun client _socket ->
-            match Client.request client (check_job ~ops:0 ()) with
-            | Client.Failed message ->
-              Alcotest.(check string) "the admission's own text"
-                "ops must be positive (got 0)" message
-            | _ -> Alcotest.fail "ops = 0 must be refused"));
+            (match Client.request client (check_job ~ops:0 ()) with
+             | Client.Failed message ->
+               Alcotest.(check string) "the admission's own text"
+                 "ops must be positive (got 0)" message
+             | _ -> Alcotest.fail "ops = 0 must be refused");
+            Alcotest.(check int) "a clean refusal trips no breaker" 0
+              (metric client "serve.breaker_trips")));
     (* Every chunk of a pooled recheck reads the whole trace, so damage
        is refused as damage, in the words of a one-chunk recheck. *)
     slow_case "a served recheck on two workers refuses a damaged trace alike"
