@@ -80,6 +80,12 @@ let versus ~repeat a b =
   let timings = sample ~repeat [ a; b ] in
   (best_of timings (fst a), best_of timings (fst b), timings)
 
+(* The ratio [num]/[den] in every round of a {!versus}: each round ran
+   the two sides back to back, so outside load that lasts a round
+   moves both halves of its ratio alike. *)
+let paired timings num den =
+  (num ^ "/" ^ den, List.map2 ( /. ) (List.assoc num timings) (List.assoc den timings))
+
 (* Linearly interpolated quantile of a non-empty sample. *)
 let quantile q xs =
   let a = Array.of_list xs in
@@ -407,10 +413,12 @@ let paper ~quick ~bechamel =
 
 (* What a gate row's run returns: the artefact's fields (after its
    "benchmark" key), every repeated timing in seconds with all its
-   samples, and the named predicates that must all hold. *)
+   samples, the per-round ratio of every pair of sides it judges
+   ({!paired}), and the named predicates that must all hold. *)
 type outcome = {
   fields : (string * J.json) list;
   timings : (string * float list) list;
+  ratios : (string * float list) list;
   checks : (string * bool) list;
 }
 
@@ -552,6 +560,11 @@ let cache_gate ~quick =
             ~distinct_transitions:stats.P.distinct_transitions
             ~interned_formulas:stats.P.interned_formulas () ) ];
     timings = List.concat_map (fun (_, _, _, timings) -> timings) measured;
+    ratios =
+      List.map
+        (fun (level, _, _, timings) ->
+          paired timings (level ^ ".legacy_seconds") (level ^ ".interned_seconds"))
+        measured;
     checks =
       [ at_least "overall speedup" "x" overall 1.5;
         at_least "TLM-AT cache hit rate" "" at_hit_rate 0.9;
@@ -607,6 +620,7 @@ let obs_gate ~quick =
            history records what was being counted. *)
         ("metrics", J.metrics_snapshot_json (run_enabled ()).Testbench.metrics) ];
     timings;
+    ratios = [ paired timings "enabled_seconds" "disabled_seconds" ];
     checks = [ at_most "metrics-enabled overhead" "%" overhead_pct obs_gate_pct ] }
 
 (* --- campaign: multicore scaling ------------------------------------ *)
@@ -645,6 +659,7 @@ let campaign_gate ~quick =
         ("speedup", J.Float (t1 /. t4));
         ("report_identical", J.Bool identical) ];
     timings;
+    ratios = [ paired timings "seconds_1_worker" "seconds_n_workers" ];
     checks =
       [ holds "reports identical at 1 and 4 workers" identical;
         at_least "speedup" "x" (t1 /. t4) campaign_gate_x ] }
@@ -707,6 +722,7 @@ let fault_gate ~quick =
         ("overhead_pct", J.Float overhead_pct);
         ("unperturbed", J.Bool unperturbed) ];
     timings;
+    ratios = [ paired timings "armed_seconds" "plain_seconds" ];
     checks =
       [ holds "latent plan and guard leave the run unperturbed" unperturbed;
         at_most "armed-but-idle overhead" "%" overhead_pct fault_gate_pct ] }
@@ -752,6 +768,7 @@ let isolate_gate ~quick =
         ("ratio", J.Float (t_sub /. t_in));
         ("report_identical", J.Bool identical) ];
     timings;
+    ratios = [ paired timings "seconds_subprocess" "seconds_in_domain" ];
     checks =
       [ holds "reports identical across executors" identical;
         at_most "subprocess / in-domain" "x" (t_sub /. t_in) isolate_gate_x ] }
@@ -849,6 +866,7 @@ let trace_gate ~quick =
         ("trace_vcd_pct", J.Float size_pct);
         ("report_identical", J.Bool identical) ];
     timings;
+    ratios = [ paired timings "seconds_live_check" "seconds_recheck" ];
     checks =
       [ holds "live and recheck reports identical" identical;
         at_least "recheck speedup" "x" speedup trace_gate_speedup;
@@ -1003,6 +1021,7 @@ let serve_gate ~quick =
         ("warm_speedup", J.Float warm_speedup);
         ("identical", J.Bool identical) ];
     timings = [];
+    ratios = [];
     checks =
       [ holds "every response byte-identical to the one-shot report, shutdown taken" identical;
         at_least "throughput" " req/s" rps serve_rps_floor;
@@ -1218,6 +1237,7 @@ let chaos_gate ~quick =
         ("survived", J.Bool survived);
         ("drained", J.Bool drained) ];
     timings = idle;
+    ratios = [ paired idle "idle_latent_s" "idle_plain_s" ];
     checks =
       [ holds "all requests completed identically, faults triggered, shutdown taken" survived;
         holds "daemon drained: no inflight keys, journals or state files" drained;
@@ -1376,6 +1396,7 @@ let durability_gate ~quick =
         ("seconds_io_append", J.Float t_io);
         ("append_overhead_pct", J.Float overhead_pct) ];
     timings;
+    ratios = [ paired timings "seconds_io_append" "seconds_raw_append" ];
     checks =
       [ holds "every crash image resumes byte-identically" (mismatches = 0);
         holds (Printf.sprintf "%d stale temp file(s)" stale_tmp) (stale_tmp = 0);
@@ -1432,10 +1453,22 @@ let spread_text (label, xs) =
   Printf.sprintf "%s %.4g s (median %.4g, IQR %.2g, n %d)" label (best xs)
     (quantile 0.5 xs) (iqr xs) (List.length xs)
 
+let ratio_json xs =
+  J.Assoc
+    [ ("rounds", J.List (List.map (fun x -> J.Float x) xs));
+      ("median", J.Float (quantile 0.5 xs));
+      ("iqr", J.Float (iqr xs)) ]
+
+let ratio_text (label, xs) =
+  Printf.sprintf "%s by round %s (median %.4g, IQR %.2g)" label
+    (String.concat " " (List.map (Printf.sprintf "%.3f") xs))
+    (quantile 0.5 xs) (iqr xs)
+
 (* Run one row: print its fields, write BENCH_<benchmark>.json from the
-   same fields plus the spread of every repeated timing, and print one
-   PASS/FAIL line carrying the predicates and the spreads.  Returns
-   whether every predicate held. *)
+   same fields plus the spread of every repeated timing and every
+   per-round ratio, and print one PASS/FAIL line carrying the
+   predicates, the spreads and the ratios.  Returns whether every
+   predicate held. *)
 let run_gate ~quick gate =
   Printf.printf "=== gate %s (BENCH_%s.json) ===\n%!" gate.name gate.benchmark;
   let domains = Domain.recommended_domain_count () in
@@ -1446,14 +1479,17 @@ let run_gate ~quick gate =
       in
       { fields = [ ("skipped", J.Bool true); ("reason", J.String reason) ];
         timings = [];
+        ratios = [];
         checks = [ holds ("skipped: " ^ reason) true ] }
     else gate.run ~quick
   in
   let fields = gate.constants @ outcome.fields in
   List.iter (fun (key, value) -> Printf.printf "%-28s %s\n" key (J.to_string value)) fields;
   let spread = List.map (fun (label, xs) -> (label, spread_json xs)) outcome.timings in
+  let paired = List.map (fun (label, xs) -> (label, ratio_json xs)) outcome.ratios in
   let doc =
-    (("benchmark", J.String gate.benchmark) :: fields) @ [ ("spread", J.Assoc spread) ]
+    (("benchmark", J.String gate.benchmark) :: fields)
+    @ [ ("spread", J.Assoc spread); ("paired", J.Assoc paired) ]
   in
   let file = Printf.sprintf "BENCH_%s.json" gate.benchmark in
   Out_channel.with_open_text file (fun oc ->
@@ -1464,7 +1500,10 @@ let run_gate ~quick gate =
   Printf.printf "%s %s: %s\n\n%!"
     (if ok then "PASS" else "FAIL")
     gate.name
-    (String.concat "; " (List.map check outcome.checks @ List.map spread_text outcome.timings));
+    (String.concat "; "
+       (List.map check outcome.checks
+       @ List.map spread_text outcome.timings
+       @ List.map ratio_text outcome.ratios));
   ok
 
 (* Hidden subprocess-executor hook: the isolation-overhead gate runs

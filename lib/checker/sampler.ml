@@ -57,6 +57,7 @@ type t = {
   slot_of : (int, int) Hashtbl.t;  (* atom id -> index of its compiled closure *)
   mutable primed : int;  (* stamp the batch pass last ran for *)
   mutable complete : bool;  (* no atom raised during that pass *)
+  mutable valuation : int;  (* that pass's valuation, or -1 *)
   evaluator : Interned.t -> bool;  (* the pool's one atom evaluator *)
 }
 
@@ -102,6 +103,7 @@ let create resolve =
       slot_of = Hashtbl.create 16;
       primed = 0;
       complete = true;
+      valuation = -1;
       evaluator = (fun atom -> read t atom);
     }
   in
@@ -125,10 +127,16 @@ let register t atom =
    are sampled first.  An atom that raises is left unstamped and the
    pass goes on: its error resurfaces, through [miss], in exactly the
    steps that read it.  The pass also packs the pool's valuation, bit
-   [i] for atom [i]. *)
+   [i] for atom [i]; a later prime at the same instant returns it
+   again while every slot still holds this pass's value, so each
+   monitor of a pool that primes per monitor (a grid pool) gets it. *)
+let rec stamped t i =
+  i < 0 || ((Array.unsafe_get t.atoms i).Interned.sample_stamp = t.stamp && stamped t (i - 1))
+
 let prime_valuation t ~time =
   refresh t ~time;
-  if t.primed = t.stamp then -1
+  if t.primed = t.stamp then
+    if t.valuation >= 0 && stamped t (Array.length t.atoms - 1) then t.valuation else -1
   else begin
     t.primed <- t.stamp;
     t.complete <- true;
@@ -144,8 +152,9 @@ let prime_valuation t ~time =
       end
       else if atom.sample_value then bits := !bits lor (1 lsl i)
     done;
-    if t.complete && Array.length t.atoms <= max_valuation_atoms then !bits
-    else -1
+    t.valuation <-
+      (if t.complete && Array.length t.atoms <= max_valuation_atoms then !bits else -1);
+    t.valuation
   end
 
 let prime t ~time = ignore (prime_valuation t ~time)

@@ -42,10 +42,11 @@ val prime : t -> time:int -> unit
 
 (** [prime_valuation t ~time] is {!prime} returning the pool's
     valuation: bit [i] holds the value of the [i]-th registered atom.
-    It is [-1] unless this call ran the pass (the first prime at
-    [time]), no atom raised, and at most 62 atoms are registered —
-    only then is every slot freshly this sampler's, so a monitor may
-    compare the valuation against an earlier one ({!Monitor.advance}). *)
+    A later call at the same [time] returns the same valuation.  It is
+    [-1] if an atom raised during the pass, if more than 62 atoms are
+    registered, or if another sampler has since overwritten one of the
+    slots — only while every slot is this pass's may a monitor compare
+    the valuation against an earlier one ({!Monitor.advance}). *)
 val prime_valuation : t -> time:int -> int
 
 (** No atom raised during the last priming pass. *)

@@ -94,6 +94,7 @@ let create ?(enabled = true) () =
 let disabled () = create ~enabled:false ()
 let enabled t = !(t.on)
 let set_enabled t flag = t.on := flag
+let enabled_flag t = t.on
 
 let set_clock t clock =
   t.clock := clock;

@@ -34,6 +34,12 @@ val disabled : unit -> t
 val enabled : t -> bool
 val set_enabled : t -> bool -> unit
 
+(** The flag {!enabled} reads, shared with every instrument of the
+    registry.  A hot path tests it inline and skips the instrument call
+    on a disabled registry; it is read, never written (use
+    {!set_enabled}). *)
+val enabled_flag : t -> bool ref
+
 (** Install the clock used by timers (seconds) {e and} switch timer
     sampling on.  Until a clock is installed every {!start}/{!stop} is
     a branch-and-return: reading a real clock (e.g. [Sys.time], a

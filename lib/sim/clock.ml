@@ -13,7 +13,7 @@ let create kernel ~name ~period ?(start = 0) () =
   let t =
     {
       kernel;
-      signal = Signal.create kernel ~name false;
+      signal = Signal.create_bool kernel ~name false;
       period;
       posedge = Event.create kernel (name ^ ".posedge");
       negedge = Event.create kernel (name ^ ".negedge");

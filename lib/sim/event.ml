@@ -25,11 +25,11 @@ let kernel t = t.kernel
 let fire t =
   t.notifications <- t.notifications + 1;
   Kernel.schedule_next_delta_batch t.kernel t.statics t.n_static;
-  if t.dynamic <> [] then begin
-    let dynamic = List.rev t.dynamic in
+  match t.dynamic with
+  | [] -> ()
+  | dynamic ->
     t.dynamic <- [];
-    List.iter (fun f -> Kernel.schedule_next_delta t.kernel f) dynamic
-  end
+    List.iter (fun f -> Kernel.schedule_next_delta t.kernel f) (List.rev dynamic)
 
 let notify t = fire t
 

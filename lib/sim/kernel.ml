@@ -1,66 +1,140 @@
-(* Array-backed binary min-heap on (time, seq): earliest time first,
-   FIFO among equal times. *)
-module Heap = struct
-  type entry = {
-    time : int;
-    seq : int;
-    action : unit -> unit;
-  }
+(* The kernel's queues are submodules: the dev profile compiles every
+   module [-opaque], so a call into another module is never inlined. *)
 
+(* Timed actions: a binary min-heap on (time, seq), earliest time
+   first and FIFO among equal times, as three parallel arrays.  A push
+   or a pop writes slots and allocates nothing: the sift functions are
+   top level, not closures, and move a hole instead of swapping. *)
+module Heap = struct
   type t = {
-    mutable data : entry array;
+    mutable times : int array;
+    mutable seqs : int array;
+    mutable actions : (unit -> unit) array;
     mutable size : int;
   }
 
-  let dummy = { time = 0; seq = 0; action = ignore }
-  let create () = { data = Array.make 64 dummy; size = 0 }
+  let create () =
+    { times = Array.make 64 0; seqs = Array.make 64 0; actions = Array.make 64 ignore;
+      size = 0 }
 
-  let less a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
+  let is_empty h = h.size = 0
+  let min_time h = Array.unsafe_get h.times 0
 
-  let push h entry =
-    if h.size = Array.length h.data then begin
-      let grown = Array.make (2 * h.size) dummy in
-      Array.blit h.data 0 grown 0 h.size;
-      h.data <- grown
-    end;
-    let rec up i =
-      if i > 0 then begin
-        let parent = (i - 1) / 2 in
-        if less h.data.(i) h.data.(parent) then begin
-          let tmp = h.data.(i) in
-          h.data.(i) <- h.data.(parent);
-          h.data.(parent) <- tmp;
-          up parent
-        end
-      end
+  (* Is slot [i] earlier than (time, seq)?  Seqs are unique. *)
+  let before h i time seq =
+    let t = Array.unsafe_get h.times i in
+    t < time || (t = time && Array.unsafe_get h.seqs i < seq)
+
+  let set h i time seq action =
+    Array.unsafe_set h.times i time;
+    Array.unsafe_set h.seqs i seq;
+    Array.unsafe_set h.actions i action
+
+  let move h ~src ~dst =
+    set h dst (Array.unsafe_get h.times src) (Array.unsafe_get h.seqs src)
+      (Array.unsafe_get h.actions src)
+
+  (* Fill the hole at [i] with (time, seq, action) or an ancestor. *)
+  let rec sift_up h i time seq action =
+    let parent = (i - 1) / 2 in
+    if i > 0 && not (before h parent time seq) then begin
+      move h ~src:parent ~dst:i;
+      sift_up h parent time seq action
+    end
+    else set h i time seq action
+
+  (* Fill the hole at [i] with (time, seq, action) or a descendant. *)
+  let rec sift_down h i time seq action =
+    let left = (2 * i) + 1 in
+    let child =
+      if left + 1 < h.size
+         && before h (left + 1) (Array.unsafe_get h.times left) (Array.unsafe_get h.seqs left)
+      then left + 1
+      else left
     in
-    h.data.(h.size) <- entry;
+    if child < h.size && before h child time seq then begin
+      move h ~src:child ~dst:i;
+      sift_down h child time seq action
+    end
+    else set h i time seq action
+
+  let push h time seq action =
+    if h.size = Array.length h.times then begin
+      let grow a fill = Array.append a (Array.make h.size fill) in
+      h.times <- grow h.times 0;
+      h.seqs <- grow h.seqs 0;
+      h.actions <- grow h.actions ignore
+    end;
     h.size <- h.size + 1;
-    up (h.size - 1)
+    sift_up h (h.size - 1) time seq action
 
-  let peek h = if h.size = 0 then None else Some h.data.(0)
-
+  (* The earliest action, from a non-empty heap.  The vacated slot is
+     cleared: the heap keeps no popped action alive. *)
   let pop h =
-    match peek h with
-    | None -> None
-    | Some top ->
-      h.size <- h.size - 1;
-      h.data.(0) <- h.data.(h.size);
-      h.data.(h.size) <- dummy;
-      let rec down i =
-        let left = (2 * i) + 1 and right = (2 * i) + 2 in
-        let smallest = ref i in
-        if left < h.size && less h.data.(left) h.data.(!smallest) then smallest := left;
-        if right < h.size && less h.data.(right) h.data.(!smallest) then smallest := right;
-        if !smallest <> i then begin
-          let tmp = h.data.(i) in
-          h.data.(i) <- h.data.(!smallest);
-          h.data.(!smallest) <- tmp;
-          down !smallest
-        end
-      in
-      down 0;
-      Some top
+    let top = Array.unsafe_get h.actions 0 and last = h.size - 1 in
+    let action = Array.unsafe_get h.actions last in
+    Array.unsafe_set h.actions last ignore;
+    h.size <- last;
+    if last > 0 then
+      sift_down h 0 (Array.unsafe_get h.times last) (Array.unsafe_get h.seqs last) action;
+    top
+end
+
+(* A FIFO of actions in one flat array, [data.(read)] to
+   [data.(write - 1)]: a push writes a slot and a pop clears one, so
+   nothing is allocated per action and no popped action is kept alive.
+   A drained buffer starts again at slot 0. *)
+module Actions = struct
+  type t = {
+    mutable data : (unit -> unit) array;
+    mutable read : int;
+    mutable write : int;
+  }
+
+  let create () = { data = Array.make 64 ignore; read = 0; write = 0 }
+  let is_empty b = b.read = b.write
+  let length b = b.write - b.read
+
+  (* Room for [n] more entries: the queued ones slide to the front, of
+     a larger array if they would fill more than half of this one. *)
+  let reserve b n =
+    let live = b.write - b.read in
+    if 2 * (live + n) > Array.length b.data then begin
+      let data = Array.make (2 * (live + n)) ignore in
+      Array.blit b.data b.read data 0 live;
+      b.data <- data
+    end
+    else begin
+      Array.blit b.data b.read b.data 0 live;
+      Array.fill b.data live (b.write - live) ignore
+    end;
+    b.read <- 0;
+    b.write <- live
+
+  let push b action =
+    if b.write = Array.length b.data then reserve b 1;
+    Array.unsafe_set b.data b.write action;
+    b.write <- b.write + 1
+
+  (* Append [actions.(0)] to [actions.(n - 1)]. *)
+  let push_prefix b actions n =
+    if b.write + n > Array.length b.data then reserve b n;
+    for i = 0 to n - 1 do
+      Array.unsafe_set b.data (b.write + i) (Array.unsafe_get actions i)
+    done;
+    b.write <- b.write + n
+
+  (* The oldest entry of a non-empty buffer. *)
+  let pop b =
+    let i = b.read in
+    let action = Array.unsafe_get b.data i in
+    Array.unsafe_set b.data i ignore;
+    if i + 1 = b.write then begin
+      b.read <- 0;
+      b.write <- 0
+    end
+    else b.read <- i + 1;
+    action
 end
 
 (* Held only for perfbench, which compiles against these names. *)
@@ -92,9 +166,10 @@ type t = {
   mutable now : int;
   mutable delta : int;
   timed : Heap.t;
-  runnable : (unit -> unit) Queue.t;
-  next_delta : (unit -> unit) Queue.t;
-  mutable updates : (unit -> unit) list;  (* reversed request order *)
+  (* The two swap at a delta boundary, where [runnable] is drained. *)
+  mutable runnable : Actions.t;
+  mutable next_delta : Actions.t;
+  updates : Actions.t;
   mutable pre_run : (unit -> unit) list;  (* reversed registration order *)
   mutable seq : int;
   mutable stopping : bool;
@@ -127,9 +202,9 @@ let create ?metrics () =
       now = 0;
       delta = 0;
       timed = Heap.create ();
-      runnable = Queue.create ();
-      next_delta = Queue.create ();
-      updates = [];
+      runnable = Actions.create ();
+      next_delta = Actions.create ();
+      updates = Actions.create ();
       pre_run = [];
       seq = 0;
       stopping = false;
@@ -177,23 +252,19 @@ let schedule_at t ~time action =
     invalid_arg
       (Printf.sprintf "Kernel.schedule_at: time %d is in the past (now %d)" time t.now);
   t.seq <- t.seq + 1;
-  Heap.push t.timed { Heap.time; seq = t.seq; action }
+  Heap.push t.timed time t.seq action
 
 let schedule_after t ~delay action =
   if delay < 0 then invalid_arg "Kernel.schedule_after: negative delay";
   schedule_at t ~time:(t.now + delay) action
 
-let schedule_now t action = Queue.add action t.runnable
-let schedule_next_delta t action = Queue.add action t.next_delta
+let schedule_now t action = Actions.push t.runnable action
+let schedule_next_delta t action = Actions.push t.next_delta action
 
 (* One call per event fire: [fs] is the event's registration-ordered
    handler array, [n] its live prefix. *)
-let schedule_next_delta_batch t fs n =
-  for i = 0 to n - 1 do
-    Queue.add (Array.unsafe_get fs i) t.next_delta
-  done
-
-let request_update t action = t.updates <- action :: t.updates
+let schedule_next_delta_batch t fs n = Actions.push_prefix t.next_delta fs n
+let request_update t action = Actions.push t.updates action
 
 let stop t = t.stopping <- true
 let stopping t = t.stopping
@@ -216,7 +287,9 @@ let record_crash t e =
 
 let add_waiter t = t.waiters <- t.waiters + 1
 let remove_waiter t = t.waiters <- t.waiters - 1
-let set_label t name = t.label <- name
+
+(* A thread resumed again under the same name costs no write barrier. *)
+let set_label t name = if t.label != name then t.label <- name
 
 (* --- the three-phase loop ----------------------------------------------- *)
 
@@ -231,22 +304,23 @@ let run ?until ?(guard = default_guard) t =
   t.crash <- None;
   t.diagnosis <- Completed;
   let steps0 = t.time_advances in
+  (* Phase timers sample only on a registry with a clock; that is
+     decided once per run, not on every turn of the loop. *)
+  let timing = Tabv_obs.Metrics.timing t.metrics in
   (* A tripped watchdog ends the run gracefully: the verdict is
      recorded here and surfaced through {!last_diagnosis}. *)
   let tripped = ref None in
-  let horizon_ok time =
-    match until with
-    | None -> true
-    | Some h -> time <= h
-  in
+  let horizon = Option.value until ~default:max_int in
   let rec loop () =
-    if t.stopping || !tripped <> None then ()
-    else begin
+    match !tripped with
+    | Some _ -> ()
+    | None when t.stopping -> ()
+    | None ->
       (* Evaluation phase. *)
-      Tabv_obs.Metrics.start t.eval_timer;
+      if timing then Tabv_obs.Metrics.start t.eval_timer;
       if guard.contain_crashes then
-        while not (Queue.is_empty t.runnable) && not t.stopping do
-          let action = Queue.pop t.runnable in
+        while not (Actions.is_empty t.runnable || t.stopping) do
+          let action = Actions.pop t.runnable in
           t.activations <- t.activations + 1;
           try action ()
           with e ->
@@ -257,71 +331,72 @@ let run ?until ?(guard = default_guard) t =
             record_crash t e
         done
       else
-        while not (Queue.is_empty t.runnable) && not t.stopping do
-          let action = Queue.pop t.runnable in
+        while not (Actions.is_empty t.runnable || t.stopping) do
+          let action = Actions.pop t.runnable in
           t.activations <- t.activations + 1;
           action ()
         done;
-      Tabv_obs.Metrics.stop t.eval_timer;
+      if timing then Tabv_obs.Metrics.stop t.eval_timer;
       if t.stopping then ()
       else begin
-        (* Update phase (FIFO order of requests). *)
-        Tabv_obs.Metrics.start t.update_timer;
-        let updates = List.rev t.updates in
-        t.updates <- [];
-        List.iter
-          (fun u ->
-            t.update_actions <- t.update_actions + 1;
-            u ())
-          updates;
-        Tabv_obs.Metrics.stop t.update_timer;
+        (* Update phase, in request order.  An update requested while
+           the phase runs waits for the next update phase. *)
+        if timing then Tabv_obs.Metrics.start t.update_timer;
+        for _ = 1 to Actions.length t.updates do
+          let update = Actions.pop t.updates in
+          t.update_actions <- t.update_actions + 1;
+          update ()
+        done;
+        if timing then Tabv_obs.Metrics.stop t.update_timer;
         (* Delta notification phase. *)
-        if not (Queue.is_empty t.next_delta) then begin
+        if not (Actions.is_empty t.next_delta) then begin
           match guard.max_delta_cycles with
           | Some cap when t.delta >= cap ->
             (* Livelock watchdog: the instant never converges. *)
             t.watchdog_trips <- t.watchdog_trips + 1;
-            Queue.clear t.next_delta;
+            t.next_delta <- Actions.create ();
             tripped := Some (Livelock { time = t.now; delta_cycles = t.delta })
           | Some _ | None ->
-            Queue.transfer t.next_delta t.runnable;
+            if Actions.is_empty t.runnable then begin
+              let drained = t.runnable in
+              t.runnable <- t.next_delta;
+              t.next_delta <- drained
+            end
+            else
+              (* An update action called [schedule_now]: append. *)
+              while not (Actions.is_empty t.next_delta) do
+                Actions.push t.runnable (Actions.pop t.next_delta)
+              done;
             t.delta <- t.delta + 1;
             t.deltas <- t.deltas + 1;
             loop ()
         end
         else begin
           (* Advance time to the next timed action, if any. *)
-          Tabv_obs.Metrics.start t.advance_timer;
+          if timing then Tabv_obs.Metrics.start t.advance_timer;
           let advanced =
-            match Heap.peek t.timed with
-            | Some { Heap.time; _ } when horizon_ok time ->
-              (match guard.max_steps with
-               | Some cap when t.time_advances - steps0 >= cap ->
-                 (* Step-budget watchdog: too many time advances. *)
-                 t.watchdog_trips <- t.watchdog_trips + 1;
-                 tripped := Some (Budget_exhausted { steps = cap });
-                 false
-               | Some _ | None ->
-                 t.now <- time;
-                 t.delta <- 0;
-                 t.time_advances <- t.time_advances + 1;
-                 let rec drain () =
-                   match Heap.peek t.timed with
-                   | Some entry when entry.Heap.time = time ->
-                     ignore (Heap.pop t.timed);
-                     Queue.add entry.Heap.action t.runnable;
-                     drain ()
-                   | Some _ | None -> ()
-                 in
-                 drain ();
-                 true)
-            | Some _ | None -> false
+            if Heap.is_empty t.timed || Heap.min_time t.timed > horizon then false
+            else
+              match guard.max_steps with
+              | Some cap when t.time_advances - steps0 >= cap ->
+                (* Step-budget watchdog: too many time advances. *)
+                t.watchdog_trips <- t.watchdog_trips + 1;
+                tripped := Some (Budget_exhausted { steps = cap });
+                false
+              | Some _ | None ->
+                let time = Heap.min_time t.timed in
+                t.now <- time;
+                t.delta <- 0;
+                t.time_advances <- t.time_advances + 1;
+                while (not (Heap.is_empty t.timed)) && Heap.min_time t.timed = time do
+                  Actions.push t.runnable (Heap.pop t.timed)
+                done;
+                true
           in
-          Tabv_obs.Metrics.stop t.advance_timer;
+          if timing then Tabv_obs.Metrics.stop t.advance_timer;
           if advanced then loop ()
         end
       end
-    end
   in
   Fun.protect
     ~finally:(fun () ->
@@ -329,9 +404,7 @@ let run ?until ?(guard = default_guard) t =
       t.containing <- false)
     (fun () -> loop ());
   let ended_by_horizon =
-    match Heap.peek t.timed with
-    | Some e -> not (horizon_ok e.Heap.time)
-    | None -> false
+    (not (Heap.is_empty t.timed)) && Heap.min_time t.timed > horizon
   in
   t.diagnosis <-
     (match t.crash with

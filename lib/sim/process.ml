@@ -13,36 +13,52 @@ let method_process kernel ~name ?(initialize = true) ~sensitivity body =
 
 let spawn kernel ~name body =
   let open Effect.Deep in
-  (* Every resume goes through [label]: the kernel always knows which
-     thread process is running, so a contained crash can be attributed
-     by name in the [Process_crashed] diagnosis. *)
+  (* Every resume goes through [Kernel.set_label]: the kernel always
+     knows which thread process is running, so a contained crash can be
+     attributed by name in the [Process_crashed] diagnosis. *)
   let label f () =
     Kernel.set_label kernel name;
     f ()
   in
+  (* One resume closure per thread: a [wait_ns] or [wait_event] parks
+     the continuation in [suspended] and schedules [resume], so a wait
+     allocates only its effect, the continuation and the option. *)
+  let suspended = ref None in
+  let blocked_on = ref None in
+  let resume () =
+    Kernel.set_label kernel name;
+    (match !blocked_on with
+     | Some k ->
+       blocked_on := None;
+       Kernel.remove_waiter k
+     | None -> ());
+    match !suspended with
+    | Some cont ->
+      suspended := None;
+      continue cont ()
+    | None -> ()
+  in
+  let suspend = Some (fun cont -> suspended := Some cont) in
   let start () =
     match_with body ()
       {
         retc = (fun () -> ());
         exnc = raise;
         effc =
-          (fun (type a) (eff : a Effect.t) ->
+          (fun (type a) (eff : a Effect.t) :
+               ((a, unit) continuation -> unit) option ->
             match eff with
             | Wait_ns (k, delay) ->
-              Some
-                (fun (cont : (a, _) continuation) ->
-                  Kernel.schedule_after k ~delay (label (fun () -> continue cont ())))
+              Kernel.schedule_after k ~delay resume;
+              suspend
             | Wait_event ev ->
-              Some
-                (fun (cont : (a, _) continuation) ->
-                  (* Blocked on an event: counted so a quiescent end
-                     with pending waiters diagnoses as [Starved]. *)
-                  let k = Event.kernel ev in
-                  Kernel.add_waiter k;
-                  Event.once ev
-                    (label (fun () ->
-                       Kernel.remove_waiter k;
-                       continue cont ())))
+              (* Blocked on an event: counted so a quiescent end with
+                 pending waiters diagnoses as [Starved]. *)
+              let k = Event.kernel ev in
+              Kernel.add_waiter k;
+              blocked_on := Some k;
+              Event.once ev resume;
+              suspend
             | Wait_any events ->
               Some
                 (fun (cont : (a, _) continuation) ->

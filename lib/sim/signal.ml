@@ -10,6 +10,7 @@ type 'a t = {
   changed : Event.t;
   mutable changes : int;
   update : unit -> unit;  (* this signal's update-phase action *)
+  metrics_on : bool ref;  (* the registry's live enabled flag *)
   m_writes : Tabv_obs.Metrics.counter;  (* shared per kernel *)
   m_updates : Tabv_obs.Metrics.counter;
 }
@@ -33,7 +34,7 @@ let apply_update t =
   if not (t.equal t.current next) then begin
     t.current <- next;
     t.changes <- t.changes + 1;
-    Tabv_obs.Metrics.incr t.m_updates;
+    if !(t.metrics_on) then Tabv_obs.Metrics.incr t.m_updates;
     Event.notify t.changed
   end
 
@@ -54,6 +55,7 @@ let make kernel ~name ~equal init =
       changes = 0;
       (* Allocated once here, so a write allocates nothing. *)
       update = (fun () -> apply_update t);
+      metrics_on = Tabv_obs.Metrics.enabled_flag metrics;
       m_writes = Tabv_obs.Metrics.counter metrics "signal.writes";
       m_updates = Tabv_obs.Metrics.counter metrics "signal.updates";
     }
@@ -73,7 +75,7 @@ let schedule_update t =
 
 let write t v =
   t.next <- v;
-  Tabv_obs.Metrics.incr t.m_writes;
+  if !(t.metrics_on) then Tabv_obs.Metrics.incr t.m_writes;
   schedule_update t
 
 let interpose t f =

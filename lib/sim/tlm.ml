@@ -37,7 +37,7 @@ module Initiator = struct
     name : string;
     mutable target : Target.t option;
     mutable interposer : ((payload -> unit) -> payload -> unit) option;
-    mutable observers : (transaction -> unit) list;  (* reversed *)
+    mutable observers : (transaction -> unit) list;  (* registration order *)
     mutable completed : int;
     spans : Tabv_obs.Span.t;
     m_starts : Tabv_obs.Metrics.counter;  (* shared per kernel *)
@@ -96,7 +96,7 @@ module Initiator = struct
         Tabv_obs.Span.record t.spans ~label:t.name ~start_ns:start_time
           ~stop_ns:end_time;
       let transaction = { payload; start_time; end_time } in
-      List.iter (fun observe -> observe transaction) (List.rev t.observers)
+      List.iter (fun observe -> observe transaction) t.observers
 
   let interpose t f =
     match t.interposer with
@@ -108,7 +108,7 @@ module Initiator = struct
 
   let clear_interpose t = t.interposer <- None
   let interposed t = t.interposer <> None
-  let on_transaction t observe = t.observers <- observe :: t.observers
+  let on_transaction t observe = t.observers <- t.observers @ [ observe ]
   let transaction_count t = t.completed
   let spans t = t.spans
 end

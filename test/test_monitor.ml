@@ -249,7 +249,23 @@ let replay_cases =
         List.iter
           (fun source ->
             Alcotest.(check bool) source true (run source true = run source false))
-          [ "always(!a || next(b))"; "always(!a || nexte[1,20](b))" ]) ]
+          [ "always(!a || next(b))"; "always(!a || nexte[1,20](b))" ]);
+    case "a second prime at the same instant returns the first one's bits"
+      (fun () ->
+        (* A grid pool primes once per monitor: every monitor after the
+           first must get the pool valuation too, or it never replays. *)
+        let _, b, sampler, _, _ = replay_fixture "always(!a || next(b))" in
+        b := true;
+        let first = Sampler.prime_valuation sampler ~time:10 in
+        Alcotest.(check bool) "first prime packs a valuation" true (first > 0);
+        Alcotest.(check int) "second prime" first
+          (Sampler.prime_valuation sampler ~time:10);
+        (* Once another sampler has overwritten the shared atom slots,
+           the bits are no longer what a step would read. *)
+        let _, _, other, _, _ = replay_fixture "always(!a || next(b))" in
+        ignore (Sampler.prime_valuation other ~time:10);
+        Alcotest.(check int) "after another sampler's prime" (-1)
+          (Sampler.prime_valuation sampler ~time:10)) ]
 
 let suite =
   ("monitor",
