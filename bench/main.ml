@@ -7,7 +7,6 @@
      - Fig. 6  : RTL/TLM average speedup with and without checkers
      - Ablations: naive next[n] reuse, strict vs grid wrapper, checker
                   synthesis backend, wrapper instance-pool sizing
-     - Bechamel micro-benchmarks (one group per table/figure)
 
    Absolute times differ from the paper (our substrate is a simulator
    written from scratch, not the authors' testbed); the shapes — who
@@ -310,69 +309,7 @@ let ablation_wrapper_stats ops =
     result.Testbench.checker_stats;
   print_newline ()
 
-(* --- Bechamel micro-benchmarks ------------------------------------ *)
-
-let bechamel_section () =
-  print_endline "=== Bechamel micro-benchmarks (small fixed workloads) ===";
-  let open Bechamel in
-  let des_ops = Workload.des56 ~seed:11 ~count:40 () in
-  let cc_bursts = Workload.colorconv ~seed:11 ~count:200 () in
-  let test name f = Test.make ~name (Staged.stage (fun () -> ignore (f ()))) in
-  let table1_des56 =
-    Test.make_grouped ~name:"table1_des56"
-      [ test "rtl_0c" (fun () -> checked [] (Testbench.des56_rtl ()) des_ops);
-        test "rtl_all_c" (fun () ->
-            checked Des56_props.all (Testbench.des56_rtl ()) des_ops);
-        test "tlm_ca_0c" (fun () -> checked [] Testbench.des56_tlm_ca des_ops);
-        test "tlm_ca_all_c" (fun () ->
-            checked Des56_props.all Testbench.des56_tlm_ca des_ops);
-        test "tlm_at_0c" (fun () -> checked [] (Testbench.des56_tlm_at ()) des_ops);
-        test "tlm_at_all_c" (fun () ->
-            checked (Des56_props.tlm_reviewed ()) (Testbench.des56_tlm_at ()) des_ops) ]
-  in
-  let table1_colorconv =
-    Test.make_grouped ~name:"table1_colorconv"
-      [ test "rtl_0c" (fun () -> checked [] Testbench.colorconv_rtl cc_bursts);
-        test "rtl_all_c" (fun () ->
-            checked Colorconv_props.all Testbench.colorconv_rtl cc_bursts);
-        test "tlm_ca_all_c" (fun () ->
-            checked Colorconv_props.all Testbench.colorconv_tlm_ca cc_bursts);
-        test "tlm_at_all_c" (fun () ->
-            checked (Colorconv_props.tlm_reviewed ()) Testbench.colorconv_tlm_at
-              cc_bursts) ]
-  in
-  let fig3_bench =
-    Test.make_grouped ~name:"fig3_abstraction"
-      [ test "des56_9_properties" Des56_props.abstraction_reports;
-        test "colorconv_12_properties" Colorconv_props.abstraction_reports ]
-  in
-  let fig6_bench =
-    Test.make_grouped ~name:"fig6_speedup_inputs"
-      [ test "des56_rtl" (fun () -> checked [] (Testbench.des56_rtl ()) des_ops);
-        test "des56_tlm_at" (fun () -> checked [] (Testbench.des56_tlm_at ()) des_ops) ]
-  in
-  let grouped =
-    Test.make_grouped ~name:"tabv"
-      [ table1_des56; table1_colorconv; fig3_bench; fig6_bench ]
-  in
-  let cfg = Benchmark.cfg ~limit:20 ~quota:(Time.second 0.25) ~kde:None () in
-  let raw = Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] grouped in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold (fun name result acc -> (name, result) :: acc) results []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  List.iter
-    (fun (name, result) ->
-      match Analyze.OLS.estimates result with
-      | Some (estimate :: _) ->
-        Printf.printf "  %-45s %12.3f ms/run\n" name (estimate /. 1e6)
-      | Some [] | None -> Printf.printf "  %-45s (no estimate)\n" name)
-    rows;
-  print_newline ()
-
-let paper ~quick ~bechamel =
+let paper ~quick =
   let des_count = if quick then 1000 else 8000 in
   let pixel_count = if quick then 20_000 else 150_000 in
   Printf.printf
@@ -406,7 +343,6 @@ let paper ~quick ~bechamel =
   ablation_grid_wrapper ablation_ops;
   ablation_checker_backend ablation_ops;
   ablation_wrapper_stats ablation_ops;
-  if bechamel then bechamel_section ();
   print_endline "done."
 
 (* --- gates --------------------------------------------------------- *)
@@ -1519,7 +1455,7 @@ let () =
   let flag f = Array.mem f Sys.argv in
   let quick = flag "--quick" in
   match List.filter (fun gate -> flag ("--" ^ gate.name ^ "-only")) gates with
-  | [] -> paper ~quick ~bechamel:(not (flag "--no-bechamel"))
+  | [] -> paper ~quick
   | selected ->
     let verdicts = List.map (run_gate ~quick) selected in
     if not (List.for_all Fun.id verdicts) then exit 1

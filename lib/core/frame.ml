@@ -108,35 +108,21 @@ let read ?expect_version ic =
    it a single corrupted (or hostile) length prefix — "ffffffff\n" —
    would make the decoder buffer 4 GiB before ever popping a frame;
    with it the oversized header is a {!Protocol_error} the moment it
-   is decoded, while the buffered bytes are still tiny.
-
-   [xform] is an interpose hook in the style of [Signal.interpose]:
-   fault-injection harnesses rewrite raw inbound chunks (tear, drop,
-   corrupt) before the decoder sees them.  Production paths never set
-   it, so the cost when unarmed is one option check per feed. *)
+   is decoded, while the buffered bytes are still tiny. *)
 type stream = {
   mutable buffered : string;
   expect_version : int option;
   max_frame : int option;
-  mutable xform : (string -> string) option;
 }
 
 let stream ?expect_version ?max_frame () =
   (match max_frame with
    | Some m when m < 0 -> invalid_arg "Frame.stream: max_frame must be >= 0"
    | _ -> ());
-  { buffered = ""; expect_version; max_frame; xform = None }
+  { buffered = ""; expect_version; max_frame }
 
 let stream_length s = String.length s.buffered
-let interpose s f = s.xform <- Some f
-
-let feed s chunk =
-  let chunk =
-    match s.xform with
-    | None -> chunk
-    | Some f -> f chunk
-  in
-  if chunk <> "" then s.buffered <- s.buffered ^ chunk
+let feed s chunk = if chunk <> "" then s.buffered <- s.buffered ^ chunk
 
 let pop s =
   let len = String.length s.buffered in

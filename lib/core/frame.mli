@@ -69,13 +69,6 @@ val stream : ?expect_version:int -> ?max_frame:int -> unit -> stream
     frame after EOF). *)
 val stream_length : stream -> int
 
-(** [interpose s f] rewrites every subsequently fed chunk through [f]
-    before the decoder sees it — a fault-injection hook in the style
-    of [Signal.interpose] (tear, truncate, corrupt raw inbound bytes).
-    Production paths never install one; the unarmed cost is one option
-    check per {!feed}. *)
-val interpose : stream -> (string -> string) -> unit
-
 val feed : stream -> string -> unit
 
 (** Pop the next complete frame, if any.

@@ -11,10 +11,10 @@
        [fsync]-before-ack, and temp-file + [fsync] + atomic-[rename]
        ({!write_file_atomic}).}
     {- An {e interpose hook} — the same methodology as
-       [Signal.interpose] and [Frame.interpose] — that lets [Fault.Io]
-       compile seeded filesystem-fault plans (short writes, ENOSPC,
-       EIO, lying fsyncs, power cuts) onto the real write path with
-       zero cost when no hook is installed.}}
+       [Signal.interpose] — that lets [Fault.Io] compile seeded
+       filesystem-fault plans (short writes, ENOSPC, EIO, lying
+       fsyncs, power cuts) onto the real write path with zero cost
+       when no hook is installed.}}
 
     Failures surface as {!Io_error} carrying the operation, the path
     and the underlying [Unix.error]; callers never see a raw

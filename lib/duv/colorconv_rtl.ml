@@ -19,22 +19,22 @@ type t = {
 }
 
 let create kernel clock =
-  let el = Elab.create kernel in
   let t =
     {
-      dv = Elab.signal_bool el "dv";
-      r = Elab.signal_int el "r";
-      g = Elab.signal_int el "g";
-      b = Elab.signal_int el "b";
-      ovalid = Elab.signal_bool el "ovalid";
-      y = Elab.signal_int el "y";
-      cb = Elab.signal_int el "cb";
-      cr = Elab.signal_int el "cr";
+      dv = Signal.create_bool kernel ~name:"dv" false;
+      r = Signal.create_int kernel ~name:"r" 0;
+      g = Signal.create_int kernel ~name:"g" 0;
+      b = Signal.create_int kernel ~name:"b" 0;
+      ovalid = Signal.create_bool kernel ~name:"ovalid" false;
+      y = Signal.create_int kernel ~name:"y" 0;
+      cb = Signal.create_int kernel ~name:"cb" 0;
+      cr = Signal.create_int kernel ~name:"cr" 0;
       valids =
-        Array.init 7 (fun i -> Elab.signal_bool el (Printf.sprintf "v%d" (i + 1)));
+        Array.init 7 (fun i ->
+            Signal.create_bool kernel ~name:(Printf.sprintf "v%d" (i + 1)) false);
       pipe =
         Array.init 7 (fun i ->
-            Elab.signal el ~init:None (Printf.sprintf "pipe%d" i));
+            Signal.create kernel ~name:(Printf.sprintf "pipe%d" i) None);
       completed = 0;
     }
   in
@@ -69,13 +69,8 @@ let create kernel clock =
     Signal.write t.pipe.(0) admitted;
     Signal.write t.valids.(0) (admitted <> None)
   in
-  Elab.process el ~name:"colorconv_rtl" ~pos:__POS__ ~initialize:false
-    ~sensitivity:[ Clock.posedge clock ]
-    ~writes:
-      ([ Elab.Pack t.ovalid; Elab.Pack t.y; Elab.Pack t.cb; Elab.Pack t.cr ]
-      @ Array.to_list (Array.map (fun s -> Elab.Pack s) t.valids)
-      @ Array.to_list (Array.map (fun s -> Elab.Pack s) t.pipe))
-    on_posedge;
+  Process.method_process kernel ~name:"colorconv_rtl" ~initialize:false
+    ~sensitivity:[ Clock.posedge clock ] on_posedge;
   t
 
 let dv t = t.dv

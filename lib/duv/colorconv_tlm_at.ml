@@ -11,8 +11,6 @@ type t = {
 let pixel_latency_ns = Colorconv_iface.latency * Colorconv_iface.clock_period
 
 let create kernel =
-  let el = Elab.create kernel in
-  Elab.component el "colorconv_tlm_at";
   let obs = Colorconv_iface.create_observables () in
   let t_ref = ref None in
   let transport payload =

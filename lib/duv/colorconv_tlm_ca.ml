@@ -43,8 +43,6 @@ let advance t (frame : Colorconv_iface.frame) =
      else None)
 
 let create kernel =
-  let el = Elab.create kernel in
-  Elab.component el "colorconv_tlm_ca";
   let obs = Colorconv_iface.create_observables () in
   let t_ref = ref None in
   let transport payload =

@@ -26,18 +26,17 @@ type t = {
 }
 
 let create ?fault kernel clock =
-  let el = Elab.create kernel in
   let t =
     {
       late_rdy = fault = Some Rdy_one_cycle_late;
-      ds = Elab.signal_bool el "ds";
-      decrypt = Elab.signal_bool el "decrypt";
-      key = Elab.signal_int64 el "key";
-      indata = Elab.signal_int64 el "indata";
-      out = Elab.signal_int64 el "out";
-      rdy = Elab.signal_bool el "rdy";
-      rdy_next_cycle = Elab.signal_bool el "rdy_next_cycle";
-      rdy_next_next_cycle = Elab.signal_bool el "rdy_next_next_cycle";
+      ds = Signal.create_bool kernel ~name:"ds" false;
+      decrypt = Signal.create_bool kernel ~name:"decrypt" false;
+      key = Signal.create_int64 kernel ~name:"key" 0L;
+      indata = Signal.create_int64 kernel ~name:"indata" 0L;
+      out = Signal.create_int64 kernel ~name:"out" 0L;
+      rdy = Signal.create_bool kernel ~name:"rdy" false;
+      rdy_next_cycle = Signal.create_bool kernel ~name:"rdy_next_cycle" false;
+      rdy_next_next_cycle = Signal.create_bool kernel ~name:"rdy_next_next_cycle" false;
       state = Idle;
       completed = 0;
     }
@@ -75,15 +74,8 @@ let create ?fault kernel clock =
          t.state <- Idle
        | _ -> ())
   in
-  Elab.process el ~name:"des56_rtl" ~pos:__POS__ ~initialize:false
-    ~sensitivity:[ Clock.posedge clock ]
-    ~writes:
-      [ Elab.Pack t.out;
-        Elab.Pack t.rdy;
-        Elab.Pack t.rdy_next_cycle;
-        Elab.Pack t.rdy_next_next_cycle
-      ]
-    on_posedge;
+  Process.method_process kernel ~name:"des56_rtl" ~initialize:false
+    ~sensitivity:[ Clock.posedge clock ] on_posedge;
   t
 
 let ds t = t.ds

@@ -14,8 +14,6 @@ type t = {
 let op_latency_ns = Des56_iface.latency * Des56_iface.clock_period
 
 let create ?(latency_ns = op_latency_ns) kernel =
-  let el = Elab.create kernel in
-  Elab.component el "des56_tlm_at";
   let obs = Des56_iface.create_observables () in
   let t_ref = ref None in
   let transport payload =

@@ -42,8 +42,6 @@ let advance t (frame : Des56_iface.frame) =
   end
 
 let create kernel =
-  let el = Elab.create kernel in
-  Elab.component el "des56_tlm_ca";
   let obs = Des56_iface.create_observables () in
   let t_ref = ref None in
   let transport payload =

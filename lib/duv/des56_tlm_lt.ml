@@ -7,8 +7,6 @@ type t = {
 }
 
 let create kernel =
-  let el = Elab.create kernel in
-  Elab.component el "des56_tlm_lt";
   let obs = Des56_iface.create_observables () in
   let t_ref = ref None in
   let transport payload =

@@ -23,16 +23,15 @@ type t = {
 }
 
 let create kernel clock =
-  let el = Elab.create kernel in
   let t =
     {
-      req = Elab.signal_bool el "req";
-      we = Elab.signal_bool el "we";
-      addr = Elab.signal_int el "addr";
-      wdata = Elab.signal_int el "wdata";
-      ack = Elab.signal_bool el "ack";
-      ack_next_cycle = Elab.signal_bool el "ack_next_cycle";
-      rdata = Elab.signal_int el "rdata";
+      req = Signal.create_bool kernel ~name:"req" false;
+      we = Signal.create_bool kernel ~name:"we" false;
+      addr = Signal.create_int kernel ~name:"addr" 0;
+      wdata = Signal.create_int kernel ~name:"wdata" 0;
+      ack = Signal.create_bool kernel ~name:"ack" false;
+      ack_next_cycle = Signal.create_bool kernel ~name:"ack_next_cycle" false;
+      rdata = Signal.create_int kernel ~name:"rdata" 0;
       memory = Array.make Memctrl_iface.address_space 0;
       pending = No_op;
       completed = 0;
@@ -72,10 +71,8 @@ let create kernel clock =
         if remaining = 1 then Signal.write t.ack_next_cycle true
       end
   in
-  Elab.process el ~name:"memctrl_rtl" ~pos:__POS__ ~initialize:false
-    ~sensitivity:[ Clock.posedge clock ]
-    ~writes:[ Elab.Pack t.ack; Elab.Pack t.ack_next_cycle; Elab.Pack t.rdata ]
-    on_posedge;
+  Process.method_process kernel ~name:"memctrl_rtl" ~initialize:false
+    ~sensitivity:[ Clock.posedge clock ] on_posedge;
   t
 
 let req t = t.req

@@ -21,8 +21,6 @@ type t = {
 }
 
 let create ?write_latency_ns ?read_latency_ns kernel =
-  let el = Elab.create kernel in
-  Elab.component el "memctrl_tlm_at";
   let default l = l * Memctrl_iface.clock_period in
   let write_latency_ns =
     Option.value write_latency_ns ~default:(default Memctrl_iface.write_latency)

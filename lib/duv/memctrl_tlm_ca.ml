@@ -56,8 +56,6 @@ let advance t (frame : Memctrl_iface.frame) =
     end
 
 let create kernel =
-  let el = Elab.create kernel in
-  Elab.component el "memctrl_tlm_ca";
   let obs = Memctrl_iface.create_observables () in
   let t_ref = ref None in
   let transport payload =

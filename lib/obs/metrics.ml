@@ -260,7 +260,9 @@ let summarize h =
 let eval_probe p =
   match p.combine with
   | `Sum -> List.fold_left (fun acc f -> acc + f ()) 0 p.sources
-  | `Max -> List.fold_left (fun acc f -> max acc (f ())) 0 p.sources
+  (* [probe] registers a name with its first source, so [min_int] is
+     never the answer; a peak may be negative. *)
+  | `Max -> List.fold_left (fun acc f -> max acc (f ())) min_int p.sources
 
 let value_of = function
   | Counter_i c -> Counter c.c

@@ -22,7 +22,7 @@ let create kernel name =
 let name t = t.name
 let kernel t = t.kernel
 
-let fire t =
+let notify t =
   t.notifications <- t.notifications + 1;
   Kernel.schedule_next_delta_batch t.kernel t.statics t.n_static;
   match t.dynamic with
@@ -30,12 +30,6 @@ let fire t =
   | dynamic ->
     t.dynamic <- [];
     List.iter (fun f -> Kernel.schedule_next_delta t.kernel f) (List.rev dynamic)
-
-let notify t = fire t
-
-let notify_after t ~delay =
-  if delay = 0 then fire t
-  else Kernel.schedule_after t.kernel ~delay (fun () -> fire t)
 
 let on_event t f =
   if t.n_static = Array.length t.statics then begin

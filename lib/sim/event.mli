@@ -21,10 +21,6 @@ val kernel : t -> Kernel.t
 (** Delta notification: subscribers run in the next delta cycle. *)
 val notify : t -> unit
 
-(** Timed notification after [delay >= 0] ns ([delay = 0] is a delta
-    notification at the current instant). *)
-val notify_after : t -> delay:int -> unit
-
 (** Subscribe statically (persistent). *)
 val on_event : t -> (unit -> unit) -> unit
 

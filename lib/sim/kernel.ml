@@ -170,7 +170,6 @@ type t = {
   mutable runnable : Actions.t;
   mutable next_delta : Actions.t;
   updates : Actions.t;
-  mutable pre_run : (unit -> unit) list;  (* reversed registration order *)
   mutable seq : int;
   mutable stopping : bool;
   mutable running : bool;
@@ -205,7 +204,6 @@ let create ?metrics () =
       runnable = Actions.create ();
       next_delta = Actions.create ();
       updates = Actions.create ();
-      pre_run = [];
       seq = 0;
       stopping = false;
       running = false;
@@ -242,7 +240,6 @@ let create ?metrics () =
   t
 
 let metrics t = t.metrics
-let add_pre_run_hook t f = t.pre_run <- f :: t.pre_run
 
 let now t = t.now
 let delta t = t.delta
@@ -294,9 +291,6 @@ let set_label t name = if t.label != name then t.label <- name
 (* --- the three-phase loop ----------------------------------------------- *)
 
 let run ?until ?(guard = default_guard) t =
-  (* Pre-run hooks first (elaboration checks the design here), in
-     registration order. *)
-  List.iter (fun hook -> hook ()) (List.rev t.pre_run);
   if t.running then invalid_arg "Kernel.run: already running";
   t.running <- true;
   t.stopping <- false;

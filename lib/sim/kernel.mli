@@ -69,11 +69,6 @@ val create : ?metrics:Tabv_obs.Metrics.t -> unit -> t
 (** The registry this kernel (and everything created on it) reports to. *)
 val metrics : t -> Tabv_obs.Metrics.t
 
-(** Register a hook run at the start of every {!run}, in registration
-    order.  {!Elab} uses this to check the design for zero-delay
-    cycles before the first step. *)
-val add_pre_run_hook : t -> (unit -> unit) -> unit
-
 (** Current simulation time (ns). *)
 val now : t -> int
 
@@ -145,8 +140,7 @@ val set_label : t -> string -> unit
     watchdog of [guard] (default {!default_guard}) trips, or the
     optional [until] horizon (ns) would be crossed; returns the final
     simulation time.  How the run ended is available from
-    {!last_diagnosis}.  Re-entrant calls are rejected.  The pre-run
-    hooks run first. *)
+    {!last_diagnosis}.  Re-entrant calls are rejected. *)
 val run : ?until:int -> ?guard:guard -> t -> int
 
 (** Diagnosis of the most recent {!run} ([Completed] before any run). *)

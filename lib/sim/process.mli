@@ -5,8 +5,8 @@
     {- {e method processes}: plain callbacks re-run on each
        notification of their sensitivity events (no blocking);}
     {- {e thread processes}: coroutines implemented with OCaml 5
-       effect handlers that may block with {!wait_ns},
-       {!wait_event}, and {!wait_until}.}}
+       effect handlers that may block with {!wait_ns} and
+       {!wait_event}.}}
 
     Thread waits must only be used from inside a thread body; calling
     them elsewhere raises [Stdlib.Effect.Unhandled]. *)
@@ -27,12 +27,3 @@ val wait_ns : Kernel.t -> int -> unit
 
 (** Suspend the current thread until the event's next notification. *)
 val wait_event : Event.t -> unit
-
-(** Suspend until the first notification of {e any} of the events
-    (SystemC's [wait(e1 | e2)]).
-    @raise Invalid_argument on an empty list. *)
-val wait_any : Event.t list -> unit
-
-(** Suspend until [predicate ()] holds, re-checking at each
-    notification of [on]. Returns immediately if it already holds. *)
-val wait_until : on:Event.t -> (unit -> bool) -> unit

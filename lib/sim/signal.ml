@@ -1,6 +1,5 @@
 type 'a t = {
   kernel : Kernel.t;
-  uid : int;  (* process-global, keys the elaboration graph *)
   name : string;
   equal : 'a -> 'a -> bool;
   mutable current : 'a;
@@ -15,10 +14,7 @@ type 'a t = {
   m_updates : Tabv_obs.Metrics.counter;
 }
 
-let uid_counter = ref 0
-
 let name t = t.name
-let uid t = t.uid
 let read t = t.current
 
 let apply_update t =
@@ -40,11 +36,9 @@ let apply_update t =
 
 let make kernel ~name ~equal init =
   let metrics = Kernel.metrics kernel in
-  incr uid_counter;
   let rec t =
     {
       kernel;
-      uid = !uid_counter;
       name;
       equal;
       current = init;

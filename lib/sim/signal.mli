@@ -20,10 +20,6 @@ val create_int64 : Kernel.t -> name:string -> int64 -> int64 t
 
 val name : 'a t -> string
 
-(** Stable process-global identifier, keys the elaboration dependency
-    graph. *)
-val uid : 'a t -> int
-
 val read : 'a t -> 'a
 
 (** Schedule [v] as the value after the next update phase. *)

@@ -39,7 +39,7 @@ module Initiator = struct
     mutable interposer : ((payload -> unit) -> payload -> unit) option;
     mutable observers : (transaction -> unit) list;  (* registration order *)
     mutable completed : int;
-    spans : Tabv_obs.Span.t;
+    mutable span_ns : int;  (* summed duration, while metrics are on *)
     m_starts : Tabv_obs.Metrics.counter;  (* shared per kernel *)
     m_completions : Tabv_obs.Metrics.counter;
     m_duration : Tabv_obs.Metrics.histogram;
@@ -55,7 +55,7 @@ module Initiator = struct
         interposer = None;
         observers = [];
         completed = 0;
-        spans = Tabv_obs.Span.create ();
+        span_ns = 0;
         m_starts = Tabv_obs.Metrics.counter metrics "tlm.transaction_starts";
         m_completions = Tabv_obs.Metrics.counter metrics "tlm.transactions";
         m_duration = Tabv_obs.Metrics.histogram metrics "tlm.transaction_ns";
@@ -65,8 +65,7 @@ module Initiator = struct
        path (the socket keeps its own completion count anyway). *)
     Tabv_obs.Metrics.probe metrics "tlm.completed_transactions" (fun () ->
       t.completed);
-    Tabv_obs.Metrics.probe metrics "tlm.span_ns_total" (fun () ->
-      Tabv_obs.Span.total_ns t.spans);
+    Tabv_obs.Metrics.probe metrics "tlm.span_ns_total" (fun () -> t.span_ns);
     t
 
   let name t = t.name
@@ -93,8 +92,7 @@ module Initiator = struct
       Tabv_obs.Metrics.incr t.m_completions;
       Tabv_obs.Metrics.observe t.m_duration (end_time - start_time);
       if Tabv_obs.Metrics.enabled (Kernel.metrics t.kernel) then
-        Tabv_obs.Span.record t.spans ~label:t.name ~start_ns:start_time
-          ~stop_ns:end_time;
+        t.span_ns <- t.span_ns + (end_time - start_time);
       let transaction = { payload; start_time; end_time } in
       List.iter (fun observe -> observe transaction) t.observers
 
@@ -110,5 +108,4 @@ module Initiator = struct
   let interposed t = t.interposer <> None
   let on_transaction t observe = t.observers <- t.observers @ [ observe ]
   let transaction_count t = t.completed
-  let spans t = t.spans
 end

@@ -77,10 +77,4 @@ module Initiator : sig
 
   (** Transactions completed so far. *)
   val transaction_count : t -> int
-
-  (** The socket's transaction span ring (recorded only while the
-      kernel's metrics registry is enabled; bounded, see
-      {!Tabv_obs.Span}).  Each completed transaction is one span,
-      labelled with the socket name. *)
-  val spans : t -> Tabv_obs.Span.t
 end

@@ -1,84 +1,31 @@
 open Tabv_sim
 open Tabv_duv
 
-(* The kernel's scheduling semantics on elaborated designs: dependency
-   levelization and its positioned cycle error, a stop or a contained
-   crash partway through the processes woken by one clock edge, late
-   subscribers, and the block-runner hooks a checker pool steps
-   through. *)
+(* The kernel's scheduling semantics: zero-delay feedback ended by the
+   delta-cycle watchdog, a stop or a contained crash partway through
+   the processes woken by one clock edge, late subscribers, and the
+   block-runner hooks a checker pool steps through. *)
 
 let case name f = Alcotest.test_case name `Quick f
 
-let contains haystack needle =
-  let n = String.length needle and h = String.length haystack in
-  let rec at i = i + n <= h && (String.sub haystack i n = needle || at (i + 1)) in
-  at 0
+(* --- zero-delay feedback ------------------------------------------- *)
 
-(* --- levelization -------------------------------------------------- *)
-
-let netlist_chain kernel depth =
-  (* clocked root -> comb stage 1 -> ... -> comb stage [depth]: each
-     stage is sensitive to the previous stage's output signal. *)
-  let el = Elab.create kernel in
-  let clock = Clock.create kernel ~name:"clk" ~period:10 () in
-  let prev = ref (Elab.signal_int el "s0") in
-  let root_out = !prev in
-  Elab.process el ~name:"root" ~pos:__POS__ ~initialize:false
-    ~sensitivity:[ Clock.posedge clock ]
-    ~writes:[ Elab.Pack root_out ]
-    (fun () -> Signal.write root_out (Signal.read root_out + 1));
-  for i = 1 to depth do
-    let input = !prev in
-    let output = Elab.signal_int el (Printf.sprintf "s%d" i) in
-    Elab.process el
-      ~name:(Printf.sprintf "stage%d" i)
-      ~pos:__POS__ ~initialize:false
-      ~sensitivity:[ Signal.changed input ]
-      ~writes:[ Elab.Pack output ]
-      (fun () -> Signal.write output (Signal.read input + 1));
-    prev := output
-  done;
-  el
-
-let levelization_cases =
-  [ case "a combinational chain levelizes to its depth" (fun () ->
-      let kernel = Kernel.create () in
-      let el = netlist_chain kernel 5 in
-      Alcotest.(check int) "levels" 6 (Elab.levels el));
-    case "a register self-loop is not a cycle" (fun () ->
-      let kernel = Kernel.create () in
-      let el = Elab.create kernel in
-      let clock = Clock.create kernel ~name:"clk" ~period:10 () in
-      let q = Elab.signal_bool el "q" in
-      Elab.process el ~name:"reg" ~pos:__POS__ ~initialize:false
-        ~sensitivity:[ Clock.posedge clock ]
-        ~writes:[ Elab.Pack q ]
-        (fun () -> Signal.write q (not (Signal.read q)));
-      Alcotest.(check int) "levels" 1 (Elab.levels el));
-    case "a zero-delay cycle raises a positioned elaboration error" (fun () ->
-      let kernel = Kernel.create () in
-      let el = Elab.create kernel in
-      let a = Elab.signal_bool el "a" in
-      let b = Elab.signal_bool el "b" in
-      Elab.process el ~name:"p_ab" ~pos:__POS__
-        ~sensitivity:[ Signal.changed a ]
-        ~writes:[ Elab.Pack b ]
-        (fun () -> Signal.write b (not (Signal.read a)));
-      Elab.process el ~name:"p_ba" ~pos:__POS__
-        ~sensitivity:[ Signal.changed b ]
-        ~writes:[ Elab.Pack a ]
-        (fun () -> Signal.write a (not (Signal.read b)));
-      match Elab.compile el with
-      | () -> Alcotest.fail "cycle not detected"
-      | exception Elab.Cycle_error msg ->
-        let mem needle =
-          Alcotest.(check bool)
-            (Printf.sprintf "message mentions %S" needle)
-            true (contains msg needle)
-        in
-        mem "p_ab";
-        mem "p_ba";
-        mem "test_engine.ml") ]
+let feedback_cases =
+  [ case "a zero-delay cycle raises a perpetual delta loop that the guard ends"
+      (fun () ->
+        (* Two cross-coupled inverting processes never settle: every
+           delta rewrites both signals, so time never advances.  The
+           default guard's delta cap ends the run at the first instant. *)
+        let kernel = Kernel.create () in
+        let a = Signal.create_bool kernel ~name:"a" false in
+        let b = Signal.create_bool kernel ~name:"b" false in
+        Process.method_process kernel ~name:"p_ab" ~sensitivity:[ Signal.changed a ]
+          (fun () -> Signal.write b (not (Signal.read a)));
+        Process.method_process kernel ~name:"p_ba" ~sensitivity:[ Signal.changed b ]
+          (fun () -> Signal.write a (not (Signal.read b)));
+        ignore (Kernel.run kernel ~guard:Kernel.default_guard);
+        Alcotest.(check string) "diagnosis" "livelock(time=0,delta_cycles=1000000)"
+          (Kernel.diagnosis_to_string (Kernel.last_diagnosis kernel))) ]
 
 (* --- the processes of one clock edge --------------------------------- *)
 
@@ -86,13 +33,12 @@ let levelization_cases =
    schedules them all, in registration order) bump a shared cell. *)
 let edge_fixture ~procs ~behaviour =
   let kernel = Kernel.create () in
-  let el = Elab.create kernel in
   let clock = Clock.create kernel ~name:"clk" ~period:10 () in
   let hits = ref 0 in
   for p = 0 to procs - 1 do
-    Elab.process el
+    Process.method_process kernel
       ~name:(Printf.sprintf "p%d" p)
-      ~pos:__POS__ ~initialize:false
+      ~initialize:false
       ~sensitivity:[ Clock.posedge clock ]
       (fun () ->
         incr hits;
@@ -202,4 +148,4 @@ let pool_cases =
          | Kernel.Process_crashed _ -> true
          | _ -> false)) ]
 
-let suite = ("engine", levelization_cases @ block_cases @ pool_cases)
+let suite = ("engine", feedback_cases @ block_cases @ pool_cases)

@@ -98,15 +98,7 @@ let event_cases =
       Kernel.schedule_at k ~time:10 (fun () -> Event.notify ev);
       Kernel.schedule_at k ~time:20 (fun () -> Event.notify ev);
       ignore (Kernel.run k);
-      Alcotest.(check int) "once" 1 !count);
-    run_kernel_case "timed notification" (fun () ->
-      let k = Kernel.create () in
-      let ev = Event.create k "e" in
-      let seen_at = ref (-1) in
-      Event.once ev (fun () -> seen_at := Kernel.now k);
-      Kernel.schedule_at k ~time:10 (fun () -> Event.notify_after ev ~delay:25);
-      ignore (Kernel.run k);
-      Alcotest.(check int) "time" 35 !seen_at) ]
+      Alcotest.(check int) "once" 1 !count) ]
 
 let thread_cases =
   [ run_kernel_case "thread wait_ns" (fun () ->
@@ -133,23 +125,6 @@ let thread_cases =
       Kernel.schedule_at k ~time:42 (fun () -> Event.notify ev);
       ignore (Kernel.run k);
       Alcotest.(check int) "woke" 42 !woke_at);
-    run_kernel_case "wait_until rechecks predicate" (fun () ->
-      let k = Kernel.create () in
-      let ev = Event.create k "tick" in
-      let counter = ref 0 in
-      let done_at = ref (-1) in
-      Process.spawn k ~name:"t" (fun () ->
-        Process.wait_until ~on:ev (fun () -> !counter >= 3);
-        done_at := Kernel.now k);
-      let rec ticker time =
-        Kernel.schedule_at k ~time (fun () ->
-          incr counter;
-          Event.notify ev;
-          if !counter < 5 then ticker (time + 10))
-      in
-      ticker 10;
-      ignore (Kernel.run k);
-      Alcotest.(check int) "done after third tick" 30 !done_at);
     run_kernel_case "two threads interleave deterministically" (fun () ->
       let k = Kernel.create () in
       let log = ref [] in
@@ -510,14 +485,13 @@ module Reference = struct
 
   let last_diagnosis t = t.diagnosis
 
-  (* Named as the kernel's probes, sorted by name; the two [`Max]
-     probes report at least 0, as the registry folds them from 0. *)
+  (* Named as the kernel's probes, sorted by name. *)
   let counters t =
     [ ("kernel.activations", t.activations);
-      ("kernel.blocked_waiters", max 0 t.waiters);
+      ("kernel.blocked_waiters", t.waiters);
       ("kernel.contained_crashes", t.contained_crashes);
       ("kernel.delta_cycles", t.deltas);
-      ("kernel.sim_time_ns", max 0 t.now);
+      ("kernel.sim_time_ns", t.now);
       ("kernel.time_advances", t.time_advances);
       ("kernel.timed_scheduled", t.seq);
       ("kernel.update_actions", t.update_actions);

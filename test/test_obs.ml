@@ -1,10 +1,9 @@
 (* Unit suite for the observability layer (lib/obs): the metrics
-   registry (counters, gauges, histograms, probes, timers), the span
-   recorder, the shared checker snapshot record, and the determinism
-   of registry snapshots across identically-seeded runs. *)
+   registry (counters, gauges, histograms, probes, timers), the shared
+   checker snapshot record, and the determinism of registry snapshots
+   across identically-seeded runs. *)
 
 module Metrics = Tabv_obs.Metrics
-module Span = Tabv_obs.Span
 module Checker_snapshot = Tabv_obs.Checker_snapshot
 
 let case name f = Alcotest.test_case name `Quick f
@@ -133,6 +132,11 @@ let probe_cases =
       Metrics.probe m "p" (fun () -> 0);
       expect_invalid_arg "Max over Sum" (fun () ->
         Metrics.probe m ~combine:`Max "p" (fun () -> 0)));
+    case "a Max probe reports a negative value" (fun () ->
+      let m = Metrics.create () in
+      Metrics.probe m ~combine:`Max "p" (fun () -> -1);
+      Alcotest.(check (list (pair string value))) "snapshot"
+        [ ("p", Metrics.Gauge (-1)) ] (Metrics.snapshot m));
     case "probes answer on a disabled registry" (fun () ->
       let m = Metrics.disabled () in
       Metrics.probe m "p" (fun () -> 42);
@@ -308,27 +312,6 @@ let timer_cases =
       Alcotest.(check (list string)) "snapshot empty" []
         (List.map fst (Metrics.snapshot m))) ]
 
-(* --- spans ------------------------------------------------------------ *)
-
-let span_cases =
-  [ case "span ring wraps and keeps whole-run totals" (fun () ->
-      let s = Span.create ~capacity:3 () in
-      for i = 0 to 4 do
-        Span.record s
-          ~label:(Printf.sprintf "op%d" i)
-          ~start_ns:(i * 10)
-          ~stop_ns:((i * 10) + 5)
-      done;
-      Alcotest.(check int) "recorded" 5 (Span.recorded s);
-      Alcotest.(check int) "retained" 3 (Span.retained s);
-      Alcotest.(check int) "dropped" 2 (Span.dropped s);
-      Alcotest.(check int) "total_ns" 25 (Span.total_ns s);
-      Alcotest.(check (list string))
-        "oldest first" [ "op2"; "op3"; "op4" ]
-        (List.map (fun (sp : Span.span) -> sp.label) (Span.to_list s)));
-    case "span create rejects non-positive capacity" (fun () ->
-      expect_invalid_arg "capacity" (fun () -> Span.create ~capacity:0 ())) ]
-
 (* --- checker snapshot ------------------------------------------------- *)
 
 let snapshot_record base =
@@ -426,5 +409,5 @@ let integration_cases =
 let suite =
   ( "obs",
     counter_cases @ histogram_cases @ probe_cases @ snapshot_cases
-    @ merge_cases @ timer_cases @ span_cases @ checker_snapshot_cases
+    @ merge_cases @ timer_cases @ checker_snapshot_cases
     @ integration_cases )

@@ -51,16 +51,6 @@ let cases =
       ignore (Kernel.run k);
       Alcotest.(check (list int)) "second run drains the rest" [ 10; 20 ]
         (List.rev !fired));
-    case "zero-delay notify_after still defers to next delta" (fun () ->
-      let k = Kernel.create () in
-      let ev = Event.create k "e" in
-      let order = ref [] in
-      Event.once ev (fun () -> order := "waiter" :: !order);
-      Kernel.schedule_at k ~time:5 (fun () ->
-        Event.notify_after ev ~delay:0;
-        order := "notifier" :: !order);
-      ignore (Kernel.run k);
-      Alcotest.(check (list string)) "order" [ "notifier"; "waiter" ] (List.rev !order));
     case "transaction observers fire in registration order" (fun () ->
       let k = Kernel.create () in
       let target = Tlm.Target.create k ~name:"t" ignore in
@@ -73,52 +63,6 @@ let cases =
         Tlm.Initiator.b_transport initiator (Tlm.make_payload Tlm.Read));
       ignore (Kernel.run k);
       Alcotest.(check (list int)) "order" [ 1; 2 ] (List.rev !order)) ]
-
-let fifo_cases =
-  [ case "producer/consumer through a bounded fifo" (fun () ->
-      let k = Kernel.create () in
-      let fifo = Fifo.create k ~name:"f" ~capacity:2 in
-      let consumed = ref [] in
-      Process.spawn k ~name:"producer" (fun () ->
-        for i = 1 to 6 do
-          Fifo.put fifo i;
-          Process.wait_ns k 1
-        done);
-      Process.spawn k ~name:"consumer" (fun () ->
-        for _ = 1 to 6 do
-          let item = Fifo.get fifo in
-          consumed := item :: !consumed;
-          Process.wait_ns k 3
-        done;
-        Kernel.stop k);
-      ignore (Kernel.run k);
-      Alcotest.(check (list int)) "all items in order" [ 1; 2; 3; 4; 5; 6 ]
-        (List.rev !consumed));
-    case "put blocks when full" (fun () ->
-      let k = Kernel.create () in
-      let fifo = Fifo.create k ~name:"f" ~capacity:1 in
-      let second_put_at = ref (-1) in
-      Process.spawn k ~name:"producer" (fun () ->
-        Fifo.put fifo 1;
-        Fifo.put fifo 2;
-        second_put_at := Kernel.now k);
-      Process.spawn k ~name:"consumer" (fun () ->
-        Process.wait_ns k 50;
-        ignore (Fifo.get fifo));
-      ignore (Kernel.run k);
-      Alcotest.(check int) "unblocked when space freed" 50 !second_put_at);
-    case "try variants do not block" (fun () ->
-      let k = Kernel.create () in
-      let fifo = Fifo.create k ~name:"f" ~capacity:1 in
-      Alcotest.(check (option int)) "empty" None (Fifo.try_get fifo);
-      Alcotest.(check bool) "put ok" true (Fifo.try_put fifo 9);
-      Alcotest.(check bool) "full" false (Fifo.try_put fifo 10);
-      Alcotest.(check (option int)) "got" (Some 9) (Fifo.try_get fifo));
-    case "zero capacity rejected" (fun () ->
-      let k = Kernel.create () in
-      match Fifo.create k ~name:"f" ~capacity:0 with
-      | _ -> Alcotest.fail "expected Invalid_argument"
-      | exception Invalid_argument _ -> ()) ]
 
 let dump_cases =
   [ case "Trace_dump round-trips through the VCD reader" (fun () ->
@@ -149,40 +93,6 @@ let lint_cases =
       Alcotest.(check (list string)) "unknown" [ "rdyy" ]
         (Tabv_psl.Property.unknown_signals
            ~known:Tabv_duv.Des56_iface.signal_names p)) ]
-
-let wait_any_cases =
-  [ case "wait_any wakes on the earliest event" (fun () ->
-      let k = Kernel.create () in
-      let e1 = Event.create k "e1" and e2 = Event.create k "e2" in
-      let woke_at = ref (-1) in
-      Process.spawn k ~name:"t" (fun () ->
-        Process.wait_any [ e1; e2 ];
-        woke_at := Kernel.now k);
-      Kernel.schedule_at k ~time:30 (fun () -> Event.notify e2);
-      Kernel.schedule_at k ~time:50 (fun () -> Event.notify e1);
-      ignore (Kernel.run k);
-      Alcotest.(check int) "woke on e2" 30 !woke_at);
-    case "wait_any resumes exactly once on simultaneous events" (fun () ->
-      let k = Kernel.create () in
-      let e1 = Event.create k "e1" and e2 = Event.create k "e2" in
-      let wakes = ref 0 in
-      Process.spawn k ~name:"t" (fun () ->
-        Process.wait_any [ e1; e2 ];
-        incr wakes);
-      Kernel.schedule_at k ~time:10 (fun () ->
-        Event.notify e1;
-        Event.notify e2);
-      ignore (Kernel.run k);
-      Alcotest.(check int) "one wake" 1 !wakes);
-    case "wait_any on an empty list rejected" (fun () ->
-      let k = Kernel.create () in
-      let failed = ref false in
-      Process.spawn k ~name:"t" (fun () ->
-        match Process.wait_any [] with
-        | () -> ()
-        | exception Invalid_argument _ -> failed := true);
-      ignore (Kernel.run k);
-      Alcotest.(check bool) "rejected" true !failed) ]
 
 let isolation_cases =
   [ case "observers of one initiator ignore another's traffic" (fun () ->
@@ -236,5 +146,4 @@ let trace_api_cases =
 
 let suite =
   ("sim_extra",
-   cases @ fifo_cases @ dump_cases @ lint_cases @ wait_any_cases @ isolation_cases
-   @ trace_api_cases)
+   cases @ dump_cases @ lint_cases @ isolation_cases @ trace_api_cases)
