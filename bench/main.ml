@@ -15,7 +15,8 @@
    EXPERIMENTS.md.
 
    [--<name>-only] instead runs one row of the gate table at the end of
-   this file (bench/check.sh runs each row once, with [--quick]). *)
+   this file (bench/check.sh runs each row once, with [--quick]).  Any
+   other argument is refused with exit 2 before anything runs. *)
 
 open Tabv_psl
 open Tabv_duv
@@ -1452,7 +1453,15 @@ let () =
   end
 
 let () =
-  let flag f = Array.mem f Sys.argv in
+  let accepted = "--quick" :: List.map (fun gate -> "--" ^ gate.name ^ "-only") gates in
+  let args = List.tl (Array.to_list Sys.argv) in
+  (match List.find_opt (fun arg -> not (List.mem arg accepted)) args with
+   | Some arg ->
+     Printf.eprintf "bench: unknown argument %S (accepted: %s)\n" arg
+       (String.concat " " accepted);
+     exit 2
+   | None -> ());
+  let flag f = List.mem f args in
   let quick = flag "--quick" in
   match List.filter (fun gate -> flag ("--" ^ gate.name ^ "-only")) gates with
   | [] -> paper ~quick

@@ -125,7 +125,7 @@ let selection_of_json what = function
   | _ -> Error (Printf.sprintf "%s: props must be \"all\", \"none\" or n" what)
 
 let job_of_json_what what json =
-  let* fields = Wire.open_assoc what json in
+  let* fields = J.open_assoc what json in
   let* () =
     check_keys what
       [ "duv"; "level"; "seed"; "ops"; "props"; "chaos"; "chaos_kind" ]
@@ -211,12 +211,12 @@ let job_spec_json job =
 
 let matrix_of_json json =
   let what = "matrix" in
-  let* fields = Wire.open_assoc what json in
+  let* fields = J.open_assoc what json in
   let* () = check_keys what [ "duvs"; "levels"; "seeds"; "ops"; "props" ] fields in
   let field key = List.assoc_opt key fields in
   let names what_key of_name = function
     | J.List items ->
-      Wire.map_result
+      J.map_result
         (fun item ->
           let* name = open_string what_key item in
           match of_name name with
@@ -239,8 +239,8 @@ let matrix_of_json json =
     match field "seeds" with
     | None -> Ok [ 0 ]
     | Some v ->
-      let* items = Wire.open_list "matrix.seeds" v in
-      Wire.map_result (open_int "matrix.seeds") items
+      let* items = J.open_list "matrix.seeds" v in
+      J.map_result (open_int "matrix.seeds") items
   in
   let* ops =
     match field "ops" with
@@ -261,7 +261,7 @@ let matrix_of_json json =
   Ok jobs
 
 let manifest_of_json json =
-  let* fields = Wire.open_assoc "manifest" json in
+  let* fields = J.open_assoc "manifest" json in
   let* () = check_keys "manifest" [ "retries"; "jobs"; "matrix" ] fields in
   let field key = List.assoc_opt key fields in
   let* manifest_retries =
@@ -275,8 +275,8 @@ let manifest_of_json json =
     match field "jobs" with
     | None -> Ok []
     | Some v ->
-      let* items = Wire.open_list "jobs" v in
-      Wire.map_result (fun (i, j) -> job_of_json i j) (List.mapi (fun i j -> (i, j)) items)
+      let* items = J.open_list "jobs" v in
+      J.map_result (fun (i, j) -> job_of_json i j) (List.mapi (fun i j -> (i, j)) items)
   in
   let* expanded =
     match field "matrix" with
@@ -350,24 +350,24 @@ let payload_json p =
 
 let payload_of_json json =
   let what = "job payload" in
-  let* fields = Wire.open_assoc what json in
-  let* p_sim_time_ns = Wire.int_field what "sim_time_ns" fields in
-  let* p_kernel_activations = Wire.int_field what "kernel_activations" fields in
-  let* p_delta_cycles = Wire.int_field what "delta_cycles" fields in
-  let* p_transactions = Wire.int_field what "transactions" fields in
-  let* p_completed_ops = Wire.int_field what "completed_ops" fields in
+  let* fields = J.open_assoc what json in
+  let* p_sim_time_ns = J.int_field what "sim_time_ns" fields in
+  let* p_kernel_activations = J.int_field what "kernel_activations" fields in
+  let* p_delta_cycles = J.int_field what "delta_cycles" fields in
+  let* p_transactions = J.int_field what "transactions" fields in
+  let* p_completed_ops = J.int_field what "completed_ops" fields in
   let* p_diagnosis =
-    let* v = Wire.field what "diagnosis" fields in
-    Wire.diagnosis_of_json v
+    let* v = J.field what "diagnosis" fields in
+    Tabv_fault.Fault.diagnosis_of_json v
   in
   let* p_checker_stats =
-    let* v = Wire.field what "properties" fields in
-    let* items = Wire.open_list (what ^ ".properties") v in
-    Wire.map_result Wire.checker_snapshot_of_json items
+    let* v = J.field what "properties" fields in
+    let* items = J.open_list (what ^ ".properties") v in
+    J.map_result J.checker_snapshot_of_json items
   in
   let* p_metrics =
-    let* v = Wire.field what "metrics" fields in
-    Wire.metrics_snapshot_of_json v
+    let* v = J.field what "metrics" fields in
+    J.metrics_snapshot_of_json v
   in
   Ok
     {
@@ -520,10 +520,10 @@ let record_json ~attempts payload =
 
 let record_of_json json =
   let what = "campaign journal record" in
-  let* fields = Wire.open_assoc what json in
-  let* attempts = Wire.int_field what "attempts" fields in
+  let* fields = J.open_assoc what json in
+  let* attempts = J.int_field what "attempts" fields in
   let* payload =
-    let* v = Wire.field what "payload" fields in
+    let* v = J.field what "payload" fields in
     payload_of_json v
   in
   Ok (attempts, payload)

@@ -30,7 +30,8 @@
     spec, so the resumed report stays byte-identical to an
     uninterrupted run — which is the whole contract.  For the same
     reason the record payloads are the exact JSON the report is built
-    from ({!Wire} round-trip), never wall-clock values.
+    from (the {!Tabv_core.Report_json} round-trip), never wall-clock
+    values.
 
     The [fingerprint] is a digest of the canonical job-list JSON (plus
     anything else that changes results, e.g. the retry budget).

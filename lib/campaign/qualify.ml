@@ -186,16 +186,16 @@ let qrun_json q =
 
 let qrun_of_json json =
   let what = "qualify payload" in
-  let* fields = Wire.open_assoc what json in
-  let* q_faults_triggered = Wire.int_field what "faults_triggered" fields in
+  let* fields = J.open_assoc what json in
+  let* q_faults_triggered = J.int_field what "faults_triggered" fields in
   let* q_diagnosis =
-    let* v = Wire.field what "diagnosis" fields in
-    Wire.diagnosis_of_json v
+    let* v = J.field what "diagnosis" fields in
+    Fault.diagnosis_of_json v
   in
   let* q_checker_stats =
-    let* v = Wire.field what "properties" fields in
-    let* items = Wire.open_list (what ^ ".properties") v in
-    Wire.map_result Wire.checker_snapshot_of_json items
+    let* v = J.field what "properties" fields in
+    let* items = J.open_list (what ^ ".properties") v in
+    J.map_result J.checker_snapshot_of_json items
   in
   Ok { q_checker_stats; q_faults_triggered; q_diagnosis }
 

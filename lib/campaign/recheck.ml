@@ -67,12 +67,12 @@ let payload_json (samples, spans, snapshots) =
 let payload_of_json json =
   let ( let* ) = Result.bind in
   let what = "recheck reply" in
-  let* fields = Wire.open_assoc what json in
-  let* samples = Wire.int_field what "samples" fields in
-  let* spans = Wire.int_field what "spans" fields in
-  let* props = Wire.field what "properties" fields in
-  let* items = Wire.open_list (what ^ ".properties") props in
-  let* snapshots = Wire.map_result Wire.checker_snapshot_of_json items in
+  let* fields = J.open_assoc what json in
+  let* samples = J.int_field what "samples" fields in
+  let* spans = J.int_field what "spans" fields in
+  let* props = J.field what "properties" fields in
+  let* items = J.open_list (what ^ ".properties") props in
+  let* snapshots = J.map_result J.checker_snapshot_of_json items in
   Ok (samples, spans, snapshots)
 
 (* The pooled run over a trace whose header and dictionary have been

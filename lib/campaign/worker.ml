@@ -20,13 +20,13 @@ let register_op name decode = Hashtbl.replace extra_ops name decode
    running anything. *)
 let decode_request json =
   let what = "request" in
-  let* fields = Wire.open_assoc what json in
-  let* op = Wire.string_field what "op" fields in
+  let* fields = J.open_assoc what json in
+  let* op = J.string_field what "op" fields in
   match op with
   | "campaign_job" ->
-    let* attempt = Wire.int_field what "attempt" fields in
+    let* attempt = J.int_field what "attempt" fields in
     let* job =
-      let* v = Wire.field what "job" fields in
+      let* v = J.field what "job" fields in
       Campaign.job_spec_of_json v
     in
     Ok
@@ -35,15 +35,15 @@ let decode_request json =
           (Campaign.exec_job ~attempt job))
   | "qualify_job" ->
     let* duv =
-      let* name = Wire.string_field what "duv" fields in
+      let* name = J.string_field what "duv" fields in
       match Tabv_duv.Models.duv_of_name name with
       | Some duv -> Ok duv
       | None -> Error (Printf.sprintf "%s: unknown duv %S" what name)
     in
     let* levels =
-      let* v = Wire.field what "levels" fields in
-      let* items = Wire.open_list (what ^ ".levels") v in
-      Wire.map_result
+      let* v = J.field what "levels" fields in
+      let* items = J.open_list (what ^ ".levels") v in
+      J.map_result
         (fun item ->
           match item with
           | J.String name ->
@@ -53,16 +53,16 @@ let decode_request json =
           | _ -> Error (what ^ ".levels: expected strings"))
         items
     in
-    let* seed = Wire.int_field what "seed" fields in
-    let* ops = Wire.int_field what "ops" fields in
-    let* index = Wire.int_field what "index" fields in
+    let* seed = J.int_field what "seed" fields in
+    let* ops = J.int_field what "ops" fields in
+    let* index = J.int_field what "index" fields in
     Ok (fun () -> Qualify.qrun_json (Qualify.exec_index ~duv ~levels ~seed ~ops index))
   | "recheck_job" ->
-    let* trace = Wire.string_field what "trace" fields in
+    let* trace = J.string_field what "trace" fields in
     let* sources =
-      let* v = Wire.field what "properties" fields in
-      let* items = Wire.open_list (what ^ ".properties") v in
-      Wire.map_result
+      let* v = J.field what "properties" fields in
+      let* items = J.open_list (what ^ ".properties") v in
+      J.map_result
         (fun item ->
           match item with
           | J.String source -> Ok source

@@ -331,6 +331,52 @@ let member key = function
   | Assoc fields -> List.assoc_opt key fields
   | _ -> None
 
+(* --- decoding helpers -----------------------------------------------
+
+   A small result-monad reader over the document model, shared by every
+   decoder that reads a record this module (or a caller) emitted.  Each
+   error names the record ([what]) and the offending key. *)
+
+let ( let* ) = Result.bind
+
+let rec map_result f = function
+  | [] -> Ok []
+  | x :: xs ->
+    let* y = f x in
+    let* ys = map_result f xs in
+    Ok (y :: ys)
+
+let open_assoc what = function
+  | Assoc fields -> Ok fields
+  | _ -> Error (what ^ ": expected an object")
+
+let open_list what = function
+  | List items -> Ok items
+  | _ -> Error (what ^ ": expected an array")
+
+let field what key fields =
+  match List.assoc_opt key fields with
+  | Some v -> Ok v
+  | None -> Error (Printf.sprintf "%s: missing key %S" what key)
+
+let int_field what key fields =
+  let* v = field what key fields in
+  match v with
+  | Int n -> Ok n
+  | _ -> Error (Printf.sprintf "%s: key %S must be an integer" what key)
+
+let string_field what key fields =
+  let* v = field what key fields in
+  match v with
+  | String s -> Ok s
+  | _ -> Error (Printf.sprintf "%s: key %S must be a string" what key)
+
+let bool_field what key fields =
+  let* v = field what key fields in
+  match v with
+  | Bool b -> Ok b
+  | _ -> Error (Printf.sprintf "%s: key %S must be a boolean" what key)
+
 (* --- checker statistics ---------------------------------------------
 
    [tabv_core] sits below the checker library in the dependency order,
@@ -359,6 +405,57 @@ let checker_snapshot_json (s : Tabv_obs.Checker_snapshot.t) =
       ("cache_misses", Int s.cache_misses);
       ("cache_hit_rate", Float (Tabv_obs.Checker_snapshot.cache_hit_rate s));
       ("failures", List (List.map failure_json s.failures)) ]
+
+(* Inverse of [checker_snapshot_json].  The emitted failure entries
+   carry only the two instants; the property name is reattached from
+   the enclosing snapshot.  The derived ["cache_hit_rate"] float is
+   ignored (it is recomputed from the integer fields on re-emission, so
+   nothing lossy crosses the wire). *)
+let checker_snapshot_of_json json =
+  let what = "checker snapshot" in
+  let* fields = open_assoc what json in
+  let* property_name = string_field what "property" fields in
+  let* engine = string_field what "engine" fields in
+  let* activations = int_field what "activations" fields in
+  let* passes = int_field what "passes" fields in
+  let* trivial_passes = int_field what "trivial_passes" fields in
+  let* vacuous = bool_field what "vacuous" fields in
+  let* peak_instances = int_field what "peak_instances" fields in
+  let* peak_distinct_states = int_field what "peak_distinct_states" fields in
+  let* pending = int_field what "pending" fields in
+  let* steps = int_field what "steps" fields in
+  let* cache_hits = int_field what "cache_hits" fields in
+  let* cache_misses = int_field what "cache_misses" fields in
+  let* failure_items =
+    let* v = field what "failures" fields in
+    open_list (what ^ ".failures") v
+  in
+  let* failures =
+    map_result
+      (fun item ->
+        let what = what ^ ".failure" in
+        let* fields = open_assoc what item in
+        let* activation_time = int_field what "activation_time_ns" fields in
+        let* failure_time = int_field what "failure_time_ns" fields in
+        Ok { Tabv_obs.Checker_snapshot.property_name; activation_time; failure_time })
+      failure_items
+  in
+  Ok
+    {
+      Tabv_obs.Checker_snapshot.property_name;
+      engine;
+      activations;
+      passes;
+      trivial_passes;
+      vacuous;
+      peak_instances;
+      peak_distinct_states;
+      pending;
+      steps;
+      cache_hits;
+      cache_misses;
+      failures;
+    }
 
 (* The verdict subset of a snapshot: every field above that only
    depends on the property and the evaluation points it saw.  The
@@ -429,6 +526,50 @@ let metrics_value_json (v : Tabv_obs.Metrics.value) =
 
 let metrics_snapshot_json snapshot =
   Assoc (List.map (fun (name, v) -> (name, metrics_value_json v)) snapshot)
+
+(* Inverse of [metrics_value_json]. *)
+let metrics_value_of_json json =
+  let what = "metrics value" in
+  let* fields = open_assoc what json in
+  let* kind = string_field what "kind" fields in
+  match kind with
+  | "counter" ->
+    let* v = int_field what "value" fields in
+    Ok (Tabv_obs.Metrics.Counter v)
+  | "gauge" ->
+    let* v = int_field what "value" fields in
+    Ok (Tabv_obs.Metrics.Gauge v)
+  | "histogram" ->
+    let* count = int_field what "count" fields in
+    let* sum = int_field what "sum" fields in
+    let* min_value = int_field what "min" fields in
+    let* max_value = int_field what "max" fields in
+    let* bucket_items =
+      let* v = field what "buckets" fields in
+      open_list (what ^ ".buckets") v
+    in
+    let* by_upper_bound =
+      map_result
+        (fun item ->
+          let what = what ^ ".bucket" in
+          let* fields = open_assoc what item in
+          let* le = int_field what "le" fields in
+          let* n = int_field what "count" fields in
+          Ok (le, n))
+        bucket_items
+    in
+    Ok
+      (Tabv_obs.Metrics.Histogram
+         { Tabv_obs.Metrics.count; sum; min_value; max_value; by_upper_bound })
+  | other -> Error (Printf.sprintf "%s: unknown kind %S" what other)
+
+let metrics_snapshot_of_json json =
+  let* fields = open_assoc "metrics snapshot" json in
+  map_result
+    (fun (name, v) ->
+      let* value = metrics_value_of_json v in
+      Ok (name, value))
+    fields
 
 let metrics_schema_version = 1
 

@@ -33,10 +33,30 @@ val of_string : string -> json
     containing it, [None] otherwise. *)
 val member : string -> json -> json option
 
+(** {2 Decoding helpers}
+
+    A result-monad reader shared by every decoder of an emitted record.
+    [what] names the record in the error text, e.g.
+    ["checker snapshot: missing key \"steps\""]. *)
+
+val map_result : ('a -> ('b, string) result) -> 'a list -> ('b list, string) result
+val open_assoc : string -> json -> ((string * json) list, string) result
+val open_list : string -> json -> (json list, string) result
+val field : string -> string -> (string * json) list -> (json, string) result
+val int_field : string -> string -> (string * json) list -> (int, string) result
+val string_field : string -> string -> (string * json) list -> (string, string) result
+val bool_field : string -> string -> (string * json) list -> (bool, string) result
+
 (** Per-property checker statistics as JSON, from the shared
     {!Tabv_obs.Checker_snapshot.t} record ([Monitor.snapshot] produces
     it directly); [cache_hit_rate] is derived. *)
 val checker_snapshot_json : Tabv_obs.Checker_snapshot.t -> json
+
+(** Inverse of {!checker_snapshot_json}.  The derived
+    ["cache_hit_rate"] float is ignored (it is recomputed from the
+    integer fields on re-emission, so nothing lossy crosses the
+    wire). *)
+val checker_snapshot_of_json : json -> (Tabv_obs.Checker_snapshot.t, string) result
 
 (** Universe-independent subset of {!checker_snapshot_json}: same keys
     minus the transition-memo counters ([cache_hits], [cache_misses],
@@ -82,6 +102,10 @@ val metrics_value_json : Tabv_obs.Metrics.value -> json
 (** A whole registry snapshot as one JSON object, preserving the
     snapshot's (sorted, deterministic) name order. *)
 val metrics_snapshot_json : (string * Tabv_obs.Metrics.value) list -> json
+
+(** Inverse of {!metrics_snapshot_json}. *)
+val metrics_snapshot_of_json :
+  json -> ((string * Tabv_obs.Metrics.value) list, string) result
 
 (** Version stamped into the ["schema"] key of {!metrics_json}. *)
 val metrics_schema_version : int

@@ -9,10 +9,6 @@ type signal_fault =
 
 type tlm_fault =
   | Corrupt_field of { field : string; fault : signal_fault }
-  | Corrupt_data of { index : int; bit : int }
-  | Drop of { index : int }
-  | Extra_delay of { index : int; delay_ns : int }
-  | Duplicate of { index : int }
   | Hang of { index : int }
 
 type hard_failure =
@@ -23,7 +19,6 @@ type hard_failure =
 type chaos =
   | Crash of { at_ns : int; name : string }
   | Livelock_loop of { at_ns : int }
-  | Hard of { at_ns : int; failure : hard_failure }
 
 type injection =
   | Signal_fault of { signal : string; fault : signal_fault }
@@ -35,11 +30,8 @@ type plan = {
   injections : injection list;
 }
 
-let no_faults = { plan_name = "no-faults"; injections = [] }
 let plan ~name injections = { plan_name = name; injections }
 let is_empty p = p.injections = []
-let injection_count p = List.length p.injections
-let equal_plan (a : plan) (b : plan) = a = b
 
 (* ------------------------------------------------------------------ *)
 (* JSON                                                                *)
@@ -67,18 +59,6 @@ let tlm_fault_json = function
         ("field", J.String field);
         ("fault", signal_fault_json fault)
       ]
-  | Corrupt_data { index; bit } ->
-    J.Assoc
-      [ ("kind", J.String "corrupt_data"); ("index", J.Int index); ("bit", J.Int bit) ]
-  | Drop { index } -> J.Assoc [ ("kind", J.String "drop"); ("index", J.Int index) ]
-  | Extra_delay { index; delay_ns } ->
-    J.Assoc
-      [ ("kind", J.String "extra_delay");
-        ("index", J.Int index);
-        ("delay_ns", J.Int delay_ns)
-      ]
-  | Duplicate { index } ->
-    J.Assoc [ ("kind", J.String "duplicate"); ("index", J.Int index) ]
   | Hang { index } -> J.Assoc [ ("kind", J.String "hang"); ("index", J.Int index) ]
 
 let hard_failure_name = function
@@ -98,9 +78,6 @@ let chaos_json = function
       [ ("kind", J.String "crash"); ("at_ns", J.Int at_ns); ("name", J.String name) ]
   | Livelock_loop { at_ns } ->
     J.Assoc [ ("kind", J.String "livelock"); ("at_ns", J.Int at_ns) ]
-  | Hard { at_ns; failure } ->
-    J.Assoc
-      [ ("kind", J.String (hard_failure_name failure)); ("at_ns", J.Int at_ns) ]
 
 let injection_json = function
   | Signal_fault { signal; fault } ->
@@ -123,144 +100,6 @@ let plan_json p =
       ("injections", J.List (List.map injection_json p.injections))
     ]
 
-let pp_plan ppf p = Format.pp_print_string ppf (J.to_string (plan_json p))
-
-(* Decoding: a small result-monad reader over the document model. *)
-
-let ( let* ) = Result.bind
-
-let assoc = function
-  | J.Assoc kvs -> Ok kvs
-  | _ -> Error "fault plan: expected an object"
-
-let key name kvs =
-  match List.assoc_opt name kvs with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "fault plan: missing key %S" name)
-
-let int_key name kvs =
-  let* v = key name kvs in
-  match v with
-  | J.Int n -> Ok n
-  | _ -> Error (Printf.sprintf "fault plan: key %S must be an integer" name)
-
-let string_key name kvs =
-  let* v = key name kvs in
-  match v with
-  | J.String s -> Ok s
-  | _ -> Error (Printf.sprintf "fault plan: key %S must be a string" name)
-
-let signal_fault_of_json j =
-  let* kvs = assoc j in
-  let* kind = string_key "kind" kvs in
-  match kind with
-  | "stuck_at_0" ->
-    let* from_ns = int_key "from_ns" kvs in
-    Ok (Stuck_at_0 { from_ns })
-  | "stuck_at_1" ->
-    let* from_ns = int_key "from_ns" kvs in
-    Ok (Stuck_at_1 { from_ns })
-  | "bit_flip" ->
-    let* bit = int_key "bit" kvs in
-    let* at_ns = int_key "at_ns" kvs in
-    Ok (Bit_flip { bit; at_ns })
-  | "glitch" ->
-    let* bit = int_key "bit" kvs in
-    let* from_ns = int_key "from_ns" kvs in
-    let* duration_ns = int_key "duration_ns" kvs in
-    Ok (Glitch { bit; from_ns; duration_ns })
-  | other -> Error (Printf.sprintf "fault plan: unknown signal fault kind %S" other)
-
-let tlm_fault_of_json j =
-  let* kvs = assoc j in
-  let* kind = string_key "kind" kvs in
-  match kind with
-  | "corrupt_field" ->
-    let* field = string_key "field" kvs in
-    let* f = key "fault" kvs in
-    let* fault = signal_fault_of_json f in
-    Ok (Corrupt_field { field; fault })
-  | "corrupt_data" ->
-    let* index = int_key "index" kvs in
-    let* bit = int_key "bit" kvs in
-    Ok (Corrupt_data { index; bit })
-  | "drop" ->
-    let* index = int_key "index" kvs in
-    Ok (Drop { index })
-  | "extra_delay" ->
-    let* index = int_key "index" kvs in
-    let* delay_ns = int_key "delay_ns" kvs in
-    Ok (Extra_delay { index; delay_ns })
-  | "duplicate" ->
-    let* index = int_key "index" kvs in
-    Ok (Duplicate { index })
-  | "hang" ->
-    let* index = int_key "index" kvs in
-    Ok (Hang { index })
-  | other -> Error (Printf.sprintf "fault plan: unknown tlm fault kind %S" other)
-
-let chaos_of_json j =
-  let* kvs = assoc j in
-  let* kind = string_key "kind" kvs in
-  match kind with
-  | "crash" ->
-    let* at_ns = int_key "at_ns" kvs in
-    let* name = string_key "name" kvs in
-    Ok (Crash { at_ns; name })
-  | "livelock" ->
-    let* at_ns = int_key "at_ns" kvs in
-    Ok (Livelock_loop { at_ns })
-  | other ->
-    (match hard_failure_of_name other with
-     | Some failure ->
-       let* at_ns = int_key "at_ns" kvs in
-       Ok (Hard { at_ns; failure })
-     | None -> Error (Printf.sprintf "fault plan: unknown chaos kind %S" other))
-
-let injection_of_json j =
-  let* kvs = assoc j in
-  let* kind = string_key "kind" kvs in
-  match kind with
-  | "signal" ->
-    let* signal = string_key "signal" kvs in
-    let* f = key "fault" kvs in
-    let* fault = signal_fault_of_json f in
-    Ok (Signal_fault { signal; fault })
-  | "tlm" ->
-    let* socket = string_key "socket" kvs in
-    let* f = key "fault" kvs in
-    let* fault = tlm_fault_of_json f in
-    Ok (Tlm_mutation { socket; fault })
-  | "chaos" ->
-    let* f = key "fault" kvs in
-    let* fault = chaos_of_json f in
-    Ok (Chaos fault)
-  | other -> Error (Printf.sprintf "fault plan: unknown injection kind %S" other)
-
-let plan_of_json j =
-  let* kvs = assoc j in
-  let* plan_name = string_key "plan" kvs in
-  let* injections = key "injections" kvs in
-  let* items =
-    match injections with
-    | J.List items -> Ok items
-    | _ -> Error "fault plan: key \"injections\" must be an array"
-  in
-  let rec decode acc = function
-    | [] -> Ok (List.rev acc)
-    | item :: rest ->
-      let* inj = injection_of_json item in
-      decode (inj :: acc) rest
-  in
-  let* injections = decode [] items in
-  Ok { plan_name; injections }
-
-let plan_of_string s =
-  match J.of_string s with
-  | exception J.Parse_error { line; col; message } ->
-    Error (Printf.sprintf "fault plan: %d:%d: %s" line col message)
-  | j -> plan_of_json j
-
 let diagnosis_json (d : Kernel.diagnosis) =
   match d with
   | Kernel.Completed -> J.Assoc [ ("kind", J.String "completed") ]
@@ -281,61 +120,29 @@ let diagnosis_json (d : Kernel.diagnosis) =
         ("error", J.String error)
       ]
 
-(* ------------------------------------------------------------------ *)
-(* Seeded generation                                                   *)
-(* ------------------------------------------------------------------ *)
+let ( let* ) = Result.bind
 
-let generate ~seed ~signals ~sockets ~horizon_ns ~count =
-  let name = Printf.sprintf "generated-%d" seed in
-  if signals = [] && sockets = [] then { plan_name = name; injections = [] }
-  else begin
-    let st = Random.State.make [| 0x7ab5; seed |] in
-    let instant () = Random.State.int st (max 1 horizon_ns) in
-    let pick_signal () =
-      let signal, width =
-        List.nth signals (Random.State.int st (List.length signals))
-      in
-      let bit = Random.State.int st (max 1 width) in
-      let fault =
-        match Random.State.int st 4 with
-        | 0 -> Stuck_at_0 { from_ns = instant () }
-        | 1 -> Stuck_at_1 { from_ns = instant () }
-        | 2 -> Bit_flip { bit; at_ns = instant () }
-        | _ ->
-          let from_ns = instant () in
-          let duration_ns = 1 + Random.State.int st (max 1 (horizon_ns - from_ns)) in
-          Glitch { bit; from_ns; duration_ns }
-      in
-      Signal_fault { signal; fault }
-    in
-    let pick_tlm () =
-      let socket = List.nth sockets (Random.State.int st (List.length sockets)) in
-      let index = Random.State.int st 16 in
-      let fault =
-        match Random.State.int st 4 with
-        | 0 -> Corrupt_data { index; bit = Random.State.int st 64 }
-        | 1 -> Drop { index }
-        | 2 -> Extra_delay { index; delay_ns = 1 + Random.State.int st 50 }
-        | _ -> Duplicate { index }
-      in
-      Tlm_mutation { socket; fault }
-    in
-    (* Build in index order: [List.init] has unspecified evaluation
-       order, which would break seeded determinism. *)
-    let rec draw acc n =
-      if n = 0 then List.rev acc
-      else begin
-        let inj =
-          if sockets = [] then pick_signal ()
-          else if signals = [] then pick_tlm ()
-          else if Random.State.int st 3 < 2 then pick_signal ()
-          else pick_tlm ()
-        in
-        draw (inj :: acc) (n - 1)
-      end
-    in
-    { plan_name = name; injections = draw [] count }
-  end
+let diagnosis_of_json json =
+  let what = "diagnosis" in
+  let* fields = J.open_assoc what json in
+  let* kind = J.string_field what "kind" fields in
+  match kind with
+  | "completed" -> Ok Kernel.Completed
+  | "starved" ->
+    let* waiting = J.int_field what "waiting" fields in
+    Ok (Kernel.Starved { waiting })
+  | "livelock" ->
+    let* time = J.int_field what "time" fields in
+    let* delta_cycles = J.int_field what "delta_cycles" fields in
+    Ok (Kernel.Livelock { time; delta_cycles })
+  | "budget_exhausted" ->
+    let* steps = J.int_field what "steps" fields in
+    Ok (Kernel.Budget_exhausted { steps })
+  | "process_crashed" ->
+    let* name = J.string_field what "process" fields in
+    let* error = J.string_field what "error" fields in
+    Ok (Kernel.Process_crashed { name; error })
+  | other -> Error (Printf.sprintf "%s: unknown kind %S" what other)
 
 (* ------------------------------------------------------------------ *)
 (* Binding and installation                                            *)
@@ -368,7 +175,6 @@ type installed = {
   armed_count : int;
 }
 
-let armed inst = inst.armed_count
 let triggered inst = inst.triggered_count
 let trigger inst = inst.triggered_count <- inst.triggered_count + 1
 let ones width = if width >= 64 then -1L else Int64.sub (Int64.shift_left 1L width) 1L
@@ -452,12 +258,8 @@ let install_socket kernel inst sb faults =
   Tlm.Initiator.interpose sb.initiator (fun transport payload ->
     let i = !count in
     incr count;
-    (* Pre-transport mutations: timing first, then the call itself. *)
     List.iter
       (function
-        | Extra_delay { index; delay_ns } when index = i ->
-          trigger inst;
-          Process.wait_ns kernel delay_ns
         | Hang { index } when index = i ->
           trigger inst;
           (* An event nobody ever notifies: the initiator thread
@@ -465,34 +267,17 @@ let install_socket kernel inst sb faults =
           Process.wait_event (Event.create kernel "fault.hang")
         | _ -> ())
       faults;
-    let dropped = List.exists (function Drop { index } -> index = i | _ -> false) faults in
-    if dropped then begin
-      trigger inst;
-      payload.Tlm.response_ok <- false
-    end
-    else begin
-      transport payload;
-      List.iter
-        (function
-          | Duplicate { index } when index = i ->
-            trigger inst;
-            transport payload
-          | _ -> ())
-        faults
-    end;
+    transport payload;
     (* Post-transport corruption: visible to the abstracted property
        suite because the checker samples one delta later. *)
     List.iter
       (function
-        | Corrupt_data { index; bit } when index = i ->
-          trigger inst;
-          payload.Tlm.data <- Int64.logxor payload.Tlm.data (Int64.shift_left 1L bit)
         | Corrupt_field { field; fault } ->
           let lens = List.assoc field sb.fields in
           let v = lens.get () in
           let v' = apply_signal_fault inst ~now:(Kernel.now kernel) ~width:lens.width v fault in
           if v' <> v then lens.set v'
-        | _ -> ())
+        | Hang _ -> ())
       faults)
 
 (* Hard failures: crash classes that in-process exception catching
@@ -542,10 +327,6 @@ let install_chaos kernel inst = function
       trigger inst;
       let rec spin () = Kernel.schedule_next_delta kernel spin in
       spin ())
-  | Hard { at_ns; failure } ->
-    Kernel.schedule_at kernel ~time:at_ns (fun () ->
-      trigger inst;
-      execute_hard_failure failure)
 
 let install binding plan =
   let inst = { triggered_count = 0; armed_count = List.length plan.injections } in
@@ -597,8 +378,7 @@ let install binding plan =
    suffers {e what}; [arm]/[apply] turn one encoded frame into the
    wire actions a fault-aware sender executes.  Nothing here touches a
    socket — the client owns the fd and interprets the actions — so the
-   vocabulary stays pure, JSON round-trippable, and testable without
-   a daemon. *)
+   vocabulary stays pure and testable without a daemon. *)
 module Net = struct
   type fault =
     | Torn_frame of { frame : int; pieces : int }
@@ -627,119 +407,10 @@ module Net = struct
 
   let no_faults = { plan_name = "no-net-faults"; faults = [] }
   let plan ~name faults = { plan_name = name; faults }
-  let is_empty p = p.faults = []
   let fault_count p = List.length p.faults
 
-  let fault_json = function
-    | Torn_frame { frame; pieces } ->
-      J.Assoc
-        [ ("kind", J.String "torn_frame");
-          ("frame", J.Int frame);
-          ("pieces", J.Int pieces)
-        ]
-    | Truncated_header { frame; keep } ->
-      J.Assoc
-        [ ("kind", J.String "truncated_header");
-          ("frame", J.Int frame);
-          ("keep", J.Int keep)
-        ]
-    | Corrupt_length { frame; digit } ->
-      J.Assoc
-        [ ("kind", J.String "corrupt_length");
-          ("frame", J.Int frame);
-          ("digit", J.Int digit)
-        ]
-    | Corrupt_version { frame } ->
-      J.Assoc [ ("kind", J.String "corrupt_version"); ("frame", J.Int frame) ]
-    | Slow_loris { frame; delay_ms } ->
-      J.Assoc
-        [ ("kind", J.String "slow_loris");
-          ("frame", J.Int frame);
-          ("delay_ms", J.Int delay_ms)
-        ]
-    | Reset_mid_frame { frame; after } ->
-      J.Assoc
-        [ ("kind", J.String "reset_mid_frame");
-          ("frame", J.Int frame);
-          ("after", J.Int after)
-        ]
-    | Delay_frame { frame; delay_ms } ->
-      J.Assoc
-        [ ("kind", J.String "delay_frame");
-          ("frame", J.Int frame);
-          ("delay_ms", J.Int delay_ms)
-        ]
-    | Duplicate_frame { frame } ->
-      J.Assoc [ ("kind", J.String "duplicate_frame"); ("frame", J.Int frame) ]
-    | Handshake_garbage { bytes } ->
-      J.Assoc [ ("kind", J.String "handshake_garbage"); ("bytes", J.Int bytes) ]
-
-  let plan_json p =
-    J.Assoc
-      [ ("plan", J.String p.plan_name);
-        ("faults", J.List (List.map fault_json p.faults))
-      ]
-
-  let fault_of_json j =
-    let* kvs = assoc j in
-    let* kind = string_key "kind" kvs in
-    match kind with
-    | "torn_frame" ->
-      let* frame = int_key "frame" kvs in
-      let* pieces = int_key "pieces" kvs in
-      Ok (Torn_frame { frame; pieces })
-    | "truncated_header" ->
-      let* frame = int_key "frame" kvs in
-      let* keep = int_key "keep" kvs in
-      Ok (Truncated_header { frame; keep })
-    | "corrupt_length" ->
-      let* frame = int_key "frame" kvs in
-      let* digit = int_key "digit" kvs in
-      Ok (Corrupt_length { frame; digit })
-    | "corrupt_version" ->
-      let* frame = int_key "frame" kvs in
-      Ok (Corrupt_version { frame })
-    | "slow_loris" ->
-      let* frame = int_key "frame" kvs in
-      let* delay_ms = int_key "delay_ms" kvs in
-      Ok (Slow_loris { frame; delay_ms })
-    | "reset_mid_frame" ->
-      let* frame = int_key "frame" kvs in
-      let* after = int_key "after" kvs in
-      Ok (Reset_mid_frame { frame; after })
-    | "delay_frame" ->
-      let* frame = int_key "frame" kvs in
-      let* delay_ms = int_key "delay_ms" kvs in
-      Ok (Delay_frame { frame; delay_ms })
-    | "duplicate_frame" ->
-      let* frame = int_key "frame" kvs in
-      Ok (Duplicate_frame { frame })
-    | "handshake_garbage" ->
-      let* bytes = int_key "bytes" kvs in
-      Ok (Handshake_garbage { bytes })
-    | other -> Error (Printf.sprintf "net fault plan: unknown kind %S" other)
-
-  let plan_of_json j =
-    let* kvs = assoc j in
-    let* plan_name = string_key "plan" kvs in
-    let* faults = key "faults" kvs in
-    let* items =
-      match faults with
-      | J.List items -> Ok items
-      | _ -> Error "net fault plan: key \"faults\" must be an array"
-    in
-    let rec decode acc = function
-      | [] -> Ok (List.rev acc)
-      | item :: rest ->
-        let* f = fault_of_json item in
-        decode (f :: acc) rest
-    in
-    let* faults = decode [] items in
-    Ok { plan_name; faults }
-
-  (* Seeded generation, same contract as the DUV-level {!generate}:
-     identical [(seed, frames, count)] always yields the identical
-     plan, and faults are drawn in index order. *)
+  (* Seeded generation: identical [(seed, frames, count)] always
+     yields the identical plan, and faults are drawn in index order. *)
   let generate ~seed ~frames ~count =
     let name = Printf.sprintf "net-generated-%d" seed in
     if frames < 1 || count < 1 then { plan_name = name; faults = [] }
@@ -912,7 +583,6 @@ module Io = struct
     | Fsync_eio of { op : int }  (* fsync op [op] fails with EIO *)
     | Fsync_lie of { op : int }
         (* fsync op [op] acks without syncing — durable prefix stalls *)
-    | Rename_fail of { op : int }  (* rename op [op] fails with EIO *)
     | Power_cut of { op : int }
         (* everything from write op [op] on fails with EIO *)
 
@@ -922,106 +592,7 @@ module Io = struct
     faults : fault list;
   }
 
-  let no_faults = { plan_name = "no-io-faults"; scope = ""; faults = [] }
   let plan ~name ~scope faults = { plan_name = name; scope; faults }
-  let is_empty p = p.faults = []
-  let fault_count p = List.length p.faults
-
-  let fault_json = function
-    | Short_write { op; keep } ->
-      J.Assoc
-        [ ("kind", J.String "short_write");
-          ("op", J.Int op);
-          ("keep", J.Int keep)
-        ]
-    | Enospc_after { bytes } ->
-      J.Assoc [ ("kind", J.String "enospc_after"); ("bytes", J.Int bytes) ]
-    | Write_eio { op } ->
-      J.Assoc [ ("kind", J.String "write_eio"); ("op", J.Int op) ]
-    | Fsync_eio { op } ->
-      J.Assoc [ ("kind", J.String "fsync_eio"); ("op", J.Int op) ]
-    | Fsync_lie { op } ->
-      J.Assoc [ ("kind", J.String "fsync_lie"); ("op", J.Int op) ]
-    | Rename_fail { op } ->
-      J.Assoc [ ("kind", J.String "rename_fail"); ("op", J.Int op) ]
-    | Power_cut { op } ->
-      J.Assoc [ ("kind", J.String "power_cut"); ("op", J.Int op) ]
-
-  let plan_json p =
-    J.Assoc
-      [ ("plan", J.String p.plan_name);
-        ("scope", J.String p.scope);
-        ("faults", J.List (List.map fault_json p.faults))
-      ]
-
-  let fault_of_json j =
-    let* kvs = assoc j in
-    let* kind = string_key "kind" kvs in
-    match kind with
-    | "short_write" ->
-      let* op = int_key "op" kvs in
-      let* keep = int_key "keep" kvs in
-      Ok (Short_write { op; keep })
-    | "enospc_after" ->
-      let* bytes = int_key "bytes" kvs in
-      Ok (Enospc_after { bytes })
-    | "write_eio" ->
-      let* op = int_key "op" kvs in
-      Ok (Write_eio { op })
-    | "fsync_eio" ->
-      let* op = int_key "op" kvs in
-      Ok (Fsync_eio { op })
-    | "fsync_lie" ->
-      let* op = int_key "op" kvs in
-      Ok (Fsync_lie { op })
-    | "rename_fail" ->
-      let* op = int_key "op" kvs in
-      Ok (Rename_fail { op })
-    | "power_cut" ->
-      let* op = int_key "op" kvs in
-      Ok (Power_cut { op })
-    | other -> Error (Printf.sprintf "io fault plan: unknown kind %S" other)
-
-  let plan_of_json j =
-    let* kvs = assoc j in
-    let* plan_name = string_key "plan" kvs in
-    let* scope = string_key "scope" kvs in
-    let* faults = key "faults" kvs in
-    let* items =
-      match faults with
-      | J.List items -> Ok items
-      | _ -> Error "io fault plan: key \"faults\" must be an array"
-    in
-    let rec decode acc = function
-      | [] -> Ok (List.rev acc)
-      | item :: rest ->
-        let* f = fault_of_json item in
-        decode (f :: acc) rest
-    in
-    let* faults = decode [] items in
-    Ok { plan_name; scope; faults }
-
-  let generate ~seed ~scope ~ops ~count =
-    let name = Printf.sprintf "io-generated-%d" seed in
-    if ops < 1 || count < 1 then { plan_name = name; scope; faults = [] }
-    else begin
-      let st = Random.State.make [| 0x10f5; 0xd15c; seed |] in
-      let pick () =
-        let op = Random.State.int st ops in
-        match Random.State.int st 7 with
-        | 0 -> Short_write { op; keep = Random.State.int st 16 }
-        | 1 -> Enospc_after { bytes = Random.State.int st 4096 }
-        | 2 -> Write_eio { op }
-        | 3 -> Fsync_eio { op }
-        | 4 -> Fsync_lie { op }
-        | 5 -> Rename_fail { op }
-        | _ -> Power_cut { op }
-      in
-      let rec draw acc n =
-        if n = 0 then List.rev acc else draw (pick () :: acc) (n - 1)
-      in
-      { plan_name = name; scope; faults = draw [] count }
-    end
 
   (* --- arming ------------------------------------------------------ *)
 
@@ -1036,7 +607,6 @@ module Io = struct
     files : (string, file_state) Hashtbl.t;
     mutable writes : int;
     mutable fsyncs : int;
-    mutable renames : int;
     mutable dead : bool;  (* a Power_cut fired *)
     mutable io_triggered : int;
     lock : Mutex.t;  (* the hook is consulted from worker domains *)
@@ -1048,13 +618,11 @@ module Io = struct
       files = Hashtbl.create 8;
       writes = 0;
       fsyncs = 0;
-      renames = 0;
       dead = false;
       io_triggered = 0;
       lock = Mutex.create ();
     }
 
-  let armed_faults a = fault_count a.armed_plan
   let io_triggered a = a.io_triggered
 
   let locked a f =
@@ -1170,36 +738,20 @@ module Io = struct
               Tabv_core.Io.Fsync_through
           end)
 
-  let on_rename a ~src ~dst =
-    ignore src;
-    if not (in_scope a dst) then Tabv_core.Io.Op_through
+  (* Renames and closes carry no indexed fault: in scope, they fail
+     once a [Power_cut] has fired. *)
+  let after_power_cut a path =
+    if not (in_scope a path) then Tabv_core.Io.Op_through
     else
       locked a (fun () ->
-          let n = a.renames in
-          a.renames <- n + 1;
-          if a.dead then Tabv_core.Io.Op_error Unix.EIO
-          else begin
-            let decide = function
-              | Rename_fail { op } when op = n ->
-                fired a;
-                Some (Tabv_core.Io.Op_error Unix.EIO)
-              | _ -> None
-            in
-            match List.find_map decide a.armed_plan.faults with
-            | Some d -> d
-            | None -> Tabv_core.Io.Op_through
-          end)
-
-  let on_close a ~path =
-    if (not (in_scope a path)) || not a.dead then Tabv_core.Io.Op_through
-    else Tabv_core.Io.Op_error Unix.EIO
+          if a.dead then Tabv_core.Io.Op_error Unix.EIO else Tabv_core.Io.Op_through)
 
   let hook a =
     {
       Tabv_core.Io.on_write = (fun ~path ~offset ~len -> on_write a ~path ~offset ~len);
       on_fsync = (fun ~path -> on_fsync a ~path);
-      on_rename = (fun ~src ~dst -> on_rename a ~src ~dst);
-      on_close = (fun ~path -> on_close a ~path);
+      on_rename = (fun ~src:_ ~dst -> after_power_cut a dst);
+      on_close = (fun ~path -> after_power_cut a path);
     }
 
   let install a = Tabv_core.Io.interpose (hook a)

@@ -1,16 +1,14 @@
-(** Deterministic, seedable fault injection for qualification
-    campaigns.
+(** Deterministic fault injection for qualification campaigns.
 
     A {!plan} is a pure description of design bugs to inject — signal
     saboteurs, TLM transaction mutators and kernel-level chaos — that
-    serializes to/from the campaign manifest JSON and compiles, via
-    {!install}, onto a concrete design through the {!Tabv_sim.Signal}
-    and {!Tabv_sim.Tlm} interposition hooks.  No DUV logic is touched:
-    saboteurs transform driven signal values in the update phase,
-    mutators wrap the blocking-transport call, and chaos injections
-    are scheduled kernel actions.  Everything is a function of the
-    plan and the simulation schedule, so a replay of the same plan on
-    the same design is bit-identical.
+    compiles, via {!install}, onto a concrete design through the
+    {!Tabv_sim.Signal} and {!Tabv_sim.Tlm} interposition hooks.  No
+    DUV logic is touched: saboteurs transform driven signal values in
+    the update phase, mutators wrap the blocking-transport call, and
+    chaos injections are scheduled kernel actions.  Everything is a
+    function of the plan and the simulation schedule, so a replay of
+    the same plan on the same design is bit-identical.
 
     The point (after Bombieri et al.'s re-use argument): inject the
     same conceptual fault at RTL and at the abstracted TLM levels and
@@ -34,14 +32,6 @@ type tlm_fault =
   | Corrupt_field of { field : string; fault : signal_fault }
       (** after each transport call, pass the named observable field
           (bound by a {!lens}) through [fault] *)
-  | Corrupt_data of { index : int; bit : int }
-      (** flip one bit of [payload.data] after transaction [index] *)
-  | Drop of { index : int }
-      (** transaction [index] never reaches the target; its
-          [response_ok] is cleared *)
-  | Extra_delay of { index : int; delay_ns : int }
-      (** transaction [index] consumes [delay_ns] extra ns first *)
-  | Duplicate of { index : int }  (** transaction [index] is sent twice *)
   | Hang of { index : int }
       (** transaction [index] blocks forever (the initiator thread
           waits on an event that never fires — ends as [Starved]) *)
@@ -69,8 +59,6 @@ type chaos =
   | Livelock_loop of { at_ns : int }
       (** an action reschedules itself every delta cycle from [at_ns]
           (ends as [Livelock] via the delta cap) *)
-  | Hard of { at_ns : int; failure : hard_failure }
-      (** an action executes {!execute_hard_failure} at [at_ns] *)
 
 type injection =
   | Signal_fault of { signal : string; fault : signal_fault }
@@ -82,8 +70,8 @@ type plan = {
   injections : injection list;
 }
 
-(** ["abort"] / ["alloc_storm"] / ["busy_loop"] (also the JSON chaos
-    kinds). *)
+(** ["abort"] / ["alloc_storm"] / ["busy_loop"] (also the campaign
+    manifest's ["chaos_kind"] values). *)
 val hard_failure_name : hard_failure -> string
 
 val hard_failure_of_name : string -> hard_failure option
@@ -91,48 +79,26 @@ val hard_failure_of_name : string -> hard_failure option
 (** Execute one hard failure {e in the calling process} — never
     returns normally.  [Abort] terminates the process via SIGABRT;
     [Alloc_storm] and [Busy_loop] never terminate on their own.  Used
-    by kernel chaos injections ({!chaos}) and by the campaign runner's
-    deterministic per-job chaos hook. *)
+    by the campaign runner's deterministic per-job chaos hook. *)
 val execute_hard_failure : hard_failure -> 'a
 
-val no_faults : plan
 val plan : name:string -> injection list -> plan
 val is_empty : plan -> bool
-val injection_count : plan -> int
-val equal_plan : plan -> plan -> bool
-val pp_plan : Format.formatter -> plan -> unit
 
-(** {2 JSON (campaign manifests and reports)} *)
+(** {2 JSON (reports)} *)
 
-(** [{"plan": name, "injections": [{"kind": ..}, ..]}] — deterministic
-    key order, round-trips through {!plan_of_json}. *)
+(** [{"plan": name, "injections": [{"kind": ..}, ..]}] with a
+    deterministic key order, as the qualify report prints it. *)
 val plan_json : plan -> Tabv_core.Report_json.json
-
-val plan_of_json : Tabv_core.Report_json.json -> (plan, string) result
-
-(** Parse a JSON string into a plan ([Error] on malformed JSON too). *)
-val plan_of_string : string -> (plan, string) result
 
 (** A {!Tabv_sim.Kernel.diagnosis} as a JSON object, e.g.
     [{"kind":"livelock","time":40,"delta_cycles":1000000}]. *)
 val diagnosis_json : Tabv_sim.Kernel.diagnosis -> Tabv_core.Report_json.json
 
-(** {2 Seeded generation}
-
-    [generate ~seed ~signals ~sockets ~horizon_ns ~count] draws
-    [count] injections over the given signal (name, width) and socket
-    namespaces with all instants inside [horizon_ns].  Pure function
-    of its arguments (private PRNG), so campaign workers regenerate
-    identical plans from the manifest seed.  Only terminating,
-    self-contained faults are drawn (no [Hang], no [Corrupt_field],
-    no chaos — those are named explicitly in plans). *)
-val generate :
-  seed:int ->
-  signals:(string * int) list ->
-  sockets:string list ->
-  horizon_ns:int ->
-  count:int ->
-  plan
+(** Inverse of {!diagnosis_json} (worker pipes and journal lines carry
+    diagnoses back). *)
+val diagnosis_of_json :
+  Tabv_core.Report_json.json -> (Tabv_sim.Kernel.diagnosis, string) result
 
 (** {2 Binding and installation} *)
 
@@ -177,9 +143,6 @@ type installed
     level). *)
 val install : binding -> plan -> installed
 
-(** Number of injections compiled in. *)
-val armed : installed -> int
-
 (** Total fault activations so far: a saboteur application that
     changed a value, or a mutator/chaos firing.  [0] at the end of a
     run means the fault was {e latent} — never exercised. *)
@@ -195,8 +158,8 @@ val triggered : installed -> int
     {!Net.arm}/{!Net.apply} turn one encoded frame into the wire
     {!Net.action}s a fault-aware sender executes.  Nothing in here
     touches a socket: the sender owns the fd and interprets the
-    actions, so the vocabulary stays pure, JSON round-trippable, and
-    testable without a daemon. *)
+    actions, so the vocabulary stays pure and testable without a
+    daemon. *)
 module Net : sig
   type fault =
     | Torn_frame of { frame : int; pieces : int }
@@ -228,18 +191,10 @@ module Net : sig
 
   val no_faults : plan
   val plan : name:string -> fault list -> plan
-  val is_empty : plan -> bool
-  val fault_count : plan -> int
-
-  (** [{"plan": name, "faults": [{"kind": ..}, ..]}]; round-trips
-      through {!plan_of_json}. *)
-  val plan_json : plan -> Tabv_core.Report_json.json
-
-  val plan_of_json : Tabv_core.Report_json.json -> (plan, string) result
 
   (** [generate ~seed ~frames ~count] draws [count] faults over frames
       [0 .. frames-1].  Pure function of its arguments (private PRNG,
-      drawn in index order), like the DUV-level {!generate}. *)
+      drawn in index order). *)
   val generate : seed:int -> frames:int -> count:int -> plan
 
   (** One wire-level step of a faulted send, in order.  [`Reset]
@@ -266,6 +221,7 @@ module Net : sig
       is exactly [[`Chunk frame_bytes]]. *)
   val apply : armed -> string -> action list
 
+  (** Number of faults in the armed plan. *)
   val armed_faults : armed -> int
 
   (** Faults that actually fired so far (latent faults target frames
@@ -304,9 +260,6 @@ module Io : sig
         (** fsync op [op] reports success without syncing: the durable
             prefix does not advance, so a crash image drops the
             acknowledged bytes *)
-    | Rename_fail of { op : int }
-        (** rename op [op] fails with [EIO] — a torn
-            temp+rename commit, leaving the [.tmp] orphan behind *)
     | Power_cut of { op : int }
         (** the machine dies at write op [op]: that write and every
             in-scope primitive after it fail with [EIO]; the harness
@@ -320,22 +273,7 @@ module Io : sig
     faults : fault list;
   }
 
-  val no_faults : plan
   val plan : name:string -> scope:string -> fault list -> plan
-  val is_empty : plan -> bool
-  val fault_count : plan -> int
-
-  (** [{"plan": name, "scope": suffix, "faults": [{"kind": ..}, ..]}];
-      round-trips through {!plan_of_json}. *)
-  val plan_json : plan -> Tabv_core.Report_json.json
-
-  val plan_of_json : Tabv_core.Report_json.json -> (plan, string) result
-
-  (** [generate ~seed ~scope ~ops ~count] draws [count] faults over
-      operation indices [0 .. ops-1].  Pure function of its arguments
-      (private PRNG, drawn in order), like the DUV-level
-      {!val:generate}. *)
-  val generate : seed:int -> scope:string -> ops:int -> count:int -> plan
 
   (** Mutable bookkeeping shared by one compiled plan: per-path write
       boundaries and durable prefixes, per-kind operation counters,
@@ -352,8 +290,6 @@ module Io : sig
 
   (** Clears the global interpose hook. *)
   val uninstall : unit -> unit
-
-  val armed_faults : armed -> int
 
   (** Faults that actually fired so far. *)
   val io_triggered : armed -> int

@@ -235,7 +235,7 @@ let () =
     | _ -> None)
 
 let decode_worker_request json =
-  let* fields = Tabv_campaign.Wire.open_assoc worker_op json in
+  let* fields = J.open_assoc worker_op json in
   let* state_dir =
     match List.assoc_opt "state_dir" fields with
     | None -> Ok None
@@ -271,9 +271,9 @@ let worker_request_json ~state_dir job =
 
 let decode_worker_reply json =
   let what = worker_op ^ " reply" in
-  let* fields = Tabv_campaign.Wire.open_assoc what json in
-  let* green = Tabv_campaign.Wire.bool_field what "green" fields in
-  let* report = Tabv_campaign.Wire.string_field what "report" fields in
+  let* fields = J.open_assoc what json in
+  let* green = J.bool_field what "green" fields in
+  let* report = J.string_field what "report" fields in
   Ok { green; report }
 
 (* Make the [_worker] serve loop understand serve requests.  Every

@@ -13,7 +13,6 @@
    several requests in flight on one socket. *)
 
 module J = Tabv_core.Report_json
-module Wire = Tabv_campaign.Wire
 
 let frame_version = 1
 let protocol_version = 1
@@ -159,19 +158,19 @@ let int_default what key ~default fields =
 
 let decode_check what op ~record fields =
   let* () = refuse_engine op fields in
-  let* model_name = Wire.string_field what "model" fields in
+  let* model_name = J.string_field what "model" fields in
   let* model =
     match Tabv_duv.Models.of_name model_name with
     | Some m -> Ok m
     | None -> Error (Printf.sprintf "%s: unknown model %S" what model_name)
   in
-  let* seed = Wire.int_field what "seed" fields in
-  let* ops = Wire.int_field what "ops" fields in
+  let* seed = J.int_field what "seed" fields in
+  let* ops = J.int_field what "ops" fields in
   let* props = decode_props what fields in
   let* trace_out =
     if not record then Ok None
     else
-      let* path = Wire.string_field what "trace_out" fields in
+      let* path = J.string_field what "trace_out" fields in
       Ok (Some path)
   in
   Ok (Check { model; seed; ops; props; engine = None; trace_out })
@@ -181,13 +180,13 @@ let decode_job what op fields =
   | "check" -> decode_check what op ~record:false fields
   | "record" -> decode_check what op ~record:true fields
   | "recheck" ->
-    let* trace = Wire.string_field what "trace" fields in
+    let* trace = J.string_field what "trace" fields in
     let* props = decode_props what fields in
     let* workers = int_default what "workers" ~default:1 fields in
     let* retries = int_default what "retries" ~default:1 fields in
     Ok (Recheck { trace; props; workers; retries })
   | "campaign" ->
-    let* manifest = Wire.field what "manifest" fields in
+    let* manifest = J.field what "manifest" fields in
     let* workers = int_default what "workers" ~default:1 fields in
     let* retries =
       match List.assoc_opt "retries" fields with
@@ -203,16 +202,16 @@ let decode_job what op fields =
     in
     Ok (Campaign { manifest; workers; retries; journal })
   | "qualify" ->
-    let* duv_name = Wire.string_field what "duv" fields in
+    let* duv_name = J.string_field what "duv" fields in
     let* duv =
       match Tabv_duv.Models.duv_of_name duv_name with
       | Some d -> Ok d
       | None -> Error (Printf.sprintf "%s: unknown duv %S" what duv_name)
     in
     let* levels =
-      let* v = Wire.field what "levels" fields in
-      let* items = Wire.open_list (what ^ ".levels") v in
-      Wire.map_result
+      let* v = J.field what "levels" fields in
+      let* items = J.open_list (what ^ ".levels") v in
+      J.map_result
         (fun item ->
           match item with
           | J.String name ->
@@ -222,8 +221,8 @@ let decode_job what op fields =
           | _ -> Error (what ^ ".levels: expected strings"))
         items
     in
-    let* seed = Wire.int_field what "seed" fields in
-    let* ops = Wire.int_field what "ops" fields in
+    let* seed = J.int_field what "seed" fields in
+    let* ops = J.int_field what "ops" fields in
     let* workers = int_default what "workers" ~default:1 fields in
     let* retries = int_default what "retries" ~default:1 fields in
     Ok (Qualify { duv; levels; seed; ops; workers; retries })
@@ -231,9 +230,9 @@ let decode_job what op fields =
 
 let request_of_json json =
   let what = "request" in
-  let* fields = Wire.open_assoc what json in
-  let* id = Wire.int_field what "id" fields in
-  let* op = Wire.string_field what "op" fields in
+  let* fields = J.open_assoc what json in
+  let* id = J.int_field what "id" fields in
+  let* op = J.string_field what "op" fields in
   let* request =
     match op with
     | "ping" -> Ok (Control Ping)
@@ -254,13 +253,13 @@ let hello_json =
 
 let check_hello json =
   let what = "hello" in
-  let* fields = Wire.open_assoc what json in
-  let* name = Wire.string_field what "hello" fields in
+  let* fields = J.open_assoc what json in
+  let* name = J.string_field what "hello" fields in
   let* () =
     if name = hello_name then Ok ()
     else Error (Printf.sprintf "not a tabv-serve endpoint (hello %S)" name)
   in
-  let* protocol = Wire.int_field what "protocol" fields in
+  let* protocol = J.int_field what "protocol" fields in
   if protocol = protocol_version then Ok ()
   else
     Error
@@ -309,32 +308,32 @@ let event_json ~id event =
 
 let event_of_json json =
   let what = "event" in
-  let* fields = Wire.open_assoc what json in
-  let* id = Wire.int_field what "id" fields in
-  let* kind = Wire.string_field what "event" fields in
+  let* fields = J.open_assoc what json in
+  let* id = J.int_field what "id" fields in
+  let* kind = J.string_field what "event" fields in
   let* event =
     match kind with
     | "accepted" ->
-      let* position = Wire.int_field what "position" fields in
+      let* position = J.int_field what "position" fields in
       Ok (Accepted { position })
     | "rejected" ->
-      let* retry_after_ms = Wire.int_field what "retry_after_ms" fields in
+      let* retry_after_ms = J.int_field what "retry_after_ms" fields in
       Ok (Rejected { retry_after_ms })
     | "started" -> Ok Started
     | "result" ->
-      let* ok = Wire.bool_field what "ok" fields in
-      let* warm = Wire.bool_field what "warm" fields in
-      let* report = Wire.string_field what "report" fields in
+      let* ok = J.bool_field what "ok" fields in
+      let* warm = J.bool_field what "warm" fields in
+      let* report = J.string_field what "report" fields in
       Ok (Result { ok; warm; report })
     | "error" ->
-      let* message = Wire.string_field what "message" fields in
+      let* message = J.string_field what "message" fields in
       Ok (Error { message })
     | "pong" -> Ok Pong
     | "stats" ->
-      let* metrics = Wire.field what "metrics" fields in
+      let* metrics = J.field what "metrics" fields in
       Ok (Stats_reply metrics)
     | "invalidated" ->
-      let* entries = Wire.int_field what "entries" fields in
+      let* entries = J.int_field what "entries" fields in
       Ok (Invalidated { entries })
     | "shutting_down" -> Ok Shutting_down
     | other -> Error (Printf.sprintf "%s: unknown event %S" what other)

@@ -1,5 +1,5 @@
 (* The tabv-serve daemon: a persistent, concurrent verification
-   service over versioned Wire frames.
+   service over versioned {!Tabv_core.Frame} frames.
 
    One single-threaded coordinator (this module's select loop) owns
    every socket, the bounded fair scheduler, the warm result cache and

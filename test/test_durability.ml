@@ -210,48 +210,8 @@ let io_cases =
 
 (* --- Fault.Io vocabulary ------------------------------------------- *)
 
-let all_kinds_plan =
-  FIo.plan ~name:"everything" ~scope:".journal"
-    [ FIo.Short_write { op = 1; keep = 3 };
-      FIo.Enospc_after { bytes = 100 };
-      FIo.Write_eio { op = 2 };
-      FIo.Fsync_eio { op = 3 };
-      FIo.Fsync_lie { op = 4 };
-      FIo.Rename_fail { op = 5 };
-      FIo.Power_cut { op = 6 } ]
-
 let fault_io_cases =
-  [ case "plans survive the wire byte-for-byte" (fun () ->
-      let emitted = J.to_string (FIo.plan_json all_kinds_plan) in
-      match FIo.plan_of_json (J.of_string emitted) with
-      | Error e -> Alcotest.fail e
-      | Ok back ->
-        Alcotest.(check string) "re-emission identical" emitted
-          (J.to_string (FIo.plan_json back));
-        Alcotest.(check int) "fault count" 7 (FIo.fault_count back));
-    case "plan_of_json rejects garbage" (fun () ->
-      (match FIo.plan_of_json (J.String "nope") with
-       | Error _ -> ()
-       | Ok _ -> Alcotest.fail "non-object accepted");
-      match
-        FIo.plan_of_json
-          (J.Assoc
-             [ ("plan", J.String "p");
-               ("scope", J.String "");
-               ("faults", J.List [ J.Assoc [ ("kind", J.String "meteor") ] ]) ])
-      with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "unknown fault kind accepted");
-    case "generate is a pure function of its arguments" (fun () ->
-      let p seed = FIo.generate ~seed ~scope:".journal" ~ops:40 ~count:6 in
-      Alcotest.(check string) "same seed, same plan"
-        (J.to_string (FIo.plan_json (p 5)))
-        (J.to_string (FIo.plan_json (p 5)));
-      Alcotest.(check int) "count honoured" 6 (FIo.fault_count (p 5));
-      Alcotest.(check bool) "different seeds differ" true
-        (J.to_string (FIo.plan_json (p 1))
-        <> J.to_string (FIo.plan_json (p 2))));
-    case "out-of-scope files never trigger" (fun () ->
+  [ case "out-of-scope files never trigger" (fun () ->
       with_temp_dir (fun dir ->
         let armed =
           FIo.arm
