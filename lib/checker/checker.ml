@@ -78,31 +78,27 @@ let sampling_events ~clock ~clocks property =
 
 (* One kernel action steps a whole pool (or the subset of it sampling
    at one clock event): the sampler is primed once, then every monitor
-   advances in attach order.  The action keeps the bookkeeping one
-   action per monitor had: one kernel activation per extra monitor, a
-   stop poll between monitors, and per-monitor crash containment when
-   the run asks for it. *)
+   advances in attach order on that prime.  The action keeps the
+   bookkeeping one action per monitor had: one kernel activation per
+   extra monitor, and per-monitor crash containment when the run asks
+   for it.  Only drivers stop a run, never a monitor, so one stop poll
+   before the first monitor decides for the whole pool. *)
 let step_pool kernel sampler monitors =
   let n = Array.length monitors in
   fun () ->
     let time = Kernel.now kernel in
     let valuation = Sampler.prime_valuation sampler ~time in
-    if Kernel.containing kernel then begin
-      let i = ref 0 in
-      while !i < n && not (Kernel.stopping kernel) do
-        if !i > 0 then Kernel.add_activation kernel;
-        (try Monitor.advance (Array.unsafe_get monitors !i) ~time ~valuation
-         with e -> Kernel.record_crash kernel e);
-        incr i
-      done
-    end
-    else begin
-      let i = ref 0 in
-      while !i < n && not (Kernel.stopping kernel) do
-        if !i > 0 then Kernel.add_activation kernel;
-        Monitor.advance (Array.unsafe_get monitors !i) ~time ~valuation;
-        incr i
-      done
+    if not (Kernel.stopping kernel) then begin
+      Kernel.add_activations kernel (n - 1);
+      if Kernel.containing kernel then
+        for i = 0 to n - 1 do
+          try Monitor.advance (Array.unsafe_get monitors i) ~time ~valuation
+          with e -> Kernel.record_crash kernel e
+        done
+      else
+        for i = 0 to n - 1 do
+          Monitor.advance (Array.unsafe_get monitors i) ~time ~valuation
+        done
     end
 
 (* Clock-edge pools: one action per distinct sampling event, stepping

@@ -84,13 +84,15 @@ type t
     every monitor in attach order ({!Monitor.advance}: a monitor whose
     last step changed nothing but counters, and whose atoms that step
     read hold the same values again, replays that step's counter
-    deltas instead of stepping).  It keeps
-    the bookkeeping of one action per monitor: one kernel activation
-    per extra monitor ({!Kernel.add_activation}), a stop poll between
-    monitors, and — when the run contains crashes ({!Kernel.containing})
-    — each monitor's exception contained on its own
-    ({!Kernel.record_crash}), so the rest of the pool still steps.
-    Grid pools keep one timer per monitor.
+    deltas instead of stepping).  No monitor primes again: each reads
+    the action's prime.  The action keeps the bookkeeping of one action
+    per monitor: one kernel activation per extra monitor, counted in
+    one {!Kernel.add_activations} call, and — when the run contains
+    crashes ({!Kernel.containing}) — each monitor's exception contained
+    on its own ({!Kernel.record_crash}), so the rest of the pool still
+    steps.  It polls {!Kernel.stopping} once, before the first monitor:
+    only drivers stop a run, so a pool that starts steps whole.  Grid
+    pools keep one timer per monitor.
 
     When the effective metrics registry is enabled, the pool registers
     pull probes so the registry totals checker activity across every

@@ -29,7 +29,10 @@ type t = {
   sampler : Sampler.t;
   eval : Interned.t -> bool;  (* [Sampler.evaluator sampler] *)
   counts : Sampler.counters;  (* [Sampler.counters sampler] *)
+  stats : Progression.handle;  (* the creating domain's memo statistics *)
   mutable live : live_state list;  (* insertion order *)
+  mutable n_live : int;  (* activation times held in [live] *)
+  mutable n_distinct : int;  (* records in [live] *)
   mutable last_step : int;
       (* instant [live] was last stepped: its waits count from here *)
   mutable started : bool;
@@ -52,7 +55,6 @@ type t = {
      [-1] until first needed). *)
   gate_mask : int;
   mutable activation_mask : int;
-  mutable stats : Progression.handle;  (* universe of the last real step *)
   mutable replayable : bool;
   mutable memo_mask : int;
   mutable memo_valuation : int;
@@ -102,7 +104,10 @@ let create ~sampler property =
     sampler;
     eval = Sampler.evaluator sampler;
     counts = Sampler.counters sampler;
+    stats = Progression.handle ();
     live = [];
+    n_live = 0;
+    n_distinct = 0;
     last_step = 0;
     started = false;
     failures = [];
@@ -119,7 +124,6 @@ let create ~sampler property =
        | Some gate -> Sampler.mask sampler gate
        | None -> 0);
     activation_mask = -1;
-    stats = Progression.handle ();
     replayable = false;
     memo_mask = 0;
     memo_valuation = -1;
@@ -171,6 +175,11 @@ let rec holder state = function
   | [] -> raise Not_found
   | ls :: rest -> if ls.state == state then ls else holder state rest
 
+(* A record of [n] activation times leaves the multiset. *)
+let retire t n =
+  t.n_live <- t.n_live - n;
+  t.n_distinct <- t.n_distinct - 1
+
 (* Retire resolved records (a pass per activation, or a failure per
    activation) and fold each record into the first one that reached
    the same state, keeping insertion order.  A linear scan beats a
@@ -180,26 +189,30 @@ let rec settle t ~time kept = function
   | [] -> List.rev kept
   | ls :: rest ->
     if Progression.is_true ls.state then begin
-      t.passes <- t.passes + List.length ls.activations_at;
+      let n = List.length ls.activations_at in
+      t.passes <- t.passes + n;
+      retire t n;
       settle t ~time kept rest
     end
     else if Progression.is_false ls.state then begin
       List.iter
         (fun activation_time -> record_failure t ~activation_time ~failure_time:time)
         ls.activations_at;
+      retire t (List.length ls.activations_at);
       settle t ~time kept rest
     end
     else
       match holder ls.state kept with
       | first ->
         first.activations_at <- merge_sorted first.activations_at ls.activations_at;
+        t.n_distinct <- t.n_distinct - 1;
         settle t ~time kept rest
       | exception Not_found -> settle t ~time (ls :: kept) rest
 
 (* Activation of a new instance.  [initial] holds no wait, so its step
    does not depend on [dt]. *)
-let activate t stats ~time =
-  let ob = Progression.step_atoms_in stats ~dt:0 t.eval t.initial in
+let activate t ~time =
+  let ob = Progression.step_atoms_in t.stats ~dt:0 t.eval t.initial in
   if Progression.is_true ob then begin
     t.passes <- t.passes + 1;
     t.trivial_passes <- t.trivial_passes + 1
@@ -208,35 +221,36 @@ let activate t stats ~time =
     t.activations <- t.activations + 1;
     if Progression.is_false ob then
       record_failure t ~activation_time:time ~failure_time:time
-    else
+    else begin
+      t.n_live <- t.n_live + 1;
       match holder ob t.live with
       | ls -> ls.activations_at <- merge_sorted ls.activations_at [ time ]
       | exception Not_found ->
+        t.n_distinct <- t.n_distinct + 1;
         t.live <- t.live @ [ { state = ob; activations_at = [ time ] } ]
+    end
   end
 
 (* Nothing here allocates unless the multiset changes shape: a step
    that keeps every live state and activates trivially (the common
-   idle step) only writes fields.  [stats] is the calling domain's
-   {!Progression.handle}: every state of the multiset steps, and every
-   counter snapshot reads, through it. *)
-let step_states t (stats : Progression.handle) ~time =
+   idle step) only writes fields.  Every state of the multiset steps,
+   and every counter snapshot reads, through the monitor's
+   {!Progression.handle}. *)
+let step_states t ~time =
+  let stats = t.stats in
   let hits0 = stats.hits in
   let misses0 = stats.misses + stats.bypassed in
   if t.live != [] then begin
     step_live stats ~dt:(time - t.last_step) t.eval t.live;
     if not (settled t.live) then t.live <- settle t ~time [] t.live
   end;
-  if t.repeating || not t.started then activate t stats ~time;
+  if t.repeating || not t.started then activate t ~time;
   t.last_step <- time;
   t.cache_hits <- t.cache_hits + (stats.hits - hits0);
   t.cache_misses <- t.cache_misses + (stats.misses + stats.bypassed - misses0)
 
-let live_instances t =
-  List.fold_left (fun acc ls -> acc + List.length ls.activations_at) 0 t.live
-
-(* A step on a primed sampler. *)
-let step_primed t stats ~time =
+(* A step on a sampler primed at [time]. *)
+let step_primed t ~time =
   let gated_out =
     match t.gate_atom with
     | None -> false
@@ -244,19 +258,11 @@ let step_primed t stats ~time =
   in
   if not gated_out then begin
     t.steps <- t.steps + 1;
-    step_states t stats ~time;
+    step_states t ~time;
     t.started <- true;
-    if t.live != [] then begin
-      let distinct = List.length t.live in
-      if distinct > t.peak_distinct then t.peak_distinct <- distinct;
-      let live = live_instances t in
-      if live > t.peak then t.peak <- live
-    end
+    if t.n_distinct > t.peak_distinct then t.peak_distinct <- t.n_distinct;
+    if t.n_live > t.peak then t.peak <- t.n_live
   end
-
-let step_core t stats ~time =
-  Sampler.prime t.sampler ~time;
-  step_primed t stats ~time
 
 (* The gate's bit plus the bits of the atoms [initial]'s memo row reads:
    everything an idle, memo-hit activation step reads.  The row is
@@ -286,18 +292,16 @@ let activation_mask t =
    activate).  An activation without a miss was a memo hit, so it
    interned nothing; and with nothing live, no wait counts from the
    [last_step] a replay leaves behind.  The flag is cleared first, so a
-   step that raises is never replayed. *)
+   step that raises is never replayed.  The caller primed the sampler
+   at [time]: that prime produced [valuation]. *)
 let step_recording t ~time ~valuation =
   t.replayable <- false;
-  let stats = Progression.handle () in
-  if t.stats != stats then t.stats <- stats;
   let idle_before = t.live == [] && (t.repeating || t.started) in
   if t.gate_atom == None && not idle_before then
     (* Ungated and busy: the step cannot be replayable, so skip the
        capture. *)
-    step_core t stats ~time
+    step_primed t ~time
   else begin
-    Sampler.prime t.sampler ~time;
     let steps0 = t.steps
     and trivial0 = t.trivial_passes
     and hits0 = t.cache_hits
@@ -305,7 +309,7 @@ let step_recording t ~time ~valuation =
     and failures0 = t.failures
     and queries0 = t.counts.queries
     and evals0 = t.counts.evals in
-    step_primed t stats ~time;
+    step_primed t ~time;
     let d_steps = t.steps - steps0 in
     t.d_steps <- d_steps;
     t.d_trivial <- t.trivial_passes - trivial0;
@@ -328,7 +332,8 @@ let step_recording t ~time ~valuation =
 
 let step t ~time =
   t.replayable <- false;
-  step_core t (Progression.handle ()) ~time
+  Sampler.prime t.sampler ~time;
+  step_primed t ~time
 
 (* Re-apply the recorded deltas once: the monitor's counters, the memo
    hits in the universe and the sampler queries the step would have
@@ -369,8 +374,9 @@ let peak_instances t = t.peak
 let activations t = t.activations
 let passes t = t.passes
 let steps t = t.steps
-let pending t = live_instances t
-let distinct_states t = List.length t.live
+let live_instances t = t.n_live
+let pending t = t.n_live
+let distinct_states t = t.n_distinct
 let peak_distinct_states t = t.peak_distinct
 let cache_hits t = t.cache_hits
 let cache_misses t = t.cache_misses
@@ -404,7 +410,7 @@ let snapshot t =
     vacuous = vacuous t;
     peak_instances = t.peak;
     peak_distinct_states = t.peak_distinct;
-    pending = live_instances t;
+    pending = t.n_live;
     steps = t.steps;
     cache_hits = t.cache_hits;
     cache_misses = t.cache_misses;

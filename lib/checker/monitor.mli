@@ -41,7 +41,10 @@ type t
     and the gate is registered (compiled) with [sampler], the pool's
     window onto the environment: atom evaluations are shared with
     every other monitor holding the same sampler (one evaluation per
-    distinct atom per instant). *)
+    distinct atom per instant).  The monitor keeps the calling
+    domain's {!Progression.handle}: it steps in the domain and the
+    {!Progression} universe that created it, so it must not outlive a
+    {!Progression.reset_universe} or move to another domain. *)
 val create : sampler:Sampler.t -> Property.t -> t
 
 val property : t -> Property.t
@@ -71,9 +74,10 @@ val property : t -> Property.t
     replay like any other. *)
 
 (** Consume one evaluation point at instant [time] with a real step,
-    never a replay.  The monitor primes its sampler first
-    ({!Sampler.prime}, idempotent per instant), so the environment is
-    read once per instant however many monitors share the sampler. *)
+    never a replay.  This is the stepper that primes: the monitor
+    primes its sampler first ({!Sampler.prime}, idempotent per
+    instant), so the environment is read once per instant however many
+    monitors share the sampler. *)
 val step : t -> time:int -> unit
 
 (** The pool stepper.  [valuation] is the pool's
@@ -82,7 +86,9 @@ val step : t -> time:int -> unit
     valuation agrees with that step's on every atom it read, the step
     is replayed; otherwise a real step is taken, recording its deltas
     when the valuation is known.  Allocation free either way on an
-    idle step. *)
+    idle step.  With a known [valuation] it never primes: it reads the
+    caller's prime that produced it (live, the pool's at [time];
+    offline, the last changed sample's).  With [-1] it is {!step}. *)
 val advance : t -> time:int -> valuation:int -> unit
 
 (** End-of-simulation summary, deterministically ordered:

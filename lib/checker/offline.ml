@@ -18,10 +18,11 @@ let pool resolve properties =
 
 (* The one per-sample step of every offline path.  A sample that
    changed no value holds the values of the last one, so its valuation
-   stands and no atom needs sampling; otherwise the sampler is primed
-   once.  Every monitor then advances ([Monitor.advance] replays or
-   steps).  Until a sample changes a value the valuation stays unknown,
-   and every monitor takes a plain step. *)
+   stands and it reads the last prime's stamps ([Monitor.advance] never
+   primes); otherwise the sampler is primed once.  Every monitor then
+   advances (replays or steps).  Until a sample changes a value the
+   valuation stays unknown, and every monitor takes a plain step,
+   which primes. *)
 let step pool ~time ~changed =
   if changed then pool.valuation <- Sampler.prime_valuation pool.sampler ~time;
   let valuation = pool.valuation in

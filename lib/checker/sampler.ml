@@ -33,14 +33,14 @@ open Tabv_psl
    interning universe: stamps only need to be unique among the
    samplers of one domain because interned nodes — and hence the
    scratch slots the stamps tag — are confined to the domain that
-   created them. *)
+   created them.  A sampler keeps its domain's counter from
+   {!create} on, so a new instant costs no [Domain.DLS] lookup. *)
 
 let stamp_key : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
 
-let fresh_stamp () =
-  let global_stamp = Domain.DLS.get stamp_key in
-  incr global_stamp;
-  !global_stamp
+let next_stamp stamps =
+  incr stamps;
+  !stamps
 
 type counters = {
   mutable queries : int;  (* atom evaluations requested *)
@@ -49,6 +49,7 @@ type counters = {
 
 type t = {
   resolve : Expr.resolver;
+  stamps : int ref;  (* the creating domain's stamp counter *)
   mutable now : int;  (* instant of the cached values *)
   mutable stamp : int;  (* stamp tagging this sampler's values at [now] *)
   counts : counters;
@@ -67,7 +68,7 @@ let max_valuation_atoms = 62
 let refresh t ~time =
   if t.now <> time then begin
     t.now <- time;
-    t.stamp <- fresh_stamp ()
+    t.stamp <- next_stamp t.stamps
   end
 
 (* Every registered atom evaluates through [run], so query/eval
@@ -92,11 +93,13 @@ let read t (atom : Interned.t) =
   if atom.sample_stamp = t.stamp then atom.sample_value else miss t atom
 
 let create resolve =
+  let stamps = Domain.DLS.get stamp_key in
   let rec t =
     {
       resolve;
+      stamps;
       now = min_int;
-      stamp = fresh_stamp ();
+      stamp = next_stamp stamps;
       counts = { queries = 0; evals = 0 };
       atoms = [||];
       compiled = [||];
@@ -121,7 +124,8 @@ let register t atom =
     | _ -> invalid_arg "Sampler.register: not an atom node"
 
 (* Batched sampling: monitors register their atom sets at creation and
-   prime the sampler at every step, so the environment (signals or
+   the pool primes the sampler once per instant (a plain
+   [Monitor.step] primes too), so the environment (signals or
    transaction mirror) is read in one pass per instant and every
    monitor's step is answered from the cache.  Newest registrations
    are sampled first.  An atom that raises is left unstamped and the

@@ -16,7 +16,6 @@ type t
 
 val create : Kernel.t -> string -> t
 val name : t -> string
-val kernel : t -> Kernel.t
 
 (** Delta notification: subscribers run in the next delta cycle. *)
 val notify : t -> unit

@@ -269,11 +269,11 @@ let stopping t = t.stopping
 (* Block-runner hooks (see [Checker.attach]): a checker pool steps
    several monitors from one scheduled action, so it maintains the
    per-activation bookkeeping the evaluation loop would otherwise do —
-   one [add_activation] per extra monitor, crash containment through
-   [containing]/[record_crash] with the same attribution as the
+   one [add_activations] call for its extra monitors, crash containment
+   through [containing]/[record_crash] with the same attribution as the
    in-loop handler. *)
 let containing t = t.containing
-let add_activation t = t.activations <- t.activations + 1
+let add_activations t n = t.activations <- t.activations + n
 
 let record_crash t e =
   t.contained_crashes <- t.contained_crashes + 1;

@@ -101,8 +101,8 @@ val request_update : t -> (unit -> unit) -> unit
 val stop : t -> unit
 
 (** Has {!stop} been called during the current run?  A checker pool's
-    stepper polls this between monitors so a [stop] issued mid-pool
-    halts exactly where the per-action loop would. *)
+    stepper polls this once, before its first monitor: only drivers
+    call {!stop}, never a monitor, so a pool that starts runs whole. *)
 val stopping : t -> bool
 
 (** {2 Block-runner hooks}
@@ -116,9 +116,10 @@ val stopping : t -> bool
     attribute and contain per-body exceptions. *)
 val containing : t -> bool
 
-(** Count one extra evaluation-phase activation (the loop counts the
-    block itself as one; each additional body adds one). *)
-val add_activation : t -> unit
+(** [add_activations t n] counts [n] extra evaluation-phase
+    activations: the loop counts a block as one, and a block running
+    [n + 1] bodies adds the other [n] in one call. *)
+val add_activations : t -> int -> unit
 
 (** Contain one process crash: count it and, if it is the first,
     attribute it to the last labelled process — the same bookkeeping

@@ -19,14 +19,13 @@ let spawn kernel ~name body =
      always knows which thread process is running, so a contained crash
      can be attributed by name in the [Process_crashed] diagnosis. *)
   let suspended = ref None in
-  let blocked_on = ref None in
+  let blocked = ref false in
   let resume () =
     Kernel.set_label kernel name;
-    (match !blocked_on with
-     | Some k ->
-       blocked_on := None;
-       Kernel.remove_waiter k
-     | None -> ());
+    if !blocked then begin
+      blocked := false;
+      Kernel.remove_waiter kernel
+    end;
     match !suspended with
     | Some cont ->
       suspended := None;
@@ -50,9 +49,8 @@ let spawn kernel ~name body =
             | Wait_event ev ->
               (* Blocked on an event: counted so a quiescent end with
                  pending waiters diagnoses as [Starved]. *)
-              let k = Event.kernel ev in
-              Kernel.add_waiter k;
-              blocked_on := Some k;
+              Kernel.add_waiter kernel;
+              blocked := true;
               Event.once ev resume;
               suspend
             | _ -> None);

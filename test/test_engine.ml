@@ -146,6 +146,45 @@ let pool_cases =
       Alcotest.(check bool) "the crashes were contained" true
         (match with_bad.Testbench.diagnosis with
          | Kernel.Process_crashed _ -> true
-         | _ -> false)) ]
+         | _ -> false));
+    case "a crashing middle monitor is contained and the pool steps on" (fun () ->
+      (* One clock-edge pool of three monitors over five posedges (0..40
+         ns); the middle one's atom raises at the edge at 20 ns only.
+         Activations: five rises, four falls, the two actions that
+         break and mend the atom, and per edge one pool action plus
+         one per extra monitor. *)
+      let open Tabv_checker in
+      let kernel = Kernel.create () in
+      let clock = Clock.create kernel ~name:"clk" ~period:10 () in
+      let broken = ref false in
+      let vtrue = Tabv_psl.Expr.VBool true in
+      let sampler =
+        Sampler.create (function
+          | "a" -> Some (fun () -> vtrue)
+          | "b" ->
+            Some
+              (fun () ->
+                if !broken then raise (Tabv_psl.Expr.Eval_error "b") else vtrue)
+          | _ -> None)
+      in
+      Kernel.schedule_at kernel ~time:20 (fun () -> broken := true);
+      Kernel.schedule_at kernel ~time:21 (fun () -> broken := false);
+      let property name source =
+        Tabv_psl.Parser.property_exn ~name (source ^ " @clk_pos")
+      in
+      let checkers =
+        Checker.attach
+          (Checker.Attach.spec sampler (Checker.Attach.clock_edge clock))
+          kernel
+          [ property "first" "always a"; property "middle" "always b";
+            property "last" "always a" ]
+      in
+      ignore (Kernel.run ~until:40 ~guard:containing_guard kernel);
+      Alcotest.(check (list int)) "steps" [ 5; 5; 5 ]
+        (List.map (fun c -> Monitor.steps (Checker.monitor c)) checkers);
+      Alcotest.(check (list int)) "passes" [ 5; 4; 5 ]
+        (List.map (fun c -> Monitor.passes (Checker.monitor c)) checkers);
+      Alcotest.(check int) "contained crashes" 1 (Kernel.contained_crash_count kernel);
+      Alcotest.(check int) "activations" 26 (Kernel.activation_count kernel)) ]
 
 let suite = ("engine", feedback_cases @ block_cases @ pool_cases)

@@ -159,8 +159,26 @@ let run_monitor ?gate (f, trace) =
   done;
   monitor
 
+(* The same points through the pool path: the sampler primed once per
+   instant, then [Monitor.advance] on the pool's valuation, which may
+   replay. *)
+let run_pool_monitor ?gate (f, trace) =
+  let sampler = Helpers.lookup_sampler () in
+  let monitor = Helpers.monitor ~sampler (eq_property ?gate f) in
+  for i = 0 to Trace.length trace - 1 do
+    let entry = Trace.get trace i in
+    let time = entry.Trace.time in
+    Helpers.current_lookup := Trace.lookup entry;
+    Monitor.advance monitor ~time ~valuation:(Sampler.prime_valuation sampler ~time)
+  done;
+  monitor
+
+(* The instance counts of both paths agree.  The reference keeps one
+   instance per activation, so it has no distinct-state counts: those
+   are compared across the two paths only. *)
 let monitors_agree ?gate (f, trace) =
   let monitor = run_monitor ?gate (f, trace) in
+  let pooled = run_pool_monitor ?gate (f, trace) in
   let reference =
     match Reference_monitor.run `Legacy [ eq_property ?gate f ] trace with
     | [ (_, reference) ] -> reference
@@ -169,7 +187,16 @@ let monitors_agree ?gate (f, trace) =
   let failure_pairs =
     List.map (fun (f : Monitor.failure) -> (f.activation_time, f.failure_time))
   in
-  ( failure_pairs (Monitor.failures monitor),
+  let counts m =
+    ( Monitor.pending m,
+      Monitor.distinct_states m,
+      Monitor.peak_instances m,
+      Monitor.peak_distinct_states m )
+  in
+  counts pooled = counts monitor
+  && failure_pairs (Monitor.failures pooled) = failure_pairs (Monitor.failures monitor)
+  && Monitor.steps pooled = Monitor.steps monitor
+  && ( failure_pairs (Monitor.failures monitor),
     ( Monitor.activations monitor,
       Monitor.passes monitor,
       Monitor.trivial_passes monitor,

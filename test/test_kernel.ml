@@ -738,13 +738,35 @@ let waiting_thread_words waits =
   Alcotest.(check int) "time" (10 * waits) (Kernel.now k);
   words
 
+(* The minor words of a thread that waits on a 10 ns clock's negedge
+   [waits] times, the clock built outside the count. *)
+let event_waiting_thread_words waits =
+  let k = Kernel.create () in
+  let clock = Clock.create k ~name:"clk" ~period:10 () in
+  let woken = ref 0 in
+  Process.spawn k ~name:"t" (fun () ->
+    for _ = 1 to waits do
+      Process.wait_event (Clock.negedge clock);
+      incr woken
+    done);
+  let words = minor_words (fun () -> ignore (Kernel.run ~until:(10 * waits) k)) in
+  Alcotest.(check int) "woken" waits !woken;
+  words
+
 let allocation_cases =
   [ run_kernel_case "a clock edge, a write and an update allocate nothing" (fun () ->
       let extra = clocked_run_words 2_000 -. clocked_run_words 1_000 in
       Alcotest.(check (float 0.)) "minor words for 1,000 more cycles" 0. extra);
     run_kernel_case "a thread wait allocates at most 16 words" (fun () ->
       let per_wait = (waiting_thread_words 2_000 -. waiting_thread_words 1_000) /. 1_000. in
-      if per_wait > 16. then Alcotest.failf "%.1f minor words per wait" per_wait) ]
+      if per_wait > 16. then Alcotest.failf "%.1f minor words per wait" per_wait);
+    run_kernel_case "an event wait allocates no more than a timed wait" (fun () ->
+      let per_wait words = (words 2_000 -. words 1_000) /. 1_000. in
+      let timed = per_wait waiting_thread_words
+      and on_event = per_wait event_waiting_thread_words in
+      if on_event > timed then
+        Alcotest.failf "%.1f minor words per event wait, %.1f per timed wait" on_event
+          timed) ]
 
 let suite =
   ( "kernel",

@@ -315,7 +315,33 @@ let arb_pool_and_samples =
     gen_pool_and_samples
 
 let offline_cases =
-  [ Helpers.qtest ~count:500
+  [ case "a busy step on an unchanged sample evaluates no atom" (fun () ->
+      (* [a] holds at every sample, so each step activates an instance
+         that waits five samples: from the second sample on the monitor
+         is busy and steps for real.  Only the first sample changes a
+         value; the later steps read what its prime sampled. *)
+      let open Tabv_checker in
+      let env = [ ("a", Expr.VBool true); ("b", Expr.VBool false) ] in
+      let property =
+        Property.make ~name:"p" ~context:(Context.Transaction Context.Base_trans)
+          (Parser.formula_only "always (!a || next[5](b))")
+      in
+      let run samples =
+        match
+          Offline.over_seq [ property ]
+            (List.to_seq
+               (List.init samples (fun i -> Entry.Sample { time = 10 * i; env })))
+        with
+        | [ monitor ] -> monitor
+        | _ -> assert false
+      in
+      let first = run 1 and later = run 4 in
+      Alcotest.(check int) "steps" 4 (Monitor.steps later);
+      Alcotest.(check int) "pending" 4 (Monitor.pending later);
+      Alcotest.(check int) "evaluations"
+        (Sampler.evals (Monitor.sampler first))
+        (Sampler.evals (Monitor.sampler later)));
+    Helpers.qtest ~count:500
       "over_seq agrees with a real step at every sample" arb_pool_and_samples
       (fun (properties, entries) ->
         Tabv_checker.Progression.reset_universe ();
