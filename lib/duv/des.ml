@@ -78,71 +78,135 @@ let sboxes =
         7; 11; 4; 1; 9; 12; 14; 2; 0; 6; 10; 13; 15; 3; 5; 8;
         2; 1; 14; 7; 4; 10; 8; 13; 15; 12; 9; 0; 3; 5; 6; 11 |] |]
 
-(* [bit v pos width]: the bit at 1-based position [pos] counted from
-   the MSB of the [width]-bit value [v]. *)
-let bit v pos width = Int64.logand (Int64.shift_right_logical v (width - pos)) 1L
+(* The cipher runs on native ints: 32-bit halves, 48-bit round keys and
+   the 56-bit C||D, so the sixteen rounds of a block allocate nothing.
+   The tables above stay the only source: each bit permutation becomes
+   byte-indexed lookups derived from them once, here, and each S-box is
+   folded with P into one 64-entry table.  Outputs are those of the
+   bit-serial definition, bit for bit. *)
 
-let permute v ~in_width table =
-  let out = ref 0L in
-  for i = 0 to Array.length table - 1 do
-    out := Int64.logor (Int64.shift_left !out 1) (bit v table.(i) in_width)
+let mask28 = 0xFFF_FFFF
+let mask32 = 0xFFFF_FFFF
+
+(* [byte_table ~in_width table] has one 256-entry row per input byte
+   (row 0 holds the most significant byte); entry [v] of a row is
+   [table] applied to that byte alone holding [v], so [table] applied
+   to an input is the OR of one entry per byte.  A row is filled from
+   its eight single-bit images, each entry extending a smaller one by
+   its top bit.  The output, [Array.length table] bits, must fit an
+   int. *)
+let byte_table ~in_width table =
+  let out_width = Array.length table in
+  let images = Array.make in_width 0 in
+  Array.iteri
+    (fun i pos -> images.(pos - 1) <- images.(pos - 1) lor (1 lsl (out_width - 1 - i)))
+    table;
+  let t = Array.make (in_width / 8 * 256) 0 in
+  for row = 0 to (in_width / 8) - 1 do
+    for j = 7 downto 0 do
+      let top = 0x80 lsr j in
+      for v = top to (2 * top) - 1 do
+        t.((row * 256) + v) <- t.((row * 256) + v - top) lor images.((row * 8) + j)
+      done
+    done
   done;
-  !out
+  t
 
-let mask28 = 0xFFFFFFFL
+(* The byte table [t] applied to the 32-bit [v] as its rows [row ..
+   row + 3]. *)
+let apply32 t row v =
+  let base = row * 256 in
+  t.(base + (v lsr 24))
+  lor t.(base + 256 + ((v lsr 16) land 0xFF))
+  lor t.(base + 512 + ((v lsr 8) land 0xFF))
+  lor t.(base + 768 + (v land 0xFF))
 
-let rotl28 v n =
-  Int64.logand
-    (Int64.logor (Int64.shift_left v n) (Int64.shift_right_logical v (28 - n)))
-    mask28
+(* The byte table [t] applied to the 64-bit input [hi || lo]. *)
+let apply64 t hi lo = apply32 t 0 hi lor apply32 t 4 lo
 
-let round_keys key =
-  let pc1 = permute key ~in_width:64 pc1_table in
-  let c = ref (Int64.shift_right_logical pc1 28) in
-  let d = ref (Int64.logand pc1 mask28) in
-  Array.map
-    (fun shift ->
-      c := rotl28 !c shift;
-      d := rotl28 !d shift;
-      let cd = Int64.logor (Int64.shift_left !c 28) !d in
-      permute cd ~in_width:56 pc2_table)
-    shift_schedule
+(* IP and IP^-1 have 64 output bits: one table per 32-bit half. *)
+let ip_left = byte_table ~in_width:64 (Array.sub ip_table 0 32)
+let ip_right = byte_table ~in_width:64 (Array.sub ip_table 32 32)
+let fp_high = byte_table ~in_width:64 (Array.sub fp_table 0 32)
+let fp_low = byte_table ~in_width:64 (Array.sub fp_table 32 32)
+let pc1 = byte_table ~in_width:64 pc1_table
+let pc2 = byte_table ~in_width:56 pc2_table
+let expand = byte_table ~in_width:32 e_table
 
-let initial_permutation block =
-  let ip = permute block ~in_width:64 ip_table in
-  (Int64.shift_right_logical ip 32, Int64.logand ip 0xFFFFFFFFL)
-
-let f r ~key =
-  let expanded = permute r ~in_width:32 e_table in
-  let x = Int64.logxor expanded key in
-  let out = ref 0L in
-  for box = 0 to 7 do
-    let six = Int64.to_int (Int64.logand (Int64.shift_right_logical x ((7 - box) * 6)) 0x3FL) in
+(* [sp.(64 * box + six)]: P applied to S-box [box]'s output for the
+   six-bit group [six], in that box's nibble of the 32-bit word. *)
+let sp =
+  let p = byte_table ~in_width:32 p_table in
+  Array.init 512 (fun i ->
+    let box = i / 64 and six = i land 0x3F in
     let row = ((six lsr 4) land 2) lor (six land 1) in
     let col = (six lsr 1) land 0xF in
-    out := Int64.logor (Int64.shift_left !out 4) (Int64.of_int sboxes.(box).((row * 16) + col))
-  done;
-  permute !out ~in_width:32 p_table
+    apply32 p 0 (sboxes.(box).((row * 16) + col) lsl (4 * (7 - box))))
 
-let round (l, r) ~key = (r, Int64.logxor l (f r ~key))
+let high v = Int64.to_int (Int64.shift_right_logical v 32)
+let low v = Int64.to_int v land mask32
 
-let final_swap_permutation (l16, r16) =
-  (* Pre-output block is R16 | L16 (the halves are swapped). *)
-  let preoutput = Int64.logor (Int64.shift_left r16 32) l16 in
-  permute preoutput ~in_width:64 fp_table
+let rotl28 v n = ((v lsl n) lor (v lsr (28 - n))) land mask28
 
-let run keys block =
-  let state = ref (initial_permutation block) in
+let key_schedule key =
+  let cd = apply64 pc1 (high key) (low key) in
+  let c = ref (cd lsr 28) and d = ref (cd land mask28) in
+  let keys = Array.make 16 0 in
   for i = 0 to 15 do
-    state := round !state ~key:keys.(i)
+    c := rotl28 !c shift_schedule.(i);
+    d := rotl28 !d shift_schedule.(i);
+    let cd = (!c lsl 28) lor !d in
+    keys.(i) <-
+      pc2.(cd lsr 48)
+      lor pc2.(256 + ((cd lsr 40) land 0xFF))
+      lor pc2.(512 + ((cd lsr 32) land 0xFF))
+      lor pc2.(768 + ((cd lsr 24) land 0xFF))
+      lor pc2.(1024 + ((cd lsr 16) land 0xFF))
+      lor pc2.(1280 + ((cd lsr 8) land 0xFF))
+      lor pc2.(1536 + (cd land 0xFF))
   done;
-  final_swap_permutation !state
+  keys
 
-let encrypt ~key block = run (round_keys key) block
+(* f(R, K) on a 32-bit [r] and a 48-bit [k]. *)
+let f r k =
+  let x = apply32 expand 0 r lxor k in
+  sp.((x lsr 42) land 0x3F)
+  lor sp.(64 + ((x lsr 36) land 0x3F))
+  lor sp.(128 + ((x lsr 30) land 0x3F))
+  lor sp.(192 + ((x lsr 24) land 0x3F))
+  lor sp.(256 + ((x lsr 18) land 0x3F))
+  lor sp.(320 + ((x lsr 12) land 0x3F))
+  lor sp.(384 + ((x lsr 6) land 0x3F))
+  lor sp.(448 + (x land 0x3F))
 
-let decrypt ~key block =
-  let keys = round_keys key in
-  let reversed = Array.init 16 (fun i -> keys.(15 - i)) in
-  run reversed block
+(* Pre-output block is R16 | L16 (the halves are swapped). *)
+let final_permutation l16 r16 =
+  Int64.logor
+    (Int64.shift_left (Int64.of_int (apply64 fp_high r16 l16)) 32)
+    (Int64.of_int (apply64 fp_low r16 l16))
 
-let process ~decrypt:d ~key block = if d then decrypt ~key block else encrypt ~key block
+let round_keys key = Array.map Int64.of_int (key_schedule key)
+
+let initial_permutation block =
+  let hi = high block and lo = low block in
+  (Int64.of_int (apply64 ip_left hi lo), Int64.of_int (apply64 ip_right hi lo))
+
+let round (l, r) ~key =
+  (r, Int64.logxor l (Int64.of_int (f (low r) (Int64.to_int key))))
+
+let final_swap_permutation (l16, r16) = final_permutation (low l16) (low r16)
+
+let process ~decrypt ~key block =
+  let keys = key_schedule key in
+  let hi = high block and lo = low block in
+  let l = ref (apply64 ip_left hi lo) and r = ref (apply64 ip_right hi lo) in
+  for i = 0 to 15 do
+    let k = keys.(if decrypt then 15 - i else i) in
+    let r' = !l lxor f !r k in
+    l := !r;
+    r := r'
+  done;
+  final_permutation !l !r
+
+let encrypt ~key block = process ~decrypt:false ~key block
+let decrypt ~key block = process ~decrypt:true ~key block

@@ -1,4 +1,6 @@
-(** The DES-56 block cipher (FIPS 46-3), implemented from scratch.
+(** The DES-56 block cipher (FIPS 46-3), implemented from scratch: on
+    native ints, through byte-indexed permutation tables and combined
+    S-box/P tables derived at start-up from the standard's tables.
 
     Besides whole-block [encrypt]/[decrypt], the module exposes the
     per-round datapath pieces ([initial_permutation], [round],
@@ -19,9 +21,6 @@ val round : int64 * int64 -> key:int64 -> int64 * int64
 
 (** Final swap and permutation IP^-1 applied to [(l16, r16)]. *)
 val final_swap_permutation : int64 * int64 -> int64
-
-(** The cipher function f(R, K) (32 bits). *)
-val f : int64 -> key:int64 -> int64
 
 val encrypt : key:int64 -> int64 -> int64
 val decrypt : key:int64 -> int64 -> int64

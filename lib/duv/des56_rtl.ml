@@ -6,7 +6,8 @@ type state =
       mutable round_index : int;  (* rounds already performed *)
       mutable l : int64;
       mutable r : int64;
-      keys : int64 array;  (* in processing order *)
+      keys : int64 array;  (* in encryption order *)
+      decrypting : bool;  (* take [keys] backwards *)
     }
 
 type fault = Rdy_one_cycle_late
@@ -51,14 +52,13 @@ let create ?fault kernel clock =
       if Signal.read t.ds then begin
         let l, r = Des.initial_permutation (Signal.read t.indata) in
         let keys = Des.round_keys (Signal.read t.key) in
-        let keys =
-          if Signal.read t.decrypt then Array.init 16 (fun i -> keys.(15 - i)) else keys
-        in
-        t.state <- Busy { round_index = 0; l; r; keys }
+        t.state <-
+          Busy { round_index = 0; l; r; keys; decrypting = Signal.read t.decrypt }
       end
     | Busy b ->
       if b.round_index < 16 then begin
-        let l', r' = Des.round (b.l, b.r) ~key:b.keys.(b.round_index) in
+        let k = if b.decrypting then 15 - b.round_index else b.round_index in
+        let l', r' = Des.round (b.l, b.r) ~key:b.keys.(k) in
         b.l <- l';
         b.r <- r'
       end;

@@ -367,6 +367,28 @@ let check_job ?(seed = 5) ?(ops = 15) () =
     { model = Models.Des56_rtl; seed; ops; props = None; engine = None;
       trace_out = None }
 
+(* The time one more operation of [check_job] takes on this host: the
+   fastest of three runs at each of two sizes, differenced so the
+   per-job setup cancels.  Measured once, on first use. *)
+let seconds_per_op =
+  lazy
+    (let fastest ops =
+       List.fold_left
+         (fun best _ ->
+           let t0 = Unix.gettimeofday () in
+           (match Handler.execute ~state_dir:None (check_job ~seed:799 ~ops ()) with
+            | Ok _ -> ()
+            | Error e -> Alcotest.fail e);
+           Float.min best (Unix.gettimeofday () -. t0))
+         infinity [ 1; 2; 3 ]
+     in
+     (fastest 3_000 -. fastest 1_000) /. 2_000.)
+
+(* Operations enough for [check_job] to keep a worker busy for at
+   least [seconds], at whatever speed the simulator runs. *)
+let ops_lasting seconds =
+  int_of_float (Float.ceil (seconds /. Lazy.force seconds_per_op))
+
 let handler_cases =
   [ case "fingerprints are stable and discriminating" (fun () ->
         Alcotest.(check string) "same job, same fingerprint"
@@ -583,16 +605,17 @@ let shutdown_drains executor () =
    job at once); an in-domain job that overruns is only asked to stop,
    and its domain comes back sound. *)
 let deadline_fires executor () =
+  let ops = ops_lasting 0.6 in
   with_server
     ~configure:(fun c ->
       { c with Server.workers = 1; executor; job_timeout_s = Some 0.2;
         breaker_threshold = 1; breaker_cooldown_s = 0. })
     (fun client _socket ->
-      (* ~1.4s of real work against a 0.2s deadline: the client
+      (* Three times the 0.2s deadline of real work: the client
          must get an error event naming the deadline, and the
          worker slot must come back for the next request. *)
       (match
-         Client.request client (check_job ~seed:700 ~ops:20_000 ())
+         Client.request client (check_job ~seed:700 ~ops ())
        with
        | Client.Failed msg ->
          Alcotest.(check bool)
@@ -831,6 +854,7 @@ let serve_cases =
       (deadline_fires Server.In_domain_workers);
     slow_case "a client silent mid-frame is timed out and releases its reservations"
       (fun () ->
+        let parked_ops = ops_lasting 1.2 in
         let journaled_campaign () =
           Protocol.Campaign
             {
@@ -853,7 +877,8 @@ let serve_cases =
             { c with Server.workers = 1; conn_idle_timeout_s = 0.4;
               state_dir = Some (Filename.dirname c.Server.socket) })
           (fun client socket ->
-            (* The main client parks a ~1.4s job on the only worker.
+            (* The main client parks a job on the only worker, sized
+               to outlast the idle timeout three times over.
                A second client then queues a journaled campaign (its
                journal path is now reserved), starts another request
                and goes silent halfway through the frame — a
@@ -863,7 +888,7 @@ let serve_cases =
                main client's identical campaign below would be refused
                as a journal clash forever. *)
             Client.send_request client ~id:0
-              (Protocol.Job (check_job ~seed:800 ~ops:20_000 ()));
+              (Protocol.Job (check_job ~seed:800 ~ops:parked_ops ()));
             let doomed =
               match Client.connect (`Unix socket) with
               | Ok c -> c
@@ -876,7 +901,7 @@ let serve_cases =
             Client.send_request doomed ~id:1
               (Protocol.Job (check_job ~seed:801 ()));
             (* Wait out the parked job; the doomed connection times
-               out (0.4s) well before the worker frees (~1.4s). *)
+               out (0.4s) well before the worker frees (1.2s or more). *)
             let rec wait_parked () =
               match Client.next_event client with
               | Ok (0, Protocol.Result { ok = true; _ }) -> ()
@@ -886,6 +911,11 @@ let serve_cases =
               | Error e -> Alcotest.fail e
             in
             wait_parked ();
+            Alcotest.(check int)
+              "the silent connection timed out while the parked job held \
+               the worker"
+              1
+              (metric client "serve.connections_timed_out");
             (match Client.request client (journaled_campaign ()) with
              | Client.Result { ok = true; _ } -> ()
              | Client.Result _ -> Alcotest.fail "campaign went red"
