@@ -13,9 +13,9 @@
      replay    check properties offline against a VCD waveform
      fig3      reproduce the paper's Fig. 3 rewriting demonstration
 
-   The flag specs shared between subcommands (model/workload
-   flags, executor and journal plumbing, report writers) live in
-   {!Cli}. *)
+   Every job flag is declared once in {!Cli}, with the function per
+   job op that `client` sends; the executor and journal plumbing and
+   the one file writer live there too. *)
 
 open Cmdliner
 open Tabv_psl
@@ -54,7 +54,8 @@ let abstract_cmd =
                  language (ready for 'tabv check -p FILE' or 'tabv replay').")
   in
   let run file clock_period clock_periods removed summary json output =
-    let properties = Cli.parse_props_file file in
+    let fail = Cli.fail "abstract" in
+    let properties = snd (Cli.read_props ~fail file) in
     let reports =
       Tabv_core.Methodology.abstract_all ~clock_period ~clock_periods
         ~abstracted_signals:removed properties
@@ -79,8 +80,8 @@ let abstract_cmd =
     match output with
     | None -> ()
     | Some path ->
-      let oc = open_out path in
-      let ppf = Format.formatter_of_out_channel oc in
+      let buffer = Buffer.create 1024 in
+      let ppf = Format.formatter_of_buffer buffer in
       Format.fprintf ppf "-- abstracted from %s (clock %d ns%s)@." file clock_period
         (if removed = [] then ""
          else "; removed: " ^ String.concat ", " removed);
@@ -102,7 +103,7 @@ let abstract_cmd =
               q.Property.formula Context.pp q.Property.context)
         reports;
       Format.pp_print_flush ppf ();
-      close_out oc;
+      Cli.write_file ~fail path (Buffer.contents buffer);
       Printf.printf "wrote %d properties to %s\n" (List.length survivors) path
   in
   let doc = "Abstract RTL properties into TLM properties (Methodology III.1)." in
@@ -153,16 +154,14 @@ let simulate_run ~cmd trace_out model count seed props_file metrics_flag
   let result, writer =
     match
       Models.simulate ~metrics ~trace_out model ~seed ~ops:count
-        ~props:(Cli.props_source props_file)
+        ~props:(Cli.props_source ~fail props_file)
     with
     | Ok run -> run
     | Error message -> fail message
     (* A trace that cannot be opened, written or synced is reported by
        operation and path, not as an uncaught exception. *)
     | exception Tabv_core.Io.Io_error { op; path; error } ->
-      fail
-        (Printf.sprintf "storage failure: %s on %s: %s" op path
-           (Unix.error_message error))
+      fail (Cli.storage_failure op path error)
   in
   Printf.printf "simulated %dns, %d operations, %d kernel activations, %d transactions\n"
     result.Testbench.sim_time_ns result.Testbench.completed_ops
@@ -214,7 +213,7 @@ let simulate_run ~cmd trace_out model count seed props_file metrics_flag
    | None -> ()
    | Some path ->
      let open Tabv_core.Report_json in
-     Cli.write_json ~announce:"metrics" path
+     Cli.write_json ~fail ~announce:"metrics" path
        (Testbench.metrics_json
           ~run:
             [ ("model", String (Models.name model));
@@ -224,7 +223,7 @@ let simulate_run ~cmd trace_out model count seed props_file metrics_flag
   (match report_out with
    | None -> ()
    | Some path ->
-     Cli.write_json ~announce:"verdict report" path
+     Cli.write_json ~fail ~announce:"verdict report" path
        (Models.verdict_report model ~seed ~ops:count result));
   Cli.print_verdict result.Testbench.checker_stats
 
@@ -232,17 +231,12 @@ let check_cmd =
   let doc = "Run a built-in DUV model with its property checkers attached." in
   Cmd.v (Cmd.info "check" ~doc)
     Term.(
-      const (simulate_run ~cmd:"check") $ const None $ Cli.model_arg
-      $ Cli.ops_arg $ Cli.seed_arg $ Cli.props_arg $ metrics_flag_arg
-      $ metrics_json_arg $ check_report_json_arg)
+      const (simulate_run ~cmd:"check") $ const None
+      $ Arg.required Cli.model_arg $ Cli.run_ops_arg $ Cli.run_seed_arg
+      $ Cli.props_arg $ metrics_flag_arg $ metrics_json_arg
+      $ check_report_json_arg)
 
 let record_cmd =
-  let trace_out =
-    Arg.(required & opt (some string) None & info [ "trace-out"; "o" ]
-           ~docv:"FILE"
-           ~doc:"Capture the run's evaluation trace (dictionary-encoded, \
-                 delta-timed binary format) to FILE for later 'tabv recheck'.")
-  in
   let doc =
     "Run a model with checkers attached (exactly like $(b,check)) and \
      capture the evaluation trace to a compact binary file for offline \
@@ -251,29 +245,13 @@ let record_cmd =
   Cmd.v (Cmd.info "record" ~doc)
     Term.(
       const (fun path -> simulate_run ~cmd:"record" (Some path))
-      $ trace_out $ Cli.model_arg $ Cli.ops_arg $ Cli.seed_arg $ Cli.props_arg
-      $ metrics_flag_arg $ metrics_json_arg $ check_report_json_arg)
+      $ Arg.required Cli.trace_out_arg $ Arg.required Cli.model_arg
+      $ Cli.run_ops_arg $ Cli.run_seed_arg $ Cli.props_arg $ metrics_flag_arg
+      $ metrics_json_arg $ check_report_json_arg)
 
 (* --- recheck ------------------------------------------------------ *)
 
 let recheck_cmd =
-  let trace_in =
-    Arg.(required & opt (some file) None & info [ "trace-in"; "i" ]
-           ~docv:"FILE"
-           ~doc:"Binary trace recorded by 'tabv record'.")
-  in
-  let props =
-    Arg.(value & opt (some file) None & info [ "props"; "p" ] ~docv:"FILE"
-           ~doc:"Property file to re-check instead of the recorded model's \
-                 built-in set.  Abstracted for approximately-timed models \
-                 exactly as 'tabv check --props' would.")
-  in
-  let workers =
-    Arg.(value & opt (some int) None & info [ "workers"; "j" ] ~docv:"N"
-           ~doc:"Worker count (default: the machine's recommended domain \
-                 count, capped by the property count).  The report is \
-                 byte-identical for any worker count.")
-  in
   let executor =
     Arg.(value
          & opt
@@ -286,10 +264,6 @@ let recheck_cmd =
                    process) or $(b,subprocess) (crash-isolated worker \
                    processes).  Reports are byte-identical across both.")
   in
-  let retries =
-    Arg.(value & opt int 1 & info [ "retries" ] ~docv:"N"
-           ~doc:"Retries per crashing chunk (default 1).")
-  in
   let report_out =
     Cli.report_json_arg
       ~doc:
@@ -299,20 +273,21 @@ let recheck_cmd =
   in
   let run trace_in props workers executor retries report_out =
     let open Tabv_campaign in
+    let fail = Cli.fail "recheck" in
     (* The plan judges the header and dictionary of the reader the
        recheck then steps, so the trace is opened once.  A damaged
        trace and every refusal of the plan are usage errors (exit 2). *)
     let result =
       match
         Cli.with_interrupt (fun interrupted ->
-            Tabv_trace.Reader.catch_format_error (fun () ->
+            Tabv_trace.Reader.catch_read_error (fun () ->
                 Recheck.run_validated ~exec:(Executor.config executor)
                   ~interrupted ~retries ~trace:trace_in
                   (Recheck.plan ~trace:trace_in
-                     ~props:(Cli.props_source props) ~workers)))
+                     ~props:(Cli.props_source ~fail props) ~workers)))
       with
       | Ok result -> result
-      | Error refusal -> Cli.fail "recheck" refusal
+      | Error refusal -> fail refusal
       | exception Recheck.Chunk_failed message ->
         Printf.eprintf "tabv recheck: chunk failed: %s\n" message;
         exit 1
@@ -326,7 +301,7 @@ let recheck_cmd =
     (match report_out with
      | None -> ()
      | Some path ->
-       Cli.write_json ~announce:"verdict report" path
+       Cli.write_json ~fail ~announce:"verdict report" path
          (Recheck.report_json result));
     Cli.print_verdict result.Recheck.snapshots
   in
@@ -337,31 +312,29 @@ let recheck_cmd =
   in
   Cmd.v (Cmd.info "recheck" ~doc)
     Term.(
-      const run $ trace_in $ props $ workers $ executor $ retries $ report_out)
+      const run $ Cli.trace_in_arg $ Cli.props_arg $ Cli.workers_arg $ executor
+      $ Cli.retries_arg $ report_out)
 
 (* --- trace -------------------------------------------------------- *)
 
 let trace_cmd =
-  let input =
-    Arg.(required & opt (some file) None & info [ "trace-in"; "i" ] ~docv:"FILE"
-           ~doc:"Binary trace recorded by 'tabv record'.")
-  in
   let out =
     Arg.(value & opt string "des56.vcd" & info [ "output"; "o" ] ~docv:"FILE"
            ~doc:"Output VCD file.")
   in
   let run input out =
+    let fail = Cli.fail "trace" in
     match
-      Tabv_trace.Reader.catch_format_error (fun () ->
+      Tabv_trace.Reader.catch_read_error (fun () ->
           Ok (snd (Tabv_trace.Reader.read_trace input)))
     with
     | Ok trace ->
-      Tabv_sim.Trace_dump.to_file trace out;
+      Cli.write_file ~fail out (Tabv_sim.Trace_dump.to_string trace);
       Printf.printf "wrote %s (%d evaluation points)\n" out (Trace.length trace)
-    | Error message -> Cli.fail "trace" message
+    | Error message -> fail message
   in
   let doc = "Export a recorded binary trace as a VCD waveform." in
-  Cmd.v (Cmd.info "trace" ~doc) Term.(const run $ input $ out)
+  Cmd.v (Cmd.info "trace" ~doc) Term.(const run $ Cli.trace_in_arg $ out)
 
 (* --- replay ------------------------------------------------------- *)
 
@@ -375,13 +348,14 @@ let replay_cmd =
            ~doc:"Property file to check against the waveform.")
   in
   let run vcd props =
+    let fail = Cli.fail "replay" in
     let waveform =
-      try Tabv_sim.Vcd_reader.load vcd with
+      try Cli.reading ~fail vcd (fun () -> Tabv_sim.Vcd_reader.load vcd) with
       | Tabv_sim.Vcd_reader.Parse_error { line; message } ->
         Printf.eprintf "%s:%d: %s\n" vcd line message;
         exit 1
     in
-    let properties = Cli.parse_props_file props in
+    let properties = snd (Cli.read_props ~fail props) in
     let trace = waveform.Tabv_sim.Vcd_reader.trace in
     let known = List.map fst waveform.Tabv_sim.Vcd_reader.signals in
     (* Same gate as recheck: a property sampling a signal the waveform
@@ -389,7 +363,7 @@ let replay_cmd =
     (match Property.missing_signals ~known properties with
      | [] -> ()
      | missing ->
-       Cli.fail "replay"
+       fail
          (Printf.sprintf
             "%s: waveform does not record signal(s) %s — mismatched property set"
             vcd (String.concat ", " missing)));
@@ -407,12 +381,6 @@ let replay_cmd =
 
 let campaign_cmd =
   let open Tabv_campaign in
-  let manifest =
-    Arg.(value & opt (some file) None & info [ "manifest" ] ~docv:"FILE"
-           ~doc:"JSON campaign manifest ('jobs' and/or 'matrix'; see the \
-                 examples/ directory).  Mutually exclusive with the matrix \
-                 flags.")
-  in
   let duvs =
     Arg.(value & opt (list string) [ "des56" ] & info [ "duvs" ] ~docv:"DUVS"
            ~doc:"Comma-separated DUVs: des56, colorconv, memctrl.")
@@ -427,24 +395,10 @@ let campaign_cmd =
     Arg.(value & opt (list int) [ 1 ] & info [ "seeds" ] ~docv:"SEEDS"
            ~doc:"Comma-separated workload seeds.")
   in
-  let ops =
-    Arg.(value & opt int 40 & info [ "ops"; "n" ] ~docv:"N"
-           ~doc:"Workload size per job (operations / pixels).")
-  in
   let props =
     Arg.(value & opt string "all" & info [ "props" ] ~docv:"SEL"
            ~doc:"Property selection: 'all', 'none', or an integer N (attach \
                  the first N checkers).")
-  in
-  let workers =
-    Arg.(value & opt (some int) None & info [ "workers"; "j" ] ~docv:"N"
-           ~doc:"Worker domains (default: the machine's recommended domain \
-                 count, capped by the job count).")
-  in
-  let retries =
-    Arg.(value & opt (some int) None & info [ "retries" ] ~docv:"N"
-           ~doc:"Retries per crashing job (default 1; a manifest's 'retries' \
-                 key is used when this flag is absent).")
   in
   let report_out =
     Cli.report_json_arg
@@ -457,10 +411,7 @@ let campaign_cmd =
     let fail = Cli.fail "campaign" in
     let manifest =
       match manifest with
-      | Some path ->
-        (match Campaign.manifest_of_string (Cli.read_file path) with
-         | Ok m -> m
-         | Error msg -> fail (Printf.sprintf "%s: %s" path msg))
+      | Some path -> snd (Cli.read_manifest ~cmd:"campaign" path)
       | None ->
         let duvs = List.map (Cli.duv ~fail) duvs in
         let levels = Cli.levels ~fail levels in
@@ -490,7 +441,7 @@ let campaign_cmd =
     (match report_out with
      | None -> ()
      | Some path ->
-       Cli.write_json ~announce:"campaign report" path
+       Cli.write_json ~fail ~announce:"campaign report" path
          (Campaign.report_json summary));
     if summary.Campaign.pending > 0 then begin
       Printf.eprintf "tabv campaign: interrupted with %d job(s) pending%s\n"
@@ -505,40 +456,14 @@ let campaign_cmd =
   in
   Cmd.v (Cmd.info "campaign" ~doc)
     Term.(
-      const run $ manifest $ duvs $ levels $ seeds $ ops $ props $ workers
-      $ retries $ report_out $ Cli.isolate_arg $ Cli.timeout_arg
-      $ Cli.journal_arg $ Cli.resume_arg)
+      const run $ Cli.manifest_arg $ duvs $ levels $ seeds $ Cli.matrix_ops_arg
+      $ props $ Cli.workers_arg $ Cli.manifest_retries_arg $ report_out
+      $ Cli.isolate_arg $ Cli.timeout_arg $ Cli.journal_arg $ Cli.resume_arg)
 
 (* --- qualify ------------------------------------------------------ *)
 
 let qualify_cmd =
   let open Tabv_campaign in
-  let duv =
-    Arg.(value & opt string "des56" & info [ "duv" ] ~docv:"DUV"
-           ~doc:"Device under verification: des56, colorconv or memctrl.")
-  in
-  let levels =
-    Arg.(value & opt_all string [] & info [ "level" ] ~docv:"LEVEL"
-           ~doc:"Abstraction level to qualify (repeatable): rtl, tlm-ca, \
-                 tlm-at, tlm-lt (DES56 only).  Default: rtl tlm-ca tlm-at.")
-  in
-  let seed =
-    Arg.(value & opt int Cli.qualify_seed & info [ "seed" ] ~docv:"SEED"
-           ~doc:"Workload seed (shared by every job in the matrix).")
-  in
-  let ops =
-    Arg.(value & opt int Cli.qualify_size & info [ "ops"; "n" ] ~docv:"N"
-           ~doc:"Workload size per job (operations / pixels).")
-  in
-  let workers =
-    Arg.(value & opt (some int) None & info [ "workers"; "j" ] ~docv:"N"
-           ~doc:"Worker domains (default: the machine's recommended domain \
-                 count).")
-  in
-  let retries =
-    Arg.(value & opt int 1 & info [ "retries" ] ~docv:"N"
-           ~doc:"Retries per crashing pool job (default 1).")
-  in
   let report_out =
     Cli.report_json_arg
       ~doc:
@@ -572,7 +497,7 @@ let qualify_cmd =
     (match report_out with
      | None -> ()
      | Some path ->
-       Cli.write_json ~announce:"qualification report" path
+       Cli.write_json ~fail ~announce:"qualification report" path
          (Qualify.report_json report));
     if not (Qualify.ok report) then exit 1
   in
@@ -583,7 +508,8 @@ let qualify_cmd =
   in
   Cmd.v (Cmd.info "qualify" ~doc)
     Term.(
-      const run $ duv $ levels $ seed $ ops $ workers $ retries $ report_out
+      const run $ Cli.duv_arg $ Cli.level_arg $ Cli.matrix_seed_arg
+      $ Cli.matrix_ops_arg $ Cli.workers_arg $ Cli.retries_arg $ report_out
       $ Cli.isolate_arg $ Cli.timeout_arg $ Cli.journal_arg $ Cli.resume_arg)
 
 (* --- serve -------------------------------------------------------- *)
@@ -739,9 +665,9 @@ let serve_cmd =
 
 (* --- client ------------------------------------------------------- *)
 
-(* The request a `tabv client` command line asks for.  Each job takes
-   the defaults of the one-shot subcommand it mirrors, so a served
-   report equals that subcommand's without extra flags. *)
+(* The request a `tabv client` command line asks for: a control op,
+   or the job that OP's function in {!Cli} builds from the one-shot
+   subcommand's own flags, defaults and conversions. *)
 let client_request =
   let open Tabv_serve in
   let op =
@@ -762,105 +688,23 @@ let client_request =
                    campaign, qualify) or a control op (ping, stats, \
                    invalidate, shutdown).")
   in
-  let model =
-    Arg.(value & opt (some Cli.model_enum) None
-         & info [ "model"; "m" ] ~docv:"MODEL"
-             ~doc:"DUV model for check/record requests.")
-  in
-  let ops = Arg.(value & opt (some int) None & Cli.ops_info) in
-  let seed = Arg.(value & opt (some int) None & Cli.seed_info) in
-  let props =
-    Arg.(value & opt (some file) None & info [ "props"; "p" ] ~docv:"FILE"
-           ~doc:"Property file; its source is sent inline, so the daemon \
-                 needs no view of the client's filesystem.")
-  in
-  let trace_out =
-    Arg.(value & opt (some string) None & info [ "trace-out"; "o" ]
-           ~docv:"FILE"
-           ~doc:"Trace output path for record requests (server-side path).")
-  in
-  let trace_in =
-    Arg.(value & opt (some string) None & info [ "trace-in"; "i" ]
-           ~docv:"FILE"
-           ~doc:"Recorded trace path for recheck requests (server-side \
-                 path).")
-  in
-  let manifest =
-    Arg.(value & opt (some file) None & info [ "manifest" ] ~docv:"FILE"
-           ~doc:"JSON campaign manifest for campaign requests (sent \
-                 inline).")
-  in
   let journal =
     Arg.(value & flag & info [ "journal" ]
            ~doc:"Journal the campaign into the daemon's state dir (crash \
                  recovery; concurrent identical campaigns are refused).")
   in
-  let duv =
-    Arg.(value & opt string "des56" & info [ "duv" ] ~docv:"DUV"
-           ~doc:"DUV for qualify requests.")
-  in
-  let levels =
-    Arg.(value & opt_all string [] & info [ "level" ] ~docv:"LEVEL"
-           ~doc:"Abstraction level for qualify requests (repeatable; \
-                 default: rtl tlm-ca tlm-at).")
-  in
-  let workers =
-    Arg.(value & opt int 2 & info [ "workers"; "j" ] ~docv:"N"
-           ~doc:"Worker count used by the daemon for this request's inner \
-                 pool (recheck/campaign/qualify; default 2).  Reports do \
-                 not depend on it.")
-  in
-  let retries =
-    Arg.(value & opt (some int) None & info [ "retries" ] ~docv:"N"
-           ~doc:"Retries per crashing inner job (default 1; a campaign \
-                 manifest's 'retries' key is used when this flag is \
-                 absent).")
-  in
-  let request op model ops seed props trace_out trace_in manifest journal duv
-      levels workers retries =
-    let fail = Cli.fail "client" in
-    let required flag what = function
-      | Some v -> v
-      | None -> fail (Printf.sprintf "--%s is required for %s" flag what)
-    in
-    let props = Option.map Cli.read_file props in
-    let check trace_out =
-      Protocol.Check
-        { model = required "model" "this op" model;
-          seed = Option.value seed ~default:Cli.check_seed;
-          ops = Option.value ops ~default:Cli.check_size;
-          props; engine = None; trace_out }
-    in
+  let request op check record recheck campaign qualify journal =
     match op with
     | `Control control -> Protocol.Control control
-    | `Check -> Protocol.Job (check None)
-    | `Record ->
-      Protocol.Job (check (Some (required "trace-out" "record" trace_out)))
-    | `Recheck ->
-      Protocol.Job
-        (Protocol.Recheck
-           { trace = required "trace-in" "recheck" trace_in; props; workers;
-             retries = Option.value retries ~default:1 })
-    | `Campaign ->
-      let path = required "manifest" "campaign" manifest in
-      let manifest =
-        match Tabv_core.Report_json.of_string (Cli.read_file path) with
-        | json -> json
-        | exception Tabv_core.Report_json.Parse_error { line; col; message } ->
-          fail (Printf.sprintf "%s:%d:%d: %s" path line col message)
-      in
-      Protocol.Job (Protocol.Campaign { manifest; workers; retries; journal })
-    | `Qualify ->
-      Protocol.Job
-        (Protocol.Qualify
-           { duv = Cli.duv ~fail duv; levels = Cli.levels ~fail levels;
-             seed = Option.value seed ~default:Cli.qualify_seed;
-             ops = Option.value ops ~default:Cli.qualify_size; workers;
-             retries = Option.value retries ~default:1 })
+    | `Check -> Protocol.Job (check ())
+    | `Record -> Protocol.Job (record ())
+    | `Recheck -> Protocol.Job (recheck ())
+    | `Campaign -> Protocol.Job (campaign ~journal)
+    | `Qualify -> Protocol.Job (qualify ())
   in
   Term.(
-    const request $ op $ model $ ops $ seed $ props $ trace_out $ trace_in
-    $ manifest $ journal $ duv $ levels $ workers $ retries)
+    const request $ op $ Cli.check_job $ Cli.record_job $ Cli.recheck_job
+    $ Cli.campaign_job $ Cli.qualify_job $ journal)
 
 let client_cmd =
   let open Tabv_serve in
@@ -910,10 +754,7 @@ let client_cmd =
              (match report_out with
               | Some "-" | None -> print_string report
               | Some path ->
-                (* Same commit discipline as Cli.write_json: the
-                   served report bytes land atomically or not at
-                   all. *)
-                Tabv_core.Io.write_file_atomic ~path report;
+                Cli.write_file ~fail path report;
                 Printf.printf "wrote report to %s%s\n" path
                   (if warm then " (warm)" else ""));
              if not ok then exit 1
@@ -948,17 +789,20 @@ let client_cmd =
 
 type 'a served = {
   cold : string option;  (* the first reply's report, if it ran cold *)
-  warm_identical : bool;  (* the second reply was warm, with those bytes *)
+  warm_identical : bool;
+      (* the second reply was warm, with those bytes; or no warm
+         cache answers [job] ({!Tabv_serve.Handler.cacheable}) *)
   more : 'a;
   shut_down : bool;
 }
 
 (* The daemon script `tabv doctor` and the `_serve_golden` hook share:
    boot a daemon with two [executor] workers and a state directory on a
-   fresh temp socket, submit [job] cold and then warm, run [more client
-   ~state], and ask the daemon to drain.  A daemon the client cannot
-   reach is an [Error].  The temp tree is swept on every exit path, so
-   a failed step leaves no socket or journal behind. *)
+   fresh temp socket, submit [job] cold and then, when a warm cache
+   answers it, warm; run [more client ~state], and ask the daemon to
+   drain.  A daemon the client cannot reach is an [Error].  The temp
+   tree is swept on every exit path, so a failed step leaves no socket
+   or journal behind. *)
 let serve_script ~executor job more =
   let open Tabv_serve in
   let dir = Filename.temp_file "tabv_serve" ".smoke" in
@@ -999,6 +843,8 @@ let serve_script ~executor job more =
                   | _ -> None
                 in
                 let warm_identical =
+                  (not (Handler.cacheable job))
+                  ||
                   match Client.request client job with
                   | Client.Result { warm = true; report; _ } ->
                     cold = Some report
@@ -1270,9 +1116,10 @@ let () =
 
 (* Hidden two-process golden hook: `tabv _serve_golden OUT ARGS...`
    builds a job from the `tabv client` arguments ARGS, serves it with
-   the smoke script on *subprocess* workers, checks that the warm
-   replay is byte-identical, and writes the report bytes to OUT so the
-   test suite can diff them against the one-shot CLI's file. *)
+   the smoke script on *subprocess* workers, checks that a warm replay
+   is byte-identical (for a job a warm cache answers), and writes the
+   report bytes to OUT so the test suite can diff them against the
+   one-shot CLI's file. *)
 let () =
   if Array.length Sys.argv > 3 && Sys.argv.(1) = "_serve_golden" then begin
     let die msg =
@@ -1295,8 +1142,7 @@ let () =
     match served with
     | Error msg -> die msg
     | Ok { cold = Some report; warm_identical = true; shut_down = true; _ } ->
-      Out_channel.with_open_bin Sys.argv.(2) (fun oc ->
-          Out_channel.output_string oc report);
+      Cli.write_file ~fail:die Sys.argv.(2) report;
       exit 0
     | Ok { cold = None; _ } -> die "the first reply was not a cold result"
     | Ok { warm_identical = false; _ } -> die "warm replay is not byte-identical"

@@ -621,7 +621,6 @@ let run ?(workers = 1) ?(retries = 1) ?(clock = fun () -> 0.) ?exec ?journal
    | Some reason -> invalid_arg ("Campaign.run: " ^ reason)
    | None -> ());
   if retries < 0 then invalid_arg "Campaign.run: retries must be >= 0";
-  let workers = max 1 workers in
   let exec =
     match exec with
     | Some config -> config

@@ -94,7 +94,6 @@ val job :
 val selection_name : selection -> string
 val chaos_kind_name : chaos_kind -> string
 val selection_of_name : string -> selection option
-val chaos_kind_of_name : string -> chaos_kind option
 
 (** [Error reason] for combinations the catalog has no model for
     ({!Tabv_duv.Models.of_duv_level}: [Tlm_lt] on anything but DES56)
@@ -295,7 +294,8 @@ type summary = {
     reported as [pending].
 
     @raise Invalid_argument if any job fails {!validate}, on a
-    negative retry budget, or on an undecodable journal record. *)
+    negative retry budget, on fewer than one worker, or on an
+    undecodable journal record. *)
 val run :
   ?workers:int ->
   ?retries:int ->

@@ -72,7 +72,8 @@ let run_in_domain ~workers ~retries ~interrupted tasks =
   let slots : 'a task_result option array = Array.make n None in
   let next = Atomic.make 0 in
   (* Workers are always spawned domains (even for [workers = 1]) so
-     the caller's interning universe is never touched by execution. *)
+     the caller's interning universe is never touched by execution;
+     at most one per pending task, as the subprocess pool spawns. *)
   let worker () =
     let rec loop () =
       if not (interrupted ()) then begin
@@ -98,7 +99,11 @@ let run_in_domain ~workers ~retries ~interrupted tasks =
     in
     loop ()
   in
-  let domains = List.init workers (fun _ -> Domain.spawn worker) in
+  let pending = ref 0 in
+  for i = 0 to n - 1 do
+    if not (tasks.skip i) then incr pending
+  done;
+  let domains = List.init (min workers !pending) (fun _ -> Domain.spawn worker) in
   List.iter Domain.join domains;
   slots
 

@@ -137,7 +137,8 @@ type 'a tasks = {
 }
 
 (** [run config ~workers ~retries ?interrupted tasks] executes every
-    non-skipped task and returns one slot per task — [None] for
+    non-skipped task on at most [workers] workers, never more than
+    there are such tasks, and returns one slot per task — [None] for
     skipped tasks and for tasks not run because [interrupted ()]
     turned true (polled between jobs in-domain, continuously in the
     subprocess select loop; on interrupt, subprocess workers are

@@ -110,11 +110,7 @@ let complete_lines text =
   in
   go [] 0
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 (* [(records, valid_prefix_bytes)]; [valid_prefix_bytes = 0] means not
    even the header line survived (a crash before the first header

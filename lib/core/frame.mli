@@ -29,14 +29,7 @@ val encode : ?version:int -> string -> string
 (** [None] on anything that is not 8 hex digits + newline. *)
 val decode_header : string -> int option
 
-(** [(version, length)], or [None] on a malformed header. *)
-val decode_versioned_header : string -> (int * int) option
-
 exception Protocol_error of string
-
-(** The error both the channel reader and the incremental decoder
-    raise on a version-field mismatch (as {!Protocol_error}). *)
-val version_mismatch : got:int -> expected:int -> exn
 
 (** Write one frame and flush.  [version] selects the header format
     and must match what the peer's reader expects. *)

@@ -58,23 +58,17 @@ val checker_snapshot_json : Tabv_obs.Checker_snapshot.t -> json
     wire). *)
 val checker_snapshot_of_json : json -> (Tabv_obs.Checker_snapshot.t, string) result
 
-(** Universe-independent subset of {!checker_snapshot_json}: same keys
-    minus the transition-memo counters ([cache_hits], [cache_misses],
-    [cache_hit_rate]), which depend on what else shares the
-    process-wide checker universe and would make reports diverge
-    across worker counts. *)
-val checker_verdict_json : Tabv_obs.Checker_snapshot.t -> json
-
-(** Version stamped into the ["schema"] key of {!verdict_report_json}. *)
-val verdict_schema_version : int
-
 (** The deterministic per-run verdict report shared by
     [tabv check --report-json], [tabv record --report-json] and
     [tabv recheck --report-json]:
-    [{"schema":1,"run":{..},"properties":[..]}] with one
-    {!checker_verdict_json} per property.  The contract: re-checking a
-    recorded trace — any worker count, either executor — must emit
-    bytes identical to the live check of the same run. *)
+    [{"schema":1,"run":{..},"properties":[..]}] with one verdict per
+    property: the keys of {!checker_snapshot_json} minus the
+    transition-memo counters ([cache_hits], [cache_misses],
+    [cache_hit_rate]), which depend on what else shares the
+    process-wide checker universe and would make reports diverge
+    across worker counts.  The contract: re-checking a recorded trace
+    — any worker count, either executor — must emit bytes identical to
+    the live check of the same run. *)
 val verdict_report_json :
   run:(string * json) list ->
   properties:Tabv_obs.Checker_snapshot.t list ->
@@ -93,14 +87,11 @@ val engine_cache_json :
   unit ->
   json
 
-(** One {!Tabv_obs.Metrics.value} as tagged JSON:
-    [{"kind":"counter","value":n}], [{"kind":"gauge","value":n}], or a
-    histogram object with [count]/[sum]/[min]/[max] and cumulative-free
-    per-bucket [{"le":bound,"count":n}] entries. *)
-val metrics_value_json : Tabv_obs.Metrics.value -> json
-
 (** A whole registry snapshot as one JSON object, preserving the
-    snapshot's (sorted, deterministic) name order. *)
+    snapshot's (sorted, deterministic) name order.  Each value is
+    tagged: [{"kind":"counter","value":n}], [{"kind":"gauge","value":n}],
+    or a histogram object with [count]/[sum]/[min]/[max] and
+    cumulative-free per-bucket [{"le":bound,"count":n}] entries. *)
 val metrics_snapshot_json : (string * Tabv_obs.Metrics.value) list -> json
 
 (** Inverse of {!metrics_snapshot_json}. *)
@@ -127,11 +118,9 @@ val metrics_json :
   unit ->
   json
 
-(** One methodology report as JSON: input/output properties (printed
-    in the property language), pipeline stages, applied Fig. 4 rules,
-    substitutions, and review flags. *)
-val of_report : Methodology.report -> json
-
 (** A whole property set's reports: [{"clock_period": ..,
-    "abstracted_signals": [..], "properties": [..]}]. *)
+    "abstracted_signals": [..], "properties": [..]}], one object per
+    report with its input/output properties (printed in the property
+    language), pipeline stages, applied Fig. 4 rules, substitutions
+    and review flags. *)
 val of_reports : Methodology.report list -> json

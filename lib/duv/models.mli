@@ -63,9 +63,6 @@ val entry : t -> entry
     mutators; [None] at RTL. *)
 val socket : t -> string option
 
-(** The interface signal names properties may mention on this model. *)
-val known_signals : t -> string list
-
 (** [check_signals model properties] is [Error message] when the
     properties read signals [model] does not expose — the message
     names them, sorted — and [Ok ()] otherwise.  Checked before
@@ -80,15 +77,6 @@ val check_ops : int -> (unit, string) result
 
 (** The signals the DUV's TLM-AT model abstracts away. *)
 val abstracted_signals : duv -> string list
-
-(** Split the automatically-safe Methodology III.1 abstractions of
-    [properties] into strict-wrapper properties and grid-wrapper ones
-    (timed operators under until/release need the full clock grid).
-    Clock period 10 ns. *)
-val abstract_for_at :
-  abstracted_signals:string list ->
-  Tabv_psl.Property.t list ->
-  Tabv_psl.Property.t list * Tabv_psl.Property.t list
 
 (** [properties_for model user] — the [(properties, grid_properties)]
     a run actually attaches, in attach (= report) order, given the

@@ -61,6 +61,10 @@ let admit_campaign ~manifest ~retries =
   let* m = Campaign.manifest_of_json manifest in
   Campaign.admit ~retries m
 
+(* A request's worker count is outside input (any socket client builds
+   jobs), so it is admitted as the one-shot admits a -j flag. *)
+let admit_workers workers = Executor.workers ~cap:max_int (Some workers)
+
 let campaign_journal_path ~state_dir job =
   match job with
   | Protocol.Campaign { manifest; workers = _; retries; journal = true } ->
@@ -95,7 +99,7 @@ let exec_check ~model ~seed ~ops ~props ~trace_out =
 
 let exec_recheck ~interrupted ~trace ~props ~workers ~retries =
   match
-    Tabv_trace.Reader.catch_format_error (fun () ->
+    Tabv_trace.Reader.catch_read_error (fun () ->
         Recheck.run_validated ~interrupted ~retries ~trace
           (Recheck.plan ~trace ~props:(inline_props props)
              ~workers:(Some workers)))
@@ -112,6 +116,7 @@ let exec_recheck ~interrupted ~trace ~props ~workers ~retries =
 let exec_campaign ~interrupted ~state_dir ~manifest ~workers ~retries ~journal
     =
   let* campaign = admit_campaign ~manifest ~retries in
+  let* workers = admit_workers workers in
   let* journal =
     if not journal then Ok None
     else
@@ -158,6 +163,7 @@ let exec_campaign ~interrupted ~state_dir ~manifest ~workers ~retries ~journal
     }
 
 let exec_qualify ~interrupted ~duv ~levels ~seed ~ops ~workers ~retries =
+  let* workers = admit_workers workers in
   match
     Qualify.run ~workers ~retries ~interrupted ~duv ~levels ~seed ~ops ()
   with

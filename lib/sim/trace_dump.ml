@@ -1,7 +1,8 @@
 open Tabv_psl
 
-let to_channel ?(width = 62) trace oc =
-  let vcd = Vcd.create oc ~timescale:"1ns" in
+let to_string ?(width = 62) trace =
+  let buffer = Buffer.create 4096 in
+  let vcd = Vcd.create buffer ~timescale:"1ns" in
   let vars =
     if Trace.length trace = 0 then []
     else
@@ -26,9 +27,9 @@ let to_channel ?(width = 62) trace oc =
           | None -> ())
         vars)
     (Trace.to_list trace);
-  Vcd.close vcd
+  Vcd.close vcd;
+  Buffer.contents buffer
 
 let to_file ?width trace path =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () ->
-    to_channel ?width trace oc)
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_string oc (to_string ?width trace))

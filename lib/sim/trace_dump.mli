@@ -6,5 +6,8 @@
     entry, so a recorded trace (every sample of one run shares one
     environment shape; see [Tabv_trace.Writer]) dumps completely. *)
 
+(** [to_string ?width trace] — the VCD text. *)
+val to_string : ?width:int -> Tabv_psl.Trace.t -> string
+
 (** [to_file ?width trace path] creates/overwrites [path]. *)
 val to_file : ?width:int -> Tabv_psl.Trace.t -> string -> unit

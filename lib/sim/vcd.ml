@@ -5,7 +5,7 @@ type var = {
 }
 
 type t = {
-  channel : out_channel;
+  buffer : Buffer.t;
   timescale : string;
   mutable vars : var list;  (* reversed *)
   mutable header_done : bool;
@@ -13,8 +13,8 @@ type t = {
   mutable next_id : int;
 }
 
-let create channel ~timescale =
-  { channel; timescale; vars = []; header_done = false; last_time = -1; next_id = 0 }
+let create buffer ~timescale =
+  { buffer; timescale; vars = []; header_done = false; last_time = -1; next_id = 0 }
 
 (* VCD identifiers: printable ASCII starting at '!'. *)
 let make_id n =
@@ -34,27 +34,27 @@ let add_var t ~name ~width =
   var
 
 let write_header t =
-  let out = t.channel in
-  Printf.fprintf out "$date generated by tabv $end\n";
-  Printf.fprintf out "$timescale %s $end\n" t.timescale;
-  Printf.fprintf out "$scope module tabv $end\n";
+  let out = t.buffer in
+  Printf.bprintf out "$date generated by tabv $end\n";
+  Printf.bprintf out "$timescale %s $end\n" t.timescale;
+  Printf.bprintf out "$scope module tabv $end\n";
   List.iter
-    (fun v -> Printf.fprintf out "$var wire %d %s %s $end\n" v.width v.id v.name)
+    (fun v -> Printf.bprintf out "$var wire %d %s %s $end\n" v.width v.id v.name)
     (List.rev t.vars);
-  Printf.fprintf out "$upscope $end\n$enddefinitions $end\n";
+  Printf.bprintf out "$upscope $end\n$enddefinitions $end\n";
   t.header_done <- true
 
 let advance t time =
   if not t.header_done then write_header t;
   if time < t.last_time then invalid_arg "Vcd: time going backwards";
   if time > t.last_time then begin
-    Printf.fprintf t.channel "#%d\n" time;
+    Printf.bprintf t.buffer "#%d\n" time;
     t.last_time <- time
   end
 
 let change_bool t ~time var value =
   advance t time;
-  Printf.fprintf t.channel "%c%s\n" (if value then '1' else '0') var.id
+  Printf.bprintf t.buffer "%c%s\n" (if value then '1' else '0') var.id
 
 let bin_of_int64 width v =
   let buf = Bytes.make width '0' in
@@ -66,8 +66,6 @@ let bin_of_int64 width v =
 
 let change_int64 t ~time var value =
   advance t time;
-  Printf.fprintf t.channel "b%s %s\n" (bin_of_int64 var.width value) var.id
+  Printf.bprintf t.buffer "b%s %s\n" (bin_of_int64 var.width value) var.id
 
-let close t =
-  if not t.header_done then write_header t;
-  flush t.channel
+let close t = if not t.header_done then write_header t

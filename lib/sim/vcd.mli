@@ -8,7 +8,8 @@ type t
 
 type var
 
-val create : out_channel -> timescale:string -> t
+(** [create buffer ~timescale] — a writer appending to [buffer]. *)
+val create : Buffer.t -> timescale:string -> t
 
 (** Register a variable. [width] in bits (1 for booleans). *)
 val add_var : t -> name:string -> width:int -> var
@@ -19,5 +20,5 @@ val change_bool : t -> time:int -> var -> bool -> unit
 (** Record a vector change (binary format). *)
 val change_int64 : t -> time:int -> var -> int64 -> unit
 
-(** Flush the trailing timestamp and the channel. *)
+(** End the dump: write the header if no change did. *)
 val close : t -> unit

@@ -112,8 +112,4 @@ let parse source =
     trace = Tabv_psl.Trace.of_list (List.rev !entries);
   }
 
-let load path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> parse (really_input_string ic (in_channel_length ic)))
+let load path = parse (In_channel.with_open_bin path In_channel.input_all)

@@ -459,9 +459,10 @@ let with_file path f =
 
 let read_trace path = with_file path (fun t -> (t.meta, Entry.to_trace (to_seq t)))
 
-let catch_format_error f =
-  try f ()
-  with Format_error { path; message; offset; valid_prefix } ->
+let catch_read_error f =
+  try f () with
+  | Format_error { path; message; offset; valid_prefix } ->
     Error
       (Printf.sprintf "%s: %s (at byte %d; verified prefix %d bytes)" path
          message offset valid_prefix)
+  | Sys_error message -> Error message

@@ -100,8 +100,9 @@ val with_file : string -> (t -> 'a) -> 'a
     tests — re-checking should stay on the streaming path. *)
 val read_trace : string -> Meta.t * Trace.t
 
-(** [catch_format_error f] is [f ()], with a {!Format_error} it raises
+(** [catch_read_error f] is [f ()], with a {!Format_error} it raises
     turned into [Error "PATH: MESSAGE (at byte N; verified prefix M
     bytes)"] — the one text every entry point reports a damaged trace
-    with. *)
-val catch_format_error : (unit -> ('a, string) result) -> ('a, string) result
+    with — and a [Sys_error] (a trace that is missing, a directory or
+    unreadable) into [Error "PATH: MESSAGE"]. *)
+val catch_read_error : (unit -> ('a, string) result) -> ('a, string) result

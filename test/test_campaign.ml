@@ -539,7 +539,28 @@ let executor_cases =
           ~duv:M.Colorconv ~levels:[ M.Rtl ] ~seed:1 ~ops:6 ()
       with
       | _ -> Alcotest.fail "expected Interrupted"
-      | exception Qualify.Interrupted -> ()) ]
+      | exception Qualify.Interrupted -> ());
+    case "an in-domain pool spawns no more domains than it has tasks" (fun () ->
+      (* Every spawned domain polls [interrupted] before taking a task,
+         so the distinct pollers are the domains the pool spawned. *)
+      let lock = Mutex.create () and pollers = ref [] in
+      let interrupted () =
+        let self = (Domain.self () :> int) in
+        Mutex.protect lock (fun () ->
+            if not (List.mem self !pollers) then pollers := self :: !pollers);
+        false
+      in
+      let tasks =
+        { Executor.count = 1; skip = (fun _ -> false);
+          execute = (fun _ ~attempt:_ -> ());
+          request = (fun _ ~attempt:_ -> J.Null);
+          decode = (fun _ _ -> Ok ()); on_result = (fun _ _ -> ()) }
+      in
+      ignore
+        (Executor.run (Executor.config Executor.In_domain) ~workers:8
+           ~retries:0 ~interrupted tasks);
+      Alcotest.(check int) "domains for one task and eight workers" 1
+        (List.length !pollers)) ]
 
 (* --- running ----------------------------------------------------------- *)
 

@@ -1022,7 +1022,45 @@ let serve_cases =
     slow_case "a subprocess daemon leaks no descriptor"
       (leaks_no_descriptor Server.Subprocess_workers) ]
 
+(* Requests carry outside input (any socket client builds them), so
+   the handler admits a worker count and a trace path as the one-shot
+   admits its flags. *)
+let admission_cases =
+  [ case "a served pool of no workers is refused like -j 0" (fun () ->
+        let manifest =
+          J.Assoc
+            [ ( "jobs",
+                J.List
+                  [ J.Assoc
+                      [ ("duv", J.String "des56"); ("level", J.String "rtl");
+                        ("seed", J.Int 1); ("ops", J.Int 5) ] ] ) ]
+        in
+        List.iter
+          (fun (name, job) ->
+            match Handler.execute ~state_dir:None job with
+            | Error message ->
+              Alcotest.(check string) name "--workers must be >= 1 (got 0)"
+                message
+            | Ok _ -> Alcotest.fail (name ^ " ran on no workers"))
+          [ ( "campaign",
+              Protocol.Campaign
+                { manifest; workers = 0; retries = None; journal = false } );
+            ( "qualify",
+              Protocol.Qualify
+                { duv = Models.Des56; levels = [ Models.Rtl ]; seed = 1; ops = 5;
+                  workers = 0; retries = 1 } ) ]);
+    case "a missing trace is refused naming it" (fun () ->
+        let trace = "/nonexistent/tabv_handler.trace" in
+        match
+          Handler.execute ~state_dir:None
+            (Protocol.Recheck { trace; props = None; workers = 1; retries = 1 })
+        with
+        | Error message ->
+          Alcotest.(check string) "names the path"
+            (trace ^ ": No such file or directory") message
+        | Ok _ -> Alcotest.fail "a missing trace must fail the request") ]
+
 let suite =
   ( "serve",
     sched_cases @ breaker_cases @ warm_cases @ frame_cases @ frame_fuzz_cases
-    @ journal_cases @ handler_cases @ serve_cases )
+    @ journal_cases @ handler_cases @ serve_cases @ admission_cases )

@@ -82,9 +82,8 @@ let reader_cases =
 
 let roundtrip_cases =
   [ case "writer output parses back to the same trace" (fun () ->
-      let path = Filename.temp_file "tabv" ".vcd" in
-      let oc = open_out path in
-      let vcd = Vcd.create oc ~timescale:"1ns" in
+      let buffer = Buffer.create 256 in
+      let vcd = Vcd.create buffer ~timescale:"1ns" in
       let ds = Vcd.add_var vcd ~name:"ds" ~width:1 in
       let out = Vcd.add_var vcd ~name:"out" ~width:16 in
       Vcd.change_bool vcd ~time:0 ds true;
@@ -92,7 +91,9 @@ let roundtrip_cases =
       Vcd.change_bool vcd ~time:10 ds false;
       Vcd.change_int64 vcd ~time:170 out 0xBEEFL;
       Vcd.close vcd;
-      close_out oc;
+      let path = Filename.temp_file "tabv" ".vcd" in
+      Out_channel.with_open_bin path (fun oc ->
+          Buffer.output_buffer oc buffer);
       let parsed = Vcd_reader.load path in
       Sys.remove path;
       Alcotest.(check int) "entries" 3 (Trace.length parsed.Vcd_reader.trace);
