@@ -1446,11 +1446,7 @@ let run_gate ~quick gate =
 (* Hidden subprocess-executor hook: the isolation-overhead gate runs
    campaigns on the subprocess executor with the default worker argv,
    which re-executes *this* binary with [_worker]. *)
-let () =
-  if Array.length Sys.argv > 1 && Sys.argv.(1) = "_worker" then begin
-    Tabv_campaign.Worker.main ();
-    exit 0
-  end
+let () = Tabv_serve.Handler.worker_hook ()
 
 let () =
   let accepted = "--quick" :: List.map (fun gate -> "--" ^ gate.name ^ "-only") gates in

@@ -301,12 +301,14 @@ let with_interrupt f =
     (fun () -> f (fun () -> Atomic.get flag))
 
 (* Run [f journal interrupted] under [with_interrupt] and the journal
-   the flags name, if any, closed afterwards whatever happens. *)
+   the flags name, if any, closed afterwards whatever happens.  A
+   journal that cannot be resumed — its header, or a record the batch
+   cannot decode — is refused naming the file. *)
 let with_journal ~fail ~kind ~fingerprint ~path ~resume f =
-  let journal =
+  let opened =
     match (path, resume) with
-    | None, true -> fail "--resume requires --journal"
-    | None, false -> None
+    | None, true -> Error "--resume requires --journal"
+    | None, false -> Ok None
     | Some path, resume ->
       (match Tabv_campaign.Journal.open_ ~path ~kind ~fingerprint ~resume with
        | Ok j ->
@@ -316,12 +318,21 @@ let with_journal ~fail ~kind ~fingerprint ~path ~resume f =
              "%s: dropped %d bytes of torn/corrupt journal suffix (the \
               affected jobs will re-run)\n%!"
              path dropped;
-         Some j
-       | Error msg -> fail (Printf.sprintf "%s: %s" path msg))
+         Ok (Some (path, j))
+       | Error msg -> Error (Printf.sprintf "%s: %s" path msg))
   in
-  Fun.protect
-    ~finally:(fun () -> Option.iter Tabv_campaign.Journal.close journal)
-    (fun () -> with_interrupt (f journal))
+  match opened with
+  | Error msg -> fail msg
+  | Ok journal ->
+    (match
+       Fun.protect
+         ~finally:(fun () ->
+           Option.iter (fun (_, j) -> Tabv_campaign.Journal.close j) journal)
+         (fun () -> with_interrupt (f (Option.map snd journal)))
+     with
+     | result -> result
+     | exception Tabv_campaign.Executor.Bad_record msg ->
+       fail (Printf.sprintf "%s: %s" (fst (Option.get journal)) msg))
 
 (* The "how to pick the run back up" part of an interrupt message. *)
 let resume_hint = function

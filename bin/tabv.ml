@@ -1101,18 +1101,10 @@ let fig3_cmd =
   let doc = "Reproduce the paper's Fig. 3 property rewriting (p1-p3 to q1-q3)." in
   Cmd.v (Cmd.info "fig3" ~doc) Term.(const run $ const ())
 
-(* The hidden worker hook: `tabv _worker` never parses a command line —
-   it turns this process into a frame server for a subprocess-executor
-   coordinator (usually another tabv).  Must run before Cmd.eval so no
-   cmdliner output pollutes the frame protocol on stdout. *)
-let () =
-  if Array.length Sys.argv > 1 && Sys.argv.(1) = "_worker" then begin
-    (* Serve daemons delegate whole requests to subprocess workers via
-       a registered op; the worker must know how to decode it. *)
-    Tabv_serve.Handler.register_worker_op ();
-    Tabv_campaign.Worker.main ();
-    exit 0
-  end
+(* `tabv _worker` is a subprocess worker, not a command line; the
+   hook must run before Cmd.eval so no cmdliner output pollutes the
+   frame protocol on stdout. *)
+let () = Tabv_serve.Handler.worker_hook ()
 
 (* Hidden two-process golden hook: `tabv _serve_golden OUT ARGS...`
    builds a job from the `tabv client` arguments ARGS, serves it with

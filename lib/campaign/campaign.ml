@@ -287,12 +287,6 @@ let manifest_of_json json =
   | [] -> Error "manifest: no jobs (provide \"jobs\" and/or \"matrix\")"
   | manifest_jobs -> Ok { manifest_jobs; manifest_retries }
 
-let manifest_of_string text =
-  match J.of_string text with
-  | json -> manifest_of_json json
-  | exception J.Parse_error { line; col; message } ->
-    Error (Printf.sprintf "%d:%d: %s" line col message)
-
 (* --- single-job execution ------------------------------------------- *)
 
 exception Chaos
@@ -381,7 +375,7 @@ let payload_of_json json =
       p_diagnosis;
     }
 
-let exec_job ~attempt job =
+let exec_job job ~attempt =
   (* Fresh interning + obligation universes per attempt: job
      statistics become placement-independent (the determinism
      contract) and a crashed attempt's half-built tables are
@@ -403,13 +397,11 @@ let exec_job ~attempt job =
          metrics = Some (Tabv_obs.Metrics.create ~enabled:true ()) }
        model ~seed:job.seed ~ops:job.ops)
 
-(* --- worker protocol ------------------------------------------------- *)
-
-let request_json ~attempt job =
-  J.Assoc
-    [ ("op", J.String "campaign_job");
-      ("attempt", J.Int attempt);
-      ("job", job_spec_json job) ]
+let op =
+  { Executor.name = "campaign_job";
+    spec = { to_json = job_spec_json; of_json = job_spec_of_json };
+    run = exec_job;
+    result = { to_json = payload_json; of_json = payload_of_json } }
 
 (* --- results --------------------------------------------------------- *)
 
@@ -433,10 +425,9 @@ type job_result = {
   checker_stats : Tabv_obs.Checker_snapshot.t list;
   metrics : Tabv_obs.Metrics.snapshot;
   diagnosis : Tabv_sim.Kernel.diagnosis;
-  wall_seconds : float;
 }
 
-let result_of_payload ~job_id ~job ~attempts ~wall_seconds p =
+let result_of_payload ~job_id ~job ~attempts p =
   {
     job_id;
     job;
@@ -451,7 +442,6 @@ let result_of_payload ~job_id ~job ~attempts ~wall_seconds p =
     checker_stats = p.p_checker_stats;
     metrics = p.p_metrics;
     diagnosis = p.p_diagnosis;
-    wall_seconds;
   }
 
 let result_of_failure ~job_id ~job ~attempts failure =
@@ -479,7 +469,6 @@ let result_of_failure ~job_id ~job ~attempts failure =
     checker_stats = [];
     metrics = [];
     diagnosis = Tabv_sim.Kernel.Process_crashed { name; error };
-    wall_seconds = 0.;
   }
 
 (* --- journal records ------------------------------------------------- *)
@@ -514,19 +503,6 @@ let admit ~retries manifest =
       | None, None -> 1
     in
     Ok { jobs; retries; fingerprint = fingerprint ~retries jobs }
-
-let record_json ~attempts payload =
-  J.Assoc [ ("attempts", J.Int attempts); ("payload", payload_json payload) ]
-
-let record_of_json json =
-  let what = "campaign journal record" in
-  let* fields = J.open_assoc what json in
-  let* attempts = J.int_field what "attempts" fields in
-  let* payload =
-    let* v = J.field what "payload" fields in
-    payload_of_json v
-  in
-  Ok (attempts, payload)
 
 (* --- the pool ------------------------------------------------------- *)
 
@@ -611,8 +587,8 @@ let summarize ~workers ~retries ~replayed ~pending ~wall_seconds results =
     wall_seconds;
   }
 
-let run ?(workers = 1) ?(retries = 1) ?(clock = fun () -> 0.) ?exec ?journal
-    ?interrupted jobs =
+let run ?(workers = 1) ?(retries = 1) ?(clock = fun () -> 0.)
+    ?(exec = Executor.config Executor.In_domain) ?journal ?interrupted jobs =
   (match
      List.find_map
        (fun j -> Result.fold ~ok:(fun () -> None) ~error:Option.some (validate j))
@@ -621,79 +597,29 @@ let run ?(workers = 1) ?(retries = 1) ?(clock = fun () -> 0.) ?exec ?journal
    | Some reason -> invalid_arg ("Campaign.run: " ^ reason)
    | None -> ());
   if retries < 0 then invalid_arg "Campaign.run: retries must be >= 0";
-  let exec =
-    match exec with
-    | Some config -> config
-    | None -> Executor.config Executor.In_domain
-  in
-  let jobs = Array.of_list jobs in
-  let n = Array.length jobs in
-  (* Journal replay: completed results read back by [Journal.open_
-     ~resume:true] are decoded here and their slots skipped.  A record
-     the current code cannot decode is corruption, not a crash
-     artifact — fail loudly rather than silently re-running. *)
-  let replayed_tbl : (int, int * exec_payload) Hashtbl.t = Hashtbl.create 16 in
-  (match journal with
-   | None -> ()
-   | Some jr ->
-     List.iter
-       (fun (id, record) ->
-         if id < n then
-           match record_of_json record with
-           | Ok (attempts, payload) ->
-             Hashtbl.replace replayed_tbl id (attempts, payload)
-           | Error e ->
-             invalid_arg (Printf.sprintf "Campaign.run: journal record %d: %s" id e))
-       (Journal.replayed jr));
-  let tasks =
-    {
-      Executor.count = n;
-      skip = (fun i -> Hashtbl.mem replayed_tbl i);
-      execute =
-        (fun i ~attempt ->
-          let t0 = clock () in
-          let p = exec_job ~attempt jobs.(i) in
-          (p, clock () -. t0));
-      request = (fun i ~attempt -> request_json ~attempt jobs.(i));
-      decode =
-        (fun _ json -> Result.map (fun p -> (p, 0.)) (payload_of_json json));
-      on_result =
-        (fun i r ->
-          match journal, r.Executor.outcome with
-          | Some jr, Executor.Done (payload, _) ->
-            Journal.append jr ~id:i (record_json ~attempts:r.Executor.attempts payload)
-          | _ -> ());
-    }
-  in
   let t0 = clock () in
-  let slots = Executor.run exec ~workers ~retries ?interrupted tasks in
+  let slots = Executor.run exec ~workers ~retries ?interrupted ?journal op jobs in
   let wall_seconds = clock () -. t0 in
-  let pending = ref 0 in
+  let pending = ref 0 and replayed = ref 0 in
   let results =
-    List.filter_map
-      (fun i ->
-        match Hashtbl.find_opt replayed_tbl i with
-        | Some (attempts, payload) ->
-          Some
-            (result_of_payload ~job_id:i ~job:jobs.(i) ~attempts ~wall_seconds:0.
-               payload)
+    List.mapi
+      (fun job_id job ->
+        match slots.(job_id) with
+        | Some { Executor.attempts; outcome = Executor.Done payload; replayed = r } ->
+          if r then incr replayed;
+          Some (result_of_payload ~job_id ~job ~attempts payload)
+        | Some { Executor.attempts; outcome = Executor.Failed failure; _ } ->
+          Some (result_of_failure ~job_id ~job ~attempts failure)
         | None ->
-          (match slots.(i) with
-           | Some { Executor.attempts; outcome = Executor.Done (payload, wall) } ->
-             Some
-               (result_of_payload ~job_id:i ~job:jobs.(i) ~attempts
-                  ~wall_seconds:wall payload)
-           | Some { Executor.attempts; outcome = Executor.Failed failure } ->
-             Some (result_of_failure ~job_id:i ~job:jobs.(i) ~attempts failure)
-           | None ->
-             (* Interrupted before this job ran: no row at all — the
-                job re-runs on [--resume]. *)
-             incr pending;
-             None))
-      (List.init n Fun.id)
+          (* Interrupted before this job ran: no row at all — the job
+             re-runs on [--resume]. *)
+          incr pending;
+          None)
+      jobs
+    |> List.filter_map Fun.id
   in
-  summarize ~workers ~retries ~replayed:(Hashtbl.length replayed_tbl)
-    ~pending:!pending ~wall_seconds results
+  summarize ~workers ~retries ~replayed:!replayed ~pending:!pending
+    ~wall_seconds results
 
 let all_green summary =
   summary.total_failures = 0

@@ -137,52 +137,21 @@ type manifest = {
     | "busy_loop"].  Unknown keys are rejected. *)
 val manifest_of_json : Tabv_core.Report_json.json -> (manifest, string) result
 
-(** {!manifest_of_json} o {!Tabv_core.Report_json.of_string}, folding
-    parse errors into [Error]. *)
-val manifest_of_string : string -> (manifest, string) result
+(** {1 The worker op} *)
 
-(** One job in canonical manifest form (keys [duv] / [level] / [seed]
-    / [ops] / [props] / [chaos] (+ [chaos_kind] when not [raise])) —
-    the unit worker requests and journal fingerprints are built
-    from. *)
-val job_spec_json : job -> Tabv_core.Report_json.json
-
-(** Inverse of {!job_spec_json} (also accepts any manifest job
-    object). *)
-val job_spec_of_json : Tabv_core.Report_json.json -> (job, string) result
-
-(** {1 Execution payloads}
-
-    The deterministic product of one completed job — exactly what the
+(** The deterministic product of one completed job — exactly what the
     report is built from, and therefore exactly what crosses a worker
-    pipe ([{"ok": payload}] reply frames) and lands in the write-ahead
-    journal. *)
+    pipe and lands in the write-ahead journal. *)
+type exec_payload
 
-type exec_payload = {
-  p_sim_time_ns : int;
-  p_kernel_activations : int;
-  p_delta_cycles : int;
-  p_transactions : int;
-  p_completed_ops : int;
-  p_checker_stats : Tabv_obs.Checker_snapshot.t list;
-  p_metrics : Tabv_obs.Metrics.snapshot;
-  p_diagnosis : Tabv_sim.Kernel.diagnosis;
-}
-
-(** Execute one attempt of one job in the calling domain/process:
-    resets the checker universe, arms the chaos hook
-    ([attempt <= chaos]), runs the model.  Raises on [Chaos_raise]
-    chaos; {e does not return} on armed [Chaos_hard] chaos.  This is
-    the single execution primitive shared by the in-domain executor
-    and the [_worker] serve loop. *)
-val exec_job : attempt:int -> job -> exec_payload
-
-val payload_json : exec_payload -> Tabv_core.Report_json.json
-val payload_of_json : Tabv_core.Report_json.json -> (exec_payload, string) result
-
-(** The [{"op":"campaign_job",..}] request document the subprocess
-    executor ships to a worker for one attempt of one job. *)
-val request_json : attempt:int -> job -> Tabv_core.Report_json.json
+(** One attempt of one job: resets the checker universe, arms the
+    chaos hook ([attempt <= chaos]), runs the model.  Raises on
+    [Chaos_raise] chaos; {e does not return} on armed [Chaos_hard]
+    chaos.  Its spec travels in canonical manifest form (keys [duv] /
+    [level] / [seed] / [ops] / [props] / [chaos], plus [chaos_kind]
+    when not [raise]) — the unit journal fingerprints are built from
+    too. *)
+val op : (job, exec_payload) Executor.op
 
 (** {1 Journals} *)
 
@@ -237,9 +206,6 @@ type job_result = {
   diagnosis : Tabv_sim.Kernel.diagnosis;
       (** how the job's simulation ended; a synthetic
           [Process_crashed] when the job itself failed *)
-  wall_seconds : float;
-      (** indicative only (in-domain: the successful attempt; 0 for
-          subprocess / replayed / failed jobs); excluded from JSON *)
 }
 
 type summary = {
@@ -273,8 +239,8 @@ type summary = {
     executes the campaign on [workers] workers (default 1) with up to
     [retries] retries per failing job (default 1).
 
-    [clock] (seconds, default [fun () -> 0.]) feeds only the wall-time
-    fields; pass [Unix.gettimeofday] from binaries that link [unix].
+    [clock] (seconds, default [fun () -> 0.]) feeds only the summary's
+    wall time; pass [Unix.gettimeofday] from binaries that link [unix].
     Every job runs with a fresh enabled metrics registry.
 
     [exec] selects the executor (default
@@ -282,11 +248,10 @@ type summary = {
     subprocess pool and its watchdog.
 
     [journal] must have been opened with {!journal_kind} and
-    {!fingerprint} over exactly [jobs] and [retries]: its replayed
-    records substitute for their jobs (which are skipped), and every
-    newly completed job is durably appended before the campaign moves
-    on.  A fresh-vs-resumed pair of runs produces byte-identical
-    {!report_json}.
+    {!fingerprint} over exactly [jobs] and [retries]; {!Executor.run}
+    replays its records in place of their jobs and appends every newly
+    completed one.  A fresh-vs-resumed pair of runs produces
+    byte-identical {!report_json}.
 
     [interrupted] is polled during execution; once it returns [true],
     no further job starts (subprocess workers are killed), completed
@@ -294,8 +259,8 @@ type summary = {
     reported as [pending].
 
     @raise Invalid_argument if any job fails {!validate}, on a
-    negative retry budget, on fewer than one worker, or on an
-    undecodable journal record. *)
+    negative retry budget or on fewer than one worker.
+    @raise Executor.Bad_record on an undecodable journal record. *)
 val run :
   ?workers:int ->
   ?retries:int ->

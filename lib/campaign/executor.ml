@@ -1,6 +1,10 @@
 (* Pluggable campaign executors.  See executor.mli for the contract.
 
-   The in-domain pool is the historical one: an atomic queue index,
+   A batch is one worker op and a list of its specs.  The journal is
+   replayed into the result slots first; the remaining tasks run on
+   one of two pools, and each completed one is journaled as it lands.
+
+   The in-domain pool is an atomic queue index over the tasks to run,
    one result slot per task, every attempt wrapped in [try/with].
 
    The subprocess pool is a single-threaded coordinator around
@@ -47,6 +51,22 @@ let failure_to_string = function
   | Killed { signal } -> Printf.sprintf "killed by signal %d" signal
   | Timed_out -> "wall-clock watchdog expired"
 
+(* --- worker ops ------------------------------------------------------ *)
+
+type 'a codec = {
+  to_json : 'a -> J.json;
+  of_json : J.json -> ('a, string) result;
+}
+
+type ('spec, 'result) op = {
+  name : string;
+  spec : 'spec codec;
+  run : 'spec -> attempt:int -> 'result;
+  result : 'result codec;
+}
+
+type any_op = Op : ('spec, 'result) op -> any_op
+
 type 'a outcome =
   | Done of 'a
   | Failed of failure
@@ -54,60 +74,47 @@ type 'a outcome =
 type 'a task_result = {
   attempts : int;
   outcome : 'a outcome;
-}
-
-type 'a tasks = {
-  count : int;
-  skip : int -> bool;
-  execute : int -> attempt:int -> 'a;
-  request : int -> attempt:int -> J.json;
-  decode : int -> J.json -> ('a, string) result;
-  on_result : int -> 'a task_result -> unit;
+  replayed : bool;
 }
 
 (* --- in-domain pool -------------------------------------------------- *)
 
-let run_in_domain ~workers ~retries ~interrupted tasks =
-  let n = tasks.count in
-  let slots : 'a task_result option array = Array.make n None in
+(* [todo] holds the indices of the tasks to run; [finish] records each
+   terminal result (from whichever domain reached it). *)
+let run_in_domain ~workers ~retries ~interrupted op specs todo finish =
   let next = Atomic.make 0 in
   (* Workers are always spawned domains (even for [workers = 1]) so
      the caller's interning universe is never touched by execution;
-     at most one per pending task, as the subprocess pool spawns. *)
+     at most one per task to run, as the subprocess pool spawns. *)
   let worker () =
     let rec loop () =
       if not (interrupted ()) then begin
-        let i = Atomic.fetch_and_add next 1 in
-        if i < n then begin
-          if not (tasks.skip i) then begin
-            let rec attempt_loop attempt =
-              match tasks.execute i ~attempt with
-              | v -> { attempts = attempt; outcome = Done v }
-              | exception e ->
-                let error = Printexc.to_string e in
-                if attempt > retries then
-                  { attempts = attempt; outcome = Failed (Crashed { error }) }
-                else attempt_loop (attempt + 1)
-            in
-            let r = attempt_loop 1 in
-            slots.(i) <- Some r;
-            tasks.on_result i r
-          end;
+        let k = Atomic.fetch_and_add next 1 in
+        if k < Array.length todo then begin
+          let i = todo.(k) in
+          let rec attempt_loop attempt =
+            match op.run specs.(i) ~attempt with
+            | v -> { attempts = attempt; outcome = Done v; replayed = false }
+            | exception e ->
+              let error = Printexc.to_string e in
+              if attempt > retries then
+                { attempts = attempt; outcome = Failed (Crashed { error });
+                  replayed = false }
+              else attempt_loop (attempt + 1)
+          in
+          finish i (attempt_loop 1);
           loop ()
         end
       end
     in
     loop ()
   in
-  let pending = ref 0 in
-  for i = 0 to n - 1 do
-    if not (tasks.skip i) then incr pending
-  done;
-  let domains = List.init (min workers !pending) (fun _ -> Domain.spawn worker) in
-  List.iter Domain.join domains;
-  slots
+  let domains =
+    List.init (min workers (Array.length todo)) (fun _ -> Domain.spawn worker)
+  in
+  List.iter Domain.join domains
 
-(* --- subprocess pool ------------------------------------------------- *)
+(* --- worker processes ------------------------------------------------ *)
 
 (* OCaml's [Sys.sig*] values are an internal negative encoding; worker
    death is reported with POSIX numbers so reports and logs mean the
@@ -144,14 +151,16 @@ let posix_signal n =
   else if n = Sys.sigsys then 31
   else -n
 
-(* --- worker processes ------------------------------------------------ *)
-
 type process = {
   pid : int;
   to_worker : Unix.file_descr;
   from_worker : Unix.file_descr;
   replies : Frame.stream;  (* reassembly of the reply frames *)
 }
+
+(* Both ends of a worker pipe are this binary, so the version only
+   has to name the envelope format. *)
+let frame_version = 1
 
 let spawn () =
   let argv = [| Sys.executable_name; "_worker" |] in
@@ -178,7 +187,7 @@ let spawn () =
      nothing to read yet. *)
   Unix.set_nonblock rsp_read;
   { pid; to_worker = req_write; from_worker = rsp_read;
-    replies = Frame.stream () }
+    replies = Frame.stream ~expect_version:frame_version () }
 
 let reply_fd p = p.from_worker
 
@@ -214,11 +223,17 @@ let write_all fd s =
   in
   go 0
 
-let send p request =
+let send p op ~attempt spec =
+  let envelope =
+    J.Assoc
+      [ ("op", J.String op.name);
+        ("attempt", J.Int attempt);
+        ("spec", op.spec.to_json spec) ]
+  in
   (* A worker that died since its last reply fails the write (EPIPE,
      with SIGPIPE ignored); its EOF on the reply pipe reports the
      death. *)
-  try write_all p.to_worker (Frame.encode (J.to_string request))
+  try write_all p.to_worker (Frame.encode ~version:frame_version (J.to_string envelope))
   with Unix.Unix_error _ -> ()
 
 type 'a reply =
@@ -226,7 +241,7 @@ type 'a reply =
   | Refused of string
   | Lost of failure
 
-let read_reply p ~decode =
+let read_reply p op =
   (* A worker that breaks the protocol has nothing trustworthy left to
      say: it is killed, and the failure names the break. *)
   let broken what =
@@ -253,7 +268,7 @@ let read_reply p ~decode =
         | json ->
           (match (J.member "ok" json, J.member "error" json) with
            | Some payload, _ ->
-             (match decode payload with
+             (match op.result.of_json payload with
               | Ok v -> Some (Replied v)
               | Error what -> broken what)
            | None, Some (J.String error) -> Some (Refused error)
@@ -277,36 +292,25 @@ let respawn w =
   w.deadline <- infinity;
   w.alive <- true
 
-let run_subprocess config ~workers ~retries ~interrupted tasks =
-  let n = tasks.count in
-  let slots : 'a task_result option array = Array.make n None in
-  (* Pending work: (task, attempt).  Failed attempts re-enter here;
-     order never affects results. *)
-  let pending = ref [] in
-  let remaining = ref 0 in
-  for i = n - 1 downto 0 do
-    if not (tasks.skip i) then begin
-      pending := (i, 1) :: !pending;
-      incr remaining
-    end
-  done;
-  if !remaining = 0 then slots
-  else begin
+let run_subprocess config ~workers ~retries ~interrupted op specs todo finish =
+  if Array.length todo > 0 then begin
     let prev_sigpipe =
       (* A worker dying between our [select] and our request write
          must surface as a failed attempt, not kill the campaign. *)
       try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore)
       with Invalid_argument _ -> None
     in
+    (* Pending work: (task, attempt).  Failed attempts re-enter here;
+       order never affects results. *)
+    let pending = ref (List.map (fun i -> (i, 1)) (Array.to_list todo)) in
+    let remaining = ref (Array.length todo) in
     let pool = Array.init (min workers !remaining) (fun _ -> spawn_worker ()) in
-    let finish task result =
-      slots.(task) <- Some result;
-      tasks.on_result task result;
+    let complete task attempts outcome =
+      finish task { attempts; outcome; replayed = false };
       decr remaining
     in
     let fail_attempt task attempt failure =
-      if attempt > retries then
-        finish task { attempts = attempt; outcome = Failed failure }
+      if attempt > retries then complete task attempt (Failed failure)
       else pending := (task, attempt + 1) :: !pending
     in
     (* A worker whose process is gone: start its replacement while work
@@ -321,7 +325,7 @@ let run_subprocess config ~workers ~retries ~interrupted tasks =
         (match config.job_timeout_s with
          | None -> infinity
          | Some t -> Unix.gettimeofday () +. t);
-      send w.proc (tasks.request task ~attempt)
+      send w.proc op ~attempt specs.(task)
     in
     (* Pop the pending task with the lowest index (stable, debuggable
        order; results don't depend on it). *)
@@ -407,13 +411,13 @@ let run_subprocess config ~workers ~retries ~interrupted tasks =
               |> List.find_opt (fun w -> w.alive && w.proc.from_worker == fd)
             with
             | Some ({ current = Some (task, attempt); _ } as w) ->
-              (match read_reply w.proc ~decode:(tasks.decode task) with
+              (match read_reply w.proc op with
                | None -> ()
                | Some reply ->
                  w.current <- None;
                  w.deadline <- infinity;
                  (match reply with
-                  | Replied v -> finish task { attempts = attempt; outcome = Done v }
+                  | Replied v -> complete task attempt (Done v)
                   | Refused error -> fail_attempt task attempt (Crashed { error })
                   | Lost failure ->
                     fail_attempt task attempt failure;
@@ -433,15 +437,61 @@ let run_subprocess config ~workers ~retries ~interrupted tasks =
           w.alive <- false;
           ignore (kill w.proc)
         end) pool)
-      loop;
-    slots
+      loop
   end
 
-(* --- entry point ----------------------------------------------------- *)
+(* --- batches ---------------------------------------------------------- *)
 
-let run config ~workers ~retries ?(interrupted = fun () -> false) tasks =
+exception Bad_record of string
+
+let ( let* ) = Result.bind
+
+(* A journal record is [{"attempts":n,"payload":result}]. *)
+let record_json op ~attempts v =
+  J.Assoc [ ("attempts", J.Int attempts); ("payload", op.result.to_json v) ]
+
+let replayed_result op id record =
+  let what = Printf.sprintf "journal record %d" id in
+  let* fields = J.open_assoc what record in
+  let* attempts = J.int_field what "attempts" fields in
+  let* payload = J.field what "payload" fields in
+  match op.result.of_json payload with
+  | Ok v -> Ok { attempts; outcome = Done v; replayed = true }
+  | Error e -> Error (what ^ ": " ^ e)
+
+let run config ~workers ~retries ?(interrupted = fun () -> false) ?journal op
+    specs =
   if retries < 0 then invalid_arg "Executor.run: retries must be >= 0";
   if workers < 1 then invalid_arg "Executor.run: workers must be >= 1";
-  match config.c_kind with
-  | In_domain -> run_in_domain ~workers ~retries ~interrupted tasks
-  | Subprocess -> run_subprocess config ~workers ~retries ~interrupted tasks
+  let specs = Array.of_list specs in
+  let slots = Array.make (Array.length specs) None in
+  Option.iter
+    (fun journal ->
+      List.iter
+        (fun (id, record) ->
+          if id < Array.length specs then
+            match replayed_result op id record with
+            | Ok r -> slots.(id) <- Some r
+            | Error e -> raise (Bad_record e))
+        (Journal.replayed journal))
+    journal;
+  let todo =
+    Array.of_list
+      (List.filter (fun i -> Option.is_none slots.(i))
+         (List.init (Array.length specs) Fun.id))
+  in
+  (* Called once per task as it reaches a terminal result, in
+     completion order — from worker domains in-domain ([Journal.append]
+     serializes). *)
+  let finish i r =
+    (match (journal, r.outcome) with
+     | Some journal, Done v ->
+       Journal.append journal ~id:i (record_json op ~attempts:r.attempts v)
+     | _ -> ());
+    slots.(i) <- Some r
+  in
+  (match config.c_kind with
+   | In_domain -> run_in_domain ~workers ~retries ~interrupted op specs todo finish
+   | Subprocess ->
+     run_subprocess config ~workers ~retries ~interrupted op specs todo finish);
+  slots

@@ -1,28 +1,30 @@
-(** Pluggable campaign executors: where jobs physically run.
+(** Pluggable campaign executors: where batch tasks physically run.
 
-    Both campaign flavours ({!Campaign}, {!Qualify}) describe their
-    work as an indexed array of deterministic tasks and hand it to one
-    of two executors:
+    Every batch kind ({!Campaign}, {!Qualify}, {!Recheck}, the serve
+    daemon's requests) declares one worker {!op} beside the code it
+    runs, and hands a list of that op's specs to one of two executors:
 
     {ul
-    {- {!In_domain} — the historical pool of spawned OCaml [Domain]s.
-       Cheap, but an attempt is contained only as far as [try/with]
-       reaches: a segfault, an abort, unbounded allocation or a
-       non-yielding busy loop takes the whole campaign process with
-       it.}
+    {- {!In_domain} — a pool of spawned OCaml [Domain]s calling the
+       op's [run] directly (no JSON on this path).  Cheap, but an
+       attempt is contained only as far as [try/with] reaches: a
+       segfault, an abort, unbounded allocation or a non-yielding busy
+       loop takes the whole process with it.}
     {- {!Subprocess} — a pool of forked OS worker processes (the
-       binary re-executes itself with a hidden [_worker] argv hook)
-       exchanging requests and replies as length-prefixed JSON frames
-       over pipes ({!Tabv_core.Frame}).  The OS is the containment
-       boundary: a worker death of {e any} kind is observed as EOF +
-       [waitpid] status, classified as {!Killed} / {!Crashed}, and the
-       worker is respawned.  A per-task wall-clock watchdog SIGKILLs
-       workers that exceed [job_timeout_s] ({!Timed_out}).}}
+       binary re-executes itself with a hidden [_worker] argv hook,
+       {!Worker.main}) exchanging one request envelope and one reply
+       per task as length-prefixed JSON frames over pipes
+       ({!Tabv_core.Frame}).  The OS is the containment boundary: a
+       worker death of {e any} kind is observed as EOF + [waitpid]
+       status, classified as {!Killed} / {!Crashed}, and the worker is
+       respawned.  A per-task wall-clock watchdog SIGKILLs workers that
+       exceed [job_timeout_s] ({!Timed_out}).}}
 
     Failed attempts are retried at once, up to [retries] times.  Task
     {e results} stay deterministic either way: what executes, how
     often it is attempted on a deterministic failure, and everything a
-    task returns are pure functions of the task.
+    task returns are pure functions of the spec.  A journal makes a
+    batch resumable the same way for every op: see {!run}.
 
     The executor reports how each task ended; turning failures into
     report rows (and keeping wall-clock metadata out of them) is the
@@ -59,10 +61,36 @@ type failure =
 
 val failure_to_string : failure -> string
 
+(** {1 Worker ops} *)
+
+(** A value's JSON codec: [of_json (to_json v)] is [Ok v]. *)
+type 'a codec = {
+  to_json : 'a -> Tabv_core.Report_json.json;
+  of_json : Tabv_core.Report_json.json -> ('a, string) result;
+}
+
+(** One batch kind, declared once beside the code it runs.  [run] must
+    be a pure function of the spec and [attempt] (raising on failure):
+    that is the determinism contract that makes retries, executors and
+    resumes invisible in reports.  The codecs carry a spec to a worker
+    process and a result back, and a result into the journal. *)
+type ('spec, 'result) op = {
+  name : string;  (** the envelope's ["op"]; unique per binary *)
+  spec : 'spec codec;
+  run : 'spec -> attempt:int -> 'result;
+  result : 'result codec;
+}
+
+(** An op of any spec and result type: what a worker serves. *)
+type any_op = Op : ('spec, 'result) op -> any_op
+
 (** {1 Worker processes}
 
     The process code of the {!Subprocess} pool, shared with the serve
     daemon's subprocess workers. *)
+
+(** The frame version of the worker pipes. *)
+val frame_version : int
 
 (** A live worker process: this binary re-executed with the hidden
     [_worker] argv hook, a request pipe to its stdin and a reply pipe
@@ -77,9 +105,10 @@ val spawn : unit -> process
     means the worker died. *)
 val reply_fd : process -> Unix.file_descr
 
-(** Send one request frame.  A worker that died fails the write
-    quietly: its EOF on {!reply_fd} reports the death. *)
-val send : process -> Tabv_core.Report_json.json -> unit
+(** [send p op ~attempt spec] — send one request envelope
+    [{"op":name,"attempt":n,"spec":..}].  A worker that died fails the
+    write quietly: its EOF on {!reply_fd} reports the death. *)
+val send : process -> ('spec, 'result) op -> attempt:int -> 'spec -> unit
 
 (** SIGKILL the process, close our pipe ends and wait for it.  Returns
     how it died: {!Killed} with the POSIX signal number, or {!Crashed}
@@ -89,21 +118,20 @@ val kill : process -> failure
 
 (** The reply to the one request in flight. *)
 type 'a reply =
-  | Replied of 'a  (** [{"ok":payload}], decoded *)
+  | Replied of 'a  (** [{"ok":result}], decoded *)
   | Refused of string
-      (** [{"error":message}]: the job failed; the worker is sound *)
+      (** [{"error":message}]: the task failed; the worker is sound *)
   | Lost of failure
       (** the worker died, or broke the frame protocol (a bad frame,
           an unparsable or undecodable reply, bytes after the reply)
           and was killed; either way it has been reaped *)
 
-(** [read_reply p ~decode] — [p]'s reply pipe turned readable: read it,
-    and return the reply once its frame is complete ([None] until
-    then), decoding an [ok] payload with [decode]. *)
-val read_reply :
-  process ->
-  decode:(Tabv_core.Report_json.json -> ('a, string) result) ->
-  'a reply option
+(** [read_reply p op] — [p]'s reply pipe turned readable: read it, and
+    return the reply once its frame is complete ([None] until then),
+    decoding an [ok] result with [op]'s result codec. *)
+val read_reply : process -> ('spec, 'result) op -> 'result reply option
+
+(** {1 Running a batch} *)
 
 type 'a outcome =
   | Done of 'a
@@ -112,42 +140,41 @@ type 'a outcome =
 type 'a task_result = {
   attempts : int;
       (** attempts actually made; on [Done] the succeeding attempt's
-          number, on [Failed] [retries + 1] *)
+          number, on [Failed] [retries + 1]; for a replayed task, the
+          attempts its journal record names *)
   outcome : 'a outcome;
+  replayed : bool;  (** read back from the journal, not run *)
 }
 
-(** One campaign's work, as the executor sees it.  All callbacks must
-    be pure functions of the task index (plus [attempt]) — that is the
-    determinism contract that makes retries and resumes invisible in
-    reports. *)
-type 'a tasks = {
-  count : int;
-  skip : int -> bool;
-      (** journaled tasks to leave untouched (slot stays [None]) *)
-  execute : int -> attempt:int -> 'a;
-      (** {!In_domain}: run the task, raising on failure *)
-  request : int -> attempt:int -> Tabv_core.Report_json.json;
-      (** {!Subprocess}: the request document shipped to a worker *)
-  decode : int -> Tabv_core.Report_json.json -> ('a, string) result;
-      (** {!Subprocess}: decode a worker's [ok] reply payload *)
-  on_result : int -> 'a task_result -> unit;
-      (** fired once per task as it reaches a terminal result, in
-          completion order (journal appends live here); may be called
-          concurrently from worker domains under {!In_domain} *)
-}
+(** Raised by {!run}, before any task runs, for a journal record whose
+    CRC is sound but whose body the op cannot decode: that is
+    corruption, not a torn append, and re-running around it would hide
+    it.  The message names the record: ["journal record 3: ..."]. *)
+exception Bad_record of string
 
-(** [run config ~workers ~retries ?interrupted tasks] executes every
-    non-skipped task on at most [workers] workers, never more than
-    there are such tasks, and returns one slot per task — [None] for
-    skipped tasks and for tasks not run because [interrupted ()]
-    turned true (polled between jobs in-domain, continuously in the
+(** [run config ~workers ~retries ?interrupted ?journal op specs] runs
+    one task per spec on at most [workers] workers, never more than
+    there are tasks to run, and returns one slot per spec.
+
+    With [journal] (opened with the fingerprint of exactly these specs
+    and retries), its records are replayed first: each
+    [{"attempts":n,"payload":result}] record fills its task's slot
+    ([replayed = true]) and that task never runs.  Every task that
+    completes afterwards is durably appended in the same form before
+    its slot counts as done.
+
+    A slot is [None] for a task not run because [interrupted ()]
+    turned true (polled between tasks in-domain, continuously in the
     subprocess select loop; on interrupt, subprocess workers are
     SIGKILLed and in-flight tasks also land [None]).
+    @raise Bad_record on an undecodable journal record.
     @raise Invalid_argument when [retries < 0] or [workers < 1]. *)
 val run :
   config ->
   workers:int ->
   retries:int ->
   ?interrupted:(unit -> bool) ->
-  'a tasks ->
-  'a task_result option array
+  ?journal:Journal.t ->
+  ('spec, 'result) op ->
+  'spec list ->
+  'result task_result option array

@@ -12,8 +12,10 @@
     v}
     and every following body is one record:
     {v
-    {"id":<job id>,"record":<result JSON>}
+    {"id":<task index>,"record":<record JSON>}
     v}
+    ({!Executor.run} writes every record as
+    [{"attempts":n,"payload":result}].)
     The header is committed atomically (temp file + [fsync] + rename),
     and each append is flushed as one chunk and [fsync]ed before
     {!append} returns, so a record is either durably on disk or absent.
@@ -72,8 +74,8 @@ val records : t -> int
 val truncated_bytes : t -> int
 
 (** Durably append one completed record ([flush] + [fsync]).
-    Thread-safe (the executor's completion callbacks may fire from a
-    coordinator loop interleaved with replay accounting). *)
+    Domain-safe: the in-domain executor appends from its worker
+    domains. *)
 val append : t -> id:int -> Tabv_core.Report_json.json -> unit
 
 (** Close the underlying file (idempotent, never raises). *)

@@ -199,48 +199,95 @@ let qrun_of_json json =
   in
   Ok { q_checker_stats; q_faults_triggered; q_diagnosis }
 
-let exec_index ~duv ~levels ~seed ~ops index =
-  let jobs = pool_jobs ~duv ~levels in
-  if index < 0 || index >= Array.length jobs then
-    invalid_arg (Printf.sprintf "Qualify.exec_index: index %d out of range" index);
+(* --- the worker op ---------------------------------------------------- *)
+
+(* One pool job as a worker receives it: the run's parameters and the
+   job's index; the worker regenerates the matrix and picks one. *)
+type pool_spec = {
+  s_duv : Models.duv;
+  s_levels : Models.level list;
+  s_seed : int;
+  s_ops : int;
+  s_index : int;
+}
+
+let exec_index s ~attempt:_ =
+  let jobs = pool_jobs ~duv:s.s_duv ~levels:s.s_levels in
+  if s.s_index < 0 || s.s_index >= Array.length jobs then
+    invalid_arg
+      (Printf.sprintf "Qualify.exec_index: index %d out of range" s.s_index);
   (* Fresh interning + obligation universes per job: snapshots depend
      only on the job, not on its worker placement. *)
   Tabv_checker.Progression.reset_universe ();
-  qrun_of_run (exec_pool_job ~duv ~seed ~ops jobs.(index))
+  qrun_of_run
+    (exec_pool_job ~duv:s.s_duv ~seed:s.s_seed ~ops:s.s_ops jobs.(s.s_index))
 
-(* --- worker protocol ------------------------------------------------- *)
+let params_fields ~duv ~levels ~seed ~ops =
+  [ ("duv", J.String (Models.duv_name duv));
+    ("levels", J.List (List.map (fun l -> J.String (Models.level_name l)) levels));
+    ("seed", J.Int seed);
+    ("ops", J.Int ops) ]
 
-let request_json ~duv ~levels ~seed ~ops ~index =
+let params_of_fields what fields =
+  let* duv =
+    let* name = J.string_field what "duv" fields in
+    match Models.duv_of_name name with
+    | Some duv -> Ok duv
+    | None -> Error (Printf.sprintf "%s: unknown duv %S" what name)
+  in
+  let* levels =
+    let* v = J.field what "levels" fields in
+    let* items = J.open_list (what ^ ".levels") v in
+    J.map_result
+      (function
+        | J.String name ->
+          (match Models.level_of_name name with
+           | Some level -> Ok level
+           | None -> Error (Printf.sprintf "%s: unknown level %S" what name))
+        | _ -> Error (what ^ ".levels: expected strings"))
+      items
+  in
+  let* seed = J.int_field what "seed" fields in
+  let* ops = J.int_field what "ops" fields in
+  Ok (duv, levels, seed, ops)
+
+let pool_spec_json s =
   J.Assoc
-    [ ("op", J.String "qualify_job");
-      ("duv", J.String (Models.duv_name duv));
-      ( "levels",
-        J.List (List.map (fun l -> J.String (Models.level_name l)) levels) );
-      ("seed", J.Int seed);
-      ("ops", J.Int ops);
-      ("index", J.Int index) ]
+    (params_fields ~duv:s.s_duv ~levels:s.s_levels ~seed:s.s_seed ~ops:s.s_ops
+    @ [ ("index", J.Int s.s_index) ])
+
+let pool_spec_of_json json =
+  let what = "spec" in
+  let* fields = J.open_assoc what json in
+  let* s_duv, s_levels, s_seed, s_ops = params_of_fields what fields in
+  let* s_index = J.int_field what "index" fields in
+  Ok { s_duv; s_levels; s_seed; s_ops; s_index }
+
+let op =
+  { Executor.name = "qualify_job";
+    spec = { to_json = pool_spec_json; of_json = pool_spec_of_json };
+    run = exec_index;
+    result = { to_json = qrun_json; of_json = qrun_of_json } }
 
 (* --- journals -------------------------------------------------------- *)
 
 let journal_kind = "qualify"
 
-let params_json ~duv ~levels ~seed ~ops =
-  J.Assoc
-    [ ("kind", J.String journal_kind);
-      ("duv", J.String (Models.duv_name duv));
-      ( "levels",
-        J.List (List.map (fun l -> J.String (Models.level_name l)) levels) );
-      ("seed", J.Int seed);
-      ("ops", J.Int ops) ]
-
+(* [record_format] names the journal records' shape, so a journal
+   written with another shape (bare results, before records carried
+   their attempts) is refused at open instead of mis-read. *)
 let fingerprint ~duv ~levels ~seed ~ops =
   Journal.fingerprint_of_string
-    (J.to_string (params_json ~duv:(duv : Models.duv) ~levels:(dedup levels) ~seed ~ops))
+    (J.to_string
+       (J.Assoc
+          (("kind", J.String journal_kind)
+          :: ("record_format", J.Int 2)
+          :: params_fields ~duv ~levels:(dedup levels) ~seed ~ops)))
 
 (* --- running --------------------------------------------------------- *)
 
-let run ?(workers = 1) ?(retries = 1) ?exec ?journal ?interrupted ~duv ~levels
-    ~seed ~ops () =
+let run ?(workers = 1) ?(retries = 1) ?(exec = Executor.config Executor.In_domain)
+    ?journal ?interrupted ~duv ~levels ~seed ~ops () =
   let levels = dedup levels in
   if levels = [] then invalid_arg "Qualify.run: no levels";
   List.iter
@@ -249,59 +296,29 @@ let run ?(workers = 1) ?(retries = 1) ?exec ?journal ?interrupted ~duv ~levels
       | Ok () -> ()
       | Error reason -> invalid_arg ("Qualify.run: " ^ reason))
     levels;
-  let exec =
-    match exec with
-    | Some config -> config
-    | None -> Executor.config Executor.In_domain
-  in
   let names = Duv_fault.fault_names duv in
-  let jobs = pool_jobs ~duv ~levels in
-  let n = Array.length jobs in
-  let replayed_tbl : (int, qrun) Hashtbl.t = Hashtbl.create 16 in
-  (match journal with
-   | None -> ()
-   | Some jr ->
-     List.iter
-       (fun (id, record) ->
-         if id < n then
-           match qrun_of_json record with
-           | Ok q -> Hashtbl.replace replayed_tbl id q
-           | Error e ->
-             invalid_arg (Printf.sprintf "Qualify.run: journal record %d: %s" id e))
-       (Journal.replayed jr));
-  let tasks =
-    {
-      Executor.count = n;
-      skip = (fun i -> Hashtbl.mem replayed_tbl i);
-      execute = (fun i ~attempt:_ -> exec_index ~duv ~levels ~seed ~ops i);
-      request = (fun i ~attempt:_ -> request_json ~duv ~levels ~seed ~ops ~index:i);
-      decode = (fun _ json -> qrun_of_json json);
-      on_result =
-        (fun i r ->
-          match journal, r.Executor.outcome with
-          | Some jr, Executor.Done q -> Journal.append jr ~id:i (qrun_json q)
-          | _ -> ());
-    }
+  let specs =
+    List.init
+      (Array.length (pool_jobs ~duv ~levels))
+      (fun s_index ->
+        { s_duv = duv; s_levels = levels; s_seed = seed; s_ops = ops; s_index })
   in
-  let slots = Executor.run exec ~workers ~retries ?interrupted tasks in
+  let slots = Executor.run exec ~workers ~retries ?interrupted ?journal op specs in
   let result i =
-    match Hashtbl.find_opt replayed_tbl i with
-    | Some q -> q
-    | None ->
-      (match slots.(i) with
-       | Some { Executor.outcome = Executor.Done q; _ } -> q
-       | Some { Executor.outcome = Executor.Failed failure; _ } ->
-         (* A job the executor could not complete still gets a row:
-            deterministic failures produce the same synthetic crash
-            diagnosis on every run. *)
-         {
-           q_checker_stats = [];
-           q_faults_triggered = 0;
-           q_diagnosis =
-             Kernel.Process_crashed
-               { name = "qualify-job"; error = Executor.failure_to_string failure };
-         }
-       | None -> raise Interrupted)
+    match slots.(i) with
+    | Some { Executor.outcome = Executor.Done q; _ } -> q
+    | Some { Executor.outcome = Executor.Failed failure; _ } ->
+      (* A job the executor could not complete still gets a row:
+         deterministic failures produce the same synthetic crash
+         diagnosis on every run. *)
+      {
+        q_checker_stats = [];
+        q_faults_triggered = 0;
+        q_diagnosis =
+          Kernel.Process_crashed
+            { name = "qualify-job"; error = Executor.failure_to_string failure };
+      }
+    | None -> raise Interrupted
   in
   (* --- fold the matrix --- *)
   let level_reports = ref [] in

@@ -79,34 +79,37 @@ type report = {
       (** faults detected at RTL, carried but missed at TLM-CA *)
 }
 
-(** {1 Execution payloads} *)
+(** {1 The worker op} *)
+
+(** One pool job: the run's parameters and the job's index in the
+    deterministic job matrix derived from [(duv, levels)]. *)
+type pool_spec
 
 (** The deterministic product of one pool job — what crosses a worker
     pipe and lands in the journal. *)
-type qrun = {
-  q_checker_stats : Tabv_obs.Checker_snapshot.t list;
-  q_faults_triggered : int;
-  q_diagnosis : Tabv_sim.Kernel.diagnosis;
-}
+type qrun
 
-val qrun_json : qrun -> Tabv_core.Report_json.json
-val qrun_of_json : Tabv_core.Report_json.json -> (qrun, string) result
+(** Runs one pool job in the calling domain or process, from a fresh
+    checker universe: a worker regenerates the identical matrix from
+    the spec's parameters and picks one index. *)
+val op : (pool_spec, qrun) Executor.op
 
-(** Execute pool job [index] of the deterministic job matrix derived
-    from [(duv, levels)] in the calling domain/process (levels must
-    already be deduplicated — pass what {!fingerprint} was computed
-    over).  Resets the checker universe first.  This is the execution
-    primitive shared by the in-domain executor and the [_worker] serve
-    loop: a worker regenerates the identical matrix from the request
-    parameters and picks one index.
-    @raise Invalid_argument on an out-of-range index. *)
-val exec_index :
+(** The JSON fields naming a run's parameters ([duv], [levels],
+    [seed], [ops]), shared by the op's spec and the serve protocol's
+    qualify request. *)
+val params_fields :
   duv:Tabv_duv.Models.duv ->
   levels:Tabv_duv.Models.level list ->
   seed:int ->
   ops:int ->
-  int ->
-  qrun
+  (string * Tabv_core.Report_json.json) list
+
+(** [params_of_fields what fields] — the inverse of {!params_fields}
+    over an object's fields, with errors prefixed by [what]. *)
+val params_of_fields :
+  string ->
+  (string * Tabv_core.Report_json.json) list ->
+  (Tabv_duv.Models.duv * Tabv_duv.Models.level list * int * int, string) result
 
 (** {1 Journals} *)
 
@@ -114,7 +117,9 @@ val exec_index :
 val journal_kind : string
 
 (** Journal fingerprint of one qualification run's parameters (levels
-    are deduplicated first, mirroring {!run}). *)
+    are deduplicated first, mirroring {!run}) and of its record
+    format, so a journal of another record format is refused at
+    open. *)
 val fingerprint :
   duv:Tabv_duv.Models.duv ->
   levels:Tabv_duv.Models.level list ->
@@ -138,12 +143,13 @@ exception Interrupted
     level with an initiator socket (skipped when none).
 
     [journal] must have been opened with {!journal_kind} and
-    {!fingerprint}; replayed records substitute for their pool jobs
-    and completed jobs are durably appended as they finish.  A job the
+    {!fingerprint}; {!Executor.run} replays its records in place of
+    their pool jobs and appends each job it completes.  A job the
     executor could not complete (crashed / killed / timed out after
     all retries) contributes a synthetic [Process_crashed] result
     rather than aborting the campaign.
     @raise Invalid_argument on an empty or invalid level list.
+    @raise Executor.Bad_record on an undecodable journal record.
     @raise Interrupted when [interrupted] fired mid-pool. *)
 val run :
   ?workers:int ->

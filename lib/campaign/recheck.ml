@@ -50,13 +50,37 @@ let chunk_bounds ~chunks count =
 let sub_list start len items =
   List.filteri (fun i _ -> i >= start && i < start + len) items
 
-let request_json ~trace ~properties =
+(* One chunk as a worker receives it: the trace path and the chunk's
+   properties, which travel as re-parseable property-language lines. *)
+type chunk = {
+  trace : string;
+  properties : Property.t list;
+}
+
+let chunk_json c =
   J.Assoc
-    [ ("op", J.String "recheck_job");
-      ("trace", J.String trace);
-      ( "properties",
-        J.List (List.map (fun p -> J.String (property_source p)) properties) )
+    [ ("trace", J.String c.trace);
+      ("properties", J.List (List.map (fun p -> J.String (property_source p)) c.properties))
     ]
+
+let chunk_of_json json =
+  let ( let* ) = Result.bind in
+  let what = "spec" in
+  let* fields = J.open_assoc what json in
+  let* trace = J.string_field what "trace" fields in
+  let* props = J.field what "properties" fields in
+  let* items = J.open_list (what ^ ".properties") props in
+  let* sources =
+    J.map_result
+      (function
+        | J.String source -> Ok source
+        | _ -> Error (what ^ ".properties: expected strings"))
+      items
+  in
+  match List.concat_map Parser.file sources with
+  | properties -> Ok { trace; properties }
+  | exception Parser.Parse_error { line; col; message } ->
+    Error (Printf.sprintf "%s.properties:%d:%d: %s" what line col message)
 
 let payload_json (samples, spans, snapshots) =
   J.Assoc
@@ -75,50 +99,40 @@ let payload_of_json json =
   let* snapshots = J.map_result J.checker_snapshot_of_json items in
   Ok (samples, spans, snapshots)
 
+let op =
+  { Executor.name = "recheck_job";
+    spec = { to_json = chunk_json; of_json = chunk_of_json };
+    run = (fun c ~attempt:_ -> exec_chunk ~trace:c.trace ~properties:c.properties);
+    result = { to_json = payload_json; of_json = payload_of_json } }
+
 (* The pooled run over a trace whose header and dictionary have been
    validated: every chunk opens the trace again. *)
 let run_pooled ~exec ?interrupted ~workers ~retries ~trace ~meta ~chunks
     properties =
-  let bounds = chunk_bounds ~chunks (List.length properties) in
-  let chunk_props =
-    List.map (fun (start, len) -> sub_list start len properties) bounds
+  let results =
+    Executor.run exec ~workers ~retries ?interrupted op
+      (List.map
+         (fun (start, len) -> { trace; properties = sub_list start len properties })
+         (chunk_bounds ~chunks (List.length properties)))
   in
-  let chunk_array = Array.of_list chunk_props in
-  let tasks =
-    {
-      Executor.count = chunks;
-      skip = (fun _ -> false);
-      execute =
-        (fun index ~attempt:_ ->
-          exec_chunk ~trace ~properties:chunk_array.(index));
-      request =
-        (fun index ~attempt:_ ->
-          request_json ~trace ~properties:chunk_array.(index));
-      decode = (fun _index json -> payload_of_json json);
-      on_result = (fun _ _ -> ());
-    }
-  in
-  let results = Executor.run exec ~workers ~retries ?interrupted tasks in
   let samples = ref 0 and spans = ref 0 in
   let snapshots =
-    List.concat
-      (List.mapi
-         (fun index _ ->
-           match results.(index) with
-           | None -> raise (Chunk_failed "interrupted before completion")
-           | Some { Executor.outcome = Executor.Failed failure; _ } ->
-             (* Every chunk reads the whole trace, so damage fails each
-                of them: read it through here, and a damaged trace is
-                refused as damage, as a one-chunk run refuses it. *)
-             Reader.with_file trace drain;
-             raise (Chunk_failed (Executor.failure_to_string failure))
-           | Some { Executor.outcome = Executor.Done (s, sp, snaps); _ } ->
-             (* Every chunk reads the whole trace; the totals are the
-                per-chunk counts, not their sum. *)
-             samples := s;
-             spans := sp;
-             snaps)
-         chunk_props)
+    List.concat_map
+      (function
+        | None -> raise (Chunk_failed "interrupted before completion")
+        | Some { Executor.outcome = Executor.Failed failure; _ } ->
+          (* Every chunk reads the whole trace, so damage fails each
+             of them: read it through here, and a damaged trace is
+             refused as damage, as a one-chunk run refuses it. *)
+          Reader.with_file trace drain;
+          raise (Chunk_failed (Executor.failure_to_string failure))
+        | Some { Executor.outcome = Executor.Done (s, sp, snaps); _ } ->
+          (* Every chunk reads the whole trace; the totals are the
+             per-chunk counts, not their sum. *)
+          samples := s;
+          spans := sp;
+          snaps)
+      (Array.to_list results)
   in
   { meta; snapshots; samples = !samples; spans = !spans }
 

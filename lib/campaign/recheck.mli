@@ -28,19 +28,15 @@ exception Chunk_failed of string
     subprocess request carries; [Parser.file] reads it back). *)
 val property_source : Property.t -> string
 
-(** Replay [properties] over the trace in one pass in this domain
-    (fresh checker universe first).  Returns (samples, spans,
-    snapshots).  The building block both executors run.
-    @raise Tabv_trace.Reader.Format_error on a damaged file. *)
-val exec_chunk :
-  trace:string ->
-  properties:Property.t list ->
-  int * int * Tabv_obs.Checker_snapshot.t list
+(** One chunk of a pooled recheck: a trace path and a contiguous
+    slice of the property set. *)
+type chunk
 
-(** The [ok] reply payload for one executed chunk (what the subprocess
-    worker sends back; the inverse of the executor's [decode]). *)
-val payload_json :
-  int * int * Tabv_obs.Checker_snapshot.t list -> Tabv_core.Report_json.json
+(** Replays a chunk's properties over its trace in one pass, from a
+    fresh checker universe; the result is (samples, spans,
+    snapshots).  Properties travel as {!property_source} lines. *)
+val op :
+  (chunk, int * int * Tabv_obs.Checker_snapshot.t list) Executor.op
 
 (** [run_validated ?exec ?interrupted ~retries ~trace plan] opens
     [trace] once and decodes its header and signal dictionary

@@ -179,9 +179,6 @@ let of_formula f =
   if not (Ltl.is_nnf f) then raise (Not_in_nnf f);
   formula (Interned.intern f)
 
-let of_interned f =
-  if not (Interned.is_nnf f) then raise (Not_in_nnf (Interned.to_ltl f));
-  formula f
 
 (* Thanks to the absorption laws in [ob_and]/[ob_or], OTrue/OFalse can
    only ever appear as the root of an obligation. *)

@@ -63,10 +63,6 @@ exception Not_in_nnf of Ltl.t
     @raise Not_in_nnf on formulas outside negation normal form. *)
 val of_formula : Ltl.t -> t
 
-(** Initial obligation of an already-interned formula (no re-interning
-    walk).  @raise Not_in_nnf like {!of_formula}. *)
-val of_interned : Interned.t -> t
-
 (** Unique id of the hash-consed state (structurally equal obligations
     share one id — usable as a multiset key). *)
 val id : t -> int

@@ -170,7 +170,6 @@ let mask t atom =
   | Some _ | None -> 0
 
 let evaluator t = t.evaluator
-let registered_atoms t = Array.length t.atoms
 let counters t = t.counts
 let queries t = t.counts.queries
 let evals t = t.counts.evals

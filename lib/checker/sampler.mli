@@ -74,9 +74,6 @@ val counters : t -> counters
     @raise Invalid_argument on a miss for an unregistered atom. *)
 val evaluator : t -> Interned.t -> bool
 
-(** Number of atoms registered for priming. *)
-val registered_atoms : t -> int
-
 (** Atom evaluations requested so far (including cache hits). *)
 val queries : t -> int
 

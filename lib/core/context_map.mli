@@ -8,11 +8,8 @@ open Tabv_psl
        [@clk], [@clk_pos], [@clk_neg] map to the basic transaction
        context [T_b] (evaluate at the end of every transaction);}
     {- a gated edge context [clk_edge && var_expr] maps to
-       [T_b && var_expr].}} *)
+       [T_b && var_expr].}}
 
-(** Map a clock context per Def. III.2. *)
-val map_clock : Context.clock -> Context.transaction
-
-(** [run c] applies {!map_clock} to clock contexts and leaves
-    transaction contexts unchanged. *)
+    [run c] maps clock contexts so and leaves transaction contexts
+    unchanged. *)
 val run : Context.t -> Context.t

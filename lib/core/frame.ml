@@ -2,22 +2,13 @@
    channel: the subprocess-executor worker pipes and the [tabv serve]
    client sockets.
 
-   Two header formats share one decoder infrastructure:
+   One header: 2 lowercase hex digits (protocol version) + 8 lowercase
+   hex digits (payload byte length) + '\n'.  Every frame names the
+   protocol it speaks, and a mismatch surfaces as a {!Protocol_error}
+   naming both versions instead of a garbled stream.  The header is
+   fixed-width so a reader consumes an exact header before the body —
+   no scanning, no ambiguity with payload bytes. *)
 
-   - {e plain} — 8 lowercase hex digits (payload byte length) + '\n'.
-     The historical worker-pipe header; both ends are always the same
-     binary, so no version negotiation is needed.
-   - {e versioned} — 2 lowercase hex digits (protocol version) +
-     8 lowercase hex digits (payload byte length) + '\n'.  Used on
-     sockets where the two ends may be different tabv builds: every
-     frame names the protocol it speaks, and a mismatch surfaces as a
-     {!Protocol_error} naming both versions instead of a garbled
-     stream.
-
-   Both are fixed-width so a reader consumes an exact header before
-   the body — no scanning, no ambiguity with payload bytes. *)
-
-let header_length = 9
 let versioned_header_length = 11
 
 let hex_value c =
@@ -38,17 +29,10 @@ let hex_field s off len =
   in
   go 0 0
 
-let encode ?version payload =
-  match version with
-  | None -> Printf.sprintf "%08x\n%s" (String.length payload) payload
-  | Some v ->
-    if v < 0 || v > 0xff then
-      invalid_arg "Frame.encode: version must be in [0, 255]";
-    Printf.sprintf "%02x%08x\n%s" v (String.length payload) payload
-
-let decode_header header =
-  if String.length header <> header_length || header.[8] <> '\n' then None
-  else hex_field header 0 8
+let encode ~version payload =
+  if version < 0 || version > 0xff then
+    invalid_arg "Frame.encode: version must be in [0, 255]";
+  Printf.sprintf "%02x%08x\n%s" version (String.length payload) payload
 
 let decode_versioned_header header =
   if
@@ -69,33 +53,22 @@ let version_mismatch ~got ~expected =
         v%d"
        got expected)
 
-let write ?version oc payload =
-  output_string oc (encode ?version payload);
+let write ~version oc payload =
+  output_string oc (encode ~version payload);
   flush oc
 
 (* Blocking channel read of one frame; [None] on a clean EOF at a
    frame boundary. *)
-let read ?expect_version ic =
-  let hlen =
-    match expect_version with
-    | None -> header_length
-    | Some _ -> versioned_header_length
-  in
-  match really_input_string ic hlen with
+let read ~expect_version ic =
+  match really_input_string ic versioned_header_length with
   | exception End_of_file -> None
   | header ->
     let len =
-      match expect_version with
-      | None ->
-        (match decode_header header with
-         | Some len -> len
-         | None -> failwith "frame: malformed header")
-      | Some expected ->
-        (match decode_versioned_header header with
-         | Some (v, _) when v <> expected ->
-           raise (version_mismatch ~got:v ~expected)
-         | Some (_, len) -> len
-         | None -> failwith "frame: malformed versioned header")
+      match decode_versioned_header header with
+      | Some (v, _) when v <> expect_version ->
+        raise (version_mismatch ~got:v ~expected:expect_version)
+      | Some (_, len) -> len
+      | None -> failwith "frame: malformed versioned header"
     in
     (match really_input_string ic len with
      | payload -> Some payload
@@ -105,17 +78,17 @@ let read ?expect_version ic =
    chunks, pop complete frames.
 
    [max_frame] bounds the body length a header may announce.  Without
-   it a single corrupted (or hostile) length prefix — "ffffffff\n" —
+   it a single corrupted (or hostile) length prefix — "01ffffffff\n" —
    would make the decoder buffer 4 GiB before ever popping a frame;
    with it the oversized header is a {!Protocol_error} the moment it
    is decoded, while the buffered bytes are still tiny. *)
 type stream = {
   mutable buffered : string;
-  expect_version : int option;
+  expect_version : int;
   max_frame : int option;
 }
 
-let stream ?expect_version ?max_frame () =
+let stream ~expect_version ?max_frame () =
   (match max_frame with
    | Some m when m < 0 -> invalid_arg "Frame.stream: max_frame must be >= 0"
    | _ -> ());
@@ -126,25 +99,15 @@ let feed s chunk = if chunk <> "" then s.buffered <- s.buffered ^ chunk
 
 let pop s =
   let len = String.length s.buffered in
-  let hlen =
-    match s.expect_version with
-    | None -> header_length
-    | Some _ -> versioned_header_length
-  in
+  let hlen = versioned_header_length in
   if len < hlen then None
   else begin
     let body =
-      match s.expect_version with
-      | None ->
-        (match decode_header (String.sub s.buffered 0 hlen) with
-         | Some body -> body
-         | None -> raise (Protocol_error "malformed frame header"))
-      | Some expected ->
-        (match decode_versioned_header (String.sub s.buffered 0 hlen) with
-         | Some (v, _) when v <> expected ->
-           raise (version_mismatch ~got:v ~expected)
-         | Some (_, body) -> body
-         | None -> raise (Protocol_error "malformed versioned frame header"))
+      match decode_versioned_header (String.sub s.buffered 0 hlen) with
+      | Some (v, _) when v <> s.expect_version ->
+        raise (version_mismatch ~got:v ~expected:s.expect_version)
+      | Some (_, body) -> body
+      | None -> raise (Protocol_error "malformed versioned frame header")
     in
     (match s.max_frame with
      | Some bound when body > bound ->

@@ -2,45 +2,30 @@
     channel: the subprocess-executor worker pipes and the [tabv serve]
     client sockets.
 
-    Two fixed-width header formats:
+    One fixed-width header: 2 lowercase hex digits (protocol version)
+    + 8 lowercase hex digits (payload byte length) + ['\n'].  Every
+    frame names the protocol it speaks, so two ends that disagree
+    (different builds on a socket, a worker from another build) fail
+    with a {!Protocol_error} naming both versions instead of a garbled
+    stream.  Each channel passes its own version to every call. *)
 
-    {ul
-    {- {e plain} — 8 lowercase hex digits (payload byte length) +
-       ['\n'].  The historical worker-pipe header; both pipe ends are
-       always the same binary, so no version negotiation is needed.}
-    {- {e versioned} — 2 lowercase hex digits (protocol version) +
-       8 lowercase hex digits (payload byte length) + ['\n'].  Used on
-       sockets where the two ends may be different tabv builds: every
-       frame names the protocol it speaks, and a mismatch surfaces as
-       a {!Protocol_error} naming both versions instead of a garbled
-       stream.}} *)
-
-(** Plain header byte length (8 hex digits + newline). *)
-val header_length : int
-
-(** Versioned header byte length (2 + 8 hex digits + newline). *)
+(** Header byte length (2 + 8 hex digits + newline). *)
 val versioned_header_length : int
 
-(** [encode ?version payload] — one whole frame.  Plain header when
-    [version] is absent; versioned otherwise.
+(** [encode ~version payload] — one whole frame.
     @raise Invalid_argument when [version] is outside [[0, 255]]. *)
-val encode : ?version:int -> string -> string
-
-(** [None] on anything that is not 8 hex digits + newline. *)
-val decode_header : string -> int option
+val encode : version:int -> string -> string
 
 exception Protocol_error of string
 
-(** Write one frame and flush.  [version] selects the header format
-    and must match what the peer's reader expects. *)
-val write : ?version:int -> out_channel -> string -> unit
+(** Write one frame and flush. *)
+val write : version:int -> out_channel -> string -> unit
 
 (** Blocking read of one frame.  [None] on a clean EOF at a frame
-    boundary.  With [expect_version] the versioned header is read and
-    the version field checked.
+    boundary.
     @raise Protocol_error on a version mismatch.
     @raise Failure on a malformed header or truncated body. *)
-val read : ?expect_version:int -> in_channel -> string option
+val read : expect_version:int -> in_channel -> string option
 
 (** {2 Incremental frame accumulator}
 
@@ -48,15 +33,14 @@ val read : ?expect_version:int -> in_channel -> string option
 
 type stream
 
-(** [stream ?expect_version ?max_frame ()] — a fresh decoder.  With
-    [expect_version] it decodes versioned headers and checks the
-    version field of every frame.  With [max_frame] any header
+(** [stream ~expect_version ?max_frame ()] — a fresh decoder checking
+    the version field of every frame.  With [max_frame] any header
     announcing a body longer than [max_frame] bytes is a
     {!Protocol_error} the moment the header is decoded — without it a
     single corrupted length prefix would make the decoder buffer up to
     4 GiB waiting for a body that never comes.
     @raise Invalid_argument when [max_frame < 0]. *)
-val stream : ?expect_version:int -> ?max_frame:int -> unit -> stream
+val stream : expect_version:int -> ?max_frame:int -> unit -> stream
 
 (** Bytes currently buffered (useful to detect a partial trailing
     frame after EOF). *)

@@ -193,17 +193,21 @@ let fsync_dir dir =
 let write_file_atomic ~path data =
   let tmp = temp_path path in
   let remove_tmp () = try Sys.remove tmp with Sys_error _ -> () in
-  let t = create tmp in
-  (try
-     write t data;
-     fsync t;
-     close t
-   with e ->
-     close_noerr t;
-     remove_tmp ();
-     raise e);
-  (try rename ~src:tmp ~dst:path
-   with e ->
-     remove_tmp ();
-     raise e);
-  fsync_dir (Filename.dirname path)
+  (* A failure names the file the caller asked for, not its temp
+     sibling. *)
+  try
+    let t = create tmp in
+    (try
+       write t data;
+       fsync t;
+       close t
+     with e ->
+       close_noerr t;
+       remove_tmp ();
+       raise e);
+    (try rename ~src:tmp ~dst:path
+     with e ->
+       remove_tmp ();
+       raise e);
+    fsync_dir (Filename.dirname path)
+  with Io_error e -> raise (Io_error { e with path })

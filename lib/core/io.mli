@@ -126,5 +126,5 @@ val is_temp_path : string -> bool
     then best-effort [fsync] the directory.  On any failure the temp
     file is unlinked and the previous contents of [path] (if any) are
     untouched: readers see either the old file or the new one, never
-    a torn mix. *)
+    a torn mix.  The {!Io_error} names [path], whichever step failed. *)
 val write_file_atomic : path:string -> string -> unit

@@ -34,8 +34,6 @@ type t =
   | Transaction of transaction
 
 val equal : t -> t -> bool
-val equal_clock : clock -> clock -> bool
-val equal_transaction : transaction -> transaction -> bool
 
 (** Signals mentioned by the gating expression of the context, [[]] for
     base contexts and plain edges. *)

@@ -47,7 +47,3 @@ let implies ~signals ~max_depth f g =
     Semantics.eval trace f = Semantics.False
     || Semantics.eval trace g <> Semantics.False)
 
-let pp_result ppf = function
-  | Holds -> Format.pp_print_string ppf "holds"
-  | Counterexample trace ->
-    Format.fprintf ppf "counterexample:@,%a" Trace.pp trace

@@ -33,4 +33,3 @@ val implies : signals:string list -> max_depth:int -> Ltl.t -> Ltl.t -> result
     where it is [false]. *)
 val forall : signals:string list -> max_depth:int -> (Trace.t -> bool) -> result
 
-val pp_result : Format.formatter -> result -> unit

@@ -45,7 +45,6 @@ let rec signals_acc acc = function
   | Cmp (_, a, b) -> signals_arith_acc (signals_arith_acc acc a) b
 
 let signals e = List.sort_uniq String.compare (signals_acc [] e)
-let signals_arith a = List.sort_uniq String.compare (signals_arith_acc [] a)
 
 let mentions_any e names =
   List.exists (fun s -> List.mem s names) (signals e)

@@ -44,13 +44,10 @@ exception Eval_error of string
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val equal_value : value -> value -> bool
-val equal_arith : arith -> arith -> bool
 
 (** [signals e] is the sorted, duplicate-free list of signal names
     mentioned anywhere in [e]. *)
 val signals : t -> string list
-
-val signals_arith : arith -> string list
 
 (** [mentions_any e names] is true iff [e] mentions at least one of
     [names]. *)
@@ -61,8 +58,6 @@ val mentions_any : t -> string list -> bool
     {!compile}d atoms instead.
     @raise Eval_error on unbound signals or type mismatches. *)
 val eval : (string -> value option) -> t -> bool
-
-val eval_arith : (string -> value option) -> arith -> int
 
 (** Where a compiled expression reads its signals: [resolve name] is
     the reader of signal [name], or [None] when there is no such
@@ -88,7 +83,6 @@ val env_resolver : (string * value) list ref -> resolver
 val simplify : t -> t
 
 val pp_value : Format.formatter -> value -> unit
-val pp_arith : Format.formatter -> arith -> unit
 
 (** Precedence-aware printer; output is re-parseable by {!Parser}. *)
 val pp : Format.formatter -> t -> unit

@@ -50,9 +50,6 @@ val atom : Expr.t -> t
 val tt : unit -> t
 
 val ff : unit -> t
-val not_ : t -> t
-val and_ : t -> t -> t
-val or_ : t -> t -> t
 val implies : t -> t -> t
 
 (** Collapses nested next chains like {!Ltl.next_n}; [next_n 0 p = p]. *)

@@ -199,4 +199,3 @@ let token_to_string = function
   | KW_CONST -> "'const'"
   | EOF -> "end of input"
 
-let pp_token ppf t = Format.pp_print_string ppf (token_to_string t)

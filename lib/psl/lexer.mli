@@ -66,5 +66,4 @@ exception Lex_error of {
 (** Tokenize a whole string; the result always ends with {!EOF}. *)
 val tokenize : string -> located list
 
-val pp_token : Format.formatter -> token -> unit
 val token_to_string : token -> string

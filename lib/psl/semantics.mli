@@ -25,20 +25,12 @@ type verdict =
 val equal_verdict : verdict -> verdict -> bool
 val pp_verdict : Format.formatter -> verdict -> unit
 
-(** Kleene connectives, exposed for checker code. *)
+(** Kleene negation, exposed for checker code. *)
 val v_not : verdict -> verdict
 
-val v_and : verdict -> verdict -> verdict
-val v_or : verdict -> verdict -> verdict
-val of_bool : bool -> verdict
-
-(** [eval_at trace i t] evaluates [t] at position [i].
-    @raise Invalid_argument if [i] is out of bounds.
+(** [eval trace t] evaluates [t] at the trace's first position
+    ([Unknown] on the empty trace).
     @raise Expr.Eval_error on unbound signals in atoms. *)
-val eval_at : Trace.t -> int -> Ltl.t -> verdict
-
-(** [eval trace t] is [eval_at trace 0 t] ([Unknown] on the empty
-    trace). *)
 val eval : Trace.t -> Ltl.t -> verdict
 
 (** [holds trace t] is true iff the verdict is not [False] — i.e. no

@@ -135,12 +135,17 @@ let exec_campaign ~interrupted ~state_dir ~manifest ~workers ~retries ~journal
          | Ok j -> Ok (Some (path, j))
          | Error msg -> Error (Printf.sprintf "%s: %s" path msg))
   in
-  let summary =
+  let* summary =
     Fun.protect
       ~finally:(fun () -> Option.iter (fun (_, j) -> Journal.close j) journal)
       (fun () ->
-        Campaign.run ~workers ~retries:campaign.retries
-          ?journal:(Option.map snd journal) ~interrupted campaign.jobs)
+        match
+          Campaign.run ~workers ~retries:campaign.retries
+            ?journal:(Option.map snd journal) ~interrupted campaign.jobs
+        with
+        | summary -> Ok summary
+        | exception Executor.Bad_record msg ->
+          Error (Printf.sprintf "%s: %s" (fst (Option.get journal)) msg))
   in
   let* () =
     if summary.Campaign.pending = 0 then Ok ()
@@ -224,14 +229,18 @@ let execute ?(interrupted = fun () -> false) ~state_dir job =
                        preserved; fix the disk and resubmit)"
          op path (Unix.error_message error))
 
-(* --- the subprocess worker op -------------------------------------- *)
+(* --- the worker op --------------------------------------------------- *)
 
-(* [{"op":"serve_request","state_dir":..?,"request":{..}}] — execute
-   one serve job inside a [_worker] subprocess.  The reply payload is
-   [{"green":b,"report":text}]; request-level failures use the
-   worker's standard [{"error":..}] path, raised as [Refused] so the
-   error carries the message itself, as an in-domain worker's does. *)
-let worker_op = "serve_request"
+(* One serve job inside a [_worker] subprocess: the spec is
+   [{"state_dir":..?,"request":{..}}] (the job as a full request object
+   with a dummy id), the result [{"green":b,"report":text}].  A
+   request-level failure is raised as [Refused], so the worker's
+   [{"error":..}] reply carries the message itself, as an in-domain
+   worker's does. *)
+type spec = {
+  state_dir : string option;
+  job : Protocol.job;
+}
 
 exception Refused of string
 
@@ -240,50 +249,63 @@ let () =
     | Refused message -> Some message
     | _ -> None)
 
-let decode_worker_request json =
-  let* fields = J.open_assoc worker_op json in
+let op_name = "serve_request"
+
+let spec_json { state_dir; job } =
+  J.Assoc
+    ((match state_dir with
+      | None -> []
+      | Some dir -> [ ("state_dir", J.String dir) ])
+    @ [ ("request", Protocol.request_json ~id:0 (Protocol.Job job)) ])
+
+let spec_of_json json =
+  let* fields = J.open_assoc op_name json in
   let* state_dir =
     match List.assoc_opt "state_dir" fields with
     | None -> Ok None
     | Some (J.String dir) -> Ok (Some dir)
-    | Some _ -> Error (worker_op ^ ".state_dir: expected a string")
+    | Some _ -> Error (op_name ^ ".state_dir: expected a string")
   in
-  let* request =
-    match List.assoc_opt "request" fields with
-    | Some v -> Ok v
-    | None -> Error (worker_op ^ ": missing key \"request\"")
+  let* _, request =
+    Result.bind (J.field op_name "request" fields) Protocol.request_of_json
   in
-  let* job =
-    (* The job travels as a full request object with a dummy id. *)
-    let* id_req = Protocol.request_of_json request in
-    match id_req with
-    | _, Protocol.Job job -> Ok job
-    | _, Protocol.Control _ -> Error (worker_op ^ ": control ops do not run in workers")
-  in
-  Ok
-    (fun () ->
-      match execute ~state_dir job with
-      | Ok { green; report } ->
-        J.Assoc [ ("green", J.Bool green); ("report", J.String report) ]
-      | Error msg -> raise (Refused msg))
+  match request with
+  | Protocol.Job job -> Ok { state_dir; job }
+  | Protocol.Control _ -> Error (op_name ^ ": control ops do not run in workers")
 
-let worker_request_json ~state_dir job =
-  J.Assoc
-    ([ ("op", J.String worker_op) ]
-    @ (match state_dir with
-       | None -> []
-       | Some dir -> [ ("state_dir", J.String dir) ])
-    @ [ ("request", Protocol.request_json ~id:0 (Protocol.Job job)) ])
-
-let decode_worker_reply json =
-  let what = worker_op ^ " reply" in
+let outcome_of_json json =
+  let what = op_name ^ " reply" in
   let* fields = J.open_assoc what json in
   let* green = J.bool_field what "green" fields in
   let* report = J.string_field what "report" fields in
   Ok { green; report }
 
-(* Make the [_worker] serve loop understand serve requests.  Every
-   coordinator binary that can host a serve daemon (or its tests)
-   calls this before {!Tabv_campaign.Worker.main}. *)
-let register_worker_op () =
-  Tabv_campaign.Worker.register_op worker_op decode_worker_request
+let op =
+  { Executor.name = op_name;
+    spec = { to_json = spec_json; of_json = spec_of_json };
+    run =
+      (fun { state_dir; job } ~attempt:_ ->
+        match execute ~state_dir job with
+        | Ok outcome -> outcome
+        | Error msg -> raise (Refused msg));
+    result =
+      { to_json =
+          (fun { green; report } ->
+            J.Assoc [ ("green", J.Bool green); ("report", J.String report) ]);
+        of_json = outcome_of_json } }
+
+(* Every op a [_worker] subprocess of this build serves. *)
+let worker_ops =
+  [ Executor.Op Campaign.op; Executor.Op Qualify.op; Executor.Op Recheck.op;
+    Executor.Op op ]
+
+(* The hidden worker hook: [<binary> _worker] never parses a command
+   line — it turns the process into a frame server for a subprocess
+   coordinator ({!Executor.spawn}) and exits.  Every binary that
+   coordinates subprocess workers (the CLI, the bench runner, the test
+   runner) calls this first, before anything writes to stdout. *)
+let worker_hook () =
+  if Array.length Sys.argv > 1 && Sys.argv.(1) = "_worker" then begin
+    Tabv_campaign.Worker.main worker_ops;
+    exit 0
+  end

@@ -108,15 +108,9 @@ let job_json job =
       @ opt_field "retries" (fun r -> J.Int r) retries
       @ [ ("journal", J.Bool journal) ]
     | Qualify { duv; levels; seed; ops; workers; retries } ->
-      [ ("op", J.String "qualify");
-        ("duv", J.String (Tabv_duv.Models.duv_name duv));
-        ( "levels",
-          J.List
-            (List.map
-               (fun l -> J.String (Tabv_duv.Models.level_name l))
-               levels) );
-        ("seed", J.Int seed); ("ops", J.Int ops); ("workers", J.Int workers);
-        ("retries", J.Int retries) ]
+      (("op", J.String "qualify")
+      :: Tabv_campaign.Qualify.params_fields ~duv ~levels ~seed ~ops)
+      @ [ ("workers", J.Int workers); ("retries", J.Int retries) ]
   in
   J.Assoc fields
 
@@ -202,27 +196,9 @@ let decode_job what op fields =
     in
     Ok (Campaign { manifest; workers; retries; journal })
   | "qualify" ->
-    let* duv_name = J.string_field what "duv" fields in
-    let* duv =
-      match Tabv_duv.Models.duv_of_name duv_name with
-      | Some d -> Ok d
-      | None -> Error (Printf.sprintf "%s: unknown duv %S" what duv_name)
+    let* duv, levels, seed, ops =
+      Tabv_campaign.Qualify.params_of_fields what fields
     in
-    let* levels =
-      let* v = J.field what "levels" fields in
-      let* items = J.open_list (what ^ ".levels") v in
-      J.map_result
-        (fun item ->
-          match item with
-          | J.String name ->
-            (match Tabv_duv.Models.level_of_name name with
-             | Some l -> Ok l
-             | None -> Error (Printf.sprintf "%s: unknown level %S" what name))
-          | _ -> Error (what ^ ".levels: expected strings"))
-        items
-    in
-    let* seed = J.int_field what "seed" fields in
-    let* ops = J.int_field what "ops" fields in
     let* workers = int_default what "workers" ~default:1 fields in
     let* retries = int_default what "retries" ~default:1 fields in
     Ok (Qualify { duv; levels; seed; ops; workers; retries })

@@ -5,9 +5,8 @@
    every socket, the bounded fair scheduler, the warm result cache and
    the request bookkeeping; verification work itself runs in worker
    slots, each with a warm worker — a domain of this process, or a
-   crash-isolated [_worker] subprocess speaking the registered
-   ["serve_request"] op.  The coordinator never blocks on work or on a
-   slow client: reads are
+   crash-isolated [_worker] subprocess running {!Handler.op}.  The
+   coordinator never blocks on work or on a slow client: reads are
    non-blocking through incremental frame streams, writes go through
    per-connection backlogs drained when the socket is writable.
 
@@ -292,9 +291,8 @@ let start config slot running =
     (try ignore (Unix.write_substring worker.w_fd "x" 0 1)
      with Unix.Unix_error _ -> ())
   | Process_worker p ->
-    Executor.send p
-      (Handler.worker_request_json ~state_dir:config.state_dir
-         running.r_queued.q_job)
+    Executor.send p Handler.op ~attempt:1
+      { Handler.state_dir = config.state_dir; job = running.r_queued.q_job }
 
 (* Stop the job on [slot], if any — the one rule besides {!start} that
    depends on the kind of worker; [true] when the slot is free at
@@ -336,7 +334,7 @@ let read_reply slot worker =
        slot.worker <- None;
        Some (false, Error "crashed: worker domain exited"))
   | Process_worker p ->
-    (match Executor.read_reply p ~decode:Handler.decode_worker_reply with
+    (match Executor.read_reply p Handler.op with
      | None -> None
      | Some (Executor.Replied outcome) -> Some (true, Ok outcome)
      | Some (Executor.Refused message) -> Some (true, Error message)

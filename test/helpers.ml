@@ -5,12 +5,7 @@
    test module initializes: every module that assembles a qcheck suite
    depends on this one, and assembling one prints a seed banner on
    stdout that would corrupt the frame protocol. *)
-let () =
-  if Array.length Sys.argv > 1 && Sys.argv.(1) = "_worker" then begin
-    Tabv_serve.Handler.register_worker_op ();
-    Tabv_campaign.Worker.main ();
-    exit 0
-  end
+let () = Tabv_serve.Handler.worker_hook ()
 
 open Tabv_psl
 

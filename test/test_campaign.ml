@@ -141,7 +141,7 @@ let manifest_cases =
             "matrix": { "duvs": ["des56"], "levels": ["rtl", "tlm-lt"],
                         "seeds": [1], "ops": 10, "props": "none" } }|}
       in
-      match C.manifest_of_string doc with
+      match C.manifest_of_json (J.of_string doc) with
       | Error msg -> Alcotest.fail msg
       | Ok m ->
         Alcotest.(check (option int)) "retries" (Some 2) m.C.manifest_retries;
@@ -155,19 +155,17 @@ let manifest_cases =
           ((List.nth m.C.manifest_jobs 1).C.selection = C.No_checkers));
     case "unknown keys are rejected" (fun () ->
       match
-        C.manifest_of_string
-          {|{ "jobs": [ { "duv": "des56", "level": "rtl", "seed": 1,
-                          "ops": 5, "wat": true } ] }|}
+        C.manifest_of_json
+          (J.of_string
+             {|{ "jobs": [ { "duv": "des56", "level": "rtl", "seed": 1,
+                             "ops": 5, "wat": true } ] }|})
       with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "unknown job key accepted");
-    case "empty manifests and parse errors are reported" (fun () ->
-      (match C.manifest_of_string "{}" with
-       | Error _ -> ()
-       | Ok _ -> Alcotest.fail "empty manifest accepted");
-      match C.manifest_of_string "{ not json" with
+    case "empty manifests are refused" (fun () ->
+      match C.manifest_of_json (J.of_string "{}") with
       | Error _ -> ()
-      | Ok _ -> Alcotest.fail "malformed JSON accepted") ]
+      | Ok _ -> Alcotest.fail "empty manifest accepted") ]
 
 (* --- JSON parser (Report_json.of_string) ------------------------------- *)
 
@@ -197,7 +195,7 @@ let json_parser_cases =
           | _ -> Alcotest.failf "accepted %S" doc
           | exception J.Parse_error { line; col; _ } ->
             Alcotest.(check bool) "position" true (line >= 1 && col >= 1))
-        [ "{"; "[1,]"; "\"unterminated"; "{\"a\":1} trailing"; "nul" ]);
+        [ "{"; "[1,]"; "\"unterminated"; "{\"a\":1} trailing"; "nul"; "{ not json" ]);
     case "member reads object fields" (fun () ->
       let doc = J.of_string {|{ "a": 1, "b": [2] }|} in
       Alcotest.(check bool) "a" true (J.member "a" doc = Some (J.Int 1));
@@ -242,68 +240,117 @@ let small_matrix =
 
 (* --- wire framing ------------------------------------------------------ *)
 
+let wire_version = Executor.frame_version
+
 let wire_cases =
-  [ case "frames are length-prefixed with a fixed 9-byte header" (fun () ->
-      let frame = Frame.encode "hello" in
-      Alcotest.(check string) "encoding" "00000005\nhello" frame;
-      Alcotest.(check (option int)) "header decodes" (Some 5)
-        (Frame.decode_header (String.sub frame 0 Frame.header_length));
-      Alcotest.(check (option int)) "garbage header" None
-        (Frame.decode_header "0x5\nhelloo");
-      (* underscore-tolerant int_of_string must not leak through *)
-      Alcotest.(check (option int)) "underscores rejected" None
-        (Frame.decode_header "0000_005\n"));
+  [ case "frames are length-prefixed with a fixed 11-byte versioned header"
+      (fun () ->
+      Alcotest.(check string) "encoding" "0100000005\nhello"
+        (Frame.encode ~version:1 "hello");
+      Alcotest.(check int) "header length" 11 Frame.versioned_header_length;
+      match Frame.encode ~version:256 "x" with
+      | _ -> Alcotest.fail "version 256 encoded"
+      | exception Invalid_argument _ -> ());
     case "a stream fed byte by byte pops whole frames" (fun () ->
-      let s = Frame.stream () in
-      let bytes = Frame.encode "first" ^ Frame.encode "" in
+      let s = Frame.stream ~expect_version:wire_version () in
+      let bytes =
+        Frame.encode ~version:wire_version "first"
+        ^ Frame.encode ~version:wire_version ""
+      in
       String.iter (fun c -> Frame.feed s (String.make 1 c)) bytes;
       Alcotest.(check (option string)) "first" (Some "first") (Frame.pop s);
       Alcotest.(check (option string)) "empty frame" (Some "") (Frame.pop s);
       Alcotest.(check (option string)) "drained" None (Frame.pop s);
       Alcotest.(check int) "no residue" 0 (Frame.stream_length s));
     case "a corrupt header raises Protocol_error" (fun () ->
-      let s = Frame.stream () in
-      Frame.feed s "not-hex!!\nwhatever";
-      match Frame.pop s with
-      | _ -> Alcotest.fail "corrupt header accepted"
-      | exception Frame.Protocol_error _ -> ()) ]
-
-(* --- execution payloads ------------------------------------------------ *)
-
-let payload_cases =
-  [ case "job specs round-trip through JSON, chaos included" (fun () ->
+      (* Non-hex bytes, and the underscores a lenient int_of_string
+         would accept. *)
       List.iter
-        (fun job ->
-          match C.job_spec_of_json (J.of_string (J.to_string (C.job_spec_json job))) with
-          | Ok back -> Alcotest.(check bool) "identical" true (back = job)
-          | Error e -> Alcotest.fail e)
-        [ C.job ~duv:M.Des56 ~level:M.Rtl ~seed:1 ~ops:5 ();
-          C.job ~selection:(C.Take 2) ~chaos:3 ~duv:M.Memctrl ~level:M.Tlm_at
-            ~seed:7 ~ops:12 ();
-          C.job ~chaos:1 ~chaos_kind:(C.Chaos_hard Tabv_fault.Fault.Abort)
-            ~duv:M.Colorconv ~level:M.Tlm_ca ~seed:2 ~ops:6 ();
-          C.job ~chaos:2 ~chaos_kind:(C.Chaos_hard Tabv_fault.Fault.Busy_loop)
-            ~selection:C.No_checkers ~duv:M.Des56 ~level:M.Tlm_lt ~seed:3
-            ~ops:4 () ]);
-    slow_case "exec payloads survive the wire byte-for-byte" (fun () ->
-      let job = C.job ~duv:M.Des56 ~level:M.Rtl ~seed:1 ~ops:5 () in
-      let payload = C.exec_job ~attempt:1 job in
-      let emitted = J.to_string (C.payload_json payload) in
-      match C.payload_of_json (J.of_string emitted) with
-      | Error e -> Alcotest.fail e
-      | Ok back ->
-        Alcotest.(check string) "re-emission identical" emitted
-          (J.to_string (C.payload_json back)));
-    slow_case "qualify qruns survive the wire byte-for-byte" (fun () ->
-      let qrun =
-        Qualify.exec_index ~duv:M.Colorconv ~levels:[ M.Rtl ] ~seed:1 ~ops:5 0
-      in
-      let emitted = J.to_string (Qualify.qrun_json qrun) in
-      match Qualify.qrun_of_json (J.of_string emitted) with
-      | Error e -> Alcotest.fail e
-      | Ok back ->
-        Alcotest.(check string) "re-emission identical" emitted
-          (J.to_string (Qualify.qrun_json back))) ]
+        (fun header ->
+          let s = Frame.stream ~expect_version:wire_version () in
+          Frame.feed s (header ^ "whatever");
+          match Frame.pop s with
+          | _ -> Alcotest.failf "corrupt header %S accepted" header
+          | exception Frame.Protocol_error _ -> ())
+        [ "not-hex!!!\n"; "01_0000005\n"; "0100000005x" ]) ]
+
+(* --- worker ops -------------------------------------------------------- *)
+
+(* Every op a worker serves, run once on a sample spec: the spec must
+   survive its codec unchanged, and the result must re-emit the same
+   bytes after a round trip — what crosses a worker pipe and lands in
+   a journal is exactly what the report is built from. *)
+let op_cases =
+  [ slow_case "every worker op's spec and result round-trip through JSON"
+      (fun () ->
+      let trace = Filename.temp_file "tabv_test" ".trace" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove trace)
+        (fun () ->
+          let model = Option.get (M.of_name "des56-rtl") in
+          ignore
+            (Tabv_trace.Writer.with_file ~path:trace
+               (Tabv_trace.Meta.make ~model:"des56-rtl" ~seed:1 ~ops:5)
+               (fun writer ->
+                 M.run
+                   { Tabv_duv.Testbench.default with trace_writer = Some writer }
+                   model ~seed:1 ~ops:5));
+          let property = Tabv_campaign.Recheck.property_source in
+          let samples =
+            [ ( "campaign_job",
+                [ {|{"duv":"des56","level":"rtl","seed":1,"ops":5,"props":"all","chaos":0}|};
+                  {|{"duv":"memctrl","level":"tlm-at","seed":7,"ops":12,"props":"2","chaos":3}|};
+                  {|{"duv":"colorconv","level":"tlm-ca","seed":2,"ops":6,"props":"all","chaos":1,"chaos_kind":"abort"}|};
+                  {|{"duv":"des56","level":"tlm-lt","seed":3,"ops":4,"props":"none","chaos":2,"chaos_kind":"busy_loop"}|} ] );
+              ( "qualify_job",
+                [ {|{"duv":"colorconv","levels":["rtl"],"seed":1,"ops":5,"index":0}|} ] );
+              ( "recheck_job",
+                [ J.to_string
+                    (J.Assoc
+                       [ ("trace", J.String trace);
+                         ( "properties",
+                           J.List
+                             (List.map
+                                (fun p -> J.String (property p))
+                                Tabv_duv.Des56_props.all) ) ]) ] );
+              ( "serve_request",
+                [ {|{"request":{"id":0,"op":"check","model":"des56-rtl","seed":1,"ops":5}}|};
+                  {|{"state_dir":"s","request":{"id":0,"op":"qualify","duv":"des56","levels":["rtl"],"seed":1,"ops":5,"workers":1,"retries":1}}|} ] ) ]
+          in
+          List.iter
+            (fun (Executor.Op op) ->
+              match List.assoc_opt op.Executor.name samples with
+              | None -> Alcotest.failf "%s: no sample spec" op.Executor.name
+              | Some texts ->
+                let specs =
+                  List.map
+                    (fun text ->
+                      match op.Executor.spec.of_json (J.of_string text) with
+                      | Error e -> Alcotest.failf "%s: %s" op.Executor.name e
+                      | Ok spec ->
+                        Alcotest.(check string)
+                          (op.Executor.name ^ " spec") text
+                          (J.to_string (op.Executor.spec.to_json spec));
+                        spec)
+                    texts
+                in
+                (* The first sample arms no chaos: run it. *)
+                let emitted =
+                  J.to_string
+                    (op.Executor.result.to_json
+                       (op.Executor.run (List.hd specs) ~attempt:1))
+                in
+                (match op.Executor.result.of_json (J.of_string emitted) with
+                 | Error e -> Alcotest.failf "%s result: %s" op.Executor.name e
+                 | Ok back ->
+                   Alcotest.(check string)
+                     (op.Executor.name ^ " result re-emission")
+                     emitted
+                     (J.to_string (op.Executor.result.to_json back))))
+            Tabv_serve.Handler.worker_ops;
+          Alcotest.(check int) "one sample list per op"
+            (List.length samples)
+            (List.length Tabv_serve.Handler.worker_ops))) ]
 
 (* --- write-ahead journal ----------------------------------------------- *)
 
@@ -449,6 +496,19 @@ let backoff_cases =
       Alcotest.(check (float 0.)) "degenerate base yields no delay" 0.
         (Tabv_serve.Client.backoff_s ~seed:1 ~task:1 ~base_s:0. ~attempt:3)) ]
 
+(* A toy op over integers that records the specs it ran. *)
+let counting_op ran =
+  let ints =
+    { Executor.to_json = (fun n -> J.Int n);
+      of_json = (function J.Int n -> Ok n | _ -> Error "expected an integer") }
+  in
+  let lock = Mutex.create () in
+  { Executor.name = "count"; spec = ints; result = ints;
+    run =
+      (fun n ~attempt:_ ->
+        Mutex.protect lock (fun () -> ran := n :: !ran);
+        n * 10) }
+
 let executor_cases =
   [ slow_case "subprocess reports are byte-identical to in-domain" (fun () ->
       let report exec =
@@ -550,17 +610,93 @@ let executor_cases =
             if not (List.mem self !pollers) then pollers := self :: !pollers);
         false
       in
-      let tasks =
-        { Executor.count = 1; skip = (fun _ -> false);
-          execute = (fun _ ~attempt:_ -> ());
-          request = (fun _ ~attempt:_ -> J.Null);
-          decode = (fun _ _ -> Ok ()); on_result = (fun _ _ -> ()) }
-      in
       ignore
         (Executor.run (Executor.config Executor.In_domain) ~workers:8
-           ~retries:0 ~interrupted tasks);
+           ~retries:0 ~interrupted (counting_op (ref [])) [ 0 ]);
       Alcotest.(check int) "domains for one task and eight workers" 1
-        (List.length !pollers)) ]
+        (List.length !pollers));
+    case "a journal's tasks are replayed, never run" (fun () ->
+      with_temp_journal (fun path ->
+        let j = journal_open ~path ~kind:"t" ~fingerprint:"fp" ~resume:false in
+        Journal.append j ~id:1
+          (J.Assoc [ ("attempts", J.Int 3); ("payload", J.Int 77) ]);
+        Journal.close j;
+        let j = journal_open ~path ~kind:"t" ~fingerprint:"fp" ~resume:true in
+        let ran = ref [] in
+        let slots =
+          Executor.run (Executor.config Executor.In_domain) ~workers:2
+            ~retries:0 ~journal:j (counting_op ran) [ 0; 1; 2 ]
+        in
+        Journal.close j;
+        Alcotest.(check (list int)) "only the unjournaled tasks ran" [ 0; 2 ]
+          (List.sort compare !ran);
+        Alcotest.(check bool) "the recorded attempts and result" true
+          (slots.(1)
+           = Some { Executor.attempts = 3; outcome = Executor.Done 77; replayed = true });
+        Alcotest.(check bool) "a task that ran" true
+          (slots.(2)
+           = Some { Executor.attempts = 1; outcome = Executor.Done 20; replayed = false });
+        let j = journal_open ~path ~kind:"t" ~fingerprint:"fp" ~resume:true in
+        Alcotest.(check (list int)) "completed tasks journaled" [ 0; 1; 2 ]
+          (List.map fst (Journal.replayed j));
+        Journal.close j));
+    case "an undecodable journal record is refused alike by every batch"
+      (fun () ->
+      let refusal ~kind ~fingerprint run =
+        with_temp_journal (fun path ->
+          let j = journal_open ~path ~kind ~fingerprint ~resume:false in
+          Journal.append j ~id:0
+            (J.of_string {|{"attempts":1,"payload":{"bogus":1}}|});
+          Journal.close j;
+          let j = journal_open ~path ~kind ~fingerprint ~resume:true in
+          Fun.protect
+            ~finally:(fun () -> Journal.close j)
+            (fun () ->
+              match run j with
+              | () -> Alcotest.fail "an undecodable record was replayed"
+              | exception Executor.Bad_record message -> message))
+      in
+      let jobs = [ C.job ~duv:M.Des56 ~level:M.Rtl ~seed:1 ~ops:5 () ] in
+      Alcotest.(check string) "campaign"
+        {|journal record 0: job payload: missing key "sim_time_ns"|}
+        (refusal ~kind:C.journal_kind ~fingerprint:(C.fingerprint ~retries:1 jobs)
+           (fun journal -> ignore (C.run ~journal jobs)));
+      let duv = M.Des56 and levels = [ M.Rtl ] and seed = 1 and ops = 5 in
+      Alcotest.(check string) "qualify"
+        {|journal record 0: qualify payload: missing key "faults_triggered"|}
+        (refusal ~kind:Qualify.journal_kind
+           ~fingerprint:(Qualify.fingerprint ~duv ~levels ~seed ~ops)
+           (fun journal -> ignore (Qualify.run ~journal ~duv ~levels ~seed ~ops ()))));
+    slow_case "a worker answers an unknown op with an error and keeps serving"
+      (fun () ->
+      let p = Executor.spawn () in
+      Fun.protect
+        ~finally:(fun () -> ignore (Executor.kill p))
+        (fun () ->
+          let await op =
+            let deadline = Unix.gettimeofday () +. 60. in
+            let rec go () =
+              if Unix.gettimeofday () > deadline then
+                Alcotest.fail "no reply within 60 s";
+              ignore (Unix.select [ Executor.reply_fd p ] [] [] 1.);
+              match Executor.read_reply p op with
+              | Some reply -> reply
+              | None -> go ()
+            in
+            go ()
+          in
+          let unknown = { (counting_op (ref [])) with Executor.name = "no_such_op" } in
+          Executor.send p unknown ~attempt:1 0;
+          (match await unknown with
+           | Executor.Refused message ->
+             Alcotest.(check string) "error reply"
+               {|worker: request: unknown op "no_such_op"|} message
+           | _ -> Alcotest.fail "expected an error reply");
+          Executor.send p C.op ~attempt:1
+            (C.job ~duv:M.Des56 ~level:M.Rtl ~seed:1 ~ops:2 ());
+          match await C.op with
+          | Executor.Replied _ -> ()
+          | _ -> Alcotest.fail "the worker stopped serving")) ]
 
 (* --- running ----------------------------------------------------------- *)
 
@@ -644,5 +780,5 @@ let run_cases =
 let suite =
   ( "campaign",
     dls_cases @ matrix_cases @ manifest_cases @ json_parser_cases @ wire_cases
-    @ payload_cases @ journal_cases @ backoff_cases @ run_cases
+    @ op_cases @ journal_cases @ backoff_cases @ run_cases
     @ executor_cases )

@@ -181,8 +181,9 @@ let io_cases =
           (fun () ->
             match Io.write_file_atomic ~path "new" with
             | () -> Alcotest.fail "faulted rename succeeded"
-            | exception Io.Io_error { op; _ } ->
-              Alcotest.(check string) "op" "rename" op);
+            | exception Io.Io_error { op; path = named; _ } ->
+              Alcotest.(check string) "op" "rename" op;
+              Alcotest.(check string) "names the target" path named);
         Alcotest.(check string) "old contents intact" "old" (read_file path);
         Alcotest.(check bool) "temp unlinked" false
           (Sys.file_exists (Io.temp_path path))));
@@ -197,8 +198,9 @@ let io_cases =
           (fun () ->
             match Io.write_file_atomic ~path "new" with
             | () -> Alcotest.fail "faulted write succeeded"
-            | exception Io.Io_error { op; _ } ->
-              Alcotest.(check string) "op" "write" op);
+            | exception Io.Io_error { op; path = named; _ } ->
+              Alcotest.(check string) "op" "write" op;
+              Alcotest.(check string) "names the target" path named);
         Alcotest.(check string) "old contents intact" "old" (read_file path);
         Alcotest.(check bool) "temp unlinked" false
           (Sys.file_exists (Io.temp_path path))));
